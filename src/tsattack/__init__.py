@@ -13,6 +13,7 @@ from .lqr import (
     build_cost_form,
     cost_delta_quadratic,
     linear_term,
+    realized_costs,
     rollout_cost,
     solve_unconstrained,
     stack_dynamics,
@@ -77,7 +78,8 @@ __all__ = [
     "__version__",
     "ConfigurationError", "NumericalError",
     "SystemSpec", "BatchForm", "stack_dynamics", "build_cost_form", "batch_form",
-    "linear_term", "solve_unconstrained", "rollout_cost", "action_gap",
+    "linear_term", "solve_unconstrained", "rollout_cost", "realized_costs",
+    "action_gap",
     "cost_delta_quadratic",
     "EigenPair", "AttackResult", "dominant_eigenpair", "cost_attack",
     "random_sphere_attack",

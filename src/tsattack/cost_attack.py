@@ -81,13 +81,14 @@ def cost_attack(batch: BatchForm, s, delta: float):
     """Worst-case cost perturbation s +/- delta*v1 of the series.
 
     Returns the canonical result (positive eigenvector sign) and its mirror;
-    both attain the same cost increase delta^2 * lambda_1.
+    both attain the same cost increase delta^2 * lambda_1.  The eigenpair is
+    the one cached on the batch form, so repeated attacks share it.
     """
     _require_cost_form(batch)
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
     s = check_series(batch, s)
-    eig = dominant_eigenpair(batch.Psi)
+    eig = batch.eigenpair
     results = []
     for sign in (1.0, -1.0):
         s_hat = s + sign * delta * eig.v1

@@ -23,6 +23,7 @@ batch form and reused for all solves.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -126,8 +127,9 @@ class BatchForm:
         Psi     (pT x pT)  forecast-error sensitivity L' K^{-1} L, PSD
         k_const (mT,)      x0-dependent part of the linear term
 
-    The linear term of the cost is k(x0, s) = k_const + L s; ``k_lin`` is an
-    alias for L.  Instances are immutable; all operations on them are pure.
+    The linear term of the cost is k(x0, s) = k_const + L s.  Instances are
+    immutable; all operations on them are pure.  The dominant eigenpair of
+    Psi is computed on first use of :attr:`eigenpair` and reused after.
     """
 
     spec: SystemSpec
@@ -141,16 +143,27 @@ class BatchForm:
     K_factor: Optional[tuple] = None
 
     @property
-    def k_lin(self) -> Optional[np.ndarray]:
-        return self.L
-
-    @property
     def m_total(self) -> int:
         return self.spec.m * self.spec.T
 
     @property
     def p_total(self) -> int:
         return self.spec.p * self.spec.T
+
+    @cached_property
+    def eigenpair(self):
+        """Dominant eigenpair of Psi (a :class:`tsattack.cost_attack.EigenPair`).
+
+        It depends only on the system, so one eigendecomposition serves every
+        series and budget.  It is deliberately not built by
+        :func:`build_cost_form`: constrained runs never use it.
+        """
+        from .cost_attack import dominant_eigenpair  # cost_attack imports lqr
+
+        _require_cost_form(self)
+        pair = dominant_eigenpair(self.Psi)
+        pair.v1.flags.writeable = False  # one array handed to every caller
+        return pair
 
 
 def _require_cost_form(batch: BatchForm) -> None:
@@ -187,10 +200,6 @@ def stack_dynamics(spec: SystemSpec) -> BatchForm:
     right-padded with zero blocks to the full mT / pT width.
     """
     n, m, p, T = spec.n, spec.m, spec.p, spec.T
-    M = np.zeros((T, n, m * T))
-    N = np.zeros((T, n, p * T))
-    x0_response = np.zeros((T, n))
-
     # A^j B and A^j C for j = 0 .. T-1, built incrementally.
     AjB = np.zeros((T, n, m))
     AjC = np.zeros((T, n, p))
@@ -199,13 +208,18 @@ def stack_dynamics(spec: SystemSpec) -> BatchForm:
         AjB[j] = spec.A @ AjB[j - 1]
         AjC[j] = spec.A @ AjC[j - 1]
 
+    x0_response = np.zeros((T, n))
     free = spec.A @ spec.x0
     for t in range(T):
         x0_response[t] = free
         free = spec.A @ free
-        for j in range(t + 1):
-            M[t, :, j * m:(j + 1) * m] = AjB[t - j]
-            N[t, :, j * p:(j + 1) * p] = AjC[t - j]
+
+    # Block (t, j) is A^{t-j} B for j <= t and zero above the diagonal.
+    lag = np.arange(T)[:, None] - np.arange(T)[None, :]
+    causal = (lag >= 0)[:, :, None, None]
+    lag = np.maximum(lag, 0)
+    M = np.where(causal, AjB[lag], 0.0).transpose(0, 2, 1, 3).reshape(T, n, m * T)
+    N = np.where(causal, AjC[lag], 0.0).transpose(0, 2, 1, 3).reshape(T, n, p * T)
     return BatchForm(spec=spec, M=M, N=N, x0_response=x0_response)
 
 
@@ -273,6 +287,33 @@ def rollout_cost(spec: SystemSpec, u, s) -> float:
         x = spec.A @ x + spec.B @ u_t + spec.C @ s_t
         total += float(x @ spec.Q @ x)
     return total
+
+
+def realized_costs(batch: BatchForm, U, S) -> np.ndarray:
+    """Costs of action rows U played against real-series rows S, all at once.
+
+    Row r gives the same cost as ``rollout_cost(spec, U[r], S[r])`` up to
+    roundoff: the states come from the stacked form,
+    x_{t+1} = A^{t+1} x0 + M_t u + N_t s, as two matrix products over all
+    rows.  Returns one cost per row.
+    """
+    spec = batch.spec
+    U = np.asarray(U, dtype=float)
+    S = np.asarray(S, dtype=float)
+    if U.ndim != 2 or U.shape[1] != batch.m_total:
+        raise ValueError(f"U must have shape (rows, m*T = {batch.m_total}), got {U.shape}")
+    if S.shape != (U.shape[0], batch.p_total):
+        raise ValueError(
+            f"S must have shape ({U.shape[0]}, p*T = {batch.p_total}), got {S.shape}"
+        )
+    rows, T = U.shape[0], spec.T
+    X = (U @ batch.M.reshape(T * spec.n, -1).T
+         + S @ batch.N.reshape(T * spec.n, -1).T
+         + batch.x0_response.ravel()).reshape(rows, T, spec.n)
+    U = U.reshape(rows, T, spec.m)
+    state_cost = np.einsum("rti,ij,rtj->r", X, spec.Q, X)
+    action_cost = np.einsum("rti,ij,rtj->r", U, spec.R, U)
+    return float(spec.x0 @ spec.Q @ spec.x0) + state_cost + action_cost
 
 
 def action_gap(batch: BatchForm, s_hat, s) -> np.ndarray:

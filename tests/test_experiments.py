@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 
@@ -8,17 +9,20 @@ from tsattack import (
     ConfigurationError,
     batch_form,
     calibrate_action_box,
+    cost_attack,
     cost_delta_quadratic,
     dominant_eigenpair,
     emit_report,
     jacobian_selftest,
     load_config,
     parse_config,
+    random_sphere_attack,
+    rollout_cost,
     run_constraint_experiment,
     run_cost_experiment,
     solve_unconstrained,
 )
-from tsattack.experiments import ScenarioStats, load_windows
+from tsattack.experiments import ScenarioStats, load_windows, task_seed
 
 BASE_CONFIG = {
     "system": {"A": 1, "B": -1, "C": 1, "Q": 1, "R": 1, "T": 12, "x0": 1},
@@ -149,6 +153,78 @@ class TestCostExperiment:
         cfg = make_config(scenarios=["max-action"])
         with pytest.raises(ConfigurationError, match="cost experiment"):
             run_cost_experiment(cfg)
+
+    @pytest.mark.parametrize("system", [
+        BASE_CONFIG["system"],
+        {"A": [[0.9, 0.2], [0.0, 0.7]], "B": [[1.0], [0.5]],
+         "C": [[0.3, 0.0], [0.1, 1.0]], "Q": [[2.0, 0.5], [0.5, 1.0]],
+         "R": 0.5, "T": 6, "x0": [1.0, -0.5]},
+    ])
+    def test_matches_per_record_reference_loop(self, system):
+        cfg = make_config(system=system, deltas=[0.3, 1.0, 3.0],
+                          series_dump_limit=3)
+        stats = run_cost_experiment(cfg)
+        batch = batch_form(cfg.system)
+        expected, dumps = [], []
+        for w_idx, window in enumerate(load_windows(cfg)):
+            s = window.values
+            u_orig = solve_unconstrained(batch, s)
+            j_orig = rollout_cost(cfg.system, u_orig, s)
+            for d_idx, delta in enumerate(cfg.deltas):
+                for scenario in ("cost-adv", "random"):
+                    if scenario == "cost-adv":
+                        result, _ = cost_attack(batch, s, delta)
+                    else:
+                        result = random_sphere_attack(
+                            s, delta, seed=task_seed(cfg.seed, w_idx, d_idx))
+                    u_adv = solve_unconstrained(batch, result.s_hat)
+                    expected.append((
+                        (window.series_id, delta, scenario,
+                         ";".join(sorted(result.flags))),
+                        (j_orig, rollout_cost(cfg.system, u_adv, s),
+                         float(np.max(u_orig)), float(np.max(u_adv)),
+                         float(np.abs(u_orig).sum()), float(np.abs(u_adv).sum()),
+                         result.norm_used),
+                    ))
+                    if w_idx < 3:
+                        dumps.append(result.s_hat)
+        assert len(stats.records) == len(expected)
+        for record, (key, values) in zip(stats.records, expected):
+            assert (record.series_id, record.delta, record.scenario,
+                    record.flags) == key
+            got = (record.j_orig, record.j_adv, record.max_u_orig,
+                   record.max_u_adv, record.l1_orig, record.l1_adv,
+                   record.norm_used)
+            for a, b in zip(got, values):
+                assert math.isclose(a, b, rel_tol=1e-10)
+        assert len(stats.series_dumps) == len(dumps)
+        for dump, s_hat in zip(stats.series_dumps, dumps):
+            np.testing.assert_array_equal(dump.attacked, s_hat)
+
+    def test_one_eigenpair_per_experiment(self, monkeypatch):
+        calls = []
+
+        def counting(psi):
+            calls.append(psi.shape)
+            return dominant_eigenpair(psi)
+
+        # The package re-exports the cost_attack function under the module's name.
+        module = importlib.import_module("tsattack.cost_attack")
+        monkeypatch.setattr(module, "dominant_eigenpair", counting)
+        cfg = make_config(deltas=[0.3, 1.0, 3.0])
+        batch_form(cfg.system)
+        assert calls == []  # building the form leaves the eigenpair lazy
+        run_cost_experiment(cfg)
+        assert calls == [(12, 12)]
+        run_cost_experiment(make_config(scenarios=["random"]))
+        assert calls == [(12, 12)]
+
+    def test_rejects_non_finite_window(self, monkeypatch):
+        windows = load_windows(make_config())
+        windows[3].values[5] = np.nan
+        monkeypatch.setattr("tsattack.experiments.load_windows", lambda cfg: windows)
+        with pytest.raises(ValueError, match="non-finite"):
+            run_cost_experiment(make_config())
 
 
 class TestConstraintExperiment:

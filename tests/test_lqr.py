@@ -13,6 +13,7 @@ from tsattack import (
     build_cost_form,
     cost_delta_quadratic,
     linear_term,
+    realized_costs,
     rollout_cost,
     solve_unconstrained,
     stack_dynamics,
@@ -21,7 +22,39 @@ from tsattack import (
 from conftest import make_scalar_spec, random_system
 
 
+def stack_dynamics_loop(spec):
+    """Reference: fill M_t and N_t block by block with the O(T^2) double loop."""
+    n, m, p, T = spec.n, spec.m, spec.p, spec.T
+    M = np.zeros((T, n, m * T))
+    N = np.zeros((T, n, p * T))
+    x0_response = np.zeros((T, n))
+    AjB = np.zeros((T, n, m))
+    AjC = np.zeros((T, n, p))
+    AjB[0], AjC[0] = spec.B, spec.C
+    for j in range(1, T):
+        AjB[j] = spec.A @ AjB[j - 1]
+        AjC[j] = spec.A @ AjC[j - 1]
+    free = spec.A @ spec.x0
+    for t in range(T):
+        x0_response[t] = free
+        free = spec.A @ free
+        for j in range(t + 1):
+            M[t, :, j * m:(j + 1) * m] = AjB[t - j]
+            N[t, :, j * p:(j + 1) * p] = AjC[t - j]
+    return M, N, x0_response
+
+
 class TestStackDynamics:
+    def test_bitwise_equal_to_double_loop(self):
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            spec = random_system(rng, t_max=12)
+            batch = stack_dynamics(spec)
+            M, N, x0_response = stack_dynamics_loop(spec)
+            assert np.array_equal(batch.M, M)
+            assert np.array_equal(batch.N, N)
+            assert np.array_equal(batch.x0_response, x0_response)
+
     def test_scalar_single_step(self):
         batch = stack_dynamics(make_scalar_spec(T=1))
         np.testing.assert_allclose(batch.M[0], [[-1.0]])
@@ -162,6 +195,33 @@ class TestRolloutCost:
         spec = make_scalar_spec(T=2)
         with pytest.raises(ValueError):
             rollout_cost(spec, [0.0], [0.0, 0.0])
+
+
+class TestRealizedCosts:
+    def test_matches_rollout_on_random_systems(self):
+        rng = np.random.default_rng(5)
+        horizons = set()
+        for _ in range(60):
+            spec = random_system(rng, n_max=2, m_max=2, p_max=2, t_max=8)
+            horizons.add(spec.T)
+            batch = batch_form(spec)
+            U = rng.standard_normal((4, batch.m_total))
+            S = rng.standard_normal((4, batch.p_total))
+            costs = realized_costs(batch, U, S)
+            assert costs.shape == (4,)
+            for u, s, cost in zip(U, S, costs):
+                assert math.isclose(cost, rollout_cost(spec, u, s), rel_tol=1e-10)
+        assert 1 in horizons
+
+    def test_zero_rows(self, scalar_t2):
+        costs = realized_costs(scalar_t2, np.zeros((0, 2)), np.zeros((0, 2)))
+        assert costs.shape == (0,)
+
+    def test_shape_mismatch(self, scalar_t2):
+        with pytest.raises(ValueError, match="U must"):
+            realized_costs(scalar_t2, np.zeros(2), np.zeros((1, 2)))
+        with pytest.raises(ValueError, match="S must"):
+            realized_costs(scalar_t2, np.zeros((2, 2)), np.zeros((1, 2)))
 
 
 class TestActionGap:
