@@ -10,13 +10,11 @@ from .lqr import (
     SystemSpec,
     action_gap,
     batch_form,
-    build_cost_form,
     cost_delta_quadratic,
     linear_term,
     realized_costs,
     rollout_cost,
     solve_unconstrained,
-    stack_dynamics,
 )
 from .cost_attack import (
     AttackResult,
@@ -77,7 +75,7 @@ from .report import emit_report
 __all__ = [
     "__version__",
     "ConfigurationError", "NumericalError",
-    "SystemSpec", "BatchForm", "stack_dynamics", "build_cost_form", "batch_form",
+    "SystemSpec", "BatchForm", "batch_form",
     "linear_term", "solve_unconstrained", "rollout_cost", "realized_costs",
     "action_gap",
     "cost_delta_quadratic",

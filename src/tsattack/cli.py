@@ -16,11 +16,11 @@ from .cost_attack import cost_attack
 from .data import read_series_csv, sample_random_arima, write_series_csv
 from .errors import ConfigurationError, NumericalError
 from .experiments import (
-    _constraints_for,
-    _run_grad_attack,
+    constraints_for,
     jacobian_selftest,
     run_constraint_experiment,
     run_cost_experiment,
+    run_grad_attack,
 )
 from .config import AttackConfig
 from .grad_attack import TargetFunction
@@ -132,15 +132,15 @@ def _cmd_attack_constraint(args) -> int:
     windows = read_series_csv(args.input)
     for window in windows:
         _check_window_length(batch, window)
-    cons = _constraints_for(cfg, batch, windows)
+    cons = constraints_for(cfg, batch, windows)
     attack_cfg = AttackConfig(mode=cfg.attack.mode, steps=args.steps,
                               step_size=args.step_size)
     target = TargetFunction(args.target)
     rows = []
     flagged = 0
     for window in windows:
-        result = _run_grad_attack(batch, cons, window.values, args.delta,
-                                  target, attack_cfg)
+        result = run_grad_attack(batch, cons, window.values, args.delta,
+                                 target, attack_cfg)
         if result.flags:
             flagged += 1
         rows.append((window.source_id, window.values, result.s_hat))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lqr import BatchForm, check_series, cost_delta_quadratic, _require_cost_form
+from .lqr import BatchForm, check_series, cost_delta_quadratic
 
 #: Diagnostic flag values carried by AttackResult.flags.
 FLAG_ZERO_GRADIENT = "zero-gradient"
@@ -84,7 +84,6 @@ def cost_attack(batch: BatchForm, s, delta: float):
     both attain the same cost increase delta^2 * lambda_1.  The eigenpair is
     the one cached on the batch form, so repeated attacks share it.
     """
-    _require_cost_form(batch)
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
     s = check_series(batch, s)

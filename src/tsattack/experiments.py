@@ -55,6 +55,15 @@ TARGET_BY_SCENARIO = {
     "cost-gradient": TargetFunction.COST_CHANGE,
 }
 
+#: The record column each scenario's significance test compares with random.
+METRIC_BY_SCENARIO = {
+    "cost-adv": "j_adv",
+    "max-action": "max_u_adv",
+    "min-action": "max_u_adv",
+    "l1": "l1_adv",
+    "cost-gradient": "j_adv",
+}
+
 
 @dataclass(frozen=True)
 class Record:
@@ -155,13 +164,11 @@ def _aggregate(records: Sequence[Record]) -> List[dict]:
     return out
 
 
-def _paired_p_values(
-    records: Sequence[Record],
-    scenarios: Sequence[str],
-    metric_of,
-    metric_name_by_scenario,
-) -> List[dict]:
-    """Wilcoxon p-values of each scenario vs the random baseline, per delta."""
+def _paired_p_values(records: Sequence[Record], scenarios: Sequence[str]) -> List[dict]:
+    """Wilcoxon p-values of each scenario vs the random baseline, per delta.
+
+    Each scenario is compared on the record column METRIC_BY_SCENARIO names.
+    """
     out = []
     deltas = sorted({r.delta for r in records})
     by_key: Dict[Tuple[float, str], Dict[str, Record]] = {}
@@ -173,12 +180,12 @@ def _paired_p_values(
             if scenario == "random":
                 continue
             group = by_key.get((delta, scenario), {})
-            metric = metric_name_by_scenario(scenario)
+            metric = METRIC_BY_SCENARIO[scenario]
             shared = sorted(set(group) & set(base))
             a, b = [], []
             for sid in shared:
-                va = metric_of(group[sid], metric)
-                vb = metric_of(base[sid], metric)
+                va = getattr(group[sid], metric)
+                vb = getattr(base[sid], metric)
                 if math.isfinite(va) and math.isfinite(vb):
                     a.append(va)
                     b.append(vb)
@@ -197,14 +204,6 @@ def _paired_p_values(
                 "degenerate": result.degenerate,
             })
     return out
-
-
-def _record_metric(record: Record, metric: str) -> float:
-    return {
-        "j_adv": record.j_adv,
-        "max_u_adv": record.max_u_adv,
-        "l1_adv": record.l1_adv,
-    }[metric]
 
 
 def _stack_windows(batch: BatchForm, windows: Sequence[SeriesWindow]) -> np.ndarray:
@@ -230,90 +229,26 @@ def _unconstrained_actions(batch: BatchForm, S: np.ndarray) -> np.ndarray:
     return U
 
 
-def _realized_cost(batch: BatchForm, u: np.ndarray, s: np.ndarray) -> float:
-    return float(realized_costs(batch, u[None, :], s[None, :])[0])
+def _actions(batch: BatchForm, cons: ConstraintSet, S: np.ndarray, skip=None):
+    """The controller's actions for each series row of S.
 
-
-def run_cost_experiment(cfg: ExperimentConfig) -> ScenarioStats:
-    """Closed-form cost attack vs the random baseline on the unconstrained LQR.
-
-    For each window and delta: the controller plans on the perturbed series,
-    the plan is costed on the real one, and the cost-adv/random cost pairs
-    feed a per-delta paired Wilcoxon test.  The sweep is batched: the
-    windows are validated once, the cost-adv direction is the dominant
-    eigenvector of Psi computed once for the system (``s + delta * v1``, the
-    canonical result of :func:`cost_attack`), and all realized costs come
-    from one :func:`realized_costs` call per side.
+    Returns (U, feasible); infeasible rows of U are NaN.  Without
+    constraints every row is the unconstrained optimum; otherwise each row
+    is one :func:`solve_qp`, except rows already known to be infeasible
+    (``skip``), which are not solved again.
     """
-    scenarios = tuple(s for s in cfg.scenarios if s in COST_SCENARIOS)
-    if not scenarios:
-        raise ConfigurationError(
-            f"cost experiment needs at least one of {COST_SCENARIOS} in scenarios"
-        )
-    batch = batch_form(cfg.system)
-    windows = load_windows(cfg)
-    S = _stack_windows(batch, windows)
-    v1 = batch.eigenpair.v1 if "cost-adv" in scenarios else None
-    tasks: List[Tuple[int, float, str, float]] = []  # window, delta, scenario, norm
-    attacked: List[np.ndarray] = []
-    for w_idx, s in enumerate(S):
-        for d_idx, delta in enumerate(cfg.deltas):
-            for scenario in scenarios:
-                if scenario == "cost-adv":
-                    s_hat = s + delta * v1
-                    norm_used = float(np.linalg.norm(s_hat - s))
-                else:
-                    result = random_sphere_attack(
-                        s, delta, seed=task_seed(cfg.seed, w_idx, d_idx)
-                    )
-                    s_hat, norm_used = result.s_hat, result.norm_used
-                tasks.append((w_idx, delta, scenario, norm_used))
-                attacked.append(s_hat)
-    S_hat = np.array(attacked).reshape(len(tasks), batch.p_total)
-    U_orig = _unconstrained_actions(batch, S)
-    U_adv = _unconstrained_actions(batch, S_hat)
-    j_orig = realized_costs(batch, U_orig, S)
-    j_adv = realized_costs(batch, U_adv, S[[task[0] for task in tasks]])
-    metrics_orig = [_metrics(u) for u in U_orig]
-
-    records: List[Record] = []
-    dumps: List[SeriesDump] = []
-    for (w_idx, delta, scenario, norm_used), s_hat, u_adv, j in zip(
-        tasks, S_hat, U_adv, j_adv
-    ):
-        series_id = windows[w_idx].series_id
-        max_orig, l1_orig = metrics_orig[w_idx]
-        max_adv, l1_adv = _metrics(u_adv)
-        records.append(Record(
-            series_id=series_id,
-            delta=delta,
-            scenario=scenario,
-            j_orig=float(j_orig[w_idx]),
-            j_adv=float(j),
-            max_u_orig=max_orig,
-            max_u_adv=max_adv,
-            l1_orig=l1_orig,
-            l1_adv=l1_adv,
-            norm_used=norm_used,
-            flags="",
-        ))
-        if w_idx < cfg.series_dump_limit:
-            dumps.append(SeriesDump(
-                series_id=series_id, delta=delta,
-                scenario=scenario, original=S[w_idx], attacked=s_hat,
-            ))
-    p_values = _paired_p_values(
-        records, scenarios, _record_metric, lambda scenario: "j_adv"
-    )
-    return ScenarioStats(
-        records=tuple(records),
-        aggregates=tuple(_aggregate(records)),
-        p_values=tuple(p_values),
-        series_dumps=tuple(dumps),
-        config=cfg.raw,
-        seed=cfg.seed,
-        n_windows=len(windows),
-    )
+    if cons.q == 0:
+        return _unconstrained_actions(batch, S), np.ones(len(S), dtype=bool)
+    U = np.full((len(S), batch.m_total), np.nan)
+    feasible = np.zeros(len(S), dtype=bool)
+    for row, s in enumerate(S):
+        if skip is not None and skip[row]:
+            continue
+        sol = solve_qp(batch, cons, s)
+        if sol.optimal:
+            U[row] = sol.u
+            feasible[row] = True
+    return U, feasible
 
 
 def calibrate_action_box(
@@ -336,8 +271,9 @@ def calibrate_action_box(
     return -bound, bound
 
 
-def _constraints_for(cfg: ExperimentConfig, batch: BatchForm,
-                     windows: Sequence[SeriesWindow]) -> ConstraintSet:
+def constraints_for(cfg: ExperimentConfig, batch: BatchForm,
+                    windows: Sequence[SeriesWindow]) -> ConstraintSet:
+    """Compile the configured boxes, calibrating an ``auto`` action box on the windows."""
     if cfg.action_box is None and cfg.state_box is None:
         raise ConfigurationError(
             "constraint experiment requires action_box (value or 'auto') "
@@ -353,7 +289,8 @@ def _constraints_for(cfg: ExperimentConfig, batch: BatchForm,
                                state_box=state_box)
 
 
-def _run_grad_attack(batch, cons, s, delta, target, attack: AttackConfig):
+def run_grad_attack(batch, cons, s, delta, target, attack: AttackConfig):
+    """Run the single-step or iterated gradient attack that ``attack`` selects."""
     if attack.mode == "single-step":
         return single_step_attack(batch, cons, s, delta, target)
     return iterated_attack(
@@ -362,93 +299,121 @@ def _run_grad_attack(batch, cons, s, delta, target, attack: AttackConfig):
     )
 
 
-def run_constraint_experiment(cfg: ExperimentConfig) -> ScenarioStats:
-    """Constraint-target attacks vs the random baseline on the box-QP controller.
+def _run_experiment(cfg: ExperimentConfig, kind: str,
+                    allowed_scenarios: Sequence[str]) -> ScenarioStats:
+    """Attack every (window, delta, scenario) and cost the answers on the real series.
 
-    Targets come from the scenario list (max-action, min-action, l1,
-    cost-gradient); infeasible attacked problems are recorded with the
-    ``infeasible`` flag and counted separately in the aggregates.
+    ``kind`` is ``cost`` (the unconstrained LQR: an empty constraint set)
+    or ``constraint`` (the configured boxes).  Every clean problem is solved
+    before any attack, so infeasible windows fail the run at once.  Each
+    scenario perturbs the series (``cost-adv``: ``s + delta * v1`` with the
+    cached dominant eigenvector of Psi; ``random``: a seeded random
+    direction; gradient targets: the configured gradient attack), the
+    controller answers the perturbed series, and all realized costs come
+    from one :func:`realized_costs` call per side.
     """
-    scenarios = tuple(s for s in cfg.scenarios if s in CONSTRAINT_SCENARIOS)
+    scenarios = tuple(s for s in cfg.scenarios if s in allowed_scenarios)
     if not scenarios:
         raise ConfigurationError(
-            f"constraint experiment needs at least one of {CONSTRAINT_SCENARIOS}"
+            f"{kind} experiment needs at least one of {allowed_scenarios} in scenarios"
         )
     batch = batch_form(cfg.system)
     windows = load_windows(cfg)
-    cons = _constraints_for(cfg, batch, windows)
-    records: List[Record] = []
-    dumps: List[SeriesDump] = []
-    for w_idx, window in enumerate(windows):
-        s = window.values
-        sol_orig = solve_qp(batch, cons, s)
-        if not sol_orig.optimal:
-            raise ConfigurationError(
-                f"unattacked problem infeasible for window {window.series_id}; "
-                "loosen the configured boxes"
-            )
-        j_orig = _realized_cost(batch, sol_orig.u, s)
-        max_orig, l1_orig = _metrics(sol_orig.u)
+    S = _stack_windows(batch, windows)
+    if kind == "cost":
+        cons = ConstraintSet.empty(batch.m_total, batch.p_total)
+    else:
+        cons = constraints_for(cfg, batch, windows)
+
+    U_orig, feasible = _actions(batch, cons, S)
+    if not feasible.all():
+        infeasible = ", ".join(windows[i].series_id for i in np.flatnonzero(~feasible))
+        raise ConfigurationError(
+            f"unattacked problem infeasible for windows {infeasible}; "
+            "loosen the configured boxes"
+        )
+
+    tasks: List[Tuple[int, float, str, float, frozenset]] = []
+    attacked: List[np.ndarray] = []
+    for w_idx, s in enumerate(S):
         for d_idx, delta in enumerate(cfg.deltas):
             for scenario in scenarios:
-                if scenario == "random":
-                    result = random_sphere_attack(
-                        s, delta, seed=task_seed(cfg.seed, w_idx, d_idx)
-                    )
-                    attacked = solve_qp(batch, cons, result.s_hat)
-                    infeasible = not attacked.optimal
-                    flags = {FLAG_INFEASIBLE} if infeasible else set()
+                if scenario == "cost-adv":
+                    s_hat = s + delta * batch.eigenpair.v1
+                    norm_used, flags = float(np.linalg.norm(s_hat - s)), frozenset()
                 else:
-                    result = _run_grad_attack(
-                        batch, cons, s, delta,
-                        TARGET_BY_SCENARIO[scenario], cfg.attack,
-                    )
-                    infeasible = FLAG_INFEASIBLE in result.flags
-                    attacked = None if infeasible else solve_qp(batch, cons, result.s_hat)
-                    flags = set(result.flags)
-                if infeasible:
-                    j_adv = math.inf
-                    max_adv = l1_adv = math.nan
-                else:
-                    j_adv = _realized_cost(batch, attacked.u, s)
-                    max_adv, l1_adv = _metrics(attacked.u)
-                records.append(Record(
-                    series_id=window.series_id,
-                    delta=delta,
-                    scenario=scenario,
-                    j_orig=j_orig,
-                    j_adv=j_adv,
-                    max_u_orig=max_orig,
-                    max_u_adv=max_adv,
-                    l1_orig=l1_orig,
-                    l1_adv=l1_adv,
-                    norm_used=result.norm_used,
-                    flags=";".join(sorted(flags)),
-                ))
-                if w_idx < cfg.series_dump_limit:
-                    dumps.append(SeriesDump(
-                        series_id=window.series_id, delta=delta,
-                        scenario=scenario, original=s, attacked=result.s_hat,
-                    ))
-    metric_by_scenario = {
-        "max-action": "max_u_adv",
-        "min-action": "max_u_adv",
-        "l1": "l1_adv",
-        "cost-gradient": "j_adv",
-    }
-    p_values = _paired_p_values(
-        records, scenarios, _record_metric,
-        lambda scenario: metric_by_scenario[scenario],
-    )
+                    if scenario == "random":
+                        result = random_sphere_attack(
+                            s, delta, seed=task_seed(cfg.seed, w_idx, d_idx)
+                        )
+                    else:
+                        result = run_grad_attack(
+                            batch, cons, s, delta,
+                            TARGET_BY_SCENARIO[scenario], cfg.attack,
+                        )
+                    s_hat, norm_used, flags = result.s_hat, result.norm_used, result.flags
+                tasks.append((w_idx, delta, scenario, norm_used, flags))
+                attacked.append(s_hat)
+    S_hat = np.array(attacked).reshape(len(tasks), batch.p_total)
+    U_adv, feasible = _actions(batch, cons, S_hat,
+                               skip=[FLAG_INFEASIBLE in task[4] for task in tasks])
+
+    j_orig = realized_costs(batch, U_orig, S)
+    j_adv = np.full(len(tasks), math.inf)
+    rows = np.flatnonzero(feasible)
+    j_adv[rows] = realized_costs(batch, U_adv[rows],
+                                 S[[tasks[row][0] for row in rows]])
+    metrics_orig = [_metrics(u) for u in U_orig]
+
+    records: List[Record] = []
+    dumps: List[SeriesDump] = []
+    for (w_idx, delta, scenario, norm_used, flags), s_hat, u_adv, j, ok in zip(
+        tasks, S_hat, U_adv, j_adv, feasible
+    ):
+        series_id = windows[w_idx].series_id
+        max_orig, l1_orig = metrics_orig[w_idx]
+        if ok:
+            max_adv, l1_adv = _metrics(u_adv)
+        else:
+            max_adv = l1_adv = math.nan
+            flags = flags | {FLAG_INFEASIBLE}
+        records.append(Record(
+            series_id=series_id,
+            delta=delta,
+            scenario=scenario,
+            j_orig=float(j_orig[w_idx]),
+            j_adv=float(j),
+            max_u_orig=max_orig,
+            max_u_adv=max_adv,
+            l1_orig=l1_orig,
+            l1_adv=l1_adv,
+            norm_used=norm_used,
+            flags=";".join(sorted(flags)),
+        ))
+        if w_idx < cfg.series_dump_limit:
+            dumps.append(SeriesDump(
+                series_id=series_id, delta=delta,
+                scenario=scenario, original=S[w_idx], attacked=s_hat,
+            ))
     return ScenarioStats(
         records=tuple(records),
         aggregates=tuple(_aggregate(records)),
-        p_values=tuple(p_values),
+        p_values=tuple(_paired_p_values(records, scenarios)),
         series_dumps=tuple(dumps),
         config=cfg.raw,
         seed=cfg.seed,
         n_windows=len(windows),
     )
+
+
+def run_cost_experiment(cfg: ExperimentConfig) -> ScenarioStats:
+    """Closed-form cost attack vs the random baseline on the unconstrained LQR."""
+    return _run_experiment(cfg, "cost", COST_SCENARIOS)
+
+
+def run_constraint_experiment(cfg: ExperimentConfig) -> ScenarioStats:
+    """Gradient-target attacks vs the random baseline on the box-constrained QP controller."""
+    return _run_experiment(cfg, "constraint", CONSTRAINT_SCENARIOS)
 
 
 def random_test_system(rng: np.random.Generator, n_max=2, m_max=2, p_max=2,

@@ -35,7 +35,7 @@ from .cost_attack import (
     FLAG_ZERO_GRADIENT,
 )
 from .errors import NumericalError
-from .lqr import BatchForm, check_series, linear_term, rollout_cost, _require_cost_form
+from .lqr import BatchForm, check_series, linear_term, rollout_cost
 from .qp import ConstraintSet, QpSolution, solve_qp
 
 #: Directions with L2 norm at or below this are treated as zero gradients.
@@ -112,7 +112,6 @@ def solution_jacobian(
     """
     if not sol.optimal:
         raise ValueError("solution_jacobian requires an optimal QpSolution")
-    _require_cost_form(batch)
     mT = batch.m_total
     active = list(sol.active)
     if not active:

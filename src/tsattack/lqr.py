@@ -22,9 +22,8 @@ batch form and reused for all solves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -119,28 +118,30 @@ class BatchForm:
     """Stacked-horizon matrices and derived cost coefficients.
 
     ``M[t]`` and ``N[t]`` map the flat action / series vectors to x_{t+1};
-    ``x0_response[t]`` is the free response A^{t+1} x0.  After
-    :func:`build_cost_form` the quadratic cost coefficients are populated:
+    ``x0_response[t]`` is the free response A^{t+1} x0.  The quadratic cost
+    coefficients are
 
         K       (mT x mT)  quadratic action coefficient, SPD
         L       (mT x pT)  series-to-cost coupling, sum_t M_t' Q N_t
         Psi     (pT x pT)  forecast-error sensitivity L' K^{-1} L, PSD
         k_const (mT,)      x0-dependent part of the linear term
+        K_factor           Cholesky factorization of K
 
-    The linear term of the cost is k(x0, s) = k_const + L s.  Instances are
-    immutable; all operations on them are pure.  The dominant eigenpair of
-    Psi is computed on first use of :attr:`eigenpair` and reused after.
+    The linear term of the cost is k(x0, s) = k_const + L s.  Build
+    instances with :func:`batch_form`; they are immutable and all operations
+    on them are pure.  The dominant eigenpair of Psi is computed on first
+    use of :attr:`eigenpair` and reused after.
     """
 
     spec: SystemSpec
     M: np.ndarray
     N: np.ndarray
     x0_response: np.ndarray
-    K: Optional[np.ndarray] = None
-    L: Optional[np.ndarray] = None
-    Psi: Optional[np.ndarray] = None
-    k_const: Optional[np.ndarray] = None
-    K_factor: Optional[tuple] = None
+    K: np.ndarray
+    L: np.ndarray
+    Psi: np.ndarray
+    k_const: np.ndarray
+    K_factor: tuple
 
     @property
     def m_total(self) -> int:
@@ -156,19 +157,13 @@ class BatchForm:
 
         It depends only on the system, so one eigendecomposition serves every
         series and budget.  It is deliberately not built by
-        :func:`build_cost_form`: constrained runs never use it.
+        :func:`batch_form`: constrained runs never use it.
         """
         from .cost_attack import dominant_eigenpair  # cost_attack imports lqr
 
-        _require_cost_form(self)
         pair = dominant_eigenpair(self.Psi)
         pair.v1.flags.writeable = False  # one array handed to every caller
         return pair
-
-
-def _require_cost_form(batch: BatchForm) -> None:
-    if batch.K is None or batch.L is None or batch.K_factor is None:
-        raise ValueError("cost form not built; call build_cost_form first")
 
 
 def check_series(batch: BatchForm, s, name: str = "s") -> np.ndarray:
@@ -183,19 +178,10 @@ def check_series(batch: BatchForm, s, name: str = "s") -> np.ndarray:
     return vec
 
 
-def _check_actions(batch: BatchForm, u) -> np.ndarray:
-    vec = np.asarray(u, dtype=float).ravel()
-    if vec.shape != (batch.m_total,):
-        raise ValueError(
-            f"u must have length m*T = {batch.m_total}, got {vec.shape[0]}"
-        )
-    return vec
-
-
-def stack_dynamics(spec: SystemSpec) -> BatchForm:
+def _stack_dynamics(spec: SystemSpec):
     """Unroll the recursion into x_{t+1} = A^{t+1} x0 + M_t u + N_t s.
 
-    Row t of the returned stacks covers x_{t+1}:
+    Returns (M, N, x0_response).  Row t of the stacks covers x_{t+1}:
     M_t = [A^t B, A^{t-1} B, ..., B, 0, ..., 0] and N_t likewise with C,
     right-padded with zero blocks to the full mT / pT width.
     """
@@ -220,46 +206,41 @@ def stack_dynamics(spec: SystemSpec) -> BatchForm:
     lag = np.maximum(lag, 0)
     M = np.where(causal, AjB[lag], 0.0).transpose(0, 2, 1, 3).reshape(T, n, m * T)
     N = np.where(causal, AjC[lag], 0.0).transpose(0, 2, 1, 3).reshape(T, n, p * T)
-    return BatchForm(spec=spec, M=M, N=N, x0_response=x0_response)
+    return M, N, x0_response
 
 
-def build_cost_form(spec: SystemSpec, batch: BatchForm) -> BatchForm:
-    """Populate K, L, Psi, and k_const on a stacked batch form.
+def batch_form(spec: SystemSpec) -> BatchForm:
+    """Stack the dynamics and build the cost coefficients K, L, Psi, k_const.
 
     Psi is computed through the Cholesky factorization of K (never an
     explicit inverse) and symmetrized afterwards to remove roundoff skew
     before any eigendecomposition downstream.
     """
-    QM = np.einsum("ab,tbj->taj", spec.Q, batch.M)
-    QN = np.einsum("ab,tbj->taj", spec.Q, batch.N)
-    K = np.kron(np.eye(spec.T), spec.R) + np.einsum("tki,tkj->ij", batch.M, QM)
+    M, N, x0_response = _stack_dynamics(spec)
+    QM = np.einsum("ab,tbj->taj", spec.Q, M)
+    QN = np.einsum("ab,tbj->taj", spec.Q, N)
+    K = np.kron(np.eye(spec.T), spec.R) + np.einsum("tki,tkj->ij", M, QM)
     K = 0.5 * (K + K.T)
-    L = np.einsum("tki,tkj->ij", batch.M, QN)
-    k_const = np.einsum("tki,tk->i", batch.M, batch.x0_response @ spec.Q)
+    L = np.einsum("tki,tkj->ij", M, QN)
+    k_const = np.einsum("tki,tk->i", M, x0_response @ spec.Q)
     try:
         factor = cho_factor(K)
     except np.linalg.LinAlgError as exc:
         raise ConfigurationError("K is not positive definite; check Q and R") from exc
     Psi = L.T @ cho_solve(factor, L)
     Psi = 0.5 * (Psi + Psi.T)
-    return replace(batch, K=K, L=L, Psi=Psi, k_const=k_const, K_factor=factor)
-
-
-def batch_form(spec: SystemSpec) -> BatchForm:
-    """Stack the dynamics and build the cost form in one pass."""
-    return build_cost_form(spec, stack_dynamics(spec))
+    return BatchForm(spec=spec, M=M, N=N, x0_response=x0_response, K=K, L=L,
+                     Psi=Psi, k_const=k_const, K_factor=factor)
 
 
 def linear_term(batch: BatchForm, s) -> np.ndarray:
     """Linear cost coefficient k(x0, s) = k_const + L s."""
-    _require_cost_form(batch)
     s = check_series(batch, s)
     return batch.k_const + batch.L @ s
 
 
 def solve_unconstrained(batch: BatchForm, s) -> np.ndarray:
     """Optimal flat action vector u* = -K^{-1} k(x0, s)."""
-    _require_cost_form(batch)
     return -cho_solve(batch.K_factor, linear_term(batch, s))
 
 
@@ -322,7 +303,6 @@ def action_gap(batch: BatchForm, s_hat, s) -> np.ndarray:
     Equals solve_unconstrained(s_hat) - solve_unconstrained(s); the error in
     control is linear in the forecast error.
     """
-    _require_cost_form(batch)
     s_hat = check_series(batch, s_hat, "s_hat")
     s = check_series(batch, s)
     return -cho_solve(batch.K_factor, batch.L @ (s_hat - s))
@@ -334,7 +314,6 @@ def cost_delta_quadratic(batch: BatchForm, s_hat, s) -> float:
     This is the closed-form gap between costing the controller's response to
     s_hat and its response to s, both evaluated against the real series s.
     """
-    _require_cost_form(batch)
     s_hat = check_series(batch, s_hat, "s_hat")
     s = check_series(batch, s)
     d = s_hat - s

@@ -21,10 +21,14 @@ from scipy.linalg import cho_solve
 from scipy.optimize import linprog
 
 from .errors import ConfigurationError, NumericalError
-from .lqr import BatchForm, SystemSpec, check_series, linear_term, _require_cost_form
+from .lqr import BatchForm, SystemSpec, check_series, linear_term
 
 #: An active constraint with a dual below this is classified weakly active.
 WEAK_DUAL_TOL = 1e-9
+
+#: Limits on the :func:`kkt_residuals` of every constrained solve.
+KKT_LIMITS = {"stationarity": 1e-8, "feasibility": 1e-9,
+              "complementarity": 1e-8, "dual_sign": 1e-12}
 
 
 def activity_tolerance(rhs: np.ndarray) -> np.ndarray:
@@ -251,10 +255,10 @@ def solve_qp(batch: BatchForm, cons: ConstraintSet, s_obs) -> QpSolution:
 
     Warm-starts from the unconstrained optimum (clipped into the action box
     when one exists); falls back to a phase-1 LP for a feasible start and
-    reports status ``infeasible`` when none exists.  KKT residuals are
-    asserted on every solve in test builds (plain asserts).
+    reports status ``infeasible`` when none exists.  The KKT residuals of
+    every constrained solve are checked against :data:`KKT_LIMITS`; a
+    violation raises :class:`NumericalError`, also under ``python -O``.
     """
-    _require_cost_form(batch)
     s_obs = check_series(batch, s_obs, "s_obs")
     k = linear_term(batch, s_obs)
     u0 = -cho_solve(batch.K_factor, k)
@@ -284,10 +288,12 @@ def solve_qp(batch: BatchForm, cons: ConstraintSet, s_obs) -> QpSolution:
     sol = QpSolution(u=u, mu=mu, active=active, weakly_active=weak,
                      status="optimal")
     residuals = kkt_residuals(batch, cons, s_obs, sol)
-    assert residuals["stationarity"] <= 1e-8, residuals
-    assert residuals["feasibility"] <= 1e-9, residuals
-    assert residuals["complementarity"] <= 1e-8, residuals
-    assert residuals["dual_sign"] <= 1e-12, residuals
+    for name, limit in KKT_LIMITS.items():
+        if not residuals[name] <= limit:  # also catches NaN
+            raise NumericalError(
+                f"QP solution fails the KKT check: {name} residual "
+                f"{residuals[name]:.3g} exceeds {limit:g} ({residuals})"
+            )
     return sol
 
 

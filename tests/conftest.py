@@ -1,7 +1,7 @@
-import numpy as np
 import pytest
 
 from tsattack import SystemSpec, batch_form
+from tsattack.experiments import random_test_system
 
 
 def make_scalar_spec(T=1, x0=1.0):
@@ -11,22 +11,8 @@ def make_scalar_spec(T=1, x0=1.0):
 
 def random_system(rng, n_max=3, m_max=3, p_max=3, t_max=10):
     """Random well-scaled system: spectral radius of A kept near 1."""
-    n = int(rng.integers(1, n_max + 1))
-    m = int(rng.integers(1, m_max + 1))
-    p = int(rng.integers(1, p_max + 1))
-    T = int(rng.integers(1, t_max + 1))
-    A = rng.standard_normal((n, n))
-    radius = float(np.max(np.abs(np.linalg.eigvals(A))))
-    if radius > 1e-12:
-        A *= rng.uniform(0.3, 1.05) / radius
-    B = rng.standard_normal((n, m))
-    C = rng.standard_normal((n, p))
-    WQ = rng.standard_normal((n, n))
-    WR = rng.standard_normal((m, m))
-    Q = WQ @ WQ.T / n + 0.5 * np.eye(n)
-    R = WR @ WR.T / m + 0.5 * np.eye(m)
-    x0 = rng.standard_normal(n)
-    return SystemSpec(A=A, B=B, C=C, Q=Q, R=R, T=T, x0=x0)
+    return random_test_system(rng, n_max=n_max, m_max=m_max, p_max=p_max,
+                              t_max=t_max)
 
 
 @pytest.fixture

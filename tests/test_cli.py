@@ -126,6 +126,20 @@ class TestExperimentCommand:
         rows = read_rows(out_dir / "records.csv")
         assert len(rows) == 1 + 5 * 2
 
+    def test_failed_kkt_check_exits_two(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("tsattack.qp.kkt_residuals", lambda *args: {
+            "stationarity": 1.0, "feasibility": 0.0,
+            "complementarity": 0.0, "dual_sign": 0.0,
+        })
+        cfg = dict(BASE_CONFIG, scenarios=["max-action", "random"],
+                   deltas=[0.5], action_box={"u_min": -2.0, "u_max": 2.0})
+        path = tmp_path / "cons.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        code = main(["experiment", "constraint", "--config", str(path),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert "KKT check" in capsys.readouterr().err
+
     def test_missing_out_dir_exits_one(self, config_path, capsys):
         assert main(["experiment", "cost", "--config", str(config_path)]) == 1
 

@@ -13,6 +13,7 @@ from tsattack import (
     cost_delta_quadratic,
     dominant_eigenpair,
     emit_report,
+    iterated_attack,
     jacobian_selftest,
     load_config,
     parse_config,
@@ -20,9 +21,17 @@ from tsattack import (
     rollout_cost,
     run_constraint_experiment,
     run_cost_experiment,
+    single_step_attack,
+    solve_qp,
     solve_unconstrained,
 )
-from tsattack.experiments import ScenarioStats, load_windows, task_seed
+from tsattack.experiments import (
+    TARGET_BY_SCENARIO,
+    ScenarioStats,
+    constraints_for,
+    load_windows,
+    task_seed,
+)
 
 BASE_CONFIG = {
     "system": {"A": 1, "B": -1, "C": 1, "Q": 1, "R": 1, "T": 12, "x0": 1},
@@ -227,6 +236,21 @@ class TestCostExperiment:
             run_cost_experiment(make_config())
 
 
+#: A state box whose feasible set moves with the series: some attacked
+#: problems become infeasible.
+STATE_BOX_OVERRIDES = {
+    "system": {"A": 1, "B": -1, "C": 1, "Q": 1, "R": 1, "T": 10, "x0": 1},
+    "scenarios": ["max-action", "l1", "random"],
+    "deltas": [1.0, 3.0],
+    "dataset": {"kind": "arima", "count": 3},
+    "normalization": "zscore-global",
+    "action_box": {"u_min": -2.0, "u_max": 2.0},
+    "state_box": {"x_min": -0.25, "x_max": 0.25},
+    "attack": {"mode": "iterated", "steps": 3},
+    "seed": 4,
+}
+
+
 class TestConstraintExperiment:
     def _config(self, **overrides):
         return make_config(
@@ -304,6 +328,108 @@ class TestConstraintExperiment:
         entry = stats.aggregates[0]
         assert entry["n_used_j"] == 30
         assert abs(entry["mean_pct_increase_j"]) <= 2.0
+
+    def test_infeasible_clean_windows_fail_fast(self, monkeypatch):
+        # Every clean problem is solved before any attack, and the error
+        # names every infeasible window, not just the first.
+        calls = []
+
+        def attack(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("attack ran before the clean problems were checked")
+
+        for name in ("random_sphere_attack", "single_step_attack", "iterated_attack"):
+            monkeypatch.setattr(f"tsattack.experiments.{name}", attack)
+        cfg = make_config(
+            system={"A": 1, "B": -1, "C": 1, "Q": 1, "R": 1, "T": 20, "x0": 1},
+            scenarios=["max-action", "random"],
+            deltas=[0.5],
+            dataset={"kind": "arima", "count": 4},
+            action_box={"u_min": -0.01, "u_max": 0.01},
+            state_box={"x_min": -0.25, "x_max": 0.25},
+            seed=3,
+        )
+        with pytest.raises(ConfigurationError, match="infeasible") as info:
+            run_constraint_experiment(cfg)
+        for window in load_windows(cfg):
+            assert window.series_id in str(info.value)
+        assert calls == []
+
+    @pytest.mark.parametrize("overrides", [
+        {   # calibrated action box, single-step attacks on every target
+            "scenarios": ["max-action", "min-action", "l1", "cost-gradient",
+                          "random"],
+            "deltas": [0.5, 2.0],
+            "dataset": {"kind": "arima", "count": 5},
+            "action_box": "auto",
+            "attack": {"mode": "single-step"},
+        },
+        STATE_BOX_OVERRIDES,
+    ])
+    def test_matches_per_record_reference_loop(self, overrides):
+        cfg = make_config(**dict(overrides, series_dump_limit=2))
+        stats = run_constraint_experiment(cfg)
+        batch = batch_form(cfg.system)
+        windows = load_windows(cfg)
+        cons = constraints_for(cfg, batch, windows)
+        expected, dumps = [], []
+        for w_idx, window in enumerate(windows):
+            s = window.values
+            u_orig = solve_qp(batch, cons, s).u
+            j_orig = rollout_cost(cfg.system, u_orig, s)
+            for d_idx, delta in enumerate(cfg.deltas):
+                for scenario in cfg.scenarios:
+                    if scenario == "random":
+                        result = random_sphere_attack(
+                            s, delta, seed=task_seed(cfg.seed, w_idx, d_idx))
+                    elif cfg.attack.mode == "single-step":
+                        result = single_step_attack(
+                            batch, cons, s, delta, TARGET_BY_SCENARIO[scenario])
+                    else:
+                        result = iterated_attack(
+                            batch, cons, s, delta, TARGET_BY_SCENARIO[scenario],
+                            steps=cfg.attack.steps, step_size=cfg.attack.step_size)
+                    flags = set(result.flags)
+                    attacked = None
+                    if "infeasible" not in flags:
+                        attacked = solve_qp(batch, cons, result.s_hat)
+                        if not attacked.optimal:
+                            flags.add("infeasible")
+                    if "infeasible" in flags:
+                        adv = (math.inf, math.nan, math.nan)
+                    else:
+                        u_adv = attacked.u
+                        adv = (rollout_cost(cfg.system, u_adv, s),
+                               float(np.max(u_adv)), float(np.abs(u_adv).sum()))
+                    expected.append((
+                        (window.series_id, delta, scenario, ";".join(sorted(flags))),
+                        (j_orig, adv[0], float(np.max(u_orig)), adv[1],
+                         float(np.abs(u_orig).sum()), adv[2], result.norm_used),
+                    ))
+                    if w_idx < 2:
+                        dumps.append(result.s_hat)
+        if "state_box" in overrides:
+            assert any("infeasible" in key[3] for key, _ in expected)
+        assert len(stats.records) == len(expected)
+        for record, (key, values) in zip(stats.records, expected):
+            assert (record.series_id, record.delta, record.scenario,
+                    record.flags) == key
+            got = (record.j_orig, record.j_adv, record.max_u_orig,
+                   record.max_u_adv, record.l1_orig, record.l1_adv,
+                   record.norm_used)
+            for a, b in zip(got, values):
+                assert (math.isnan(a) and math.isnan(b)) or math.isclose(
+                    a, b, rel_tol=1e-10)
+        assert len(stats.series_dumps) == len(dumps)
+        for dump, s_hat in zip(stats.series_dumps, dumps):
+            np.testing.assert_array_equal(dump.attacked, s_hat)
+
+    def test_reruns_compare_equal_with_infeasible_outcomes(self):
+        # Infeasible records carry NaN action metrics; reruns still compare equal.
+        cfg = make_config(**STATE_BOX_OVERRIDES)
+        first, second = run_constraint_experiment(cfg), run_constraint_experiment(cfg)
+        assert any("infeasible" in r.flags for r in first.records)
+        assert first.records == second.records
 
     def test_zero_gradient_scenario_flagged(self):
         cfg = make_config(

@@ -10,13 +10,11 @@ from tsattack import (
     SystemSpec,
     action_gap,
     batch_form,
-    build_cost_form,
     cost_delta_quadratic,
     linear_term,
     realized_costs,
     rollout_cost,
     solve_unconstrained,
-    stack_dynamics,
 )
 
 from conftest import make_scalar_spec, random_system
@@ -49,19 +47,19 @@ class TestStackDynamics:
         rng = np.random.default_rng(11)
         for _ in range(50):
             spec = random_system(rng, t_max=12)
-            batch = stack_dynamics(spec)
+            batch = batch_form(spec)
             M, N, x0_response = stack_dynamics_loop(spec)
             assert np.array_equal(batch.M, M)
             assert np.array_equal(batch.N, N)
             assert np.array_equal(batch.x0_response, x0_response)
 
     def test_scalar_single_step(self):
-        batch = stack_dynamics(make_scalar_spec(T=1))
+        batch = batch_form(make_scalar_spec(T=1))
         np.testing.assert_allclose(batch.M[0], [[-1.0]])
         np.testing.assert_allclose(batch.N[0], [[1.0]])
 
     def test_scalar_two_steps(self):
-        batch = stack_dynamics(make_scalar_spec(T=2))
+        batch = batch_form(make_scalar_spec(T=2))
         np.testing.assert_allclose(batch.M[0], [[-1.0, 0.0]])
         np.testing.assert_allclose(batch.M[1], [[-1.0, -1.0]])
         np.testing.assert_allclose(batch.N[0], [[1.0, 0.0]])
@@ -69,7 +67,7 @@ class TestStackDynamics:
 
     def test_nilpotent_transition_zeroes_history(self):
         spec = SystemSpec(A=0.0, B=2.0, C=3.0, Q=1.0, R=1.0, T=2, x0=0.0)
-        batch = stack_dynamics(spec)
+        batch = batch_form(spec)
         np.testing.assert_allclose(batch.M[1], [[0.0, 2.0]])
         np.testing.assert_allclose(batch.N[1], [[0.0, 3.0]])
 
@@ -78,7 +76,7 @@ class TestStackDynamics:
         rng = np.random.default_rng(3)
         for _ in range(10):
             spec = random_system(rng, t_max=6)
-            batch = stack_dynamics(spec)
+            batch = batch_form(spec)
             u = rng.standard_normal(spec.m * spec.T)
             s = rng.standard_normal(spec.p * spec.T)
             x = spec.x0
@@ -336,8 +334,3 @@ class TestSystemSpecValidation:
         spec = make_scalar_spec()
         with pytest.raises(AttributeError):
             spec.T = 7
-
-    def test_cost_ops_require_built_form(self):
-        batch = stack_dynamics(make_scalar_spec(T=1))
-        with pytest.raises(ValueError, match="cost form"):
-            solve_unconstrained(batch, [0.0])

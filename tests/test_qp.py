@@ -6,6 +6,7 @@ import pytest
 from tsattack import (
     ConfigurationError,
     ConstraintSet,
+    NumericalError,
     batch_form,
     compile_constraints,
     kkt_residuals,
@@ -76,6 +77,17 @@ class TestSolveQp:
         assert math.isclose(sol.mu[0], 0.8, rel_tol=1e-9)
         assert sol.active == (0,)
         assert sol.weakly_active == ()
+
+    def test_failed_kkt_check_raises(self, scalar_t1, monkeypatch):
+        # The check is an explicit raise, so `python -O` cannot disable it.
+        monkeypatch.setattr("tsattack.qp.kkt_residuals", lambda *args: {
+            "stationarity": 1.0, "feasibility": 0.0,
+            "complementarity": 0.0, "dual_sign": 0.0,
+        })
+        cons = compile_constraints(scalar_t1.spec, scalar_t1,
+                                   action_box=(-0.3, 0.3))
+        with pytest.raises(NumericalError, match="stationarity"):
+            solve_qp(scalar_t1, cons, [0.0])
 
     def test_interior_solution(self, scalar_t1):
         cons = compile_constraints(scalar_t1.spec, scalar_t1,
