@@ -11,6 +11,7 @@ a uniformly random direction instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .lqr import BatchForm, check_series, cost_delta_quadratic
 FLAG_ZERO_GRADIENT = "zero-gradient"
 FLAG_INFEASIBLE = "infeasible"
 FLAG_WEAK_ACTIVE = "weak-active"
+FLAG_DEGENERATE_KKT = "degenerate-kkt"
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,6 +43,9 @@ class AttackResult:
             (+inf when the attacked problem became infeasible).
         norm_used: Actual ||s_hat - s||_2 spent.
         flags: Diagnostics such as ``zero-gradient`` / ``infeasible``.
+        u_hat: The controller's actions on s_hat when the attack solved
+            them (the gradient attacks), else None: always None for the
+            closed-form and random attacks and after an infeasible outcome.
     """
 
     s_hat: np.ndarray
@@ -48,6 +53,7 @@ class AttackResult:
     attained: float
     norm_used: float
     flags: frozenset = frozenset()
+    u_hat: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.norm_used > self.delta * (1.0 + 1e-9):

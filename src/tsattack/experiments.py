@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg import cho_solve
@@ -22,7 +22,7 @@ from .config import (
     COST_SCENARIOS,
     ExperimentConfig,
 )
-from .cost_attack import FLAG_INFEASIBLE, random_sphere_attack
+from .cost_attack import AttackResult, FLAG_INFEASIBLE, random_sphere_attack
 from .data import (
     SeriesWindow,
     load_series_windows,
@@ -59,7 +59,7 @@ TARGET_BY_SCENARIO = {
 METRIC_BY_SCENARIO = {
     "cost-adv": "j_adv",
     "max-action": "max_u_adv",
-    "min-action": "max_u_adv",
+    "min-action": "min_u_adv",
     "l1": "l1_adv",
     "cost-gradient": "j_adv",
 }
@@ -76,6 +76,8 @@ class Record:
     j_adv: float
     max_u_orig: float
     max_u_adv: float
+    min_u_orig: float
+    min_u_adv: float
     l1_orig: float
     l1_adv: float
     norm_used: float
@@ -125,8 +127,14 @@ def load_windows(cfg: ExperimentConfig) -> List[SeriesWindow]:
     return normalize_windows(windows, cfg.normalization)
 
 
-def _metrics(u: np.ndarray) -> Tuple[float, float]:
-    return float(np.max(u)), float(np.abs(u).sum())
+def _metrics(U: np.ndarray) -> List[Tuple[float, float, float]]:
+    """(max, min, L1 norm) of each action row of U.
+
+    Row-wise reductions over the contiguous axis; each equals the same
+    reduction of the row on its own, bit for bit.
+    """
+    return list(zip(U.max(axis=1).tolist(), U.min(axis=1).tolist(),
+                    np.abs(U).sum(axis=1).tolist()))
 
 
 def _aggregate(records: Sequence[Record]) -> List[dict]:
@@ -229,24 +237,29 @@ def _unconstrained_actions(batch: BatchForm, S: np.ndarray) -> np.ndarray:
     return U
 
 
-def _actions(batch: BatchForm, cons: ConstraintSet, S: np.ndarray, skip=None):
+def _actions(batch: BatchForm, cons: ConstraintSet, S: np.ndarray, results=None):
     """The controller's actions for each series row of S.
 
     Returns (U, feasible); infeasible rows of U are NaN.  Without
-    constraints every row is the unconstrained optimum; otherwise each row
-    is one :func:`solve_qp`, except rows already known to be infeasible
-    (``skip``), which are not solved again.
+    constraints every row is the unconstrained optimum.  Otherwise a row
+    whose attack (``results[row]``, an AttackResult or None) already solved
+    it is not solved again: it takes the attack's ``u_hat``, or stays
+    infeasible when the attack flagged it so.  Every other row is one
+    :func:`solve_qp`.
     """
     if cons.q == 0:
         return _unconstrained_actions(batch, S), np.ones(len(S), dtype=bool)
     U = np.full((len(S), batch.m_total), np.nan)
     feasible = np.zeros(len(S), dtype=bool)
     for row, s in enumerate(S):
-        if skip is not None and skip[row]:
-            continue
-        sol = solve_qp(batch, cons, s)
-        if sol.optimal:
-            U[row] = sol.u
+        result = results[row] if results is not None else None
+        if result is not None and (result.u_hat is not None
+                                   or FLAG_INFEASIBLE in result.flags):
+            u = result.u_hat
+        else:
+            u = solve_qp(batch, cons, s).u  # None when infeasible
+        if u is not None:
+            U[row] = u
             feasible[row] = True
     return U, feasible
 
@@ -309,8 +322,10 @@ def _run_experiment(cfg: ExperimentConfig, kind: str,
     scenario perturbs the series (``cost-adv``: ``s + delta * v1`` with the
     cached dominant eigenvector of Psi; ``random``: a seeded random
     direction; gradient targets: the configured gradient attack), the
-    controller answers the perturbed series, and all realized costs come
-    from one :func:`realized_costs` call per side.
+    controller answers the perturbed series (a gradient attack hands back
+    the actions it solved, so only the other scenarios' series are solved
+    here), and all realized costs come from one :func:`realized_costs` call
+    per side.
     """
     scenarios = tuple(s for s in cfg.scenarios if s in allowed_scenarios)
     if not scenarios:
@@ -335,9 +350,11 @@ def _run_experiment(cfg: ExperimentConfig, kind: str,
 
     tasks: List[Tuple[int, float, str, float, frozenset]] = []
     attacked: List[np.ndarray] = []
+    results: List[Optional[AttackResult]] = []
     for w_idx, s in enumerate(S):
         for d_idx, delta in enumerate(cfg.deltas):
             for scenario in scenarios:
+                result = None
                 if scenario == "cost-adv":
                     s_hat = s + delta * batch.eigenpair.v1
                     norm_used, flags = float(np.linalg.norm(s_hat - s)), frozenset()
@@ -354,28 +371,27 @@ def _run_experiment(cfg: ExperimentConfig, kind: str,
                     s_hat, norm_used, flags = result.s_hat, result.norm_used, result.flags
                 tasks.append((w_idx, delta, scenario, norm_used, flags))
                 attacked.append(s_hat)
+                results.append(result)
     S_hat = np.array(attacked).reshape(len(tasks), batch.p_total)
-    U_adv, feasible = _actions(batch, cons, S_hat,
-                               skip=[FLAG_INFEASIBLE in task[4] for task in tasks])
+    U_adv, feasible = _actions(batch, cons, S_hat, results)
 
     j_orig = realized_costs(batch, U_orig, S)
     j_adv = np.full(len(tasks), math.inf)
     rows = np.flatnonzero(feasible)
     j_adv[rows] = realized_costs(batch, U_adv[rows],
                                  S[[tasks[row][0] for row in rows]])
-    metrics_orig = [_metrics(u) for u in U_orig]
+    metrics_orig = _metrics(U_orig)
 
     records: List[Record] = []
     dumps: List[SeriesDump] = []
-    for (w_idx, delta, scenario, norm_used, flags), s_hat, u_adv, j, ok in zip(
-        tasks, S_hat, U_adv, j_adv, feasible
+    for (w_idx, delta, scenario, norm_used, flags), s_hat, metrics_adv, j, ok in zip(
+        tasks, S_hat, _metrics(U_adv), j_adv, feasible
     ):
         series_id = windows[w_idx].series_id
-        max_orig, l1_orig = metrics_orig[w_idx]
-        if ok:
-            max_adv, l1_adv = _metrics(u_adv)
-        else:
-            max_adv = l1_adv = math.nan
+        max_orig, min_orig, l1_orig = metrics_orig[w_idx]
+        max_adv, min_adv, l1_adv = metrics_adv
+        if not ok:
+            max_adv = min_adv = l1_adv = math.nan
             flags = flags | {FLAG_INFEASIBLE}
         records.append(Record(
             series_id=series_id,
@@ -385,6 +401,8 @@ def _run_experiment(cfg: ExperimentConfig, kind: str,
             j_adv=float(j),
             max_u_orig=max_orig,
             max_u_adv=max_adv,
+            min_u_orig=min_orig,
+            min_u_adv=min_adv,
             l1_orig=l1_orig,
             l1_adv=l1_adv,
             norm_used=norm_used,

@@ -18,18 +18,23 @@ attack returns the series unchanged, flagged ``zero-gradient``; the
 cost-change target always stalls this way at the unperturbed optimum of an
 unconstrained or action-box controller, since the optimum is a local
 extremum of the cost under fixed constraint right-hand sides.
+
+The attacks solve every series they try once: the clean problem once per
+attack, each iterate once, and they hand back the actions of the series
+they return (``AttackResult.u_hat``), so callers need not solve it again.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .cost_attack import (
     AttackResult,
+    FLAG_DEGENERATE_KKT,
     FLAG_INFEASIBLE,
     FLAG_WEAK_ACTIVE,
     FLAG_ZERO_GRADIENT,
@@ -41,6 +46,10 @@ from .qp import ConstraintSet, QpSolution, solve_qp
 #: Directions with L2 norm at or below this are treated as zero gradients.
 ZERO_DIRECTION_TOL = 1e-12
 
+#: An active row whose part outside the span of the active rows before it
+#: is at most this share of its norm makes the active set violate LICQ.
+LICQ_TOL = 1e-10
+
 
 @dataclass(frozen=True, eq=False)
 class SolutionJacobian:
@@ -49,11 +58,14 @@ class SolutionJacobian:
     ``J[i, j] = d u*_j / d s_hat_i`` (shape pT x mT).  ``weak_active_flag``
     marks solutions where some active constraint had a near-zero dual: the
     derivative is taken from the active branch and may disagree with finite
-    differences there.
+    differences there.  ``degenerate_flag`` marks a singular KKT system
+    (linearly dependent active rows, such as duplicated rows, which violate
+    LICQ): J is then the least-squares solution.
     """
 
     J: np.ndarray
     weak_active_flag: bool = False
+    degenerate_flag: bool = False
 
 
 class TargetFunction(enum.Enum):
@@ -101,6 +113,14 @@ def target_gradient(target: TargetFunction, u, batch: BatchForm, s_real) -> np.n
     raise ValueError(f"unknown target {target!r}")
 
 
+def _licq_holds(GA: np.ndarray) -> bool:
+    """Whether the active rows GA are linearly independent (LICQ)."""
+    if GA.shape[0] > GA.shape[1]:
+        return False
+    r_diag = np.abs(np.diag(np.linalg.qr(GA.T, mode="r")))
+    return bool(np.all(r_diag > LICQ_TOL * np.linalg.norm(GA, axis=1)))
+
+
 def solution_jacobian(
     batch: BatchForm, cons: ConstraintSet, sol: QpSolution
 ) -> SolutionJacobian:
@@ -109,26 +129,34 @@ def solution_jacobian(
     Rows of G are treated as fixed; derivatives of the multipliers are
     computed but not returned.  Weakly active rows stay in the active set
     (the derivative follows the active branch) and raise the warning flag.
+    With no active row the answer is the batch form's cached, read-only
+    :attr:`~tsattack.lqr.BatchForm.free_jacobian`.  A singular KKT matrix
+    (dependent active rows, or a failed LU) is solved by least squares and
+    raises ``degenerate_flag``.
     """
     if not sol.optimal:
         raise ValueError("solution_jacobian requires an optimal QpSolution")
     mT = batch.m_total
     active = list(sol.active)
     if not active:
-        du_ds = -cho_solve(batch.K_factor, batch.L)
-        return SolutionJacobian(J=du_ds.T, weak_active_flag=False)
+        return SolutionJacobian(J=batch.free_jacobian.T)
 
     GA = cons.G[active]
     HA = cons.H[active]
     nA = len(active)
     kkt = np.block([[2.0 * batch.K, GA.T], [GA, np.zeros((nA, nA))]])
     rhs = np.vstack([-2.0 * batch.L, HA])
-    try:
-        sol_blocks = np.linalg.solve(kkt, rhs)
-    except np.linalg.LinAlgError:
+    degenerate = not _licq_holds(GA)
+    if not degenerate:
+        try:
+            sol_blocks = np.linalg.solve(kkt, rhs)
+        except np.linalg.LinAlgError:
+            degenerate = True
+    if degenerate:
         sol_blocks = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
     du_ds = sol_blocks[:mT]
-    return SolutionJacobian(J=du_ds.T, weak_active_flag=bool(sol.weakly_active))
+    return SolutionJacobian(J=du_ds.T, weak_active_flag=bool(sol.weakly_active),
+                            degenerate_flag=degenerate)
 
 
 def finite_difference_jacobian(
@@ -178,33 +206,22 @@ def project_ball(x: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray
 
 
 def _attack_direction(batch, cons, sol, target, s_real):
+    """Ascent direction J g at an optimum, with its Jacobian's diagnostic flags."""
     grad = target_gradient(target, sol.u, batch, s_real)
     jac = solution_jacobian(batch, cons, sol)
-    return jac.J @ grad, jac.weak_active_flag
+    flags = set()
+    if jac.weak_active_flag:
+        flags.add(FLAG_WEAK_ACTIVE)
+    if jac.degenerate_flag:
+        flags.add(FLAG_DEGENERATE_KKT)
+    return jac.J @ grad, flags
 
 
-def single_step_attack(
-    batch: BatchForm,
-    cons: ConstraintSet,
-    s,
-    delta: float,
-    target: TargetFunction,
-) -> AttackResult:
-    """One saturated step s + delta * Unit(J g) of the linearized attack.
-
-    ``attained`` is the target evaluated at the controller's response to the
-    perturbed series (judged against the real one).  An infeasible attacked
-    problem is reported with the ``infeasible`` flag and attained = +inf:
-    that outcome is a success for the infeasibility attack angle.
-    """
-    if delta < 0:
-        raise ValueError(f"delta must be nonnegative, got {delta}")
-    s = check_series(batch, s)
-    sol = solve_qp(batch, cons, s)
+def _single_step(batch, cons, s, sol, delta, target) -> AttackResult:
+    """The single-step attack on a validated series s with clean solution sol."""
     if not sol.optimal:
         raise ValueError("single_step_attack requires a feasible unattacked problem")
-    direction, weak = _attack_direction(batch, cons, sol, target, s)
-    flags = {FLAG_WEAK_ACTIVE} if weak else set()
+    direction, flags = _attack_direction(batch, cons, sol, target, s)
 
     if np.linalg.norm(direction) <= ZERO_DIRECTION_TOL:
         flags.add(FLAG_ZERO_GRADIENT)
@@ -214,6 +231,7 @@ def single_step_attack(
             attained=target_value(target, sol.u, batch, s),
             norm_used=0.0,
             flags=frozenset(flags),
+            u_hat=sol.u,
         )
 
     s_hat = s + delta * unit(direction)
@@ -229,7 +247,29 @@ def single_step_attack(
         attained=float(attained),
         norm_used=float(np.linalg.norm(s_hat - s)),
         flags=frozenset(flags),
+        u_hat=attacked.u,
     )
+
+
+def single_step_attack(
+    batch: BatchForm,
+    cons: ConstraintSet,
+    s,
+    delta: float,
+    target: TargetFunction,
+) -> AttackResult:
+    """One saturated step s + delta * Unit(J g) of the linearized attack.
+
+    ``attained`` is the target evaluated at the controller's response to the
+    perturbed series (judged against the real one), and ``u_hat`` is that
+    response.  An infeasible attacked problem is reported with the
+    ``infeasible`` flag, attained = +inf and no ``u_hat``: that outcome is a
+    success for the infeasibility attack angle.
+    """
+    if delta < 0:
+        raise ValueError(f"delta must be nonnegative, got {delta}")
+    s = check_series(batch, s)
+    return _single_step(batch, cons, s, solve_qp(batch, cons, s), delta, target)
 
 
 def iterated_attack(
@@ -243,11 +283,15 @@ def iterated_attack(
 ) -> AttackResult:
     """Projected gradient ascent on the target within the delta ball.
 
-    Each iteration re-solves the QP and the Jacobian at the current iterate,
-    ascends along J g with ``step_size`` (default delta / 10), and projects
-    back onto the ball around s.  The best iterate by attained value is kept;
-    the candidate pool also contains the saturated single step, so the result
-    is never worse than :func:`single_step_attack`.
+    Each iteration takes the Jacobian at the current iterate, ascends along
+    J g with ``step_size`` (default delta / 10), projects back onto the ball
+    around s and solves the QP at the new iterate.  The best iterate by
+    attained value is kept, with its actions as ``u_hat``; the candidate
+    pool also contains the saturated single step, which shares the clean
+    solve, so the result is never worse than :func:`single_step_attack`.
+    The ascent stops early at a projected fixed point: when the projection
+    returns the current iterate bitwise, every later step would repeat the
+    same solve, Jacobian and comparison.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -257,21 +301,21 @@ def iterated_attack(
         step_size = delta / 10.0
     s = check_series(batch, s)
 
-    best = single_step_attack(batch, cons, s, delta, target)
+    sol = solve_qp(batch, cons, s)
+    best = _single_step(batch, cons, s, sol, delta, target)
     if FLAG_INFEASIBLE in best.flags or FLAG_ZERO_GRADIENT in best.flags:
         return best
 
     flags = set(best.flags)
-    s_cur = s
-    sol_cur = solve_qp(batch, cons, s_cur)
+    s_cur, sol_cur = s, sol
     for _ in range(steps):
-        direction, weak = _attack_direction(batch, cons, sol_cur, target, s)
-        if weak:
-            flags.add(FLAG_WEAK_ACTIVE)
+        direction, step_flags = _attack_direction(batch, cons, sol_cur, target, s)
+        flags |= step_flags
         if np.linalg.norm(direction) <= ZERO_DIRECTION_TOL:
             break
         s_next = project_ball(s_cur + step_size * unit(direction), s, delta)
-        sol_next = solve_qp(batch, cons, s_next)
+        fixed_point = np.array_equal(s_next, s_cur)
+        sol_next = sol_cur if fixed_point else solve_qp(batch, cons, s_next)
         if not sol_next.optimal:
             flags.add(FLAG_INFEASIBLE)
             return AttackResult(
@@ -289,15 +333,12 @@ def iterated_attack(
                 attained=value,
                 norm_used=float(np.linalg.norm(s_next - s)),
                 flags=frozenset(flags),
+                u_hat=sol_next.u,
             )
+        if fixed_point:
+            break
         s_cur, sol_cur = s_next, sol_next
 
     if flags != set(best.flags):
-        best = AttackResult(
-            s_hat=best.s_hat,
-            delta=best.delta,
-            attained=best.attained,
-            norm_used=best.norm_used,
-            flags=frozenset(flags),
-        )
+        best = dataclasses.replace(best, flags=frozenset(flags))
     return best

@@ -129,8 +129,9 @@ class BatchForm:
 
     The linear term of the cost is k(x0, s) = k_const + L s.  Build
     instances with :func:`batch_form`; they are immutable and all operations
-    on them are pure.  The dominant eigenpair of Psi is computed on first
-    use of :attr:`eigenpair` and reused after.
+    on them are pure.  The dominant eigenpair of Psi and the free solution
+    Jacobian are computed on first use of :attr:`eigenpair` and
+    :attr:`free_jacobian` and reused after.
     """
 
     spec: SystemSpec
@@ -164,6 +165,18 @@ class BatchForm:
         pair = dominant_eigenpair(self.Psi)
         pair.v1.flags.writeable = False  # one array handed to every caller
         return pair
+
+    @cached_property
+    def free_jacobian(self) -> np.ndarray:
+        """du*/ds = -K^{-1} L (mT x pT), the unconstrained action/series coupling.
+
+        The solution Jacobian of every solve with no active row; like
+        :attr:`eigenpair` it is built on first use, never by
+        :func:`batch_form`, and handed out read-only.
+        """
+        du_ds = -cho_solve(self.K_factor, self.L)
+        du_ds.flags.writeable = False
+        return du_ds
 
 
 def check_series(batch: BatchForm, s, name: str = "s") -> np.ndarray:

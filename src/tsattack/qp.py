@@ -217,7 +217,7 @@ def _active_set_minimize(batch, k, G, rhs, u):
             step = sol[:mT]
             lam = sol[mT:]
         else:
-            step = -0.5 * cho_solve(batch.K_factor, grad)
+            step = -0.5 * cho_solve(batch.K_factor, grad, check_finite=False)
             lam = np.zeros(0)
 
         if np.max(np.abs(step), initial=0.0) <= 1e-10 * (1.0 + np.max(np.abs(u))):
@@ -260,8 +260,8 @@ def solve_qp(batch: BatchForm, cons: ConstraintSet, s_obs) -> QpSolution:
     violation raises :class:`NumericalError`, also under ``python -O``.
     """
     s_obs = check_series(batch, s_obs, "s_obs")
-    k = linear_term(batch, s_obs)
-    u0 = -cho_solve(batch.K_factor, k)
+    k = batch.k_const + batch.L @ s_obs
+    u0 = -cho_solve(batch.K_factor, k, check_finite=False)
 
     if cons.q == 0:
         return QpSolution(u=u0, mu=np.zeros(0), active=(), weakly_active=(),
@@ -308,7 +308,7 @@ def kkt_residuals(batch: BatchForm, cons: ConstraintSet, s_obs, sol: QpSolution)
     if not sol.optimal:
         raise ValueError("KKT residuals are only defined for optimal solutions")
     s_obs = check_series(batch, s_obs, "s_obs")
-    k = linear_term(batch, s_obs)
+    k = batch.k_const + batch.L @ s_obs
     grad = 2.0 * batch.K @ sol.u + 2.0 * k
     if cons.q:
         pull = cons.G.T @ sol.mu

@@ -17,7 +17,8 @@ from .experiments import ScenarioStats
 
 RECORD_COLUMNS = (
     "series_id", "delta", "scenario", "j_orig", "j_adv",
-    "max_u_orig", "max_u_adv", "l1_orig", "l1_adv", "norm_used", "flags",
+    "max_u_orig", "max_u_adv", "min_u_orig", "min_u_adv", "l1_orig", "l1_adv",
+    "norm_used", "flags",
 )
 
 

@@ -446,6 +446,51 @@ class TestConstraintExperiment:
                 assert record.norm_used == 0.0
 
 
+    def test_gradient_attacks_are_not_solved_again(self, monkeypatch):
+        # Outside the attacks, the pipeline solves each clean window and each
+        # random row once; a gradient attack hands back the actions it solved.
+        solved = []
+
+        def recording(batch, cons, s_obs):
+            solved.append(np.array(s_obs, dtype=float))
+            return solve_qp(batch, cons, s_obs)
+
+        monkeypatch.setattr("tsattack.experiments.solve_qp", recording)
+        cfg = self._config(series_dump_limit=8)
+        stats = run_constraint_experiment(cfg)
+        expected = [w.values for w in load_windows(cfg)] + [
+            d.attacked for d in stats.series_dumps if d.scenario == "random"]
+        assert len(solved) == len(expected) == 16
+        for got, want in zip(solved, expected):
+            np.testing.assert_array_equal(got, want)
+
+    def test_min_action_reports_and_tests_the_minimum(self):
+        cfg = make_config(
+            scenarios=["min-action", "random"],
+            action_box="auto",
+            deltas=[0.5],
+            dataset={"kind": "arima", "count": 8},
+            attack={"mode": "iterated", "steps": 6},
+            series_dump_limit=8,
+        )
+        stats = run_constraint_experiment(cfg)
+        assert [row["metric"] for row in stats.p_values] == ["min_u_adv"]
+        batch = batch_form(cfg.system)
+        cons = constraints_for(cfg, batch, load_windows(cfg))
+        by_key = {(r.series_id, r.delta, r.scenario): r for r in stats.records}
+        assert len(stats.series_dumps) == len(by_key) == 16
+        for dump in stats.series_dumps:
+            record = by_key[(dump.series_id, dump.delta, dump.scenario)]
+            u_orig = solve_qp(batch, cons, dump.original).u
+            u_adv = solve_qp(batch, cons, dump.attacked).u
+            assert record.min_u_orig == float(np.min(u_orig))
+            assert record.min_u_adv == float(np.min(u_adv))
+        wins = sum(by_key[(sid, delta, "min-action")].min_u_adv
+                   < by_key[(sid, delta, "random")].min_u_adv
+                   for sid, delta, scenario in by_key if scenario == "random")
+        assert wins >= 6  # 8 windows; the targeted attack should dominate
+
+
 class TestCalibration:
     def test_bound_scales_with_action_distribution(self):
         cfg = make_config()
@@ -475,8 +520,8 @@ class TestEmitReport:
         paths = emit_report(stats, tmp_path / "out")
         content = open(paths["records"], encoding="utf-8").read()
         assert content.strip() == ("series_id,delta,scenario,j_orig,j_adv,"
-                                   "max_u_orig,max_u_adv,l1_orig,l1_adv,"
-                                   "norm_used,flags")
+                                   "max_u_orig,max_u_adv,min_u_orig,min_u_adv,"
+                                   "l1_orig,l1_adv,norm_used,flags")
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = make_config()

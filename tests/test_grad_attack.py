@@ -30,6 +30,50 @@ def closed_form_jacobian(batch):
     return (-cho_solve(batch.K_factor, batch.L)).T
 
 
+def reference_iterated_attack(batch, cons, s, delta, target, steps=20,
+                              step_size=None):
+    """Oracle: the iterated attack without the fixed-point exit.
+
+    Runs every step, solves the clean problem again after the single-step
+    candidate, and solves every iterate, including repeats.  Returns
+    (s_hat, attained, flags).
+    """
+    if step_size is None:
+        step_size = delta / 10.0
+    s = np.asarray(s, dtype=float)
+    best = single_step_attack(batch, cons, s, delta, target)
+    if "infeasible" in best.flags or "zero-gradient" in best.flags:
+        return best.s_hat, best.attained, best.flags
+    flags = set(best.flags)
+    best_s, best_value = best.s_hat, best.attained
+    s_cur, sol_cur = s, solve_qp(batch, cons, s)
+    for _ in range(steps):
+        jac = solution_jacobian(batch, cons, sol_cur)
+        if jac.weak_active_flag:
+            flags.add("weak-active")
+        direction = jac.J @ target_gradient(target, sol_cur.u, batch, s)
+        if np.linalg.norm(direction) <= 1e-12:
+            break
+        s_next = project_ball(s_cur + step_size * unit(direction), s, delta)
+        sol_next = solve_qp(batch, cons, s_next)
+        if not sol_next.optimal:
+            return s_next, math.inf, frozenset(flags | {"infeasible"})
+        value = target_value(target, sol_next.u, batch, s)
+        if value > best_value:
+            best_s, best_value = s_next, value
+        s_cur, sol_cur = s_next, sol_next
+    return best_s, best_value, frozenset(flags)
+
+
+def duplicated_action_box(batch, bound):
+    """The box -bound <= u <= bound with every upper-bound row given twice."""
+    eye = np.eye(batch.m_total)
+    upper = np.full(batch.m_total, bound)
+    return ConstraintSet(G=np.vstack([eye, eye, -eye]),
+                         h0=np.concatenate([upper, upper, upper]),
+                         H=np.zeros((3 * batch.m_total, batch.p_total)))
+
+
 class TestSolutionJacobian:
     def test_unconstrained_scalar(self, scalar_t1):
         cons = ConstraintSet.empty(1, 1)
@@ -73,6 +117,35 @@ class TestSolutionJacobian:
         sol = solve_qp(scalar_t1, cons, [0.0])
         with pytest.raises(ValueError, match="optimal"):
             solution_jacobian(scalar_t1, cons, sol)
+
+    def test_free_jacobian_is_the_cached_coupling(self, scalar_t2):
+        cons = ConstraintSet.empty(2, 2)
+        jac = solution_jacobian(scalar_t2, cons, solve_qp(scalar_t2, cons, [0.1, 0.2]))
+        assert np.shares_memory(jac.J, scalar_t2.free_jacobian)
+        assert not jac.J.flags.writeable
+        assert not jac.degenerate_flag
+
+    def test_duplicated_active_rows_flag_degenerate_kkt(self):
+        # Both copies of an active upper-bound row are active, which
+        # violates LICQ: the KKT matrix is singular.  The action derivative
+        # is still unique and equals the one of the box without duplicates.
+        spec = make_scalar_spec(T=3)
+        batch = batch_form(spec)
+        s = np.zeros(3)
+        cons = duplicated_action_box(batch, 0.4)
+        sol = solve_qp(batch, cons, s)
+        assert {0, 3} <= set(sol.active)
+        jac = solution_jacobian(batch, cons, sol)
+        assert jac.degenerate_flag
+        box = compile_constraints(spec, batch, action_box=(-0.4, 0.4))
+        plain = solution_jacobian(batch, box, solve_qp(batch, box, s))
+        assert not plain.degenerate_flag
+        np.testing.assert_allclose(jac.J, plain.J, atol=1e-12)
+        for attack in (single_step_attack, iterated_attack):
+            result = attack(batch, cons, s, 0.5, TargetFunction.L1_ENERGY)
+            assert "degenerate-kkt" in result.flags
+            clean = attack(batch, box, s, 0.5, TargetFunction.L1_ENERGY)
+            assert "degenerate-kkt" not in clean.flags
 
     def test_state_box_contributes_series_term(self):
         # Active state row: u = (x0 + s - x_max) exactly, so du/ds = 1.
@@ -208,6 +281,27 @@ class TestSingleStepAttack:
                                     TargetFunction.MAX_ACTION)
         assert "infeasible" in result.flags
         assert result.attained == math.inf
+        assert result.u_hat is None
+
+    def test_u_hat_is_the_attacked_solution(self):
+        # Single steps, and iterated attacks whose best point is a later
+        # iterate (l1 ascends past the single step on most instances).
+        rng = np.random.default_rng(31)
+        improved = 0
+        for _ in range(10):
+            spec = random_system(rng, n_max=2, m_max=2, p_max=2, t_max=5)
+            batch = batch_form(spec)
+            s = rng.standard_normal(batch.p_total)
+            bound = float(np.max(np.abs(solve_unconstrained(batch, s)))) * 0.8 + 1e-3
+            cons = compile_constraints(spec, batch, action_box=(-bound, bound))
+            for target in (TargetFunction.MAX_ACTION, TargetFunction.L1_ENERGY):
+                one = single_step_attack(batch, cons, s, 0.7, target)
+                many = iterated_attack(batch, cons, s, 0.7, target)
+                for result in (one, many):
+                    np.testing.assert_array_equal(
+                        result.u_hat, solve_qp(batch, cons, result.s_hat).u)
+                improved += many.attained > one.attained
+        assert improved >= 5
 
     def test_ball_constraint_random_instances(self):
         rng = np.random.default_rng(17)
@@ -268,6 +362,66 @@ class TestIteratedAttack:
                                  TargetFunction.MAX_ACTION, steps=12,
                                  step_size=0.3)
         assert np.linalg.norm(result.s_hat - s) <= 0.7 * (1 + 1e-9)
+
+    def test_stops_at_projected_fixed_point(self, monkeypatch):
+        # Unconstrained max-action is linear in the series: the iterate
+        # saturates the ball and then projects onto itself.  One clean
+        # solve plus one per distinct iterate stays below steps + 2, and
+        # no Jacobian is taken after the fixed point.
+        batch = batch_form(make_scalar_spec(T=4))
+        cons = ConstraintSet.empty(4, 4)
+        s = np.linspace(-0.3, 0.4, 4)
+        calls = {"solves": 0, "jacobians": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr("tsattack.grad_attack.solve_qp",
+                            counting("solves", solve_qp))
+        monkeypatch.setattr("tsattack.grad_attack.solution_jacobian",
+                            counting("jacobians", solution_jacobian))
+        result = iterated_attack(batch, cons, s, 0.8, TargetFunction.MAX_ACTION,
+                                 steps=20)
+        assert calls["solves"] < 20 + 2
+        assert calls["jacobians"] < 20 + 1  # the loop stopped, not just its solves
+        s_hat, attained, flags = reference_iterated_attack(
+            batch, cons, s, 0.8, TargetFunction.MAX_ACTION, steps=20)
+        np.testing.assert_array_equal(result.s_hat, s_hat)
+        assert result.attained == attained
+        assert result.flags == flags
+
+    def test_matches_reference_loop_on_random_instances(self):
+        # Bitwise the same iterate, value and flags as the loop that runs
+        # every step, on action boxes and on state boxes that go infeasible.
+        rng = np.random.default_rng(41)
+        outcomes = set()
+        for case in range(24):
+            spec = random_system(rng, n_max=2, m_max=2, p_max=2, t_max=6)
+            batch = batch_form(spec)
+            s = rng.standard_normal(batch.p_total)
+            bound = float(np.max(np.abs(solve_unconstrained(batch, s))))
+            if case % 2:
+                cons = compile_constraints(spec, batch,
+                                           action_box=(-0.8 * bound, 0.8 * bound))
+            else:
+                cons = compile_constraints(spec, batch, action_box=(-2 * bound, 2 * bound),
+                                           state_box=(-3.0, 3.0))
+            if not solve_qp(batch, cons, s).optimal:
+                continue
+            target = (TargetFunction.MAX_ACTION, TargetFunction.MIN_ACTION,
+                      TargetFunction.L1_ENERGY)[case % 3]
+            delta = float(rng.uniform(0.2, 3.0))
+            result = iterated_attack(batch, cons, s, delta, target, steps=15)
+            s_hat, attained, flags = reference_iterated_attack(
+                batch, cons, s, delta, target, steps=15)
+            np.testing.assert_array_equal(result.s_hat, s_hat)
+            assert result.attained == attained
+            assert result.flags == flags
+            outcomes.add("infeasible" in flags)
+        assert outcomes == {True, False}
 
     def test_cost_target_stalls_at_start(self, scalar_t2):
         cons = ConstraintSet.empty(2, 2)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_solve
 
 from tsattack import (
     ConfigurationError,
@@ -128,6 +129,18 @@ class TestBuildCostForm:
         for _ in range(10):
             batch = batch_form(random_system(rng))
             assert np.linalg.eigvalsh(batch.K).min() > 0
+
+    def test_free_jacobian_cached_read_only_and_lazy(self):
+        rng = np.random.default_rng(14)
+        for _ in range(10):
+            batch = batch_form(random_system(rng))
+            assert "free_jacobian" not in vars(batch)  # batch_form did not build it
+            cached = batch.free_jacobian
+            np.testing.assert_array_equal(cached, -cho_solve(batch.K_factor, batch.L))
+            assert batch.free_jacobian is cached
+            assert not cached.flags.writeable
+            with pytest.raises(ValueError):
+                cached[0, 0] = 1.0
 
 
 class TestLinearTerm:
