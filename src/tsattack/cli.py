@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import sys
 
 from . import __version__
@@ -22,7 +23,6 @@ from .experiments import (
     run_cost_experiment,
     run_grad_attack,
 )
-from .config import AttackConfig
 from .grad_attack import TargetFunction
 from .lqr import batch_form
 from .report import emit_report
@@ -67,8 +67,8 @@ def _build_parser() -> _Parser:
                         choices=sorted(t.value for t in TargetFunction),
                         help="max-action | min-action | l1 | cost")
     a_cons.add_argument("--delta", type=float, required=True)
-    a_cons.add_argument("--steps", type=int, default=20)
-    a_cons.add_argument("--step-size", type=float, default=None)
+    a_cons.add_argument("--steps", type=int, default=None)  # default: config
+    a_cons.add_argument("--step-size", type=float, default=None)  # default: config
     a_cons.add_argument("--config", required=True)
     a_cons.add_argument("--in", dest="input", required=True)
     a_cons.add_argument("--out", required=True)
@@ -133,8 +133,11 @@ def _cmd_attack_constraint(args) -> int:
     for window in windows:
         _check_window_length(batch, window)
     cons = constraints_for(cfg, batch, windows)
-    attack_cfg = AttackConfig(mode=cfg.attack.mode, steps=args.steps,
-                              step_size=args.step_size)
+    attack_cfg = dataclasses.replace(
+        cfg.attack,
+        steps=cfg.attack.steps if args.steps is None else args.steps,
+        step_size=cfg.attack.step_size if args.step_size is None else args.step_size,
+    )
     target = TargetFunction(args.target)
     rows = []
     flagged = 0

@@ -176,6 +176,9 @@ def _paired_p_values(records: Sequence[Record], scenarios: Sequence[str]) -> Lis
     """Wilcoxon p-values of each scenario vs the random baseline, per delta.
 
     Each scenario is compared on the record column METRIC_BY_SCENARIO names.
+    A (delta, scenario) with fewer than 5 finite pairs, or with 1 to 4
+    nonzero differences (too few for the test; none is its degenerate
+    p = 1), gets no p-value.
     """
     out = []
     deltas = sorted({r.delta for r in records})
@@ -197,7 +200,7 @@ def _paired_p_values(records: Sequence[Record], scenarios: Sequence[str]) -> Lis
                 if math.isfinite(va) and math.isfinite(vb):
                     a.append(va)
                     b.append(vb)
-            if len(a) < 5:
+            if len(a) < 5 or 0 < np.count_nonzero(np.subtract(a, b)) < 5:
                 continue
             result = wilcoxon_signed_rank(a, b, sidedness="two-sided")
             out.append({

@@ -19,14 +19,14 @@ cost-change target always stalls this way at the unperturbed optimum of an
 unconstrained or action-box controller, since the optimum is a local
 extremum of the cost under fixed constraint right-hand sides.
 
-The attacks solve every series they try once: the clean problem once per
-attack, each iterate once, and they hand back the actions of the series
-they return (``AttackResult.u_hat``), so callers need not solve it again.
+The single step is the first candidate of the projected ascent and shares
+its clean solve and direction.  The attacks solve every series they try
+once and hand back the actions of the series they return
+(``AttackResult.u_hat``), so callers need not solve it again.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 from dataclasses import dataclass
 
@@ -217,12 +217,13 @@ def _attack_direction(batch, cons, sol, target, s_real):
     return jac.J @ grad, flags
 
 
-def _single_step(batch, cons, s, sol, delta, target) -> AttackResult:
-    """The single-step attack on a validated series s with clean solution sol."""
+def _ascend(batch, cons, s, delta, target, steps, step_size) -> AttackResult:
+    """Projected ascent from a validated series s; the clean direction gives
+    the saturated single step and the first of ``steps`` projected steps."""
+    sol = solve_qp(batch, cons, s)
     if not sol.optimal:
         raise ValueError("single_step_attack requires a feasible unattacked problem")
     direction, flags = _attack_direction(batch, cons, sol, target, s)
-
     if np.linalg.norm(direction) <= ZERO_DIRECTION_TOL:
         flags.add(FLAG_ZERO_GRADIENT)
         return AttackResult(
@@ -234,21 +235,43 @@ def _single_step(batch, cons, s, sol, delta, target) -> AttackResult:
             u_hat=sol.u,
         )
 
+    def result(s_hat, attained, u_hat=None):
+        return AttackResult(
+            s_hat=s_hat,
+            delta=float(delta),
+            attained=float(attained),
+            norm_used=float(np.linalg.norm(s_hat - s)),
+            flags=frozenset(flags),
+            u_hat=u_hat,
+        )
+
     s_hat = s + delta * unit(direction)
     attacked = solve_qp(batch, cons, s_hat)
     if not attacked.optimal:
         flags.add(FLAG_INFEASIBLE)
-        attained = np.inf
-    else:
-        attained = target_value(target, attacked.u, batch, s)
-    return AttackResult(
-        s_hat=s_hat,
-        delta=float(delta),
-        attained=float(attained),
-        norm_used=float(np.linalg.norm(s_hat - s)),
-        flags=frozenset(flags),
-        u_hat=attacked.u,
-    )
+        return result(s_hat, np.inf)
+    best = (s_hat, target_value(target, attacked.u, batch, s), attacked.u)
+
+    s_cur, sol_cur = s, sol
+    for i in range(steps):
+        if i:
+            direction, step_flags = _attack_direction(batch, cons, sol_cur, target, s)
+            flags |= step_flags
+            if np.linalg.norm(direction) <= ZERO_DIRECTION_TOL:
+                break
+        s_next = project_ball(s_cur + step_size * unit(direction), s, delta)
+        fixed_point = np.array_equal(s_next, s_cur)
+        sol_next = sol_cur if fixed_point else solve_qp(batch, cons, s_next)
+        if not sol_next.optimal:
+            flags.add(FLAG_INFEASIBLE)
+            return result(s_next, np.inf)
+        value = target_value(target, sol_next.u, batch, s)
+        if value > best[1]:
+            best = (s_next, value, sol_next.u)
+        if fixed_point:
+            break
+        s_cur, sol_cur = s_next, sol_next
+    return result(*best)
 
 
 def single_step_attack(
@@ -268,8 +291,7 @@ def single_step_attack(
     """
     if delta < 0:
         raise ValueError(f"delta must be nonnegative, got {delta}")
-    s = check_series(batch, s)
-    return _single_step(batch, cons, s, solve_qp(batch, cons, s), delta, target)
+    return _ascend(batch, cons, check_series(batch, s), delta, target, 0, None)
 
 
 def iterated_attack(
@@ -283,12 +305,13 @@ def iterated_attack(
 ) -> AttackResult:
     """Projected gradient ascent on the target within the delta ball.
 
-    Each iteration takes the Jacobian at the current iterate, ascends along
-    J g with ``step_size`` (default delta / 10), projects back onto the ball
-    around s and solves the QP at the new iterate.  The best iterate by
-    attained value is kept, with its actions as ``u_hat``; the candidate
-    pool also contains the saturated single step, which shares the clean
-    solve, so the result is never worse than :func:`single_step_attack`.
+    Each iteration ascends along J g at the current iterate with
+    ``step_size`` (default delta / 10; must be positive), projects back onto
+    the ball around s and solves the QP at the new iterate.  The best
+    iterate by attained value is kept, with its actions as ``u_hat``; the
+    candidate pool also contains the saturated single step, which shares
+    the clean solve and the clean direction with the first iteration, so
+    the result is never worse than :func:`single_step_attack`.
     The ascent stops early at a projected fixed point: when the projection
     returns the current iterate bitwise, every later step would repeat the
     same solve, Jacobian and comparison.
@@ -299,46 +322,6 @@ def iterated_attack(
         raise ValueError(f"delta must be nonnegative, got {delta}")
     if step_size is None:
         step_size = delta / 10.0
-    s = check_series(batch, s)
-
-    sol = solve_qp(batch, cons, s)
-    best = _single_step(batch, cons, s, sol, delta, target)
-    if FLAG_INFEASIBLE in best.flags or FLAG_ZERO_GRADIENT in best.flags:
-        return best
-
-    flags = set(best.flags)
-    s_cur, sol_cur = s, sol
-    for _ in range(steps):
-        direction, step_flags = _attack_direction(batch, cons, sol_cur, target, s)
-        flags |= step_flags
-        if np.linalg.norm(direction) <= ZERO_DIRECTION_TOL:
-            break
-        s_next = project_ball(s_cur + step_size * unit(direction), s, delta)
-        fixed_point = np.array_equal(s_next, s_cur)
-        sol_next = sol_cur if fixed_point else solve_qp(batch, cons, s_next)
-        if not sol_next.optimal:
-            flags.add(FLAG_INFEASIBLE)
-            return AttackResult(
-                s_hat=s_next,
-                delta=float(delta),
-                attained=np.inf,
-                norm_used=float(np.linalg.norm(s_next - s)),
-                flags=frozenset(flags),
-            )
-        value = target_value(target, sol_next.u, batch, s)
-        if value > best.attained:
-            best = AttackResult(
-                s_hat=s_next,
-                delta=float(delta),
-                attained=value,
-                norm_used=float(np.linalg.norm(s_next - s)),
-                flags=frozenset(flags),
-                u_hat=sol_next.u,
-            )
-        if fixed_point:
-            break
-        s_cur, sol_cur = s_next, sol_next
-
-    if flags != set(best.flags):
-        best = dataclasses.replace(best, flags=frozenset(flags))
-    return best
+    elif step_size <= 0:
+        raise ValueError(f"step_size must be positive, got {step_size}")
+    return _ascend(batch, cons, check_series(batch, s), delta, target, steps, step_size)

@@ -287,7 +287,7 @@ def solve_qp(batch: BatchForm, cons: ConstraintSet, s_obs) -> QpSolution:
     active, weak = _classify_active(cons.G, u, rhs, mu)
     sol = QpSolution(u=u, mu=mu, active=active, weakly_active=weak,
                      status="optimal")
-    residuals = kkt_residuals(batch, cons, s_obs, sol)
+    residuals = _kkt_residuals(batch, cons, k, rhs, sol)
     for name, limit in KKT_LIMITS.items():
         if not residuals[name] <= limit:  # also catches NaN
             raise NumericalError(
@@ -308,29 +308,25 @@ def kkt_residuals(batch: BatchForm, cons: ConstraintSet, s_obs, sol: QpSolution)
     if not sol.optimal:
         raise ValueError("KKT residuals are only defined for optimal solutions")
     s_obs = check_series(batch, s_obs, "s_obs")
-    k = batch.k_const + batch.L @ s_obs
+    return _kkt_residuals(batch, cons, batch.k_const + batch.L @ s_obs,
+                          cons.rhs(s_obs), sol)
+
+
+def _kkt_residuals(batch, cons, k, rhs, sol) -> dict:
+    """:func:`kkt_residuals` from the linear term k and the right-hand side rhs."""
     grad = 2.0 * batch.K @ sol.u + 2.0 * k
-    if cons.q:
-        pull = cons.G.T @ sol.mu
-        rhs = cons.rhs(s_obs)
-        slack = cons.G @ sol.u - rhs
-        stat_scale = 1.0 + max(np.abs(grad - 2.0 * k).max(initial=0.0),
-                               np.abs(2.0 * k).max(initial=0.0),
-                               np.abs(pull).max(initial=0.0))
-        row_scale = (1.0 + np.abs(sol.mu)) * (1.0 + np.abs(rhs))
-        return {
-            "stationarity": float(np.abs(grad + pull).max() / stat_scale),
-            "feasibility": float(np.max(slack / (1.0 + np.abs(rhs)), initial=0.0)),
-            "complementarity": float(np.max(np.abs(sol.mu * slack) / row_scale)),
-            "dual_sign": float(max(0.0, -sol.mu.min(initial=0.0))),
-        }
+    pull = cons.G.T @ sol.mu
+    slack = cons.G @ sol.u - rhs
     stat_scale = 1.0 + max(np.abs(grad - 2.0 * k).max(initial=0.0),
-                           np.abs(2.0 * k).max(initial=0.0))
+                           np.abs(2.0 * k).max(initial=0.0),
+                           np.abs(pull).max(initial=0.0))
+    row_scale = (1.0 + np.abs(sol.mu)) * (1.0 + np.abs(rhs))
     return {
-        "stationarity": float(np.abs(grad).max(initial=0.0) / stat_scale),
-        "feasibility": 0.0,
-        "complementarity": 0.0,
-        "dual_sign": 0.0,
+        "stationarity": float(np.abs(grad + pull).max(initial=0.0) / stat_scale),
+        "feasibility": float(np.max(slack / (1.0 + np.abs(rhs)), initial=0.0)),
+        "complementarity": float(np.max(np.abs(sol.mu * slack) / row_scale,
+                                        initial=0.0)),
+        "dual_sign": float(max(0.0, -sol.mu.min(initial=0.0))),
     }
 
 

@@ -4,7 +4,9 @@ import json
 import numpy as np
 import pytest
 
+from tsattack import TargetFunction, batch_form, load_config, read_series_csv
 from tsattack.cli import main
+from tsattack.experiments import constraints_for, run_grad_attack
 
 BASE_CONFIG = {
     "system": {"A": 1, "B": -1, "C": 1, "Q": 1, "R": 1, "T": 10, "x0": 1},
@@ -74,6 +76,38 @@ class TestAttackCommands:
         rows = read_rows(out)
         assert len(rows) == 1 + 3 * 10
 
+    def test_attack_constraint_takes_the_config_attack_section(self, tmp_path):
+        cfg_raw = dict(BASE_CONFIG, action_box={"u_min": -2.0, "u_max": 2.0},
+                       attack={"mode": "iterated", "steps": 3})
+        path = tmp_path / "cons.json"
+        path.write_text(json.dumps(cfg_raw), encoding="utf-8")
+        inp = self._gen_input(tmp_path)
+        out = tmp_path / "attacked.csv"
+        code = main(["attack", "constraint", "--target", "l1", "--delta", "2.0",
+                     "--config", str(path), "--in", str(inp), "--out", str(out)])
+        assert code == 0
+        cfg = load_config(path)
+        batch = batch_form(cfg.system)
+        windows = read_series_csv(inp)
+        cons = constraints_for(cfg, batch, windows)
+        expected = [repr(float(v)) for window in windows
+                    for v in run_grad_attack(batch, cons, window.values, 2.0,
+                                             TargetFunction.L1_ENERGY,
+                                             cfg.attack).s_hat]
+        assert [row[3] for row in read_rows(out)[1:]] == expected
+
+    def test_negative_step_size_exits_one(self, tmp_path, capsys):
+        cfg = dict(BASE_CONFIG, action_box={"u_min": -2.0, "u_max": 2.0})
+        path = tmp_path / "cons.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        inp = self._gen_input(tmp_path)
+        code = main(["attack", "constraint", "--target", "max-action",
+                     "--delta", "0.5", "--step-size", "-0.1",
+                     "--config", str(path), "--in", str(inp),
+                     "--out", str(tmp_path / "attacked.csv")])
+        assert code == 1
+        assert "step_size must be positive" in capsys.readouterr().err
+
     def test_window_length_mismatch_exits_one(self, tmp_path, config_path, capsys):
         inp = self._gen_input(tmp_path, horizon=7)
         out = tmp_path / "attacked.csv"
@@ -127,7 +161,7 @@ class TestExperimentCommand:
         assert len(rows) == 1 + 5 * 2
 
     def test_failed_kkt_check_exits_two(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr("tsattack.qp.kkt_residuals", lambda *args: {
+        monkeypatch.setattr("tsattack.qp._kkt_residuals", lambda *args: {
             "stationarity": 1.0, "feasibility": 0.0,
             "complementarity": 0.0, "dual_sign": 0.0,
         })

@@ -1,6 +1,7 @@
 import importlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +33,8 @@ from tsattack.experiments import (
     load_windows,
     task_seed,
 )
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 BASE_CONFIG = {
     "system": {"A": 1, "B": -1, "C": 1, "Q": 1, "R": 1, "T": 12, "x0": 1},
@@ -463,6 +466,39 @@ class TestConstraintExperiment:
         assert len(solved) == len(expected) == 16
         for got, want in zip(solved, expected):
             np.testing.assert_array_equal(got, want)
+
+    def test_few_nonzero_differences_get_no_p_value(self):
+        # 8 finite pairs, but the box pins most actions so only 4 of the
+        # max-action vs random differences are nonzero: the signed-rank
+        # test is skipped, and the finished records are kept.
+        cfg = make_config(
+            system={"A": 1, "B": -1, "C": 1, "Q": 1, "R": 1, "T": 20, "x0": 1},
+            scenarios=["max-action", "random"],
+            deltas=[1.0],
+            dataset={"kind": "arima", "count": 8},
+            action_box={"u_min": -0.2, "u_max": 0.2},
+            attack={"mode": "iterated", "steps": 5},
+            seed=3,
+        )
+        stats = run_constraint_experiment(cfg)
+        assert len(stats.records) == 16
+        by_key = {(r.series_id, r.scenario): r.max_u_adv for r in stats.records}
+        nonzero = sum(by_key[(sid, "max-action")] != by_key[(sid, "random")]
+                      for sid, scenario in by_key if scenario == "random")
+        assert nonzero == 4
+        assert stats.p_values == ()
+
+    def test_shipped_state_box_config_drives_infeasibility(self):
+        # The state-box infeasibility attack end to end: gradient attacks
+        # end infeasible more often than random directions of equal norm.
+        cfg = load_config(CONFIGS / "arima_statebox.json")
+        stats = run_constraint_experiment(cfg)
+        infeasible = {"max-action": 0, "min-action": 0, "random": 0}
+        for record in stats.records:
+            assert record.norm_used <= record.delta * (1 + 1e-9)
+            infeasible[record.scenario] += "infeasible" in record.flags
+        assert infeasible["max-action"] > infeasible["random"]
+        assert infeasible["min-action"] > infeasible["random"]
 
     def test_min_action_reports_and_tests_the_minimum(self):
         cfg = make_config(

@@ -34,24 +34,36 @@ def reference_iterated_attack(batch, cons, s, delta, target, steps=20,
                               step_size=None):
     """Oracle: the iterated attack without the fixed-point exit.
 
-    Runs every step, solves the clean problem again after the single-step
-    candidate, and solves every iterate, including repeats.  Returns
-    (s_hat, attained, flags).
+    Takes the single-step candidate first, then runs every step from a
+    second clean solve and Jacobian, and solves every iterate, including
+    repeats.  Returns (s_hat, attained, flags).
     """
     if step_size is None:
         step_size = delta / 10.0
     s = np.asarray(s, dtype=float)
-    best = single_step_attack(batch, cons, s, delta, target)
-    if "infeasible" in best.flags or "zero-gradient" in best.flags:
-        return best.s_hat, best.attained, best.flags
-    flags = set(best.flags)
-    best_s, best_value = best.s_hat, best.attained
-    s_cur, sol_cur = s, solve_qp(batch, cons, s)
-    for _ in range(steps):
-        jac = solution_jacobian(batch, cons, sol_cur)
+    flags = set()
+
+    def direction_at(sol):
+        jac = solution_jacobian(batch, cons, sol)
         if jac.weak_active_flag:
             flags.add("weak-active")
-        direction = jac.J @ target_gradient(target, sol_cur.u, batch, s)
+        if jac.degenerate_flag:
+            flags.add("degenerate-kkt")
+        return jac.J @ target_gradient(target, sol.u, batch, s)
+
+    clean = solve_qp(batch, cons, s)
+    direction = direction_at(clean)
+    if np.linalg.norm(direction) <= 1e-12:
+        return (s, target_value(target, clean.u, batch, s),
+                frozenset(flags | {"zero-gradient"}))
+    best_s = s + delta * unit(direction)
+    attacked = solve_qp(batch, cons, best_s)
+    if not attacked.optimal:
+        return best_s, math.inf, frozenset(flags | {"infeasible"})
+    best_value = target_value(target, attacked.u, batch, s)
+    s_cur, sol_cur = s, solve_qp(batch, cons, s)
+    for _ in range(steps):
+        direction = direction_at(sol_cur)
         if np.linalg.norm(direction) <= 1e-12:
             break
         s_next = project_ball(s_cur + step_size * unit(direction), s, delta)
@@ -423,6 +435,61 @@ class TestIteratedAttack:
             outcomes.add("infeasible" in flags)
         assert outcomes == {True, False}
 
+    @pytest.mark.parametrize("case", ["zero-gradient", "infeasible"])
+    def test_matches_reference_when_the_single_step_ends_the_attack(self, case):
+        if case == "zero-gradient":
+            batch = batch_form(make_scalar_spec(T=2))
+            cons = ConstraintSet.empty(2, 2)
+            s, target = np.array([0.1, 0.2]), TargetFunction.COST_CHANGE
+        else:  # the single step of test_infeasible_attack_is_flagged_success
+            spec = make_scalar_spec(T=1)
+            batch = batch_form(spec)
+            cons = compile_constraints(spec, batch, action_box=(-0.1, 0.1),
+                                       state_box=(-10.0, 0.0))
+            s, target = np.array([-0.95]), TargetFunction.MAX_ACTION
+        result = iterated_attack(batch, cons, s, 1.0, target, steps=5)
+        s_hat, attained, flags = reference_iterated_attack(
+            batch, cons, s, 1.0, target, steps=5)
+        assert case in flags
+        np.testing.assert_array_equal(result.s_hat, s_hat)
+        assert result.attained == attained
+        assert result.flags == flags
+
+    def test_one_jacobian_per_distinct_solved_point(self, monkeypatch):
+        # The clean direction serves the single step and the first ascent
+        # step: no series gets a second Jacobian, the clean one included.
+        # Only the single-step candidate and the last iterate go without.
+        solved, at = {}, []
+
+        def recording_solve(batch, cons, s_obs):
+            sol = solve_qp(batch, cons, s_obs)
+            solved[id(sol)] = (sol, np.array(s_obs, dtype=float))
+            return sol
+
+        def recording_jacobian(batch, cons, sol):
+            at.append(solved[id(sol)][1])
+            return solution_jacobian(batch, cons, sol)
+
+        monkeypatch.setattr("tsattack.grad_attack.solve_qp", recording_solve)
+        monkeypatch.setattr("tsattack.grad_attack.solution_jacobian",
+                            recording_jacobian)
+        rng = np.random.default_rng(43)
+        for case in range(12):
+            spec = random_system(rng, n_max=2, m_max=2, p_max=2, t_max=6)
+            batch = batch_form(spec)
+            s = rng.standard_normal(batch.p_total)
+            bound = 0.8 * float(np.max(np.abs(solve_unconstrained(batch, s))))
+            cons = compile_constraints(spec, batch, action_box=(-bound, bound))
+            solved.clear()
+            at.clear()
+            iterated_attack(batch, cons, s, 0.7, (TargetFunction.MAX_ACTION,
+                            TargetFunction.L1_ENERGY)[case % 2], steps=6)
+            points = {tuple(s_obs) for _, s_obs in solved.values()}
+            assert len({tuple(p) for p in at}) == len(at)
+            assert {tuple(p) for p in at} <= points
+            np.testing.assert_array_equal(at[0], s)
+            assert len(at) >= len(points) - 2
+
     def test_cost_target_stalls_at_start(self, scalar_t2):
         cons = ConstraintSet.empty(2, 2)
         result = iterated_attack(scalar_t2, cons, [0.1, 0.2], 0.5,
@@ -435,6 +502,10 @@ class TestIteratedAttack:
         with pytest.raises(ValueError, match="steps"):
             iterated_attack(scalar_t1, cons, [0.0], 0.5,
                             TargetFunction.MAX_ACTION, steps=0)
+        for step_size in (0.0, -0.05):
+            with pytest.raises(ValueError, match="step_size must be positive"):
+                iterated_attack(scalar_t1, cons, [0.0], 0.5,
+                                TargetFunction.MAX_ACTION, step_size=step_size)
 
 
 class TestHelpers:

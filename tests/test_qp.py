@@ -80,7 +80,7 @@ class TestSolveQp:
 
     def test_failed_kkt_check_raises(self, scalar_t1, monkeypatch):
         # The check is an explicit raise, so `python -O` cannot disable it.
-        monkeypatch.setattr("tsattack.qp.kkt_residuals", lambda *args: {
+        monkeypatch.setattr("tsattack.qp._kkt_residuals", lambda *args: {
             "stationarity": 1.0, "feasibility": 0.0,
             "complementarity": 0.0, "dual_sign": 0.0,
         })
