@@ -133,6 +133,11 @@ def _cmd_attack_constraint(args) -> int:
     for window in windows:
         _check_window_length(batch, window)
     cons = constraints_for(cfg, batch, windows)
+    if cfg.attack.mode == "single-step" and (args.steps, args.step_size) != (None, None):
+        raise ConfigurationError(
+            "--steps and --step-size apply only to the iterated attack; "
+            "the config's attack mode is single-step"
+        )
     attack_cfg = dataclasses.replace(
         cfg.attack,
         steps=cfg.attack.steps if args.steps is None else args.steps,

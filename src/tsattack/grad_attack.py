@@ -219,10 +219,13 @@ def _attack_direction(batch, cons, sol, target, s_real):
 
 def _ascend(batch, cons, s, delta, target, steps, step_size) -> AttackResult:
     """Projected ascent from a validated series s; the clean direction gives
-    the saturated single step and the first of ``steps`` projected steps."""
+    the saturated single step and the first of ``steps`` projected steps.
+    ``steps`` is 0 for :func:`single_step_attack` and at least 1 for
+    :func:`iterated_attack`; errors name that caller."""
     sol = solve_qp(batch, cons, s)
     if not sol.optimal:
-        raise ValueError("single_step_attack requires a feasible unattacked problem")
+        caller = "iterated_attack" if steps else "single_step_attack"
+        raise ValueError(f"{caller} requires a feasible unattacked problem")
     direction, flags = _attack_direction(batch, cons, sol, target, s)
     if np.linalg.norm(direction) <= ZERO_DIRECTION_TOL:
         flags.add(FLAG_ZERO_GRADIENT)

@@ -5,10 +5,12 @@ inequalities G u <= h0 + H s_obs.  Action boxes have H = 0; state boxes are
 compiled through the stacked dynamics, so their right-hand side moves with
 the *observed* series, which is the lever the infeasibility attack pulls.
 
-The solver is a primal active-set method warm-started from the unconstrained
-optimum.  It returns exact active sets and dual multipliers, which the
-attack code differentiates through; first-order solvers would blur both.
-Infeasibility is detected by an explicit phase-1 LP, never by divergence.
+The solver is the dual active-set method of Goldfarb and Idnani (Math.
+Programming 27, 1983), started from the unconstrained optimum, so it needs
+no feasible start.  It returns exact active sets and dual multipliers, which
+the attack code differentiates through; first-order solvers would blur both.
+Infeasibility is proved by a Farkas ray from the dual iteration, never
+inferred from divergence.
 """
 
 from __future__ import annotations
@@ -17,8 +19,10 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.linalg import cho_solve
-from scipy.optimize import linprog
+from scipy.linalg import cho_solve, solve_triangular
+# The solver needs no LP.  The benchmark tracer (perfbench/tracing.py) still
+# wraps this name to count phase-1 LP calls, so it stays importable here.
+from scipy.optimize import linprog  # noqa: F401
 
 from .errors import ConfigurationError, NumericalError
 from .lqr import BatchForm, SystemSpec, check_series, linear_term
@@ -30,6 +34,9 @@ WEAK_DUAL_TOL = 1e-9
 KKT_LIMITS = {"stationarity": 1e-8, "feasibility": 1e-9,
               "complementarity": 1e-8, "dual_sign": 1e-12}
 
+#: Strict limits on the :func:`_farkas_residuals` of every infeasible solve.
+FARKAS_LIMITS = {"dual_sign": 1e-12, "alignment": 1e-8, "gap": 0.0}
+
 
 def activity_tolerance(rhs: np.ndarray) -> np.ndarray:
     """Per-row slack threshold under which a constraint counts as active."""
@@ -38,18 +45,11 @@ def activity_tolerance(rhs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ConstraintSet:
-    """Affine inequalities G u <= h0 + H s for the controller.
-
-    ``action_lower``/``action_upper`` mirror the box rows when the set was
-    compiled from an action box; they only speed up feasible warm starts and
-    carry no information beyond G, h0, H.
-    """
+    """Affine inequalities G u <= h0 + H s for the controller."""
 
     G: np.ndarray
     h0: np.ndarray
     H: np.ndarray
-    action_lower: Optional[np.ndarray] = None
-    action_upper: Optional[np.ndarray] = None
 
     @property
     def q(self) -> int:
@@ -121,7 +121,6 @@ def compile_constraints(
     mT, pT = batch.m_total, batch.p_total
     n, T = spec.n, spec.T
     blocks_G, blocks_h, blocks_H = [], [], []
-    lower = upper = None
 
     if action_box is not None:
         u_min, u_max = action_box
@@ -150,11 +149,7 @@ def compile_constraints(
     if not blocks_G:
         return ConstraintSet.empty(mT, pT)
     return ConstraintSet(
-        G=np.vstack(blocks_G),
-        h0=np.concatenate(blocks_h),
-        H=np.vstack(blocks_H),
-        action_lower=lower,
-        action_upper=upper,
+        G=np.vstack(blocks_G), h0=np.concatenate(blocks_h), H=np.vstack(blocks_H)
     )
 
 
@@ -165,136 +160,130 @@ def _classify_active(G, u, rhs, mu) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     return tuple(int(i) for i in active), weak
 
 
-def _phase1_start(G, rhs) -> Optional[np.ndarray]:
-    """Feasible point via the LP  min t  s.t.  G u - t <= rhs,  t >= -1.
+def _dual_active_set(batch, k, G, rhs):
+    """Goldfarb-Idnani dual active set from the unconstrained optimum.
 
-    A strictly feasible region yields t* < 0 and an interior start; returns
-    None when the minimal violation t* is positive beyond tolerance.
+    Keeps u optimal for its working rows W (G_W u = rhs_W, duals mu_W >= 0)
+    and adds the most violated row j.  Raising mu_j by t moves u by -t z and
+    mu_W by -t r, where (H = 2K, n = G_j', N = G_W') r = (N'H^-1 N)^-1 N'H^-1 n
+    and z = H^-1 (n - N r), both from a QR of L^-1 N (K = L L'), which does
+    not square the conditioning of W.  The step ends when row j holds (it
+    joins W) or a working dual reaches zero first (that row leaves W).
+    Returns (u, mu, None) at the optimum, with working rows of one nonzero
+    entry pinning their action to rhs_j / G_ji exactly, or (None, None, y)
+    with the Farkas ray y_j = 1, y_W = -r once n lies in the span of N and no
+    dual can drop.
     """
-    q, nvar = G.shape
-    cost = np.zeros(nvar + 1)
-    cost[-1] = 1.0
-    A_ub = np.hstack([G, -np.ones((q, 1))])
-    bounds = [(None, None)] * nvar + [(-1.0, None)]
-    res = linprog(
-        cost,
-        A_ub=A_ub,
-        b_ub=rhs,
-        bounds=bounds,
-        method="highs",
-        options={
-            "primal_feasibility_tolerance": 1e-10,
-            "dual_feasibility_tolerance": 1e-10,
-        },
-    )
-    if not res.success:
-        raise NumericalError(f"phase-1 feasibility LP failed: {res.message}")
-    if res.fun > 1e-9 * (1.0 + np.max(np.abs(rhs), initial=0.0)):
-        return None
-    return np.asarray(res.x[:nvar], dtype=float)
-
-
-def _active_set_minimize(batch, k, G, rhs, u):
-    """Primal active-set loop from a feasible u; returns (u, mu)."""
-    mT = u.size
-    K2 = 2.0 * batch.K
-    k2 = 2.0 * k
+    q, mT = G.shape
+    c, lower = batch.K_factor
+    u = -cho_solve(batch.K_factor, k, check_finite=False)
+    mu = np.zeros(q)
+    tol = activity_tolerance(rhs)
     work: list[int] = []
-    in_work = np.zeros(G.shape[0], dtype=bool)
-    max_iter = 50 + 10 * (G.shape[0] + mT)
-
-    for _ in range(max_iter):
-        grad = K2 @ u + k2
-        if work:
-            GW = G[work]
-            nW = len(work)
-            kkt = np.block([[K2, GW.T], [GW, np.zeros((nW, nW))]])
-            rhs_sys = np.concatenate([-grad, np.zeros(nW)])
-            try:
-                sol = np.linalg.solve(kkt, rhs_sys)
-            except np.linalg.LinAlgError:
-                sol = np.linalg.lstsq(kkt, rhs_sys, rcond=None)[0]
-            step = sol[:mT]
-            lam = sol[mT:]
+    B = np.zeros((mT, 0))  # L^-1 N, one column per working row
+    j = -1
+    for _ in range(50 + 10 * (q + mT)):
+        if j < 0:
+            excess = G @ u - rhs - tol
+            j = int(np.argmax(excess))
+            if excess[j] <= 0.0:
+                break
+            b = solve_triangular(c, G[j], lower=lower, trans=int(not lower),
+                                 check_finite=False)  # L^-1 n
+        Qw, R = np.linalg.qr(B)
+        r = solve_triangular(R, Qw.T @ b, check_finite=False)
+        residual = b - Qw @ (Qw.T @ b)  # L^-1 (n - N r)
+        blocking = np.flatnonzero(r > 0.0)
+        drop = blocking[np.argmin(mu[work][blocking] / r[blocking])] if blocking.size else -1
+        t_drop = mu[work[drop]] / r[drop] if blocking.size else np.inf
+        if len(work) == mT or np.abs(residual).max() <= 1e-10 * np.abs(b).max():
+            if drop < 0:
+                y = np.zeros(q)
+                y[j] = 1.0
+                y[work] = -r
+                return None, None, y
+            t = t_drop
         else:
-            step = -0.5 * cho_solve(batch.K_factor, grad, check_finite=False)
-            lam = np.zeros(0)
-
-        if np.max(np.abs(step), initial=0.0) <= 1e-10 * (1.0 + np.max(np.abs(u))):
-            if lam.size == 0 or lam.min() >= -1e-9:
-                mu = np.zeros(G.shape[0])
-                if work:
-                    mu[work] = np.maximum(lam, 0.0)
-                return u, mu
-            drop = int(np.argmin(lam))  # most negative dual, lowest index first
-            in_work[work.pop(drop)] = False
-            continue
-
-        directional = G @ step
-        slack = rhs - G @ u
-        blocking = ~in_work & (directional > 1e-13 * (1.0 + np.abs(directional).max()))
-        alpha = 1.0
-        add = -1
-        if np.any(blocking):
-            idx = np.nonzero(blocking)[0]
-            ratios = np.maximum(slack[idx], 0.0) / directional[idx]
-            j = int(np.argmin(ratios))
-            if ratios[j] < alpha:
-                alpha = float(ratios[j])
-                add = int(idx[j])
-        u = u + alpha * step
-        if add >= 0:
-            work.append(add)
-            in_work[add] = True
-
-    raise NumericalError("active-set QP did not converge within the iteration cap")
+            z = 0.5 * solve_triangular(c, residual, lower=lower, trans=int(lower),
+                                       check_finite=False)
+            t = min((G[j] @ u - rhs[j]) / (G[j] @ z), t_drop)
+            u = u - t * z
+        mu[work] -= t * r
+        mu[j] += t
+        if t < t_drop:
+            work.append(j)
+            B = np.column_stack([B, b])
+            j = -1
+        else:
+            mu[work.pop(drop)] = 0.0
+            B = np.delete(B, drop, axis=1)
+    else:
+        raise NumericalError("dual active-set QP did not converge within the iteration cap")
+    for row in work:
+        (nonzero,) = np.nonzero(G[row])
+        if nonzero.size == 1:
+            u[nonzero[0]] = rhs[row] / G[row, nonzero[0]]
+    return u, np.maximum(mu, 0.0), None
 
 
 def solve_qp(batch: BatchForm, cons: ConstraintSet, s_obs) -> QpSolution:
     """Minimize u' K u + 2 k(x0, s_obs)' u  s.t.  G u <= h0 + H s_obs.
 
-    Warm-starts from the unconstrained optimum (clipped into the action box
-    when one exists); falls back to a phase-1 LP for a feasible start and
-    reports status ``infeasible`` when none exists.  The KKT residuals of
-    every constrained solve are checked against :data:`KKT_LIMITS`; a
-    violation raises :class:`NumericalError`, also under ``python -O``.
+    Runs the dual active-set method from the unconstrained optimum, so no
+    feasible start is needed; status ``infeasible`` comes with a Farkas ray
+    y (y >= 0, G'y = 0, y' rhs < 0) that proves it.  The KKT residuals of
+    every optimal constrained solve are checked against
+    :data:`KKT_LIMITS` and the ray of every infeasible one against
+    :data:`FARKAS_LIMITS`; a failed check raises :class:`NumericalError`,
+    also under ``python -O``.
     """
     s_obs = check_series(batch, s_obs, "s_obs")
     k = batch.k_const + batch.L @ s_obs
-    u0 = -cho_solve(batch.K_factor, k, check_finite=False)
 
     if cons.q == 0:
+        u0 = -cho_solve(batch.K_factor, k, check_finite=False)
         return QpSolution(u=u0, mu=np.zeros(0), active=(), weakly_active=(),
                           status="optimal")
 
     rhs = cons.rhs(s_obs)
-    tol = activity_tolerance(rhs)
-    if np.all(cons.G @ u0 <= rhs + tol):
-        u, mu = u0, np.zeros(cons.q)
-    else:
-        start = None
-        if cons.action_lower is not None:
-            clipped = np.clip(u0, cons.action_lower, cons.action_upper)
-            if np.all(cons.G @ clipped <= rhs + tol):
-                start = clipped
-        if start is None:
-            start = _phase1_start(cons.G, rhs)
-        if start is None:
-            return QpSolution(u=None, mu=None, active=(), weakly_active=(),
-                              status="infeasible")
-        u, mu = _active_set_minimize(batch, k, cons.G, rhs, start)
+    u, mu, ray = _dual_active_set(batch, k, cons.G, rhs)
+    if ray is not None:
+        _check("infeasibility certificate", _farkas_residuals(cons.G, rhs, ray),
+               FARKAS_LIMITS, strict=True)
+        return QpSolution(u=None, mu=None, active=(), weakly_active=(),
+                          status="infeasible")
 
     active, weak = _classify_active(cons.G, u, rhs, mu)
     sol = QpSolution(u=u, mu=mu, active=active, weakly_active=weak,
                      status="optimal")
-    residuals = _kkt_residuals(batch, cons, k, rhs, sol)
-    for name, limit in KKT_LIMITS.items():
-        if not residuals[name] <= limit:  # also catches NaN
-            raise NumericalError(
-                f"QP solution fails the KKT check: {name} residual "
-                f"{residuals[name]:.3g} exceeds {limit:g} ({residuals})"
-            )
+    _check("KKT check", _kkt_residuals(batch, cons, k, rhs, sol), KKT_LIMITS)
     return sol
+
+
+def _check(what, residuals, limits, strict=False):
+    """Raise NumericalError unless every residual stays within its limit."""
+    for name, limit in limits.items():
+        value = residuals[name]
+        if not (value < limit if strict else value <= limit):  # also catches NaN
+            raise NumericalError(
+                f"QP solution fails the {what}: {name} residual "
+                f"{value:.3g} is outside its limit {limit:g} ({residuals})"
+            )
+
+
+def _farkas_residuals(G, rhs, y) -> dict:
+    """How far y is from proving G u <= rhs infeasible.
+
+    dual_sign  how far any entry of y dips below zero (absolute)
+    alignment  ||G'y||_inf over the size of its terms
+    gap        y' rhs, which must be negative
+    """
+    scale = max(np.max(np.abs(G).T @ np.abs(y)), np.finfo(float).tiny)
+    return {
+        "dual_sign": float(max(0.0, -y.min())),
+        "alignment": float(np.abs(G.T @ y).max() / scale),
+        "gap": float(y @ rhs),
+    }
 
 
 def kkt_residuals(batch: BatchForm, cons: ConstraintSet, s_obs, sol: QpSolution) -> dict:

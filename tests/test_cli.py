@@ -108,6 +108,27 @@ class TestAttackCommands:
         assert code == 1
         assert "step_size must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--steps", "3"], ["--step-size", "-1"]])
+    def test_step_flags_under_single_step_config_exit_one(self, tmp_path, capsys,
+                                                          flags):
+        cfg = dict(BASE_CONFIG, action_box={"u_min": -2.0, "u_max": 2.0},
+                   attack={"mode": "single-step"})
+        path = tmp_path / "cons.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        inp = self._gen_input(tmp_path)
+        out = tmp_path / "attacked.csv"
+        code = main(["attack", "constraint", "--target", "max-action",
+                     "--delta", "0.5", *flags, "--config", str(path),
+                     "--in", str(inp), "--out", str(out)])
+        assert code == 1
+        assert "single-step" in capsys.readouterr().err
+        assert not out.exists()
+        code = main(["attack", "constraint", "--target", "max-action",
+                     "--delta", "0.5", "--config", str(path),
+                     "--in", str(inp), "--out", str(out)])
+        assert code == 0
+        assert len(read_rows(out)) == 1 + 3 * 10
+
     def test_window_length_mismatch_exits_one(self, tmp_path, config_path, capsys):
         inp = self._gen_input(tmp_path, horizon=7)
         out = tmp_path / "attacked.csv"

@@ -28,7 +28,9 @@ from tsattack import (
 )
 from tsattack.experiments import (
     TARGET_BY_SCENARIO,
+    Record,
     ScenarioStats,
+    _paired_p_values,
     constraints_for,
     load_windows,
     task_seed,
@@ -468,9 +470,31 @@ class TestConstraintExperiment:
             np.testing.assert_array_equal(got, want)
 
     def test_few_nonzero_differences_get_no_p_value(self):
-        # 8 finite pairs, but the box pins most actions so only 4 of the
-        # max-action vs random differences are nonzero: the signed-rank
-        # test is skipped, and the finished records are kept.
+        # 8 finite pairs of max-action vs random with 1 to 4 nonzero
+        # differences are too few for the signed-rank test and get no
+        # p-value; none gives the degenerate p = 1, five give a real test.
+        def record(i, scenario, max_u):
+            return Record(series_id=f"w{i}", delta=1.0, scenario=scenario,
+                          j_orig=1.0, j_adv=1.0, max_u_orig=0.5,
+                          max_u_adv=max_u, min_u_orig=0.0, min_u_adv=0.0,
+                          l1_orig=1.0, l1_adv=1.0, norm_used=1.0, flags="")
+
+        for nonzero in range(6):
+            records = [record(i, "random", 0.5) for i in range(8)]
+            records += [record(i, "max-action", 0.5 + 0.1 * (i + 1) * (i < nonzero))
+                        for i in range(8)]
+            rows = _paired_p_values(records, ["max-action", "random"])
+            if 0 < nonzero < 5:
+                assert rows == []
+            else:
+                assert [(row["metric"], row["n"], row["degenerate"])
+                        for row in rows] == [("max_u_adv", nonzero, nonzero == 0)]
+
+    def test_pinned_actions_equal_the_bound_bitwise(self):
+        # The +-0.2 box pins every action of these windows: each solve sets
+        # a pinned action to the bound itself, so the max-action and random
+        # records agree exactly (no rounding noise posing as a difference)
+        # and the signed-rank test is the degenerate p = 1.
         cfg = make_config(
             system={"A": 1, "B": -1, "C": 1, "Q": 1, "R": 1, "T": 20, "x0": 1},
             scenarios=["max-action", "random"],
@@ -482,11 +506,10 @@ class TestConstraintExperiment:
         )
         stats = run_constraint_experiment(cfg)
         assert len(stats.records) == 16
-        by_key = {(r.series_id, r.scenario): r.max_u_adv for r in stats.records}
-        nonzero = sum(by_key[(sid, "max-action")] != by_key[(sid, "random")]
-                      for sid, scenario in by_key if scenario == "random")
-        assert nonzero == 4
-        assert stats.p_values == ()
+        for r in stats.records:
+            assert r.max_u_orig in (0.2, -0.2)
+            assert r.max_u_adv == r.max_u_orig
+        assert [(row["n"], row["p_value"]) for row in stats.p_values] == [(0, 1.0)]
 
     def test_shipped_state_box_config_drives_infeasibility(self):
         # The state-box infeasibility attack end to end: gradient attacks

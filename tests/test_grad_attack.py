@@ -507,6 +507,17 @@ class TestIteratedAttack:
                 iterated_attack(scalar_t1, cons, [0.0], 0.5,
                                 TargetFunction.MAX_ACTION, step_size=step_size)
 
+    @pytest.mark.parametrize("attack", [single_step_attack, iterated_attack])
+    def test_infeasible_clean_problem_names_the_caller(self, attack):
+        # u in [-0.1, 0.1] forces x1 = 1 - u >= 0.9, but x_max = 0.5.
+        spec = make_scalar_spec(T=1)
+        batch = batch_form(spec)
+        cons = compile_constraints(spec, batch, action_box=(-0.1, 0.1),
+                                   state_box=(-10.0, 0.5))
+        with pytest.raises(ValueError, match=f"^{attack.__name__} requires a "
+                                             "feasible unattacked problem"):
+            attack(batch, cons, [0.0], 0.5, TargetFunction.MAX_ACTION)
+
 
 class TestHelpers:
     @given(st.lists(st.floats(-10, 10), min_size=1, max_size=8))

@@ -1,7 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import LinearConstraint, linprog, minimize
 
 from tsattack import (
     ConfigurationError,
@@ -16,6 +20,7 @@ from tsattack import (
     solve_qp,
     solve_unconstrained,
 )
+from tsattack import qp as qp_module
 
 from conftest import make_scalar_spec, random_system
 
@@ -31,6 +36,74 @@ def random_box_instance(rng, tightness=None):
     bound = float(np.max(np.abs(u_free))) * tightness + 1e-3
     cons = compile_constraints(spec, batch, action_box=(-bound, bound))
     return batch, cons, s, bound
+
+
+def phase1_margin(G, rhs):
+    """Reference feasibility test: min t  s.t.  G u - t <= rhs,  t >= -1.
+
+    G u <= rhs is feasible exactly when the optimal t is at most 0.
+    """
+    q, nvar = G.shape
+    cost = np.zeros(nvar + 1)
+    cost[-1] = 1.0
+    res = linprog(cost, A_ub=np.hstack([G, -np.ones((q, 1))]), b_ub=rhs,
+                  bounds=[(None, None)] * nvar + [(-1.0, None)], method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    assert res.success, res.message
+    return res.fun
+
+
+def trust_constr_solve(K, k, G, rhs):
+    """Reference optimum of u'Ku + 2k'u s.t. G u <= rhs by an interior point."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # its "delta_grad == 0" chatter
+        res = minimize(lambda u: u @ K @ u + 2.0 * k @ u, np.zeros(K.shape[0]),
+                       jac=lambda u: 2.0 * K @ u + 2.0 * k,
+                       hess=lambda u: 2.0 * K, method="trust-constr",
+                       constraints=[LinearConstraint(G, -np.inf, rhs)],
+                       options={"gtol": 1e-12, "xtol": 1e-14, "maxiter": 5000,
+                                "initial_barrier_parameter": 1e-6,
+                                "initial_barrier_tolerance": 1e-6})
+    return res.x, float(res.fun)
+
+
+def random_state_box_instance(seed, mixed, state_scale, action_scale):
+    """Random system and series under a state box scaled to the free
+    trajectory and, when mixed, an action box scaled to the free actions."""
+    rng = np.random.default_rng(seed)
+    spec = random_system(rng, n_max=2, m_max=2, p_max=2, t_max=6)
+    batch = batch_form(spec)
+    s = rng.standard_normal(batch.p_total)
+    u_free = solve_unconstrained(batch, s)
+    x_free = (batch.x0_response + batch.M @ u_free + batch.N @ s).ravel()
+    x_bound = float(np.abs(x_free).max()) * state_scale + 1e-3
+    action_box = None
+    if mixed:
+        u_bound = float(np.abs(u_free).max()) * action_scale + 1e-3
+        action_box = (-u_bound, u_bound)
+    cons = compile_constraints(spec, batch, action_box=action_box,
+                               state_box=(-x_bound, x_bound))
+    return batch, cons, s
+
+
+def check_against_oracles(batch, cons, s):
+    """solve_qp against a phase-1 LP (status) and trust-constr (optimum)."""
+    rhs = cons.rhs(s)
+    sol = solve_qp(batch, cons, s)
+    margin = phase1_margin(cons.G, rhs)
+    if not sol.optimal:
+        assert margin > 0.0
+        return
+    assert margin <= 1e-9 * (1.0 + np.abs(rhs).max())
+    u_ref, f_ref = trust_constr_solve(batch.K, linear_term(batch, s), cons.G, rhs)
+    f = qp_objective(batch, s, sol.u)
+    scale = 1.0 + abs(f)
+    if np.all(cons.G @ u_ref <= rhs):  # a feasible point never beats the optimum
+        assert f <= f_ref + 1e-9 * scale
+    assert abs(f - f_ref) <= 1e-5 * scale
+    np.testing.assert_allclose(sol.u, u_ref, rtol=0.0,
+                               atol=1e-3 * (1.0 + np.abs(sol.u).max()))
 
 
 class TestCompileConstraints:
@@ -89,6 +162,18 @@ class TestSolveQp:
         with pytest.raises(NumericalError, match="stationarity"):
             solve_qp(scalar_t1, cons, [0.0])
 
+    def test_failed_farkas_check_raises(self, monkeypatch):
+        spec = make_scalar_spec(T=1)
+        batch = batch_form(spec)
+        cons = compile_constraints(spec, batch, action_box=(-0.1, 0.1),
+                                   state_box=(-10.0, 0.5))
+        for name, bad in (("alignment", 1e-3), ("gap", 0.0), ("dual_sign", 1.0)):
+            residuals = {"dual_sign": 0.0, "alignment": 0.0, "gap": -1.0, name: bad}
+            monkeypatch.setattr("tsattack.qp._farkas_residuals",
+                                lambda *args: residuals)
+            with pytest.raises(NumericalError, match=f"certificate: {name}"):
+                solve_qp(batch, cons, [0.0])
+
     def test_interior_solution(self, scalar_t1):
         cons = compile_constraints(scalar_t1.spec, scalar_t1,
                                    action_box=(-10.0, 10.0))
@@ -123,6 +208,35 @@ class TestSolveQp:
         sol = solve_qp(batch, cons, [0.0])
         assert sol.status == "infeasible"
         assert sol.u is None
+        # The dual iteration ends on a Farkas ray: y >= 0, G'y = 0, y'rhs < 0.
+        rhs = cons.rhs([0.0])
+        _, _, y = qp_module._dual_active_set(batch, linear_term(batch, [0.0]),
+                                             cons.G, rhs)
+        assert np.all(y >= 0.0)
+        np.testing.assert_allclose(cons.G.T @ y, 0.0, atol=1e-15)
+        assert y @ rhs < 0.0
+
+    @given(seed=st.integers(0, 2**32 - 1), mixed=st.booleans(),
+           state_scale=st.floats(0.2, 1.2), action_scale=st.floats(0.2, 1.2))
+    @settings(max_examples=60, deadline=None)
+    def test_state_and_mixed_boxes_agree_with_oracles(self, seed, mixed,
+                                                      state_scale, action_scale):
+        # Independent of the active-set path: the status against a phase-1
+        # LP, the optimum against scipy's trust-constr interior point.
+        check_against_oracles(*random_state_box_instance(
+            seed, mixed, state_scale, action_scale))
+
+    def test_active_action_rows_pin_the_bound_bitwise(self):
+        rng = np.random.default_rng(89)
+        pinned = 0
+        for _ in range(40):
+            batch, cons, s, bound = random_box_instance(rng)
+            sol = solve_qp(batch, cons, s)
+            mT = batch.m_total
+            for row in sol.active:
+                assert sol.u[row % mT] == (bound if row < mT else -bound)
+                pinned += 1
+        assert pinned > 20
 
     def test_state_box_binds_through_series(self):
         spec = make_scalar_spec(T=1)
