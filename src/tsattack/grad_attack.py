@@ -269,7 +269,9 @@ def _ascend(batch, cons, s, delta, target, steps, step_size) -> AttackResult:
             flags.add(FLAG_INFEASIBLE)
             return result(s_next, np.inf)
         value = target_value(target, sol_next.u, batch, s)
-        if value > best[1]:
+        # A later iterate must win by more than rounding: on a target that is
+        # flat on the delta sphere (l1) ties would be broken by the last ulp.
+        if value - best[1] > 1e-12 * abs(best[1]):
             best = (s_next, value, sol_next.u)
         if fixed_point:
             break
@@ -311,7 +313,9 @@ def iterated_attack(
     Each iteration ascends along J g at the current iterate with
     ``step_size`` (default delta / 10; must be positive), projects back onto
     the ball around s and solves the QP at the new iterate.  The best
-    iterate by attained value is kept, with its actions as ``u_hat``; the
+    iterate by attained value is kept, with its actions as ``u_hat``; a
+    later iterate replaces it only when it is larger by more than a relative
+    1e-12, so among iterates that tie to rounding the earliest is kept.  The
     candidate pool also contains the saturated single step, which shares
     the clean solve and the clean direction with the first iteration, so
     the result is never worse than :func:`single_step_attack`.

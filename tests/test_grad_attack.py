@@ -71,7 +71,7 @@ def reference_iterated_attack(batch, cons, s, delta, target, steps=20,
         if not sol_next.optimal:
             return s_next, math.inf, frozenset(flags | {"infeasible"})
         value = target_value(target, sol_next.u, batch, s)
-        if value > best_value:
+        if value - best_value > 1e-12 * abs(best_value):
             best_s, best_value = s_next, value
         s_cur, sol_cur = s_next, sol_next
     return best_s, best_value, frozenset(flags)
@@ -489,6 +489,33 @@ class TestIteratedAttack:
             assert {tuple(p) for p in at} <= points
             np.testing.assert_array_equal(at[0], s)
             assert len(at) >= len(points) - 2
+
+    @pytest.mark.parametrize("gains, kept", [
+        ((5e-13, 9e-13, 1e-13), 0),   # all within rounding: the single step stays
+        ((5e-13, 3e-12, 3.5e-12), 2),  # the second iterate wins, the third ties it
+    ])
+    def test_later_iterate_must_win_beyond_rounding(self, monkeypatch, gains, kept):
+        # Candidates are the single step and three iterates, valued 1 + gain.
+        # A later one replaces the best only when larger by a relative 1e-12.
+        batch = batch_form(make_scalar_spec(T=4))
+        cons = ConstraintSet.empty(4, 4)
+        s = np.linspace(-0.3, 0.4, 4)
+        solved = []
+        candidates = (1.0,) + tuple(1.0 + g for g in gains)
+        values = iter(candidates)
+
+        def recording_solve(batch, cons, s_obs):
+            solved.append(np.array(s_obs, dtype=float))
+            return solve_qp(batch, cons, s_obs)
+
+        monkeypatch.setattr("tsattack.grad_attack.solve_qp", recording_solve)
+        monkeypatch.setattr("tsattack.grad_attack.target_value",
+                            lambda *args: next(values))
+        result = iterated_attack(batch, cons, s, 0.8, TargetFunction.L1_ENERGY,
+                                 steps=3)
+        assert len(solved) == 5  # the clean series, the single step, 3 iterates
+        np.testing.assert_array_equal(result.s_hat, solved[1 + kept])
+        assert result.attained == candidates[kept]
 
     def test_cost_target_stalls_at_start(self, scalar_t2):
         cons = ConstraintSet.empty(2, 2)
