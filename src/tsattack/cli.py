@@ -180,7 +180,8 @@ def _cmd_check_jacobian(args) -> int:
     print(f"jacobian selftest: {report['instances']} instances, "
           f"max |error| = {report['max_abs_error']:.3g} "
           f"(tolerance {report['tolerance']:g}), "
-          f"skipped {report['skipped_weakly_active']} weakly active")
+          f"redrew {report['skipped_weakly_active']} weakly active and "
+          f"{report['skipped_infeasible']} infeasible")
     if not report["passed"]:
         for failure in report["failures"]:
             print(f"  FAILED instance seed {failure['instance_seed']}: "

@@ -461,13 +461,21 @@ def random_test_system(rng: np.random.Generator, n_max=2, m_max=2, p_max=2,
 def jacobian_selftest(seed: int, instances: int = 50, tol: float = 1e-5) -> dict:
     """Gate: implicit KKT Jacobian vs central finite differences.
 
-    Random box-constrained instances (weakly active solutions are skipped and
-    redrawn); unconstrained instances are also checked against the analytic
-    coupling.  Returns a report dict; ``passed`` is False when any instance
-    exceeds the tolerance, with the offending instance seeds listed.
+    Instances cycle through unconstrained problems, action boxes, state boxes
+    and mixed (state and action) boxes.  Each box is scaled to the free
+    actions or free trajectory of its random system and series; state boxes
+    move the constraint right-hand side with the series, so they exercise
+    the series-through-RHS (H) term of the derivative.  Draws whose clean
+    problem is infeasible or whose solution is weakly active are redrawn and
+    counted.  A failed solver check, or a finite-difference step that makes
+    the problem infeasible, raises :class:`NumericalError`.  Unconstrained
+    instances are also checked against the analytic coupling.  Returns a
+    report dict; ``passed`` is False when any instance exceeds the
+    tolerance, with the offending instance seeds listed.
     """
     checked = 0
     skipped = 0
+    infeasible = 0
     max_error = 0.0
     failures: List[dict] = []
     instance_seed = seed
@@ -477,13 +485,22 @@ def jacobian_selftest(seed: int, instances: int = 50, tol: float = 1e-5) -> dict
         spec = random_test_system(rng)
         batch = batch_form(spec)
         s = rng.standard_normal(batch.p_total)
-        if checked % 3 == 0:
-            cons = ConstraintSet.empty(batch.m_total, batch.p_total)
-        else:
-            u_free = solve_unconstrained(batch, s)
+        u_free = solve_unconstrained(batch, s)
+        kind = checked % 4  # 0 free, 1 action box, 2 state box, 3 mixed
+        action_box = state_box = None
+        if kind in (1, 3):
             bound = float(np.max(np.abs(u_free))) * rng.uniform(0.3, 1.2) + 1e-3
-            cons = compile_constraints(spec, batch, action_box=(-bound, bound))
+            action_box = (-bound, bound)
+        if kind in (2, 3):
+            x_free = batch.x0_response + batch.M @ u_free + batch.N @ s
+            bound = float(np.max(np.abs(x_free))) * rng.uniform(0.2, 1.2) + 1e-3
+            state_box = (-bound, bound)
+        cons = compile_constraints(spec, batch, action_box=action_box,
+                                   state_box=state_box)
         sol = solve_qp(batch, cons, s)
+        if not sol.optimal:
+            infeasible += 1
+            continue
         if sol.weakly_active:
             skipped += 1
             continue
@@ -506,6 +523,7 @@ def jacobian_selftest(seed: int, instances: int = 50, tol: float = 1e-5) -> dict
     return {
         "instances": checked,
         "skipped_weakly_active": skipped,
+        "skipped_infeasible": infeasible,
         "max_abs_error": max_error,
         "tolerance": tol,
         "failures": failures,

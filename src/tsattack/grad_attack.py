@@ -13,10 +13,11 @@ unconstrained action/forecast coupling.
 
 An attack then ascends any differentiable target of the actions: perturb the
 series by delta along Unit(J g), where J is the solution-map Jacobian and g
-the target's gradient in action space.  When that direction vanishes the
-attack returns the series unchanged, flagged ``zero-gradient``; the
-cost-change target always stalls this way at the unperturbed optimum of an
-unconstrained or action-box controller, since the optimum is a local
+the target's gradient in action space.  J g is one adjoint solve on the
+Cholesky factor of K; J itself is never formed.  When that direction
+vanishes the attack returns the series unchanged, flagged ``zero-gradient``;
+the cost-change target always stalls this way at the unperturbed optimum of
+an unconstrained or action-box controller, since the optimum is a local
 extremum of the cost under fixed constraint right-hand sides.
 
 The single step is the first candidate of the projected ascent and shares
@@ -31,6 +32,7 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .cost_attack import (
     AttackResult,
@@ -46,8 +48,8 @@ from .qp import ConstraintSet, QpSolution, solve_qp
 #: Directions with L2 norm at or below this are treated as zero gradients.
 ZERO_DIRECTION_TOL = 1e-12
 
-#: An active row whose part outside the span of the active rows before it
-#: is at most this share of its norm makes the active set violate LICQ.
+#: Singular values of C^-1 G_A' (K = C C', G_A the active rows) at or below
+#: this share of the largest count as zero: the active rows violate LICQ.
 LICQ_TOL = 1e-10
 
 
@@ -58,9 +60,9 @@ class SolutionJacobian:
     ``J[i, j] = d u*_j / d s_hat_i`` (shape pT x mT).  ``weak_active_flag``
     marks solutions where some active constraint had a near-zero dual: the
     derivative is taken from the active branch and may disagree with finite
-    differences there.  ``degenerate_flag`` marks a singular KKT system
-    (linearly dependent active rows, such as duplicated rows, which violate
-    LICQ): J is then the least-squares solution.
+    differences there.  ``degenerate_flag`` marks linearly dependent active
+    rows (such as duplicated rows, which violate LICQ): the multipliers'
+    derivative is then not unique and J uses the least-norm one.
     """
 
     J: np.ndarray
@@ -113,12 +115,27 @@ def target_gradient(target: TargetFunction, u, batch: BatchForm, s_real) -> np.n
     raise ValueError(f"unknown target {target!r}")
 
 
-def _licq_holds(GA: np.ndarray) -> bool:
-    """Whether the active rows GA are linearly independent (LICQ)."""
-    if GA.shape[0] > GA.shape[1]:
-        return False
-    r_diag = np.abs(np.diag(np.linalg.qr(GA.T, mode="r")))
-    return bool(np.all(r_diag > LICQ_TOL * np.linalg.norm(GA, axis=1)))
+def _adjoint(batch: BatchForm, cons: ConstraintSet, sol: QpSolution, g):
+    """(du/ds)' g at an optimum, and whether its active rows violate LICQ.
+
+    On the active rows A, du/ds = F + K^{-1} G_A' S^{-1} (H_A - G_A F) with
+    F = -K^{-1} L and S = G_A K^{-1} G_A', so (du/ds)' g = F'(g - G_A' nu)
+    + H_A' nu with nu = S^{-1} G_A K^{-1} g: the least-squares solution of
+    (C^{-1} G_A') nu = C^{-1} g for K = C C' (``batch.K_factor``), least-norm
+    when its rank is below |A| at :data:`LICQ_TOL`.  g has mT rows.
+    """
+    free = batch.free_jacobian.T
+    if not sol.active:
+        return free @ g, False
+    active = list(sol.active)
+    GA_t = cons.G[active].T
+    c, lower = batch.K_factor
+    B = solve_triangular(c, GA_t, lower=lower, trans=int(not lower),
+                         check_finite=False)  # C^-1 G_A'
+    b = solve_triangular(c, g, lower=lower, trans=int(not lower),
+                         check_finite=False)  # C^-1 g
+    nu, _, rank, _ = np.linalg.lstsq(B, b, rcond=LICQ_TOL)
+    return free @ (g - GA_t @ nu) + cons.H[active].T @ nu, rank < len(active)
 
 
 def solution_jacobian(
@@ -126,36 +143,15 @@ def solution_jacobian(
 ) -> SolutionJacobian:
     """Implicit KKT derivative of the QP solution map at an optimum.
 
-    Rows of G are treated as fixed; derivatives of the multipliers are
-    computed but not returned.  Weakly active rows stay in the active set
-    (the derivative follows the active branch) and raise the warning flag.
-    With no active row the answer is the batch form's cached, read-only
-    :attr:`~tsattack.lqr.BatchForm.free_jacobian`.  A singular KKT matrix
-    (dependent active rows, or a failed LU) is solved by least squares and
-    raises ``degenerate_flag``.
+    The attacks' adjoint product taken with the identity; the attacks never
+    form J.  Rows of G are treated as fixed.  Weakly active rows stay in the
+    active set (the derivative follows the active branch) and raise the
+    warning flag; linearly dependent active rows raise ``degenerate_flag``.
     """
     if not sol.optimal:
         raise ValueError("solution_jacobian requires an optimal QpSolution")
-    mT = batch.m_total
-    active = list(sol.active)
-    if not active:
-        return SolutionJacobian(J=batch.free_jacobian.T)
-
-    GA = cons.G[active]
-    HA = cons.H[active]
-    nA = len(active)
-    kkt = np.block([[2.0 * batch.K, GA.T], [GA, np.zeros((nA, nA))]])
-    rhs = np.vstack([-2.0 * batch.L, HA])
-    degenerate = not _licq_holds(GA)
-    if not degenerate:
-        try:
-            sol_blocks = np.linalg.solve(kkt, rhs)
-        except np.linalg.LinAlgError:
-            degenerate = True
-    if degenerate:
-        sol_blocks = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-    du_ds = sol_blocks[:mT]
-    return SolutionJacobian(J=du_ds.T, weak_active_flag=bool(sol.weakly_active),
+    J, degenerate = _adjoint(batch, cons, sol, np.eye(batch.m_total))
+    return SolutionJacobian(J=J, weak_active_flag=bool(sol.weakly_active),
                             degenerate_flag=degenerate)
 
 
@@ -206,15 +202,15 @@ def project_ball(x: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray
 
 
 def _attack_direction(batch, cons, sol, target, s_real):
-    """Ascent direction J g at an optimum, with its Jacobian's diagnostic flags."""
+    """Ascent direction J g at an optimum, with its diagnostic flags."""
     grad = target_gradient(target, sol.u, batch, s_real)
-    jac = solution_jacobian(batch, cons, sol)
+    direction, degenerate = _adjoint(batch, cons, sol, grad)
     flags = set()
-    if jac.weak_active_flag:
+    if sol.weakly_active:
         flags.add(FLAG_WEAK_ACTIVE)
-    if jac.degenerate_flag:
+    if degenerate:
         flags.add(FLAG_DEGENERATE_KKT)
-    return jac.J @ grad, flags
+    return direction, flags
 
 
 def _ascend(batch, cons, s, delta, target, steps, step_size) -> AttackResult:
@@ -321,7 +317,7 @@ def iterated_attack(
     the result is never worse than :func:`single_step_attack`.
     The ascent stops early at a projected fixed point: when the projection
     returns the current iterate bitwise, every later step would repeat the
-    same solve, Jacobian and comparison.
+    same solve, direction and comparison.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")

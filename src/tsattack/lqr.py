@@ -170,9 +170,10 @@ class BatchForm:
     def free_jacobian(self) -> np.ndarray:
         """du*/ds = -K^{-1} L (mT x pT), the unconstrained action/series coupling.
 
-        The solution Jacobian of every solve with no active row; like
-        :attr:`eigenpair` it is built on first use, never by
-        :func:`batch_form`, and handed out read-only.
+        The solution Jacobian of every solve with no active row, and the
+        free part F of the adjoint product the gradient attacks take at
+        every solve.  Like :attr:`eigenpair` it is built on first use, never
+        by :func:`batch_form`, and handed out read-only.
         """
         du_ds = -cho_solve(self.K_factor, self.L)
         du_ds.flags.writeable = False

@@ -217,7 +217,7 @@ class TestCheckJacobian:
 
         monkeypatch.setattr(cli, "jacobian_selftest", lambda seed, instances: {
             "instances": instances, "skipped_weakly_active": 0,
-            "max_abs_error": 1.0, "tolerance": 1e-5,
+            "skipped_infeasible": 0, "max_abs_error": 1.0, "tolerance": 1e-5,
             "failures": [{"instance_seed": 9, "error": 1.0}], "passed": False,
         })
         assert main(["check", "jacobian"]) == 2

@@ -570,6 +570,7 @@ class TestJacobianSelftest:
         assert report["passed"], report
         assert report["max_abs_error"] <= 1e-5
         assert report["instances"] == 15
+        assert report["skipped_infeasible"] > 0  # state boxes were drawn
 
 
 class TestEmitReport:

@@ -21,13 +21,72 @@ from tsattack import (
     target_gradient,
     target_value,
 )
+from tsattack import grad_attack
 from tsattack.grad_attack import project_ball, unit
 
-from conftest import make_scalar_spec, random_system
+from conftest import make_scalar_spec, random_state_box_instance, random_system
 
 
 def closed_form_jacobian(batch):
     return (-cho_solve(batch.K_factor, batch.L)).T
+
+
+def reference_jacobian(batch, cons, sol):
+    """Oracle: du/ds from the (mT + nA)-square KKT block system.
+
+    A QR rank test of the active rows (LICQ) or a failed LU switches to
+    least squares and marks the result degenerate.  Returns (J, degenerate).
+    """
+    active = list(sol.active)
+    if not active:
+        return closed_form_jacobian(batch), False
+    GA, HA = cons.G[active], cons.H[active]
+    nA = len(active)
+    kkt = np.block([[2.0 * batch.K, GA.T], [GA, np.zeros((nA, nA))]])
+    rhs = np.vstack([-2.0 * batch.L, HA])
+    degenerate = nA > GA.shape[1] or not np.all(
+        np.abs(np.diag(np.linalg.qr(GA.T, mode="r")))
+        > 1e-10 * np.linalg.norm(GA, axis=1))
+    if not degenerate:
+        try:
+            blocks = np.linalg.solve(kkt, rhs)
+        except np.linalg.LinAlgError:
+            degenerate = True
+    if degenerate:
+        blocks = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+    return blocks[:batch.m_total].T, degenerate
+
+
+def with_rows_repeated(cons, rows):
+    """cons with the given rows appended once more (violates LICQ)."""
+    return ConstraintSet(G=np.vstack([cons.G, cons.G[rows]]),
+                         h0=np.concatenate([cons.h0, cons.h0[rows]]),
+                         H=np.vstack([cons.H, cons.H[rows]]))
+
+
+def oracle_instances(count):
+    """Optimal solves on random action, state and mixed boxes, each also
+    with its active rows given twice.  Yields (batch, cons, s, sol)."""
+    rng = np.random.default_rng(47)
+    for seed in range(count):
+        kind = seed % 3
+        if kind == 0:
+            spec = random_system(rng, n_max=2, m_max=2, p_max=2, t_max=6)
+            batch = batch_form(spec)
+            s = rng.standard_normal(batch.p_total)
+            bound = float(np.max(np.abs(solve_unconstrained(batch, s))))
+            bound *= rng.uniform(0.3, 1.2)
+            cons = compile_constraints(spec, batch, action_box=(-bound, bound))
+        else:
+            batch, cons, s = random_state_box_instance(
+                seed, kind == 2, rng.uniform(0.3, 1.2), rng.uniform(0.3, 1.2))
+        sol = solve_qp(batch, cons, s)
+        if not sol.optimal:
+            continue
+        yield batch, cons, s, sol
+        if sol.active:
+            twice = with_rows_repeated(cons, list(sol.active))
+            yield batch, twice, s, solve_qp(batch, twice, s)
 
 
 def reference_iterated_attack(batch, cons, s, delta, target, steps=20,
@@ -35,8 +94,10 @@ def reference_iterated_attack(batch, cons, s, delta, target, steps=20,
     """Oracle: the iterated attack without the fixed-point exit.
 
     Takes the single-step candidate first, then runs every step from a
-    second clean solve and Jacobian, and solves every iterate, including
-    repeats.  Returns (s_hat, attained, flags).
+    second clean solve and direction, and solves every iterate, including
+    repeats.  The directions come from ``grad_attack._attack_direction``,
+    which ``test_attack_direction_is_the_jacobian_product`` checks against
+    the Jacobian.  Returns (s_hat, attained, flags).
     """
     if step_size is None:
         step_size = delta / 10.0
@@ -44,12 +105,10 @@ def reference_iterated_attack(batch, cons, s, delta, target, steps=20,
     flags = set()
 
     def direction_at(sol):
-        jac = solution_jacobian(batch, cons, sol)
-        if jac.weak_active_flag:
-            flags.add("weak-active")
-        if jac.degenerate_flag:
-            flags.add("degenerate-kkt")
-        return jac.J @ target_gradient(target, sol.u, batch, s)
+        direction, step_flags = grad_attack._attack_direction(
+            batch, cons, sol, target, s)
+        flags.update(step_flags)
+        return direction
 
     clean = solve_qp(batch, cons, s)
     direction = direction_at(clean)
@@ -133,9 +192,38 @@ class TestSolutionJacobian:
     def test_free_jacobian_is_the_cached_coupling(self, scalar_t2):
         cons = ConstraintSet.empty(2, 2)
         jac = solution_jacobian(scalar_t2, cons, solve_qp(scalar_t2, cons, [0.1, 0.2]))
-        assert np.shares_memory(jac.J, scalar_t2.free_jacobian)
-        assert not jac.J.flags.writeable
+        cached = scalar_t2.free_jacobian.copy()
+        np.testing.assert_array_equal(jac.J, cached.T)
         assert not jac.degenerate_flag
+        jac.J[0, 0] += 1.0
+        np.testing.assert_array_equal(scalar_t2.free_jacobian, cached)
+
+    def test_matches_the_block_solve_oracle(self):
+        # J within 1e-10 of the KKT block solve, relative to max(1, |J|), and
+        # the same flags, on boxes whose active rows enter the right-hand
+        # side through the series (state rows) and on repeated active rows.
+        series_rows = degenerate = 0
+        for batch, cons, s, sol in oracle_instances(90):
+            jac = solution_jacobian(batch, cons, sol)
+            J_ref, degenerate_ref = reference_jacobian(batch, cons, sol)
+            scale = max(1.0, float(np.abs(J_ref).max()))
+            assert np.abs(jac.J - J_ref).max() <= 1e-10 * scale
+            assert jac.degenerate_flag == degenerate_ref
+            assert jac.weak_active_flag == bool(sol.weakly_active)
+            series_rows += bool(np.any(cons.H[list(sol.active)]))
+            degenerate += degenerate_ref
+        assert series_rows >= 20 and degenerate >= 20
+
+    def test_attack_direction_is_the_jacobian_product(self):
+        for batch, cons, s, sol in oracle_instances(45):
+            J = solution_jacobian(batch, cons, sol).J
+            for target in (TargetFunction.MAX_ACTION, TargetFunction.MIN_ACTION,
+                           TargetFunction.L1_ENERGY):
+                direction, _ = grad_attack._attack_direction(
+                    batch, cons, sol, target, s)
+                expected = J @ target_gradient(target, sol.u, batch, s)
+                scale = max(1.0, float(np.abs(expected).max()))
+                assert np.abs(direction - expected).max() <= 1e-12 * scale
 
     def test_duplicated_active_rows_flag_degenerate_kkt(self):
         # Both copies of an active upper-bound row are active, which
@@ -393,8 +481,8 @@ class TestIteratedAttack:
 
         monkeypatch.setattr("tsattack.grad_attack.solve_qp",
                             counting("solves", solve_qp))
-        monkeypatch.setattr("tsattack.grad_attack.solution_jacobian",
-                            counting("jacobians", solution_jacobian))
+        monkeypatch.setattr("tsattack.grad_attack._adjoint",
+                            counting("jacobians", grad_attack._adjoint))
         result = iterated_attack(batch, cons, s, 0.8, TargetFunction.MAX_ACTION,
                                  steps=20)
         assert calls["solves"] < 20 + 2
@@ -466,13 +554,13 @@ class TestIteratedAttack:
             solved[id(sol)] = (sol, np.array(s_obs, dtype=float))
             return sol
 
-        def recording_jacobian(batch, cons, sol):
+        def recording_adjoint(batch, cons, sol, g):
             at.append(solved[id(sol)][1])
-            return solution_jacobian(batch, cons, sol)
+            return adjoint(batch, cons, sol, g)
 
+        adjoint = grad_attack._adjoint
         monkeypatch.setattr("tsattack.grad_attack.solve_qp", recording_solve)
-        monkeypatch.setattr("tsattack.grad_attack.solution_jacobian",
-                            recording_jacobian)
+        monkeypatch.setattr("tsattack.grad_attack._adjoint", recording_adjoint)
         rng = np.random.default_rng(43)
         for case in range(12):
             spec = random_system(rng, n_max=2, m_max=2, p_max=2, t_max=6)

@@ -22,7 +22,7 @@ from tsattack import (
 )
 from tsattack import qp as qp_module
 
-from conftest import make_scalar_spec, random_system
+from conftest import make_scalar_spec, random_state_box_instance, random_system
 
 
 def random_box_instance(rng, tightness=None):
@@ -66,25 +66,6 @@ def trust_constr_solve(K, k, G, rhs):
                                 "initial_barrier_parameter": 1e-6,
                                 "initial_barrier_tolerance": 1e-6})
     return res.x, float(res.fun)
-
-
-def random_state_box_instance(seed, mixed, state_scale, action_scale):
-    """Random system and series under a state box scaled to the free
-    trajectory and, when mixed, an action box scaled to the free actions."""
-    rng = np.random.default_rng(seed)
-    spec = random_system(rng, n_max=2, m_max=2, p_max=2, t_max=6)
-    batch = batch_form(spec)
-    s = rng.standard_normal(batch.p_total)
-    u_free = solve_unconstrained(batch, s)
-    x_free = (batch.x0_response + batch.M @ u_free + batch.N @ s).ravel()
-    x_bound = float(np.abs(x_free).max()) * state_scale + 1e-3
-    action_box = None
-    if mixed:
-        u_bound = float(np.abs(u_free).max()) * action_scale + 1e-3
-        action_box = (-u_bound, u_bound)
-    cons = compile_constraints(spec, batch, action_box=action_box,
-                               state_box=(-x_bound, x_bound))
-    return batch, cons, s
 
 
 def check_against_oracles(batch, cons, s):
