@@ -8,10 +8,8 @@ from .errors import ConfigurationError, NumericalError
 from .lqr import (
     BatchForm,
     SystemSpec,
-    action_gap,
     batch_form,
     cost_delta_quadratic,
-    linear_term,
     realized_costs,
     rollout_cost,
     solve_unconstrained,
@@ -29,7 +27,6 @@ from .qp import (
     compile_constraints,
     kkt_residuals,
     projected_gradient_solve,
-    qp_objective,
     solve_qp,
 )
 from .grad_attack import (
@@ -46,7 +43,6 @@ from .data import (
     ArimaSpec,
     SeriesWindow,
     arima_generate,
-    denormalize_window,
     load_series_windows,
     normalize_windows,
     read_series_csv,
@@ -67,8 +63,7 @@ from .experiments import (
     ScenarioStats,
     calibrate_action_box,
     jacobian_selftest,
-    run_constraint_experiment,
-    run_cost_experiment,
+    run_experiment,
 )
 from .report import emit_report
 
@@ -76,22 +71,21 @@ __all__ = [
     "__version__",
     "ConfigurationError", "NumericalError",
     "SystemSpec", "BatchForm", "batch_form",
-    "linear_term", "solve_unconstrained", "rollout_cost", "realized_costs",
-    "action_gap",
+    "solve_unconstrained", "rollout_cost", "realized_costs",
     "cost_delta_quadratic",
     "EigenPair", "AttackResult", "dominant_eigenpair", "cost_attack",
     "random_sphere_attack",
     "ConstraintSet", "QpSolution", "compile_constraints", "solve_qp",
-    "kkt_residuals", "qp_objective", "projected_gradient_solve",
+    "kkt_residuals", "projected_gradient_solve",
     "SolutionJacobian", "TargetFunction", "solution_jacobian",
     "finite_difference_jacobian", "target_value", "target_gradient",
     "single_step_attack", "iterated_attack",
     "ArimaSpec", "SeriesWindow", "arima_generate", "sample_random_arima",
-    "load_series_windows", "normalize_windows", "denormalize_window",
+    "load_series_windows", "normalize_windows",
     "write_series_csv", "read_series_csv",
     "WilcoxonResult", "wilcoxon_signed_rank",
     "ExperimentConfig", "DatasetConfig", "AttackConfig", "load_config",
     "parse_config", "system_spec_from_dict",
-    "Record", "ScenarioStats", "run_cost_experiment", "run_constraint_experiment",
+    "Record", "ScenarioStats", "run_experiment",
     "calibrate_action_box", "jacobian_selftest", "emit_report",
 ]

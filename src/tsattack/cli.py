@@ -19,12 +19,11 @@ from .errors import ConfigurationError, NumericalError
 from .experiments import (
     constraints_for,
     jacobian_selftest,
-    run_constraint_experiment,
-    run_cost_experiment,
+    run_experiment,
     run_grad_attack,
 )
 from .grad_attack import TargetFunction
-from .lqr import batch_form
+from .lqr import batch_form, check_series
 from .report import emit_report
 
 EXIT_OK = 0
@@ -74,11 +73,8 @@ def _build_parser() -> _Parser:
     a_cons.add_argument("--out", required=True)
 
     exp = sub.add_parser("experiment", help="run a full experiment and emit reports")
-    exp_sub = exp.add_subparsers(dest="experiment_kind", required=True)
-    for kind in ("cost", "constraint"):
-        e = exp_sub.add_parser(kind)
-        e.add_argument("--config", required=True)
-        e.add_argument("--out-dir", default=None)
+    exp.add_argument("--config", required=True)
+    exp.add_argument("--out-dir", default=None)
 
     check = sub.add_parser("check", help="self-checks")
     check_sub = check.add_subparsers(dest="check_kind", required=True)
@@ -104,21 +100,13 @@ def _cmd_gen_arima(args) -> int:
     return EXIT_OK
 
 
-def _check_window_length(batch, window):
-    if window.values.size != batch.p_total:
-        raise ConfigurationError(
-            f"window {window.source_id} has length {window.values.size}, "
-            f"expected p*T = {batch.p_total}"
-        )
-
-
 def _cmd_attack_cost(args) -> int:
     cfg = load_config(args.config)
     batch = batch_form(cfg.system)
     windows = read_series_csv(args.input)
     rows = []
     for window in windows:
-        _check_window_length(batch, window)
+        check_series(batch, window.values, f"window {window.source_id}")
         result, _ = cost_attack(batch, window.values, args.delta)
         rows.append((window.source_id, window.values, result.s_hat))
     _write_attacked_csv(args.out, rows)
@@ -131,7 +119,7 @@ def _cmd_attack_constraint(args) -> int:
     batch = batch_form(cfg.system)
     windows = read_series_csv(args.input)
     for window in windows:
-        _check_window_length(batch, window)
+        check_series(batch, window.values, f"window {window.source_id}")
     cons = constraints_for(cfg, batch, windows)
     if cfg.attack.mode == "single-step" and (args.steps, args.step_size) != (None, None):
         raise ConfigurationError(
@@ -163,11 +151,9 @@ def _cmd_experiment(args) -> int:
     out_dir = args.out_dir or cfg.out_dir
     if out_dir is None:
         raise ConfigurationError("provide --out-dir or set out_dir in the config")
-    runner = (run_cost_experiment if args.experiment_kind == "cost"
-              else run_constraint_experiment)
-    stats = runner(cfg)
+    stats = run_experiment(cfg)
     paths = emit_report(stats, out_dir)
-    print(f"{args.experiment_kind} experiment: {stats.n_windows} windows, "
+    print(f"experiment: {stats.n_windows} windows, "
           f"{len(stats.records)} records -> {paths['records']}")
     for entry in stats.p_values:
         print(f"  delta={entry['delta']} {entry['scenario']} vs random "

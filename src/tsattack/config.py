@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Tuple
@@ -12,8 +13,6 @@ from .errors import ConfigurationError
 from .lqr import SystemSpec
 
 SCENARIOS = ("cost-adv", "random", "max-action", "min-action", "l1", "cost-gradient")
-COST_SCENARIOS = ("cost-adv", "random")
-CONSTRAINT_SCENARIOS = ("max-action", "min-action", "l1", "cost-gradient", "random")
 ATTACK_MODES = ("single-step", "iterated")
 
 
@@ -21,6 +20,18 @@ def _reject_unknown(section: dict, allowed, where: str) -> None:
     unknown = sorted(set(section) - set(allowed))
     if unknown:
         raise ConfigurationError(f"unknown key(s) {unknown} in {where}")
+
+
+def _integer(value, name: str, minimum: Optional[int] = None) -> int:
+    """``value`` itself if it is an integer of at least ``minimum``.
+
+    Floats are rejected rather than truncated; booleans are not integers.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigurationError(f"{name} must be >= {minimum}, got {value}")
+    return value
 
 
 def system_spec_from_dict(section: dict) -> SystemSpec:
@@ -41,7 +52,6 @@ def system_spec_from_dict(section: dict) -> SystemSpec:
 class DatasetConfig:
     kind: str  # "arima" | "csv"
     count: int = 100
-    horizon: Optional[int] = None  # default: p*T of the system
     seed: Optional[int] = None  # default: experiment seed
     path: Optional[str] = None
     column: Optional[str] = None
@@ -76,25 +86,24 @@ def _parse_dataset(section: dict) -> DatasetConfig:
         raise ConfigurationError("'dataset' must be an object")
     kind = section.get("kind")
     if kind == "arima":
-        _reject_unknown(section, ("kind", "count", "horizon", "seed"), "dataset")
+        _reject_unknown(section, ("kind", "count", "seed"), "dataset")
+        seed = section.get("seed")
         return DatasetConfig(
             kind="arima",
-            count=int(section.get("count", 100)),
-            horizon=section.get("horizon"),
-            seed=section.get("seed"),
+            count=_integer(section.get("count", 100), "dataset count", minimum=1),
+            seed=None if seed is None else _integer(seed, "dataset seed"),
         )
     if kind == "csv":
-        _reject_unknown(
-            section, ("kind", "path", "column", "horizon", "stride"), "dataset"
-        )
+        _reject_unknown(section, ("kind", "path", "column", "stride"), "dataset")
         if "path" not in section or "column" not in section:
             raise ConfigurationError("csv dataset requires 'path' and 'column'")
+        stride = section.get("stride")
         return DatasetConfig(
             kind="csv",
             path=str(section["path"]),
             column=str(section["column"]),
-            horizon=section.get("horizon"),
-            stride=section.get("stride"),
+            stride=None if stride is None else _integer(stride, "dataset stride",
+                                                        minimum=1),
         )
     raise ConfigurationError(f"dataset kind must be 'arima' or 'csv', got {kind!r}")
 
@@ -103,6 +112,8 @@ def _parse_box(section, name: str):
     if section is None:
         return None
     if section == "auto":
+        if name == "state_box":
+            raise ConfigurationError("state_box does not support 'auto' calibration")
         return "auto"
     if not isinstance(section, dict):
         raise ConfigurationError(f"'{name}' must be an object, null, or 'auto'")
@@ -116,13 +127,13 @@ def _parse_box(section, name: str):
 def _parse_attack(section) -> AttackConfig:
     if section is None:
         return AttackConfig()
+    if not isinstance(section, dict):
+        raise ConfigurationError("'attack' must be an object")
     _reject_unknown(section, ("mode", "steps", "step_size"), "attack")
     mode = section.get("mode", "iterated")
     if mode not in ATTACK_MODES:
         raise ConfigurationError(f"attack mode must be one of {ATTACK_MODES}, got {mode!r}")
-    steps = int(section.get("steps", 20))
-    if steps < 1:
-        raise ConfigurationError("attack steps must be >= 1")
+    steps = _integer(section.get("steps", 20), "attack steps", minimum=1)
     step_size = section.get("step_size")
     if step_size is not None and float(step_size) <= 0:
         raise ConfigurationError("attack step_size must be positive")
@@ -143,9 +154,14 @@ def parse_config(raw: dict) -> ExperimentConfig:
         if key not in raw:
             raise ConfigurationError(f"config is missing required key {key!r}")
 
-    deltas = tuple(float(d) for d in raw["deltas"])
-    if not deltas or any(d <= 0 for d in deltas):
-        raise ConfigurationError("deltas must be a non-empty list of positive numbers")
+    deltas = raw["deltas"]
+    if not isinstance(deltas, (list, tuple)) or not all(
+        isinstance(d, (int, float)) and not isinstance(d, bool) for d in deltas
+    ):
+        raise ConfigurationError(f"deltas must be a list of numbers, got {deltas!r}")
+    deltas = tuple(float(d) for d in deltas)
+    if not deltas or not all(0 < d < math.inf for d in deltas):
+        raise ConfigurationError("deltas must be a non-empty list of positive finite numbers")
     if any(b <= a for a, b in zip(deltas, deltas[1:])):
         raise ConfigurationError("deltas must be strictly ascending")
 
@@ -170,9 +186,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
             f"normalization must be one of {NORMALIZATION_MODES}, got {normalization!r}"
         )
 
-    limit = int(raw.get("series_dump_limit", 5))
-    if limit < 0:
-        raise ConfigurationError("series_dump_limit must be >= 0")
+    limit = _integer(raw.get("series_dump_limit", 5), "series_dump_limit", minimum=0)
 
     return ExperimentConfig(
         system=system_spec_from_dict(raw["system"]),
@@ -183,7 +197,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         action_box=_parse_box(raw.get("action_box"), "action_box"),
         state_box=_parse_box(raw.get("state_box"), "state_box"),
         attack=_parse_attack(raw.get("attack")),
-        seed=int(raw["seed"]),
+        seed=_integer(raw["seed"], "seed"),
         out_dir=raw.get("out_dir"),
         series_dump_limit=limit,
         raw=raw,

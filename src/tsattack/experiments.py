@@ -1,6 +1,9 @@
-"""Experiment orchestration: cost and constraint attack sweeps over windows.
+"""Experiment orchestration: one attack sweep over windows, budgets and scenarios.
 
-Every attacked controller is costed against the REAL series; the perturbed
+The configured boxes choose the controller: with no box the constraint set
+is empty and the controller is the unconstrained LQR; otherwise it is the
+box-constrained QP.  Every configured scenario runs against it.  Every
+attacked controller is costed against the REAL series; the perturbed
 series only ever enters through the controller's decision.  Runs are
 deterministic for a given (config, seed): per-task seeds are derived from
 window and delta indices, and aggregation sorts records by key before
@@ -16,12 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.linalg import cho_solve
 
-from .config import (
-    AttackConfig,
-    CONSTRAINT_SCENARIOS,
-    COST_SCENARIOS,
-    ExperimentConfig,
-)
+from .config import AttackConfig, ExperimentConfig
 from .cost_attack import AttackResult, FLAG_INFEASIBLE, random_sphere_attack
 from .data import (
     SeriesWindow,
@@ -111,12 +109,7 @@ def task_seed(base: int, window_index: int, delta_index: int) -> int:
 
 def load_windows(cfg: ExperimentConfig) -> List[SeriesWindow]:
     """Materialize the configured dataset as fixed-horizon windows."""
-    expected = cfg.system.p * cfg.system.T
-    horizon = cfg.dataset.horizon if cfg.dataset.horizon is not None else expected
-    if horizon != expected:
-        raise ConfigurationError(
-            f"dataset horizon {horizon} does not match p*T = {expected}"
-        )
+    horizon = cfg.system.p * cfg.system.T
     if cfg.dataset.kind == "arima":
         seed = cfg.dataset.seed if cfg.dataset.seed is not None else cfg.seed
         windows = sample_random_arima(seed, horizon=horizon, count=cfg.dataset.count)
@@ -289,20 +282,15 @@ def calibrate_action_box(
 
 def constraints_for(cfg: ExperimentConfig, batch: BatchForm,
                     windows: Sequence[SeriesWindow]) -> ConstraintSet:
-    """Compile the configured boxes, calibrating an ``auto`` action box on the windows."""
-    if cfg.action_box is None and cfg.state_box is None:
-        raise ConfigurationError(
-            "constraint experiment requires action_box (value or 'auto') "
-            "and/or state_box"
-        )
+    """Compile the configured boxes, calibrating an ``auto`` action box on the windows.
+
+    With no box this is the empty set: the controller is the unconstrained LQR.
+    """
     action_box = cfg.action_box
     if action_box == "auto":
         action_box = calibrate_action_box(batch, windows)
-    state_box = cfg.state_box
-    if state_box == "auto":
-        raise ConfigurationError("state_box does not support 'auto' calibration")
     return compile_constraints(cfg.system, batch, action_box=action_box,
-                               state_box=state_box)
+                               state_box=cfg.state_box)
 
 
 def run_grad_attack(batch, cons, s, delta, target, attack: AttackConfig):
@@ -315,33 +303,24 @@ def run_grad_attack(batch, cons, s, delta, target, attack: AttackConfig):
     )
 
 
-def _run_experiment(cfg: ExperimentConfig, kind: str,
-                    allowed_scenarios: Sequence[str]) -> ScenarioStats:
+def run_experiment(cfg: ExperimentConfig) -> ScenarioStats:
     """Attack every (window, delta, scenario) and cost the answers on the real series.
 
-    ``kind`` is ``cost`` (the unconstrained LQR: an empty constraint set)
-    or ``constraint`` (the configured boxes).  Every clean problem is solved
-    before any attack, so infeasible windows fail the run at once.  Each
-    scenario perturbs the series (``cost-adv``: ``s + delta * v1`` with the
-    cached dominant eigenvector of Psi; ``random``: a seeded random
+    The controller is the one :func:`constraints_for` compiles from the
+    configured boxes (none: the unconstrained LQR).  Every clean problem is
+    solved before any attack, so infeasible windows fail the run at once.
+    Each scenario perturbs the series (``cost-adv``: ``s + delta * v1`` with
+    the cached dominant eigenvector of Psi; ``random``: a seeded random
     direction; gradient targets: the configured gradient attack), the
     controller answers the perturbed series (a gradient attack hands back
     the actions it solved, so only the other scenarios' series are solved
     here), and all realized costs come from one :func:`realized_costs` call
     per side.
     """
-    scenarios = tuple(s for s in cfg.scenarios if s in allowed_scenarios)
-    if not scenarios:
-        raise ConfigurationError(
-            f"{kind} experiment needs at least one of {allowed_scenarios} in scenarios"
-        )
     batch = batch_form(cfg.system)
     windows = load_windows(cfg)
     S = _stack_windows(batch, windows)
-    if kind == "cost":
-        cons = ConstraintSet.empty(batch.m_total, batch.p_total)
-    else:
-        cons = constraints_for(cfg, batch, windows)
+    cons = constraints_for(cfg, batch, windows)
 
     U_orig, feasible = _actions(batch, cons, S)
     if not feasible.all():
@@ -356,7 +335,7 @@ def _run_experiment(cfg: ExperimentConfig, kind: str,
     results: List[Optional[AttackResult]] = []
     for w_idx, s in enumerate(S):
         for d_idx, delta in enumerate(cfg.deltas):
-            for scenario in scenarios:
+            for scenario in cfg.scenarios:
                 result = None
                 if scenario == "cost-adv":
                     s_hat = s + delta * batch.eigenpair.v1
@@ -419,7 +398,7 @@ def _run_experiment(cfg: ExperimentConfig, kind: str,
     return ScenarioStats(
         records=tuple(records),
         aggregates=tuple(_aggregate(records)),
-        p_values=tuple(_paired_p_values(records, scenarios)),
+        p_values=tuple(_paired_p_values(records, cfg.scenarios)),
         series_dumps=tuple(dumps),
         config=cfg.raw,
         seed=cfg.seed,
@@ -427,14 +406,8 @@ def _run_experiment(cfg: ExperimentConfig, kind: str,
     )
 
 
-def run_cost_experiment(cfg: ExperimentConfig) -> ScenarioStats:
-    """Closed-form cost attack vs the random baseline on the unconstrained LQR."""
-    return _run_experiment(cfg, "cost", COST_SCENARIOS)
-
-
-def run_constraint_experiment(cfg: ExperimentConfig) -> ScenarioStats:
-    """Gradient-target attacks vs the random baseline on the box-constrained QP controller."""
-    return _run_experiment(cfg, "constraint", CONSTRAINT_SCENARIOS)
+# perfbench/workloads.py still calls the runner by its former names.
+run_cost_experiment = run_constraint_experiment = run_experiment
 
 
 def random_test_system(rng: np.random.Generator, n_max=2, m_max=2, p_max=2,

@@ -24,13 +24,11 @@ from tsattack import (
     dominant_eigenpair,
     finite_difference_jacobian,
     kkt_residuals,
-    linear_term,
     parse_config,
     projected_gradient_solve,
     random_sphere_attack,
     rollout_cost,
-    run_constraint_experiment,
-    run_cost_experiment,
+    run_experiment,
     single_step_attack,
     solution_jacobian,
     solve_qp,
@@ -39,6 +37,7 @@ from tsattack import (
 )
 from tsattack.cli import main
 from tsattack.experiments import calibrate_action_box, load_windows
+from tsattack.lqr import linear_term
 
 from conftest import random_system
 from test_stats import enumeration_oracle
@@ -88,7 +87,7 @@ def cost_run():
         "dataset": {"kind": "arima", "count": 100},
         "seed": 90125,
     })
-    return cfg, run_cost_experiment(cfg)
+    return cfg, run_experiment(cfg)
 
 
 def test_criterion_01_closed_form_exactness(sweep):
@@ -241,7 +240,7 @@ def test_criterion_08_constraint_attack_distinctness():
         "action_box": "auto",
         "seed": 20250810,
     })
-    stats = run_constraint_experiment(cfg)
+    stats = run_experiment(cfg)
     by_key = {(r.series_id, r.scenario): r for r in stats.records}
     series_ids = sorted({r.series_id for r in stats.records})
     assert len(series_ids) == 100
@@ -323,7 +322,7 @@ def test_criterion_10_determinism(tmp_path):
     outputs = []
     for name in ("run1", "run2"):
         out_dir = tmp_path / name
-        assert main(["experiment", "cost", "--config", str(config_path),
+        assert main(["experiment", "--config", str(config_path),
                      "--out-dir", str(out_dir)]) == 0
         outputs.append(open(out_dir / "records.csv", "rb").read())
     assert outputs[0] == outputs[1]

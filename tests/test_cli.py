@@ -135,7 +135,26 @@ class TestAttackCommands:
         code = main(["attack", "cost", "--config", str(config_path),
                      "--delta", "1.0", "--in", str(inp), "--out", str(out)])
         assert code == 1
-        assert "expected p*T" in capsys.readouterr().err
+        assert ("window arima:000000 must have length p*T = 10, got 7"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("kind", ["cost", "constraint"])
+    def test_non_finite_window_exits_one(self, tmp_path, capsys, kind):
+        cfg = dict(BASE_CONFIG, action_box="auto")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        inp = self._gen_input(tmp_path)
+        rows = read_rows(inp)
+        rows[15][2] = "nan"  # window 1, t = 4
+        with open(inp, "w", newline="", encoding="utf-8") as handle:
+            csv.writer(handle).writerows(rows)
+        target = ["--target", "max-action"] if kind == "constraint" else []
+        code = main(["attack", kind, *target, "--config", str(path),
+                     "--delta", "1.0", "--in", str(inp),
+                     "--out", str(tmp_path / "attacked.csv")])
+        assert code == 1
+        assert (f"window {rows[15][0]} contains non-finite entries"
+                in capsys.readouterr().err)
 
     def test_missing_input_exits_three(self, tmp_path, config_path, capsys):
         code = main(["attack", "cost", "--config", str(config_path),
@@ -147,7 +166,7 @@ class TestAttackCommands:
 class TestExperimentCommand:
     def test_cost_experiment_emits_reports(self, tmp_path, config_path, capsys):
         out_dir = tmp_path / "out"
-        code = main(["experiment", "cost", "--config", str(config_path),
+        code = main(["experiment", "--config", str(config_path),
                      "--out-dir", str(out_dir)])
         assert code == 0
         assert (out_dir / "records.csv").exists()
@@ -157,7 +176,7 @@ class TestExperimentCommand:
     def test_byte_identical_reruns(self, tmp_path, config_path):
         dirs = (tmp_path / "r1", tmp_path / "r2")
         for out_dir in dirs:
-            assert main(["experiment", "cost", "--config", str(config_path),
+            assert main(["experiment", "--config", str(config_path),
                          "--out-dir", str(out_dir)]) == 0
         a = open(dirs[0] / "records.csv", "rb").read()
         b = open(dirs[1] / "records.csv", "rb").read()
@@ -175,7 +194,7 @@ class TestExperimentCommand:
         path = tmp_path / "cons.json"
         path.write_text(json.dumps(cfg), encoding="utf-8")
         out_dir = tmp_path / "out"
-        code = main(["experiment", "constraint", "--config", str(path),
+        code = main(["experiment", "--config", str(path),
                      "--out-dir", str(out_dir)])
         assert code == 0
         rows = read_rows(out_dir / "records.csv")
@@ -190,19 +209,46 @@ class TestExperimentCommand:
                    deltas=[0.5], action_box={"u_min": -2.0, "u_max": 2.0})
         path = tmp_path / "cons.json"
         path.write_text(json.dumps(cfg), encoding="utf-8")
-        code = main(["experiment", "constraint", "--config", str(path),
+        code = main(["experiment", "--config", str(path),
                      "--out-dir", str(tmp_path / "out")])
         assert code == 2
         assert "KKT check" in capsys.readouterr().err
 
     def test_missing_out_dir_exits_one(self, config_path, capsys):
-        assert main(["experiment", "cost", "--config", str(config_path)]) == 1
+        assert main(["experiment", "--config", str(config_path)]) == 1
+
+    @pytest.mark.parametrize("overrides, key", [
+        ({"deltas": 0.5}, "deltas"),
+        ({"deltas": [0.5, "1"]}, "deltas"),
+        ({"seed": None}, "seed"),
+        ({"seed": 1.5}, "seed"),
+        ({"dataset": {"kind": "arima", "count": None}}, "count"),
+        ({"dataset": {"kind": "arima", "count": 0}}, "count"),
+        ({"dataset": {"kind": "arima", "count": 0}, "action_box": "auto"}, "count"),
+        ({"dataset": {"kind": "arima", "count": 3, "seed": 1.5}}, "seed"),
+        ({"dataset": {"kind": "csv", "path": "x.csv", "column": "load",
+                      "stride": 0}}, "stride"),
+        ({"attack": 5}, "attack"),
+        ({"attack": {"steps": 2.7}}, "steps"),
+        ({"series_dump_limit": 1.5}, "series_dump_limit"),
+        ({"state_box": "auto"}, "state_box"),
+    ])
+    def test_bad_config_value_exits_one(self, tmp_path, capsys, overrides, key):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict(BASE_CONFIG, **overrides)),
+                        encoding="utf-8")
+        out_dir = tmp_path / "o"
+        assert main(["experiment", "--config", str(path),
+                     "--out-dir", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert not out_dir.exists()
 
     def test_bad_config_exits_one(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(dict(BASE_CONFIG, bogus=1)),
                         encoding="utf-8")
-        assert main(["experiment", "cost", "--config", str(path),
+        assert main(["experiment", "--config", str(path),
                      "--out-dir", str(tmp_path / "o")]) == 1
 
 

@@ -7,14 +7,13 @@ from tsattack import (
     ArimaSpec,
     ConfigurationError,
     arima_generate,
-    denormalize_window,
     load_series_windows,
     normalize_windows,
     read_series_csv,
     sample_random_arima,
     write_series_csv,
 )
-from tsattack.data import SeriesWindow
+from tsattack.data import SeriesWindow, denormalize_window
 
 
 class TestArimaSpec:

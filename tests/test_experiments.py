@@ -20,8 +20,7 @@ from tsattack import (
     parse_config,
     random_sphere_attack,
     rollout_cost,
-    run_constraint_experiment,
-    run_cost_experiment,
+    run_experiment,
     single_step_attack,
     solve_qp,
     solve_unconstrained,
@@ -116,9 +115,9 @@ class TestConfigParsing:
 
 class TestLoadWindows:
     def test_horizon_mismatch_rejected(self):
-        cfg = make_config(dataset={"kind": "arima", "count": 3, "horizon": 5})
-        with pytest.raises(ConfigurationError, match="p\\*T"):
-            load_windows(cfg)
+        # The window length is always p*T; a horizon key is not accepted.
+        with pytest.raises(ConfigurationError, match="unknown key.*horizon"):
+            make_config(dataset={"kind": "arima", "count": 3, "horizon": 5})
 
     def test_arima_defaults_to_pt(self):
         windows = load_windows(make_config())
@@ -131,7 +130,7 @@ class TestCostExperiment:
         # For the unconstrained controller the attacked-minus-original cost
         # must equal delta^2 * lambda_1 on every window.
         cfg = make_config()
-        stats = run_cost_experiment(cfg)
+        stats = run_experiment(cfg)
         lam = dominant_eigenpair(batch_form(cfg.system).Psi).lambda1
         adv = [r for r in stats.records if r.scenario == "cost-adv"]
         assert len(adv) == 12 * len(cfg.deltas)
@@ -141,7 +140,7 @@ class TestCostExperiment:
                                 rel_tol=1e-8, abs_tol=1e-10)
 
     def test_random_never_beats_closed_form(self):
-        stats = run_cost_experiment(make_config())
+        stats = run_experiment(make_config())
         by_key = {(r.series_id, r.delta, r.scenario): r for r in stats.records}
         for (sid, delta, scenario), record in by_key.items():
             if scenario != "random":
@@ -150,7 +149,7 @@ class TestCostExperiment:
             assert record.j_adv <= adv.j_adv + 1e-9
 
     def test_aggregates_and_p_values_present(self):
-        stats = run_cost_experiment(make_config())
+        stats = run_experiment(make_config())
         assert len(stats.aggregates) == 2 * len((0.3, 1.0))
         deltas = {entry["delta"] for entry in stats.p_values}
         assert deltas == {0.3, 1.0}
@@ -159,14 +158,29 @@ class TestCostExperiment:
             assert 0.0 <= entry["p_value"] <= 1.0
 
     def test_deterministic_given_seed(self):
-        a = run_cost_experiment(make_config())
-        b = run_cost_experiment(make_config())
+        a = run_experiment(make_config())
+        b = run_experiment(make_config())
         assert a.records == b.records
 
-    def test_needs_cost_scenarios(self):
-        cfg = make_config(scenarios=["max-action"])
-        with pytest.raises(ConfigurationError, match="cost experiment"):
-            run_cost_experiment(cfg)
+    def test_unboxed_config_runs_every_scenario_on_the_lqr(self):
+        # No box: the controller is the unconstrained LQR, and the gradient
+        # scenarios attack it like the cost scenarios do.
+        cfg = make_config(scenarios=["max-action", "cost-gradient", "random"],
+                          dataset={"kind": "arima", "count": 4},
+                          attack={"mode": "iterated", "steps": 3},
+                          series_dump_limit=4)
+        stats = run_experiment(cfg)
+        batch = batch_form(cfg.system)
+        assert len(stats.records) == 4 * len(cfg.deltas) * 3
+        by_key = {(r.series_id, r.delta, r.scenario): r for r in stats.records}
+        assert len(stats.series_dumps) == len(by_key)
+        for dump in stats.series_dumps:
+            record = by_key[(dump.series_id, dump.delta, dump.scenario)]
+            if dump.scenario == "max-action":
+                assert record.max_u_adv == float(
+                    np.max(solve_unconstrained(batch, dump.attacked)))
+            elif dump.scenario == "cost-gradient":
+                assert "zero-gradient" in record.flags.split(";")
 
     @pytest.mark.parametrize("system", [
         BASE_CONFIG["system"],
@@ -177,7 +191,7 @@ class TestCostExperiment:
     def test_matches_per_record_reference_loop(self, system):
         cfg = make_config(system=system, deltas=[0.3, 1.0, 3.0],
                           series_dump_limit=3)
-        stats = run_cost_experiment(cfg)
+        stats = run_experiment(cfg)
         batch = batch_form(cfg.system)
         expected, dumps = [], []
         for w_idx, window in enumerate(load_windows(cfg)):
@@ -228,9 +242,9 @@ class TestCostExperiment:
         cfg = make_config(deltas=[0.3, 1.0, 3.0])
         batch_form(cfg.system)
         assert calls == []  # building the form leaves the eigenpair lazy
-        run_cost_experiment(cfg)
+        run_experiment(cfg)
         assert calls == [(12, 12)]
-        run_cost_experiment(make_config(scenarios=["random"]))
+        run_experiment(make_config(scenarios=["random"]))
         assert calls == [(12, 12)]
 
     def test_rejects_non_finite_window(self, monkeypatch):
@@ -238,7 +252,7 @@ class TestCostExperiment:
         windows[3].values[5] = np.nan
         monkeypatch.setattr("tsattack.experiments.load_windows", lambda cfg: windows)
         with pytest.raises(ValueError, match="non-finite"):
-            run_cost_experiment(make_config())
+            run_experiment(make_config())
 
 
 #: A state box whose feasible set moves with the series: some attacked
@@ -268,14 +282,14 @@ class TestConstraintExperiment:
         )
 
     def test_records_and_flags(self):
-        stats = run_constraint_experiment(self._config())
+        stats = run_experiment(self._config())
         assert len(stats.records) == 8 * 3
         for record in stats.records:
             assert record.scenario in ("max-action", "l1", "random")
             assert record.norm_used <= 0.5 * (1 + 1e-9)
 
     def test_attacks_move_their_own_metric(self):
-        stats = run_constraint_experiment(self._config())
+        stats = run_experiment(self._config())
         by_key = {(r.series_id, r.scenario): r for r in stats.records}
         wins = 0
         for (sid, scenario), record in by_key.items():
@@ -285,10 +299,23 @@ class TestConstraintExperiment:
             wins += record.max_u_adv > rand.max_u_adv
         assert wins >= 6  # 8 windows; the targeted attack should dominate
 
-    def test_requires_box(self):
-        cfg = make_config(scenarios=["max-action", "random"], deltas=[0.5])
-        with pytest.raises(ConfigurationError, match="action_box"):
-            run_constraint_experiment(cfg)
+    def test_boxed_config_runs_every_scenario(self):
+        # The closed-form cost attack runs on the boxed controller too.
+        cfg = make_config(scenarios=["cost-adv", "max-action", "random"],
+                          deltas=[0.5], dataset={"kind": "arima", "count": 8},
+                          action_box={"u_min": -2.0, "u_max": 2.0},
+                          attack={"mode": "iterated", "steps": 6},
+                          series_dump_limit=8)
+        stats = run_experiment(cfg)
+        assert sorted({r.scenario for r in stats.records}) == [
+            "cost-adv", "max-action", "random"]
+        assert len(stats.records) == 8 * 3
+        v1 = batch_form(cfg.system).eigenpair.v1
+        dumps = [d for d in stats.series_dumps if d.scenario == "cost-adv"]
+        assert len(dumps) == 8
+        for dump in dumps:
+            np.testing.assert_array_equal(dump.attacked,
+                                          dump.original + dump.delta * v1)
 
     def test_explicit_box_accepted(self):
         cfg = make_config(
@@ -298,7 +325,7 @@ class TestConstraintExperiment:
             action_box={"u_min": -3.0, "u_max": 3.0},
             attack={"mode": "single-step"},
         )
-        stats = run_constraint_experiment(cfg)
+        stats = run_experiment(cfg)
         assert len(stats.records) == 8
 
     def test_huge_budget_collapses_onto_action_bound(self):
@@ -314,7 +341,7 @@ class TestConstraintExperiment:
             attack={"mode": "iterated", "steps": 10},
             seed=5,
         )
-        stats = run_constraint_experiment(cfg)
+        stats = run_experiment(cfg)
         values = np.array([r.max_u_adv for r in stats.records])
         assert np.all(values <= 2.0 + 1e-9)
         assert np.sum(np.abs(values - 2.0) <= 1e-9) >= 8
@@ -329,7 +356,7 @@ class TestConstraintExperiment:
             action_box={"u_min": -1000.0, "u_max": 1000.0},
             seed=77,
         )
-        stats = run_constraint_experiment(cfg)
+        stats = run_experiment(cfg)
         entry = stats.aggregates[0]
         assert entry["n_used_j"] == 30
         assert abs(entry["mean_pct_increase_j"]) <= 2.0
@@ -355,7 +382,7 @@ class TestConstraintExperiment:
             seed=3,
         )
         with pytest.raises(ConfigurationError, match="infeasible") as info:
-            run_constraint_experiment(cfg)
+            run_experiment(cfg)
         for window in load_windows(cfg):
             assert window.series_id in str(info.value)
         assert calls == []
@@ -373,7 +400,7 @@ class TestConstraintExperiment:
     ])
     def test_matches_per_record_reference_loop(self, overrides):
         cfg = make_config(**dict(overrides, series_dump_limit=2))
-        stats = run_constraint_experiment(cfg)
+        stats = run_experiment(cfg)
         batch = batch_form(cfg.system)
         windows = load_windows(cfg)
         cons = constraints_for(cfg, batch, windows)
@@ -432,7 +459,7 @@ class TestConstraintExperiment:
     def test_reruns_compare_equal_with_infeasible_outcomes(self):
         # Infeasible records carry NaN action metrics; reruns still compare equal.
         cfg = make_config(**STATE_BOX_OVERRIDES)
-        first, second = run_constraint_experiment(cfg), run_constraint_experiment(cfg)
+        first, second = run_experiment(cfg), run_experiment(cfg)
         assert any("infeasible" in r.flags for r in first.records)
         assert first.records == second.records
 
@@ -444,7 +471,7 @@ class TestConstraintExperiment:
             action_box={"u_min": -100.0, "u_max": 100.0},
             attack={"mode": "single-step"},
         )
-        stats = run_constraint_experiment(cfg)
+        stats = run_experiment(cfg)
         for record in stats.records:
             if record.scenario == "cost-gradient":
                 assert "zero-gradient" in record.flags
@@ -462,7 +489,7 @@ class TestConstraintExperiment:
 
         monkeypatch.setattr("tsattack.experiments.solve_qp", recording)
         cfg = self._config(series_dump_limit=8)
-        stats = run_constraint_experiment(cfg)
+        stats = run_experiment(cfg)
         expected = [w.values for w in load_windows(cfg)] + [
             d.attacked for d in stats.series_dumps if d.scenario == "random"]
         assert len(solved) == len(expected) == 16
@@ -504,7 +531,7 @@ class TestConstraintExperiment:
             attack={"mode": "iterated", "steps": 5},
             seed=3,
         )
-        stats = run_constraint_experiment(cfg)
+        stats = run_experiment(cfg)
         assert len(stats.records) == 16
         for r in stats.records:
             assert r.max_u_orig in (0.2, -0.2)
@@ -515,7 +542,7 @@ class TestConstraintExperiment:
         # The state-box infeasibility attack end to end: gradient attacks
         # end infeasible more often than random directions of equal norm.
         cfg = load_config(CONFIGS / "arima_statebox.json")
-        stats = run_constraint_experiment(cfg)
+        stats = run_experiment(cfg)
         infeasible = {"max-action": 0, "min-action": 0, "random": 0}
         for record in stats.records:
             assert record.norm_used <= record.delta * (1 + 1e-9)
@@ -532,7 +559,7 @@ class TestConstraintExperiment:
             attack={"mode": "iterated", "steps": 6},
             series_dump_limit=8,
         )
-        stats = run_constraint_experiment(cfg)
+        stats = run_experiment(cfg)
         assert [row["metric"] for row in stats.p_values] == ["min_u_adv"]
         batch = batch_form(cfg.system)
         cons = constraints_for(cfg, batch, load_windows(cfg))
@@ -585,8 +612,8 @@ class TestEmitReport:
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = make_config()
-        emit_report(run_cost_experiment(cfg), tmp_path / "a")
-        emit_report(run_cost_experiment(cfg), tmp_path / "b")
+        emit_report(run_experiment(cfg), tmp_path / "a")
+        emit_report(run_experiment(cfg), tmp_path / "b")
         a = open(tmp_path / "a" / "records.csv", "rb").read()
         b = open(tmp_path / "b" / "records.csv", "rb").read()
         assert a == b
@@ -595,7 +622,7 @@ class TestEmitReport:
         assert sa == sb
 
     def test_summary_round_trips_as_json(self, tmp_path):
-        stats = run_cost_experiment(make_config())
+        stats = run_experiment(make_config())
         paths = emit_report(stats, tmp_path / "out")
         with open(paths["summary"], encoding="utf-8") as handle:
             summary = json.load(handle)
@@ -605,7 +632,7 @@ class TestEmitReport:
 
     def test_series_dumps_written(self, tmp_path):
         cfg = make_config(series_dump_limit=2)
-        paths = emit_report(run_cost_experiment(cfg), tmp_path / "out")
+        paths = emit_report(run_experiment(cfg), tmp_path / "out")
         series_files = sorted((tmp_path / "out" / "series").iterdir())
         # 2 windows x 2 deltas x 2 scenarios
         assert len(series_files) == 8

@@ -9,14 +9,13 @@ from scipy.linalg import cho_solve
 from tsattack import (
     ConfigurationError,
     SystemSpec,
-    action_gap,
     batch_form,
     cost_delta_quadratic,
-    linear_term,
     realized_costs,
     rollout_cost,
     solve_unconstrained,
 )
+from tsattack.lqr import action_gap, linear_term
 
 from conftest import make_scalar_spec, random_system
 

@@ -14,13 +14,13 @@ from tsattack import (
     batch_form,
     compile_constraints,
     kkt_residuals,
-    linear_term,
     projected_gradient_solve,
-    qp_objective,
     solve_qp,
     solve_unconstrained,
 )
 from tsattack import qp as qp_module
+from tsattack.lqr import linear_term
+from tsattack.qp import qp_objective
 
 from conftest import make_scalar_spec, random_state_box_instance, random_system
 
