@@ -32,7 +32,6 @@ from .qp import (
 from .grad_attack import (
     SolutionJacobian,
     TargetFunction,
-    finite_difference_jacobian,
     iterated_attack,
     single_step_attack,
     solution_jacobian,
@@ -62,7 +61,6 @@ from .experiments import (
     Record,
     ScenarioStats,
     calibrate_action_box,
-    jacobian_selftest,
     run_experiment,
 )
 from .report import emit_report
@@ -78,7 +76,7 @@ __all__ = [
     "ConstraintSet", "QpSolution", "compile_constraints", "solve_qp",
     "kkt_residuals", "projected_gradient_solve",
     "SolutionJacobian", "TargetFunction", "solution_jacobian",
-    "finite_difference_jacobian", "target_value", "target_gradient",
+    "target_value", "target_gradient",
     "single_step_attack", "iterated_attack",
     "ArimaSpec", "SeriesWindow", "arima_generate", "sample_random_arima",
     "load_series_windows", "normalize_windows",
@@ -87,5 +85,5 @@ __all__ = [
     "ExperimentConfig", "DatasetConfig", "AttackConfig", "load_config",
     "parse_config", "system_spec_from_dict",
     "Record", "ScenarioStats", "run_experiment",
-    "calibrate_action_box", "jacobian_selftest", "emit_report",
+    "calibrate_action_box", "emit_report",
 ]

@@ -1,7 +1,8 @@
-"""Command-line interface.
+"""Command-line interface: generate ARIMA windows, attack series from a CSV
+file, or run a full experiment from a JSON config.
 
-Exit codes: 0 success, 1 usage/config error, 2 numerical/oracle failure,
-3 I/O error.
+Exit codes: 0 success, 1 usage/config error, 2 numerical failure (a solver
+check such as the QP's KKT or Farkas check failed), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -16,12 +17,7 @@ from .config import load_config
 from .cost_attack import cost_attack
 from .data import read_series_csv, sample_random_arima, write_series_csv
 from .errors import ConfigurationError, NumericalError
-from .experiments import (
-    constraints_for,
-    jacobian_selftest,
-    run_experiment,
-    run_grad_attack,
-)
+from .experiments import constraints_for, run_experiment, run_grad_attack
 from .grad_attack import TargetFunction
 from .lqr import batch_form, check_series
 from .report import emit_report
@@ -75,12 +71,6 @@ def _build_parser() -> _Parser:
     exp = sub.add_parser("experiment", help="run a full experiment and emit reports")
     exp.add_argument("--config", required=True)
     exp.add_argument("--out-dir", default=None)
-
-    check = sub.add_parser("check", help="self-checks")
-    check_sub = check.add_subparsers(dest="check_kind", required=True)
-    jac = check_sub.add_parser("jacobian", help="KKT Jacobian vs finite differences")
-    jac.add_argument("--seed", type=int, default=0)
-    jac.add_argument("--instances", type=int, default=50)
     return parser
 
 
@@ -161,22 +151,6 @@ def _cmd_experiment(args) -> int:
     return EXIT_OK
 
 
-def _cmd_check_jacobian(args) -> int:
-    report = jacobian_selftest(args.seed, instances=args.instances)
-    print(f"jacobian selftest: {report['instances']} instances, "
-          f"max |error| = {report['max_abs_error']:.3g} "
-          f"(tolerance {report['tolerance']:g}), "
-          f"redrew {report['skipped_weakly_active']} weakly active and "
-          f"{report['skipped_infeasible']} infeasible")
-    if not report["passed"]:
-        for failure in report["failures"]:
-            print(f"  FAILED instance seed {failure['instance_seed']}: "
-                  f"error {failure['error']:.3g}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    print("PASS")
-    return EXIT_OK
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -192,8 +166,6 @@ def main(argv=None) -> int:
             return _cmd_attack_constraint(args)
         if args.command == "experiment":
             return _cmd_experiment(args)
-        if args.command == "check":
-            return _cmd_check_jacobian(args)
         parser.error(f"unknown command {args.command!r}")
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)

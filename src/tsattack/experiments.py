@@ -28,16 +28,9 @@ from .data import (
     sample_random_arima,
 )
 from .errors import ConfigurationError
-from .grad_attack import (
-    TargetFunction,
-    finite_difference_jacobian,
-    iterated_attack,
-    single_step_attack,
-    solution_jacobian,
-)
+from .grad_attack import TargetFunction, iterated_attack, single_step_attack
 from .lqr import (
     BatchForm,
-    SystemSpec,
     batch_form,
     check_series,
     realized_costs,
@@ -409,96 +402,3 @@ def run_experiment(cfg: ExperimentConfig) -> ScenarioStats:
 # perfbench/workloads.py still calls the runner by its former names.
 run_cost_experiment = run_constraint_experiment = run_experiment
 
-
-def random_test_system(rng: np.random.Generator, n_max=2, m_max=2, p_max=2,
-                       t_max=8) -> SystemSpec:
-    """Draw a small well-conditioned system for randomized oracle checks."""
-    n = int(rng.integers(1, n_max + 1))
-    m = int(rng.integers(1, m_max + 1))
-    p = int(rng.integers(1, p_max + 1))
-    T = int(rng.integers(1, t_max + 1))
-    A = rng.standard_normal((n, n))
-    radius = float(np.max(np.abs(np.linalg.eigvals(A)))) if n else 0.0
-    if radius > 1e-12:
-        A *= rng.uniform(0.3, 1.05) / radius
-    B = rng.standard_normal((n, m))
-    C = rng.standard_normal((n, p))
-    WQ = rng.standard_normal((n, n))
-    WR = rng.standard_normal((m, m))
-    Q = WQ @ WQ.T / n + 0.5 * np.eye(n)
-    R = WR @ WR.T / m + 0.5 * np.eye(m)
-    x0 = rng.standard_normal(n)
-    return SystemSpec(A=A, B=B, C=C, Q=Q, R=R, T=T, x0=x0)
-
-
-def jacobian_selftest(seed: int, instances: int = 50, tol: float = 1e-5) -> dict:
-    """Gate: implicit KKT Jacobian vs central finite differences.
-
-    Instances cycle through unconstrained problems, action boxes, state boxes
-    and mixed (state and action) boxes.  Each box is scaled to the free
-    actions or free trajectory of its random system and series; state boxes
-    move the constraint right-hand side with the series, so they exercise
-    the series-through-RHS (H) term of the derivative.  Draws whose clean
-    problem is infeasible or whose solution is weakly active are redrawn and
-    counted.  A failed solver check, or a finite-difference step that makes
-    the problem infeasible, raises :class:`NumericalError`.  Unconstrained
-    instances are also checked against the analytic coupling.  Returns a
-    report dict; ``passed`` is False when any instance exceeds the
-    tolerance, with the offending instance seeds listed.
-    """
-    checked = 0
-    skipped = 0
-    infeasible = 0
-    max_error = 0.0
-    failures: List[dict] = []
-    instance_seed = seed
-    while checked < instances:
-        instance_seed += 1
-        rng = np.random.default_rng(instance_seed)
-        spec = random_test_system(rng)
-        batch = batch_form(spec)
-        s = rng.standard_normal(batch.p_total)
-        u_free = solve_unconstrained(batch, s)
-        kind = checked % 4  # 0 free, 1 action box, 2 state box, 3 mixed
-        action_box = state_box = None
-        if kind in (1, 3):
-            bound = float(np.max(np.abs(u_free))) * rng.uniform(0.3, 1.2) + 1e-3
-            action_box = (-bound, bound)
-        if kind in (2, 3):
-            x_free = batch.x0_response + batch.M @ u_free + batch.N @ s
-            bound = float(np.max(np.abs(x_free))) * rng.uniform(0.2, 1.2) + 1e-3
-            state_box = (-bound, bound)
-        cons = compile_constraints(spec, batch, action_box=action_box,
-                                   state_box=state_box)
-        sol = solve_qp(batch, cons, s)
-        if not sol.optimal:
-            infeasible += 1
-            continue
-        if sol.weakly_active:
-            skipped += 1
-            continue
-        analytic = solution_jacobian(batch, cons, sol)
-        numeric = finite_difference_jacobian(batch, cons, s)
-        error = float(np.max(np.abs(analytic.J - numeric.J)))
-        max_error = max(max_error, error)
-        if error > tol:
-            failures.append({"instance_seed": instance_seed, "error": error})
-        if cons.q == 0:
-            closed_form = (-cho_solve(batch.K_factor, batch.L)).T
-            closed_err = float(np.max(np.abs(analytic.J - closed_form)))
-            if closed_err > 1e-10:
-                failures.append({
-                    "instance_seed": instance_seed,
-                    "error": closed_err,
-                    "check": "unconstrained-closed-form",
-                })
-        checked += 1
-    return {
-        "instances": checked,
-        "skipped_weakly_active": skipped,
-        "skipped_infeasible": infeasible,
-        "max_abs_error": max_error,
-        "tolerance": tol,
-        "failures": failures,
-        "passed": not failures,
-    }

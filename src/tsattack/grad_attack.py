@@ -41,7 +41,6 @@ from .cost_attack import (
     FLAG_WEAK_ACTIVE,
     FLAG_ZERO_GRADIENT,
 )
-from .errors import NumericalError
 from .lqr import BatchForm, check_series, linear_term, rollout_cost
 from .qp import ConstraintSet, QpSolution, solve_qp
 
@@ -153,35 +152,6 @@ def solution_jacobian(
     J, degenerate = _adjoint(batch, cons, sol, np.eye(batch.m_total))
     return SolutionJacobian(J=J, weak_active_flag=bool(sol.weakly_active),
                             degenerate_flag=degenerate)
-
-
-def finite_difference_jacobian(
-    batch: BatchForm, cons: ConstraintSet, s_obs, step: float = 1e-6
-) -> SolutionJacobian:
-    """Central-difference oracle for :func:`solution_jacobian`.
-
-    Re-solves the QP twice per series coordinate.  Raises when any perturbed
-    problem is infeasible, naming the offending coordinate.
-    """
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
-    s_obs = check_series(batch, s_obs, "s_obs")
-    J = np.zeros((batch.p_total, batch.m_total))
-    for i in range(batch.p_total):
-        shifted = s_obs.copy()
-        pair = []
-        for sign in (1.0, -1.0):
-            shifted[i] = s_obs[i] + sign * step
-            sol = solve_qp(batch, cons, shifted)
-            if not sol.optimal:
-                raise NumericalError(
-                    "perturbed QP infeasible while differencing series "
-                    f"coordinate {i}"
-                )
-            pair.append(sol.u)
-        shifted[i] = s_obs[i]
-        J[i] = (pair[0] - pair[1]) / (2.0 * step)
-    return SolutionJacobian(J=J, weak_active_flag=False)
 
 
 def unit(v: np.ndarray) -> np.ndarray:

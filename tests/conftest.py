@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 
-from tsattack import SystemSpec, batch_form, compile_constraints, solve_unconstrained
-from tsattack.experiments import random_test_system
+from tsattack import (
+    NumericalError,
+    SolutionJacobian,
+    SystemSpec,
+    batch_form,
+    compile_constraints,
+    solve_qp,
+    solve_unconstrained,
+)
+from tsattack.lqr import check_series
 
 
 def make_scalar_spec(T=1, x0=1.0):
@@ -12,8 +20,49 @@ def make_scalar_spec(T=1, x0=1.0):
 
 def random_system(rng, n_max=3, m_max=3, p_max=3, t_max=10):
     """Random well-scaled system: spectral radius of A kept near 1."""
-    return random_test_system(rng, n_max=n_max, m_max=m_max, p_max=p_max,
-                              t_max=t_max)
+    n = int(rng.integers(1, n_max + 1))
+    m = int(rng.integers(1, m_max + 1))
+    p = int(rng.integers(1, p_max + 1))
+    T = int(rng.integers(1, t_max + 1))
+    A = rng.standard_normal((n, n))
+    radius = float(np.max(np.abs(np.linalg.eigvals(A)))) if n else 0.0
+    if radius > 1e-12:
+        A *= rng.uniform(0.3, 1.05) / radius
+    B = rng.standard_normal((n, m))
+    C = rng.standard_normal((n, p))
+    WQ = rng.standard_normal((n, n))
+    WR = rng.standard_normal((m, m))
+    Q = WQ @ WQ.T / n + 0.5 * np.eye(n)
+    R = WR @ WR.T / m + 0.5 * np.eye(m)
+    x0 = rng.standard_normal(n)
+    return SystemSpec(A=A, B=B, C=C, Q=Q, R=R, T=T, x0=x0)
+
+
+def finite_difference_jacobian(batch, cons, s_obs, step: float = 1e-6):
+    """Central-difference oracle for :func:`tsattack.solution_jacobian`.
+
+    Re-solves the QP twice per series coordinate.  Raises when any perturbed
+    problem is infeasible, naming the offending coordinate.
+    """
+    if step <= 0:
+        raise ValueError(f"step must be positive, got {step}")
+    s_obs = check_series(batch, s_obs, "s_obs")
+    J = np.zeros((batch.p_total, batch.m_total))
+    for i in range(batch.p_total):
+        shifted = s_obs.copy()
+        pair = []
+        for sign in (1.0, -1.0):
+            shifted[i] = s_obs[i] + sign * step
+            sol = solve_qp(batch, cons, shifted)
+            if not sol.optimal:
+                raise NumericalError(
+                    "perturbed QP infeasible while differencing series "
+                    f"coordinate {i}"
+                )
+            pair.append(sol.u)
+        shifted[i] = s_obs[i]
+        J[i] = (pair[0] - pair[1]) / (2.0 * step)
+    return SolutionJacobian(J=J, weak_active_flag=False)
 
 
 def random_state_box_instance(seed, mixed, state_scale, action_scale):

@@ -8,6 +8,7 @@ import itertools
 import json
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,6 @@ from tsattack import (
     cost_attack,
     cost_delta_quadratic,
     dominant_eigenpair,
-    finite_difference_jacobian,
     kkt_residuals,
     parse_config,
     projected_gradient_solve,
@@ -39,7 +39,7 @@ from tsattack.cli import main
 from tsattack.experiments import calibrate_action_box, load_windows
 from tsattack.lqr import linear_term
 
-from conftest import random_system
+from conftest import finite_difference_jacobian, random_system
 from test_stats import enumeration_oracle
 
 SWEEP_SEED = 424242
@@ -140,33 +140,76 @@ def test_criterion_03_action_gap_linearity(sweep):
 
 
 def test_criterion_04_jacobian_oracle():
-    rng = np.random.default_rng(777)
-    checked = 0
-    unconstrained_checked = 0
+    """The implicit KKT Jacobian against central finite differences.
+
+    Instances cycle through unconstrained problems, action boxes, state
+    boxes and mixed (state and action) boxes, each scaled to the free
+    actions or free trajectory of its random system and series.  State boxes
+    move the constraint right-hand side with the series, so they exercise
+    the series-through-RHS (H) term of the derivative.  Draws whose clean
+    problem is infeasible or whose solution is weakly active are redrawn and
+    counted.  Every instance with no active row is also checked against the
+    closed form -(K^-1 L)'.
+    """
+    start = time.monotonic()
+    kinds = ("free", "action box", "state box", "mixed")
+    checked = {kind: 0 for kind in kinds}
+    redrawn = {"infeasible": Counter(), "weakly active": Counter()}
+    closed_form_checked = 0
+    mixed_both_active = 0
     worst = 0.0
-    while checked < 50:
+    instance_seed = 0
+    while sum(checked.values()) < 200:
+        instance_seed += 1
+        rng = np.random.default_rng(instance_seed)
         spec = random_system(rng, n_max=2, m_max=2, p_max=2, t_max=8)
         batch = batch_form(spec)
         s = rng.standard_normal(batch.p_total)
         u_free = solve_unconstrained(batch, s)
-        bound = float(np.max(np.abs(u_free))) * rng.uniform(0.3, 1.2) + 1e-3
-        cons = compile_constraints(spec, batch, action_box=(-bound, bound))
+        kind = kinds[sum(checked.values()) % 4]
+        action_box = state_box = None
+        if kind in ("action box", "mixed"):
+            bound = float(np.max(np.abs(u_free))) * rng.uniform(0.3, 1.2) + 1e-3
+            action_box = (-bound, bound)
+        if kind in ("state box", "mixed"):
+            x_free = batch.x0_response + batch.M @ u_free + batch.N @ s
+            bound = float(np.max(np.abs(x_free))) * rng.uniform(0.2, 1.2) + 1e-3
+            state_box = (-bound, bound)
+        cons = compile_constraints(spec, batch, action_box=action_box,
+                                   state_box=state_box)
         sol = solve_qp(batch, cons, s)
+        if not sol.optimal:
+            redrawn["infeasible"][kind] += 1
+            continue
         if sol.weakly_active:
+            redrawn["weakly active"][kind] += 1
             continue
         analytic = solution_jacobian(batch, cons, sol)
         numeric = finite_difference_jacobian(batch, cons, s)
-        worst = max(worst, float(np.max(np.abs(analytic.J - numeric.J))))
+        error = float(np.max(np.abs(analytic.J - numeric.J)))
+        assert error <= 1e-5, (instance_seed, kind, error)
+        worst = max(worst, error)
         if not sol.active:
             closed = (-cho_solve(batch.K_factor, batch.L)).T
-            assert np.max(np.abs(analytic.J - closed)) <= 1e-10
-            unconstrained_checked += 1
-        checked += 1
-    assert worst <= 1e-5
-    assert unconstrained_checked >= 5
-    print(f"\nACCEPTANCE 4 Jacobian vs finite differences on 50 instances "
-          f"(max err {worst:.2e}, {unconstrained_checked} inactive-box "
-          f"closed-form checks): PASS")
+            closed_error = float(np.max(np.abs(analytic.J - closed)))
+            assert closed_error <= 1e-10, (instance_seed, kind, closed_error)
+            closed_form_checked += 1
+        if kind == "mixed":
+            action_rows = 2 * batch.m_total  # compiled before the state rows
+            if (min(sol.active, default=action_rows) < action_rows
+                    <= max(sol.active, default=-1)):
+                mixed_both_active += 1
+        checked[kind] += 1
+    elapsed = time.monotonic() - start
+    assert all(count >= 50 for count in checked.values())
+    assert closed_form_checked >= checked["free"] + 5  # some inactive boxes
+    assert mixed_both_active >= 20
+    print(f"\nACCEPTANCE 4 Jacobian vs finite differences on 200 instances, "
+          f"50 per kind (max err {worst:.2e}, {closed_form_checked} closed-form "
+          f"checks, {mixed_both_active} mixed with action and state rows "
+          f"active; redrew {dict(redrawn['infeasible'])} infeasible and "
+          f"{dict(redrawn['weakly active'])} weakly active; "
+          f"{elapsed:.2f}s): PASS")
 
 
 def test_criterion_05_zero_gradient_fixed_point():

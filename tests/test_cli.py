@@ -252,29 +252,6 @@ class TestExperimentCommand:
                      "--out-dir", str(tmp_path / "o")]) == 1
 
 
-class TestCheckJacobian:
-    def test_passes(self, capsys):
-        code = main(["check", "jacobian", "--seed", "1", "--instances", "8"])
-        assert code == 0
-        assert "PASS" in capsys.readouterr().out
-
-    def test_oracle_failure_exits_two(self, monkeypatch, capsys):
-        import tsattack.cli as cli
-
-        monkeypatch.setattr(cli, "jacobian_selftest", lambda seed, instances: {
-            "instances": instances, "skipped_weakly_active": 0,
-            "skipped_infeasible": 0, "max_abs_error": 1.0, "tolerance": 1e-5,
-            "failures": [{"instance_seed": 9, "error": 1.0}], "passed": False,
-        })
-        assert main(["check", "jacobian"]) == 2
-        assert "FAILED instance seed 9" in capsys.readouterr().err
-
-    def test_numerical_error_exits_two(self, monkeypatch, capsys):
-        import tsattack.cli as cli
-        from tsattack import NumericalError
-
-        def explode(seed, instances):
-            raise NumericalError("solver blew up")
-
-        monkeypatch.setattr(cli, "jacobian_selftest", explode)
-        assert main(["check", "jacobian"]) == 2
+def test_removed_check_command_is_unknown(capsys):
+    assert main(["check", "jacobian"]) == 1
+    assert "invalid choice: 'check'" in capsys.readouterr().err

@@ -15,7 +15,6 @@ from tsattack import (
     dominant_eigenpair,
     emit_report,
     iterated_attack,
-    jacobian_selftest,
     load_config,
     parse_config,
     random_sphere_attack,
@@ -589,15 +588,6 @@ class TestCalibration:
         ])
         assert math.isclose(hi, 1.5 * float(np.quantile(pooled, 0.95)),
                             rel_tol=1e-12)
-
-
-class TestJacobianSelftest:
-    def test_default_sweep_passes(self):
-        report = jacobian_selftest(seed=123, instances=15)
-        assert report["passed"], report
-        assert report["max_abs_error"] <= 1e-5
-        assert report["instances"] == 15
-        assert report["skipped_infeasible"] > 0  # state boxes were drawn
 
 
 class TestEmitReport:
