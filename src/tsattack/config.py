@@ -135,8 +135,13 @@ def _parse_attack(section) -> AttackConfig:
         raise ConfigurationError(f"attack mode must be one of {ATTACK_MODES}, got {mode!r}")
     steps = _integer(section.get("steps", 20), "attack steps", minimum=1)
     step_size = section.get("step_size")
-    if step_size is not None and float(step_size) <= 0:
-        raise ConfigurationError("attack step_size must be positive")
+    if step_size is not None and (
+        isinstance(step_size, bool) or not isinstance(step_size, (int, float))
+        or not 0 < step_size < math.inf
+    ):
+        raise ConfigurationError(
+            f"attack step_size must be a positive finite number, got {step_size!r}"
+        )
     return AttackConfig(mode=mode, steps=steps,
                         step_size=None if step_size is None else float(step_size))
 
@@ -173,6 +178,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
             raise ConfigurationError(
                 f"unknown scenario {scenario!r}; expected one of {SCENARIOS}"
             )
+    if len(set(scenarios)) < len(scenarios):
+        raise ConfigurationError(f"scenarios must not repeat, got {list(scenarios)}")
 
     dataset = _parse_dataset(raw["dataset"])
     normalization = raw.get("normalization")

@@ -10,6 +10,7 @@ a uniformly random direction instead.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -90,8 +91,8 @@ def cost_attack(batch: BatchForm, s, delta: float):
     both attain the same cost increase delta^2 * lambda_1.  The eigenpair is
     the one cached on the batch form, so repeated attacks share it.
     """
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    if not 0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     s = check_series(batch, s)
     eig = batch.eigenpair
     results = []
@@ -116,8 +117,8 @@ def random_sphere_attack(s, delta: float, seed: int) -> AttackResult:
     ||s_hat - s||^2 = delta^2; callers who know the system measure the cost
     effect with :func:`tsattack.lqr.cost_delta_quadratic`.
     """
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    if not 0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     s = np.asarray(s, dtype=float).ravel()
     rng = np.random.default_rng(seed)
     w = rng.standard_normal(s.size)

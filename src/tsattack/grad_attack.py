@@ -29,6 +29,7 @@ once and hand back the actions of the series they return
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -260,8 +261,8 @@ def single_step_attack(
     ``infeasible`` flag, attained = +inf and no ``u_hat``: that outcome is a
     success for the infeasibility attack angle.
     """
-    if delta < 0:
-        raise ValueError(f"delta must be nonnegative, got {delta}")
+    if not 0 <= delta < math.inf:
+        raise ValueError(f"delta must be nonnegative and finite, got {delta}")
     return _ascend(batch, cons, check_series(batch, s), delta, target, 0, None)
 
 
@@ -277,9 +278,10 @@ def iterated_attack(
     """Projected gradient ascent on the target within the delta ball.
 
     Each iteration ascends along J g at the current iterate with
-    ``step_size`` (default delta / 10; must be positive), projects back onto
-    the ball around s and solves the QP at the new iterate.  The best
-    iterate by attained value is kept, with its actions as ``u_hat``; a
+    ``step_size`` (default delta / 10; must be positive and finite),
+    projects back onto the ball around s and solves the QP at the new
+    iterate.  The best iterate by attained value is kept, with its actions
+    as ``u_hat``; a
     later iterate replaces it only when it is larger by more than a relative
     1e-12, so among iterates that tie to rounding the earliest is kept.  The
     candidate pool also contains the saturated single step, which shares
@@ -291,10 +293,10 @@ def iterated_attack(
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    if delta < 0:
-        raise ValueError(f"delta must be nonnegative, got {delta}")
+    if not 0 <= delta < math.inf:
+        raise ValueError(f"delta must be nonnegative and finite, got {delta}")
     if step_size is None:
         step_size = delta / 10.0
-    elif step_size <= 0:
-        raise ValueError(f"step_size must be positive, got {step_size}")
+    elif not 0 < step_size < math.inf:
+        raise ValueError(f"step_size must be positive and finite, got {step_size}")
     return _ascend(batch, cons, check_series(batch, s), delta, target, steps, step_size)

@@ -82,7 +82,10 @@ class SystemSpec:
         object.__setattr__(self, "Q", _as_matrix(self.Q, "Q"))
         object.__setattr__(self, "R", _as_matrix(self.R, "R"))
         object.__setattr__(self, "x0", np.atleast_1d(np.asarray(self.x0, dtype=float)))
-        if not isinstance(self.T, (int, np.integer)) or self.T < 1:
+        if not np.all(np.isfinite(self.x0)):
+            raise ConfigurationError("x0 contains non-finite entries")
+        if (isinstance(self.T, bool) or not isinstance(self.T, (int, np.integer))
+                or self.T < 1):
             raise ConfigurationError(f"T must be a positive integer, got {self.T!r}")
         object.__setattr__(self, "T", int(self.T))
         n = self.A.shape[0]

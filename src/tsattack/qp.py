@@ -90,6 +90,8 @@ class QpSolution:
 
 def _expand_bounds(value, per_step: int, total: int, name: str) -> np.ndarray:
     vec = np.atleast_1d(np.asarray(value, dtype=float)).ravel()
+    if not np.all(np.isfinite(vec)):
+        raise ConfigurationError(f"{name} contains non-finite entries")
     if vec.size == 1:
         return np.full(total, vec[0])
     if vec.size == per_step:

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -107,6 +108,20 @@ class TestAttackCommands:
                      "--out", str(tmp_path / "attacked.csv")])
         assert code == 1
         assert "step_size must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["cost", "constraint"])
+    @pytest.mark.parametrize("delta", ["nan", "inf"])
+    def test_non_finite_delta_exits_one(self, tmp_path, capsys, kind, delta):
+        cfg = dict(BASE_CONFIG, action_box={"u_min": -2.0, "u_max": 2.0})
+        path = tmp_path / "cons.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        inp = self._gen_input(tmp_path)
+        target = ["--target", "max-action"] if kind == "constraint" else []
+        code = main(["attack", kind, *target, "--delta", delta,
+                     "--config", str(path), "--in", str(inp),
+                     "--out", str(tmp_path / "attacked.csv")])
+        assert code == 1
+        assert "error: delta must be" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [["--steps", "3"], ["--step-size", "-1"]])
     def test_step_flags_under_single_step_config_exit_one(self, tmp_path, capsys,
@@ -232,6 +247,17 @@ class TestExperimentCommand:
         ({"attack": {"steps": 2.7}}, "steps"),
         ({"series_dump_limit": 1.5}, "series_dump_limit"),
         ({"state_box": "auto"}, "state_box"),
+        ({"system": dict(BASE_CONFIG["system"], x0=math.nan)}, "x0"),
+        ({"system": dict(BASE_CONFIG["system"], T=True)}, "T must be"),
+        ({"action_box": {"u_min": math.nan, "u_max": 1.0}}, "u_min"),
+        ({"action_box": {"u_min": -1.0, "u_max": math.inf}}, "u_max"),
+        ({"state_box": {"x_min": -math.inf, "x_max": 1.0}}, "x_min"),
+        ({"attack": {"step_size": math.nan}}, "step_size"),
+        ({"attack": {"step_size": math.inf}}, "step_size"),
+        ({"attack": {"step_size": True}}, "step_size"),
+        ({"attack": {"step_size": "0.5"}}, "step_size"),
+        ({"attack": {"step_size": "abc"}}, "step_size"),
+        ({"scenarios": ["random", "random"]}, "scenarios"),
     ])
     def test_bad_config_value_exits_one(self, tmp_path, capsys, overrides, key):
         path = tmp_path / "bad.json"

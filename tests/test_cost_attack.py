@@ -110,6 +110,11 @@ class TestCostAttack:
         with pytest.raises(ValueError, match="delta"):
             cost_attack(scalar_t1, [0.0], -1.0)
 
+    @pytest.mark.parametrize("delta", [math.nan, math.inf])
+    def test_rejects_non_finite_delta(self, scalar_t1, delta):
+        with pytest.raises(ValueError, match="delta must be positive and finite"):
+            cost_attack(scalar_t1, [0.0], delta)
+
 
 class TestRandomSphereAttack:
     def test_norm_equals_delta(self):
@@ -165,3 +170,8 @@ class TestRandomSphereAttack:
     def test_rejects_nonpositive_delta(self):
         with pytest.raises(ValueError, match="delta"):
             random_sphere_attack([0.0], -0.5, seed=0)
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf])
+    def test_rejects_non_finite_delta(self, delta):
+        with pytest.raises(ValueError, match="delta must be positive and finite"):
+            random_sphere_attack([0.0], delta, seed=0)

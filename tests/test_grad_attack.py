@@ -603,10 +603,17 @@ class TestIteratedAttack:
         with pytest.raises(ValueError, match="steps"):
             iterated_attack(scalar_t1, cons, [0.0], 0.5,
                             TargetFunction.MAX_ACTION, steps=0)
-        for step_size in (0.0, -0.05):
+        for step_size in (0.0, -0.05, math.nan, math.inf):
             with pytest.raises(ValueError, match="step_size must be positive"):
                 iterated_attack(scalar_t1, cons, [0.0], 0.5,
                                 TargetFunction.MAX_ACTION, step_size=step_size)
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf])
+    @pytest.mark.parametrize("attack", [single_step_attack, iterated_attack])
+    def test_rejects_non_finite_delta(self, scalar_t1, attack, delta):
+        cons = ConstraintSet.empty(1, 1)
+        with pytest.raises(ValueError, match="delta must be nonnegative and finite"):
+            attack(scalar_t1, cons, [0.0], delta, TargetFunction.MAX_ACTION)
 
     @pytest.mark.parametrize("attack", [single_step_attack, iterated_attack])
     def test_infeasible_clean_problem_names_the_caller(self, attack):

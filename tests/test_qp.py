@@ -1,5 +1,10 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -133,7 +138,6 @@ class TestSolveQp:
         assert sol.weakly_active == ()
 
     def test_failed_kkt_check_raises(self, scalar_t1, monkeypatch):
-        # The check is an explicit raise, so `python -O` cannot disable it.
         monkeypatch.setattr("tsattack.qp._kkt_residuals", lambda *args: {
             "stationarity": 1.0, "feasibility": 0.0,
             "complementarity": 0.0, "dual_sign": 0.0,
@@ -154,6 +158,42 @@ class TestSolveQp:
                                 lambda *args: residuals)
             with pytest.raises(NumericalError, match=f"certificate: {name}"):
                 solve_qp(batch, cons, [0.0])
+
+    @pytest.mark.parametrize("patched, residuals, state_max, match", [
+        ("_kkt_residuals", {"stationarity": 1.0, "feasibility": 0.0,
+                            "complementarity": 0.0, "dual_sign": 0.0},
+         10.0, "fails the KKT check: stationarity"),
+        ("_farkas_residuals", {"dual_sign": 0.0, "alignment": 0.0, "gap": 0.0},
+         0.5, "fails the infeasibility certificate: gap"),
+    ])
+    def test_checks_fire_under_python_optimize(self, patched, residuals,
+                                               state_max, match):
+        # Asserts are stripped under -O; the solver checks must still raise.
+        # The action box (-0.1, 0.1) with state box (-10, 0.5) is infeasible
+        # at s = 0; with (-10, 10) it is optimal with the upper action row active.
+        script = textwrap.dedent(f"""
+            import sys
+            import tsattack.qp as qp
+            from tsattack import (NumericalError, SystemSpec, batch_form,
+                                  compile_constraints, solve_qp)
+            spec = SystemSpec(A=1.0, B=-1.0, C=1.0, Q=1.0, R=1.0, T=1, x0=1.0)
+            batch = batch_form(spec)
+            cons = compile_constraints(spec, batch, action_box=(-0.1, 0.1),
+                                       state_box=(-10.0, {state_max!r}))
+            qp.{patched} = lambda *args: {residuals!r}
+            try:
+                solve_qp(batch, cons, [0.0])
+            except NumericalError as exc:
+                print("optimize", sys.flags.optimize, "raised", exc)
+            """)
+        src = str(Path(qp_module.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("optimize 1 raised ")
+        assert match in proc.stdout
 
     def test_interior_solution(self, scalar_t1):
         cons = compile_constraints(scalar_t1.spec, scalar_t1,
