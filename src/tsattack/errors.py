@@ -6,4 +6,5 @@ class ConfigurationError(ValueError):
 
 
 class NumericalError(RuntimeError):
-    """A numerical routine failed to converge or an oracle check failed."""
+    """A numerical routine failed to converge or failed its own check (such
+    as the QP solver's KKT or Farkas check)."""

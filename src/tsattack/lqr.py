@@ -33,12 +33,22 @@ from .errors import ConfigurationError
 SYMMETRY_TOL = 1e-12
 
 
+def _finite_array(value, name: str) -> np.ndarray:
+    """``value`` as a float array, or a ConfigurationError naming ``name``
+    when it is not numeric or has a NaN or infinite entry."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{name} must be numeric, got {value!r}") from exc
+    if not np.all(np.isfinite(arr)):
+        raise ConfigurationError(f"{name} contains non-finite entries")
+    return arr
+
+
 def _as_matrix(value, name: str) -> np.ndarray:
-    mat = np.atleast_2d(np.asarray(value, dtype=float))
+    mat = np.atleast_2d(_finite_array(value, name))
     if mat.ndim != 2:
         raise ConfigurationError(f"{name} must be a 2-D matrix, got shape {mat.shape}")
-    if not np.all(np.isfinite(mat)):
-        raise ConfigurationError(f"{name} contains non-finite entries")
     return mat
 
 
@@ -81,9 +91,7 @@ class SystemSpec:
         object.__setattr__(self, "C", _as_matrix(self.C, "C"))
         object.__setattr__(self, "Q", _as_matrix(self.Q, "Q"))
         object.__setattr__(self, "R", _as_matrix(self.R, "R"))
-        object.__setattr__(self, "x0", np.atleast_1d(np.asarray(self.x0, dtype=float)))
-        if not np.all(np.isfinite(self.x0)):
-            raise ConfigurationError("x0 contains non-finite entries")
+        object.__setattr__(self, "x0", np.atleast_1d(_finite_array(self.x0, "x0")))
         if (isinstance(self.T, bool) or not isinstance(self.T, (int, np.integer))
                 or self.T < 1):
             raise ConfigurationError(f"T must be a positive integer, got {self.T!r}")

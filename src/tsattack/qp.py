@@ -25,7 +25,7 @@ from scipy.linalg import cho_solve, solve_triangular
 from scipy.optimize import linprog  # noqa: F401
 
 from .errors import ConfigurationError, NumericalError
-from .lqr import BatchForm, SystemSpec, check_series, linear_term
+from .lqr import BatchForm, SystemSpec, _finite_array, check_series, linear_term
 
 #: An active constraint with a dual below this is classified weakly active.
 WEAK_DUAL_TOL = 1e-9
@@ -89,9 +89,7 @@ class QpSolution:
 
 
 def _expand_bounds(value, per_step: int, total: int, name: str) -> np.ndarray:
-    vec = np.atleast_1d(np.asarray(value, dtype=float)).ravel()
-    if not np.all(np.isfinite(vec)):
-        raise ConfigurationError(f"{name} contains non-finite entries")
+    vec = np.atleast_1d(_finite_array(value, name)).ravel()
     if vec.size == 1:
         return np.full(total, vec[0])
     if vec.size == per_step:

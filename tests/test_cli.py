@@ -248,9 +248,12 @@ class TestExperimentCommand:
         ({"series_dump_limit": 1.5}, "series_dump_limit"),
         ({"state_box": "auto"}, "state_box"),
         ({"system": dict(BASE_CONFIG["system"], x0=math.nan)}, "x0"),
+        ({"system": dict(BASE_CONFIG["system"], x0="abc")}, "x0"),
+        ({"system": dict(BASE_CONFIG["system"], A="abc")}, "A must be numeric"),
         ({"system": dict(BASE_CONFIG["system"], T=True)}, "T must be"),
         ({"action_box": {"u_min": math.nan, "u_max": 1.0}}, "u_min"),
         ({"action_box": {"u_min": -1.0, "u_max": math.inf}}, "u_max"),
+        ({"action_box": {"u_min": "abc", "u_max": 1.0}}, "u_min"),
         ({"state_box": {"x_min": -math.inf, "x_max": 1.0}}, "x_min"),
         ({"attack": {"step_size": math.nan}}, "step_size"),
         ({"attack": {"step_size": math.inf}}, "step_size"),
