@@ -281,9 +281,9 @@ def iterated_attack(
     ``step_size`` (default delta / 10; must be positive and finite),
     projects back onto the ball around s and solves the QP at the new
     iterate.  The best iterate by attained value is kept, with its actions
-    as ``u_hat``; a
-    later iterate replaces it only when it is larger by more than a relative
-    1e-12, so among iterates that tie to rounding the earliest is kept.  The
+    as ``u_hat``; a later iterate replaces it only when it is larger by
+    more than a relative 1e-12, so among iterates that tie to rounding the
+    earliest is kept.  The
     candidate pool also contains the saturated single step, which shares
     the clean solve and the clean direction with the first iteration, so
     the result is never worse than :func:`single_step_attack`.
