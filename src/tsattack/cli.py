@@ -1,6 +1,13 @@
 """Command-line interface: generate ARIMA windows, attack series from a CSV
 file, or run a full experiment from a JSON config.
 
+``attack --scenario S`` perturbs each window of the CSV exactly as the
+experiment does for scenario S (:func:`tsattack.experiments.attack_series`):
+the system, the boxes and the gradient attack's mode, steps and step size
+come from the config, and ``random`` draws the direction the experiment
+draws at its first delta.  The CSV values are attacked as written; the
+config's normalization is not applied.
+
 Exit codes: 0 success, 1 usage/config error, 2 numerical failure (a solver
 check such as the QP's KKT or Farkas check failed), 3 I/O error.
 """
@@ -9,16 +16,14 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
+import math
 import sys
 
 from . import __version__
-from .config import load_config
-from .cost_attack import cost_attack
+from .config import SCENARIOS, load_config
 from .data import read_series_csv, sample_random_arima, write_series_csv
 from .errors import ConfigurationError, NumericalError
-from .experiments import constraints_for, run_experiment, run_grad_attack
-from .grad_attack import TargetFunction
+from .experiments import attack_series, constraints_for, run_experiment, task_seed
 from .lqr import batch_form, check_series
 from .report import emit_report
 
@@ -49,24 +54,11 @@ def _build_parser() -> _Parser:
     gen.add_argument("--out", required=True)
 
     attack = sub.add_parser("attack", help="attack series from a CSV file")
-    attack_sub = attack.add_subparsers(dest="attack_kind", required=True)
-
-    a_cost = attack_sub.add_parser("cost", help="closed-form worst-case cost attack")
-    a_cost.add_argument("--config", required=True)
-    a_cost.add_argument("--delta", type=float, required=True)
-    a_cost.add_argument("--in", dest="input", required=True)
-    a_cost.add_argument("--out", required=True)
-
-    a_cons = attack_sub.add_parser("constraint", help="gradient attack on a target")
-    a_cons.add_argument("--target", required=True,
-                        choices=sorted(t.value for t in TargetFunction),
-                        help="max-action | min-action | l1 | cost")
-    a_cons.add_argument("--delta", type=float, required=True)
-    a_cons.add_argument("--steps", type=int, default=None)  # default: config
-    a_cons.add_argument("--step-size", type=float, default=None)  # default: config
-    a_cons.add_argument("--config", required=True)
-    a_cons.add_argument("--in", dest="input", required=True)
-    a_cons.add_argument("--out", required=True)
+    attack.add_argument("--scenario", required=True, choices=SCENARIOS)
+    attack.add_argument("--delta", type=float, required=True)
+    attack.add_argument("--config", required=True)
+    attack.add_argument("--in", dest="input", required=True)
+    attack.add_argument("--out", required=True)
 
     exp = sub.add_parser("experiment", help="run a full experiment and emit reports")
     exp.add_argument("--config", required=True)
@@ -90,48 +82,24 @@ def _cmd_gen_arima(args) -> int:
     return EXIT_OK
 
 
-def _cmd_attack_cost(args) -> int:
+def _cmd_attack(args) -> int:
+    if not 0 < args.delta < math.inf:
+        raise ConfigurationError(f"delta must be positive and finite, got {args.delta}")
     cfg = load_config(args.config)
     batch = batch_form(cfg.system)
     windows = read_series_csv(args.input)
-    rows = []
-    for window in windows:
-        check_series(batch, window.values, f"window {window.source_id}")
-        result, _ = cost_attack(batch, window.values, args.delta)
-        rows.append((window.source_id, window.values, result.s_hat))
-    _write_attacked_csv(args.out, rows)
-    print(f"attacked {len(rows)} windows (delta={args.delta}) -> {args.out}")
-    return EXIT_OK
-
-
-def _cmd_attack_constraint(args) -> int:
-    cfg = load_config(args.config)
-    batch = batch_form(cfg.system)
-    windows = read_series_csv(args.input)
-    for window in windows:
-        check_series(batch, window.values, f"window {window.source_id}")
+    S = [check_series(batch, window.values, f"window {window.source_id}")
+         for window in windows]
     cons = constraints_for(cfg, batch, windows)
-    if cfg.attack.mode == "single-step" and (args.steps, args.step_size) != (None, None):
-        raise ConfigurationError(
-            "--steps and --step-size apply only to the iterated attack; "
-            "the config's attack mode is single-step"
-        )
-    attack_cfg = dataclasses.replace(
-        cfg.attack,
-        steps=cfg.attack.steps if args.steps is None else args.steps,
-        step_size=cfg.attack.step_size if args.step_size is None else args.step_size,
-    )
-    target = TargetFunction(args.target)
     rows = []
     flagged = 0
-    for window in windows:
-        result = run_grad_attack(batch, cons, window.values, args.delta,
-                                 target, attack_cfg)
-        if result.flags:
-            flagged += 1
-        rows.append((window.source_id, window.values, result.s_hat))
+    for w_idx, (window, s) in enumerate(zip(windows, S)):
+        s_hat, _, flags, _ = attack_series(batch, cons, s, args.delta, args.scenario,
+                                           cfg.attack, task_seed(cfg.seed, w_idx, 0))
+        flagged += bool(flags)
+        rows.append((window.source_id, s, s_hat))
     _write_attacked_csv(args.out, rows)
-    print(f"attacked {len(rows)} windows (target={args.target}, "
+    print(f"attacked {len(rows)} windows (scenario={args.scenario}, "
           f"delta={args.delta}, flagged={flagged}) -> {args.out}")
     return EXIT_OK
 
@@ -161,9 +129,7 @@ def main(argv=None) -> int:
         if args.command == "gen-arima":
             return _cmd_gen_arima(args)
         if args.command == "attack":
-            if args.attack_kind == "cost":
-                return _cmd_attack_cost(args)
-            return _cmd_attack_constraint(args)
+            return _cmd_attack(args)
         if args.command == "experiment":
             return _cmd_experiment(args)
         parser.error(f"unknown command {args.command!r}")

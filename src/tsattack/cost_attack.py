@@ -57,9 +57,10 @@ class AttackResult:
     u_hat: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.norm_used > self.delta * (1.0 + 1e-9):
+        if not self.norm_used <= self.delta * (1.0 + 1e-9):  # NaN fails too
+            problem = "exceeds" if math.isfinite(self.norm_used) else "overflows at"
             raise ValueError(
-                f"perturbation norm {self.norm_used} exceeds budget {self.delta}"
+                f"perturbation norm {self.norm_used} {problem} delta {self.delta}"
             )
 
 

@@ -286,14 +286,27 @@ def constraints_for(cfg: ExperimentConfig, batch: BatchForm,
                                state_box=cfg.state_box)
 
 
-def run_grad_attack(batch, cons, s, delta, target, attack: AttackConfig):
-    """Run the single-step or iterated gradient attack that ``attack`` selects."""
-    if attack.mode == "single-step":
-        return single_step_attack(batch, cons, s, delta, target)
-    return iterated_attack(
-        batch, cons, s, delta, target,
-        steps=attack.steps, step_size=attack.step_size,
-    )
+def attack_series(batch: BatchForm, cons: ConstraintSet, s: np.ndarray, delta: float,
+                  scenario: str, attack: AttackConfig, seed: int):
+    """Perturb the validated series ``s`` within ``delta`` as ``scenario`` says.
+
+    Returns ``(s_hat, norm_used, flags, result)``.  ``cost-adv`` steps along
+    the cached dominant eigenvector of Psi inline (``result`` is None;
+    :func:`cost_attack` costs ten times as much), ``random`` draws its
+    direction from ``seed``, and the gradient scenarios run the attack that
+    ``attack`` selects against ``cons``.
+    """
+    if scenario == "cost-adv":
+        s_hat = s + delta * batch.eigenpair.v1
+        return s_hat, float(np.linalg.norm(s_hat - s)), frozenset(), None
+    if scenario == "random":
+        result = random_sphere_attack(s, delta, seed=seed)
+    elif attack.mode == "single-step":
+        result = single_step_attack(batch, cons, s, delta, TARGET_BY_SCENARIO[scenario])
+    else:
+        result = iterated_attack(batch, cons, s, delta, TARGET_BY_SCENARIO[scenario],
+                                 steps=attack.steps, step_size=attack.step_size)
+    return result.s_hat, result.norm_used, result.flags, result
 
 
 def run_experiment(cfg: ExperimentConfig) -> ScenarioStats:
@@ -302,13 +315,13 @@ def run_experiment(cfg: ExperimentConfig) -> ScenarioStats:
     The controller is the one :func:`constraints_for` compiles from the
     configured boxes (none: the unconstrained LQR).  Every clean problem is
     solved before any attack, so infeasible windows fail the run at once.
-    Each scenario perturbs the series (``cost-adv``: ``s + delta * v1`` with
-    the cached dominant eigenvector of Psi; ``random``: a seeded random
-    direction; gradient targets: the configured gradient attack), the
-    controller answers the perturbed series (a gradient attack hands back
-    the actions it solved, so only the other scenarios' series are solved
-    here), and all realized costs come from one :func:`realized_costs` call
-    per side.
+    Each scenario perturbs the series through :func:`attack_series`
+    (``random`` seeded by :func:`task_seed`), the controller answers the
+    perturbed series (a gradient attack hands back the actions it solved,
+    so only the other scenarios' series are solved here), and all realized
+    costs come from one :func:`realized_costs` call per side.  A window
+    whose cost, or a delta whose perturbed series' norm or feasible cost,
+    overflows fails the run.
     """
     batch = batch_form(cfg.system)
     windows = load_windows(cfg)
@@ -329,21 +342,10 @@ def run_experiment(cfg: ExperimentConfig) -> ScenarioStats:
     for w_idx, s in enumerate(S):
         for d_idx, delta in enumerate(cfg.deltas):
             for scenario in cfg.scenarios:
-                result = None
-                if scenario == "cost-adv":
-                    s_hat = s + delta * batch.eigenpair.v1
-                    norm_used, flags = float(np.linalg.norm(s_hat - s)), frozenset()
-                else:
-                    if scenario == "random":
-                        result = random_sphere_attack(
-                            s, delta, seed=task_seed(cfg.seed, w_idx, d_idx)
-                        )
-                    else:
-                        result = run_grad_attack(
-                            batch, cons, s, delta,
-                            TARGET_BY_SCENARIO[scenario], cfg.attack,
-                        )
-                    s_hat, norm_used, flags = result.s_hat, result.norm_used, result.flags
+                s_hat, norm_used, flags, result = attack_series(
+                    batch, cons, s, delta, scenario, cfg.attack,
+                    task_seed(cfg.seed, w_idx, d_idx),
+                )
                 tasks.append((w_idx, delta, scenario, norm_used, flags))
                 attacked.append(s_hat)
                 results.append(result)
@@ -355,6 +357,19 @@ def run_experiment(cfg: ExperimentConfig) -> ScenarioStats:
     rows = np.flatnonzero(feasible)
     j_adv[rows] = realized_costs(batch, U_adv[rows],
                                  S[[tasks[row][0] for row in rows]])
+    overflow = np.flatnonzero(~np.isfinite(j_orig))
+    if overflow.size:
+        raise ConfigurationError(
+            f"realized cost of window {windows[overflow[0]].series_id} is not finite"
+        )
+    # An infinite j_adv means infeasible; on a feasible row it is an overflow.
+    norms = np.array([task[3] for task in tasks])
+    overflow = np.flatnonzero(~np.isfinite(norms) | (feasible & ~np.isfinite(j_adv)))
+    if overflow.size:
+        raise ConfigurationError(
+            f"delta {tasks[overflow[0]][1]} overflows the perturbed series' norm "
+            "or realized cost; use a smaller delta"
+        )
     metrics_orig = _metrics(U_orig)
 
     records: List[Record] = []

@@ -35,7 +35,11 @@ SYMMETRY_TOL = 1e-12
 
 def _finite_array(value, name: str) -> np.ndarray:
     """``value`` as a float array, or a ConfigurationError naming ``name``
-    when it is not numeric or has a NaN or infinite entry."""
+    when it is not numeric (booleans, also nested in lists, are not) or has
+    a NaN or infinite entry."""
+    if any(isinstance(item, (bool, np.bool_))
+           for item in np.asarray(value, dtype=object).ravel()):
+        raise ConfigurationError(f"{name} must be numeric, got {value!r}")
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:

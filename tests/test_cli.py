@@ -5,9 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from tsattack import TargetFunction, batch_form, load_config, read_series_csv
+from tsattack import (
+    TargetFunction,
+    batch_form,
+    iterated_attack,
+    load_config,
+    read_series_csv,
+    write_series_csv,
+)
 from tsattack.cli import main
-from tsattack.experiments import constraints_for, run_grad_attack
+from tsattack.experiments import constraints_for, load_windows
 
 BASE_CONFIG = {
     "system": {"A": 1, "B": -1, "C": 1, "Q": 1, "R": 1, "T": 10, "x0": 1},
@@ -44,6 +51,11 @@ class TestGenArima:
         assert main(["gen-arima", "--seed", "3"]) == 1
 
 
+#: One scenario per former ``attack`` sub-subcommand, under its old id.
+CLOSED_FORM_AND_GRADIENT = [pytest.param("cost-adv", id="cost"),
+                            pytest.param("max-action", id="constraint")]
+
+
 class TestAttackCommands:
     def _gen_input(self, tmp_path, horizon=10, count=3, seed=5):
         path = tmp_path / "input.csv"
@@ -54,7 +66,7 @@ class TestAttackCommands:
     def test_attack_cost(self, tmp_path, config_path):
         inp = self._gen_input(tmp_path)
         out = tmp_path / "attacked.csv"
-        code = main(["attack", "cost", "--config", str(config_path),
+        code = main(["attack", "--scenario", "cost-adv", "--config", str(config_path),
                      "--delta", "1.0", "--in", str(inp), "--out", str(out)])
         assert code == 0
         rows = read_rows(out)
@@ -64,13 +76,13 @@ class TestAttackCommands:
         assert np.isclose(np.linalg.norm(moved), 1.0)
 
     def test_attack_constraint(self, tmp_path, config_path):
-        cfg = dict(BASE_CONFIG, action_box={"u_min": -2.0, "u_max": 2.0})
+        cfg = dict(BASE_CONFIG, action_box={"u_min": -2.0, "u_max": 2.0},
+                   attack={"mode": "iterated", "steps": 4})
         path = tmp_path / "cons.json"
         path.write_text(json.dumps(cfg), encoding="utf-8")
         inp = self._gen_input(tmp_path)
         out = tmp_path / "attacked.csv"
-        code = main(["attack", "constraint", "--target", "max-action",
-                     "--delta", "0.5", "--steps", "4",
+        code = main(["attack", "--scenario", "max-action", "--delta", "0.5",
                      "--config", str(path), "--in", str(inp),
                      "--out", str(out)])
         assert code == 0
@@ -84,7 +96,7 @@ class TestAttackCommands:
         path.write_text(json.dumps(cfg_raw), encoding="utf-8")
         inp = self._gen_input(tmp_path)
         out = tmp_path / "attacked.csv"
-        code = main(["attack", "constraint", "--target", "l1", "--delta", "2.0",
+        code = main(["attack", "--scenario", "l1", "--delta", "2.0",
                      "--config", str(path), "--in", str(inp), "--out", str(out)])
         assert code == 0
         cfg = load_config(path)
@@ -92,69 +104,36 @@ class TestAttackCommands:
         windows = read_series_csv(inp)
         cons = constraints_for(cfg, batch, windows)
         expected = [repr(float(v)) for window in windows
-                    for v in run_grad_attack(batch, cons, window.values, 2.0,
+                    for v in iterated_attack(batch, cons, window.values, 2.0,
                                              TargetFunction.L1_ENERGY,
-                                             cfg.attack).s_hat]
+                                             steps=3).s_hat]
         assert [row[3] for row in read_rows(out)[1:]] == expected
 
-    def test_negative_step_size_exits_one(self, tmp_path, capsys):
+    @pytest.mark.parametrize("scenario", CLOSED_FORM_AND_GRADIENT)
+    @pytest.mark.parametrize("delta", ["nan", "inf", "0"])
+    def test_non_finite_delta_exits_one(self, tmp_path, capsys, scenario, delta):
         cfg = dict(BASE_CONFIG, action_box={"u_min": -2.0, "u_max": 2.0})
-        path = tmp_path / "cons.json"
-        path.write_text(json.dumps(cfg), encoding="utf-8")
-        inp = self._gen_input(tmp_path)
-        code = main(["attack", "constraint", "--target", "max-action",
-                     "--delta", "0.5", "--step-size", "-0.1",
-                     "--config", str(path), "--in", str(inp),
-                     "--out", str(tmp_path / "attacked.csv")])
-        assert code == 1
-        assert "step_size must be positive" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("kind", ["cost", "constraint"])
-    @pytest.mark.parametrize("delta", ["nan", "inf"])
-    def test_non_finite_delta_exits_one(self, tmp_path, capsys, kind, delta):
-        cfg = dict(BASE_CONFIG, action_box={"u_min": -2.0, "u_max": 2.0})
-        path = tmp_path / "cons.json"
-        path.write_text(json.dumps(cfg), encoding="utf-8")
-        inp = self._gen_input(tmp_path)
-        target = ["--target", "max-action"] if kind == "constraint" else []
-        code = main(["attack", kind, *target, "--delta", delta,
-                     "--config", str(path), "--in", str(inp),
-                     "--out", str(tmp_path / "attacked.csv")])
-        assert code == 1
-        assert "error: delta must be" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("flags", [["--steps", "3"], ["--step-size", "-1"]])
-    def test_step_flags_under_single_step_config_exit_one(self, tmp_path, capsys,
-                                                          flags):
-        cfg = dict(BASE_CONFIG, action_box={"u_min": -2.0, "u_max": 2.0},
-                   attack={"mode": "single-step"})
         path = tmp_path / "cons.json"
         path.write_text(json.dumps(cfg), encoding="utf-8")
         inp = self._gen_input(tmp_path)
         out = tmp_path / "attacked.csv"
-        code = main(["attack", "constraint", "--target", "max-action",
-                     "--delta", "0.5", *flags, "--config", str(path),
-                     "--in", str(inp), "--out", str(out)])
+        code = main(["attack", "--scenario", scenario, "--delta", delta,
+                     "--config", str(path), "--in", str(inp), "--out", str(out)])
         assert code == 1
-        assert "single-step" in capsys.readouterr().err
+        assert "error: delta must be positive and finite" in capsys.readouterr().err
         assert not out.exists()
-        code = main(["attack", "constraint", "--target", "max-action",
-                     "--delta", "0.5", "--config", str(path),
-                     "--in", str(inp), "--out", str(out)])
-        assert code == 0
-        assert len(read_rows(out)) == 1 + 3 * 10
 
     def test_window_length_mismatch_exits_one(self, tmp_path, config_path, capsys):
         inp = self._gen_input(tmp_path, horizon=7)
         out = tmp_path / "attacked.csv"
-        code = main(["attack", "cost", "--config", str(config_path),
+        code = main(["attack", "--scenario", "cost-adv", "--config", str(config_path),
                      "--delta", "1.0", "--in", str(inp), "--out", str(out)])
         assert code == 1
         assert ("window arima:000000 must have length p*T = 10, got 7"
                 in capsys.readouterr().err)
 
-    @pytest.mark.parametrize("kind", ["cost", "constraint"])
-    def test_non_finite_window_exits_one(self, tmp_path, capsys, kind):
+    @pytest.mark.parametrize("scenario", CLOSED_FORM_AND_GRADIENT)
+    def test_non_finite_window_exits_one(self, tmp_path, capsys, scenario):
         cfg = dict(BASE_CONFIG, action_box="auto")
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg), encoding="utf-8")
@@ -163,8 +142,7 @@ class TestAttackCommands:
         rows[15][2] = "nan"  # window 1, t = 4
         with open(inp, "w", newline="", encoding="utf-8") as handle:
             csv.writer(handle).writerows(rows)
-        target = ["--target", "max-action"] if kind == "constraint" else []
-        code = main(["attack", kind, *target, "--config", str(path),
+        code = main(["attack", "--scenario", scenario, "--config", str(path),
                      "--delta", "1.0", "--in", str(inp),
                      "--out", str(tmp_path / "attacked.csv")])
         assert code == 1
@@ -172,10 +150,55 @@ class TestAttackCommands:
                 in capsys.readouterr().err)
 
     def test_missing_input_exits_three(self, tmp_path, config_path, capsys):
-        code = main(["attack", "cost", "--config", str(config_path),
+        code = main(["attack", "--scenario", "cost-adv", "--config", str(config_path),
                      "--delta", "1.0", "--in", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path / "x.csv")])
         assert code == 3
+
+    def test_removed_subcommands_are_rejected(self, tmp_path, config_path, capsys):
+        inp = self._gen_input(tmp_path)
+        code = main(["attack", "cost", "--config", str(config_path),
+                     "--delta", "1.0", "--in", str(inp),
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert "required: --scenario" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [
+        pytest.param({}, id="lqr"),
+        pytest.param({"action_box": "auto",
+                      "attack": {"mode": "iterated", "steps": 3}}, id="action-box"),
+        # The state box is active on clean windows; some attacks end infeasible.
+        pytest.param({"action_box": {"u_min": -4.0, "u_max": 4.0},
+                      "state_box": {"x_min": -1.0, "x_max": 1.0},
+                      "attack": {"mode": "single-step"}}, id="state-box"),
+    ])
+    def test_attack_reproduces_the_experiment_series(self, tmp_path, extra):
+        """``attack --scenario S`` perturbs each window bit for bit as the
+        experiment does for S at its first delta, ``random`` included."""
+        scenarios = ["cost-adv", "random", "max-action", "min-action", "l1",
+                     "cost-gradient"]
+        raw = dict(BASE_CONFIG, scenarios=scenarios, normalization="none",
+                   dataset={"kind": "arima", "count": 4}, series_dump_limit=4,
+                   **extra)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        inp = tmp_path / "windows.csv"
+        write_series_csv(load_windows(load_config(path)), inp)
+        out_dir = tmp_path / "experiment"
+        assert main(["experiment", "--config", str(path),
+                     "--out-dir", str(out_dir)]) == 0
+        delta = repr(raw["deltas"][0])
+        for scenario in scenarios:
+            out = tmp_path / f"{scenario}.csv"
+            assert main(["attack", "--scenario", scenario, "--delta", delta,
+                         "--config", str(path), "--in", str(inp),
+                         "--out", str(out)]) == 0
+            attacked = read_rows(out)[1:]
+            for window_id in sorted({row[0] for row in attacked}):
+                dump = out_dir / "series" / (
+                    f"{window_id.replace(':', '_')}__{scenario}__delta{delta}.csv")
+                assert read_rows(dump)[1:] == [
+                    row[1:] for row in attacked if row[0] == window_id]
 
 
 class TestExperimentCommand:
@@ -261,6 +284,11 @@ class TestExperimentCommand:
         ({"attack": {"step_size": "0.5"}}, "step_size"),
         ({"attack": {"step_size": "abc"}}, "step_size"),
         ({"scenarios": ["random", "random"]}, "scenarios"),
+        ({"system": dict(BASE_CONFIG["system"], A=True)}, "A must be numeric"),
+        ({"system": dict(BASE_CONFIG["system"], x0=[True])}, "x0 must be numeric"),
+        ({"action_box": {"u_min": True, "u_max": 2}}, "u_min must be numeric"),
+        ({"deltas": [1e200], "scenarios": ["cost-adv"]}, "delta 1e+200"),
+        ({"deltas": [1e308], "scenarios": ["random"]}, "delta 1e+308"),
     ])
     def test_bad_config_value_exits_one(self, tmp_path, capsys, overrides, key):
         path = tmp_path / "bad.json"

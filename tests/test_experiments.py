@@ -253,6 +253,14 @@ class TestCostExperiment:
         with pytest.raises(ValueError, match="non-finite"):
             run_experiment(make_config())
 
+    def test_rejects_window_whose_cost_overflows(self, monkeypatch):
+        windows = load_windows(make_config())
+        windows[3].values[5] = 1e200
+        monkeypatch.setattr("tsattack.experiments.load_windows", lambda cfg: windows)
+        with pytest.raises(ConfigurationError,
+                           match=f"window {windows[3].series_id} is not finite"):
+            run_experiment(make_config())
+
 
 #: A state box whose feasible set moves with the series: some attacked
 #: problems become infeasible.
