@@ -9,6 +9,7 @@ from .lqr import (
     BatchForm,
     SystemSpec,
     batch_form,
+    check_series,
     cost_delta_quadratic,
     realized_costs,
     rollout_cost,
@@ -68,7 +69,7 @@ from .report import emit_report
 __all__ = [
     "__version__",
     "ConfigurationError", "NumericalError",
-    "SystemSpec", "BatchForm", "batch_form",
+    "SystemSpec", "BatchForm", "batch_form", "check_series",
     "solve_unconstrained", "rollout_cost", "realized_costs",
     "cost_delta_quadratic",
     "EigenPair", "AttackResult", "dominant_eigenpair", "cost_attack",

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .config import AttackConfig, ExperimentConfig
 from .cost_attack import AttackResult, FLAG_INFEASIBLE, random_sphere_attack
@@ -211,33 +210,16 @@ def _stack_windows(batch: BatchForm, windows: Sequence[SeriesWindow]) -> np.ndar
     return S
 
 
-def _unconstrained_actions(batch: BatchForm, S: np.ndarray) -> np.ndarray:
-    """Optimal actions -K^{-1} k(x0, s) for each validated series row of S.
-
-    One vector at a time on purpose: a multi-right-hand-side solve rounds
-    differently and moves near-zero actions by more than 1e-10 relative.
-    The rows are finite (validated series plus finite perturbations), so
-    the per-call finiteness scan is skipped; it does not change the result.
-    """
-    U = np.empty((S.shape[0], batch.m_total))
-    for u, s in zip(U, S):
-        u[:] = -cho_solve(batch.K_factor, batch.k_const + batch.L @ s,
-                          check_finite=False)
-    return U
-
-
 def _actions(batch: BatchForm, cons: ConstraintSet, S: np.ndarray, results=None):
     """The controller's actions for each series row of S.
 
-    Returns (U, feasible); infeasible rows of U are NaN.  Without
-    constraints every row is the unconstrained optimum.  Otherwise a row
-    whose attack (``results[row]``, an AttackResult or None) already solved
-    it is not solved again: it takes the attack's ``u_hat``, or stays
-    infeasible when the attack flagged it so.  Every other row is one
-    :func:`solve_qp`.
+    Returns (U, feasible); infeasible rows of U are NaN.  A row whose
+    attack (``results[row]``, an AttackResult or None) already solved it is
+    not solved again: it takes the attack's ``u_hat``, or stays infeasible
+    when the attack flagged it so.  Every other row is one :func:`solve_qp`
+    (without constraints, the unconstrained optimum), one vector at a time:
+    a multi-right-hand-side solve rounds differently.
     """
-    if cons.q == 0:
-        return _unconstrained_actions(batch, S), np.ones(len(S), dtype=bool)
     U = np.full((len(S), batch.m_total), np.nan)
     feasible = np.zeros(len(S), dtype=bool)
     for row, s in enumerate(S):

@@ -97,7 +97,8 @@ def target_gradient(target: TargetFunction, u, batch: BatchForm, s_real) -> np.n
     """Gradient (or subgradient) of the target w.r.t. the action vector.
 
     Kinks are resolved deterministically: argmax/argmin ties break to the
-    lowest index and sign(0) = 0.
+    lowest index and sign(0) = 0.  ``s_real`` is a series that
+    :func:`tsattack.lqr.check_series` has already passed.
     """
     u = np.asarray(u, dtype=float).ravel()
     if target is TargetFunction.MAX_ACTION:

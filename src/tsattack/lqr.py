@@ -196,7 +196,13 @@ class BatchForm:
 
 
 def check_series(batch: BatchForm, s, name: str = "s") -> np.ndarray:
-    """Validate a flat time-major series vector of length p*T."""
+    """Validate a flat time-major series vector of length p*T.
+
+    Returns it as a float vector, or raises ValueError naming ``name`` when
+    its length is not p*T or an entry is NaN or infinite.  Series are
+    checked once, where they enter: the public functions that take a
+    caller's series call this, and the solver underneath them does not.
+    """
     vec = np.asarray(s, dtype=float).ravel()
     if vec.shape != (batch.p_total,):
         raise ValueError(
@@ -263,14 +269,17 @@ def batch_form(spec: SystemSpec) -> BatchForm:
 
 
 def linear_term(batch: BatchForm, s) -> np.ndarray:
-    """Linear cost coefficient k(x0, s) = k_const + L s."""
-    s = check_series(batch, s)
+    """Linear cost coefficient k(x0, s) = k_const + L s.
+
+    ``s`` is a series that :func:`check_series` has already passed; it is
+    not checked again.
+    """
     return batch.k_const + batch.L @ s
 
 
 def solve_unconstrained(batch: BatchForm, s) -> np.ndarray:
     """Optimal flat action vector u* = -K^{-1} k(x0, s)."""
-    return -cho_solve(batch.K_factor, linear_term(batch, s))
+    return -cho_solve(batch.K_factor, linear_term(batch, check_series(batch, s)))
 
 
 def rollout_cost(spec: SystemSpec, u, s) -> float:
@@ -324,17 +333,6 @@ def realized_costs(batch: BatchForm, U, S) -> np.ndarray:
     state_cost = np.einsum("rti,ij,rtj->r", X, spec.Q, X)
     action_cost = np.einsum("rti,ij,rtj->r", U, spec.R, U)
     return float(spec.x0 @ spec.Q @ spec.x0) + state_cost + action_cost
-
-
-def action_gap(batch: BatchForm, s_hat, s) -> np.ndarray:
-    """Action error -K^{-1} L (s_hat - s) caused by observing s_hat.
-
-    Equals solve_unconstrained(s_hat) - solve_unconstrained(s); the error in
-    control is linear in the forecast error.
-    """
-    s_hat = check_series(batch, s_hat, "s_hat")
-    s = check_series(batch, s)
-    return -cho_solve(batch.K_factor, batch.L @ (s_hat - s))
 
 
 def cost_delta_quadratic(batch: BatchForm, s_hat, s) -> float:

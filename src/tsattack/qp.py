@@ -153,19 +153,14 @@ def compile_constraints(
     )
 
 
-def _classify_active(G, u, rhs, mu) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    slack = rhs - G @ u
-    active = np.nonzero(np.abs(slack) <= activity_tolerance(rhs))[0]
-    weak = tuple(int(i) for i in active if mu[i] < WEAK_DUAL_TOL)
-    return tuple(int(i) for i in active), weak
-
-
-def _dual_active_set(batch, k, G, rhs):
+def _dual_active_set(batch, k, G, rhs, tol):
     """Goldfarb-Idnani dual active set from the unconstrained optimum.
 
     Keeps u optimal for its working rows W (G_W u = rhs_W, duals mu_W >= 0)
-    and adds the most violated row j.  Raising mu_j by t moves u by -t z and
-    mu_W by -t r, where (H = 2K, n = G_j', N = G_W') r = (N'H^-1 N)^-1 N'H^-1 n
+    and adds the row j outside W whose violation most exceeds its activity
+    tolerance ``tol`` (W is never scanned: when |u| is large, the rounding
+    of u on a held row can exceed tol).  Raising mu_j by t moves u by -t z
+    and mu_W by -t r, where (H = 2K, n = G_j', N = G_W') r = (N'H^-1 N)^-1 N'H^-1 n
     and z = H^-1 (n - N r), both from a QR of L^-1 N (K = L L'), which does
     not square the conditioning of W.  The step ends when row j holds (it
     joins W) or a working dual reaches zero first (that row leaves W).
@@ -178,13 +173,13 @@ def _dual_active_set(batch, k, G, rhs):
     c, lower = batch.K_factor
     u = -cho_solve(batch.K_factor, k, check_finite=False)
     mu = np.zeros(q)
-    tol = activity_tolerance(rhs)
     work: list[int] = []
     B = np.zeros((mT, 0))  # L^-1 N, one column per working row
     j = -1
     for _ in range(50 + 10 * (q + mT)):
         if j < 0:
             excess = G @ u - rhs - tol
+            excess[work] = -np.inf
             j = int(np.argmax(excess))
             if excess[j] <= 0.0:
                 break
@@ -236,27 +231,32 @@ def solve_qp(batch: BatchForm, cons: ConstraintSet, s_obs) -> QpSolution:
     :data:`KKT_LIMITS` and the ray of every infeasible one against
     :data:`FARKAS_LIMITS`; a failed check raises :class:`NumericalError`,
     also under ``python -O``.
-    """
-    s_obs = check_series(batch, s_obs, "s_obs")
-    k = batch.k_const + batch.L @ s_obs
 
+    ``s_obs`` is a series that :func:`tsattack.lqr.check_series` has
+    already passed (the attacks and the experiment check theirs where they
+    enter); it is not checked again.
+    """
+    k = linear_term(batch, s_obs)
     if cons.q == 0:
         u0 = -cho_solve(batch.K_factor, k, check_finite=False)
         return QpSolution(u=u0, mu=np.zeros(0), active=(), weakly_active=(),
                           status="optimal")
 
     rhs = cons.rhs(s_obs)
-    u, mu, ray = _dual_active_set(batch, k, cons.G, rhs)
+    tol = activity_tolerance(rhs)
+    u, mu, ray = _dual_active_set(batch, k, cons.G, rhs, tol)
     if ray is not None:
         _check("infeasibility certificate", _farkas_residuals(cons.G, rhs, ray),
                FARKAS_LIMITS, strict=True)
         return QpSolution(u=None, mu=None, active=(), weakly_active=(),
                           status="infeasible")
 
-    active, weak = _classify_active(cons.G, u, rhs, mu)
-    sol = QpSolution(u=u, mu=mu, active=active, weakly_active=weak,
+    slack = cons.G @ u - rhs
+    active = np.flatnonzero(np.abs(slack) <= tol)
+    sol = QpSolution(u=u, mu=mu, active=tuple(active.tolist()),
+                     weakly_active=tuple(active[mu[active] < WEAK_DUAL_TOL].tolist()),
                      status="optimal")
-    _check("KKT check", _kkt_residuals(batch, cons, k, rhs, sol), KKT_LIMITS)
+    _check("KKT check", _kkt_residuals(batch, cons, k, rhs, slack, sol), KKT_LIMITS)
     return sol
 
 
@@ -297,15 +297,16 @@ def kkt_residuals(batch: BatchForm, cons: ConstraintSet, s_obs, sol: QpSolution)
     if not sol.optimal:
         raise ValueError("KKT residuals are only defined for optimal solutions")
     s_obs = check_series(batch, s_obs, "s_obs")
-    return _kkt_residuals(batch, cons, batch.k_const + batch.L @ s_obs,
-                          cons.rhs(s_obs), sol)
+    rhs = cons.rhs(s_obs)
+    return _kkt_residuals(batch, cons, linear_term(batch, s_obs), rhs,
+                          cons.G @ sol.u - rhs, sol)
 
 
-def _kkt_residuals(batch, cons, k, rhs, sol) -> dict:
-    """:func:`kkt_residuals` from the linear term k and the right-hand side rhs."""
+def _kkt_residuals(batch, cons, k, rhs, slack, sol) -> dict:
+    """:func:`kkt_residuals` from the linear term k, the right-hand side rhs
+    and the slack G u - rhs."""
     grad = 2.0 * batch.K @ sol.u + 2.0 * k
     pull = cons.G.T @ sol.mu
-    slack = cons.G @ sol.u - rhs
     stat_scale = 1.0 + max(np.abs(grad - 2.0 * k).max(initial=0.0),
                            np.abs(2.0 * k).max(initial=0.0),
                            np.abs(pull).max(initial=0.0))
@@ -317,13 +318,6 @@ def _kkt_residuals(batch, cons, k, rhs, sol) -> dict:
                                         initial=0.0)),
         "dual_sign": float(max(0.0, -sol.mu.min(initial=0.0))),
     }
-
-
-def qp_objective(batch: BatchForm, s_obs, u) -> float:
-    """Objective value u' K u + 2 k(x0, s_obs)' u."""
-    u = np.asarray(u, dtype=float).ravel()
-    k = linear_term(batch, s_obs)
-    return float(u @ batch.K @ u + 2.0 * k @ u)
 
 
 def projected_gradient_solve(

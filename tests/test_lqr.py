@@ -10,12 +10,13 @@ from tsattack import (
     ConfigurationError,
     SystemSpec,
     batch_form,
+    check_series,
     cost_delta_quadratic,
     realized_costs,
     rollout_cost,
     solve_unconstrained,
 )
-from tsattack.lqr import action_gap, linear_term
+from tsattack.lqr import linear_term
 
 from conftest import make_scalar_spec, random_system
 
@@ -153,15 +154,22 @@ class TestLinearTerm:
     def test_scalar_t1_unit_series(self, scalar_t1):
         np.testing.assert_allclose(linear_term(scalar_t1, [1.0]), [-2.0])
 
+
+class TestCheckSeries:
+    def test_returns_flat_float_vector(self, scalar_t2):
+        vec = check_series(scalar_t2, [[1], [2]])
+        assert vec.dtype == float
+        np.testing.assert_array_equal(vec, [1.0, 2.0])
+
     def test_length_mismatch(self, scalar_t1):
-        with pytest.raises(ValueError, match="length"):
-            linear_term(scalar_t1, [0.0, 0.0])
+        with pytest.raises(ValueError, match="s_obs must have length"):
+            check_series(scalar_t1, [0.0, 0.0], "s_obs")
 
     def test_non_finite_series_rejected(self, scalar_t1):
-        with pytest.raises(ValueError, match="finite"):
-            linear_term(scalar_t1, [math.nan])
-        with pytest.raises(ValueError, match="finite"):
-            linear_term(scalar_t1, [math.inf])
+        with pytest.raises(ValueError, match="s contains non-finite"):
+            check_series(scalar_t1, [math.nan])
+        with pytest.raises(ValueError, match="s contains non-finite"):
+            check_series(scalar_t1, [math.inf])
 
 
 class TestSolveUnconstrained:
@@ -234,16 +242,25 @@ class TestRealizedCosts:
             realized_costs(scalar_t2, np.zeros((2, 2)), np.zeros((1, 2)))
 
 
+def action_gap(batch, s_hat, s):
+    """Action error caused by observing s_hat instead of s."""
+    return solve_unconstrained(batch, s_hat) - solve_unconstrained(batch, s)
+
+
 class TestActionGap:
+    """The action error is the free Jacobian -K^{-1} L times the series error."""
+
     def test_identical_series(self, scalar_t2):
         s = np.array([0.3, -0.7])
         np.testing.assert_allclose(action_gap(scalar_t2, s, s), 0.0, atol=1e-15)
 
     def test_scalar_unit_error(self, scalar_t1):
         np.testing.assert_allclose(action_gap(scalar_t1, [1.0], [0.0]), [0.5])
+        np.testing.assert_allclose(scalar_t1.free_jacobian @ [1.0], [0.5])
 
     def test_scaling(self, scalar_t1):
         np.testing.assert_allclose(action_gap(scalar_t1, [-2.0], [0.0]), [-1.0])
+        np.testing.assert_allclose(scalar_t1.free_jacobian @ [-2.0], [-1.0])
 
     def test_equals_difference_of_solves(self):
         rng = np.random.default_rng(31)
@@ -251,8 +268,8 @@ class TestActionGap:
             batch = batch_form(random_system(rng))
             s = rng.standard_normal(batch.p_total)
             s_hat = s + rng.standard_normal(batch.p_total)
-            direct = solve_unconstrained(batch, s_hat) - solve_unconstrained(batch, s)
-            np.testing.assert_allclose(action_gap(batch, s_hat, s), direct, atol=1e-10)
+            np.testing.assert_allclose(action_gap(batch, s_hat, s),
+                                       batch.free_jacobian @ (s_hat - s), atol=1e-10)
 
     @given(alpha=st.floats(-5, 5), beta=st.floats(-5, 5))
     @settings(max_examples=40, deadline=None)
@@ -266,6 +283,8 @@ class TestActionGap:
         separate = (alpha * action_gap(batch, s + d1, s)
                     + beta * action_gap(batch, s + d2, s))
         np.testing.assert_allclose(combined, separate, atol=1e-10)
+        np.testing.assert_allclose(
+            combined, batch.free_jacobian @ (alpha * d1 + beta * d2), atol=1e-10)
 
 
 class TestCostDeltaQuadratic:

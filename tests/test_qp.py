@@ -25,9 +25,15 @@ from tsattack import (
 )
 from tsattack import qp as qp_module
 from tsattack.lqr import linear_term
-from tsattack.qp import qp_objective
 
 from conftest import make_scalar_spec, random_state_box_instance, random_system
+
+
+def qp_objective(batch, s_obs, u):
+    """Objective value u' K u + 2 k(x0, s_obs)' u."""
+    u = np.asarray(u, dtype=float).ravel()
+    k = linear_term(batch, np.asarray(s_obs, dtype=float))
+    return float(u @ batch.K @ u + 2.0 * k @ u)
 
 
 def random_box_instance(rng, tightness=None):
@@ -203,6 +209,24 @@ class TestSolveQp:
         np.testing.assert_allclose(sol.mu, 0.0)
         assert sol.active == ()
 
+    @pytest.mark.parametrize("scale", [1e8, 1e11, 1e14])
+    def test_large_series_never_repicks_a_working_row(self, scale):
+        # With |u| this large the rounding of u on a held bound exceeds the
+        # activity tolerance; scanning working rows for violations would add
+        # that row again and end on a failed KKT check.
+        spec = make_scalar_spec(T=10)
+        batch = batch_form(spec)
+        cons = compile_constraints(spec, batch, action_box=(-3.0, 3.0))
+        rng = np.random.default_rng(0)
+        for _ in range(10):
+            s = scale * rng.standard_normal(10)
+            sol = solve_qp(batch, cons, s)
+            assert sol.optimal
+            reference = projected_gradient_solve(
+                batch.K, linear_term(batch, s),
+                lower=np.full(10, -3.0), upper=np.full(10, 3.0))
+            np.testing.assert_allclose(sol.u, reference, atol=1e-6)
+
     def test_pinned_action(self, scalar_t1):
         cons = compile_constraints(scalar_t1.spec, scalar_t1,
                                    action_box=(0.0, 0.0))
@@ -232,7 +256,8 @@ class TestSolveQp:
         # The dual iteration ends on a Farkas ray: y >= 0, G'y = 0, y'rhs < 0.
         rhs = cons.rhs([0.0])
         _, _, y = qp_module._dual_active_set(batch, linear_term(batch, [0.0]),
-                                             cons.G, rhs)
+                                             cons.G, rhs,
+                                             qp_module.activity_tolerance(rhs))
         assert np.all(y >= 0.0)
         np.testing.assert_allclose(cons.G.T @ y, 0.0, atol=1e-15)
         assert y @ rhs < 0.0
