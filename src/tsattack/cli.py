@@ -9,7 +9,8 @@ draws at its first delta.  The CSV values are attacked as written; the
 config's normalization is not applied.
 
 Exit codes: 0 success, 1 usage/config error, 2 numerical failure (a solver
-check such as the QP's KKT or Farkas check failed), 3 I/O error.
+check such as the QP's KKT or Farkas check failed; the message names the
+window, delta and scenario it failed in), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from . import __version__
 from .config import SCENARIOS, load_config
 from .data import read_series_csv, sample_random_arima, write_series_csv
 from .errors import ConfigurationError, NumericalError
-from .experiments import attack_series, constraints_for, run_experiment, task_seed
+from .experiments import (attack_series, constraints_for, run_experiment,
+                          task_failure, task_seed)
 from .lqr import batch_form, check_series
 from .report import emit_report
 
@@ -94,10 +96,13 @@ def _cmd_attack(args) -> int:
     rows = []
     flagged = 0
     for w_idx, (window, s) in enumerate(zip(windows, S)):
-        s_hat, _, flags, _ = attack_series(batch, cons, s, args.delta, args.scenario,
-                                           cfg.attack, task_seed(cfg.seed, w_idx, 0))
-        flagged += bool(flags)
-        rows.append((window.source_id, s, s_hat))
+        try:
+            result = attack_series(batch, cons, s, args.delta, args.scenario,
+                                   cfg.attack, task_seed(cfg.seed, w_idx, 0))
+        except NumericalError as exc:
+            raise task_failure(exc, window.source_id, args.delta, args.scenario) from exc
+        flagged += bool(result.flags)
+        rows.append((window.source_id, s, result.s_hat))
     _write_attacked_csv(args.out, rows)
     print(f"attacked {len(rows)} windows (scenario={args.scenario}, "
           f"delta={args.delta}, flagged={flagged}) -> {args.out}")

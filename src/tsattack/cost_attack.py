@@ -2,10 +2,10 @@
 
 Over the L2 ball ||s_hat - s||_2 <= delta the cost increase
 (s_hat - s)' Psi (s_hat - s) is maximized exactly by stepping delta along the
-dominant eigenvector of Psi, attaining delta^2 * lambda_1.  Both signed
-optima are surfaced; the perturbation direction depends only on the system,
-never on the series or the initial state.  The baseline perturbs by delta in
-a uniformly random direction instead.
+dominant eigenvector of Psi, attaining delta^2 * lambda_1 (stepping along
+-v1 attains the same value).  The perturbation direction depends only on
+the system, never on the series or the initial state.  The baseline perturbs
+by delta in a uniformly random direction instead.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .lqr import BatchForm, check_series, cost_delta_quadratic
+from .lqr import BatchForm, check_series
 
 #: Diagnostic flag values carried by AttackResult.flags.
 FLAG_ZERO_GRADIENT = "zero-gradient"
@@ -85,29 +85,28 @@ def dominant_eigenpair(psi: np.ndarray) -> EigenPair:
     return EigenPair(lambda1=lambda1, v1=v1)
 
 
-def cost_attack(batch: BatchForm, s, delta: float):
-    """Worst-case cost perturbation s +/- delta*v1 of the series.
+def cost_attack(batch: BatchForm, s, delta: float) -> AttackResult:
+    """Worst-case cost perturbation s + delta*v1 of the series.
 
-    Returns the canonical result (positive eigenvector sign) and its mirror;
-    both attain the same cost increase delta^2 * lambda_1.  The eigenpair is
-    the one cached on the batch form, so repeated attacks share it.
+    ``attained`` is the closed-form cost increase delta^2 * lambda_1;
+    s - delta*v1 attains the same value.  The eigenpair is the one cached on
+    the batch form, so repeated attacks share it.
     """
     if not 0 < delta < math.inf:
         raise ValueError(f"delta must be positive and finite, got {delta}")
-    s = check_series(batch, s)
+    return _closed_form(batch, check_series(batch, s), float(delta))
+
+
+def _closed_form(batch: BatchForm, s: np.ndarray, delta: float) -> AttackResult:
+    """:func:`cost_attack` of a checked series s for a positive finite delta."""
     eig = batch.eigenpair
-    results = []
-    for sign in (1.0, -1.0):
-        s_hat = s + sign * delta * eig.v1
-        results.append(
-            AttackResult(
-                s_hat=s_hat,
-                delta=float(delta),
-                attained=cost_delta_quadratic(batch, s_hat, s),
-                norm_used=float(np.linalg.norm(s_hat - s)),
-            )
-        )
-    return results[0], results[1]
+    s_hat = s + delta * eig.v1
+    return AttackResult(
+        s_hat=s_hat,
+        delta=delta,
+        attained=delta * delta * eig.lambda1,  # delta ** 2 raises on overflow
+        norm_used=float(np.linalg.norm(s_hat - s)),
+    )
 
 
 def random_sphere_attack(s, delta: float, seed: int) -> AttackResult:

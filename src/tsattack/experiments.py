@@ -19,14 +19,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .config import AttackConfig, ExperimentConfig
-from .cost_attack import AttackResult, FLAG_INFEASIBLE, random_sphere_attack
+from .cost_attack import AttackResult, FLAG_INFEASIBLE, _closed_form, random_sphere_attack
 from .data import (
     SeriesWindow,
     load_series_windows,
     normalize_windows,
     sample_random_arima,
 )
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericalError
 from .grad_attack import TargetFunction, iterated_attack, single_step_attack
 from .lqr import (
     BatchForm,
@@ -37,13 +37,6 @@ from .lqr import (
 )
 from .qp import ConstraintSet, compile_constraints, solve_qp
 from .stats import wilcoxon_signed_rank
-
-TARGET_BY_SCENARIO = {
-    "max-action": TargetFunction.MAX_ACTION,
-    "min-action": TargetFunction.MIN_ACTION,
-    "l1": TargetFunction.L1_ENERGY,
-    "cost-gradient": TargetFunction.COST_CHANGE,
-}
 
 #: The record column each scenario's significance test compares with random.
 METRIC_BY_SCENARIO = {
@@ -97,6 +90,13 @@ class ScenarioStats:
 def task_seed(base: int, window_index: int, delta_index: int) -> int:
     """Derived seed for the random baseline of one (window, delta) task."""
     return base + 1_000_003 * window_index + 1_009 * delta_index
+
+
+def task_failure(exc: NumericalError, window_id: str, delta: float,
+                 scenario: str) -> NumericalError:
+    """``exc``, a solver failure inside one task, with the task named."""
+    return NumericalError(
+        f"window {window_id}, delta {delta}, scenario {scenario}: {exc}")
 
 
 def load_windows(cfg: ExperimentConfig) -> List[SeriesWindow]:
@@ -210,28 +210,16 @@ def _stack_windows(batch: BatchForm, windows: Sequence[SeriesWindow]) -> np.ndar
     return S
 
 
-def _actions(batch: BatchForm, cons: ConstraintSet, S: np.ndarray, results=None):
-    """The controller's actions for each series row of S.
+def _stack_actions(batch: BatchForm, actions: Sequence[Optional[np.ndarray]]):
+    """Stack per-series actions (None when infeasible) as (U, feasible).
 
-    Returns (U, feasible); infeasible rows of U are NaN.  A row whose
-    attack (``results[row]``, an AttackResult or None) already solved it is
-    not solved again: it takes the attack's ``u_hat``, or stays infeasible
-    when the attack flagged it so.  Every other row is one :func:`solve_qp`
-    (without constraints, the unconstrained optimum), one vector at a time:
+    Infeasible rows of U are NaN.  Callers solve each series on its own:
     a multi-right-hand-side solve rounds differently.
     """
-    U = np.full((len(S), batch.m_total), np.nan)
-    feasible = np.zeros(len(S), dtype=bool)
-    for row, s in enumerate(S):
-        result = results[row] if results is not None else None
-        if result is not None and (result.u_hat is not None
-                                   or FLAG_INFEASIBLE in result.flags):
-            u = result.u_hat
-        else:
-            u = solve_qp(batch, cons, s).u  # None when infeasible
-        if u is not None:
-            U[row] = u
-            feasible[row] = True
+    feasible = np.array([u is not None for u in actions], dtype=bool)
+    U = np.full((len(actions), batch.m_total), np.nan)
+    for row in np.flatnonzero(feasible):
+        U[row] = actions[row]
     return U, feasible
 
 
@@ -270,25 +258,22 @@ def constraints_for(cfg: ExperimentConfig, batch: BatchForm,
 
 def attack_series(batch: BatchForm, cons: ConstraintSet, s: np.ndarray, delta: float,
                   scenario: str, attack: AttackConfig, seed: int):
-    """Perturb the validated series ``s`` within ``delta`` as ``scenario`` says.
+    """Perturb the checked series ``s`` within ``delta`` as ``scenario`` says.
 
-    Returns ``(s_hat, norm_used, flags, result)``.  ``cost-adv`` steps along
-    the cached dominant eigenvector of Psi inline (``result`` is None;
-    :func:`cost_attack` costs ten times as much), ``random`` draws its
-    direction from ``seed``, and the gradient scenarios run the attack that
-    ``attack`` selects against ``cons``.
+    Returns the scenario's :class:`AttackResult`.  ``cost-adv`` is
+    :func:`cost_attack`'s closed-form step along the cached dominant
+    eigenvector of Psi, taken without checking ``s`` again; ``random``
+    draws its direction from ``seed``; and the gradient scenarios run the
+    attack that ``attack`` selects against ``cons``.
     """
     if scenario == "cost-adv":
-        s_hat = s + delta * batch.eigenpair.v1
-        return s_hat, float(np.linalg.norm(s_hat - s)), frozenset(), None
+        return _closed_form(batch, s, delta)
     if scenario == "random":
-        result = random_sphere_attack(s, delta, seed=seed)
-    elif attack.mode == "single-step":
-        result = single_step_attack(batch, cons, s, delta, TARGET_BY_SCENARIO[scenario])
-    else:
-        result = iterated_attack(batch, cons, s, delta, TARGET_BY_SCENARIO[scenario],
-                                 steps=attack.steps, step_size=attack.step_size)
-    return result.s_hat, result.norm_used, result.flags, result
+        return random_sphere_attack(s, delta, seed=seed)
+    if attack.mode == "single-step":
+        return single_step_attack(batch, cons, s, delta, TargetFunction(scenario))
+    return iterated_attack(batch, cons, s, delta, TargetFunction(scenario),
+                           steps=attack.steps, step_size=attack.step_size)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ScenarioStats:
@@ -302,15 +287,15 @@ def run_experiment(cfg: ExperimentConfig) -> ScenarioStats:
     perturbed series (a gradient attack hands back the actions it solved,
     so only the other scenarios' series are solved here), and all realized
     costs come from one :func:`realized_costs` call per side.  A window
-    whose cost, or a delta whose perturbed series' norm or feasible cost,
-    overflows fails the run.
+    whose cost, or a delta whose feasible cost, overflows fails the run;
+    so does a solver failure, naming its window, delta and scenario.
     """
     batch = batch_form(cfg.system)
     windows = load_windows(cfg)
     S = _stack_windows(batch, windows)
     cons = constraints_for(cfg, batch, windows)
 
-    U_orig, feasible = _actions(batch, cons, S)
+    U_orig, feasible = _stack_actions(batch, [solve_qp(batch, cons, s).u for s in S])
     if not feasible.all():
         infeasible = ", ".join(windows[i].series_id for i in np.flatnonzero(~feasible))
         raise ConfigurationError(
@@ -318,21 +303,25 @@ def run_experiment(cfg: ExperimentConfig) -> ScenarioStats:
             "loosen the configured boxes"
         )
 
-    tasks: List[Tuple[int, float, str, float, frozenset]] = []
-    attacked: List[np.ndarray] = []
-    results: List[Optional[AttackResult]] = []
+    tasks: List[Tuple[int, float, str]] = []
+    results: List[AttackResult] = []
+    answers: List[Optional[np.ndarray]] = []
     for w_idx, s in enumerate(S):
         for d_idx, delta in enumerate(cfg.deltas):
             for scenario in cfg.scenarios:
-                s_hat, norm_used, flags, result = attack_series(
-                    batch, cons, s, delta, scenario, cfg.attack,
-                    task_seed(cfg.seed, w_idx, d_idx),
-                )
-                tasks.append((w_idx, delta, scenario, norm_used, flags))
-                attacked.append(s_hat)
+                try:
+                    result = attack_series(batch, cons, s, delta, scenario, cfg.attack,
+                                           task_seed(cfg.seed, w_idx, d_idx))
+                    u = result.u_hat
+                    if u is None and FLAG_INFEASIBLE not in result.flags:
+                        u = solve_qp(batch, cons, result.s_hat).u
+                except NumericalError as exc:
+                    raise task_failure(exc, windows[w_idx].series_id, delta,
+                                       scenario) from exc
+                tasks.append((w_idx, delta, scenario))
                 results.append(result)
-    S_hat = np.array(attacked).reshape(len(tasks), batch.p_total)
-    U_adv, feasible = _actions(batch, cons, S_hat, results)
+                answers.append(u)
+    U_adv, feasible = _stack_actions(batch, answers)
 
     j_orig = realized_costs(batch, U_orig, S)
     j_adv = np.full(len(tasks), math.inf)
@@ -345,20 +334,20 @@ def run_experiment(cfg: ExperimentConfig) -> ScenarioStats:
             f"realized cost of window {windows[overflow[0]].series_id} is not finite"
         )
     # An infinite j_adv means infeasible; on a feasible row it is an overflow.
-    norms = np.array([task[3] for task in tasks])
-    overflow = np.flatnonzero(~np.isfinite(norms) | (feasible & ~np.isfinite(j_adv)))
+    overflow = np.flatnonzero(feasible & ~np.isfinite(j_adv))
     if overflow.size:
         raise ConfigurationError(
-            f"delta {tasks[overflow[0]][1]} overflows the perturbed series' norm "
-            "or realized cost; use a smaller delta"
+            f"delta {tasks[overflow[0]][1]} overflows the realized cost; "
+            "use a smaller delta"
         )
     metrics_orig = _metrics(U_orig)
 
     records: List[Record] = []
     dumps: List[SeriesDump] = []
-    for (w_idx, delta, scenario, norm_used, flags), s_hat, metrics_adv, j, ok in zip(
-        tasks, S_hat, _metrics(U_adv), j_adv, feasible
+    for (w_idx, delta, scenario), result, metrics_adv, j, ok in zip(
+        tasks, results, _metrics(U_adv), j_adv, feasible
     ):
+        flags = result.flags
         series_id = windows[w_idx].series_id
         max_orig, min_orig, l1_orig = metrics_orig[w_idx]
         max_adv, min_adv, l1_adv = metrics_adv
@@ -377,13 +366,13 @@ def run_experiment(cfg: ExperimentConfig) -> ScenarioStats:
             min_u_adv=min_adv,
             l1_orig=l1_orig,
             l1_adv=l1_adv,
-            norm_used=norm_used,
+            norm_used=result.norm_used,
             flags=";".join(sorted(flags)),
         ))
         if w_idx < cfg.series_dump_limit:
             dumps.append(SeriesDump(
                 series_id=series_id, delta=delta,
-                scenario=scenario, original=S[w_idx], attacked=s_hat,
+                scenario=scenario, original=S[w_idx], attacked=result.s_hat,
             ))
     return ScenarioStats(
         records=tuple(records),

@@ -71,12 +71,13 @@ class SolutionJacobian:
 
 
 class TargetFunction(enum.Enum):
-    """Differentiable attack targets evaluated on the controller's actions."""
+    """Differentiable attack targets evaluated on the controller's actions;
+    each value names the experiment scenario that attacks the target."""
 
     MAX_ACTION = "max-action"
     MIN_ACTION = "min-action"
     L1_ENERGY = "l1"
-    COST_CHANGE = "cost"
+    COST_CHANGE = "cost-gradient"
 
 
 def target_value(target: TargetFunction, u, batch: BatchForm, s_real) -> float:

@@ -9,17 +9,15 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import fields
 from pathlib import Path
 from typing import Dict
 
 from . import __version__
-from .experiments import ScenarioStats
+from .experiments import Record, ScenarioStats
 
-RECORD_COLUMNS = (
-    "series_id", "delta", "scenario", "j_orig", "j_adv",
-    "max_u_orig", "max_u_adv", "min_u_orig", "min_u_adv", "l1_orig", "l1_adv",
-    "norm_used", "flags",
-)
+#: records.csv columns: the Record fields, in their order.
+RECORD_COLUMNS = tuple(field.name for field in fields(Record))
 
 
 def _fmt(value) -> str:

@@ -69,7 +69,7 @@ def sweep():
             continue
         s = rng.standard_normal(batch.p_total)
         delta = float(np.clip(2.0 / math.sqrt(lambda1), 1.0, 100.0))
-        result, _ = cost_attack(batch, s, delta)
+        result = cost_attack(batch, s, delta)
         instances.append(SweepInstance(
             batch=batch, s=s, s_hat=result.s_hat, delta=delta,
             lambda1=lambda1, attained=result.attained,
@@ -295,7 +295,7 @@ def test_criterion_08_constraint_attack_distinctness():
                                action_box=calibrate_action_box(batch, windows))
     j_cost_attack = {}
     for window in windows:
-        attacked, _ = cost_attack(batch, window.values, 1.0)
+        attacked = cost_attack(batch, window.values, 1.0)
         sol = solve_qp(batch, cons, attacked.s_hat)
         j_cost_attack[window.series_id] = rollout_cost(cfg.system, sol.u,
                                                        window.values)

@@ -309,6 +309,30 @@ class TestExperimentCommand:
                      "--out-dir", str(tmp_path / "o")]) == 1
 
 
+@pytest.mark.parametrize("command", ["experiment", "attack"])
+def test_solver_failure_exits_two_naming_its_task(tmp_path, capsys, command):
+    # At delta 1e200 the attacked actions round past the calibrated box and
+    # the QP's infeasibility certificate fails on the first window.
+    raw = dict(BASE_CONFIG, action_box="auto", deltas=[1e200],
+               scenarios=["max-action", "random"],
+               attack={"mode": "iterated", "steps": 3}, seed=1)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    inp = tmp_path / "windows.csv"
+    write_series_csv(load_windows(load_config(path)), inp)
+    out = tmp_path / "out"
+    if command == "experiment":
+        argv = ["experiment", "--config", str(path), "--out-dir", str(out)]
+    else:
+        argv = ["attack", "--scenario", "max-action", "--delta", "1e200",
+                "--config", str(path), "--in", str(inp), "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(
+        "numerical error: window arima:000000, delta 1e+200, scenario max-action: "
+        "QP solution fails the infeasibility certificate: gap residual")
+    assert not out.exists()
+
+
 def test_removed_check_command_is_unknown(capsys):
     assert main(["check", "jacobian"]) == 1
     assert "invalid choice: 'check'" in capsys.readouterr().err

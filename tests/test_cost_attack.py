@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from tsattack import (
     dominant_eigenpair,
     random_sphere_attack,
 )
+from tsattack import lqr
 
 from conftest import random_system
 
@@ -57,14 +59,15 @@ class TestDominantEigenpair:
 
 class TestCostAttack:
     def test_scalar_t1_delta_two(self, scalar_t1):
-        result, mirror = cost_attack(scalar_t1, [0.0], 2.0)
+        result = cost_attack(scalar_t1, [0.0], 2.0)
         np.testing.assert_allclose(result.s_hat, [2.0])
-        np.testing.assert_allclose(mirror.s_hat, [-2.0])
         assert math.isclose(result.attained, 2.0, rel_tol=1e-12)
-        assert math.isclose(mirror.attained, 2.0, rel_tol=1e-12)
+        # The opposite step s - delta*v1 = 2s - s_hat attains the same increase.
+        assert math.isclose(cost_delta_quadratic(scalar_t1, -result.s_hat, [0.0]),
+                            2.0, rel_tol=1e-12)
 
     def test_small_delta_limit(self, scalar_t1):
-        result, _ = cost_attack(scalar_t1, [0.0], 1e-12)
+        result = cost_attack(scalar_t1, [0.0], 1e-12)
         np.testing.assert_allclose(result.s_hat, [0.0], atol=2e-12)
         assert result.attained <= 1e-12
 
@@ -74,13 +77,38 @@ class TestCostAttack:
             batch = batch_form(random_system(rng))
             s = rng.standard_normal(batch.p_total)
             delta = float(rng.uniform(0.5, 3.0))
-            result, mirror = cost_attack(batch, s, delta)
+            result = cost_attack(batch, s, delta)
             expected = delta ** 2 * dominant_eigenpair(batch.Psi).lambda1
             assert math.isclose(result.attained, expected,
                                 rel_tol=1e-8, abs_tol=1e-12)
-            assert math.isclose(mirror.attained, expected,
-                                rel_tol=1e-8, abs_tol=1e-12)
+            # Both signed steps realize the closed form: s_hat and 2s - s_hat.
+            for s_hat in (result.s_hat, 2 * s - result.s_hat):
+                assert math.isclose(cost_delta_quadratic(batch, s_hat, s), expected,
+                                    rel_tol=1e-8, abs_tol=1e-12)
             assert result.norm_used <= delta * (1 + 1e-9)
+
+    def test_checks_the_series_once_and_attains_the_closed_form(self, monkeypatch):
+        calls = []
+        check_series = lqr.check_series
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return check_series(*args, **kwargs)
+
+        # The package re-exports the cost_attack function under the module's name.
+        module = importlib.import_module("tsattack.cost_attack")
+        for owner in (lqr, module):
+            monkeypatch.setattr(owner, "check_series", counting)
+        rng = np.random.default_rng(29)
+        batch = batch_form(random_system(rng))
+        s = rng.standard_normal(batch.p_total)
+        delta = 1.7
+        result = cost_attack(batch, s, delta)
+        assert len(calls) == 1
+        # delta * delta: delta ** 2 is a pow() that may round one ulp apart.
+        assert result.attained == delta * delta * batch.eigenpair.lambda1
+        np.testing.assert_array_equal(result.s_hat, s + delta * batch.eigenpair.v1)
+        assert result.norm_used == float(np.linalg.norm(result.s_hat - s))
 
     def test_direction_independent_of_series_and_state(self):
         rng = np.random.default_rng(19)
@@ -93,15 +121,15 @@ class TestCostAttack:
             batch = batch_form(spec)
             for _ in range(3):
                 s = rng.standard_normal(batch.p_total)
-                result, _ = cost_attack(batch, s, delta)
+                result = cost_attack(batch, s, delta)
                 directions.append((result.s_hat - s) / delta)
         for direction in directions[1:]:
             np.testing.assert_allclose(direction, directions[0], atol=1e-10)
 
     def test_quadratic_scaling(self, scalar_t2):
         s = np.array([0.4, -0.2])
-        small, _ = cost_attack(scalar_t2, s, 0.7)
-        large, _ = cost_attack(scalar_t2, s, 2.1)
+        small = cost_attack(scalar_t2, s, 0.7)
+        large = cost_attack(scalar_t2, s, 2.1)
         assert math.isclose(large.attained / small.attained, 9.0, rel_tol=1e-9)
 
     def test_rejects_nonpositive_delta(self, scalar_t1):
@@ -161,7 +189,7 @@ class TestRandomSphereAttack:
             batch = batch_form(random_system(rng))
             s = rng.standard_normal(batch.p_total)
             delta = 1.3
-            best, _ = cost_attack(batch, s, delta)
+            best = cost_attack(batch, s, delta)
             for seed in range(200):
                 rand = random_sphere_attack(s, delta, seed=seed)
                 assert (cost_delta_quadratic(batch, rand.s_hat, s)

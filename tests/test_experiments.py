@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from tsattack import (
+    AttackResult,
     ConfigurationError,
+    TargetFunction,
     batch_form,
     calibrate_action_box,
     cost_attack,
@@ -24,11 +26,12 @@ from tsattack import (
     solve_qp,
     solve_unconstrained,
 )
+from tsattack.config import SCENARIOS
 from tsattack.experiments import (
-    TARGET_BY_SCENARIO,
     Record,
     ScenarioStats,
     _paired_p_values,
+    attack_series,
     constraints_for,
     load_windows,
     task_seed,
@@ -200,7 +203,7 @@ class TestCostExperiment:
             for d_idx, delta in enumerate(cfg.deltas):
                 for scenario in ("cost-adv", "random"):
                     if scenario == "cost-adv":
-                        result, _ = cost_attack(batch, s, delta)
+                        result = cost_attack(batch, s, delta)
                     else:
                         result = random_sphere_attack(
                             s, delta, seed=task_seed(cfg.seed, w_idx, d_idx))
@@ -423,10 +426,10 @@ class TestConstraintExperiment:
                             s, delta, seed=task_seed(cfg.seed, w_idx, d_idx))
                     elif cfg.attack.mode == "single-step":
                         result = single_step_attack(
-                            batch, cons, s, delta, TARGET_BY_SCENARIO[scenario])
+                            batch, cons, s, delta, TargetFunction(scenario))
                     else:
                         result = iterated_attack(
-                            batch, cons, s, delta, TARGET_BY_SCENARIO[scenario],
+                            batch, cons, s, delta, TargetFunction(scenario),
                             steps=cfg.attack.steps, step_size=cfg.attack.step_size)
                     flags = set(result.flags)
                     attacked = None
@@ -502,6 +505,23 @@ class TestConstraintExperiment:
         assert len(solved) == len(expected) == 16
         for got, want in zip(solved, expected):
             np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_attack_series_returns_an_attack_result(self, scenario):
+        cfg = self._config()
+        batch = batch_form(cfg.system)
+        windows = load_windows(cfg)
+        cons = constraints_for(cfg, batch, windows)
+        s = windows[0].values
+        result = attack_series(batch, cons, s, 0.5, scenario, cfg.attack, seed=3)
+        assert isinstance(result, AttackResult)
+        assert result.delta == 0.5
+        assert math.isclose(result.norm_used, np.linalg.norm(result.s_hat - s),
+                            rel_tol=1e-12, abs_tol=1e-15)
+        if scenario == "cost-adv":
+            np.testing.assert_array_equal(result.s_hat,
+                                          s + 0.5 * batch.eigenpair.v1)
+            assert result.attained == 0.5 * 0.5 * batch.eigenpair.lambda1
 
     def test_few_nonzero_differences_get_no_p_value(self):
         # 8 finite pairs of max-action vs random with 1 to 4 nonzero

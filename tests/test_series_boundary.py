@@ -95,8 +95,8 @@ def test_entry_point_rejects_bad_series(tmp_path, call, name, bad):
         call(batch, cons, sol, tmp_path, BAD_SERIES[bad])
 
 
-def _check_series_calls(monkeypatch, steps):
-    """How many series one small action-box experiment checks."""
+def _check_series_calls(monkeypatch, **overrides):
+    """How many series one small experiment on 3 windows checks."""
     calls = []
 
     def counting(*args, **kwargs):
@@ -106,16 +106,22 @@ def _check_series_calls(monkeypatch, steps):
     for name, module in list(sys.modules.items()):
         if name.startswith("tsattack") and hasattr(module, "check_series"):
             monkeypatch.setattr(module, "check_series", counting)
-    run_experiment(parse_config({
+    run_experiment(parse_config(dict({
         "system": {"A": 1, "B": -1, "C": 1, "Q": 1, "R": 1, "T": 10, "x0": 1},
-        "deltas": [0.5, 2.0], "scenarios": ["max-action", "l1", "random"],
-        "dataset": {"kind": "arima", "count": 3}, "action_box": "auto",
-        "attack": {"mode": "iterated", "steps": steps}, "seed": 5,
-    }))
+        "deltas": [0.5, 2.0], "dataset": {"kind": "arima", "count": 3}, "seed": 5,
+    }, **overrides)))
     return len(calls)
 
 
 def test_check_count_does_not_grow_with_attack_steps(monkeypatch):
     # 3 windows stacked, 3 calibrated, and one check per gradient attack.
-    assert _check_series_calls(monkeypatch, 2) == 3 + 3 + 3 * 2 * 2
-    assert _check_series_calls(monkeypatch, 10) == 3 + 3 + 3 * 2 * 2
+    for steps in (2, 10):
+        assert _check_series_calls(
+            monkeypatch, scenarios=["max-action", "l1", "random"],
+            action_box="auto", attack={"mode": "iterated", "steps": steps},
+        ) == 3 + 3 + 3 * 2 * 2
+
+
+def test_cost_experiment_checks_each_window_once(monkeypatch):
+    # The closed-form attack steps from the stacked, checked window.
+    assert _check_series_calls(monkeypatch, scenarios=["cost-adv"]) == 3
