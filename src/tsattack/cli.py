@@ -1,12 +1,13 @@
 """Command-line interface: generate ARIMA windows, attack series from a CSV
 file, or run a full experiment from a JSON config.
 
-``attack --scenario S`` perturbs each window of the CSV exactly as the
-experiment does for scenario S (:func:`tsattack.experiments.attack_series`):
-the system, the boxes and the gradient attack's mode, steps and step size
-come from the config, and ``random`` draws the direction the experiment
-draws at its first delta.  The CSV values are attacked as written; the
-config's normalization is not applied.
+``attack --scenario S`` runs the experiment's attack stage
+(:func:`tsattack.experiments.attack_windows`) on the CSV's windows, with the
+config's deltas and scenarios replaced by ``--delta`` and S (``random``
+draws the experiment's first-delta direction).  So it refuses infeasible
+clean windows as ``experiment`` does, and ``flagged`` counts the windows
+with a diagnostic flag or an infeasible answer.  The CSV values are
+attacked as written; the config's normalization is not applied.
 
 Exit codes: 0 success, 1 usage/config error, 2 numerical failure (a solver
 check such as the QP's KKT or Farkas check failed; the message names the
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import math
 import sys
 
@@ -24,8 +26,7 @@ from . import __version__
 from .config import SCENARIOS, load_config
 from .data import read_series_csv, sample_random_arima, write_series_csv
 from .errors import ConfigurationError, NumericalError
-from .experiments import (attack_series, constraints_for, run_experiment,
-                          task_failure, task_seed)
+from .experiments import attack_windows, constraints_for, run_experiment
 from .lqr import batch_form, check_series
 from .report import emit_report
 
@@ -87,24 +88,18 @@ def _cmd_gen_arima(args) -> int:
 def _cmd_attack(args) -> int:
     if not 0 < args.delta < math.inf:
         raise ConfigurationError(f"delta must be positive and finite, got {args.delta}")
-    cfg = load_config(args.config)
+    cfg = dataclasses.replace(load_config(args.config), deltas=(args.delta,),
+                              scenarios=(args.scenario,))
     batch = batch_form(cfg.system)
     windows = read_series_csv(args.input)
-    S = [check_series(batch, window.values, f"window {window.source_id}")
-         for window in windows]
-    cons = constraints_for(cfg, batch, windows)
-    rows = []
-    flagged = 0
-    for w_idx, (window, s) in enumerate(zip(windows, S)):
-        try:
-            result = attack_series(batch, cons, s, args.delta, args.scenario,
-                                   cfg.attack, task_seed(cfg.seed, w_idx, 0))
-        except NumericalError as exc:
-            raise task_failure(exc, window.source_id, args.delta, args.scenario) from exc
-        flagged += bool(result.flags)
-        rows.append((window.source_id, s, result.s_hat))
-    _write_attacked_csv(args.out, rows)
-    print(f"attacked {len(rows)} windows (scenario={args.scenario}, "
+    ids = [window.source_id for window in windows]
+    S = [check_series(batch, window.values, f"window {window_id}")
+         for window, window_id in zip(windows, ids)]
+    _, tasks = attack_windows(cfg, batch, constraints_for(cfg, batch, windows), ids, S)
+    _write_attacked_csv(args.out, [(ids[w_idx], S[w_idx], result.s_hat)
+                                   for w_idx, _, _, result, _ in tasks])
+    flagged = sum(bool(result.flags) or u is None for *_, result, u in tasks)
+    print(f"attacked {len(tasks)} windows (scenario={args.scenario}, "
           f"delta={args.delta}, flagged={flagged}) -> {args.out}")
     return EXIT_OK
 

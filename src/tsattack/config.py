@@ -133,6 +133,10 @@ def _parse_attack(section) -> AttackConfig:
     mode = section.get("mode", "iterated")
     if mode not in ATTACK_MODES:
         raise ConfigurationError(f"attack mode must be one of {ATTACK_MODES}, got {mode!r}")
+    unused = [key for key in ("steps", "step_size") if key in section]
+    if mode == "single-step" and unused:
+        raise ConfigurationError(
+            f"attack mode single-step takes no {' or '.join(unused)}")
     steps = _integer(section.get("steps", 20), "attack steps", minimum=1)
     step_size = section.get("step_size")
     if step_size is not None and (

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import scipy.linalg
 
 from .lqr import BatchForm, check_series
 
@@ -105,8 +106,17 @@ def _closed_form(batch: BatchForm, s: np.ndarray, delta: float) -> AttackResult:
         s_hat=s_hat,
         delta=delta,
         attained=delta * delta * eig.lambda1,  # delta ** 2 raises on overflow
-        norm_used=float(np.linalg.norm(s_hat - s)),
+        norm_used=_norm(s_hat - s),
     )
+
+
+def _norm(v: np.ndarray) -> float:
+    """||v||_2; past 1.3e154 the sum of squares overflows, so the scaled
+    BLAS norm takes over (inf only when an entry is itself inf)."""
+    norm = float(np.linalg.norm(v))
+    if norm == math.inf:
+        norm = float(scipy.linalg.norm(v, check_finite=False))
+    return norm
 
 
 def random_sphere_attack(s, delta: float, seed: int) -> AttackResult:
@@ -131,5 +141,5 @@ def random_sphere_attack(s, delta: float, seed: int) -> AttackResult:
         s_hat=s + step,
         delta=float(delta),
         attained=float(step @ step),
-        norm_used=float(np.linalg.norm(step)),
+        norm_used=_norm(step),
     )

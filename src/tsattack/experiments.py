@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .config import AttackConfig, ExperimentConfig
-from .cost_attack import AttackResult, FLAG_INFEASIBLE, _closed_form, random_sphere_attack
+from .cost_attack import FLAG_INFEASIBLE, _closed_form, random_sphere_attack
 from .data import (
     SeriesWindow,
     load_series_windows,
@@ -90,13 +90,6 @@ class ScenarioStats:
 def task_seed(base: int, window_index: int, delta_index: int) -> int:
     """Derived seed for the random baseline of one (window, delta) task."""
     return base + 1_000_003 * window_index + 1_009 * delta_index
-
-
-def task_failure(exc: NumericalError, window_id: str, delta: float,
-                 scenario: str) -> NumericalError:
-    """``exc``, a solver failure inside one task, with the task named."""
-    return NumericalError(
-        f"window {window_id}, delta {delta}, scenario {scenario}: {exc}")
 
 
 def load_windows(cfg: ExperimentConfig) -> List[SeriesWindow]:
@@ -276,36 +269,28 @@ def attack_series(batch: BatchForm, cons: ConstraintSet, s: np.ndarray, delta: f
                            steps=attack.steps, step_size=attack.step_size)
 
 
-def run_experiment(cfg: ExperimentConfig) -> ScenarioStats:
-    """Attack every (window, delta, scenario) and cost the answers on the real series.
+def attack_windows(cfg: ExperimentConfig, batch: BatchForm, cons: ConstraintSet,
+                   series_ids: Sequence[str],
+                   S: Sequence[np.ndarray]) -> Tuple[np.ndarray, List[tuple]]:
+    """The attack stage: solve the clean windows S, then attack and answer every task.
 
-    The controller is the one :func:`constraints_for` compiles from the
-    configured boxes (none: the unconstrained LQR).  Every clean problem is
-    solved before any attack, so infeasible windows fail the run at once.
-    Each scenario perturbs the series through :func:`attack_series`
-    (``random`` seeded by :func:`task_seed`), the controller answers the
-    perturbed series (a gradient attack hands back the actions it solved,
-    so only the other scenarios' series are solved here), and all realized
-    costs come from one :func:`realized_costs` call per side.  A window
-    whose cost, or a delta whose feasible cost, overflows fails the run;
-    so does a solver failure, naming its window, delta and scenario.
+    One :class:`ConfigurationError` names every window (by ``series_ids``)
+    whose clean problem is infeasible.  Each (window, delta, scenario) task
+    perturbs its checked window through :func:`attack_series` (``random``
+    seeded by :func:`task_seed`); the answer is a gradient attack's
+    ``u_hat``, else one :func:`solve_qp` of the attacked series, and None
+    when infeasible.  A solver failure is re-raised naming its task.
+    Returns the clean actions (one row per window) and, in loop order, a
+    (window index, delta, scenario, result, answer) tuple per task.
     """
-    batch = batch_form(cfg.system)
-    windows = load_windows(cfg)
-    S = _stack_windows(batch, windows)
-    cons = constraints_for(cfg, batch, windows)
-
     U_orig, feasible = _stack_actions(batch, [solve_qp(batch, cons, s).u for s in S])
     if not feasible.all():
-        infeasible = ", ".join(windows[i].series_id for i in np.flatnonzero(~feasible))
+        infeasible = ", ".join(series_ids[i] for i in np.flatnonzero(~feasible))
         raise ConfigurationError(
             f"unattacked problem infeasible for windows {infeasible}; "
             "loosen the configured boxes"
         )
-
-    tasks: List[Tuple[int, float, str]] = []
-    results: List[AttackResult] = []
-    answers: List[Optional[np.ndarray]] = []
+    tasks = []
     for w_idx, s in enumerate(S):
         for d_idx, delta in enumerate(cfg.deltas):
             for scenario in cfg.scenarios:
@@ -316,12 +301,29 @@ def run_experiment(cfg: ExperimentConfig) -> ScenarioStats:
                     if u is None and FLAG_INFEASIBLE not in result.flags:
                         u = solve_qp(batch, cons, result.s_hat).u
                 except NumericalError as exc:
-                    raise task_failure(exc, windows[w_idx].series_id, delta,
-                                       scenario) from exc
-                tasks.append((w_idx, delta, scenario))
-                results.append(result)
-                answers.append(u)
-    U_adv, feasible = _stack_actions(batch, answers)
+                    raise NumericalError(f"window {series_ids[w_idx]}, delta {delta}, "
+                                         f"scenario {scenario}: {exc}") from exc
+                tasks.append((w_idx, delta, scenario, result, u))
+    return U_orig, tasks
+
+
+def run_experiment(cfg: ExperimentConfig) -> ScenarioStats:
+    """Attack every (window, delta, scenario) and cost the answers on the real series.
+
+    The controller is the one :func:`constraints_for` compiles from the
+    configured boxes (none: the unconstrained LQR).  :func:`attack_windows`
+    solves the clean windows (an infeasible one fails the run at once),
+    attacks and answers every task; all realized costs then come from one
+    :func:`realized_costs` call per side.  A window whose cost, or a delta
+    whose feasible cost, overflows fails the run.
+    """
+    batch = batch_form(cfg.system)
+    windows = load_windows(cfg)
+    S = _stack_windows(batch, windows)
+    cons = constraints_for(cfg, batch, windows)
+    U_orig, tasks = attack_windows(cfg, batch, cons,
+                                   [w.series_id for w in windows], S)
+    U_adv, feasible = _stack_actions(batch, [u for *_, u in tasks])
 
     j_orig = realized_costs(batch, U_orig, S)
     j_adv = np.full(len(tasks), math.inf)
@@ -344,8 +346,8 @@ def run_experiment(cfg: ExperimentConfig) -> ScenarioStats:
 
     records: List[Record] = []
     dumps: List[SeriesDump] = []
-    for (w_idx, delta, scenario), result, metrics_adv, j, ok in zip(
-        tasks, results, _metrics(U_adv), j_adv, feasible
+    for (w_idx, delta, scenario, result, _), metrics_adv, j, ok in zip(
+        tasks, _metrics(U_adv), j_adv, feasible
     ):
         flags = result.flags
         series_id = windows[w_idx].series_id

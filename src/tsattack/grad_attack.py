@@ -196,16 +196,6 @@ def _ascend(batch, cons, s, delta, target, steps, step_size) -> AttackResult:
         caller = "iterated_attack" if steps else "single_step_attack"
         raise ValueError(f"{caller} requires a feasible unattacked problem")
     direction, flags = _attack_direction(batch, cons, sol, target, s)
-    if np.linalg.norm(direction) <= ZERO_DIRECTION_TOL:
-        flags.add(FLAG_ZERO_GRADIENT)
-        return AttackResult(
-            s_hat=s.copy(),
-            delta=float(delta),
-            attained=target_value(target, sol.u, batch, s),
-            norm_used=0.0,
-            flags=frozenset(flags),
-            u_hat=sol.u,
-        )
 
     def result(s_hat, attained, u_hat=None):
         return AttackResult(
@@ -216,6 +206,10 @@ def _ascend(batch, cons, s, delta, target, steps, step_size) -> AttackResult:
             flags=frozenset(flags),
             u_hat=u_hat,
         )
+
+    if np.linalg.norm(direction) <= ZERO_DIRECTION_TOL:
+        flags.add(FLAG_ZERO_GRADIENT)
+        return result(s.copy(), target_value(target, sol.u, batch, s), sol.u)
 
     s_hat = s + delta * unit(direction)
     attacked = solve_qp(batch, cons, s_hat)

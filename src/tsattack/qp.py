@@ -56,9 +56,7 @@ class ConstraintSet:
         return self.G.shape[0]
 
     def rhs(self, s_obs: np.ndarray) -> np.ndarray:
-        if self.q == 0:
-            return self.h0
-        return self.h0 + self.H @ np.asarray(s_obs, dtype=float).ravel()
+        return self.h0 + self.H @ s_obs
 
     @staticmethod
     def empty(m_total: int, p_total: int) -> "ConstraintSet":

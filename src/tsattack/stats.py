@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.stats import rankdata
 
 SIDEDNESS = ("two-sided", "greater", "less")
 
@@ -27,20 +28,6 @@ class WilcoxonResult:
     n: int
     method: str
     degenerate: bool = False
-
-
-def _midranks(values: np.ndarray) -> np.ndarray:
-    """Average ranks (1-based) with ties sharing their mid-rank."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size, dtype=float)
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
 
 
 def _exact_tail_counts(doubled_ranks: np.ndarray, w2: int):
@@ -86,7 +73,7 @@ def wilcoxon_signed_rank(a, b, sidedness: str = "two-sided",
     if n < 5:
         raise ValueError(f"need at least 5 nonzero differences, got {n}")
 
-    ranks = _midranks(np.abs(d))
+    ranks = rankdata(np.abs(d), method="average")
     w_plus = float(ranks[d > 0].sum())
 
     if method == "exact" or (method == "auto" and n <= 20):

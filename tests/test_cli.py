@@ -149,6 +149,55 @@ class TestAttackCommands:
         assert (f"window {rows[15][0]} contains non-finite entries"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("scenario", ["max-action", "random"])
+    def test_infeasible_clean_windows_exit_one_naming_them(self, tmp_path, capsys,
+                                                           scenario):
+        raw = dict(BASE_CONFIG, dataset={"kind": "arima", "count": 4}, seed=3,
+                   normalization="none",
+                   action_box={"u_min": -0.01, "u_max": 0.01},
+                   state_box={"x_min": -0.01, "x_max": 0.01})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        inp = tmp_path / "windows.csv"
+        write_series_csv(load_windows(load_config(path)), inp)
+        out = tmp_path / "attacked.csv"
+        code = main(["attack", "--scenario", scenario, "--delta", "1.0",
+                     "--config", str(path), "--in", str(inp), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: unattacked problem infeasible for windows arima:000000, "
+            "arima:000001, arima:000002, arima:000003; loosen the configured boxes\n")
+        assert not out.exists()
+
+    def test_flagged_counts_the_experiment_infeasible_answers(self, tmp_path, capsys):
+        """``flagged`` counts the windows the experiment records as infeasible."""
+        raw = dict(BASE_CONFIG, deltas=[10.0], scenarios=["cost-adv", "random"],
+                   dataset={"kind": "arima", "count": 4}, seed=3,
+                   normalization="zscore-global",
+                   action_box={"u_min": -4.5, "u_max": 4.5},
+                   state_box={"x_min": -0.5, "x_max": 0.5},
+                   attack={"mode": "iterated", "steps": 5})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        inp = tmp_path / "windows.csv"
+        write_series_csv(load_windows(load_config(path)), inp)
+        out_dir = tmp_path / "experiment"
+        assert main(["experiment", "--config", str(path),
+                     "--out-dir", str(out_dir)]) == 0
+        records = read_rows(out_dir / "records.csv")
+        scenario_col = records[0].index("scenario")
+        flags_col = records[0].index("flags")
+        capsys.readouterr()
+        for scenario in raw["scenarios"]:
+            infeasible = sum(row[scenario_col] == scenario
+                             and "infeasible" in row[flags_col].split(";")
+                             for row in records[1:])
+            assert infeasible == 3
+            assert main(["attack", "--scenario", scenario, "--delta", "10.0",
+                         "--config", str(path), "--in", str(inp),
+                         "--out", str(tmp_path / "attacked.csv")]) == 0
+            assert f"flagged={infeasible})" in capsys.readouterr().out
+
     def test_missing_input_exits_three(self, tmp_path, config_path, capsys):
         code = main(["attack", "--scenario", "cost-adv", "--config", str(config_path),
                      "--delta", "1.0", "--in", str(tmp_path / "nope.csv"),
@@ -289,6 +338,17 @@ class TestExperimentCommand:
         ({"action_box": {"u_min": True, "u_max": 2}}, "u_min must be numeric"),
         ({"deltas": [1e200], "scenarios": ["cost-adv"]}, "delta 1e+200"),
         ({"deltas": [1e308], "scenarios": ["random"]}, "delta 1e+308"),
+        ({"attack": {"mode": "single-step", "steps": 7}},
+         "single-step takes no steps"),
+        ({"attack": {"mode": "single-step", "step_size": 0.5}},
+         "single-step takes no step_size"),
+        ({"attack": {"mode": "single-step", "steps": 7, "step_size": 0.5}},
+         "single-step takes no steps or step_size"),
+        # Past 1.3e154 the perturbation norm stays finite; the cost overflows.
+        ({"deltas": [1e200], "scenarios": ["cost-adv"]},
+         "delta 1e+200 overflows the realized cost"),
+        ({"deltas": [1e200], "scenarios": ["random"]},
+         "delta 1e+200 overflows the realized cost"),
     ])
     def test_bad_config_value_exits_one(self, tmp_path, capsys, overrides, key):
         path = tmp_path / "bad.json"
