@@ -354,6 +354,8 @@ def run_experiment(cfg: ExperimentConfig) -> ScenarioStats:
         max_orig, min_orig, l1_orig = metrics_orig[w_idx]
         max_adv, min_adv, l1_adv = metrics_adv
         if not ok:
+            # The U_adv row is NaN already; the one math.nan object keeps
+            # reruns' records equal (tuple == matches identical objects).
             max_adv = min_adv = l1_adv = math.nan
             flags = flags | {FLAG_INFEASIBLE}
         records.append(Record(

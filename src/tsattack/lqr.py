@@ -5,16 +5,16 @@ The plant is
     x_{t+1} = A x_t + B u_t + C s_t,      t = 0 .. T-1,
 
 where s_t is an externally forecast input the controller cannot influence.
-Stacking the horizon turns every state into an affine function of the
-flattened action vector u and series vector s (both time-major), so the
+Stacking the horizon turns the states into one affine map of the flat,
+time-major action and series vectors, x = x0_response + M u + N s, so the
 quadratic cost
 
     J(u; s, x0) = sum_{t=0}^{T} x_t' Q x_t + sum_{t=0}^{T-1} u_t' R u_t
 
 collapses to  u' K u + 2 k(x0, s)' u + const  with K positive definite and
 k affine in s.  Every attack in this package works on the resulting
-coefficients: the optimal-action map -K^{-1} k, the series-to-action
-coupling L, and the forecast-error sensitivity Psi = L' K^{-1} L.
+coefficients: the optimal-action map -K^{-1} k, the series-to-cost
+coupling L, its free Jacobian -K^{-1} L and Psi = L' K^{-1} L.
 
 K is never inverted explicitly; a Cholesky factorization is stored on the
 batch form and reused for all solves.
@@ -132,21 +132,23 @@ class SystemSpec:
 class BatchForm:
     """Stacked-horizon matrices and derived cost coefficients.
 
-    ``M[t]`` and ``N[t]`` map the flat action / series vectors to x_{t+1};
-    ``x0_response[t]`` is the free response A^{t+1} x0.  The quadratic cost
-    coefficients are
+    All maps are flat and time-major; Qbar = I_T (x) Q:
 
-        K       (mT x mT)  quadratic action coefficient, SPD
-        L       (mT x pT)  series-to-cost coupling, sum_t M_t' Q N_t
-        Psi     (pT x pT)  forecast-error sensitivity L' K^{-1} L, PSD
-        k_const (mT,)      x0-dependent part of the linear term
-        K_factor           Cholesky factorization of K
+        M             (nT x mT)  states x = x0_response + M u + N s
+        N             (nT x pT)  series-to-state map
+        x0_response   (nT,)      free response, row block t is A^{t+1} x0
+        K             (mT x mT)  quadratic action coefficient, SPD
+        L             (mT x pT)  series-to-cost coupling M' Qbar N
+        Psi           (pT x pT)  forecast-error sensitivity L' K^{-1} L, PSD
+        k_const       (mT,)      x0-dependent part of the linear term
+        K_factor                 Cholesky factorization of K
+        free_jacobian (mT x pT)  du*/ds = -K^{-1} L, read-only; the solution
+                                 Jacobian of every solve with no active row
 
     The linear term of the cost is k(x0, s) = k_const + L s.  Build
     instances with :func:`batch_form`; they are immutable and all operations
-    on them are pure.  The dominant eigenpair of Psi and the free solution
-    Jacobian are computed on first use of :attr:`eigenpair` and
-    :attr:`free_jacobian` and reused after.
+    on them are pure.  The dominant eigenpair of Psi is computed on first
+    use of :attr:`eigenpair` and reused after.
     """
 
     spec: SystemSpec
@@ -158,6 +160,7 @@ class BatchForm:
     Psi: np.ndarray
     k_const: np.ndarray
     K_factor: tuple
+    free_jacobian: np.ndarray
 
     @property
     def m_total(self) -> int:
@@ -181,19 +184,6 @@ class BatchForm:
         pair.v1.flags.writeable = False  # one array handed to every caller
         return pair
 
-    @cached_property
-    def free_jacobian(self) -> np.ndarray:
-        """du*/ds = -K^{-1} L (mT x pT), the unconstrained action/series coupling.
-
-        The solution Jacobian of every solve with no active row, and the
-        free part F of the adjoint product the gradient attacks take at
-        every solve.  Like :attr:`eigenpair` it is built on first use, never
-        by :func:`batch_form`, and handed out read-only.
-        """
-        du_ds = -cho_solve(self.K_factor, self.L)
-        du_ds.flags.writeable = False
-        return du_ds
-
 
 def check_series(batch: BatchForm, s, name: str = "s") -> np.ndarray:
     """Validate a flat time-major series vector of length p*T.
@@ -214,11 +204,11 @@ def check_series(batch: BatchForm, s, name: str = "s") -> np.ndarray:
 
 
 def _stack_dynamics(spec: SystemSpec):
-    """Unroll the recursion into x_{t+1} = A^{t+1} x0 + M_t u + N_t s.
+    """Unroll the recursion into (x_1, ..., x_T) = x0_response + M u + N s.
 
-    Returns (M, N, x0_response).  Row t of the stacks covers x_{t+1}:
-    M_t = [A^t B, A^{t-1} B, ..., B, 0, ..., 0] and N_t likewise with C,
-    right-padded with zero blocks to the full mT / pT width.
+    Returns the flat, time-major (M, N, x0_response).  Row block t covers
+    x_{t+1}: M_t = [A^t B, A^{t-1} B, ..., B, 0, ..., 0], N_t likewise with
+    C, right-padded with zero blocks to the full mT / pT width, and A^{t+1} x0.
     """
     n, m, p, T = spec.n, spec.m, spec.p, spec.T
     # A^j B and A^j C for j = 0 .. T-1, built incrementally.
@@ -239,33 +229,35 @@ def _stack_dynamics(spec: SystemSpec):
     lag = np.arange(T)[:, None] - np.arange(T)[None, :]
     causal = (lag >= 0)[:, :, None, None]
     lag = np.maximum(lag, 0)
-    M = np.where(causal, AjB[lag], 0.0).transpose(0, 2, 1, 3).reshape(T, n, m * T)
-    N = np.where(causal, AjC[lag], 0.0).transpose(0, 2, 1, 3).reshape(T, n, p * T)
-    return M, N, x0_response
+    M = np.where(causal, AjB[lag], 0.0).transpose(0, 2, 1, 3).reshape(n * T, m * T)
+    N = np.where(causal, AjC[lag], 0.0).transpose(0, 2, 1, 3).reshape(n * T, p * T)
+    return M, N, x0_response.reshape(n * T)
 
 
 def batch_form(spec: SystemSpec) -> BatchForm:
-    """Stack the dynamics and build the cost coefficients K, L, Psi, k_const.
+    """Stack the dynamics and build K, L, k_const, Psi and the free Jacobian.
 
-    Psi is computed through the Cholesky factorization of K (never an
-    explicit inverse) and symmetrized afterwards to remove roundoff skew
-    before any eigendecomposition downstream.
+    K, L and k_const are products with one shared operand, (Qbar M)'.
+    K^{-1} L is solved once, through the Cholesky factorization of K (never
+    an explicit inverse), for F = -K^{-1} L and Psi = -L' F.  K and Psi are
+    symmetrized to remove roundoff skew.
     """
     M, N, x0_response = _stack_dynamics(spec)
-    QM = np.einsum("ab,tbj->taj", spec.Q, M)
-    QN = np.einsum("ab,tbj->taj", spec.Q, N)
-    K = np.kron(np.eye(spec.T), spec.R) + np.einsum("tki,tkj->ij", M, QM)
+    QM_t = (spec.Q @ M.reshape(spec.T, spec.n, -1)).reshape(M.shape).T
+    K = np.kron(np.eye(spec.T), spec.R) + QM_t @ M
     K = 0.5 * (K + K.T)
-    L = np.einsum("tki,tkj->ij", M, QN)
-    k_const = np.einsum("tki,tk->i", M, x0_response @ spec.Q)
     try:
         factor = cho_factor(K)
     except np.linalg.LinAlgError as exc:
         raise ConfigurationError("K is not positive definite; check Q and R") from exc
-    Psi = L.T @ cho_solve(factor, L)
+    L = QM_t @ N
+    free_jacobian = -cho_solve(factor, L)
+    free_jacobian.flags.writeable = False
+    Psi = -(L.T @ free_jacobian)
     Psi = 0.5 * (Psi + Psi.T)
     return BatchForm(spec=spec, M=M, N=N, x0_response=x0_response, K=K, L=L,
-                     Psi=Psi, k_const=k_const, K_factor=factor)
+                     Psi=Psi, k_const=QM_t @ x0_response, K_factor=factor,
+                     free_jacobian=free_jacobian)
 
 
 def linear_term(batch: BatchForm, s) -> np.ndarray:
@@ -326,9 +318,7 @@ def realized_costs(batch: BatchForm, U, S) -> np.ndarray:
             f"S must have shape ({U.shape[0]}, p*T = {batch.p_total}), got {S.shape}"
         )
     rows, T = U.shape[0], spec.T
-    X = (U @ batch.M.reshape(T * spec.n, -1).T
-         + S @ batch.N.reshape(T * spec.n, -1).T
-         + batch.x0_response.ravel()).reshape(rows, T, spec.n)
+    X = (U @ batch.M.T + S @ batch.N.T + batch.x0_response).reshape(rows, T, spec.n)
     U = U.reshape(rows, T, spec.m)
     state_cost = np.einsum("rti,ij,rtj->r", X, spec.Q, X)
     action_cost = np.einsum("rti,ij,rtj->r", U, spec.R, U)

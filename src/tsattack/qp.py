@@ -112,9 +112,9 @@ def compile_constraints(
         full (mT,) vectors.  Compiles to +/- I rows with H = 0.
     state_box: optional (x_min, x_max); scalars, per-step (n,) vectors, or
         full (nT,) vectors, bounding x_1 .. x_T.  Compiles through the
-        stacked dynamics to rows +/- M_t u <= +/-(bound - A^{t+1} x0)
-        -/+ N_t s_hat, so H = -/+ N_t: the feasible set follows the series
-        the controller observes.
+        flat stacked dynamics to rows +/- M u <= +/-(bound - x0_response)
+        -/+ N s_hat, so H = -/+ N: the feasible set follows the series the
+        controller observes.  Row block t, the rows +/- M_t, bounds x_{t+1}.
     """
     mT, pT = batch.m_total, batch.p_total
     n, T = spec.n, spec.T
@@ -137,12 +137,9 @@ def compile_constraints(
         x_hi = _expand_bounds(x_max, n, n * T, "x_max")
         if np.any(x_lo > x_hi):
             raise ConfigurationError("x_min exceeds x_max in some component")
-        M_flat = batch.M.reshape(n * T, mT)
-        N_flat = batch.N.reshape(n * T, pT)
-        free = batch.x0_response.reshape(n * T)
-        blocks_G += [M_flat, -M_flat]
-        blocks_h += [x_hi - free, free - x_lo]
-        blocks_H += [-N_flat, N_flat]
+        blocks_G += [batch.M, -batch.M]
+        blocks_h += [x_hi - batch.x0_response, batch.x0_response - x_lo]
+        blocks_H += [-batch.N, batch.N]
 
     if not blocks_G:
         return ConstraintSet.empty(mT, pT)

@@ -73,7 +73,7 @@ def random_state_box_instance(seed, mixed, state_scale, action_scale):
     batch = batch_form(spec)
     s = rng.standard_normal(batch.p_total)
     u_free = solve_unconstrained(batch, s)
-    x_free = (batch.x0_response + batch.M @ u_free + batch.N @ s).ravel()
+    x_free = batch.x0_response + batch.M @ u_free + batch.N @ s
     x_bound = float(np.abs(x_free).max()) * state_scale + 1e-3
     action_box = None
     if mixed:

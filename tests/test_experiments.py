@@ -48,6 +48,13 @@ BASE_CONFIG = {
 }
 
 
+TWO_STATE_SYSTEM = {
+    "A": [[0.9, 0.2], [0.0, 0.7]], "B": [[1.0], [0.5]],
+    "C": [[0.3, 0.0], [0.1, 1.0]], "Q": [[2.0, 0.5], [0.5, 1.0]],
+    "R": 0.5, "T": 6, "x0": [1.0, -0.5],
+}
+
+
 def make_config(**overrides):
     raw = json.loads(json.dumps(BASE_CONFIG))
     raw.update(overrides)
@@ -184,12 +191,7 @@ class TestCostExperiment:
             elif dump.scenario == "cost-gradient":
                 assert "zero-gradient" in record.flags.split(";")
 
-    @pytest.mark.parametrize("system", [
-        BASE_CONFIG["system"],
-        {"A": [[0.9, 0.2], [0.0, 0.7]], "B": [[1.0], [0.5]],
-         "C": [[0.3, 0.0], [0.1, 1.0]], "Q": [[2.0, 0.5], [0.5, 1.0]],
-         "R": 0.5, "T": 6, "x0": [1.0, -0.5]},
-    ])
+    @pytest.mark.parametrize("system", [BASE_CONFIG["system"], TWO_STATE_SYSTEM])
     def test_matches_per_record_reference_loop(self, system):
         cfg = make_config(system=system, deltas=[0.3, 1.0, 3.0],
                           series_dump_limit=3)
@@ -407,6 +409,10 @@ class TestConstraintExperiment:
             "attack": {"mode": "single-step"},
         },
         STATE_BOX_OVERRIDES,
+        dict(STATE_BOX_OVERRIDES,  # n = 2 through the state box and the costs
+             system=TWO_STATE_SYSTEM,
+             action_box={"u_min": -3.0, "u_max": 3.0},
+             state_box={"x_min": -2.5, "x_max": 2.5}),
     ])
     def test_matches_per_record_reference_loop(self, overrides):
         cfg = make_config(**dict(overrides, series_dump_limit=2))

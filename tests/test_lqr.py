@@ -22,11 +22,12 @@ from conftest import make_scalar_spec, random_system
 
 
 def stack_dynamics_loop(spec):
-    """Reference: fill M_t and N_t block by block with the O(T^2) double loop."""
+    """Reference: fill the flat row blocks M_t and N_t (rows t*n .. (t+1)*n - 1)
+    block by block with the O(T^2) double loop."""
     n, m, p, T = spec.n, spec.m, spec.p, spec.T
-    M = np.zeros((T, n, m * T))
-    N = np.zeros((T, n, p * T))
-    x0_response = np.zeros((T, n))
+    M = np.zeros((n * T, m * T))
+    N = np.zeros((n * T, p * T))
+    x0_response = np.zeros(n * T)
     AjB = np.zeros((T, n, m))
     AjC = np.zeros((T, n, p))
     AjB[0], AjC[0] = spec.B, spec.C
@@ -35,11 +36,12 @@ def stack_dynamics_loop(spec):
         AjC[j] = spec.A @ AjC[j - 1]
     free = spec.A @ spec.x0
     for t in range(T):
-        x0_response[t] = free
+        rows = slice(t * n, (t + 1) * n)
+        x0_response[rows] = free
         free = spec.A @ free
         for j in range(t + 1):
-            M[t, :, j * m:(j + 1) * m] = AjB[t - j]
-            N[t, :, j * p:(j + 1) * p] = AjC[t - j]
+            M[rows, j * m:(j + 1) * m] = AjB[t - j]
+            N[rows, j * p:(j + 1) * p] = AjC[t - j]
     return M, N, x0_response
 
 
@@ -56,24 +58,25 @@ class TestStackDynamics:
 
     def test_scalar_single_step(self):
         batch = batch_form(make_scalar_spec(T=1))
-        np.testing.assert_allclose(batch.M[0], [[-1.0]])
-        np.testing.assert_allclose(batch.N[0], [[1.0]])
+        np.testing.assert_allclose(batch.M[0:1], [[-1.0]])
+        np.testing.assert_allclose(batch.N[0:1], [[1.0]])
 
     def test_scalar_two_steps(self):
         batch = batch_form(make_scalar_spec(T=2))
-        np.testing.assert_allclose(batch.M[0], [[-1.0, 0.0]])
-        np.testing.assert_allclose(batch.M[1], [[-1.0, -1.0]])
-        np.testing.assert_allclose(batch.N[0], [[1.0, 0.0]])
-        np.testing.assert_allclose(batch.N[1], [[1.0, 1.0]])
+        np.testing.assert_allclose(batch.M[0:1], [[-1.0, 0.0]])
+        np.testing.assert_allclose(batch.M[1:2], [[-1.0, -1.0]])
+        np.testing.assert_allclose(batch.N[0:1], [[1.0, 0.0]])
+        np.testing.assert_allclose(batch.N[1:2], [[1.0, 1.0]])
 
     def test_nilpotent_transition_zeroes_history(self):
         spec = SystemSpec(A=0.0, B=2.0, C=3.0, Q=1.0, R=1.0, T=2, x0=0.0)
         batch = batch_form(spec)
-        np.testing.assert_allclose(batch.M[1], [[0.0, 2.0]])
-        np.testing.assert_allclose(batch.N[1], [[0.0, 3.0]])
+        np.testing.assert_allclose(batch.M[1:2], [[0.0, 2.0]])
+        np.testing.assert_allclose(batch.N[1:2], [[0.0, 3.0]])
 
     def test_matches_explicit_rollout(self):
-        # Oracle: x_{t+1} from simulation equals A^{t+1} x0 + M_t u + N_t s.
+        # Oracle: x_{t+1} from simulation equals row block t of
+        # x0_response + M u + N s.
         rng = np.random.default_rng(3)
         for _ in range(10):
             spec = random_system(rng, t_max=6)
@@ -84,7 +87,9 @@ class TestStackDynamics:
             for t in range(spec.T):
                 x = (spec.A @ x + spec.B @ u[t * spec.m:(t + 1) * spec.m]
                      + spec.C @ s[t * spec.p:(t + 1) * spec.p])
-                predicted = batch.x0_response[t] + batch.M[t] @ u + batch.N[t] @ s
+                rows = slice(t * spec.n, (t + 1) * spec.n)
+                predicted = (batch.x0_response[rows] + batch.M[rows] @ u
+                             + batch.N[rows] @ s)
                 np.testing.assert_allclose(predicted, x, atol=1e-10)
 
 
@@ -130,17 +135,31 @@ class TestBuildCostForm:
             batch = batch_form(random_system(rng))
             assert np.linalg.eigvalsh(batch.K).min() > 0
 
-    def test_free_jacobian_cached_read_only_and_lazy(self):
+    def test_cost_form_matches_simulation(self):
+        # Oracle: the simulated cost, not the stacked maps, pins K, L and
+        # k_const: J(u; s) - J(0; s) = u'Ku + 2 (k_const + L s)'u.
+        rng = np.random.default_rng(15)
+        for _ in range(50):
+            spec = random_system(rng)
+            batch = batch_form(spec)
+            u = rng.standard_normal(batch.m_total)
+            s = rng.standard_normal(batch.p_total)
+            terms = (rollout_cost(spec, u, s), -rollout_cost(spec, np.zeros_like(u), s),
+                     -(u @ batch.K @ u), -2.0 * (batch.k_const + batch.L @ s) @ u)
+            assert abs(sum(terms)) <= 1e-10 * sum(abs(t) for t in terms)
+
+    def test_free_jacobian_built_once_read_only(self):
+        # batch_form solves K^-1 L once, for the free Jacobian and for Psi.
         rng = np.random.default_rng(14)
         for _ in range(10):
             batch = batch_form(random_system(rng))
-            assert "free_jacobian" not in vars(batch)  # batch_form did not build it
-            cached = batch.free_jacobian
-            np.testing.assert_array_equal(cached, -cho_solve(batch.K_factor, batch.L))
-            assert batch.free_jacobian is cached
-            assert not cached.flags.writeable
+            F = batch.free_jacobian
+            np.testing.assert_array_equal(F, -cho_solve(batch.K_factor, batch.L))
+            Psi = -(batch.L.T @ F)
+            np.testing.assert_array_equal(batch.Psi, 0.5 * (Psi + Psi.T))
+            assert not F.flags.writeable
             with pytest.raises(ValueError):
-                cached[0, 0] = 1.0
+                F[0, 0] = 1.0
 
 
 class TestLinearTerm:
