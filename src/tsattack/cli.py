@@ -7,7 +7,8 @@ config's deltas and scenarios replaced by ``--delta`` and S (``random``
 draws the experiment's first-delta direction).  So it refuses infeasible
 clean windows as ``experiment`` does, and ``flagged`` counts the windows
 with a diagnostic flag or an infeasible answer.  The CSV values are
-attacked as written; the config's normalization is not applied.
+attacked as written (no normalization; a CSV with no rows is rejected) and
+written out in :func:`tsattack.data._write_csv`'s format.
 
 Exit codes: 0 success, 1 usage/config error, 2 numerical failure (a solver
 check such as the QP's KKT or Farkas check failed; the message names the
@@ -17,14 +18,13 @@ window, delta and scenario it failed in), 3 I/O error.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import math
 import sys
 
 from . import __version__
 from .config import SCENARIOS, load_config
-from .data import read_series_csv, sample_random_arima, write_series_csv
+from .data import _write_csv, read_series_csv, sample_random_arima, write_series_csv
 from .errors import ConfigurationError, NumericalError
 from .experiments import attack_windows, constraints_for, run_experiment
 from .lqr import batch_form, check_series
@@ -69,15 +69,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _write_attacked_csv(path, labeled_pairs):
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["window_id", "t", "original", "attacked"])
-        for window_id, original, attacked in labeled_pairs:
-            for t, (orig, adv) in enumerate(zip(original, attacked)):
-                writer.writerow([window_id, t, repr(float(orig)), repr(float(adv))])
-
-
 def _cmd_gen_arima(args) -> int:
     windows = sample_random_arima(args.seed, horizon=args.horizon, count=args.count)
     write_series_csv(windows, args.out)
@@ -96,8 +87,9 @@ def _cmd_attack(args) -> int:
     S = [check_series(batch, window.values, f"window {window_id}")
          for window, window_id in zip(windows, ids)]
     _, tasks = attack_windows(cfg, batch, constraints_for(cfg, batch, windows), ids, S)
-    _write_attacked_csv(args.out, [(ids[w_idx], S[w_idx], result.s_hat)
-                                   for w_idx, _, _, result, _ in tasks])
+    rows = ((ids[w_idx], t, *pair) for w_idx, _, _, result, _ in tasks
+            for t, pair in enumerate(zip(S[w_idx].tolist(), result.s_hat.tolist())))
+    _write_csv(args.out, ("window_id", "t", "original", "attacked"), rows)
     flagged = sum(bool(result.flags) or u is None for *_, result, u in tasks)
     print(f"attacked {len(tasks)} windows (scenario={args.scenario}, "
           f"delta={args.delta}, flagged={flagged}) -> {args.out}")

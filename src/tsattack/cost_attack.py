@@ -137,9 +137,10 @@ def random_sphere_attack(s, delta: float, seed: int) -> AttackResult:
         w = rng.standard_normal(s.size)
         norm = np.linalg.norm(w)
     step = delta * w / norm
+    delta = float(delta)
     return AttackResult(
         s_hat=s + step,
-        delta=float(delta),
-        attained=float(step @ step),
+        delta=delta,
+        attained=delta * delta,  # delta ** 2 raises on overflow
         norm_used=_norm(step),
     )

@@ -1,4 +1,4 @@
-"""Series sources: synthetic ARIMA windows and hourly demand CSV ingestion."""
+"""Series sources (ARIMA windows, demand CSVs) and the package's one CSV writer."""
 
 from __future__ import annotations
 
@@ -225,18 +225,31 @@ def denormalize_window(window: SeriesWindow) -> SeriesWindow:
     return replace(window, values=window.values * factor + offset, scale=(0.0, 1.0))
 
 
-def write_series_csv(windows: Sequence[SeriesWindow], path) -> None:
-    """Write windows as rows (window_id, t, value)."""
+#: Cells the csv module writes in :func:`_write_csv`'s format (a float as its repr).
+_PLAIN_CELLS = frozenset((str, int, float))
+
+
+def _write_csv(path, header, rows) -> None:
+    """Write header and row tuples in the csv module's default dialect: a float as
+    ``repr(float(v))``, which reads back bitwise, any other cell as it is.  Pass Python
+    floats (``ndarray.tolist()``); iterating numpy scalars is slower."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["window_id", "t", "value"])
-        for window in windows:
-            for t, value in enumerate(window.values):
-                writer.writerow([window.series_id, t, repr(float(value))])
+        writer.writerow(header)
+        writer.writerows(row if _PLAIN_CELLS.issuperset(map(type, row))
+                         else [repr(float(v)) if isinstance(v, float) else v for v in row]
+                         for row in rows)
+
+
+def write_series_csv(windows: Sequence[SeriesWindow], path) -> None:
+    """Write windows as rows (window_id, t, value) in :func:`_write_csv`'s format."""
+    _write_csv(path, ("window_id", "t", "value"),
+               ((window.series_id, t, value)
+                for window in windows for t, value in enumerate(window.values.tolist())))
 
 
 def read_series_csv(path) -> List[SeriesWindow]:
-    """Read windows written by :func:`write_series_csv` (order-preserving)."""
+    """Read windows written by :func:`write_series_csv` (order-preserving, not empty)."""
     path = Path(path)
     groups: dict = {}
     with open(path, newline="", encoding="utf-8") as handle:
@@ -255,6 +268,8 @@ def read_series_csv(path) -> List[SeriesWindow]:
                 raise ConfigurationError(
                     f"{path}: malformed row {row_number}: {row}"
                 ) from None
+    if not groups:
+        raise ConfigurationError(f"{path}: no rows after the header")
     return [
         SeriesWindow(values=np.asarray(vals), source_id=window_id, start_index=0)
         for window_id, vals in groups.items()

@@ -41,6 +41,7 @@ from .cost_attack import (
     FLAG_INFEASIBLE,
     FLAG_WEAK_ACTIVE,
     FLAG_ZERO_GRADIENT,
+    _norm,
 )
 from .lqr import BatchForm, check_series, linear_term, rollout_cost
 from .qp import ConstraintSet, QpSolution, solve_qp
@@ -168,7 +169,7 @@ def unit(v: np.ndarray) -> np.ndarray:
 def project_ball(x: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
     """Project x onto the L2 ball of the given radius around center."""
     offset = x - center
-    norm = float(np.linalg.norm(offset))
+    norm = _norm(offset)
     if norm <= radius:
         return x
     return center + offset * (radius / norm)
@@ -202,7 +203,7 @@ def _ascend(batch, cons, s, delta, target, steps, step_size) -> AttackResult:
             s_hat=s_hat,
             delta=float(delta),
             attained=float(attained),
-            norm_used=float(np.linalg.norm(s_hat - s)),
+            norm_used=_norm(s_hat - s),
             flags=frozenset(flags),
             u_hat=u_hat,
         )

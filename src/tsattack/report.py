@@ -1,29 +1,24 @@
 """Report emission: records.csv, summary.json, and plot-ready series CSVs.
 
 Outputs are byte-deterministic for a given stats object: records are sorted
-by key, floats are written with shortest-roundtrip repr, and JSON keys are
-sorted.
+by key, CSVs are written by :func:`tsattack.data._write_csv` (floats as the
+shortest repr that reads back bitwise), and JSON keys are sorted.
 """
 
 from __future__ import annotations
 
-import csv
 import json
+import operator
 from dataclasses import fields
 from pathlib import Path
 from typing import Dict
 
 from . import __version__
+from .data import _write_csv
 from .experiments import Record, ScenarioStats
 
 #: records.csv columns: the Record fields, in their order.
 RECORD_COLUMNS = tuple(field.name for field in fields(Record))
-
-
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    return repr(float(value))
 
 
 def emit_report(stats: ScenarioStats, out_dir) -> Dict[str, str]:
@@ -37,11 +32,8 @@ def emit_report(stats: ScenarioStats, out_dir) -> Dict[str, str]:
 
     records_path = out / "records.csv"
     ordered = sorted(stats.records, key=lambda r: (r.series_id, r.delta, r.scenario))
-    with open(records_path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(RECORD_COLUMNS)
-        for record in ordered:
-            writer.writerow([_fmt(getattr(record, col)) for col in RECORD_COLUMNS])
+    _write_csv(records_path, RECORD_COLUMNS,
+               map(operator.attrgetter(*RECORD_COLUMNS), ordered))
     paths["records"] = str(records_path)
 
     summary_path = out / "summary.json"
@@ -63,11 +55,9 @@ def emit_report(stats: ScenarioStats, out_dir) -> Dict[str, str]:
         series_dir.mkdir(exist_ok=True)
         for dump in stats.series_dumps:
             safe_id = dump.series_id.replace(":", "_").replace("/", "_")
-            name = f"{safe_id}__{dump.scenario}__delta{_fmt(dump.delta)}.csv"
-            with open(series_dir / name, "w", newline="", encoding="utf-8") as handle:
-                writer = csv.writer(handle)
-                writer.writerow(["t", "original", "attacked"])
-                for t, (orig, adv) in enumerate(zip(dump.original, dump.attacked)):
-                    writer.writerow([t, _fmt(orig), _fmt(adv)])
+            name = f"{safe_id}__{dump.scenario}__delta{repr(float(dump.delta))}.csv"
+            _write_csv(series_dir / name, ("t", "original", "attacked"),
+                       zip(range(len(dump.original)), dump.original.tolist(),
+                           dump.attacked.tolist()))
         paths["series_dir"] = str(series_dir)
     return paths

@@ -204,6 +204,20 @@ class TestAttackCommands:
                      "--out", str(tmp_path / "x.csv")])
         assert code == 3
 
+    @pytest.mark.parametrize("box", [pytest.param({}, id="lqr"),
+                                     pytest.param({"action_box": "auto"}, id="auto-box")])
+    def test_empty_input_exits_one_naming_it(self, tmp_path, capsys, box):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(dict(BASE_CONFIG, **box)), encoding="utf-8")
+        inp = tmp_path / "no_rows.csv"
+        inp.write_text("window_id,t,value\r\n", encoding="utf-8")
+        out = tmp_path / "attacked.csv"
+        code = main(["attack", "--scenario", "cost-adv", "--config", str(config),
+                     "--delta", "1.0", "--in", str(inp), "--out", str(out)])
+        assert code == 1
+        assert "no_rows.csv" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_removed_subcommands_are_rejected(self, tmp_path, config_path, capsys):
         inp = self._gen_input(tmp_path)
         code = main(["attack", "cost", "--config", str(config_path),
@@ -348,6 +362,8 @@ class TestExperimentCommand:
         ({"deltas": [1e200], "scenarios": ["cost-adv"]},
          "delta 1e+200 overflows the realized cost"),
         ({"deltas": [1e200], "scenarios": ["random"]},
+         "delta 1e+200 overflows the realized cost"),
+        ({"deltas": [1e200], "scenarios": ["max-action"]},
          "delta 1e+200 overflows the realized cost"),
     ])
     def test_bad_config_value_exits_one(self, tmp_path, capsys, overrides, key):

@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 
 from tsattack import (
+    ConstraintSet,
+    TargetFunction,
     batch_form,
     cost_attack,
     cost_delta_quadratic,
     dominant_eigenpair,
+    iterated_attack,
     random_sphere_attack,
 )
 from tsattack import lqr
@@ -210,6 +213,9 @@ class TestRandomSphereAttack:
     pytest.param(lambda batch, s, delta: cost_attack(batch, s, delta), id="cost"),
     pytest.param(lambda batch, s, delta: random_sphere_attack(s, delta, seed=5),
                  id="random"),
+    pytest.param(lambda batch, s, delta: iterated_attack(
+        batch, ConstraintSet.empty(batch.m_total, batch.p_total), s, delta,
+        TargetFunction.MAX_ACTION, steps=3), id="iterated"),
 ])
 def test_norm_used_stays_finite_past_the_squared_overflow(scalar_t2, attack):
     # The sum of squares of a 1e200 step overflows; its norm does not.

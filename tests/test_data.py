@@ -190,6 +190,16 @@ class TestSeriesCsvRoundtrip:
             np.testing.assert_array_equal(loaded.values, original.values)
             assert loaded.source_id == original.series_id
 
+    def test_write_read_is_bitwise(self, tmp_path):
+        # csv quotes the id; tobytes tells -0.0 from 0.0, array_equal does not.
+        values = np.array([-0.0, 5e-324, 1.7976931348623157e308, 0.1, 1 / 3])
+        window = SeriesWindow(values=values, source_id="demand,MW", start_index=0)
+        path = tmp_path / "series.csv"
+        write_series_csv([window], path)
+        (loaded,) = read_series_csv(path)
+        assert loaded.values.tobytes() == values.tobytes()
+        assert loaded.source_id == window.series_id == "demand,MW:000000"
+
     def test_rejects_wrong_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n", encoding="utf-8")

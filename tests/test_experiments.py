@@ -1,4 +1,6 @@
+import csv
 import importlib
+import io
 import json
 import math
 from pathlib import Path
@@ -653,6 +655,24 @@ class TestEmitReport:
         assert summary["seed"] == 7
         assert summary["config"]["seed"] == 7
         assert len(summary["aggregates"]) == 4
+
+    def test_csv_cells_are_float_reprs(self, tmp_path):
+        emit_report(run_experiment(make_config(series_dump_limit=2)), tmp_path / "out")
+        text_columns = {"series_id", "scenario", "flags"}
+        paths = [tmp_path / "out" / "records.csv",
+                 *sorted((tmp_path / "out" / "series").iterdir())]
+        for path in paths:
+            content = path.read_bytes()
+            assert content.endswith(b"\r\n")
+            assert content.count(b"\n") == content.count(b"\r\n")
+            header, *rows = csv.reader(io.StringIO(content.decode("utf-8"), newline=""))
+            assert rows
+            for row in rows:
+                for column, cell in zip(header, row, strict=True):
+                    if column == "t":
+                        assert cell == str(int(cell))
+                    elif column not in text_columns:
+                        assert cell == repr(float(cell))
 
     def test_series_dumps_written(self, tmp_path):
         cfg = make_config(series_dump_limit=2)

@@ -652,3 +652,9 @@ class TestHelpers:
         assert np.linalg.norm(projected - center) <= radius * (1 + 1e-9)
         if np.linalg.norm(x - center) <= radius:
             np.testing.assert_array_equal(projected, x)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_project_ball_past_the_squared_overflow(self):
+        # The offset's sum of squares overflows; its norm does not.
+        projected = project_ball(np.full(4, 1e200), np.zeros(4), 1.0)
+        assert math.isclose(np.linalg.norm(projected), 1.0, rel_tol=1e-12)
