@@ -225,24 +225,21 @@ def denormalize_window(window: SeriesWindow) -> SeriesWindow:
     return replace(window, values=window.values * factor + offset, scale=(0.0, 1.0))
 
 
-#: Cells the csv module writes in :func:`_write_csv`'s format (a float as its repr).
-_PLAIN_CELLS = frozenset((str, int, float))
-
-
 def _write_csv(path, header, rows) -> None:
-    """Write header and row tuples in the csv module's default dialect: a float as
-    ``repr(float(v))``, which reads back bitwise, any other cell as it is.  Pass Python
-    floats (``ndarray.tolist()``); iterating numpy scalars is slower."""
+    """Write header and row tuples in the csv module's default dialect.  Cells must be
+    str, int or Python float (``ndarray.tolist()``), and a float is written as its repr,
+    which reads back bitwise; the writer converts no numpy value."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        writer.writerows(row if _PLAIN_CELLS.issuperset(map(type, row))
-                         else [repr(float(v)) if isinstance(v, float) else v for v in row]
-                         for row in rows)
+        writer.writerows(rows)
 
 
 def write_series_csv(windows: Sequence[SeriesWindow], path) -> None:
-    """Write windows as rows (window_id, t, value) in :func:`_write_csv`'s format."""
+    """Write windows as rows (window_id, t, value) in :func:`_write_csv`'s format;
+    no windows is an error, as :func:`read_series_csv` rejects a file with no rows."""
+    if not windows:
+        raise ConfigurationError(f"{path}: no windows to write")
     _write_csv(path, ("window_id", "t", "value"),
                ((window.series_id, t, value)
                 for window in windows for t, value in enumerate(window.values.tolist())))

@@ -24,7 +24,8 @@ RECORD_COLUMNS = tuple(field.name for field in fields(Record))
 def emit_report(stats: ScenarioStats, out_dir) -> Dict[str, str]:
     """Write records.csv, summary.json, and per-series attack CSVs.
 
-    Returns the paths written, keyed by artifact name.
+    Non-str record fields and series values of any numeric type are written
+    as ``repr(float(v))``.  Returns the paths written, keyed by artifact name.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -33,7 +34,8 @@ def emit_report(stats: ScenarioStats, out_dir) -> Dict[str, str]:
     records_path = out / "records.csv"
     ordered = sorted(stats.records, key=lambda r: (r.series_id, r.delta, r.scenario))
     _write_csv(records_path, RECORD_COLUMNS,
-               map(operator.attrgetter(*RECORD_COLUMNS), ordered))
+               ([v if isinstance(v, str) else float(v) for v in row]
+                for row in map(operator.attrgetter(*RECORD_COLUMNS), ordered)))
     paths["records"] = str(records_path)
 
     summary_path = out / "summary.json"
@@ -57,7 +59,8 @@ def emit_report(stats: ScenarioStats, out_dir) -> Dict[str, str]:
             safe_id = dump.series_id.replace(":", "_").replace("/", "_")
             name = f"{safe_id}__{dump.scenario}__delta{repr(float(dump.delta))}.csv"
             _write_csv(series_dir / name, ("t", "original", "attacked"),
-                       zip(range(len(dump.original)), dump.original.tolist(),
-                           dump.attacked.tolist()))
+                       zip(range(len(dump.original)),
+                           dump.original.astype(float, copy=False).tolist(),
+                           dump.attacked.astype(float, copy=False).tolist()))
         paths["series_dir"] = str(series_dir)
     return paths

@@ -50,6 +50,13 @@ class TestGenArima:
     def test_missing_argument_exits_one(self, capsys):
         assert main(["gen-arima", "--seed", "3"]) == 1
 
+    def test_zero_count_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "series.csv"
+        assert main(["gen-arima", "--seed", "3", "--count", "0",
+                     "--horizon", "10", "--out", str(out)]) == 1
+        assert "no windows" in capsys.readouterr().err
+        assert not out.exists()
+
 
 #: One scenario per former ``attack`` sub-subcommand, under its old id.
 CLOSED_FORM_AND_GRADIENT = [pytest.param("cost-adv", id="cost"),

@@ -200,6 +200,12 @@ class TestSeriesCsvRoundtrip:
         assert loaded.values.tobytes() == values.tobytes()
         assert loaded.source_id == window.series_id == "demand,MW:000000"
 
+    def test_write_rejects_no_windows(self, tmp_path):
+        path = tmp_path / "series.csv"
+        with pytest.raises(ConfigurationError, match="no windows"):
+            write_series_csv([], path)
+        assert not path.exists()
+
     def test_rejects_wrong_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n", encoding="utf-8")

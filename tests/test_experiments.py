@@ -32,6 +32,7 @@ from tsattack.config import SCENARIOS
 from tsattack.experiments import (
     Record,
     ScenarioStats,
+    SeriesDump,
     _paired_p_values,
     attack_series,
     constraints_for,
@@ -673,6 +674,31 @@ class TestEmitReport:
                         assert cell == str(int(cell))
                     elif column not in text_columns:
                         assert cell == repr(float(cell))
+
+    def test_numeric_cells_of_any_type_are_float_reprs(self, tmp_path):
+        record = Record(series_id="s", delta=1, scenario="cost-adv", j_orig=True,
+                        j_adv=np.float32(0.1), max_u_orig=np.int64(2),
+                        max_u_adv=np.float64(0.1), min_u_orig=0.5, min_u_adv=-3,
+                        l1_orig=False, l1_adv=np.float32(-0.0), norm_used=1e-300,
+                        flags="")
+        dump = SeriesDump(series_id="s", delta=np.float64(1), scenario="cost-adv",
+                          original=np.array([1, 2]),
+                          attacked=np.array([0.1, 0.25], dtype=np.float32))
+        stats = ScenarioStats(records=(record,), aggregates=(), p_values=(),
+                              series_dumps=(dump,), config={}, seed=0, n_windows=1)
+        emit_report(stats, tmp_path / "out")
+
+        def read_csv(path):
+            return list(csv.reader(io.StringIO(path.read_text(encoding="utf-8"))))
+
+        rows = read_csv(tmp_path / "out" / "records.csv")
+        assert rows[1] == ["s", "1.0", "cost-adv", "1.0", "0.10000000149011612", "2.0",
+                           "0.1", "0.5", "-3.0", "0.0", "-0.0", "1e-300", ""]
+        (series_file,) = (tmp_path / "out" / "series").iterdir()
+        assert series_file.name == "s__cost-adv__delta1.0.csv"
+        assert read_csv(series_file) == [["t", "original", "attacked"],
+                                         ["0", "1.0", "0.10000000149011612"],
+                                         ["1", "2.0", "0.25"]]
 
     def test_series_dumps_written(self, tmp_path):
         cfg = make_config(series_dump_limit=2)
