@@ -48,9 +48,17 @@ METRIC_BY_SCENARIO = {
 }
 
 
-@dataclass(frozen=True)
+#: Stands in for every NaN field when records are compared or hashed.
+_NAN = object()
+
+
+@dataclass(frozen=True, eq=False)
 class Record:
-    """One (series, delta, scenario) outcome; all costs are vs the real series."""
+    """One (series, delta, scenario) outcome; all costs are vs the real series.
+
+    Records compare and hash by value, with every NaN field (the action
+    metrics of an infeasible outcome) equal to every other NaN.
+    """
 
     series_id: str
     delta: float
@@ -65,6 +73,18 @@ class Record:
     l1_adv: float
     norm_used: float
     flags: str
+
+    def _key(self) -> tuple:
+        return tuple(_NAN if isinstance(v, float) and math.isnan(v) else v
+                     for v in vars(self).values())
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 @dataclass(frozen=True)
@@ -354,8 +374,9 @@ def run_experiment(cfg: ExperimentConfig) -> ScenarioStats:
         max_orig, min_orig, l1_orig = metrics_orig[w_idx]
         max_adv, min_adv, l1_adv = metrics_adv
         if not ok:
-            # The U_adv row is NaN already; the one math.nan object keeps
-            # reruns' records equal (tuple == matches identical objects).
+            # The U_adv row is NaN already.  Records compare NaN by value,
+            # but lists of their raw fields (perfbench's canonical_records)
+            # match NaNs only by identity, so they get the one math.nan.
             max_adv = min_adv = l1_adv = math.nan
             flags = flags | {FLAG_INFEASIBLE}
         records.append(Record(

@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .cost_attack import (
     AttackResult,
@@ -43,7 +42,7 @@ from .cost_attack import (
     FLAG_ZERO_GRADIENT,
     _norm,
 )
-from .lqr import BatchForm, check_series, linear_term, rollout_cost
+from .lqr import BatchForm, _solve_triangular, check_series, linear_term, rollout_cost
 from .qp import ConstraintSet, QpSolution, solve_qp
 
 #: Directions with L2 norm at or below this are treated as zero gradients.
@@ -133,10 +132,8 @@ def _adjoint(batch: BatchForm, cons: ConstraintSet, sol: QpSolution, g):
     active = list(sol.active)
     GA_t = cons.G[active].T
     c, lower = batch.K_factor
-    B = solve_triangular(c, GA_t, lower=lower, trans=int(not lower),
-                         check_finite=False)  # C^-1 G_A'
-    b = solve_triangular(c, g, lower=lower, trans=int(not lower),
-                         check_finite=False)  # C^-1 g
+    B = _solve_triangular(c, GA_t, lower, int(not lower))  # C^-1 G_A'
+    b = _solve_triangular(c, g, lower, int(not lower))  # C^-1 g
     nu, _, rank, _ = np.linalg.lstsq(B, b, rcond=LICQ_TOL)
     return free @ (g - GA_t @ nu) + cons.H[active].T @ nu, rank < len(active)
 
@@ -208,11 +205,13 @@ def _ascend(batch, cons, s, delta, target, steps, step_size) -> AttackResult:
             u_hat=u_hat,
         )
 
-    if np.linalg.norm(direction) <= ZERO_DIRECTION_TOL:
+    norm = np.linalg.norm(direction)
+    if norm <= ZERO_DIRECTION_TOL:
         flags.add(FLAG_ZERO_GRADIENT)
         return result(s.copy(), target_value(target, sol.u, batch, s), sol.u)
 
-    s_hat = s + delta * unit(direction)
+    heading = direction / norm  # unit(direction), with the norm taken once
+    s_hat = s + delta * heading
     attacked = solve_qp(batch, cons, s_hat)
     if not attacked.optimal:
         flags.add(FLAG_INFEASIBLE)
@@ -224,9 +223,11 @@ def _ascend(batch, cons, s, delta, target, steps, step_size) -> AttackResult:
         if i:
             direction, step_flags = _attack_direction(batch, cons, sol_cur, target, s)
             flags |= step_flags
-            if np.linalg.norm(direction) <= ZERO_DIRECTION_TOL:
+            norm = np.linalg.norm(direction)
+            if norm <= ZERO_DIRECTION_TOL:
                 break
-        s_next = project_ball(s_cur + step_size * unit(direction), s, delta)
+            heading = direction / norm
+        s_next = project_ball(s_cur + step_size * heading, s, delta)
         fixed_point = np.array_equal(s_next, s_cur)
         sol_next = sol_cur if fixed_point else solve_qp(batch, cons, s_next)
         if not sol_next.optimal:

@@ -17,7 +17,9 @@ coefficients: the optimal-action map -K^{-1} k, the series-to-cost
 coupling L, its free Jacobian -K^{-1} L and Psi = L' K^{-1} L.
 
 K is never inverted explicitly; a Cholesky factorization is stored on the
-batch form and reused for all solves.
+batch form and reused for all solves.  The solvers' hot paths solve with it
+through :func:`_cho_solve` and :func:`_solve_triangular`, which call LAPACK
+directly.
 """
 
 from __future__ import annotations
@@ -26,11 +28,40 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, get_lapack_funcs
 
 from .errors import ConfigurationError
 
 SYMMETRY_TOL = 1e-12
+
+_POTRS, _TRTRS = get_lapack_funcs(("potrs", "trtrs"), dtype=np.float64)
+
+
+def _cho_solve(factor, b) -> np.ndarray:
+    """``scipy.linalg.cho_solve(factor, b, check_finite=False)``, bit for bit,
+    without its per-call wrapper cost.  ``b`` is a non-empty float array."""
+    c, lower = factor
+    x, info = _POTRS(c, b, lower=lower)
+    if info != 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal potrs")
+    return x
+
+
+def _solve_triangular(a, b, lower=False, trans=0) -> np.ndarray:
+    """``scipy.linalg.solve_triangular(a, b, trans, lower, check_finite=False)``
+    for real a and non-empty b, bit for bit, without its per-call wrapper
+    cost.  Like scipy, a C-ordered ``a`` is solved as ``a.T`` with ``lower``
+    and ``trans`` flipped; a zero on the diagonal raises LinAlgError."""
+    if a.flags.f_contiguous:
+        x, info = _TRTRS(a, b, lower=lower, trans=trans)
+    else:
+        x, info = _TRTRS(a.T, b, lower=not lower, trans=not trans)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"singular matrix: resolution failed at diagonal {info - 1}")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal trtrs")
+    return x
 
 
 def _finite_array(value, name: str) -> np.ndarray:

@@ -10,7 +10,10 @@ Programming 27, 1983), started from the unconstrained optimum, so it needs
 no feasible start.  It returns exact active sets and dual multipliers, which
 the attack code differentiates through; first-order solvers would blur both.
 Infeasibility is proved by a Farkas ray from the dual iteration, never
-inferred from divergence.
+inferred from divergence.  Solves with the Cholesky factor of K call LAPACK
+``potrs``/``trtrs`` directly (bitwise what scipy's wrappers return, without
+their per-call cost), an empty working set skips its QR, and the KKT or
+Farkas check of every solve still runs.
 """
 
 from __future__ import annotations
@@ -19,13 +22,13 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
 # The solver needs no LP.  The benchmark tracer (perfbench/tracing.py) still
 # wraps this name to count phase-1 LP calls, so it stays importable here.
 from scipy.optimize import linprog  # noqa: F401
 
 from .errors import ConfigurationError, NumericalError
-from .lqr import BatchForm, SystemSpec, _finite_array, check_series, linear_term
+from .lqr import (BatchForm, SystemSpec, _cho_solve, _finite_array, _solve_triangular,
+                  check_series, linear_term)
 
 #: An active constraint with a dual below this is classified weakly active.
 WEAK_DUAL_TOL = 1e-9
@@ -166,7 +169,7 @@ def _dual_active_set(batch, k, G, rhs, tol):
     """
     q, mT = G.shape
     c, lower = batch.K_factor
-    u = -cho_solve(batch.K_factor, k, check_finite=False)
+    u = -_cho_solve(batch.K_factor, k)
     mu = np.zeros(q)
     work: list[int] = []
     B = np.zeros((mT, 0))  # L^-1 N, one column per working row
@@ -178,11 +181,13 @@ def _dual_active_set(batch, k, G, rhs, tol):
             j = int(np.argmax(excess))
             if excess[j] <= 0.0:
                 break
-            b = solve_triangular(c, G[j], lower=lower, trans=int(not lower),
-                                 check_finite=False)  # L^-1 n
-        Qw, R = np.linalg.qr(B)
-        r = solve_triangular(R, Qw.T @ b, check_finite=False)
-        residual = b - Qw @ (Qw.T @ b)  # L^-1 (n - N r)
+            b = _solve_triangular(c, G[j], lower, int(not lower))  # L^-1 n
+        if work:
+            Qw, R = np.linalg.qr(B)
+            r = _solve_triangular(R, Qw.T @ b)
+            residual = b - Qw @ (Qw.T @ b)  # L^-1 (n - N r)
+        else:  # what the QR of the empty B gives, bit for bit
+            r, residual = np.zeros(0), b
         blocking = np.flatnonzero(r > 0.0)
         drop = blocking[np.argmin(mu[work][blocking] / r[blocking])] if blocking.size else -1
         t_drop = mu[work[drop]] / r[drop] if blocking.size else np.inf
@@ -194,8 +199,7 @@ def _dual_active_set(batch, k, G, rhs, tol):
                 return None, None, y
             t = t_drop
         else:
-            z = 0.5 * solve_triangular(c, residual, lower=lower, trans=int(lower),
-                                       check_finite=False)
+            z = 0.5 * _solve_triangular(c, residual, lower, int(lower))
             t = min((G[j] @ u - rhs[j]) / (G[j] @ z), t_drop)
             u = u - t * z
         mu[work] -= t * r
@@ -233,7 +237,7 @@ def solve_qp(batch: BatchForm, cons: ConstraintSet, s_obs) -> QpSolution:
     """
     k = linear_term(batch, s_obs)
     if cons.q == 0:
-        u0 = -cho_solve(batch.K_factor, k, check_finite=False)
+        u0 = -_cho_solve(batch.K_factor, k)
         return QpSolution(u=u0, mu=np.zeros(0), active=(), weakly_active=(),
                           status="optimal")
 
@@ -299,18 +303,17 @@ def kkt_residuals(batch: BatchForm, cons: ConstraintSet, s_obs, sol: QpSolution)
 
 def _kkt_residuals(batch, cons, k, rhs, slack, sol) -> dict:
     """:func:`kkt_residuals` from the linear term k, the right-hand side rhs
-    and the slack G u - rhs."""
-    grad = 2.0 * batch.K @ sol.u + 2.0 * k
-    pull = cons.G.T @ sol.mu
-    stat_scale = 1.0 + max(np.abs(grad - 2.0 * k).max(initial=0.0),
-                           np.abs(2.0 * k).max(initial=0.0),
+    and the slack G u - rhs; each of the terms 2Ku, 2k and G'mu is formed
+    once."""
+    quad, lin, pull = 2.0 * (batch.K @ sol.u), 2.0 * k, cons.G.T @ sol.mu
+    stat_scale = 1.0 + max(np.abs(quad).max(initial=0.0), np.abs(lin).max(initial=0.0),
                            np.abs(pull).max(initial=0.0))
-    row_scale = (1.0 + np.abs(sol.mu)) * (1.0 + np.abs(rhs))
+    rhs_scale = 1.0 + np.abs(rhs)
+    row_scale = (1.0 + np.abs(sol.mu)) * rhs_scale
     return {
-        "stationarity": float(np.abs(grad + pull).max(initial=0.0) / stat_scale),
-        "feasibility": float(np.max(slack / (1.0 + np.abs(rhs)), initial=0.0)),
-        "complementarity": float(np.max(np.abs(sol.mu * slack) / row_scale,
-                                        initial=0.0)),
+        "stationarity": float(np.abs(quad + lin + pull).max(initial=0.0) / stat_scale),
+        "feasibility": float((slack / rhs_scale).max(initial=0.0)),
+        "complementarity": float((np.abs(sol.mu * slack) / row_scale).max(initial=0.0)),
         "dual_sign": float(max(0.0, -sol.mu.min(initial=0.0))),
     }
 

@@ -65,6 +65,29 @@ def finite_difference_jacobian(batch, cons, s_obs, step: float = 1e-6):
     return SolutionJacobian(J=J, weak_active_flag=False)
 
 
+def kkt_residuals_oracle(batch, cons, s_obs, sol):
+    """Reference for :func:`tsattack.kkt_residuals`: the residuals as first
+    written, with the gradient 2Ku + 2k formed whole and 2Ku taken back out
+    of it for the scale."""
+    s_obs = np.asarray(s_obs, dtype=float)
+    k = batch.k_const + batch.L @ s_obs
+    rhs = cons.h0 + cons.H @ s_obs
+    slack = cons.G @ sol.u - rhs
+    grad = 2.0 * batch.K @ sol.u + 2.0 * k
+    pull = cons.G.T @ sol.mu
+    stat_scale = 1.0 + max(np.abs(grad - 2.0 * k).max(initial=0.0),
+                           np.abs(2.0 * k).max(initial=0.0),
+                           np.abs(pull).max(initial=0.0))
+    row_scale = (1.0 + np.abs(sol.mu)) * (1.0 + np.abs(rhs))
+    return {
+        "stationarity": float(np.abs(grad + pull).max(initial=0.0) / stat_scale),
+        "feasibility": float(np.max(slack / (1.0 + np.abs(rhs)), initial=0.0)),
+        "complementarity": float(np.max(np.abs(sol.mu * slack) / row_scale,
+                                        initial=0.0)),
+        "dual_sign": float(max(0.0, -sol.mu.min(initial=0.0))),
+    }
+
+
 def random_state_box_instance(seed, mixed, state_scale, action_scale):
     """Random system and series under a state box scaled to the free
     trajectory and, when mixed, an action box scaled to the free actions."""

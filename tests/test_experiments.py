@@ -482,6 +482,19 @@ class TestConstraintExperiment:
         assert any("infeasible" in r.flags for r in first.records)
         assert first.records == second.records
 
+    def test_records_with_separately_made_nans_compare_equal(self):
+        # NaN fields compare by value: no shared NaN object is needed.
+        def infeasible(l1_orig=1.0):
+            return Record("w0", 1.0, "max-action", 2.0, math.inf, 0.5, float("nan"),
+                          -0.5, float("nan"), l1_orig, float("nan"), 1.0, "infeasible")
+
+        first, second = infeasible(), infeasible()
+        assert first.max_u_adv is not second.max_u_adv
+        assert first == second
+        assert hash(first) == hash(second)
+        assert len({first, second}) == 1
+        assert first != infeasible(l1_orig=1.5)
+
     def test_zero_gradient_scenario_flagged(self):
         cfg = make_config(
             scenarios=["cost-gradient", "random"],

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import cho_solve
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from tsattack import (
     ConfigurationError,
@@ -16,7 +16,7 @@ from tsattack import (
     rollout_cost,
     solve_unconstrained,
 )
-from tsattack.lqr import linear_term
+from tsattack.lqr import _cho_solve, _solve_triangular, linear_term
 
 from conftest import make_scalar_spec, random_system
 
@@ -213,6 +213,39 @@ class TestSolveUnconstrained:
             k = linear_term(batch, s)
             residual = np.abs(2 * batch.K @ u + 2 * k).max()
             assert residual <= 1e-9 * (1 + np.abs(k).max())
+
+
+class TestLapackSolves:
+    """The direct LAPACK calls give scipy's wrappers' results bit for bit."""
+
+    @pytest.mark.parametrize("rhs_shape", [(7,), (7, 3)], ids=["1d", "2d"])
+    @pytest.mark.parametrize("trans", [0, 1])
+    @pytest.mark.parametrize("lower", [True, False])
+    @pytest.mark.parametrize("order", ["F", "C"])
+    def test_solve_triangular_matches_scipy(self, order, lower, trans, rhs_shape):
+        # A full matrix: each triangle is read only when it should be.
+        rng = np.random.default_rng(11)
+        a = np.asarray(rng.standard_normal((7, 7)) + 7.0 * np.eye(7), order=order)
+        b = rng.standard_normal(rhs_shape)
+        expected = solve_triangular(a, b, trans=trans, lower=lower, check_finite=False)
+        assert np.array_equal(_solve_triangular(a, b, lower, trans), expected)
+
+    @pytest.mark.parametrize("order", ["F", "C"])
+    def test_singular_triangle_raises(self, order):
+        a = np.asarray(np.triu(np.ones((4, 4))), order=order)
+        a[2, 2] = 0.0
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            _solve_triangular(a, np.ones(4))
+
+    @pytest.mark.parametrize("rhs_shape", [(7,), (7, 3)], ids=["1d", "2d"])
+    @pytest.mark.parametrize("lower", [True, False])
+    def test_cho_solve_matches_scipy(self, lower, rhs_shape):
+        rng = np.random.default_rng(13)
+        W = rng.standard_normal((7, 7))
+        factor = cho_factor(W @ W.T + 7.0 * np.eye(7), lower=lower)
+        b = rng.standard_normal(rhs_shape)
+        expected = cho_solve(factor, b, check_finite=False)
+        assert np.array_equal(_cho_solve(factor, b), expected)
 
 
 class TestRolloutCost:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -26,7 +27,12 @@ from tsattack import (
 from tsattack import qp as qp_module
 from tsattack.lqr import linear_term
 
-from conftest import make_scalar_spec, random_state_box_instance, random_system
+from conftest import (
+    kkt_residuals_oracle,
+    make_scalar_spec,
+    random_state_box_instance,
+    random_system,
+)
 
 
 def qp_objective(batch, s_obs, u):
@@ -310,6 +316,37 @@ class TestSolveQp:
             assert res["feasibility"] <= 1e-9
             assert res["complementarity"] <= 1e-8
             assert res["dual_sign"] <= 1e-12
+            assert res == pytest.approx(kkt_residuals_oracle(batch, cons, s, sol),
+                                        rel=0, abs=1e-14)
+
+    @pytest.mark.parametrize("broken", ["stationarity", "feasibility",
+                                        "complementarity", "dual_sign"])
+    def test_kkt_residuals_flag_a_perturbed_optimum(self, broken):
+        # Each perturbation of an optimum breaks one KKT condition: u moved
+        # off an active bound into the box or past it, a positive multiplier
+        # on a slack row, a negative multiplier.
+        spec = make_scalar_spec(T=4)
+        batch = batch_form(spec)
+        cons = compile_constraints(spec, batch, action_box=(-0.3, 0.3))
+        s = np.zeros(4)
+        sol = solve_qp(batch, cons, s)
+        assert sol.active and max(kkt_residuals(batch, cons, s, sol).values()) <= 1e-12
+        held = sol.active[0]  # an upper bound; row held + 4 is its slack lower bound
+        u, mu = sol.u.copy(), sol.mu.copy()
+        if broken == "stationarity":
+            u[held] -= 1e-3
+        elif broken == "feasibility":
+            u[held] += 1e-3
+        elif broken == "complementarity":
+            mu[held + 4] = 1e-3
+        else:
+            mu[held + 4] = -1e-6
+        bad = dataclasses.replace(sol, u=u, mu=mu)
+        res = kkt_residuals(batch, cons, s, bad)
+        assert res[broken] > qp_module.KKT_LIMITS[broken]
+        assert res == pytest.approx(kkt_residuals_oracle(batch, cons, s, bad), rel=0, abs=1e-14)
+        with pytest.raises(NumericalError, match="KKT check"):
+            qp_module._check("KKT check", res, qp_module.KKT_LIMITS)
 
     def test_objective_never_beats_unconstrained(self):
         rng = np.random.default_rng(73)
