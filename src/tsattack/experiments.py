@@ -7,7 +7,9 @@ attacked controller is costed against the REAL series; the perturbed
 series only ever enters through the controller's decision.  Runs are
 deterministic for a given (config, seed): per-task seeds are derived from
 window and delta indices, and aggregation sorts records by key before
-emission.
+emission.  The clean windows are solved once, as one block, and each
+(delta, scenario) pair attacks all windows at once from those solutions;
+every record is bit for bit what one window attacked on its own gives.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .data import (
     sample_random_arima,
 )
 from .errors import ConfigurationError, NumericalError
-from .grad_attack import TargetFunction, iterated_attack, single_step_attack
+from .grad_attack import TargetFunction, _ascend_rows, iterated_attack, single_step_attack
 from .lqr import (
     BatchForm,
     batch_form,
@@ -35,7 +37,7 @@ from .lqr import (
     realized_costs,
     solve_unconstrained,
 )
-from .qp import ConstraintSet, compile_constraints, solve_qp
+from .qp import ConstraintSet, QpSolution, _held, _solve_rows, compile_constraints
 from .stats import wilcoxon_signed_rank
 
 #: The record column each scenario's significance test compares with random.
@@ -294,37 +296,75 @@ def attack_windows(cfg: ExperimentConfig, batch: BatchForm, cons: ConstraintSet,
                    S: Sequence[np.ndarray]) -> Tuple[np.ndarray, List[tuple]]:
     """The attack stage: solve the clean windows S, then attack and answer every task.
 
-    One :class:`ConfigurationError` names every window (by ``series_ids``)
-    whose clean problem is infeasible.  Each (window, delta, scenario) task
-    perturbs its checked window through :func:`attack_series` (``random``
-    seeded by :func:`task_seed`); the answer is a gradient attack's
-    ``u_hat``, else one :func:`solve_qp` of the attacked series, and None
-    when infeasible.  A solver failure is re-raised naming its task.
-    Returns the clean actions (one row per window) and, in loop order, a
-    (window index, delta, scenario, result, answer) tuple per task.
+    The clean windows are solved as one block; one
+    :class:`ConfigurationError` names every window (by ``series_ids``)
+    whose clean problem is infeasible.  Then each (delta, scenario) pair
+    attacks all windows at once (:func:`_attack_block`).  The tasks are
+    taken in (window, delta, scenario) loop order, and a failure held for a
+    task is raised there, so the first failing task in loop order is the
+    one named; a solver failure is re-raised naming it.  Returns the clean
+    actions (one row per window) and, in loop order, a (window index,
+    delta, scenario, result, answer) tuple per task.
     """
-    U_orig, feasible = _stack_actions(batch, [solve_qp(batch, cons, s).u for s in S])
+    S = np.asarray(S, dtype=float)
+    clean = [_held(sol) for sol in _solve_rows(batch, cons, S)]
+    U_orig, feasible = _stack_actions(batch, [sol.u for sol in clean])
     if not feasible.all():
         infeasible = ", ".join(series_ids[i] for i in np.flatnonzero(~feasible))
         raise ConfigurationError(
             f"unattacked problem infeasible for windows {infeasible}; "
             "loosen the configured boxes"
         )
+    blocks = {(d_idx, scenario): _attack_block(cfg, batch, cons, S, clean, d_idx, scenario)
+              for d_idx in range(len(cfg.deltas)) for scenario in cfg.scenarios}
     tasks = []
-    for w_idx, s in enumerate(S):
+    for w_idx in range(len(S)):
         for d_idx, delta in enumerate(cfg.deltas):
             for scenario in cfg.scenarios:
+                result, u = blocks[d_idx, scenario][w_idx]
                 try:
-                    result = attack_series(batch, cons, s, delta, scenario, cfg.attack,
-                                           task_seed(cfg.seed, w_idx, d_idx))
-                    u = result.u_hat
-                    if u is None and FLAG_INFEASIBLE not in result.flags:
-                        u = solve_qp(batch, cons, result.s_hat).u
+                    result, u = _held(result), _held(u)
                 except NumericalError as exc:
                     raise NumericalError(f"window {series_ids[w_idx]}, delta {delta}, "
                                          f"scenario {scenario}: {exc}") from exc
                 tasks.append((w_idx, delta, scenario, result, u))
     return U_orig, tasks
+
+
+def _attack_block(cfg: ExperimentConfig, batch: BatchForm, cons: ConstraintSet,
+                  S: np.ndarray, clean: Sequence[QpSolution], d_idx: int,
+                  scenario: str) -> List[tuple]:
+    """Every window's (result, answer) for the delta ``cfg.deltas[d_idx]``
+    and ``scenario``; either is the exception held for its task.
+
+    A gradient scenario runs one lockstep ascent over all windows from
+    their clean solutions (:func:`tsattack.grad_attack._ascend_rows`);
+    the others perturb each window through :func:`attack_series`
+    (``random`` seeded by :func:`task_seed`).  The answer is a gradient
+    attack's ``u_hat``, else the actions of the attacked series, solved as
+    one block, and None when infeasible.
+    """
+    delta = cfg.deltas[d_idx]
+    if scenario not in ("cost-adv", "random"):
+        steps = 0 if cfg.attack.mode == "single-step" else cfg.attack.steps
+        results = _ascend_rows(batch, cons, S, clean, delta, TargetFunction(scenario),
+                               steps, cfg.attack.step_size)
+    else:
+        results = []
+        for w_idx, s in enumerate(S):
+            try:
+                results.append(attack_series(batch, cons, s, delta, scenario, cfg.attack,
+                                             task_seed(cfg.seed, w_idx, d_idx)))
+            except Exception as exc:  # held for the task
+                results.append(exc)
+    answers = [None if isinstance(r, Exception) else r.u_hat for r in results]
+    ask = [w_idx for w_idx, r in enumerate(results) if not isinstance(r, Exception)
+           and r.u_hat is None and FLAG_INFEASIBLE not in r.flags]
+    if ask:
+        solved = _solve_rows(batch, cons, np.array([results[w_idx].s_hat for w_idx in ask]))
+        for w_idx, sol in zip(ask, solved):
+            answers[w_idx] = sol if isinstance(sol, Exception) else sol.u
+    return list(zip(results, answers))
 
 
 def run_experiment(cfg: ExperimentConfig) -> ScenarioStats:

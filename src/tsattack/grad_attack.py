@@ -24,6 +24,12 @@ The single step is the first candidate of the projected ascent and shares
 its clean solve and direction.  The attacks solve every series they try
 once and hand back the actions of the series they return
 (``AttackResult.u_hat``), so callers need not solve it again.
+
+The ascent runs over a block of series in lockstep (:func:`_ascend_rows`;
+the public attacks are its one-row case): each step solves the rows still
+moving as one block, and each row keeps its own iterate, best candidate,
+flags and exits.  Adjoint products and norms stay per row, so every row is
+bit for bit the ascent of that series alone.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ from .cost_attack import (
     _norm,
 )
 from .lqr import BatchForm, _solve_triangular, check_series, linear_term, rollout_cost
-from .qp import ConstraintSet, QpSolution, solve_qp
+from .qp import ConstraintSet, QpSolution, _held, _solve_rows
 
 #: Directions with L2 norm at or below this are treated as zero gradients.
 ZERO_DIRECTION_TOL = 1e-12
@@ -83,14 +89,23 @@ class TargetFunction(enum.Enum):
 def target_value(target: TargetFunction, u, batch: BatchForm, s_real) -> float:
     """Value of the attack target at actions u, judged against the real series."""
     u = np.asarray(u, dtype=float).ravel()
+    return float(_target_values(target, u[None], batch, [s_real])[0])
+
+
+def _target_values(target: TargetFunction, U: np.ndarray, batch: BatchForm,
+                   S_real) -> np.ndarray:
+    """:func:`target_value` of each row of the (W, mT) block U, judged
+    against the matching real series.  The action targets are row-wise
+    reductions over the contiguous axis, so each equals the same reduction
+    of the row on its own, bit for bit; the cost is rolled out per row."""
     if target is TargetFunction.MAX_ACTION:
-        return float(u.max())
+        return U.max(axis=1)
     if target is TargetFunction.MIN_ACTION:
-        return float((-u).max())
+        return (-U).max(axis=1)
     if target is TargetFunction.L1_ENERGY:
-        return float(np.abs(u).sum())
+        return np.abs(U).sum(axis=1)
     if target is TargetFunction.COST_CHANGE:
-        return rollout_cost(batch.spec, u, s_real)
+        return np.array([rollout_cost(batch.spec, u, s) for u, s in zip(U, S_real)])
     raise ValueError(f"unknown target {target!r}")
 
 
@@ -102,18 +117,25 @@ def target_gradient(target: TargetFunction, u, batch: BatchForm, s_real) -> np.n
     :func:`tsattack.lqr.check_series` has already passed.
     """
     u = np.asarray(u, dtype=float).ravel()
-    if target is TargetFunction.MAX_ACTION:
-        g = np.zeros_like(u)
-        g[int(np.argmax(u))] = 1.0
-        return g
-    if target is TargetFunction.MIN_ACTION:
-        g = np.zeros_like(u)
-        g[int(np.argmin(u))] = -1.0
-        return g
+    return _target_gradients(target, u[None], batch, [s_real])[0]
+
+
+def _target_gradients(target: TargetFunction, U: np.ndarray, batch: BatchForm,
+                      S_real) -> np.ndarray:
+    """:func:`target_gradient` at each row of the (W, mT) block U, with the
+    matching real series; the cost gradient's products are taken per row."""
+    if target in (TargetFunction.MAX_ACTION, TargetFunction.MIN_ACTION):
+        G = np.zeros_like(U)
+        if target is TargetFunction.MAX_ACTION:
+            G[np.arange(len(U)), U.argmax(axis=1)] = 1.0
+        else:
+            G[np.arange(len(U)), U.argmin(axis=1)] = -1.0
+        return G
     if target is TargetFunction.L1_ENERGY:
-        return np.sign(u)
+        return np.sign(U)
     if target is TargetFunction.COST_CHANGE:
-        return 2.0 * batch.K @ u + 2.0 * linear_term(batch, s_real)
+        return np.array([2.0 * batch.K @ u + 2.0 * linear_term(batch, s)
+                         for u, s in zip(U, S_real)])
     raise ValueError(f"unknown target {target!r}")
 
 
@@ -155,26 +177,28 @@ def solution_jacobian(
                             degenerate_flag=degenerate)
 
 
-def unit(v: np.ndarray) -> np.ndarray:
-    """Normalize to unit L2 norm; only valid for norms above the zero tolerance."""
-    norm = float(np.linalg.norm(v))
-    if norm <= ZERO_DIRECTION_TOL:
-        raise ValueError("cannot normalize a (near-)zero vector")
-    return v / norm
-
-
 def project_ball(x: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
-    """Project x onto the L2 ball of the given radius around center."""
+    """Project x onto the L2 ball of the given radius around center.
+
+    A (W, n) block x is projected row by row onto the balls around the rows
+    of center.  A point inside its ball is kept as it is; each norm is the
+    norm of that row alone.
+    """
     offset = x - center
-    norm = _norm(offset)
-    if norm <= radius:
+    rows = np.atleast_2d(offset)
+    norms = np.array([_norm(v) for v in rows])
+    far = ~(norms <= radius)
+    if not far.any():
         return x
-    return center + offset * (radius / norm)
+    projected = np.array(x, dtype=float)
+    np.atleast_2d(projected)[far] = (np.broadcast_to(center, rows.shape)[far]
+                                     + rows[far] * (radius / norms[far])[:, None])
+    return projected
 
 
-def _attack_direction(batch, cons, sol, target, s_real):
-    """Ascent direction J g at an optimum, with its diagnostic flags."""
-    grad = target_gradient(target, sol.u, batch, s_real)
+def _attack_direction(batch, cons, sol, grad):
+    """Ascent direction J g at an optimum for the target gradient g, with
+    its diagnostic flags."""
     direction, degenerate = _adjoint(batch, cons, sol, grad)
     flags = set()
     if sol.weakly_active:
@@ -184,64 +208,134 @@ def _attack_direction(batch, cons, sol, target, s_real):
     return direction, flags
 
 
-def _ascend(batch, cons, s, delta, target, steps, step_size) -> AttackResult:
-    """Projected ascent from a validated series s; the clean direction gives
-    the saturated single step and the first of ``steps`` projected steps.
-    ``steps`` is 0 for :func:`single_step_attack` and at least 1 for
-    :func:`iterated_attack`; errors name that caller."""
-    sol = solve_qp(batch, cons, s)
-    if not sol.optimal:
-        caller = "iterated_attack" if steps else "single_step_attack"
-        raise ValueError(f"{caller} requires a feasible unattacked problem")
-    direction, flags = _attack_direction(batch, cons, sol, target, s)
+def _ascend_rows(batch, cons, S, clean, delta, target, steps, step_size) -> list:
+    """Projected ascent from every row of the checked (W, pT) block S at once.
 
-    def result(s_hat, attained, u_hat=None):
-        return AttackResult(
-            s_hat=s_hat,
-            delta=float(delta),
-            attained=float(attained),
-            norm_used=_norm(s_hat - s),
-            flags=frozenset(flags),
-            u_hat=u_hat,
-        )
+    ``clean`` holds each row's optimal clean :class:`QpSolution`.  Its
+    direction gives the saturated single step and the first of ``steps``
+    projected steps of ``step_size`` (default delta / 10); ``steps`` is 0
+    for the single step alone.  The rows move in lockstep: each step solves
+    the rows that need a solve as one :func:`tsattack.qp._solve_rows`
+    block, and each row leaves at its own zero-gradient, infeasible or
+    fixed-point exit.  The adjoint products and the norms are taken per
+    row; headings, candidates, the projection's scaling, the target values,
+    the tie rule and the fixed-point test are elementwise or row-wise.  So
+    each row's result is bit for bit the ascent of that row alone.
+    Returns, per row, its :class:`AttackResult` or the exception the row
+    raised, held for the caller to raise.
+    """
+    if step_size is None:
+        step_size = delta / 10.0
+    W = len(S)
+    out: list = [None] * W
+    flags = [set() for _ in range(W)]
+    sols = list(clean)
+    heading = np.empty_like(S)
+    best_s, best_u, best_v = [None] * W, [None] * W, np.empty(W)
 
-    norm = np.linalg.norm(direction)
-    if norm <= ZERO_DIRECTION_TOL:
-        flags.add(FLAG_ZERO_GRADIENT)
-        return result(s.copy(), target_value(target, sol.u, batch, s), sol.u)
+    def finish(row, s_hat, attained, u_hat=None):
+        try:
+            out[row] = AttackResult(s_hat=s_hat, delta=float(delta),
+                                    attained=float(attained), norm_used=_norm(s_hat - S[row]),
+                                    flags=frozenset(flags[row]), u_hat=u_hat)
+        except Exception as exc:  # held for the row's task
+            out[row] = exc
 
-    heading = direction / norm  # unit(direction), with the norm taken once
-    s_hat = s + delta * heading
-    attacked = solve_qp(batch, cons, s_hat)
-    if not attacked.optimal:
-        flags.add(FLAG_INFEASIBLE)
-        return result(s_hat, np.inf)
-    best = (s_hat, target_value(target, attacked.u, batch, s), attacked.u)
+    def steer(rows):
+        """Set each row's unit heading at its solution; returns the rows that
+        move and the rows whose direction vanished."""
+        norms, moves = np.ones(len(rows)), np.ones(len(rows), dtype=bool)
+        grads = _target_gradients(target, np.array([sols[row].u for row in rows.tolist()]),
+                                  batch, S[rows])
+        for i, row in enumerate(rows.tolist()):
+            try:
+                direction, step_flags = _attack_direction(batch, cons, sols[row], grads[i])
+            except Exception as exc:  # held for the row's task
+                out[row], moves[i] = exc, False
+                continue
+            flags[row] |= step_flags
+            heading[row], norms[i] = direction, np.linalg.norm(direction)
+        stalled = moves & (norms <= ZERO_DIRECTION_TOL)
+        moves &= ~stalled
+        heading[rows[moves]] /= norms[moves, None]
+        return rows[moves], rows[stalled]
 
-    s_cur, sol_cur = s, sol
-    for i in range(steps):
-        if i:
-            direction, step_flags = _attack_direction(batch, cons, sol_cur, target, s)
-            flags |= step_flags
-            norm = np.linalg.norm(direction)
-            if norm <= ZERO_DIRECTION_TOL:
-                break
-            heading = direction / norm
-        s_next = project_ball(s_cur + step_size * heading, s, delta)
-        fixed_point = np.array_equal(s_next, s_cur)
-        sol_next = sol_cur if fixed_point else solve_qp(batch, cons, s_next)
-        if not sol_next.optimal:
-            flags.add(FLAG_INFEASIBLE)
-            return result(s_next, np.inf)
-        value = target_value(target, sol_next.u, batch, s)
+    def solve(rows, X):
+        """Solve the rows' candidates X; a row whose solve fails or is
+        infeasible finishes here.  Returns which rows are kept, and their
+        solutions."""
+        kept, found = np.ones(len(rows), dtype=bool), []
+        for i, (row, sol) in enumerate(zip(rows.tolist(), _solve_rows(batch, cons, X))):
+            if isinstance(sol, Exception):
+                out[row], kept[i] = sol, False
+            elif not sol.optimal:
+                flags[row].add(FLAG_INFEASIBLE)
+                finish(row, X[i], np.inf)
+                kept[i] = False
+            else:
+                found.append(sol)
+        return kept, found
+
+    def values(rows, found):
+        if not found:
+            return np.empty(0)
+        return _target_values(target, np.array([sol.u for sol in found]), batch, S[rows])
+
+    rows, stalled = steer(np.arange(W))
+    for row in stalled.tolist():
+        flags[row].add(FLAG_ZERO_GRADIENT)
+        finish(row, S[row].copy(), target_value(target, sols[row].u, batch, S[row]),
+               sols[row].u)
+    X = S[rows] + delta * heading[rows]
+    kept, found = solve(rows, X)
+    rows, X = rows[kept], X[kept]
+    best_v[rows] = values(rows, found)
+    for row, s_hat, sol in zip(rows.tolist(), X, found):
+        best_s[row], best_u[row] = s_hat, sol.u
+
+    S_cur = S.copy()
+    for step in range(steps):
+        if not rows.size:
+            break
+        if step:
+            rows, stalled = steer(rows)
+            for row in stalled.tolist():
+                finish(row, best_s[row], best_v[row], best_u[row])
+        X = project_ball(S_cur[rows] + step_size * heading[rows], S[rows], delta)
+        fixed = np.all(X == S_cur[rows], axis=1)  # array_equal, row by row
+        moved = np.flatnonzero(~fixed)
+        if moved.size:
+            kept, found = solve(rows[moved], X[moved])
+            for row, sol in zip(rows[moved][kept].tolist(), found):
+                sols[row] = sol
+            keep = np.ones(len(rows), dtype=bool)
+            keep[moved] = kept
+            rows, X, fixed = rows[keep], X[keep], fixed[keep]
+        value, best = values(rows, [sols[row] for row in rows.tolist()]), best_v[rows]
         # A later iterate must win by more than rounding: on a target that is
         # flat on the delta sphere (l1) ties would be broken by the last ulp.
-        if value - best[1] > 1e-12 * abs(best[1]):
-            best = (s_next, value, sol_next.u)
-        if fixed_point:
-            break
-        s_cur, sol_cur = s_next, sol_next
-    return result(*best)
+        for i in np.flatnonzero(value - best > 1e-12 * np.abs(best)).tolist():
+            row = rows[i]
+            best_s[row], best_v[row], best_u[row] = X[i], value[i], sols[row].u
+        for row in rows[fixed].tolist():
+            finish(row, best_s[row], best_v[row], best_u[row])
+        rows = rows[~fixed]
+        S_cur[rows] = X[~fixed]
+    for row in rows.tolist():
+        finish(row, best_s[row], best_v[row], best_u[row])
+    return out
+
+
+def _attack(batch, cons, s, delta, target, steps, step_size) -> AttackResult:
+    """:func:`_ascend_rows` of one validated series s; ``steps`` is 0 for
+    :func:`single_step_attack`, which errors name."""
+    S = check_series(batch, s)[None]
+    (clean,) = _solve_rows(batch, cons, S)
+    if not _held(clean).optimal:
+        caller = "iterated_attack" if steps else "single_step_attack"
+        raise ValueError(f"{caller} requires a feasible unattacked problem")
+    (result,) = _ascend_rows(batch, cons, S, [clean], delta, target, steps, step_size)
+    return _held(result)
 
 
 def single_step_attack(
@@ -261,7 +355,7 @@ def single_step_attack(
     """
     if not 0 <= delta < math.inf:
         raise ValueError(f"delta must be nonnegative and finite, got {delta}")
-    return _ascend(batch, cons, check_series(batch, s), delta, target, 0, None)
+    return _attack(batch, cons, s, delta, target, 0, None)
 
 
 def iterated_attack(
@@ -293,8 +387,6 @@ def iterated_attack(
         raise ValueError(f"steps must be >= 1, got {steps}")
     if not 0 <= delta < math.inf:
         raise ValueError(f"delta must be nonnegative and finite, got {delta}")
-    if step_size is None:
-        step_size = delta / 10.0
-    elif not 0 < step_size < math.inf:
+    if step_size is not None and not 0 < step_size < math.inf:
         raise ValueError(f"step_size must be positive and finite, got {step_size}")
-    return _ascend(batch, cons, check_series(batch, s), delta, target, steps, step_size)
+    return _attack(batch, cons, s, delta, target, steps, step_size)

@@ -14,6 +14,14 @@ inferred from divergence.  Solves with the Cholesky factor of K call LAPACK
 ``potrs``/``trtrs`` directly (bitwise what scipy's wrappers return, without
 their per-call cost), an empty working set skips its QR, and the KKT or
 Farkas check of every solve still runs.
+
+Series are solved in blocks (:func:`_solve_rows`; :func:`solve_qp` is the
+one-row case).  Every matrix product that reaches an action, a multiplier,
+a slack or an active set stays the per-series product, so each row of a
+block is bit for bit the series solved on its own; only elementwise work,
+row reductions and the KKT check are shared.  A series whose unconstrained
+optimum violates no row needs no dual iteration, and a failing row's
+exception is held for its caller instead of stopping the block.
 """
 
 from __future__ import annotations
@@ -229,34 +237,89 @@ def solve_qp(batch: BatchForm, cons: ConstraintSet, s_obs) -> QpSolution:
     every optimal constrained solve are checked against
     :data:`KKT_LIMITS` and the ray of every infeasible one against
     :data:`FARKAS_LIMITS`; a failed check raises :class:`NumericalError`,
-    also under ``python -O``.
+    also under ``python -O``.  This is the one-row case of the block solve
+    :func:`_solve_rows`.
 
     ``s_obs`` is a series that :func:`tsattack.lqr.check_series` has
     already passed (the attacks and the experiment check theirs where they
     enter); it is not checked again.
     """
-    k = linear_term(batch, s_obs)
+    (sol,) = _solve_rows(batch, cons, np.asarray(s_obs, dtype=float).reshape(1, -1))
+    return _held(sol)
+
+
+def _held(value):
+    """``value``, unless it is an exception held for its row, which is raised."""
+    if isinstance(value, Exception):
+        raise value
+    return value
+
+
+def _solve_rows(batch: BatchForm, cons: ConstraintSet, S: np.ndarray) -> list:
+    """:func:`solve_qp` of every row of the checked (W, pT) block S.
+
+    Returns one entry per row: its :class:`QpSolution`, or the exception its
+    solve raised, held so that the caller raises it where the row's task
+    falls.  Every product that reaches u, mu, a slack or the active set
+    (``L @ s``, the Cholesky solve, ``H @ s``, ``G @ u``) is the per-row
+    product of a one-row solve, since batched products round differently;
+    only elementwise work and row reductions are shared.  So each row is
+    bit for bit its own solve.  A row whose unconstrained optimum violates
+    no row keeps it, with zero multipliers; the others run
+    :func:`_dual_active_set`.  The KKT residuals of every optimal row are
+    checked as one block.
+    """
+    W, m_total = len(S), batch.m_total
+    k, U = np.empty((W, m_total)), np.empty((W, m_total))
+    for s, k_row in zip(S, k):
+        np.matmul(batch.L, s, out=k_row)
+    k += batch.k_const  # k = k_const + L s, as linear_term adds it
+    for k_row, u in zip(k, U):
+        u[:] = _cho_solve(batch.K_factor, k_row)
+    np.negative(U, out=U)
     if cons.q == 0:
-        u0 = -_cho_solve(batch.K_factor, k)
-        return QpSolution(u=u0, mu=np.zeros(0), active=(), weakly_active=(),
-                          status="optimal")
+        return [QpSolution(u=u, mu=np.zeros(0), active=(), weakly_active=(),
+                           status="optimal") for u in U]
 
-    rhs = cons.rhs(s_obs)
+    rhs, slack = np.empty((W, cons.q)), np.empty((W, cons.q))
+    for s, u, rhs_row, slack_row in zip(S, U, rhs, slack):
+        np.matmul(cons.H, s, out=rhs_row)
+        np.matmul(cons.G, u, out=slack_row)
+    rhs += cons.h0  # rhs = h0 + H s, as ConstraintSet.rhs adds it
+    slack -= rhs
     tol = activity_tolerance(rhs)
-    u, mu, ray = _dual_active_set(batch, k, cons.G, rhs, tol)
-    if ray is not None:
-        _check("infeasibility certificate", _farkas_residuals(cons.G, rhs, ray),
-               FARKAS_LIMITS, strict=True)
-        return QpSolution(u=None, mu=None, active=(), weakly_active=(),
-                          status="infeasible")
+    optimal = np.all(slack - tol <= 0.0, axis=1)  # a NaN excess is not optimal yet
+    mu = np.zeros((W, cons.q))
+    sols: list = [None] * W
+    for row in np.flatnonzero(~optimal).tolist():
+        try:
+            u, mu_row, ray = _dual_active_set(batch, k[row], cons.G, rhs[row], tol[row])
+            if ray is None:
+                U[row], mu[row] = u, mu_row
+                slack[row] = cons.G @ u - rhs[row]
+                optimal[row] = True
+                continue
+            _check("infeasibility certificate", _farkas_residuals(cons.G, rhs[row], ray),
+                   FARKAS_LIMITS, strict=True)
+            sols[row] = QpSolution(u=None, mu=None, active=(), weakly_active=(),
+                                   status="infeasible")
+        except Exception as exc:  # held for the row's task
+            sols[row] = exc
 
-    slack = cons.G @ u - rhs
-    active = np.flatnonzero(np.abs(slack) <= tol)
-    sol = QpSolution(u=u, mu=mu, active=tuple(active.tolist()),
-                     weakly_active=tuple(active[mu[active] < WEAK_DUAL_TOL].tolist()),
-                     status="optimal")
-    _check("KKT check", _kkt_residuals(batch, cons, k, rhs, slack, sol), KKT_LIMITS)
-    return sol
+    rows = np.flatnonzero(optimal)
+    if not rows.size:
+        return sols
+    held = _kkt_failures(_kkt_residuals(batch, cons, k[rows], rhs[rows], slack[rows],
+                                        U[rows], mu[rows]), rows.size)
+    holding = np.abs(slack[rows]) <= tol[rows]
+    for i, (row, holds) in enumerate(zip(rows.tolist(), holding.any(axis=1).tolist())):
+        active = weak = ()
+        if holds:
+            at = np.flatnonzero(holding[i])
+            active, weak = tuple(at.tolist()), tuple(at[mu[row, at] < WEAK_DUAL_TOL].tolist())
+        sols[row] = held[i] if i in held else QpSolution(
+            u=U[row], mu=mu[row], active=active, weakly_active=weak, status="optimal")
+    return sols
 
 
 def _check(what, residuals, limits, strict=False):
@@ -268,6 +331,24 @@ def _check(what, residuals, limits, strict=False):
                 f"QP solution fails the {what}: {name} residual "
                 f"{value:.3g} is outside its limit {limit:g} ({residuals})"
             )
+
+
+def _kkt_failures(residuals, count) -> dict:
+    """The NumericalError of each of ``count`` block rows whose
+    :func:`_kkt_residuals` break :data:`KKT_LIMITS`, by row."""
+    passed = True
+    for name, limit in KKT_LIMITS.items():
+        passed = passed & (residuals[name] <= limit)  # a NaN fails
+    if np.all(passed):
+        return {}
+    failures = {}
+    for row in np.flatnonzero(~np.broadcast_to(passed, (count,))).tolist():
+        try:
+            _check("KKT check", {name: float(np.broadcast_to(v, (count,))[row])
+                                 for name, v in residuals.items()}, KKT_LIMITS)
+        except NumericalError as exc:
+            failures[row] = exc
+    return failures
 
 
 def _farkas_residuals(G, rhs, y) -> dict:
@@ -297,24 +378,31 @@ def kkt_residuals(batch: BatchForm, cons: ConstraintSet, s_obs, sol: QpSolution)
         raise ValueError("KKT residuals are only defined for optimal solutions")
     s_obs = check_series(batch, s_obs, "s_obs")
     rhs = cons.rhs(s_obs)
-    return _kkt_residuals(batch, cons, linear_term(batch, s_obs), rhs,
-                          cons.G @ sol.u - rhs, sol)
+    residuals = _kkt_residuals(batch, cons, linear_term(batch, s_obs)[None], rhs[None],
+                               (cons.G @ sol.u - rhs)[None], sol.u[None], sol.mu[None])
+    return {name: float(value[0]) for name, value in residuals.items()}
 
 
-def _kkt_residuals(batch, cons, k, rhs, slack, sol) -> dict:
-    """:func:`kkt_residuals` from the linear term k, the right-hand side rhs
-    and the slack G u - rhs; each of the terms 2Ku, 2k and G'mu is formed
-    once."""
-    quad, lin, pull = 2.0 * (batch.K @ sol.u), 2.0 * k, cons.G.T @ sol.mu
-    stat_scale = 1.0 + max(np.abs(quad).max(initial=0.0), np.abs(lin).max(initial=0.0),
-                           np.abs(pull).max(initial=0.0))
+def _kkt_residuals(batch, cons, k, rhs, slack, U, mu) -> dict:
+    """:func:`kkt_residuals` of a block of solves, one array entry per row.
+
+    Row i of the linear terms k, the right-hand sides rhs, the slacks
+    G u - rhs, the actions U and the multipliers mu belongs to one solve.
+    Each of the terms 2Ku, 2k and G'mu is formed once for the block; the
+    product U K is not bitwise each row's K u, which is why these values
+    only gate.
+    """
+    quad, lin, pull = 2.0 * (U @ batch.K), 2.0 * k, mu @ cons.G
+    stat_scale = 1.0 + np.maximum(np.maximum(np.abs(quad).max(axis=1, initial=0.0),
+                                             np.abs(lin).max(axis=1, initial=0.0)),
+                                  np.abs(pull).max(axis=1, initial=0.0))
     rhs_scale = 1.0 + np.abs(rhs)
-    row_scale = (1.0 + np.abs(sol.mu)) * rhs_scale
+    row_scale = (1.0 + np.abs(mu)) * rhs_scale
     return {
-        "stationarity": float(np.abs(quad + lin + pull).max(initial=0.0) / stat_scale),
-        "feasibility": float((slack / rhs_scale).max(initial=0.0)),
-        "complementarity": float((np.abs(sol.mu * slack) / row_scale).max(initial=0.0)),
-        "dual_sign": float(max(0.0, -sol.mu.min(initial=0.0))),
+        "stationarity": np.abs(quad + lin + pull).max(axis=1, initial=0.0) / stat_scale,
+        "feasibility": (slack / rhs_scale).max(axis=1, initial=0.0),
+        "complementarity": (np.abs(mu * slack) / row_scale).max(axis=1, initial=0.0),
+        "dual_sign": np.maximum(0.0, -mu.min(axis=1, initial=0.0)),
     }
 
 

@@ -10,6 +10,7 @@ from tsattack import (
     solve_qp,
     solve_unconstrained,
 )
+from tsattack.grad_attack import ZERO_DIRECTION_TOL
 from tsattack.lqr import check_series
 
 
@@ -63,6 +64,14 @@ def finite_difference_jacobian(batch, cons, s_obs, step: float = 1e-6):
         shifted[i] = s_obs[i]
         J[i] = (pair[0] - pair[1]) / (2.0 * step)
     return SolutionJacobian(J=J, weak_active_flag=False)
+
+
+def unit(v: np.ndarray) -> np.ndarray:
+    """Normalize to unit L2 norm; only valid for norms above the zero tolerance."""
+    norm = float(np.linalg.norm(v))
+    if norm <= ZERO_DIRECTION_TOL:
+        raise ValueError("cannot normalize a (near-)zero vector")
+    return v / norm
 
 
 def kkt_residuals_oracle(batch, cons, s_obs, sol):

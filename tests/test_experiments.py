@@ -11,6 +11,8 @@ import pytest
 from tsattack import (
     AttackResult,
     ConfigurationError,
+    NumericalError,
+    SeriesWindow,
     TargetFunction,
     batch_form,
     calibrate_action_box,
@@ -385,22 +387,30 @@ class TestConstraintExperiment:
             calls.append(args)
             raise AssertionError("attack ran before the clean problems were checked")
 
-        for name in ("random_sphere_attack", "single_step_attack", "iterated_attack"):
+        for name in ("random_sphere_attack", "single_step_attack", "iterated_attack",
+                     "_ascend_rows"):
             monkeypatch.setattr(f"tsattack.experiments.{name}", attack)
+        boxes = {"action_box": {"u_min": -0.01, "u_max": 0.01},
+                 "state_box": {"x_min": -0.25, "x_max": 0.25}}
         cfg = make_config(
             system={"A": 1, "B": -1, "C": 1, "Q": 1, "R": 1, "T": 20, "x0": 1},
             scenarios=["max-action", "random"],
             deltas=[0.5],
             dataset={"kind": "arima", "count": 4},
-            action_box={"u_min": -0.01, "u_max": 0.01},
-            state_box={"x_min": -0.25, "x_max": 0.25},
             seed=3,
+            **boxes,
         )
         with pytest.raises(ConfigurationError, match="infeasible") as info:
             run_experiment(cfg)
         for window in load_windows(cfg):
             assert window.series_id in str(info.value)
         assert calls == []
+        # The patched names are the attacks the stage runs: without the
+        # boxes the clean windows pass and the first attack raises.
+        with pytest.raises(AssertionError, match="attack ran before"):
+            run_experiment(parse_config({key: value for key, value in cfg.raw.items()
+                                         if key not in boxes}))
+        assert calls
 
     @pytest.mark.parametrize("overrides", [
         {   # calibrated action box, single-step attacks on every target
@@ -510,16 +520,55 @@ class TestConstraintExperiment:
                 assert record.norm_used == 0.0
 
 
+    def test_failure_is_raised_at_its_task_in_loop_order(self, monkeypatch):
+        # Window 1 fails at the first delta and window 0 at the second.  The
+        # attacks run delta by delta over all windows, but the error names
+        # the first failing task in (window, delta, scenario) order: window 0
+        # at the second delta.  Every solve of these series runs the dual
+        # active set (the box holds u_0 below its unconstrained optimum), and
+        # each failure is forced on the single-step candidate of its task.
+        base = np.full(10, 20.0)
+        values = [base, base + 10.0 * np.eye(10)[9]]
+        windows = [SeriesWindow(values=v, source_id=f"w{i}", start_index=0)
+                   for i, v in enumerate(values)]
+        monkeypatch.setattr("tsattack.experiments.load_windows", lambda cfg: windows)
+        qp = importlib.import_module("tsattack.qp")
+        dual_active_set = qp._dual_active_set
+        forced = []
+
+        def failing(batch, k, G, rhs, tol):
+            s = np.linalg.solve(batch.L, k - batch.k_const)
+            for w_idx, delta in ((1, 0.5), (0, 3.0)):
+                if abs(np.linalg.norm(s - values[w_idx]) - delta) < 1e-6:
+                    forced.append((w_idx, delta))
+                    raise NumericalError(f"forced at window {w_idx}")
+            return dual_active_set(batch, k, G, rhs, tol)
+
+        monkeypatch.setattr(qp, "_dual_active_set", failing)
+        cfg = make_config(
+            system={"A": 1, "B": -1, "C": 1, "Q": 1, "R": 1, "T": 10, "x0": 1},
+            scenarios=["l1", "random"],
+            deltas=[0.5, 3.0],
+            normalization="none",
+            action_box={"u_min": -100.0, "u_max": 20.3},
+            attack={"mode": "iterated", "steps": 3},
+        )
+        with pytest.raises(NumericalError, match=r"^window w0:000000, delta 3\.0, "
+                                                 "scenario l1: forced at window 0$"):
+            run_experiment(cfg)
+        assert (0, 3.0) in forced
+
     def test_gradient_attacks_are_not_solved_again(self, monkeypatch):
         # Outside the attacks, the pipeline solves each clean window and each
         # random row once; a gradient attack hands back the actions it solved.
         solved = []
 
-        def recording(batch, cons, s_obs):
-            solved.append(np.array(s_obs, dtype=float))
-            return solve_qp(batch, cons, s_obs)
+        def recording(batch, cons, S_obs):
+            solved.extend(np.array(s_obs, dtype=float) for s_obs in S_obs)
+            return solve_rows(batch, cons, S_obs)
 
-        monkeypatch.setattr("tsattack.experiments.solve_qp", recording)
+        solve_rows = importlib.import_module("tsattack.experiments")._solve_rows
+        monkeypatch.setattr("tsattack.experiments._solve_rows", recording)
         cfg = self._config(series_dump_limit=8)
         stats = run_experiment(cfg)
         expected = [w.values for w in load_windows(cfg)] + [

@@ -13,6 +13,7 @@ from tsattack import (
     batch_form,
     compile_constraints,
     iterated_attack,
+    rollout_cost,
     single_step_attack,
     solution_jacobian,
     solve_qp,
@@ -21,13 +22,14 @@ from tsattack import (
     target_value,
 )
 from tsattack import grad_attack
-from tsattack.grad_attack import project_ball, unit
+from tsattack.grad_attack import project_ball
 
 from conftest import (
     finite_difference_jacobian,
     make_scalar_spec,
     random_state_box_instance,
     random_system,
+    unit,
 )
 
 
@@ -110,7 +112,7 @@ def reference_iterated_attack(batch, cons, s, delta, target, steps=20,
 
     def direction_at(sol):
         direction, step_flags = grad_attack._attack_direction(
-            batch, cons, sol, target, s)
+            batch, cons, sol, target_gradient(target, sol.u, batch, s))
         flags.update(step_flags)
         return direction
 
@@ -223,9 +225,9 @@ class TestSolutionJacobian:
             J = solution_jacobian(batch, cons, sol).J
             for target in (TargetFunction.MAX_ACTION, TargetFunction.MIN_ACTION,
                            TargetFunction.L1_ENERGY):
-                direction, _ = grad_attack._attack_direction(
-                    batch, cons, sol, target, s)
-                expected = J @ target_gradient(target, sol.u, batch, s)
+                grad = target_gradient(target, sol.u, batch, s)
+                direction, _ = grad_attack._attack_direction(batch, cons, sol, grad)
+                expected = J @ grad
                 scale = max(1.0, float(np.abs(expected).max()))
                 assert np.abs(direction - expected).max() <= 1e-12 * scale
 
@@ -465,14 +467,18 @@ class TestIteratedAttack:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr("tsattack.grad_attack.solve_qp",
-                            counting("solves", solve_qp))
+        def counting_rows(batch, cons, S_obs):  # one solve per row of a block
+            calls["solves"] += len(S_obs)
+            return solve_rows(batch, cons, S_obs)
+
+        solve_rows = grad_attack._solve_rows
+        monkeypatch.setattr("tsattack.grad_attack._solve_rows", counting_rows)
         monkeypatch.setattr("tsattack.grad_attack._adjoint",
                             counting("jacobians", grad_attack._adjoint))
         result = iterated_attack(batch, cons, s, 0.8, TargetFunction.MAX_ACTION,
                                  steps=20)
-        assert calls["solves"] < 20 + 2
-        assert calls["jacobians"] < 20 + 1  # the loop stopped, not just its solves
+        assert 0 < calls["solves"] < 20 + 2
+        assert 0 < calls["jacobians"] < 20 + 1  # the loop stopped, not just its solves
         s_hat, attained, flags = reference_iterated_attack(
             batch, cons, s, 0.8, TargetFunction.MAX_ACTION, steps=20)
         np.testing.assert_array_equal(result.s_hat, s_hat)
@@ -535,17 +541,18 @@ class TestIteratedAttack:
         # Only the single-step candidate and the last iterate go without.
         solved, at = {}, []
 
-        def recording_solve(batch, cons, s_obs):
-            sol = solve_qp(batch, cons, s_obs)
-            solved[id(sol)] = (sol, np.array(s_obs, dtype=float))
-            return sol
+        def recording_solve(batch, cons, S_obs):
+            sols = solve_rows(batch, cons, S_obs)
+            for sol, s_obs in zip(sols, S_obs):
+                solved[id(sol)] = (sol, np.array(s_obs, dtype=float))
+            return sols
 
         def recording_adjoint(batch, cons, sol, g):
             at.append(solved[id(sol)][1])
             return adjoint(batch, cons, sol, g)
 
-        adjoint = grad_attack._adjoint
-        monkeypatch.setattr("tsattack.grad_attack.solve_qp", recording_solve)
+        adjoint, solve_rows = grad_attack._adjoint, grad_attack._solve_rows
+        monkeypatch.setattr("tsattack.grad_attack._solve_rows", recording_solve)
         monkeypatch.setattr("tsattack.grad_attack._adjoint", recording_adjoint)
         rng = np.random.default_rng(43)
         for case in range(12):
@@ -578,13 +585,14 @@ class TestIteratedAttack:
         candidates = (1.0,) + tuple(1.0 + g for g in gains)
         values = iter(candidates)
 
-        def recording_solve(batch, cons, s_obs):
-            solved.append(np.array(s_obs, dtype=float))
-            return solve_qp(batch, cons, s_obs)
+        def recording_solve(batch, cons, S_obs):
+            solved.extend(np.array(s_obs, dtype=float) for s_obs in S_obs)
+            return solve_rows(batch, cons, S_obs)
 
-        monkeypatch.setattr("tsattack.grad_attack.solve_qp", recording_solve)
-        monkeypatch.setattr("tsattack.grad_attack.target_value",
-                            lambda *args: next(values))
+        solve_rows = grad_attack._solve_rows
+        monkeypatch.setattr("tsattack.grad_attack._solve_rows", recording_solve)
+        monkeypatch.setattr("tsattack.grad_attack._target_values",
+                            lambda target, U, *args: np.array([next(values) for _ in U]))
         result = iterated_attack(batch, cons, s, 0.8, TargetFunction.L1_ENERGY,
                                  steps=3)
         assert len(solved) == 5  # the clean series, the single step, 3 iterates
@@ -626,6 +634,130 @@ class TestIteratedAttack:
                                              "feasible unattacked problem"):
             attack(batch, cons, [0.0], 0.5, TargetFunction.MAX_ACTION)
 
+
+def assert_same_attack(result, other):
+    """Bit for bit the same attack outcome."""
+    assert result.s_hat.tobytes() == other.s_hat.tobytes()
+    assert result.attained == other.attained
+    assert result.norm_used == other.norm_used
+    assert result.flags == other.flags
+    if other.u_hat is None:
+        assert result.u_hat is None
+    else:
+        assert result.u_hat.tobytes() == other.u_hat.tobytes()
+
+
+class TestAscendRows:
+    def test_each_row_is_its_own_ascent(self):
+        # Blocks of 3 to 5 series on action boxes and on state boxes that go
+        # infeasible, for every target and for the single step: each row is
+        # bit for bit the attack of that series alone.
+        rng = np.random.default_rng(59)
+        flags = set()
+        for case in range(24):
+            spec = random_system(rng, n_max=2, m_max=2, p_max=2, t_max=6)
+            batch = batch_form(spec)
+            s = rng.standard_normal(batch.p_total)
+            bound = float(np.max(np.abs(solve_unconstrained(batch, s))))
+            if case % 2:
+                cons = compile_constraints(spec, batch,
+                                           action_box=(-0.8 * bound, 0.8 * bound))
+            else:
+                cons = compile_constraints(spec, batch, action_box=(-2 * bound, 2 * bound),
+                                           state_box=(-3.0, 3.0))
+            S = s + rng.uniform(0.0, 1.0) * rng.standard_normal((5, batch.p_total))
+            clean = grad_attack._solve_rows(batch, cons, S)
+            keep = [sol.optimal for sol in clean]
+            S, clean = S[keep], [sol for sol in clean if sol.optimal]
+            if len(S) < 3:
+                continue
+            target = list(TargetFunction)[case % 4]
+            delta = float(rng.uniform(0.2, 3.0))
+            steps = 0 if case % 5 == 0 else 12
+            results = grad_attack._ascend_rows(batch, cons, S, clean, delta, target,
+                                               steps, None if steps == 0 else delta / 10)
+            for row, result in zip(S, results):
+                if steps:
+                    one = iterated_attack(batch, cons, row, delta, target, steps=steps)
+                else:
+                    one = single_step_attack(batch, cons, row, delta, target)
+                assert_same_attack(result, one)
+                flags |= result.flags
+        assert {"zero-gradient", "infeasible"} <= flags
+
+    def test_rows_leave_at_their_own_exits(self, monkeypatch):
+        # u in [-0.1, 0.1] and x1 = 1 - u + s <= 0, max-action at delta
+        # 0.05: s = -5 holds u at -0.1 (zero gradient), s = -0.92 pins u to
+        # 1 + s and its single step needs u >= 0.13 (infeasible), and
+        # s = -1.1 and -1.08 stay interior and stop at a projected fixed
+        # point, ten steps in.
+        spec = make_scalar_spec(T=1)
+        batch = batch_form(spec)
+        cons = compile_constraints(spec, batch, action_box=(-0.1, 0.1),
+                                   state_box=(-10.0, 0.0))
+        S = np.array([[-5.0], [-0.92], [-1.1], [-1.08]])
+        clean = grad_attack._solve_rows(batch, cons, S)
+        sizes = []
+
+        def recording(batch, cons, S_obs):
+            sizes.append(len(S_obs))
+            return solve_rows(batch, cons, S_obs)
+
+        solve_rows = grad_attack._solve_rows
+        monkeypatch.setattr("tsattack.grad_attack._solve_rows", recording)
+        results = grad_attack._ascend_rows(batch, cons, S, clean, 0.05,
+                                           TargetFunction.MAX_ACTION, 40, 0.005)
+        monkeypatch.undo()
+        assert [result.flags for result in results] == [
+            {"zero-gradient"}, {"infeasible"}, set(), set()]
+        for row, result in zip(S[2:], results[2:]):
+            assert math.isclose(np.linalg.norm(result.s_hat - row), 0.05, rel_tol=1e-12)
+        # The single step solves three rows; two ascend until their fixed
+        # points, well before the 40 steps.
+        assert sizes[0] == 3 and set(sizes[1:]) == {2} and len(sizes) < 1 + 40
+        for row, result in zip(S, results):
+            assert_same_attack(result, iterated_attack(batch, cons, row, 0.05,
+                                                       TargetFunction.MAX_ACTION,
+                                                       steps=40, step_size=0.005))
+            s_hat, attained, flags = reference_iterated_attack(
+                batch, cons, row, 0.05, TargetFunction.MAX_ACTION, steps=40,
+                step_size=0.005)
+            np.testing.assert_array_equal(result.s_hat, s_hat)
+            assert result.attained == attained and result.flags == flags
+
+    def test_target_values_and_gradients_are_each_rows_own(self):
+        # Row-wise reductions and arg-extrema equal the same operation on
+        # each row alone, bit for bit, across the widths where numpy's
+        # pairwise sum splits.
+        rng = np.random.default_rng(61)
+        batch = batch_form(make_scalar_spec(T=3))
+
+        def one_hot(u, index, value):
+            g = np.zeros_like(u)
+            g[index] = value
+            return g
+
+        for width in (1, 2, 7, 8, 9, 16, 17, 127, 128, 129, 300):
+            U = rng.standard_normal((6, width)) * 10.0 ** rng.integers(-8, 8, (6, 1))
+            U[0, -1] = U[0, 0]  # a tie, broken to the lowest index
+            for target, value, grad in (
+                    (TargetFunction.MAX_ACTION, lambda u: u.max(),
+                     lambda u: one_hot(u, int(np.argmax(u)), 1.0)),
+                    (TargetFunction.MIN_ACTION, lambda u: (-u).max(),
+                     lambda u: one_hot(u, int(np.argmin(u)), -1.0)),
+                    (TargetFunction.L1_ENERGY, lambda u: np.abs(u).sum(), np.sign)):
+                values = grad_attack._target_values(target, U, batch, None)
+                assert values.tobytes() == np.array([value(u) for u in U]).tobytes()
+                grads = grad_attack._target_gradients(target, U, batch, None)
+                assert grads.tobytes() == np.array([grad(u) for u in U]).tobytes()
+        U = rng.standard_normal((4, 3))
+        S_real = rng.standard_normal((4, 3))
+        values = grad_attack._target_values(TargetFunction.COST_CHANGE, U, batch, S_real)
+        assert values.tolist() == [rollout_cost(batch.spec, u, s) for u, s in zip(U, S_real)]
+        grads = grad_attack._target_gradients(TargetFunction.COST_CHANGE, U, batch, S_real)
+        assert grads.tobytes() == np.array([
+            2.0 * batch.K @ u + 2.0 * (batch.k_const + batch.L @ s)
+            for u, s in zip(U, S_real)]).tobytes()
 
 class TestHelpers:
     @given(st.lists(st.floats(-10, 10), min_size=1, max_size=8))

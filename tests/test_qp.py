@@ -11,12 +11,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_solve
 from scipy.optimize import LinearConstraint, linprog, minimize
 
 from tsattack import (
     ConfigurationError,
     ConstraintSet,
     NumericalError,
+    QpSolution,
     batch_form,
     compile_constraints,
     kkt_residuals,
@@ -385,3 +387,147 @@ class TestSolveQp:
                 upper=np.full(batch.m_total, bound),
             )
             np.testing.assert_allclose(sol.u, reference, atol=1e-6)
+
+
+def reference_solve(batch, cons, s):
+    """One series solved as the solver was first written: the dual active
+    set runs on every constrained series, whether or not its unconstrained
+    optimum violates a row.  Returns (u, mu, active, weakly_active, status)."""
+    k = linear_term(batch, s)
+    if cons.q == 0:
+        return -cho_solve(batch.K_factor, k, check_finite=False), np.zeros(0), (), (), "optimal"
+    rhs = cons.rhs(s)
+    tol = qp_module.activity_tolerance(rhs)
+    u, mu, ray = qp_module._dual_active_set(batch, k, cons.G, rhs, tol)
+    if ray is not None:
+        return None, None, (), (), "infeasible"
+    active = np.flatnonzero(np.abs(cons.G @ u - rhs) <= tol)
+    weak = active[mu[active] < qp_module.WEAK_DUAL_TOL]
+    return u, mu, tuple(active.tolist()), tuple(weak.tolist()), "optimal"
+
+
+def block_residuals(batch, cons, S, sols):
+    """qp._kkt_residuals of the optimal solutions sols of the rows of S."""
+    rhs = np.array([cons.rhs(s) for s in S])
+    slack = np.array([cons.G @ sol.u - r for sol, r in zip(sols, rhs)])
+    return qp_module._kkt_residuals(
+        batch, cons, np.array([linear_term(batch, s) for s in S]), rhs, slack,
+        np.array([sol.u for sol in sols]), np.array([sol.mu for sol in sols]))
+
+
+class TestSolveRows:
+    def test_each_row_is_its_own_solve(self):
+        # Blocks that mix rows whose unconstrained optimum violates no row,
+        # rows that run the dual active set and infeasible rows, under no
+        # box (q = 0), action boxes and state boxes.  Each row is bit for
+        # bit solve_qp of that row alone and the solve as first written.
+        rng = np.random.default_rng(97)
+        kinds = set()
+        for case in range(36):
+            spec = random_system(rng, n_max=2, m_max=2, p_max=2, t_max=6)
+            batch = batch_form(spec)
+            s = rng.standard_normal(batch.p_total)
+            u_free = solve_unconstrained(batch, s)
+            x_free = batch.x0_response + batch.M @ u_free + batch.N @ s
+            u_bound = float(np.abs(u_free).max()) * rng.uniform(0.8, 1.5)
+            x_bound = float(np.abs(x_free).max()) * rng.uniform(0.8, 1.5)
+            if case % 3 == 0:
+                cons = ConstraintSet.empty(batch.m_total, batch.p_total)
+            elif case % 3 == 1:
+                cons = compile_constraints(spec, batch, action_box=(-u_bound, u_bound))
+            else:
+                cons = compile_constraints(spec, batch, action_box=(-u_bound, u_bound),
+                                           state_box=(-x_bound, x_bound))
+            S = s + rng.uniform(0.0, 1.5) * rng.standard_normal((7, batch.p_total))
+            S[0] = s
+            sols = qp_module._solve_rows(batch, cons, S)
+            assert len(sols) == len(S)
+            for row, sol in zip(S, sols):
+                one = solve_qp(batch, cons, row)
+                u, mu, active, weak, status = reference_solve(batch, cons, row)
+                for other in (one, QpSolution(u=u, mu=mu, active=active,
+                                              weakly_active=weak, status=status)):
+                    assert sol.status == other.status
+                    assert sol.active == other.active
+                    assert sol.weakly_active == other.weakly_active
+                    if sol.optimal:
+                        assert np.array_equal(sol.u, other.u)
+                        assert np.array_equal(sol.mu, other.mu)
+                        assert sol.u.tobytes() == other.u.tobytes()  # signed zeros too
+                        assert sol.mu.tobytes() == other.mu.tobytes()
+                    else:
+                        assert sol.u is other.u is None and sol.mu is other.mu is None
+                kinds.add("no box" if cons.q == 0 else "infeasible" if not sol.optimal
+                          else "dual" if sol.mu.any() else "free")
+        assert kinds == {"no box", "free", "dual", "infeasible"}
+
+    def test_a_failing_row_is_held_for_its_caller(self, monkeypatch):
+        # The row whose dual active set raises gets its exception; the
+        # other rows of the block are solved, and solve_qp raises it.
+        spec = make_scalar_spec(T=4)
+        batch = batch_form(spec)
+        cons = compile_constraints(spec, batch, action_box=(-0.3, 0.3))
+        S = np.array([0.05 * i * np.ones(4) for i in range(3)])
+        dual_active_set = qp_module._dual_active_set
+        failing_k = linear_term(batch, S[1])
+
+        def failing(batch, k, G, rhs, tol):
+            if np.array_equal(k, failing_k):
+                raise NumericalError("forced")
+            return dual_active_set(batch, k, G, rhs, tol)
+
+        monkeypatch.setattr(qp_module, "_dual_active_set", failing)
+        sols = qp_module._solve_rows(batch, cons, S)
+        assert isinstance(sols[1], NumericalError) and str(sols[1]) == "forced"
+        for row in (0, 2):
+            assert sols[row].optimal and sols[row].active
+        with pytest.raises(NumericalError, match="^forced$"):
+            solve_qp(batch, cons, S[1])
+
+    def test_kkt_residuals_of_a_block_match_the_oracle_per_row(self):
+        rng = np.random.default_rng(101)
+        for _ in range(20):
+            batch, cons, s, _ = random_box_instance(rng)
+            S = s + 0.5 * rng.standard_normal((5, batch.p_total))
+            sols = [solve_qp(batch, cons, row) for row in S]
+            res = block_residuals(batch, cons, S, sols)
+            assert qp_module._kkt_failures(res, len(S)) == {}
+            for i, (row, sol) in enumerate(zip(S, sols)):
+                assert {name: value[i] for name, value in res.items()} == pytest.approx(
+                    kkt_residuals_oracle(batch, cons, row, sol), rel=0, abs=1e-14)
+
+    @pytest.mark.parametrize("broken", ["stationarity", "feasibility",
+                                        "complementarity", "dual_sign"])
+    def test_a_perturbed_row_fails_the_block_check(self, broken):
+        # The perturbations of test_kkt_residuals_flag_a_perturbed_optimum,
+        # on row 2 of a block of four optima: each breaks its residual, and
+        # only that row fails the check.
+        spec = make_scalar_spec(T=4)
+        batch = batch_form(spec)
+        cons = compile_constraints(spec, batch, action_box=(-0.3, 0.3))
+        S = np.array([0.05 * i * np.ones(4) for i in range(4)])
+        sols = [solve_qp(batch, cons, row) for row in S]
+        sol = sols[2]
+        assert sol.active and sol.active[0] < 4
+        held = sol.active[0]  # an upper bound; row held + 4 is its slack lower bound
+        u, mu = sol.u.copy(), sol.mu.copy()
+        if broken == "stationarity":
+            u[held] -= 1e-3
+        elif broken == "feasibility":
+            u[held] += 1e-3
+        elif broken == "complementarity":
+            mu[held + 4] = 1e-3
+        else:
+            mu[held + 4] = -1e-6
+        sols[2] = dataclasses.replace(sol, u=u, mu=mu)
+        res = block_residuals(batch, cons, S, sols)
+        for i, (row, sol) in enumerate(zip(S, sols)):
+            assert {name: value[i] for name, value in res.items()} == pytest.approx(
+                kkt_residuals_oracle(batch, cons, row, sol), rel=0, abs=1e-14)
+        assert res[broken][2] > qp_module.KKT_LIMITS[broken]
+        failures = qp_module._kkt_failures(res, len(S))
+        assert list(failures) == [2]
+        # The message names the first residual of row 2 past its limit.
+        first = next(name for name, limit in qp_module.KKT_LIMITS.items()
+                     if res[name][2] > limit)
+        assert f"fails the KKT check: {first} residual" in str(failures[2])

@@ -114,12 +114,13 @@ def _check_series_calls(monkeypatch, **overrides):
 
 
 def test_check_count_does_not_grow_with_attack_steps(monkeypatch):
-    # 3 windows stacked, 3 calibrated, and one check per gradient attack.
+    # 3 windows stacked and 3 calibrated: each is checked where it enters,
+    # and the gradient attacks start from the stacked windows.
     for steps in (2, 10):
         assert _check_series_calls(
             monkeypatch, scenarios=["max-action", "l1", "random"],
             action_box="auto", attack={"mode": "iterated", "steps": steps},
-        ) == 3 + 3 + 3 * 2 * 2
+        ) == 3 + 3
 
 
 def test_cost_experiment_checks_each_window_once(monkeypatch):
