@@ -31,11 +31,9 @@ from .qp import (
     solve_qp,
 )
 from .grad_attack import (
-    SolutionJacobian,
     TargetFunction,
     iterated_attack,
     single_step_attack,
-    solution_jacobian,
     target_gradient,
     target_value,
 )
@@ -76,8 +74,7 @@ __all__ = [
     "random_sphere_attack",
     "ConstraintSet", "QpSolution", "compile_constraints", "solve_qp",
     "kkt_residuals", "projected_gradient_solve",
-    "SolutionJacobian", "TargetFunction", "solution_jacobian",
-    "target_value", "target_gradient",
+    "TargetFunction", "target_value", "target_gradient",
     "single_step_attack", "iterated_attack",
     "ArimaSpec", "SeriesWindow", "arima_generate", "sample_random_arima",
     "load_series_windows", "normalize_windows",

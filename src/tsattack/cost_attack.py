@@ -106,17 +106,21 @@ def _closed_form(batch: BatchForm, s: np.ndarray, delta: float) -> AttackResult:
         s_hat=s_hat,
         delta=delta,
         attained=delta * delta * eig.lambda1,  # delta ** 2 raises on overflow
-        norm_used=_norm(s_hat - s),
+        norm_used=_norm(s_hat - s, delta),
     )
 
 
-def _norm(v: np.ndarray) -> float:
-    """||v||_2; past 1.3e154 the sum of squares overflows, so the scaled
-    BLAS norm takes over (inf only when an entry is itself inf)."""
-    norm = float(np.linalg.norm(v))
-    if norm == math.inf:
-        norm = float(scipy.linalg.norm(v, check_finite=False))
-    return norm
+def _norm(v: np.ndarray, budget: float) -> float:
+    """||v||_2 of an offset meant to lie within ``budget``.  Past 1.3e154 the
+    sum of squares overflows, so from a budget of 1e150 the scaled BLAS norm
+    is taken (inf only when an entry is itself inf); below it, only when the
+    sum overflows anyway, as a :func:`tsattack.grad_attack.project_ball`
+    offset up to the step size past its budget can."""
+    if budget < 1e150:
+        norm = float(np.linalg.norm(v))
+        if norm != math.inf:
+            return norm
+    return float(scipy.linalg.norm(v, check_finite=False))
 
 
 def random_sphere_attack(s, delta: float, seed: int) -> AttackResult:
@@ -142,5 +146,5 @@ def random_sphere_attack(s, delta: float, seed: int) -> AttackResult:
         s_hat=s + step,
         delta=delta,
         attained=delta * delta,  # delta ** 2 raises on overflow
-        norm_used=_norm(step),
+        norm_used=_norm(step, delta),
     )

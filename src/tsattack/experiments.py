@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .config import AttackConfig, ExperimentConfig
+from .config import ExperimentConfig
 from .cost_attack import FLAG_INFEASIBLE, _closed_form, random_sphere_attack
 from .data import (
     SeriesWindow,
@@ -29,7 +29,7 @@ from .data import (
     sample_random_arima,
 )
 from .errors import ConfigurationError, NumericalError
-from .grad_attack import TargetFunction, _ascend_rows, iterated_attack, single_step_attack
+from .grad_attack import TargetFunction, _ascend_rows
 from .lqr import (
     BatchForm,
     batch_form,
@@ -271,26 +271,6 @@ def constraints_for(cfg: ExperimentConfig, batch: BatchForm,
                                state_box=cfg.state_box)
 
 
-def attack_series(batch: BatchForm, cons: ConstraintSet, s: np.ndarray, delta: float,
-                  scenario: str, attack: AttackConfig, seed: int):
-    """Perturb the checked series ``s`` within ``delta`` as ``scenario`` says.
-
-    Returns the scenario's :class:`AttackResult`.  ``cost-adv`` is
-    :func:`cost_attack`'s closed-form step along the cached dominant
-    eigenvector of Psi, taken without checking ``s`` again; ``random``
-    draws its direction from ``seed``; and the gradient scenarios run the
-    attack that ``attack`` selects against ``cons``.
-    """
-    if scenario == "cost-adv":
-        return _closed_form(batch, s, delta)
-    if scenario == "random":
-        return random_sphere_attack(s, delta, seed=seed)
-    if attack.mode == "single-step":
-        return single_step_attack(batch, cons, s, delta, TargetFunction(scenario))
-    return iterated_attack(batch, cons, s, delta, TargetFunction(scenario),
-                           steps=attack.steps, step_size=attack.step_size)
-
-
 def attack_windows(cfg: ExperimentConfig, batch: BatchForm, cons: ConstraintSet,
                    series_ids: Sequence[str],
                    S: Sequence[np.ndarray]) -> Tuple[np.ndarray, List[tuple]]:
@@ -337,10 +317,11 @@ def _attack_block(cfg: ExperimentConfig, batch: BatchForm, cons: ConstraintSet,
     """Every window's (result, answer) for the delta ``cfg.deltas[d_idx]``
     and ``scenario``; either is the exception held for its task.
 
-    A gradient scenario runs one lockstep ascent over all windows from
-    their clean solutions (:func:`tsattack.grad_attack._ascend_rows`);
-    the others perturb each window through :func:`attack_series`
-    (``random`` seeded by :func:`task_seed`).  The answer is a gradient
+    The one place a scenario name becomes an attack: a gradient scenario
+    runs one lockstep ascent over all windows from their clean solutions
+    (:func:`tsattack.grad_attack._ascend_rows`); ``cost-adv`` takes each
+    checked window along the cached eigenvector of Psi, and ``random``
+    draws its direction from :func:`task_seed`.  The answer is a gradient
     attack's ``u_hat``, else the actions of the attacked series, solved as
     one block, and None when infeasible.
     """
@@ -353,8 +334,11 @@ def _attack_block(cfg: ExperimentConfig, batch: BatchForm, cons: ConstraintSet,
         results = []
         for w_idx, s in enumerate(S):
             try:
-                results.append(attack_series(batch, cons, s, delta, scenario, cfg.attack,
-                                             task_seed(cfg.seed, w_idx, d_idx)))
+                if scenario == "cost-adv":
+                    results.append(_closed_form(batch, s, delta))
+                else:
+                    results.append(random_sphere_attack(s, delta,
+                                                        task_seed(cfg.seed, w_idx, d_idx)))
             except Exception as exc:  # held for the task
                 results.append(exc)
     answers = [None if isinstance(r, Exception) else r.u_hat for r in results]

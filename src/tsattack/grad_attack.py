@@ -14,10 +14,13 @@ unconstrained action/forecast coupling.
 An attack then ascends any differentiable target of the actions: perturb the
 series by delta along Unit(J g), where J is the solution-map Jacobian and g
 the target's gradient in action space.  J g is one adjoint solve on the
-Cholesky factor of K; J itself is never formed.  When that direction
-vanishes the attack returns the series unchanged, flagged ``zero-gradient``;
-the cost-change target always stalls this way at the unperturbed optimum of
-an unconstrained or action-box controller, since the optimum is a local
+Cholesky factor of K (:func:`_adjoint`); J itself is never formed.  It
+follows the active branch where an active row has a near-zero dual (flag
+``weak-active``) and takes the least-norm multipliers when the active rows
+violate LICQ (flag ``degenerate-kkt``).  When that direction vanishes the
+attack returns the series unchanged, flagged ``zero-gradient``; the
+cost-change target always stalls this way at the unperturbed optimum of an
+unconstrained or action-box controller, since the optimum is a local
 extremum of the cost under fixed constraint right-hand sides.
 
 The single step is the first candidate of the projected ascent and shares
@@ -36,7 +39,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,23 +59,6 @@ ZERO_DIRECTION_TOL = 1e-12
 #: Singular values of C^-1 G_A' (K = C C', G_A the active rows) at or below
 #: this share of the largest count as zero: the active rows violate LICQ.
 LICQ_TOL = 1e-10
-
-
-@dataclass(frozen=True, eq=False)
-class SolutionJacobian:
-    """Derivative of the controller's actions w.r.t. the observed series.
-
-    ``J[i, j] = d u*_j / d s_hat_i`` (shape pT x mT).  ``weak_active_flag``
-    marks solutions where some active constraint had a near-zero dual: the
-    derivative is taken from the active branch and may disagree with finite
-    differences there.  ``degenerate_flag`` marks linearly dependent active
-    rows (such as duplicated rows, which violate LICQ): the multipliers'
-    derivative is then not unique and J uses the least-norm one.
-    """
-
-    J: np.ndarray
-    weak_active_flag: bool = False
-    degenerate_flag: bool = False
 
 
 class TargetFunction(enum.Enum):
@@ -160,23 +145,6 @@ def _adjoint(batch: BatchForm, cons: ConstraintSet, sol: QpSolution, g):
     return free @ (g - GA_t @ nu) + cons.H[active].T @ nu, rank < len(active)
 
 
-def solution_jacobian(
-    batch: BatchForm, cons: ConstraintSet, sol: QpSolution
-) -> SolutionJacobian:
-    """Implicit KKT derivative of the QP solution map at an optimum.
-
-    The attacks' adjoint product taken with the identity; the attacks never
-    form J.  Rows of G are treated as fixed.  Weakly active rows stay in the
-    active set (the derivative follows the active branch) and raise the
-    warning flag; linearly dependent active rows raise ``degenerate_flag``.
-    """
-    if not sol.optimal:
-        raise ValueError("solution_jacobian requires an optimal QpSolution")
-    J, degenerate = _adjoint(batch, cons, sol, np.eye(batch.m_total))
-    return SolutionJacobian(J=J, weak_active_flag=bool(sol.weakly_active),
-                            degenerate_flag=degenerate)
-
-
 def project_ball(x: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
     """Project x onto the L2 ball of the given radius around center.
 
@@ -186,7 +154,7 @@ def project_ball(x: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray
     """
     offset = x - center
     rows = np.atleast_2d(offset)
-    norms = np.array([_norm(v) for v in rows])
+    norms = np.array([_norm(v, radius) for v in rows])
     far = ~(norms <= radius)
     if not far.any():
         return x
@@ -194,18 +162,6 @@ def project_ball(x: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray
     np.atleast_2d(projected)[far] = (np.broadcast_to(center, rows.shape)[far]
                                      + rows[far] * (radius / norms[far])[:, None])
     return projected
-
-
-def _attack_direction(batch, cons, sol, grad):
-    """Ascent direction J g at an optimum for the target gradient g, with
-    its diagnostic flags."""
-    direction, degenerate = _adjoint(batch, cons, sol, grad)
-    flags = set()
-    if sol.weakly_active:
-        flags.add(FLAG_WEAK_ACTIVE)
-    if degenerate:
-        flags.add(FLAG_DEGENERATE_KKT)
-    return direction, flags
 
 
 def _ascend_rows(batch, cons, S, clean, delta, target, steps, step_size) -> list:
@@ -236,7 +192,7 @@ def _ascend_rows(batch, cons, S, clean, delta, target, steps, step_size) -> list
     def finish(row, s_hat, attained, u_hat=None):
         try:
             out[row] = AttackResult(s_hat=s_hat, delta=float(delta),
-                                    attained=float(attained), norm_used=_norm(s_hat - S[row]),
+                                    attained=float(attained), norm_used=_norm(s_hat - S[row], delta),
                                     flags=frozenset(flags[row]), u_hat=u_hat)
         except Exception as exc:  # held for the row's task
             out[row] = exc
@@ -249,11 +205,14 @@ def _ascend_rows(batch, cons, S, clean, delta, target, steps, step_size) -> list
                                   batch, S[rows])
         for i, row in enumerate(rows.tolist()):
             try:
-                direction, step_flags = _attack_direction(batch, cons, sols[row], grads[i])
+                direction, degenerate = _adjoint(batch, cons, sols[row], grads[i])
             except Exception as exc:  # held for the row's task
                 out[row], moves[i] = exc, False
                 continue
-            flags[row] |= step_flags
+            if sols[row].weakly_active:
+                flags[row].add(FLAG_WEAK_ACTIVE)
+            if degenerate:
+                flags[row].add(FLAG_DEGENERATE_KKT)
             heading[row], norms[i] = direction, np.linalg.norm(direction)
         stalled = moves & (norms <= ZERO_DIRECTION_TOL)
         moves &= ~stalled

@@ -3,14 +3,13 @@ import pytest
 
 from tsattack import (
     NumericalError,
-    SolutionJacobian,
     SystemSpec,
     batch_form,
     compile_constraints,
     solve_qp,
     solve_unconstrained,
 )
-from tsattack.grad_attack import ZERO_DIRECTION_TOL
+from tsattack.grad_attack import ZERO_DIRECTION_TOL, _adjoint
 from tsattack.lqr import check_series
 
 
@@ -39,8 +38,15 @@ def random_system(rng, n_max=3, m_max=3, p_max=3, t_max=10):
     return SystemSpec(A=A, B=B, C=C, Q=Q, R=R, T=T, x0=x0)
 
 
+def adjoint_jacobian(batch, cons, sol):
+    """The solution-map Jacobian du/ds (pT x mT) at an optimum, as the
+    attacks' adjoint product with the identity, and whether the active rows
+    violate LICQ."""
+    return _adjoint(batch, cons, sol, np.eye(batch.m_total))
+
+
 def finite_difference_jacobian(batch, cons, s_obs, step: float = 1e-6):
-    """Central-difference oracle for :func:`tsattack.solution_jacobian`.
+    """Central-difference oracle for :func:`adjoint_jacobian` (pT x mT).
 
     Re-solves the QP twice per series coordinate.  Raises when any perturbed
     problem is infeasible, naming the offending coordinate.
@@ -63,7 +69,7 @@ def finite_difference_jacobian(batch, cons, s_obs, step: float = 1e-6):
             pair.append(sol.u)
         shifted[i] = s_obs[i]
         J[i] = (pair[0] - pair[1]) / (2.0 * step)
-    return SolutionJacobian(J=J, weak_active_flag=False)
+    return J
 
 
 def unit(v: np.ndarray) -> np.ndarray:

@@ -208,7 +208,7 @@ class TestRandomSphereAttack:
             random_sphere_attack([0.0], delta, seed=0)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("attack", [
     pytest.param(lambda batch, s, delta: cost_attack(batch, s, delta), id="cost"),
     pytest.param(lambda batch, s, delta: random_sphere_attack(s, delta, seed=5),
@@ -218,6 +218,7 @@ class TestRandomSphereAttack:
         TargetFunction.MAX_ACTION, steps=3), id="iterated"),
 ])
 def test_norm_used_stays_finite_past_the_squared_overflow(scalar_t2, attack):
-    # The sum of squares of a 1e200 step overflows; its norm does not.
+    # The sum of squares of a 1e200 step would overflow; its norm is taken
+    # scaled, and no overflow warning is raised.
     result = attack(scalar_t2, np.array([0.4, -0.2]), 1e200)
     assert math.isclose(result.norm_used, 1e200, rel_tol=1e-12)

@@ -36,7 +36,7 @@ from tsattack.experiments import (
     ScenarioStats,
     SeriesDump,
     _paired_p_values,
-    attack_series,
+    attack_windows,
     constraints_for,
     load_windows,
     task_seed,
@@ -289,14 +289,14 @@ STATE_BOX_OVERRIDES = {
 
 class TestConstraintExperiment:
     def _config(self, **overrides):
-        return make_config(
-            scenarios=["max-action", "l1", "random"],
-            action_box="auto",
-            deltas=[0.5],
-            dataset={"kind": "arima", "count": 8},
-            attack={"mode": "iterated", "steps": 6},
+        return make_config(**{
+            "scenarios": ["max-action", "l1", "random"],
+            "action_box": "auto",
+            "deltas": [0.5],
+            "dataset": {"kind": "arima", "count": 8},
+            "attack": {"mode": "iterated", "steps": 6},
             **overrides,
-        )
+        })
 
     def test_records_and_flags(self):
         stats = run_experiment(self._config())
@@ -387,8 +387,7 @@ class TestConstraintExperiment:
             calls.append(args)
             raise AssertionError("attack ran before the clean problems were checked")
 
-        for name in ("random_sphere_attack", "single_step_attack", "iterated_attack",
-                     "_ascend_rows"):
+        for name in ("_closed_form", "random_sphere_attack", "_ascend_rows"):
             monkeypatch.setattr(f"tsattack.experiments.{name}", attack)
         boxes = {"action_box": {"u_min": -0.01, "u_max": 0.01},
                  "state_box": {"x_min": -0.25, "x_max": 0.25}}
@@ -578,21 +577,30 @@ class TestConstraintExperiment:
             np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("scenario", SCENARIOS)
-    def test_attack_series_returns_an_attack_result(self, scenario):
-        cfg = self._config()
+    def test_attack_windows_results(self, scenario):
+        # Every task's result is an AttackResult within its delta; cost-adv
+        # steps along v1 and random draws from its own (window, delta) seed.
+        cfg = self._config(scenarios=[scenario], deltas=[0.5, 1.0])
         batch = batch_form(cfg.system)
         windows = load_windows(cfg)
-        cons = constraints_for(cfg, batch, windows)
-        s = windows[0].values
-        result = attack_series(batch, cons, s, 0.5, scenario, cfg.attack, seed=3)
-        assert isinstance(result, AttackResult)
-        assert result.delta == 0.5
-        assert math.isclose(result.norm_used, np.linalg.norm(result.s_hat - s),
-                            rel_tol=1e-12, abs_tol=1e-15)
-        if scenario == "cost-adv":
-            np.testing.assert_array_equal(result.s_hat,
-                                          s + 0.5 * batch.eigenpair.v1)
-            assert result.attained == 0.5 * 0.5 * batch.eigenpair.lambda1
+        S = np.array([w.values for w in windows])
+        _, tasks = attack_windows(cfg, batch, constraints_for(cfg, batch, windows),
+                                  [w.series_id for w in windows], S)
+        assert len(tasks) == len(windows) * len(cfg.deltas)
+        for w_idx, delta, _, result, _ in tasks:
+            s = S[w_idx]
+            assert isinstance(result, AttackResult)
+            assert result.delta == delta
+            assert math.isclose(result.norm_used, np.linalg.norm(result.s_hat - s),
+                                rel_tol=1e-12, abs_tol=1e-15)
+            if scenario == "cost-adv":
+                np.testing.assert_array_equal(result.s_hat,
+                                              s + delta * batch.eigenpair.v1)
+                assert result.attained == delta * delta * batch.eigenpair.lambda1
+            elif scenario == "random":
+                seed = task_seed(cfg.seed, w_idx, cfg.deltas.index(delta))
+                np.testing.assert_array_equal(
+                    result.s_hat, random_sphere_attack(s, delta, seed).s_hat)
 
     def test_few_nonzero_differences_get_no_p_value(self):
         # 8 finite pairs of max-action vs random with 1 to 4 nonzero

@@ -15,7 +15,6 @@ from tsattack import (
     iterated_attack,
     rollout_cost,
     single_step_attack,
-    solution_jacobian,
     solve_qp,
     solve_unconstrained,
     target_gradient,
@@ -25,6 +24,7 @@ from tsattack import grad_attack
 from tsattack.grad_attack import project_ball
 
 from conftest import (
+    adjoint_jacobian,
     finite_difference_jacobian,
     make_scalar_spec,
     random_state_box_instance,
@@ -101,9 +101,9 @@ def reference_iterated_attack(batch, cons, s, delta, target, steps=20,
 
     Takes the single-step candidate first, then runs every step from a
     second clean solve and direction, and solves every iterate, including
-    repeats.  The directions come from ``grad_attack._attack_direction``,
-    which ``test_attack_direction_is_the_jacobian_product`` checks against
-    the Jacobian.  Returns (s_hat, attained, flags).
+    repeats.  The directions come from ``grad_attack._adjoint``, which
+    ``test_attack_direction_is_the_jacobian_product`` checks against the
+    block-solve Jacobian.  Returns (s_hat, attained, flags).
     """
     if step_size is None:
         step_size = delta / 10.0
@@ -111,9 +111,12 @@ def reference_iterated_attack(batch, cons, s, delta, target, steps=20,
     flags = set()
 
     def direction_at(sol):
-        direction, step_flags = grad_attack._attack_direction(
+        direction, degenerate = grad_attack._adjoint(
             batch, cons, sol, target_gradient(target, sol.u, batch, s))
-        flags.update(step_flags)
+        if sol.weakly_active:
+            flags.add("weak-active")
+        if degenerate:
+            flags.add("degenerate-kkt")
         return direction
 
     clean = solve_qp(batch, cons, s)
@@ -155,9 +158,9 @@ class TestSolutionJacobian:
     def test_unconstrained_scalar(self, scalar_t1):
         cons = ConstraintSet.empty(1, 1)
         sol = solve_qp(scalar_t1, cons, [0.0])
-        jac = solution_jacobian(scalar_t1, cons, sol)
-        np.testing.assert_allclose(jac.J, [[0.5]])
-        assert not jac.weak_active_flag
+        J, _ = adjoint_jacobian(scalar_t1, cons, sol)
+        np.testing.assert_allclose(J, [[0.5]])
+        assert not sol.weakly_active
 
     def test_unconstrained_reduces_to_coupling(self):
         rng = np.random.default_rng(5)
@@ -165,16 +168,15 @@ class TestSolutionJacobian:
             batch = batch_form(random_system(rng))
             cons = ConstraintSet.empty(batch.m_total, batch.p_total)
             sol = solve_qp(batch, cons, rng.standard_normal(batch.p_total))
-            jac = solution_jacobian(batch, cons, sol)
-            np.testing.assert_allclose(jac.J, closed_form_jacobian(batch),
-                                       atol=1e-10)
+            J, _ = adjoint_jacobian(batch, cons, sol)
+            np.testing.assert_allclose(J, closed_form_jacobian(batch), atol=1e-10)
 
     def test_clamped_scalar_is_zero(self, scalar_t1):
         cons = compile_constraints(scalar_t1.spec, scalar_t1,
                                    action_box=(-0.3, 0.3))
         sol = solve_qp(scalar_t1, cons, [0.0])
-        jac = solution_jacobian(scalar_t1, cons, sol)
-        np.testing.assert_allclose(jac.J, [[0.0]], atol=1e-14)
+        J, _ = adjoint_jacobian(scalar_t1, cons, sol)
+        np.testing.assert_allclose(J, [[0.0]], atol=1e-14)
 
     def test_all_clamped_gives_zero_matrix(self):
         # Large x0 pushes every action onto the box; H = 0 so nothing moves.
@@ -184,24 +186,17 @@ class TestSolutionJacobian:
         sol = solve_qp(batch, cons, np.zeros(3))
         assert len(sol.active) == 3
         assert min(sol.mu[list(sol.active)]) > 0
-        jac = solution_jacobian(batch, cons, sol)
-        np.testing.assert_allclose(jac.J, 0.0, atol=1e-12)
-
-    def test_requires_optimal_solution(self, scalar_t1):
-        spec = scalar_t1.spec
-        cons = compile_constraints(spec, scalar_t1, action_box=(-0.1, 0.1),
-                                   state_box=(-10.0, 0.5))
-        sol = solve_qp(scalar_t1, cons, [0.0])
-        with pytest.raises(ValueError, match="optimal"):
-            solution_jacobian(scalar_t1, cons, sol)
+        J, _ = adjoint_jacobian(batch, cons, sol)
+        np.testing.assert_allclose(J, 0.0, atol=1e-12)
 
     def test_free_jacobian_is_the_cached_coupling(self, scalar_t2):
         cons = ConstraintSet.empty(2, 2)
-        jac = solution_jacobian(scalar_t2, cons, solve_qp(scalar_t2, cons, [0.1, 0.2]))
+        J, degenerate = adjoint_jacobian(scalar_t2, cons,
+                                         solve_qp(scalar_t2, cons, [0.1, 0.2]))
         cached = scalar_t2.free_jacobian.copy()
-        np.testing.assert_array_equal(jac.J, cached.T)
-        assert not jac.degenerate_flag
-        jac.J[0, 0] += 1.0
+        np.testing.assert_array_equal(J, cached.T)
+        assert not degenerate
+        J[0, 0] += 1.0
         np.testing.assert_array_equal(scalar_t2.free_jacobian, cached)
 
     def test_matches_the_block_solve_oracle(self):
@@ -210,23 +205,22 @@ class TestSolutionJacobian:
         # side through the series (state rows) and on repeated active rows.
         series_rows = degenerate = 0
         for batch, cons, s, sol in oracle_instances(90):
-            jac = solution_jacobian(batch, cons, sol)
+            J, flagged = adjoint_jacobian(batch, cons, sol)
             J_ref, degenerate_ref = reference_jacobian(batch, cons, sol)
             scale = max(1.0, float(np.abs(J_ref).max()))
-            assert np.abs(jac.J - J_ref).max() <= 1e-10 * scale
-            assert jac.degenerate_flag == degenerate_ref
-            assert jac.weak_active_flag == bool(sol.weakly_active)
+            assert np.abs(J - J_ref).max() <= 1e-10 * scale
+            assert flagged == degenerate_ref
             series_rows += bool(np.any(cons.H[list(sol.active)]))
             degenerate += degenerate_ref
         assert series_rows >= 20 and degenerate >= 20
 
     def test_attack_direction_is_the_jacobian_product(self):
         for batch, cons, s, sol in oracle_instances(45):
-            J = solution_jacobian(batch, cons, sol).J
+            J, _ = reference_jacobian(batch, cons, sol)
             for target in (TargetFunction.MAX_ACTION, TargetFunction.MIN_ACTION,
                            TargetFunction.L1_ENERGY):
                 grad = target_gradient(target, sol.u, batch, s)
-                direction, _ = grad_attack._attack_direction(batch, cons, sol, grad)
+                direction, _ = grad_attack._adjoint(batch, cons, sol, grad)
                 expected = J @ grad
                 scale = max(1.0, float(np.abs(expected).max()))
                 assert np.abs(direction - expected).max() <= 1e-12 * scale
@@ -241,17 +235,25 @@ class TestSolutionJacobian:
         cons = duplicated_action_box(batch, 0.4)
         sol = solve_qp(batch, cons, s)
         assert {0, 3} <= set(sol.active)
-        jac = solution_jacobian(batch, cons, sol)
-        assert jac.degenerate_flag
+        J, degenerate = adjoint_jacobian(batch, cons, sol)
+        assert degenerate
         box = compile_constraints(spec, batch, action_box=(-0.4, 0.4))
-        plain = solution_jacobian(batch, box, solve_qp(batch, box, s))
-        assert not plain.degenerate_flag
-        np.testing.assert_allclose(jac.J, plain.J, atol=1e-12)
+        J_plain, degenerate = adjoint_jacobian(batch, box, solve_qp(batch, box, s))
+        assert not degenerate
+        np.testing.assert_allclose(J, J_plain, atol=1e-12)
         for attack in (single_step_attack, iterated_attack):
             result = attack(batch, cons, s, 0.5, TargetFunction.L1_ENERGY)
             assert "degenerate-kkt" in result.flags
             clean = attack(batch, box, s, 0.5, TargetFunction.L1_ENERGY)
             assert "degenerate-kkt" not in clean.flags
+
+    def test_weakly_active_clean_solution_flags_the_attack(self, scalar_t1):
+        # The upper bound sits at the unconstrained optimum: its dual is 0.
+        cons = compile_constraints(scalar_t1.spec, scalar_t1, action_box=(-10.0, 0.5))
+        assert solve_qp(scalar_t1, cons, [0.0]).weakly_active == (0,)
+        for attack in (single_step_attack, iterated_attack):
+            result = attack(scalar_t1, cons, [0.0], 0.5, TargetFunction.MAX_ACTION)
+            assert "weak-active" in result.flags
 
     def test_state_box_contributes_series_term(self):
         # Active state row: u = (x0 + s - x_max) exactly, so du/ds = 1.
@@ -259,21 +261,21 @@ class TestSolutionJacobian:
         batch = batch_form(spec)
         cons = compile_constraints(spec, batch, state_box=(-10.0, 0.2))
         sol = solve_qp(batch, cons, [0.0])
-        jac = solution_jacobian(batch, cons, sol)
-        np.testing.assert_allclose(jac.J, [[1.0]], atol=1e-10)
+        J, _ = adjoint_jacobian(batch, cons, sol)
+        np.testing.assert_allclose(J, [[1.0]], atol=1e-10)
 
 
 class TestFiniteDifferenceJacobian:
     def test_unconstrained_scalar(self, scalar_t1):
         cons = ConstraintSet.empty(1, 1)
-        jac = finite_difference_jacobian(scalar_t1, cons, [0.0])
-        np.testing.assert_allclose(jac.J, [[0.5]], atol=1e-8)
+        J = finite_difference_jacobian(scalar_t1, cons, [0.0])
+        np.testing.assert_allclose(J, [[0.5]], atol=1e-8)
 
     def test_clamped_scalar(self, scalar_t1):
         cons = compile_constraints(scalar_t1.spec, scalar_t1,
                                    action_box=(-0.3, 0.3))
-        jac = finite_difference_jacobian(scalar_t1, cons, [0.0])
-        np.testing.assert_allclose(jac.J, [[0.0]], atol=1e-6)
+        J = finite_difference_jacobian(scalar_t1, cons, [0.0])
+        np.testing.assert_allclose(J, [[0.0]], atol=1e-6)
 
     def test_infeasible_perturbation_names_coordinate(self):
         spec = make_scalar_spec(T=1)
