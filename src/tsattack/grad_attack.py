@@ -31,7 +31,10 @@ once and hand back the actions of the series they return
 The ascent runs over a block of series in lockstep (:func:`_ascend_rows`;
 the public attacks are its one-row case): each step solves the rows still
 moving as one block, and each row keeps its own iterate, best candidate,
-flags and exits.  Adjoint products and norms stay per row, so every row is
+flags and exits.  The adjoint products of rows with no active row and every
+norm are stacked matmuls that issue each row's own BLAS call
+(:func:`tsattack.lqr._row_products`, :func:`tsattack.lqr._row_dots`); only
+a row with an active set takes its own :func:`_adjoint`.  So every row is
 bit for bit the ascent of that series alone.
 """
 
@@ -48,10 +51,12 @@ from .cost_attack import (
     FLAG_INFEASIBLE,
     FLAG_WEAK_ACTIVE,
     FLAG_ZERO_GRADIENT,
-    _norm,
+    _norms,
 )
-from .lqr import BatchForm, _solve_triangular, check_series, linear_term, rollout_cost
-from .qp import ConstraintSet, QpSolution, _held, _solve_rows
+from .lqr import (BatchForm, _rollout_costs, _row_dots, _row_products, _solve_triangular,
+                  check_series)
+from .errors import _held
+from .qp import ConstraintSet, QpSolution, _solve_rows
 
 #: Directions with L2 norm at or below this are treated as zero gradients.
 ZERO_DIRECTION_TOL = 1e-12
@@ -82,7 +87,8 @@ def _target_values(target: TargetFunction, U: np.ndarray, batch: BatchForm,
     """:func:`target_value` of each row of the (W, mT) block U, judged
     against the matching real series.  The action targets are row-wise
     reductions over the contiguous axis, so each equals the same reduction
-    of the row on its own, bit for bit; the cost is rolled out per row."""
+    of the row on its own, bit for bit, and the costs are rolled out together
+    (:func:`tsattack.lqr._rollout_costs`), each bit for bit its own rollout."""
     if target is TargetFunction.MAX_ACTION:
         return U.max(axis=1)
     if target is TargetFunction.MIN_ACTION:
@@ -90,7 +96,7 @@ def _target_values(target: TargetFunction, U: np.ndarray, batch: BatchForm,
     if target is TargetFunction.L1_ENERGY:
         return np.abs(U).sum(axis=1)
     if target is TargetFunction.COST_CHANGE:
-        return np.array([rollout_cost(batch.spec, u, s) for u, s in zip(U, S_real)])
+        return _rollout_costs(batch.spec, U, np.asarray(S_real, dtype=float))
     raise ValueError(f"unknown target {target!r}")
 
 
@@ -108,7 +114,8 @@ def target_gradient(target: TargetFunction, u, batch: BatchForm, s_real) -> np.n
 def _target_gradients(target: TargetFunction, U: np.ndarray, batch: BatchForm,
                       S_real) -> np.ndarray:
     """:func:`target_gradient` at each row of the (W, mT) block U, with the
-    matching real series; the cost gradient's products are taken per row."""
+    matching real series; the cost gradient's products are stacked, bit for
+    bit the per-row ``2K @ u`` and ``L @ s``."""
     if target in (TargetFunction.MAX_ACTION, TargetFunction.MIN_ACTION):
         G = np.zeros_like(U)
         if target is TargetFunction.MAX_ACTION:
@@ -119,8 +126,8 @@ def _target_gradients(target: TargetFunction, U: np.ndarray, batch: BatchForm,
     if target is TargetFunction.L1_ENERGY:
         return np.sign(U)
     if target is TargetFunction.COST_CHANGE:
-        return np.array([2.0 * batch.K @ u + 2.0 * linear_term(batch, s)
-                         for u, s in zip(U, S_real)])
+        linear = batch.k_const + _row_products(batch.L, np.asarray(S_real, dtype=float))
+        return _row_products(2.0 * batch.K, U) + 2.0 * linear
     raise ValueError(f"unknown target {target!r}")
 
 
@@ -145,16 +152,38 @@ def _adjoint(batch: BatchForm, cons: ConstraintSet, sol: QpSolution, g):
     return free @ (g - GA_t @ nu) + cons.H[active].T @ nu, rank < len(active)
 
 
+def _adjoints(batch: BatchForm, cons: ConstraintSet, sols, grads: np.ndarray):
+    """:func:`_adjoint` of each optimum sols[i] with its target gradient
+    grads[i], the rows of a (W, mT) block.
+
+    The rows with no active row take ``free_jacobian.T @ g`` as one stacked
+    product (:func:`tsattack.lqr._row_products`), bit for bit the product of
+    each row alone; only the rows with an active set call :func:`_adjoint`.
+    Returns the (W, pT) directions, whether each row's active rows violate
+    LICQ, and by row the exception a row's adjoint raised, held for its
+    task.
+    """
+    directions = _row_products(batch.free_jacobian.T, grads)
+    degenerate, failures = np.zeros(len(sols), dtype=bool), {}
+    for i, sol in enumerate(sols):
+        if sol.active:
+            try:
+                directions[i], degenerate[i] = _adjoint(batch, cons, sol, grads[i])
+            except Exception as exc:  # held for the row's task
+                failures[i] = exc
+    return directions, degenerate, failures
+
+
 def project_ball(x: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
     """Project x onto the L2 ball of the given radius around center.
 
     A (W, n) block x is projected row by row onto the balls around the rows
     of center.  A point inside its ball is kept as it is; each norm is the
-    norm of that row alone.
+    norm of that row alone, bit for bit, though all are taken at once.
     """
     offset = x - center
     rows = np.atleast_2d(offset)
-    norms = np.array([_norm(v, radius) for v in rows])
+    norms = _norms(rows, radius)
     far = ~(norms <= radius)
     if not far.any():
         return x
@@ -173,8 +202,9 @@ def _ascend_rows(batch, cons, S, clean, delta, target, steps, step_size) -> list
     for the single step alone.  The rows move in lockstep: each step solves
     the rows that need a solve as one :func:`tsattack.qp._solve_rows`
     block, and each row leaves at its own zero-gradient, infeasible or
-    fixed-point exit.  The adjoint products and the norms are taken per
-    row; headings, candidates, the projection's scaling, the target values,
+    fixed-point exit.  The directions come from one :func:`_adjoints` call
+    per step, and the direction and perturbation norms from one stacked dot
+    each; headings, candidates, the projection's scaling, the target values,
     the tie rule and the fixed-point test are elementwise or row-wise.  So
     each row's result is bit for bit the ascent of that row alone.
     Returns, per row, its :class:`AttackResult` or the exception the row
@@ -186,53 +216,64 @@ def _ascend_rows(batch, cons, S, clean, delta, target, steps, step_size) -> list
     out: list = [None] * W
     flags = [set() for _ in range(W)]
     sols = list(clean)
-    heading = np.empty_like(S)
-    best_s, best_u, best_v = [None] * W, [None] * W, np.empty(W)
+    heading, best_s = np.empty_like(S), np.empty_like(S)
+    best_u, best_v = [None] * W, np.empty(W)
 
-    def finish(row, s_hat, attained, u_hat=None):
-        try:
-            out[row] = AttackResult(s_hat=s_hat, delta=float(delta),
-                                    attained=float(attained), norm_used=_norm(s_hat - S[row], delta),
-                                    flags=frozenset(flags[row]), u_hat=u_hat)
-        except Exception as exc:  # held for the row's task
-            out[row] = exc
+    def finish(rows, S_hat, attained, U_hat):
+        """Record the results of ``rows``: one row of S_hat and one entry of
+        attained and U_hat each."""
+        if not rows.size:
+            return
+        norms = _norms(S_hat - S[rows], delta).tolist()
+        for row, s_hat, value, u_hat, norm in zip(rows.tolist(), S_hat, attained, U_hat,
+                                                  norms):
+            try:
+                out[row] = AttackResult(s_hat=s_hat, delta=float(delta), attained=float(value),
+                                        norm_used=norm, flags=frozenset(flags[row]),
+                                        u_hat=u_hat)
+            except Exception as exc:  # held for the row's task
+                out[row] = exc
+
+    def finish_best(rows):
+        finish(rows, best_s[rows], best_v[rows], [best_u[row] for row in rows.tolist()])
 
     def steer(rows):
         """Set each row's unit heading at its solution; returns the rows that
         move and the rows whose direction vanished."""
-        norms, moves = np.ones(len(rows)), np.ones(len(rows), dtype=bool)
-        grads = _target_gradients(target, np.array([sols[row].u for row in rows.tolist()]),
-                                  batch, S[rows])
-        for i, row in enumerate(rows.tolist()):
-            try:
-                direction, degenerate = _adjoint(batch, cons, sols[row], grads[i])
-            except Exception as exc:  # held for the row's task
-                out[row], moves[i] = exc, False
-                continue
-            if sols[row].weakly_active:
-                flags[row].add(FLAG_WEAK_ACTIVE)
-            if degenerate:
-                flags[row].add(FLAG_DEGENERATE_KKT)
-            heading[row], norms[i] = direction, np.linalg.norm(direction)
+        at = [sols[row] for row in rows.tolist()]
+        grads = _target_gradients(target, np.array([sol.u for sol in at]), batch, S[rows])
+        directions, degenerate, failures = _adjoints(batch, cons, at, grads)
+        moves = np.ones(len(rows), dtype=bool)
+        for i, exc in failures.items():
+            out[rows[i]], moves[i] = exc, False
+        for i in np.flatnonzero(moves).tolist():
+            if at[i].weakly_active:
+                flags[rows[i]].add(FLAG_WEAK_ACTIVE)
+            if degenerate[i]:
+                flags[rows[i]].add(FLAG_DEGENERATE_KKT)
+        norms = np.sqrt(_row_dots(directions))  # np.linalg.norm of each row
         stalled = moves & (norms <= ZERO_DIRECTION_TOL)
         moves &= ~stalled
-        heading[rows[moves]] /= norms[moves, None]
+        heading[rows[moves]] = directions[moves] / norms[moves, None]
         return rows[moves], rows[stalled]
 
     def solve(rows, X):
         """Solve the rows' candidates X; a row whose solve fails or is
         infeasible finishes here.  Returns which rows are kept, and their
         solutions."""
-        kept, found = np.ones(len(rows), dtype=bool), []
+        kept, found, infeasible = np.ones(len(rows), dtype=bool), [], []
         for i, (row, sol) in enumerate(zip(rows.tolist(), _solve_rows(batch, cons, X))):
             if isinstance(sol, Exception):
                 out[row], kept[i] = sol, False
             elif not sol.optimal:
                 flags[row].add(FLAG_INFEASIBLE)
-                finish(row, X[i], np.inf)
                 kept[i] = False
+                infeasible.append(i)
             else:
                 found.append(sol)
+        if infeasible:
+            finish(rows[infeasible], X[infeasible], np.full(len(infeasible), np.inf),
+                   [None] * len(infeasible))
         return kept, found
 
     def values(rows, found):
@@ -241,16 +282,18 @@ def _ascend_rows(batch, cons, S, clean, delta, target, steps, step_size) -> list
         return _target_values(target, np.array([sol.u for sol in found]), batch, S[rows])
 
     rows, stalled = steer(np.arange(W))
+    U = [sols[row].u for row in stalled.tolist()]
     for row in stalled.tolist():
         flags[row].add(FLAG_ZERO_GRADIENT)
-        finish(row, S[row].copy(), target_value(target, sols[row].u, batch, S[row]),
-               sols[row].u)
+    if U:
+        finish(stalled, S[stalled], _target_values(target, np.array(U), batch, S[stalled]), U)
     X = S[rows] + delta * heading[rows]
     kept, found = solve(rows, X)
     rows, X = rows[kept], X[kept]
     best_v[rows] = values(rows, found)
-    for row, s_hat, sol in zip(rows.tolist(), X, found):
-        best_s[row], best_u[row] = s_hat, sol.u
+    best_s[rows] = X
+    for row, sol in zip(rows.tolist(), found):
+        best_u[row] = sol.u
 
     S_cur = S.copy()
     for step in range(steps):
@@ -258,10 +301,9 @@ def _ascend_rows(batch, cons, S, clean, delta, target, steps, step_size) -> list
             break
         if step:
             rows, stalled = steer(rows)
-            for row in stalled.tolist():
-                finish(row, best_s[row], best_v[row], best_u[row])
+            finish_best(stalled)
         X = project_ball(S_cur[rows] + step_size * heading[rows], S[rows], delta)
-        fixed = np.all(X == S_cur[rows], axis=1)  # array_equal, row by row
+        fixed = (X == S_cur[rows]).all(axis=1)  # array_equal, row by row
         moved = np.flatnonzero(~fixed)
         if moved.size:
             kept, found = solve(rows[moved], X[moved])
@@ -273,15 +315,14 @@ def _ascend_rows(batch, cons, S, clean, delta, target, steps, step_size) -> list
         value, best = values(rows, [sols[row] for row in rows.tolist()]), best_v[rows]
         # A later iterate must win by more than rounding: on a target that is
         # flat on the delta sphere (l1) ties would be broken by the last ulp.
-        for i in np.flatnonzero(value - best > 1e-12 * np.abs(best)).tolist():
-            row = rows[i]
-            best_s[row], best_v[row], best_u[row] = X[i], value[i], sols[row].u
-        for row in rows[fixed].tolist():
-            finish(row, best_s[row], best_v[row], best_u[row])
+        wins = np.flatnonzero(value - best > 1e-12 * np.abs(best))
+        best_s[rows[wins]], best_v[rows[wins]] = X[wins], value[wins]
+        for row in rows[wins].tolist():
+            best_u[row] = sols[row].u
+        finish_best(rows[fixed])
         rows = rows[~fixed]
         S_cur[rows] = X[~fixed]
-    for row in rows.tolist():
-        finish(row, best_s[row], best_v[row], best_u[row])
+    finish_best(rows)
     return out
 
 

@@ -19,7 +19,8 @@ coupling L, its free Jacobian -K^{-1} L and Psi = L' K^{-1} L.
 K is never inverted explicitly; a Cholesky factorization is stored on the
 batch form and reused for all solves.  The solvers' hot paths solve with it
 through :func:`_cho_solve` and :func:`_solve_triangular`, which call LAPACK
-directly.
+directly, and take the products and norms of a block of series through
+:func:`_row_products` and :func:`_row_dots`, bit for bit the per-series ones.
 """
 
 from __future__ import annotations
@@ -62,6 +63,20 @@ def _solve_triangular(a, b, lower=False, trans=0) -> np.ndarray:
     if info < 0:
         raise ValueError(f"illegal value in {-info}-th argument of internal trtrs")
     return x
+
+
+def _row_products(A: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """``A @ x`` for every row x of the 2-D block X, bit for bit.  The stacked
+    np.matmul makes numpy's C loop issue one BLAS gemv per row with the
+    arguments ``A @ x`` passes; the one gemm ``X @ A.T`` rounds differently."""
+    return np.matmul(A, X[:, :, None])[:, :, 0]
+
+
+def _row_dots(X: np.ndarray) -> np.ndarray:
+    """``x @ x`` for every row x of the 2-D block X, bit for bit what
+    np.linalg.norm squares: one BLAS ddot per row, from one np.matmul."""
+    X = np.ascontiguousarray(X)  # a strided row would take another ddot kernel
+    return np.matmul(X[:, None, :], X[:, :, None])[:, 0, 0]
 
 
 def _finite_array(value, name: str) -> np.ndarray:
@@ -311,7 +326,7 @@ def rollout_cost(spec: SystemSpec, u, s) -> float:
     Simulates x_{t+1} = A x_t + B u_t + C s_t from x0 and accumulates
     sum_{t=0}^{T} x_t' Q x_t + sum_{t=0}^{T-1} u_t' R u_t.  Attacked
     controllers are always costed here against the real series, never the
-    perturbed one.
+    perturbed one.  This is the one-row case of :func:`_rollout_costs`.
     """
     u = np.asarray(u, dtype=float).ravel()
     s = np.asarray(s, dtype=float).ravel()
@@ -320,15 +335,30 @@ def rollout_cost(spec: SystemSpec, u, s) -> float:
         raise ValueError(f"u must have length m*T = {m * T}, got {u.shape[0]}")
     if s.shape != (p * T,):
         raise ValueError(f"s must have length p*T = {p * T}, got {s.shape[0]}")
-    x = spec.x0
-    total = float(x @ spec.Q @ x)
-    for t in range(T):
-        u_t = u[t * m:(t + 1) * m]
-        s_t = s[t * p:(t + 1) * p]
-        total += float(u_t @ spec.R @ u_t)
-        x = spec.A @ x + spec.B @ u_t + spec.C @ s_t
-        total += float(x @ spec.Q @ x)
+    return float(_rollout_costs(spec, u[None], s[None])[0])
+
+
+def _rollout_costs(spec: SystemSpec, U: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """:func:`rollout_cost` of each action row of U against the matching row
+    of S, all rows stepped together.  Every product is the per-row product
+    (:func:`_row_products`, and the quadratic forms ``(x @ Q) @ x`` one
+    stacked matmul each), so each cost is bit for bit its own rollout."""
+    m, p = spec.m, spec.p
+    x0 = spec.x0
+    X = np.tile(x0, (len(U), 1))
+    total = np.full(len(U), float(x0 @ spec.Q @ x0))
+    for t in range(spec.T):
+        U_t, S_t = U[:, t * m:(t + 1) * m], S[:, t * p:(t + 1) * p]
+        total += _quadratic_forms(U_t, spec.R)
+        X = _row_products(spec.A, X) + _row_products(spec.B, U_t) + _row_products(spec.C, S_t)
+        total += _quadratic_forms(X, spec.Q)
     return total
+
+
+def _quadratic_forms(X: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """``x @ P @ x`` for every row x of X, bit for bit: one stacked
+    vector-matrix and one stacked dot."""
+    return np.matmul(np.matmul(X[:, None, :], P), X[:, :, None])[:, 0, 0]
 
 
 def realized_costs(batch: BatchForm, U, S) -> np.ndarray:

@@ -11,32 +11,38 @@ no feasible start.  It returns exact active sets and dual multipliers, which
 the attack code differentiates through; first-order solvers would blur both.
 Infeasibility is proved by a Farkas ray from the dual iteration, never
 inferred from divergence.  Solves with the Cholesky factor of K call LAPACK
-``potrs``/``trtrs`` directly (bitwise what scipy's wrappers return, without
-their per-call cost), an empty working set skips its QR, and the KKT or
-Farkas check of every solve still runs.
+``potrs``/``trtrs`` directly, and the QR of the working rows calls
+``geqrf``/``orgqr`` directly (bitwise what the scipy and numpy wrappers
+return, without their per-call cost); an empty working set skips its QR, and
+the KKT or Farkas check of every solve still runs.
 
 Series are solved in blocks (:func:`_solve_rows`; :func:`solve_qp` is the
-one-row case).  Every matrix product that reaches an action, a multiplier,
-a slack or an active set stays the per-series product, so each row of a
-block is bit for bit the series solved on its own; only elementwise work,
-row reductions and the KKT check are shared.  A series whose unconstrained
-optimum violates no row needs no dual iteration, and a failing row's
-exception is held for its caller instead of stopping the block.
+one-row case).  The products ``L @ s``, ``H @ s`` and ``G @ u`` of a block
+are stacked matmuls that issue the per-series BLAS call for every row
+(:func:`tsattack.lqr._row_products`), and the Cholesky solve and the dual
+iteration stay per series, so each row of a block is bit for bit the
+series solved on its own.  A series whose unconstrained optimum violates no
+row needs no dual iteration, and a failing row's exception is held for its
+caller instead of stopping the block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs
 # The solver needs no LP.  The benchmark tracer (perfbench/tracing.py) still
 # wraps this name to count phase-1 LP calls, so it stays importable here.
 from scipy.optimize import linprog  # noqa: F401
 
-from .errors import ConfigurationError, NumericalError
-from .lqr import (BatchForm, SystemSpec, _cho_solve, _finite_array, _solve_triangular,
-                  check_series, linear_term)
+from .errors import ConfigurationError, NumericalError, _held
+from .lqr import (BatchForm, SystemSpec, _cho_solve, _finite_array, _row_products,
+                  _solve_triangular, check_series, linear_term)
+
+_GEQRF, _ORGQR = get_lapack_funcs(("geqrf", "orgqr"), dtype=np.float64)
 
 #: An active constraint with a dual below this is classified weakly active.
 WEAK_DUAL_TOL = 1e-9
@@ -159,6 +165,34 @@ def compile_constraints(
     )
 
 
+@lru_cache(maxsize=256)
+def _qr_lwork(m: int, n: int) -> tuple:
+    """The optimal ``geqrf`` and ``orgqr`` workspaces of an (m, n) QR, queried
+    as ``np.linalg.qr`` queries them: LAPACK picks blocked or unblocked code
+    by the workspace it gets, and the two round differently."""
+    probe = np.zeros((m, n), order="F")
+    qr, tau, work, _ = _GEQRF(probe, lwork=-1)
+    lwork = max(int(work[0]), n)
+    return lwork, max(int(_ORGQR(qr, tau, lwork=-1)[1][0]), n)
+
+
+def _qr(B: np.ndarray) -> tuple:
+    """``np.linalg.qr(B)`` of an (m, n) B with m >= n, bit for bit, without
+    its per-call cost.  Q is C-contiguous and R C-ordered, as numpy returns
+    them, so products and solves with them take the same BLAS calls; R's
+    strictly lower part holds the reflectors, which a triangular solve with
+    R never reads."""
+    lwork, lwork_q = _qr_lwork(*B.shape)
+    qr, tau, _, info = _GEQRF(B, lwork=lwork)
+    if info != 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal geqrf")
+    R = qr[:B.shape[1]].copy()
+    Q, _, info = _ORGQR(qr, tau, lwork=lwork_q, overwrite_a=True)
+    if info != 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal orgqr")
+    return Q.copy(), R
+
+
 def _dual_active_set(batch, k, G, rhs, tol):
     """Goldfarb-Idnani dual active set from the unconstrained optimum.
 
@@ -168,8 +202,11 @@ def _dual_active_set(batch, k, G, rhs, tol):
     of u on a held row can exceed tol).  Raising mu_j by t moves u by -t z
     and mu_W by -t r, where (H = 2K, n = G_j', N = G_W') r = (N'H^-1 N)^-1 N'H^-1 n
     and z = H^-1 (n - N r), both from a QR of L^-1 N (K = L L'), which does
-    not square the conditioning of W.  The step ends when row j holds (it
-    joins W) or a working dual reaches zero first (that row leaves W).
+    not square the conditioning of W.  The columns of L^-1 N live in one
+    preallocated buffer (a row joining W writes a column, a row leaving
+    shifts the later ones left), and the QR is taken afresh each iteration.
+    The step ends when row j holds (it joins W) or a working dual reaches
+    zero first (that row leaves W).
     Returns (u, mu, None) at the optimum, with working rows of one nonzero
     entry pinning their action to rhs_j / G_ji exactly, or (None, None, y)
     with the Farkas ray y_j = 1, y_W = -r once n lies in the span of N and no
@@ -180,7 +217,7 @@ def _dual_active_set(batch, k, G, rhs, tol):
     u = -_cho_solve(batch.K_factor, k)
     mu = np.zeros(q)
     work: list[int] = []
-    B = np.zeros((mT, 0))  # L^-1 N, one column per working row
+    B = np.empty((mT, mT), order="F")  # L^-1 N in its first len(work) columns
     j = -1
     for _ in range(50 + 10 * (q + mT)):
         if j < 0:
@@ -191,9 +228,10 @@ def _dual_active_set(batch, k, G, rhs, tol):
                 break
             b = _solve_triangular(c, G[j], lower, int(not lower))  # L^-1 n
         if work:
-            Qw, R = np.linalg.qr(B)
-            r = _solve_triangular(R, Qw.T @ b)
-            residual = b - Qw @ (Qw.T @ b)  # L^-1 (n - N r)
+            Qw, R = _qr(B[:, :len(work)])
+            Qtb = Qw.T @ b
+            r = _solve_triangular(R, Qtb)
+            residual = b - Qw @ Qtb  # L^-1 (n - N r)
         else:  # what the QR of the empty B gives, bit for bit
             r, residual = np.zeros(0), b
         blocking = np.flatnonzero(r > 0.0)
@@ -213,12 +251,12 @@ def _dual_active_set(batch, k, G, rhs, tol):
         mu[work] -= t * r
         mu[j] += t
         if t < t_drop:
+            B[:, len(work)] = b
             work.append(j)
-            B = np.column_stack([B, b])
             j = -1
         else:
             mu[work.pop(drop)] = 0.0
-            B = np.delete(B, drop, axis=1)
+            B[:, drop:len(work)] = B[:, drop + 1:len(work) + 1]
     else:
         raise NumericalError("dual active-set QP did not converge within the iteration cap")
     for row in work:
@@ -248,32 +286,24 @@ def solve_qp(batch: BatchForm, cons: ConstraintSet, s_obs) -> QpSolution:
     return _held(sol)
 
 
-def _held(value):
-    """``value``, unless it is an exception held for its row, which is raised."""
-    if isinstance(value, Exception):
-        raise value
-    return value
-
-
 def _solve_rows(batch: BatchForm, cons: ConstraintSet, S: np.ndarray) -> list:
     """:func:`solve_qp` of every row of the checked (W, pT) block S.
 
     Returns one entry per row: its :class:`QpSolution`, or the exception its
     solve raised, held so that the caller raises it where the row's task
-    falls.  Every product that reaches u, mu, a slack or the active set
-    (``L @ s``, the Cholesky solve, ``H @ s``, ``G @ u``) is the per-row
-    product of a one-row solve, since batched products round differently;
-    only elementwise work and row reductions are shared.  So each row is
-    bit for bit its own solve.  A row whose unconstrained optimum violates
-    no row keeps it, with zero multipliers; the others run
-    :func:`_dual_active_set`.  The KKT residuals of every optimal row are
-    checked as one block.
+    falls.  The products that reach u, mu, a slack or the active set
+    (``L @ s``, ``H @ s``, ``G @ u``) are stacked over the block with
+    :func:`tsattack.lqr._row_products`, which issues each row's own BLAS
+    call; the Cholesky solve stays per row (a multi-right-hand-side solve
+    rounds differently).  So each row is bit for bit its own solve.  A row
+    whose unconstrained optimum violates no row keeps it, with zero
+    multipliers; the others run :func:`_dual_active_set`.  The KKT residuals
+    of every optimal row are checked as one block.
     """
     W, m_total = len(S), batch.m_total
-    k, U = np.empty((W, m_total)), np.empty((W, m_total))
-    for s, k_row in zip(S, k):
-        np.matmul(batch.L, s, out=k_row)
+    k = _row_products(batch.L, S)
     k += batch.k_const  # k = k_const + L s, as linear_term adds it
+    U = np.empty((W, m_total))
     for k_row, u in zip(k, U):
         u[:] = _cho_solve(batch.K_factor, k_row)
     np.negative(U, out=U)
@@ -281,23 +311,21 @@ def _solve_rows(batch: BatchForm, cons: ConstraintSet, S: np.ndarray) -> list:
         return [QpSolution(u=u, mu=np.zeros(0), active=(), weakly_active=(),
                            status="optimal") for u in U]
 
-    rhs, slack = np.empty((W, cons.q)), np.empty((W, cons.q))
-    for s, u, rhs_row, slack_row in zip(S, U, rhs, slack):
-        np.matmul(cons.H, s, out=rhs_row)
-        np.matmul(cons.G, u, out=slack_row)
+    rhs = _row_products(cons.H, S)
     rhs += cons.h0  # rhs = h0 + H s, as ConstraintSet.rhs adds it
+    slack = _row_products(cons.G, U)
     slack -= rhs
     tol = activity_tolerance(rhs)
-    optimal = np.all(slack - tol <= 0.0, axis=1)  # a NaN excess is not optimal yet
+    optimal = (slack - tol <= 0.0).all(axis=1)  # a NaN excess is not optimal yet
     mu = np.zeros((W, cons.q))
     sols: list = [None] * W
+    moved = []
     for row in np.flatnonzero(~optimal).tolist():
         try:
             u, mu_row, ray = _dual_active_set(batch, k[row], cons.G, rhs[row], tol[row])
             if ray is None:
                 U[row], mu[row] = u, mu_row
-                slack[row] = cons.G @ u - rhs[row]
-                optimal[row] = True
+                moved.append(row)
                 continue
             _check("infeasibility certificate", _farkas_residuals(cons.G, rhs[row], ray),
                    FARKAS_LIMITS, strict=True)
@@ -305,20 +333,26 @@ def _solve_rows(batch: BatchForm, cons: ConstraintSet, S: np.ndarray) -> list:
                                    status="infeasible")
         except Exception as exc:  # held for the row's task
             sols[row] = exc
+    if moved:
+        slack[moved] = _row_products(cons.G, U[moved]) - rhs[moved]
+        optimal[moved] = True
 
     rows = np.flatnonzero(optimal)
     if not rows.size:
         return sols
-    held = _kkt_failures(_kkt_residuals(batch, cons, k[rows], rhs[rows], slack[rows],
-                                        U[rows], mu[rows]), rows.size)
-    holding = np.abs(slack[rows]) <= tol[rows]
-    for i, (row, holds) in enumerate(zip(rows.tolist(), holding.any(axis=1).tolist())):
-        active = weak = ()
-        if holds:
-            at = np.flatnonzero(holding[i])
-            active, weak = tuple(at.tolist()), tuple(at[mu[row, at] < WEAK_DUAL_TOL].tolist())
+    checked = (k, rhs, slack, U, mu)
+    if rows.size < W:
+        checked = tuple(block[rows] for block in checked)
+    held = _kkt_failures(_kkt_residuals(batch, cons, *checked), rows.size)
+    at_row, at = np.nonzero(np.abs(slack[rows]) <= tol[rows])  # row-major: rows ascend
+    weak = (mu[rows[at_row], at] < WEAK_DUAL_TOL).tolist()
+    bounds, at = np.searchsorted(at_row, np.arange(rows.size + 1)).tolist(), at.tolist()
+    for i, row in enumerate(rows.tolist()):
+        lo, hi = bounds[i], bounds[i + 1]
         sols[row] = held[i] if i in held else QpSolution(
-            u=U[row], mu=mu[row], active=active, weakly_active=weak, status="optimal")
+            u=U[row], mu=mu[row], active=tuple(at[lo:hi]),
+            weakly_active=tuple(a for a, w in zip(at[lo:hi], weak[lo:hi]) if w),
+            status="optimal")
     return sols
 
 

@@ -366,7 +366,7 @@ def test_criterion_10_determinism(tmp_path):
         out_dir = tmp_path / name
         assert main(["experiment", "--config", str(config_path),
                      "--out-dir", str(out_dir)]) == 0
-        outputs.append(open(out_dir / "records.csv", "rb").read())
+        outputs.append((out_dir / "records.csv").read_bytes())
     assert outputs[0] == outputs[1]
     assert len(outputs[0]) > 0
     print("\nACCEPTANCE 10 byte-identical records.csv across reruns: PASS")

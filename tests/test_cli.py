@@ -286,8 +286,8 @@ class TestExperimentCommand:
         for out_dir in dirs:
             assert main(["experiment", "--config", str(config_path),
                          "--out-dir", str(out_dir)]) == 0
-        a = open(dirs[0] / "records.csv", "rb").read()
-        b = open(dirs[1] / "records.csv", "rb").read()
+        a = (dirs[0] / "records.csv").read_bytes()
+        b = (dirs[1] / "records.csv").read_bytes()
         assert a == b
 
     def test_constraint_experiment(self, tmp_path):

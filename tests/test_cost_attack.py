@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from tsattack import (
     ConstraintSet,
@@ -15,6 +16,7 @@ from tsattack import (
     random_sphere_attack,
 )
 from tsattack import lqr
+from tsattack.cost_attack import _norms
 
 from conftest import random_system
 
@@ -222,3 +224,21 @@ def test_norm_used_stays_finite_past_the_squared_overflow(scalar_t2, attack):
     # scaled, and no overflow warning is raised.
     result = attack(scalar_t2, np.array([0.4, -0.2]), 1e200)
     assert math.isclose(result.norm_used, 1e200, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("budget", [1.0, 1e200])
+def test_norms_are_each_rows_norm(budget):
+    # Rows whose sum of squares is finite, overflows, is inf or is NaN:
+    # below a budget of 1e150 each norm is np.linalg.norm of its row, and
+    # the scaled BLAS norm where that overflows; from 1e150 always scaled.
+    X = np.random.default_rng(7).standard_normal((6, 5))
+    X[1] *= 1e160
+    X[2, 3], X[3, 0] = math.inf, math.nan
+    expected = []
+    with np.errstate(over="ignore"):
+        for x in X:
+            norm = np.linalg.norm(x) if budget < 1e150 else math.inf
+            expected.append(norm if norm != math.inf
+                            else scipy.linalg.norm(x, check_finite=False))
+        norms = _norms(X, budget)
+    assert norms.tobytes() == np.array(expected).tobytes()

@@ -387,7 +387,7 @@ class TestConstraintExperiment:
             calls.append(args)
             raise AssertionError("attack ran before the clean problems were checked")
 
-        for name in ("_closed_form", "random_sphere_attack", "_ascend_rows"):
+        for name in ("_closed_form", "_random_sphere", "_ascend_rows"):
             monkeypatch.setattr(f"tsattack.experiments.{name}", attack)
         boxes = {"action_box": {"u_min": -0.01, "u_max": 0.01},
                  "state_box": {"x_min": -0.25, "x_max": 0.25}}
@@ -702,7 +702,7 @@ class TestEmitReport:
         stats = ScenarioStats(records=(), aggregates=(), p_values=(),
                               series_dumps=(), config={}, seed=0, n_windows=0)
         paths = emit_report(stats, tmp_path / "out")
-        content = open(paths["records"], encoding="utf-8").read()
+        content = Path(paths["records"]).read_text(encoding="utf-8")
         assert content.strip() == ("series_id,delta,scenario,j_orig,j_adv,"
                                    "max_u_orig,max_u_adv,min_u_orig,min_u_adv,"
                                    "l1_orig,l1_adv,norm_used,flags")
@@ -711,11 +711,11 @@ class TestEmitReport:
         cfg = make_config()
         emit_report(run_experiment(cfg), tmp_path / "a")
         emit_report(run_experiment(cfg), tmp_path / "b")
-        a = open(tmp_path / "a" / "records.csv", "rb").read()
-        b = open(tmp_path / "b" / "records.csv", "rb").read()
+        a = (tmp_path / "a" / "records.csv").read_bytes()
+        b = (tmp_path / "b" / "records.csv").read_bytes()
         assert a == b
-        sa = open(tmp_path / "a" / "summary.json", "rb").read()
-        sb = open(tmp_path / "b" / "summary.json", "rb").read()
+        sa = (tmp_path / "a" / "summary.json").read_bytes()
+        sb = (tmp_path / "b" / "summary.json").read_bytes()
         assert sa == sb
 
     def test_summary_round_trips_as_json(self, tmp_path):
@@ -776,5 +776,5 @@ class TestEmitReport:
         series_files = sorted((tmp_path / "out" / "series").iterdir())
         # 2 windows x 2 deltas x 2 scenarios
         assert len(series_files) == 8
-        header = open(series_files[0], encoding="utf-8").readline().strip()
+        header = series_files[0].read_text(encoding="utf-8").splitlines()[0]
         assert header == "t,original,attacked"

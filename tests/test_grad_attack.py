@@ -457,26 +457,24 @@ class TestIteratedAttack:
         # Unconstrained max-action is linear in the series: the iterate
         # saturates the ball and then projects onto itself.  One clean
         # solve plus one per distinct iterate stays below steps + 2, and
-        # no Jacobian is taken after the fixed point.
+        # no Jacobian is taken after the fixed point: fewer than steps + 1
+        # rows reach the block adjoint.
         batch = batch_form(make_scalar_spec(T=4))
         cons = ConstraintSet.empty(4, 4)
         s = np.linspace(-0.3, 0.4, 4)
         calls = {"solves": 0, "jacobians": 0}
 
-        def counting(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
         def counting_rows(batch, cons, S_obs):  # one solve per row of a block
             calls["solves"] += len(S_obs)
             return solve_rows(batch, cons, S_obs)
 
-        solve_rows = grad_attack._solve_rows
+        def counting_adjoints(batch, cons, sols, grads):  # one Jacobian per row
+            calls["jacobians"] += len(sols)
+            return adjoints(batch, cons, sols, grads)
+
+        solve_rows, adjoints = grad_attack._solve_rows, grad_attack._adjoints
         monkeypatch.setattr("tsattack.grad_attack._solve_rows", counting_rows)
-        monkeypatch.setattr("tsattack.grad_attack._adjoint",
-                            counting("jacobians", grad_attack._adjoint))
+        monkeypatch.setattr("tsattack.grad_attack._adjoints", counting_adjoints)
         result = iterated_attack(batch, cons, s, 0.8, TargetFunction.MAX_ACTION,
                                  steps=20)
         assert 0 < calls["solves"] < 20 + 2
@@ -549,13 +547,13 @@ class TestIteratedAttack:
                 solved[id(sol)] = (sol, np.array(s_obs, dtype=float))
             return sols
 
-        def recording_adjoint(batch, cons, sol, g):
-            at.append(solved[id(sol)][1])
-            return adjoint(batch, cons, sol, g)
+        def recording_adjoints(batch, cons, sols, grads):
+            at.extend(solved[id(sol)][1] for sol in sols)
+            return adjoints(batch, cons, sols, grads)
 
-        adjoint, solve_rows = grad_attack._adjoint, grad_attack._solve_rows
+        adjoints, solve_rows = grad_attack._adjoints, grad_attack._solve_rows
         monkeypatch.setattr("tsattack.grad_attack._solve_rows", recording_solve)
-        monkeypatch.setattr("tsattack.grad_attack._adjoint", recording_adjoint)
+        monkeypatch.setattr("tsattack.grad_attack._adjoints", recording_adjoints)
         rng = np.random.default_rng(43)
         for case in range(12):
             spec = random_system(rng, n_max=2, m_max=2, p_max=2, t_max=6)
@@ -627,14 +625,15 @@ class TestIteratedAttack:
 
     @pytest.mark.parametrize("attack", [single_step_attack, iterated_attack])
     def test_infeasible_clean_problem_names_the_caller(self, attack):
-        # u in [-0.1, 0.1] forces x1 = 1 - u >= 0.9, but x_max = 0.5.
+        # u in [-0.1, 0.1] forces x1 = 1 - u + s >= 0.9 at s = 0, above x_max.
         spec = make_scalar_spec(T=1)
         batch = batch_form(spec)
-        cons = compile_constraints(spec, batch, action_box=(-0.1, 0.1),
-                                   state_box=(-10.0, 0.5))
-        with pytest.raises(ValueError, match=f"^{attack.__name__} requires a "
-                                             "feasible unattacked problem"):
-            attack(batch, cons, [0.0], 0.5, TargetFunction.MAX_ACTION)
+        message = f"{attack.__name__} requires a feasible unattacked problem"
+        for x_max in (0.5, 0.0):
+            cons = compile_constraints(spec, batch, action_box=(-0.1, 0.1),
+                                       state_box=(-10.0, x_max))
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                attack(batch, cons, [0.0], 0.5, TargetFunction.MAX_ACTION)
 
 
 def assert_same_attack(result, other):
@@ -650,6 +649,37 @@ def assert_same_attack(result, other):
 
 
 class TestAscendRows:
+    def test_block_adjoints_are_each_rows_adjoint(self, monkeypatch):
+        # Rows with and without active rows: each direction and LICQ flag is
+        # _adjoint's for that row, bit for bit, and a row whose adjoint
+        # raises is held by its index while the others are kept.
+        spec = make_scalar_spec(T=6)
+        batch = batch_form(spec)
+        cons = compile_constraints(spec, batch, action_box=(-0.8, 0.8))
+        S = np.linspace(-1.5, 1.5, 7)[:, None] * np.ones(6)
+        sols = grad_attack._solve_rows(batch, cons, S)
+        assert {bool(sol.active) for sol in sols} == {True, False}
+        grads = np.sign(np.array([sol.u for sol in sols]))
+        directions, degenerate, failures = grad_attack._adjoints(batch, cons, sols, grads)
+        assert failures == {}
+        for sol, g, direction, flag in zip(sols, grads, directions, degenerate):
+            expected, expected_flag = grad_attack._adjoint(batch, cons, sol, g)
+            assert direction.tobytes() == expected.tobytes() and flag == expected_flag
+
+        failing = next(i for i, sol in enumerate(sols) if sol.active)
+        adjoint = grad_attack._adjoint
+
+        def raising(batch, cons, sol, g):
+            if sol is sols[failing]:
+                raise np.linalg.LinAlgError("forced")
+            return adjoint(batch, cons, sol, g)
+
+        monkeypatch.setattr("tsattack.grad_attack._adjoint", raising)
+        held, _, failures = grad_attack._adjoints(batch, cons, sols, grads)
+        assert list(failures) == [failing] and str(failures[failing]) == "forced"
+        kept = np.arange(len(sols)) != failing
+        assert held[kept].tobytes() == directions[kept].tobytes()
+
     def test_each_row_is_its_own_ascent(self):
         # Blocks of 3 to 5 series on action boxes and on state boxes that go
         # infeasible, for every target and for the single step: each row is

@@ -11,12 +11,14 @@ from tsattack import (
     SystemSpec,
     batch_form,
     check_series,
+    compile_constraints,
     cost_delta_quadratic,
     realized_costs,
     rollout_cost,
     solve_unconstrained,
 )
-from tsattack.lqr import _cho_solve, _solve_triangular, linear_term
+from tsattack.lqr import (_cho_solve, _rollout_costs, _row_dots, _row_products, _solve_triangular,
+                          linear_term)
 
 from conftest import make_scalar_spec, random_system
 
@@ -248,6 +250,47 @@ class TestLapackSolves:
         assert np.array_equal(_cho_solve(factor, b), expected)
 
 
+class TestRowKernels:
+    """A block's stacked products and dots are the per-row BLAS results bit
+    for bit: every lockstep solve and ascent rests on this, so a numpy or
+    BLAS change that breaks it fails here first."""
+
+    @pytest.mark.parametrize("T", [50, 500])
+    def test_stacked_products_and_norms_are_the_per_row_ones(self, T):
+        spec = make_scalar_spec(T=T)
+        batch = batch_form(spec)
+        cons = compile_constraints(spec, batch, action_box=(-1.0, 1.0),
+                                   state_box=(-2.0, 2.0))
+        rng = np.random.default_rng(T)
+        for name, A in (("L", batch.L), ("G", cons.G), ("H", cons.H),
+                        ("free_jacobian.T", batch.free_jacobian.T)):
+            for W in range(1, 41):
+                X = rng.standard_normal((W, A.shape[1])) * 10.0 ** rng.uniform(-3, 3, (W, 1))
+                products = _row_products(A, X)
+                assert products.tobytes() == np.array([A @ x for x in X]).tobytes(), (name, W)
+                norms = np.sqrt(_row_dots(products))
+                expected = np.array([np.linalg.norm(y) for y in products])
+                assert norms.tobytes() == expected.tobytes(), (name, W)
+
+    def test_dots_of_strided_rows_are_the_norms_of_the_rows(self):
+        X = np.random.default_rng(3).standard_normal((40, 9))[:, ::2]
+        expected = np.array([np.linalg.norm(x) for x in X])
+        assert np.sqrt(_row_dots(X)).tobytes() == expected.tobytes()
+
+
+def rollout_loop(spec, u, s):
+    """Oracle: the rollout one series at a time, as first written."""
+    m, p = spec.m, spec.p
+    x = spec.x0
+    total = float(x @ spec.Q @ x)
+    for t in range(spec.T):
+        u_t, s_t = u[t * m:(t + 1) * m], s[t * p:(t + 1) * p]
+        total += float(u_t @ spec.R @ u_t)
+        x = spec.A @ x + spec.B @ u_t + spec.C @ s_t
+        total += float(x @ spec.Q @ x)
+    return total
+
+
 class TestRolloutCost:
     def test_scalar_t1_half_action(self):
         spec = make_scalar_spec(T=1)
@@ -265,6 +308,19 @@ class TestRolloutCost:
         spec = make_scalar_spec(T=2)
         with pytest.raises(ValueError):
             rollout_cost(spec, [0.0], [0.0, 0.0])
+
+    def test_stacked_rollouts_are_the_per_row_loop(self):
+        # Each row of the stacked rollout is bit for bit the simulation of
+        # that row alone, one step and one product at a time.
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            spec = random_system(rng)
+            U = rng.standard_normal((int(rng.integers(1, 9)), spec.m * spec.T))
+            S = rng.standard_normal((len(U), spec.p * spec.T))
+            costs = _rollout_costs(spec, U, S)
+            assert costs.tobytes() == np.array(
+                [rollout_loop(spec, u, s) for u, s in zip(U, S)]).tobytes()
+            assert rollout_cost(spec, U[0], S[0]) == costs[0]
 
 
 class TestRealizedCosts:

@@ -415,6 +415,21 @@ def block_residuals(batch, cons, S, sols):
         np.array([sol.u for sol in sols]), np.array([sol.mu for sol in sols]))
 
 
+class TestLeanQr:
+    @pytest.mark.parametrize("m, n", [(1, 1), (6, 1), (50, 7), (50, 50), (200, 150)])
+    def test_is_numpy_qr_bit_for_bit(self, m, n):
+        # Q and R as np.linalg.qr returns them, in value and in memory
+        # order, also where LAPACK takes its blocked code (n >= 128).
+        rng = np.random.default_rng(m + n)
+        B = np.asfortranarray(rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-5, 5, n))
+        before = B.copy()
+        Q, R = qp_module._qr(B)
+        expected_Q, expected_R = np.linalg.qr(B)
+        assert Q.tobytes() == expected_Q.tobytes() and Q.flags.c_contiguous
+        assert np.triu(R).tobytes() == expected_R.tobytes() and R.flags.c_contiguous
+        assert B.tobytes() == before.tobytes()  # the working columns stay
+
+
 class TestSolveRows:
     def test_each_row_is_its_own_solve(self):
         # Blocks that mix rows whose unconstrained optimum violates no row,
