@@ -5,11 +5,12 @@
     python3 scripts/bench.py --side parent=../parent --side change=. --out BENCH_<n>.json
 
 For every side this runs ``perfbench/run.py --trace 0`` on the four
-perfbench workloads (``--seeds``, ``--seconds`` each) and times
-``run_experiment`` on the three shipped configs (best of ``--repeats``),
+perfbench workloads (``SEEDS``, ``SECONDS`` each) and times
+``run_experiment`` on the three shipped configs (best of ``REPEATS``),
 each side from its own checkout and its own ``src``.  The sides take turns
 seed by seed and repeat by repeat, and which side goes first alternates,
 so the host's minute-long fast and slow phases reach every side alike.
+Ten seeds give two sides ten alternating pairs per workload.
 
 The output JSON holds, per side, each workload's per-seed end-to-end
 metrics with their median and quartiles, and each config's best wall time,
@@ -32,6 +33,9 @@ from pathlib import Path
 WORKLOADS = ("cost_t50", "cost_t500", "action_box", "state_box")
 CONFIGS = ("arima_cost", "arima_constraint", "arima_statebox")
 METRICS = ("attacks_per_s", "setup_s", "peak_rss_mb")
+SEEDS = tuple(range(1, 11))
+SECONDS = 8.0
+REPEATS = 3
 
 #: Times run_experiment on one shipped config in a fresh interpreter.
 TIME_CONFIG = """
@@ -102,9 +106,6 @@ def main(argv=None) -> int:
     parser.add_argument("--side", action="append", required=True, metavar="NAME=DIR",
                         help="a source checkout to measure, under a name")
     parser.add_argument("--out", required=True, type=Path)
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
-    parser.add_argument("--seconds", type=float, default=8.0)
-    parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args(argv)
 
     sides = []
@@ -117,21 +118,21 @@ def main(argv=None) -> int:
 
     runs = {name: {workload: [] for workload in WORKLOADS} for name, _ in sides}
     for workload in WORKLOADS:
-        for turn, seed in enumerate(args.seeds):
+        for turn, seed in enumerate(SEEDS):
             for name, root in in_turn(sides, turn):
-                runs[name][workload].append(run_workload(root, workload, seed, args.seconds))
+                runs[name][workload].append(run_workload(root, workload, seed, SECONDS))
                 print(f"{workload} seed {seed} {name}: "
                       f"{runs[name][workload][-1]['attacks_per_s']:.6g} 1/s", flush=True)
     configs = {name: {config: [] for config in CONFIGS} for name, _ in sides}
     for config in CONFIGS:
-        for turn in range(args.repeats):
+        for turn in range(REPEATS):
             for name, root in in_turn(sides, turn):
                 configs[name][config].append(time_config(root, config))
         print(f"{config}: " + ", ".join(f"{name} {min(configs[name][config]):.4g} s"
                                          for name, _ in sides), flush=True)
 
-    report = {"machine": machine(), "seeds": args.seeds, "seconds": args.seconds,
-              "repeats": args.repeats}
+    report = {"machine": machine(), "seeds": list(SEEDS), "seconds": SECONDS,
+              "repeats": REPEATS}
     for name, _ in sides:
         per_workload = runs[name]
         first = per_workload[WORKLOADS[0]][0]

@@ -17,7 +17,6 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
-from .errors import _held
 from .lqr import BatchForm, _row_dots, check_series
 
 #: Diagnostic flag values carried by AttackResult.flags.
@@ -96,31 +95,25 @@ def cost_attack(batch: BatchForm, s, delta: float) -> AttackResult:
     """
     if not 0 < delta < math.inf:
         raise ValueError(f"delta must be positive and finite, got {delta}")
-    (result,) = _closed_form(batch, check_series(batch, s)[None], float(delta))
-    return _held(result)
+    return _closed_form(batch, check_series(batch, s), float(delta))
 
 
-def _closed_form(batch: BatchForm, S: np.ndarray, delta: float) -> list:
-    """:func:`cost_attack` of every checked row of the (W, pT) block S for a
-    positive finite delta: per row its result, or the exception held for it."""
+def _closed_form(batch: BatchForm, s: np.ndarray, delta: float) -> AttackResult:
+    """:func:`cost_attack` of a checked series s for a positive finite delta."""
     eig = batch.eigenpair
-    S_hat = S + delta * eig.v1
-    attained = delta * delta * eig.lambda1  # delta ** 2 raises on overflow
-    return _results(S_hat, S_hat - S, delta, attained)
+    s_hat = s + delta * eig.v1
+    return AttackResult(
+        s_hat=s_hat,
+        delta=delta,
+        attained=delta * delta * eig.lambda1,  # delta ** 2 raises on overflow
+        norm_used=_norm(s_hat - s, delta),
+    )
 
 
-def _results(S_hat: np.ndarray, offsets: np.ndarray, delta: float, attained: float) -> list:
-    """One :class:`AttackResult` per row of S_hat, whose offsets from the
-    clean rows are the rows of ``offsets``, their norms taken at once; a
-    result that fails its own check is held as its ValueError."""
-    results = []
-    for s_hat, norm in zip(S_hat, _norms(offsets, delta).tolist()):
-        try:
-            results.append(AttackResult(s_hat=s_hat, delta=delta, attained=attained,
-                                        norm_used=norm))
-        except ValueError as exc:  # held for the row's task
-            results.append(exc)
-    return results
+def _norm(v: np.ndarray, budget: float) -> float:
+    """||v||_2 of an offset meant to lie within ``budget``: the one-row case
+    of :func:`_norms`."""
+    return float(_norms(v[None], budget)[0])
 
 
 def _norms(X: np.ndarray, budget: float) -> np.ndarray:
@@ -153,21 +146,17 @@ def random_sphere_attack(s, delta: float, seed: int) -> AttackResult:
     if not 0 < delta < math.inf:
         raise ValueError(f"delta must be positive and finite, got {delta}")
     s = np.asarray(s, dtype=float).ravel()
-    (result,) = _random_sphere(s[None], float(delta), [seed])
-    return _held(result)
-
-
-def _random_sphere(S: np.ndarray, delta: float, seeds) -> list:
-    """:func:`random_sphere_attack` of every row of the (W, n) block S, each
-    with its own seed, for a positive finite delta: per row its result, or
-    the exception held for it."""
-    steps = np.empty_like(S)
-    for step, seed in zip(steps, seeds):
-        rng = np.random.default_rng(seed)
-        w = rng.standard_normal(S.shape[1])
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal(s.size)
+    norm = np.linalg.norm(w)
+    while norm < 1e-12:  # probability ~0, but keeps the contract exact
+        w = rng.standard_normal(s.size)
         norm = np.linalg.norm(w)
-        while norm < 1e-12:  # probability ~0, but keeps the contract exact
-            w = rng.standard_normal(S.shape[1])
-            norm = np.linalg.norm(w)
-        step[:] = delta * w / norm
-    return _results(S + steps, steps, delta, delta * delta)  # delta ** 2 raises on overflow
+    step = delta * w / norm
+    delta = float(delta)
+    return AttackResult(
+        s_hat=s + step,
+        delta=delta,
+        attained=delta * delta,  # delta ** 2 raises on overflow
+        norm_used=_norm(step, delta),
+    )

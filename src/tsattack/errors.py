@@ -8,13 +8,3 @@ class ConfigurationError(ValueError):
 class NumericalError(RuntimeError):
     """A numerical routine failed to converge or failed its own check (such
     as the QP solver's KKT or Farkas check)."""
-
-
-def _held(value):
-    """``value``, unless it is an exception held for its row, which is raised.
-
-    The block solves and attacks hold a failing row's exception in its
-    place, so that the caller raises it where the row's task falls."""
-    if isinstance(value, Exception):
-        raise value
-    return value

@@ -21,14 +21,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .config import ExperimentConfig
-from .cost_attack import FLAG_INFEASIBLE, _closed_form, _random_sphere
+from .cost_attack import FLAG_INFEASIBLE, _closed_form, random_sphere_attack
 from .data import (
     SeriesWindow,
     load_series_windows,
     normalize_windows,
     sample_random_arima,
 )
-from .errors import ConfigurationError, NumericalError, _held
+from .errors import ConfigurationError, NumericalError
 from .grad_attack import TargetFunction, _ascend_rows
 from .lqr import (
     BatchForm,
@@ -37,7 +37,7 @@ from .lqr import (
     realized_costs,
     solve_unconstrained,
 )
-from .qp import ConstraintSet, QpSolution, _solve_rows, compile_constraints
+from .qp import ConstraintSet, QpSolution, _held, _solve_rows, compile_constraints
 from .stats import wilcoxon_signed_rank
 
 #: The record column each scenario's significance test compares with random.
@@ -319,22 +319,28 @@ def _attack_block(cfg: ExperimentConfig, batch: BatchForm, cons: ConstraintSet,
 
     The one place a scenario name becomes an attack: a gradient scenario
     runs one lockstep ascent over all windows from their clean solutions
-    (:func:`tsattack.grad_attack._ascend_rows`); ``cost-adv`` takes every
-    checked window along the cached eigenvector of Psi, and ``random`` draws
-    each window's direction from its :func:`task_seed`, both as one block.
-    The answer is a gradient attack's ``u_hat``, else the actions of the
-    attacked series, solved as one block, and None when infeasible.
+    (:func:`tsattack.grad_attack._ascend_rows`); ``cost-adv`` takes each
+    checked window along the cached eigenvector of Psi, and ``random``
+    draws its direction from :func:`task_seed`.  The answer is a gradient
+    attack's ``u_hat``, else the actions of the attacked series, solved as
+    one block, and None when infeasible.
     """
     delta = cfg.deltas[d_idx]
-    if scenario == "cost-adv":
-        results = _closed_form(batch, S, delta)
-    elif scenario == "random":
-        results = _random_sphere(S, delta, [task_seed(cfg.seed, w_idx, d_idx)
-                                            for w_idx in range(len(S))])
-    else:
+    if scenario not in ("cost-adv", "random"):
         steps = 0 if cfg.attack.mode == "single-step" else cfg.attack.steps
         results = _ascend_rows(batch, cons, S, clean, delta, TargetFunction(scenario),
                                steps, cfg.attack.step_size)
+    else:
+        results = []
+        for w_idx, s in enumerate(S):
+            try:
+                if scenario == "cost-adv":
+                    results.append(_closed_form(batch, s, delta))
+                else:
+                    results.append(random_sphere_attack(s, delta,
+                                                        task_seed(cfg.seed, w_idx, d_idx)))
+            except Exception as exc:  # held for the task
+                results.append(exc)
     answers = [None if isinstance(r, Exception) else r.u_hat for r in results]
     ask = [w_idx for w_idx, r in enumerate(results) if not isinstance(r, Exception)
            and r.u_hat is None and FLAG_INFEASIBLE not in r.flags]

@@ -55,8 +55,7 @@ from .cost_attack import (
 )
 from .lqr import (BatchForm, _rollout_costs, _row_dots, _row_products, _solve_triangular,
                   check_series)
-from .errors import _held
-from .qp import ConstraintSet, QpSolution, _solve_rows
+from .qp import ConstraintSet, QpSolution, _held, _solve_rows
 
 #: Directions with L2 norm at or below this are treated as zero gradients.
 ZERO_DIRECTION_TOL = 1e-12

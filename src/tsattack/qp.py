@@ -38,7 +38,7 @@ from scipy.linalg import get_lapack_funcs
 # wraps this name to count phase-1 LP calls, so it stays importable here.
 from scipy.optimize import linprog  # noqa: F401
 
-from .errors import ConfigurationError, NumericalError, _held
+from .errors import ConfigurationError, NumericalError
 from .lqr import (BatchForm, SystemSpec, _cho_solve, _finite_array, _row_products,
                   _solve_triangular, check_series, linear_term)
 
@@ -284,6 +284,13 @@ def solve_qp(batch: BatchForm, cons: ConstraintSet, s_obs) -> QpSolution:
     """
     (sol,) = _solve_rows(batch, cons, np.asarray(s_obs, dtype=float).reshape(1, -1))
     return _held(sol)
+
+
+def _held(value):
+    """``value``, unless it is an exception held for its row, which is raised."""
+    if isinstance(value, Exception):
+        raise value
+    return value
 
 
 def _solve_rows(batch: BatchForm, cons: ConstraintSet, S: np.ndarray) -> list:

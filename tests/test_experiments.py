@@ -387,7 +387,7 @@ class TestConstraintExperiment:
             calls.append(args)
             raise AssertionError("attack ran before the clean problems were checked")
 
-        for name in ("_closed_form", "_random_sphere", "_ascend_rows"):
+        for name in ("_closed_form", "random_sphere_attack", "_ascend_rows"):
             monkeypatch.setattr(f"tsattack.experiments.{name}", attack)
         boxes = {"action_box": {"u_min": -0.01, "u_max": 0.01},
                  "state_box": {"x_min": -0.25, "x_max": 0.25}}
