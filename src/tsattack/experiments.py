@@ -30,13 +30,7 @@ from .data import (
 )
 from .errors import ConfigurationError, NumericalError
 from .grad_attack import TargetFunction, _ascend_rows
-from .lqr import (
-    BatchForm,
-    batch_form,
-    check_series,
-    realized_costs,
-    solve_unconstrained,
-)
+from .lqr import BatchForm, batch_form, check_series, realized_costs
 from .qp import ConstraintSet, QpSolution, _held, _solve_rows, compile_constraints
 from .stats import wilcoxon_signed_rank
 
@@ -247,12 +241,18 @@ def calibrate_action_box(
     """Symmetric action bounds from the unattacked action distribution.
 
     Returns -/+ slack times the given quantile of |u*| pooled over all
-    windows, which keeps the box occasionally active on clean data.
+    windows, which keeps the box occasionally active on clean data; the
+    windows are checked and solved as one block with no constraint.
     """
-    magnitudes = np.concatenate([
-        np.abs(solve_unconstrained(batch, w.values)) for w in windows
-    ])
-    bound = slack * float(np.quantile(magnitudes, quantile))
+    if not windows:
+        raise ValueError("calibrate_action_box needs at least one window")
+    S = _stack_windows(batch, windows)
+    cons = ConstraintSet.empty(batch.m_total, batch.p_total)
+    with np.errstate(over="ignore"):  # an overflow is the error below
+        magnitudes = np.abs([sol.u for sol in _solve_rows(batch, cons, S)])
+        bound = slack * float(np.quantile(magnitudes, quantile))
+    if not (np.isfinite(magnitudes).all() and math.isfinite(bound)):
+        raise ConfigurationError("calibrated action bound is not finite; check the data")
     if bound <= 0:
         raise ConfigurationError("calibrated action bound is zero; check the data")
     return -bound, bound

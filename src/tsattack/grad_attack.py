@@ -53,8 +53,8 @@ from .cost_attack import (
     FLAG_ZERO_GRADIENT,
     _norms,
 )
-from .lqr import (BatchForm, _rollout_costs, _row_dots, _row_products, _solve_triangular,
-                  check_series)
+from .lqr import (BatchForm, _row_dots, _row_products, _solve_triangular, check_series,
+                  realized_costs)
 from .qp import ConstraintSet, QpSolution, _held, _solve_rows
 
 #: Directions with L2 norm at or below this are treated as zero gradients.
@@ -86,8 +86,8 @@ def _target_values(target: TargetFunction, U: np.ndarray, batch: BatchForm,
     """:func:`target_value` of each row of the (W, mT) block U, judged
     against the matching real series.  The action targets are row-wise
     reductions over the contiguous axis, so each equals the same reduction
-    of the row on its own, bit for bit, and the costs are rolled out together
-    (:func:`tsattack.lqr._rollout_costs`), each bit for bit its own rollout."""
+    of the row on its own, bit for bit, and so is each of the records' own
+    costs (:func:`tsattack.lqr.realized_costs`)."""
     if target is TargetFunction.MAX_ACTION:
         return U.max(axis=1)
     if target is TargetFunction.MIN_ACTION:
@@ -95,7 +95,7 @@ def _target_values(target: TargetFunction, U: np.ndarray, batch: BatchForm,
     if target is TargetFunction.L1_ENERGY:
         return np.abs(U).sum(axis=1)
     if target is TargetFunction.COST_CHANGE:
-        return _rollout_costs(batch.spec, U, np.asarray(S_real, dtype=float))
+        return realized_costs(batch, U, S_real)
     raise ValueError(f"unknown target {target!r}")
 
 

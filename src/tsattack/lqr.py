@@ -21,6 +21,8 @@ batch form and reused for all solves.  The solvers' hot paths solve with it
 through :func:`_cho_solve` and :func:`_solve_triangular`, which call LAPACK
 directly, and take the products and norms of a block of series through
 :func:`_row_products` and :func:`_row_dots`, bit for bit the per-series ones.
+Every realized cost comes from :func:`realized_costs`; nothing in the
+package calls the references :func:`solve_unconstrained` and :func:`rollout_cost`.
 """
 
 from __future__ import annotations
@@ -316,42 +318,31 @@ def linear_term(batch: BatchForm, s) -> np.ndarray:
 
 
 def solve_unconstrained(batch: BatchForm, s) -> np.ndarray:
-    """Optimal flat action vector u* = -K^{-1} k(x0, s)."""
+    """Optimal flat action vector u* = -K^{-1} k(x0, s): a reference, which the
+    block solver :func:`tsattack.qp._solve_rows` gives bit for bit."""
     return -cho_solve(batch.K_factor, linear_term(batch, check_series(batch, s)))
 
 
 def rollout_cost(spec: SystemSpec, u, s) -> float:
-    """Ground-truth cost of actions u simulated against the real series s.
+    """Reference cost of actions u simulated against the real series s.
 
-    Simulates x_{t+1} = A x_t + B u_t + C s_t from x0 and accumulates
-    sum_{t=0}^{T} x_t' Q x_t + sum_{t=0}^{T-1} u_t' R u_t.  Attacked
-    controllers are always costed here against the real series, never the
-    perturbed one.  This is the one-row case of :func:`_rollout_costs`.
+    Simulates x_{t+1} = A x_t + B u_t + C s_t from x0 one step at a time
+    and accumulates sum_{t=0}^{T} x_t' Q x_t + sum_{t=0}^{T-1} u_t' R u_t:
+    the step-by-step check on :func:`realized_costs`.
     """
     u = np.asarray(u, dtype=float).ravel()
     s = np.asarray(s, dtype=float).ravel()
-    n, m, p, T = spec.n, spec.m, spec.p, spec.T
+    m, p, T = spec.m, spec.p, spec.T
     if u.shape != (m * T,):
         raise ValueError(f"u must have length m*T = {m * T}, got {u.shape[0]}")
     if s.shape != (p * T,):
         raise ValueError(f"s must have length p*T = {p * T}, got {s.shape[0]}")
-    return float(_rollout_costs(spec, u[None], s[None])[0])
-
-
-def _rollout_costs(spec: SystemSpec, U: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """:func:`rollout_cost` of each action row of U against the matching row
-    of S, all rows stepped together.  Every product is the per-row product
-    (:func:`_row_products`, and the quadratic forms ``(x @ Q) @ x`` one
-    stacked matmul each), so each cost is bit for bit its own rollout."""
-    m, p = spec.m, spec.p
-    x0 = spec.x0
-    X = np.tile(x0, (len(U), 1))
-    total = np.full(len(U), float(x0 @ spec.Q @ x0))
-    for t in range(spec.T):
-        U_t, S_t = U[:, t * m:(t + 1) * m], S[:, t * p:(t + 1) * p]
-        total += _quadratic_forms(U_t, spec.R)
-        X = _row_products(spec.A, X) + _row_products(spec.B, U_t) + _row_products(spec.C, S_t)
-        total += _quadratic_forms(X, spec.Q)
+    x, total = spec.x0, float(spec.x0 @ spec.Q @ spec.x0)
+    for t in range(T):
+        u_t, s_t = u[t * m:(t + 1) * m], s[t * p:(t + 1) * p]
+        total += float(u_t @ spec.R @ u_t)
+        x = spec.A @ x + spec.B @ u_t + spec.C @ s_t
+        total += float(x @ spec.Q @ x)
     return total
 
 
@@ -362,12 +353,13 @@ def _quadratic_forms(X: np.ndarray, P: np.ndarray) -> np.ndarray:
 
 
 def realized_costs(batch: BatchForm, U, S) -> np.ndarray:
-    """Costs of action rows U played against real-series rows S, all at once.
+    """Costs of action rows U played against real-series rows S, all at once,
+    for the records and the ``cost-gradient`` target.
 
-    Row r gives the same cost as ``rollout_cost(spec, U[r], S[r])`` up to
-    roundoff: the states come from the stacked form,
-    x_{t+1} = A^{t+1} x0 + M_t u + N_t s, as two matrix products over all
-    rows.  Returns one cost per row.
+    Row r is ``rollout_cost(spec, U[r], S[r])`` up to roundoff and bit for
+    bit row r costed alone: the states x_{t+1} = A^{t+1} x0 + M_t u + N_t s
+    and each step's quadratic forms are per-row products, and each row sums
+    its own horizon.  An overflowing cost is inf, for the caller to name.
     """
     spec = batch.spec
     U = np.asarray(U, dtype=float)
@@ -379,11 +371,11 @@ def realized_costs(batch: BatchForm, U, S) -> np.ndarray:
             f"S must have shape ({U.shape[0]}, p*T = {batch.p_total}), got {S.shape}"
         )
     rows, T = U.shape[0], spec.T
-    X = (U @ batch.M.T + S @ batch.N.T + batch.x0_response).reshape(rows, T, spec.n)
-    U = U.reshape(rows, T, spec.m)
-    state_cost = np.einsum("rti,ij,rtj->r", X, spec.Q, X)
-    action_cost = np.einsum("rti,ij,rtj->r", U, spec.R, U)
-    return float(spec.x0 @ spec.Q @ spec.x0) + state_cost + action_cost
+    X = _row_products(batch.M, U) + _row_products(batch.N, S) + batch.x0_response
+    with np.errstate(over="ignore"):
+        state_cost = _quadratic_forms(X.reshape(rows * T, spec.n), spec.Q).reshape(rows, T)
+        action_cost = _quadratic_forms(U.reshape(rows * T, spec.m), spec.R).reshape(rows, T)
+        return float(spec.x0 @ spec.Q @ spec.x0) + state_cost.sum(1) + action_cost.sum(1)
 
 
 def cost_delta_quadratic(batch: BatchForm, s_hat, s) -> float:

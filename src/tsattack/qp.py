@@ -193,8 +193,9 @@ def _qr(B: np.ndarray) -> tuple:
     return Q.copy(), R
 
 
-def _dual_active_set(batch, k, G, rhs, tol):
-    """Goldfarb-Idnani dual active set from the unconstrained optimum.
+def _dual_active_set(batch, u, G, rhs, tol):
+    """Goldfarb-Idnani dual active set from the unconstrained optimum u (a
+    copy of the one :func:`_solve_rows` solved, which this may overwrite).
 
     Keeps u optimal for its working rows W (G_W u = rhs_W, duals mu_W >= 0)
     and adds the row j outside W whose violation most exceeds its activity
@@ -214,7 +215,6 @@ def _dual_active_set(batch, k, G, rhs, tol):
     """
     q, mT = G.shape
     c, lower = batch.K_factor
-    u = -_cho_solve(batch.K_factor, k)
     mu = np.zeros(q)
     work: list[int] = []
     B = np.empty((mT, mT), order="F")  # L^-1 N in its first len(work) columns
@@ -329,7 +329,8 @@ def _solve_rows(batch: BatchForm, cons: ConstraintSet, S: np.ndarray) -> list:
     moved = []
     for row in np.flatnonzero(~optimal).tolist():
         try:
-            u, mu_row, ray = _dual_active_set(batch, k[row], cons.G, rhs[row], tol[row])
+            u, mu_row, ray = _dual_active_set(batch, U[row].copy(), cons.G, rhs[row],
+                                              tol[row])
             if ray is None:
                 U[row], mu[row] = u, mu_row
                 moved.append(row)

@@ -535,13 +535,14 @@ class TestConstraintExperiment:
         dual_active_set = qp._dual_active_set
         forced = []
 
-        def failing(batch, k, G, rhs, tol):
-            s = np.linalg.solve(batch.L, k - batch.k_const)
+        def failing(batch, u, G, rhs, tol):
+            # u = -K^-1 (k_const + L s), the unconstrained optimum of s.
+            s = np.linalg.solve(batch.L, -batch.K @ u - batch.k_const)
             for w_idx, delta in ((1, 0.5), (0, 3.0)):
                 if abs(np.linalg.norm(s - values[w_idx]) - delta) < 1e-6:
                     forced.append((w_idx, delta))
                     raise NumericalError(f"forced at window {w_idx}")
-            return dual_active_set(batch, k, G, rhs, tol)
+            return dual_active_set(batch, u, G, rhs, tol)
 
         monkeypatch.setattr(qp, "_dual_active_set", failing)
         cfg = make_config(
@@ -558,7 +559,8 @@ class TestConstraintExperiment:
         assert (0, 3.0) in forced
 
     def test_gradient_attacks_are_not_solved_again(self, monkeypatch):
-        # Outside the attacks, the pipeline solves each clean window and each
+        # Outside the attacks, the pipeline solves the windows once as the
+        # calibration block of the auto box, then each clean window and each
         # random row once; a gradient attack hands back the actions it solved.
         solved = []
 
@@ -570,11 +572,30 @@ class TestConstraintExperiment:
         monkeypatch.setattr("tsattack.experiments._solve_rows", recording)
         cfg = self._config(series_dump_limit=8)
         stats = run_experiment(cfg)
-        expected = [w.values for w in load_windows(cfg)] + [
+        windows = [w.values for w in load_windows(cfg)]
+        expected = windows + windows + [
             d.attacked for d in stats.series_dumps if d.scenario == "random"]
-        assert len(solved) == len(expected) == 16
+        assert len(solved) == len(expected) == 24
         for got, want in zip(solved, expected):
             np.testing.assert_array_equal(got, want)
+
+    def test_cost_gradient_record_is_the_attained_cost(self):
+        # The records and the cost-gradient target take their costs from the
+        # one realized-cost kernel, so each record's j_adv is its attack's
+        # attained value, bit for bit.
+        cfg = self._config(system=dict(BASE_CONFIG["system"], T=50),
+                           scenarios=["cost-gradient"], deltas=[0.5, 1.0, 2.0],
+                           dataset={"kind": "arima", "count": 20}, seed=2024)
+        batch = batch_form(cfg.system)
+        windows = load_windows(cfg)
+        _, tasks = attack_windows(cfg, batch, constraints_for(cfg, batch, windows),
+                                  [w.series_id for w in windows],
+                                  np.array([w.values for w in windows]))
+        records = run_experiment(cfg).records
+        assert len(records) == len(tasks) == 60
+        for record, (w_idx, delta, _, result, _) in zip(records, tasks):
+            assert (record.series_id, record.delta) == (windows[w_idx].series_id, delta)
+            assert record.j_adv == result.attained
 
     @pytest.mark.parametrize("scenario", SCENARIOS)
     def test_attack_windows_results(self, scenario):
@@ -693,8 +714,26 @@ class TestCalibration:
         pooled = np.concatenate([
             np.abs(solve_unconstrained(batch, w.values)) for w in windows
         ])
-        assert math.isclose(hi, 1.5 * float(np.quantile(pooled, 0.95)),
-                            rel_tol=1e-12)
+        assert hi == 1.5 * float(np.quantile(pooled, 0.95))
+
+    def test_no_window_is_rejected(self):
+        batch = batch_form(make_config().system)
+        with pytest.raises(ValueError, match="at least one window"):
+            calibrate_action_box(batch, [])
+
+    @pytest.mark.parametrize("system,values", [
+        # Windows this large overflow the unconstrained actions.
+        (dict(T=50), [np.full(50, 1e306)] * 3),
+        # One action of 40 overflows to inf (not NaN), and the 95th
+        # percentile of all 40 is still finite.
+        (dict(Q=10, T=1), [[float(i)] for i in range(39)] + [[1e308]]),
+    ], ids=["all-windows", "one-action"])
+    def test_non_finite_bound_is_rejected(self, system, values):
+        batch = batch_form(make_config(system=dict(BASE_CONFIG["system"], **system)).system)
+        windows = [SeriesWindow(values=v, source_id=f"w{i}", start_index=0)
+                   for i, v in enumerate(values)]
+        with pytest.raises(ConfigurationError, match="bound is not finite"):
+            calibrate_action_box(batch, windows)
 
 
 class TestEmitReport:

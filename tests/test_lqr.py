@@ -17,7 +17,7 @@ from tsattack import (
     rollout_cost,
     solve_unconstrained,
 )
-from tsattack.lqr import (_cho_solve, _rollout_costs, _row_dots, _row_products, _solve_triangular,
+from tsattack.lqr import (_cho_solve, _row_dots, _row_products, _solve_triangular,
                           linear_term)
 
 from conftest import make_scalar_spec, random_system
@@ -310,17 +310,19 @@ class TestRolloutCost:
             rollout_cost(spec, [0.0], [0.0, 0.0])
 
     def test_stacked_rollouts_are_the_per_row_loop(self):
-        # Each row of the stacked rollout is bit for bit the simulation of
-        # that row alone, one step and one product at a time.
+        # Each row of a block's realized costs is bit for bit the row costed
+        # alone, and the reference rollout is bit for bit the simulation of
+        # that row one step and one product at a time.
         rng = np.random.default_rng(31)
         for _ in range(20):
             spec = random_system(rng)
+            batch = batch_form(spec)
             U = rng.standard_normal((int(rng.integers(1, 9)), spec.m * spec.T))
             S = rng.standard_normal((len(U), spec.p * spec.T))
-            costs = _rollout_costs(spec, U, S)
-            assert costs.tobytes() == np.array(
-                [rollout_loop(spec, u, s) for u, s in zip(U, S)]).tobytes()
-            assert rollout_cost(spec, U[0], S[0]) == costs[0]
+            assert realized_costs(batch, U, S).tobytes() == np.array(
+                [realized_costs(batch, u[None], s[None])[0] for u, s in zip(U, S)]).tobytes()
+            for u, s in zip(U, S):
+                assert rollout_cost(spec, u, s) == rollout_loop(spec, u, s)
 
 
 class TestRealizedCosts:
@@ -338,6 +340,29 @@ class TestRealizedCosts:
             for u, s, cost in zip(U, S, costs):
                 assert math.isclose(cost, rollout_cost(spec, u, s), rel_tol=1e-10)
         assert 1 in horizons
+
+    @pytest.mark.parametrize("spec,widths", [
+        (make_scalar_spec(T=50), range(1, 601)),
+        (make_scalar_spec(T=500), range(1, 31)),
+        # m = 2 at T = 1: the shape on which an einsum over the block does
+        # not round each row as it rounds the row alone.
+        (SystemSpec(A=[[0.9, 0.2], [0.0, 0.7]], B=[[1.0, 0.0], [0.5, 1.0]],
+                    C=[[0.3], [1.0]], Q=[[2.0, 0.5], [0.5, 1.0]],
+                    R=[[1.0, 0.2], [0.2, 0.5]], T=1, x0=[1.0, -0.5]), range(1, 601)),
+    ], ids=["scalar-T50", "scalar-T500", "m2-T1"])
+    def test_block_rows_are_each_row_alone(self, spec, widths):
+        # The records and the cost-gradient target cost blocks of every
+        # width: each row of a block is bit for bit the row costed alone.
+        batch = batch_form(spec)
+        rng = np.random.default_rng(spec.T)
+        rows = max(widths)
+        U = rng.standard_normal((rows, batch.m_total)) * 10.0 ** rng.uniform(-3, 3, (rows, 1))
+        S = rng.standard_normal((rows, batch.p_total)) * 10.0 ** rng.uniform(-3, 3, (rows, 1))
+        alone = np.array([realized_costs(batch, U[r:r + 1], S[r:r + 1])[0]
+                          for r in range(rows)])
+        for width in widths:
+            costs = realized_costs(batch, U[:width], S[:width])
+            assert costs.tobytes() == alone[:width].tobytes(), width
 
     def test_zero_rows(self, scalar_t2):
         costs = realized_costs(scalar_t2, np.zeros((0, 2)), np.zeros((0, 2)))

@@ -74,9 +74,9 @@ ENTRY_POINTS = [
     ("cost_delta_quadratic(s)",
      lambda b, c, sol, d, s: cost_delta_quadratic(b, GOOD, s), "s"),
     ("kkt_residuals", lambda b, c, sol, d, s: kkt_residuals(b, c, s, sol), "s_obs"),
-    # The windows reach solve_unconstrained, which names its argument.
+    # The windows are checked as the experiment checks them, by series id.
     ("calibrate_action_box", lambda b, c, sol, d, s: calibrate_action_box(
-        b, [SeriesWindow(values=s, source_id="w", start_index=0)]), "s"),
+        b, [SeriesWindow(values=s, source_id="w", start_index=0)]), "window w:000000"),
     ("experiment windows", lambda b, c, sol, d, s: experiments._stack_windows(
         b, [SeriesWindow(values=s, source_id="w", start_index=0)]), "window w:000000"),
     ("attack CLI", lambda b, c, sol, d, s: _attack_csv(d, b, s), "window w"),
