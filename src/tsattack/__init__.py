@@ -13,7 +13,6 @@ from .lqr import (
     cost_delta_quadratic,
     realized_costs,
     rollout_cost,
-    solve_unconstrained,
 )
 from .cost_attack import (
     AttackResult,
@@ -68,7 +67,7 @@ __all__ = [
     "__version__",
     "ConfigurationError", "NumericalError",
     "SystemSpec", "BatchForm", "batch_form", "check_series",
-    "solve_unconstrained", "rollout_cost", "realized_costs",
+    "rollout_cost", "realized_costs",
     "cost_delta_quadratic",
     "EigenPair", "AttackResult", "dominant_eigenpair", "cost_attack",
     "random_sphere_attack",

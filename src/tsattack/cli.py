@@ -12,7 +12,8 @@ written out in :func:`tsattack.data._write_csv`'s format.
 
 Exit codes: 0 success, 1 usage/config error, 2 numerical failure (a solver
 check such as the QP's KKT or Farkas check failed; the message names the
-window, delta and scenario it failed in), 3 I/O error.
+window it failed in, and for an attacked series the delta and scenario
+too), 3 I/O error.
 """
 
 from __future__ import annotations

@@ -152,7 +152,8 @@ def random_sphere_attack(s, delta: float, seed: int) -> AttackResult:
     while norm < 1e-12:  # probability ~0, but keeps the contract exact
         w = rng.standard_normal(s.size)
         norm = np.linalg.norm(w)
-    step = delta * w / norm
+    with np.errstate(over="ignore"):  # an inf step fails AttackResult's norm check
+        step = delta * w / norm
     delta = float(delta)
     return AttackResult(
         s_hat=s + step,

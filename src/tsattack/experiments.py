@@ -9,7 +9,9 @@ deterministic for a given (config, seed): per-task seeds are derived from
 window and delta indices, and aggregation sorts records by key before
 emission.  The clean windows are solved once, as one block, and each
 (delta, scenario) pair attacks all windows at once from those solutions;
-every record is bit for bit what one window attacked on its own gives.
+every record is bit for bit what one window attacked on its own gives.  A
+failure stops the run where it happens, and a solver failure names its
+(window, delta, scenario) task.
 """
 
 from __future__ import annotations
@@ -28,10 +30,10 @@ from .data import (
     normalize_windows,
     sample_random_arima,
 )
-from .errors import ConfigurationError, NumericalError
+from .errors import ConfigurationError
 from .grad_attack import TargetFunction, _ascend_rows
 from .lqr import BatchForm, batch_form, check_series, realized_costs
-from .qp import ConstraintSet, QpSolution, _held, _solve_rows, compile_constraints
+from .qp import ConstraintSet, QpSolution, _solve_rows, compile_constraints
 from .stats import wilcoxon_signed_rank
 
 #: The record column each scenario's significance test compares with random.
@@ -279,15 +281,16 @@ def attack_windows(cfg: ExperimentConfig, batch: BatchForm, cons: ConstraintSet,
     The clean windows are solved as one block; one
     :class:`ConfigurationError` names every window (by ``series_ids``)
     whose clean problem is infeasible.  Then each (delta, scenario) pair
-    attacks all windows at once (:func:`_attack_block`).  The tasks are
-    taken in (window, delta, scenario) loop order, and a failure held for a
-    task is raised there, so the first failing task in loop order is the
-    one named; a solver failure is re-raised naming it.  Returns the clean
-    actions (one row per window) and, in loop order, a (window index,
-    delta, scenario, result, answer) tuple per task.
+    attacks all windows at once (:func:`_attack_block`), deltas outer and
+    scenarios inner, as the config lists them.  The first failure stops the
+    stage: a solver failure is raised naming its window (``window <id>``)
+    in the clean block, and its window, delta and scenario in an attack
+    block.  Returns the clean actions (one row per window) and, in
+    (window, delta, scenario) loop order, a (window index, delta, scenario,
+    result, answer) tuple per task.
     """
     S = np.asarray(S, dtype=float)
-    clean = [_held(sol) for sol in _solve_rows(batch, cons, S)]
+    clean = _solve_rows(batch, cons, S, [f"window {sid}" for sid in series_ids])
     U_orig, feasible = _stack_actions(batch, [sol.u for sol in clean])
     if not feasible.all():
         infeasible = ", ".join(series_ids[i] for i in np.flatnonzero(~feasible))
@@ -295,27 +298,23 @@ def attack_windows(cfg: ExperimentConfig, batch: BatchForm, cons: ConstraintSet,
             f"unattacked problem infeasible for windows {infeasible}; "
             "loosen the configured boxes"
         )
-    blocks = {(d_idx, scenario): _attack_block(cfg, batch, cons, S, clean, d_idx, scenario)
-              for d_idx in range(len(cfg.deltas)) for scenario in cfg.scenarios}
-    tasks = []
-    for w_idx in range(len(S)):
-        for d_idx, delta in enumerate(cfg.deltas):
-            for scenario in cfg.scenarios:
-                result, u = blocks[d_idx, scenario][w_idx]
-                try:
-                    result, u = _held(result), _held(u)
-                except NumericalError as exc:
-                    raise NumericalError(f"window {series_ids[w_idx]}, delta {delta}, "
-                                         f"scenario {scenario}: {exc}") from exc
-                tasks.append((w_idx, delta, scenario, result, u))
+    blocks = {}
+    for d_idx, delta in enumerate(cfg.deltas):
+        for scenario in cfg.scenarios:
+            names = [f"window {sid}, delta {delta}, scenario {scenario}" for sid in series_ids]
+            blocks[d_idx, scenario] = _attack_block(cfg, batch, cons, S, clean, d_idx,
+                                                    scenario, names)
+    tasks = [(w_idx, delta, scenario, *blocks[d_idx, scenario][w_idx])
+             for w_idx in range(len(S)) for d_idx, delta in enumerate(cfg.deltas)
+             for scenario in cfg.scenarios]
     return U_orig, tasks
 
 
 def _attack_block(cfg: ExperimentConfig, batch: BatchForm, cons: ConstraintSet,
                   S: np.ndarray, clean: Sequence[QpSolution], d_idx: int,
-                  scenario: str) -> List[tuple]:
+                  scenario: str, names: Sequence[str]) -> List[tuple]:
     """Every window's (result, answer) for the delta ``cfg.deltas[d_idx]``
-    and ``scenario``; either is the exception held for its task.
+    and ``scenario``.
 
     The one place a scenario name becomes an attack: a gradient scenario
     runs one lockstep ascent over all windows from their clean solutions
@@ -323,31 +322,27 @@ def _attack_block(cfg: ExperimentConfig, batch: BatchForm, cons: ConstraintSet,
     checked window along the cached eigenvector of Psi, and ``random``
     draws its direction from :func:`task_seed`.  The answer is a gradient
     attack's ``u_hat``, else the actions of the attacked series, solved as
-    one block, and None when infeasible.
+    one block, and None when infeasible.  The first failure stops the
+    block; a solver failure is raised with its window's label in ``names``.
     """
     delta = cfg.deltas[d_idx]
-    if scenario not in ("cost-adv", "random"):
+    if scenario == "cost-adv":
+        results = [_closed_form(batch, s, delta) for s in S]
+    elif scenario == "random":
+        results = [random_sphere_attack(s, delta, task_seed(cfg.seed, w_idx, d_idx))
+                   for w_idx, s in enumerate(S)]
+    else:
         steps = 0 if cfg.attack.mode == "single-step" else cfg.attack.steps
         results = _ascend_rows(batch, cons, S, clean, delta, TargetFunction(scenario),
-                               steps, cfg.attack.step_size)
-    else:
-        results = []
-        for w_idx, s in enumerate(S):
-            try:
-                if scenario == "cost-adv":
-                    results.append(_closed_form(batch, s, delta))
-                else:
-                    results.append(random_sphere_attack(s, delta,
-                                                        task_seed(cfg.seed, w_idx, d_idx)))
-            except Exception as exc:  # held for the task
-                results.append(exc)
-    answers = [None if isinstance(r, Exception) else r.u_hat for r in results]
-    ask = [w_idx for w_idx, r in enumerate(results) if not isinstance(r, Exception)
-           and r.u_hat is None and FLAG_INFEASIBLE not in r.flags]
+                               steps, cfg.attack.step_size, names)
+    answers = [r.u_hat for r in results]
+    ask = [w_idx for w_idx, r in enumerate(results)
+           if r.u_hat is None and FLAG_INFEASIBLE not in r.flags]
     if ask:
-        solved = _solve_rows(batch, cons, np.array([results[w_idx].s_hat for w_idx in ask]))
+        solved = _solve_rows(batch, cons, np.array([results[w_idx].s_hat for w_idx in ask]),
+                             [names[w_idx] for w_idx in ask])
         for w_idx, sol in zip(ask, solved):
-            answers[w_idx] = sol if isinstance(sol, Exception) else sol.u
+            answers[w_idx] = sol.u
     return list(zip(results, answers))
 
 

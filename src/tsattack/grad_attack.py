@@ -35,7 +35,8 @@ flags and exits.  The adjoint products of rows with no active row and every
 norm are stacked matmuls that issue each row's own BLAS call
 (:func:`tsattack.lqr._row_products`, :func:`tsattack.lqr._row_dots`); only
 a row with an active set takes its own :func:`_adjoint`.  So every row is
-bit for bit the ascent of that series alone.
+bit for bit the ascent of that series alone.  The first failure in a block
+stops it, and a solver failure carries the failing row's name.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from .cost_attack import (
 )
 from .lqr import (BatchForm, _row_dots, _row_products, _solve_triangular, check_series,
                   realized_costs)
-from .qp import ConstraintSet, QpSolution, _held, _solve_rows
+from .qp import ConstraintSet, QpSolution, _solve_rows
 
 #: Directions with L2 norm at or below this are treated as zero gradients.
 ZERO_DIRECTION_TOL = 1e-12
@@ -158,19 +159,15 @@ def _adjoints(batch: BatchForm, cons: ConstraintSet, sols, grads: np.ndarray):
     The rows with no active row take ``free_jacobian.T @ g`` as one stacked
     product (:func:`tsattack.lqr._row_products`), bit for bit the product of
     each row alone; only the rows with an active set call :func:`_adjoint`.
-    Returns the (W, pT) directions, whether each row's active rows violate
-    LICQ, and by row the exception a row's adjoint raised, held for its
-    task.
+    Returns the (W, pT) directions and whether each row's active rows
+    violate LICQ.
     """
     directions = _row_products(batch.free_jacobian.T, grads)
-    degenerate, failures = np.zeros(len(sols), dtype=bool), {}
+    degenerate = np.zeros(len(sols), dtype=bool)
     for i, sol in enumerate(sols):
         if sol.active:
-            try:
-                directions[i], degenerate[i] = _adjoint(batch, cons, sol, grads[i])
-            except Exception as exc:  # held for the row's task
-                failures[i] = exc
-    return directions, degenerate, failures
+            directions[i], degenerate[i] = _adjoint(batch, cons, sol, grads[i])
+    return directions, degenerate
 
 
 def project_ball(x: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
@@ -192,7 +189,8 @@ def project_ball(x: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray
     return projected
 
 
-def _ascend_rows(batch, cons, S, clean, delta, target, steps, step_size) -> list:
+def _ascend_rows(batch, cons, S, clean, delta, target, steps, step_size,
+                 names=None) -> list:
     """Projected ascent from every row of the checked (W, pT) block S at once.
 
     ``clean`` holds each row's optimal clean :class:`QpSolution`.  Its
@@ -206,11 +204,14 @@ def _ascend_rows(batch, cons, S, clean, delta, target, steps, step_size) -> list
     each; headings, candidates, the projection's scaling, the target values,
     the tie rule and the fixed-point test are elementwise or row-wise.  So
     each row's result is bit for bit the ascent of that row alone.
-    Returns, per row, its :class:`AttackResult` or the exception the row
-    raised, held for the caller to raise.
+    Returns each row's :class:`AttackResult`.  The first failure stops the
+    block: each solve gets the names of its rows from ``names`` (one label
+    per row of S, or None), so a solver failure names its row.
     """
     if step_size is None:
         step_size = delta / 10.0
+    if names is not None:
+        names = np.array(names, dtype=object)
     W = len(S)
     out: list = [None] * W
     flags = [set() for _ in range(W)]
@@ -226,12 +227,9 @@ def _ascend_rows(batch, cons, S, clean, delta, target, steps, step_size) -> list
         norms = _norms(S_hat - S[rows], delta).tolist()
         for row, s_hat, value, u_hat, norm in zip(rows.tolist(), S_hat, attained, U_hat,
                                                   norms):
-            try:
-                out[row] = AttackResult(s_hat=s_hat, delta=float(delta), attained=float(value),
-                                        norm_used=norm, flags=frozenset(flags[row]),
-                                        u_hat=u_hat)
-            except Exception as exc:  # held for the row's task
-                out[row] = exc
+            out[row] = AttackResult(s_hat=s_hat, delta=float(delta), attained=float(value),
+                                    norm_used=norm, flags=frozenset(flags[row]),
+                                    u_hat=u_hat)
 
     def finish_best(rows):
         finish(rows, best_s[rows], best_v[rows], [best_u[row] for row in rows.tolist()])
@@ -241,39 +239,30 @@ def _ascend_rows(batch, cons, S, clean, delta, target, steps, step_size) -> list
         move and the rows whose direction vanished."""
         at = [sols[row] for row in rows.tolist()]
         grads = _target_gradients(target, np.array([sol.u for sol in at]), batch, S[rows])
-        directions, degenerate, failures = _adjoints(batch, cons, at, grads)
-        moves = np.ones(len(rows), dtype=bool)
-        for i, exc in failures.items():
-            out[rows[i]], moves[i] = exc, False
-        for i in np.flatnonzero(moves).tolist():
-            if at[i].weakly_active:
-                flags[rows[i]].add(FLAG_WEAK_ACTIVE)
-            if degenerate[i]:
-                flags[rows[i]].add(FLAG_DEGENERATE_KKT)
+        directions, degenerate = _adjoints(batch, cons, at, grads)
+        for row, sol, degenerate_row in zip(rows.tolist(), at, degenerate):
+            if sol.weakly_active:
+                flags[row].add(FLAG_WEAK_ACTIVE)
+            if degenerate_row:
+                flags[row].add(FLAG_DEGENERATE_KKT)
         norms = np.sqrt(_row_dots(directions))  # np.linalg.norm of each row
-        stalled = moves & (norms <= ZERO_DIRECTION_TOL)
-        moves &= ~stalled
+        stalled = norms <= ZERO_DIRECTION_TOL
+        moves = ~stalled
         heading[rows[moves]] = directions[moves] / norms[moves, None]
         return rows[moves], rows[stalled]
 
     def solve(rows, X):
-        """Solve the rows' candidates X; a row whose solve fails or is
-        infeasible finishes here.  Returns which rows are kept, and their
-        solutions."""
-        kept, found, infeasible = np.ones(len(rows), dtype=bool), [], []
-        for i, (row, sol) in enumerate(zip(rows.tolist(), _solve_rows(batch, cons, X))):
-            if isinstance(sol, Exception):
-                out[row], kept[i] = sol, False
-            elif not sol.optimal:
+        """Solve the rows' candidates X; a row whose problem is infeasible
+        finishes here.  Returns which rows are kept, and their solutions."""
+        found = _solve_rows(batch, cons, X, None if names is None else names[rows])
+        kept = np.array([sol.optimal for sol in found], dtype=bool)
+        if not kept.all():
+            infeasible = np.flatnonzero(~kept)
+            for row in rows[infeasible].tolist():
                 flags[row].add(FLAG_INFEASIBLE)
-                kept[i] = False
-                infeasible.append(i)
-            else:
-                found.append(sol)
-        if infeasible:
-            finish(rows[infeasible], X[infeasible], np.full(len(infeasible), np.inf),
-                   [None] * len(infeasible))
-        return kept, found
+            finish(rows[infeasible], X[infeasible], np.full(infeasible.size, np.inf),
+                   [None] * infeasible.size)
+        return kept, [sol for sol in found if sol.optimal]
 
     def values(rows, found):
         if not found:
@@ -330,11 +319,11 @@ def _attack(batch, cons, s, delta, target, steps, step_size) -> AttackResult:
     :func:`single_step_attack`, which errors name."""
     S = check_series(batch, s)[None]
     (clean,) = _solve_rows(batch, cons, S)
-    if not _held(clean).optimal:
+    if not clean.optimal:
         caller = "iterated_attack" if steps else "single_step_attack"
         raise ValueError(f"{caller} requires a feasible unattacked problem")
     (result,) = _ascend_rows(batch, cons, S, [clean], delta, target, steps, step_size)
-    return _held(result)
+    return result
 
 
 def single_step_attack(

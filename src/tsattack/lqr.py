@@ -22,7 +22,7 @@ through :func:`_cho_solve` and :func:`_solve_triangular`, which call LAPACK
 directly, and take the products and norms of a block of series through
 :func:`_row_products` and :func:`_row_dots`, bit for bit the per-series ones.
 Every realized cost comes from :func:`realized_costs`; nothing in the
-package calls the references :func:`solve_unconstrained` and :func:`rollout_cost`.
+package calls the reference :func:`rollout_cost`.
 """
 
 from __future__ import annotations
@@ -315,12 +315,6 @@ def linear_term(batch: BatchForm, s) -> np.ndarray:
     not checked again.
     """
     return batch.k_const + batch.L @ s
-
-
-def solve_unconstrained(batch: BatchForm, s) -> np.ndarray:
-    """Optimal flat action vector u* = -K^{-1} k(x0, s): a reference, which the
-    block solver :func:`tsattack.qp._solve_rows` gives bit for bit."""
-    return -cho_solve(batch.K_factor, linear_term(batch, check_series(batch, s)))
 
 
 def rollout_cost(spec: SystemSpec, u, s) -> float:

@@ -22,8 +22,9 @@ are stacked matmuls that issue the per-series BLAS call for every row
 (:func:`tsattack.lqr._row_products`), and the Cholesky solve and the dual
 iteration stay per series, so each row of a block is bit for bit the
 series solved on its own.  A series whose unconstrained optimum violates no
-row needs no dual iteration, and a failing row's exception is held for its
-caller instead of stopping the block.
+row needs no dual iteration.  A block stops at its first failing row; given
+the rows' names, a :class:`NumericalError` is raised again with the row's
+name in front.
 """
 
 from __future__ import annotations
@@ -283,29 +284,23 @@ def solve_qp(batch: BatchForm, cons: ConstraintSet, s_obs) -> QpSolution:
     enter); it is not checked again.
     """
     (sol,) = _solve_rows(batch, cons, np.asarray(s_obs, dtype=float).reshape(1, -1))
-    return _held(sol)
+    return sol
 
 
-def _held(value):
-    """``value``, unless it is an exception held for its row, which is raised."""
-    if isinstance(value, Exception):
-        raise value
-    return value
-
-
-def _solve_rows(batch: BatchForm, cons: ConstraintSet, S: np.ndarray) -> list:
+def _solve_rows(batch: BatchForm, cons: ConstraintSet, S: np.ndarray, names=None) -> list:
     """:func:`solve_qp` of every row of the checked (W, pT) block S.
 
-    Returns one entry per row: its :class:`QpSolution`, or the exception its
-    solve raised, held so that the caller raises it where the row's task
-    falls.  The products that reach u, mu, a slack or the active set
-    (``L @ s``, ``H @ s``, ``G @ u``) are stacked over the block with
-    :func:`tsattack.lqr._row_products`, which issues each row's own BLAS
-    call; the Cholesky solve stays per row (a multi-right-hand-side solve
-    rounds differently).  So each row is bit for bit its own solve.  A row
-    whose unconstrained optimum violates no row keeps it, with zero
-    multipliers; the others run :func:`_dual_active_set`.  The KKT residuals
-    of every optimal row are checked as one block.
+    Returns one :class:`QpSolution` per row.  The products that reach u, mu,
+    a slack or the active set (``L @ s``, ``H @ s``, ``G @ u``) are stacked
+    over the block with :func:`tsattack.lqr._row_products`, which issues
+    each row's own BLAS call; the Cholesky solve stays per row (a
+    multi-right-hand-side solve rounds differently).  So each row is bit for
+    bit its own solve.  A row whose unconstrained optimum violates no row
+    keeps it, with zero multipliers; the others run :func:`_dual_active_set`
+    in row order.  The KKT residuals of every optimal row are checked as one
+    block.  The first row to fail stops the block: a :class:`NumericalError`
+    is raised with ``names[row]`` in front when ``names`` (one label per
+    row) is given, and unchanged otherwise, as is any other exception.
     """
     W, m_total = len(S), batch.m_total
     k = _row_products(batch.L, S)
@@ -339,8 +334,8 @@ def _solve_rows(batch: BatchForm, cons: ConstraintSet, S: np.ndarray) -> list:
                    FARKAS_LIMITS, strict=True)
             sols[row] = QpSolution(u=None, mu=None, active=(), weakly_active=(),
                                    status="infeasible")
-        except Exception as exc:  # held for the row's task
-            sols[row] = exc
+        except NumericalError as exc:
+            _raise_named(exc, names, row)
     if moved:
         slack[moved] = _row_products(cons.G, U[moved]) - rhs[moved]
         optimal[moved] = True
@@ -351,17 +346,35 @@ def _solve_rows(batch: BatchForm, cons: ConstraintSet, S: np.ndarray) -> list:
     checked = (k, rhs, slack, U, mu)
     if rows.size < W:
         checked = tuple(block[rows] for block in checked)
-    held = _kkt_failures(_kkt_residuals(batch, cons, *checked), rows.size)
+    residuals = _kkt_residuals(batch, cons, *checked)
+    passed = np.ones(rows.size, dtype=bool)
+    for name, limit in KKT_LIMITS.items():
+        passed &= residuals[name] <= limit  # a NaN fails; a scalar broadcasts
+    if not passed.all():
+        i = int(np.argmin(passed))
+        try:
+            _check("KKT check", {name: float(np.broadcast_to(value, passed.shape)[i])
+                                 for name, value in residuals.items()}, KKT_LIMITS)
+        except NumericalError as exc:
+            _raise_named(exc, names, rows[i])
     at_row, at = np.nonzero(np.abs(slack[rows]) <= tol[rows])  # row-major: rows ascend
     weak = (mu[rows[at_row], at] < WEAK_DUAL_TOL).tolist()
     bounds, at = np.searchsorted(at_row, np.arange(rows.size + 1)).tolist(), at.tolist()
     for i, row in enumerate(rows.tolist()):
         lo, hi = bounds[i], bounds[i + 1]
-        sols[row] = held[i] if i in held else QpSolution(
+        sols[row] = QpSolution(
             u=U[row], mu=mu[row], active=tuple(at[lo:hi]),
             weakly_active=tuple(a for a, w in zip(at[lo:hi], weak[lo:hi]) if w),
             status="optimal")
     return sols
+
+
+def _raise_named(exc: NumericalError, names, row):
+    """Raise ``exc``, the failure of block row ``row``, again: with
+    ``names[row]`` in front of its message when the block has names."""
+    if names is None:
+        raise exc
+    raise NumericalError(f"{names[row]}: {exc}") from exc
 
 
 def _check(what, residuals, limits, strict=False):
@@ -373,24 +386,6 @@ def _check(what, residuals, limits, strict=False):
                 f"QP solution fails the {what}: {name} residual "
                 f"{value:.3g} is outside its limit {limit:g} ({residuals})"
             )
-
-
-def _kkt_failures(residuals, count) -> dict:
-    """The NumericalError of each of ``count`` block rows whose
-    :func:`_kkt_residuals` break :data:`KKT_LIMITS`, by row."""
-    passed = True
-    for name, limit in KKT_LIMITS.items():
-        passed = passed & (residuals[name] <= limit)  # a NaN fails
-    if np.all(passed):
-        return {}
-    failures = {}
-    for row in np.flatnonzero(~np.broadcast_to(passed, (count,))).tolist():
-        try:
-            _check("KKT check", {name: float(np.broadcast_to(v, (count,))[row])
-                                 for name, v in residuals.items()}, KKT_LIMITS)
-        except NumericalError as exc:
-            failures[row] = exc
-    return failures
 
 
 def _farkas_residuals(G, rhs, y) -> dict:

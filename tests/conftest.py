@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve
 
 from tsattack import (
     NumericalError,
@@ -7,15 +8,21 @@ from tsattack import (
     batch_form,
     compile_constraints,
     solve_qp,
-    solve_unconstrained,
 )
 from tsattack.grad_attack import ZERO_DIRECTION_TOL, _adjoint
-from tsattack.lqr import check_series
+from tsattack.lqr import check_series, linear_term
 
 
 def make_scalar_spec(T=1, x0=1.0):
     """The scalar battery system used throughout: A=C=Q=R=1, B=-1."""
     return SystemSpec(A=1.0, B=-1.0, C=1.0, Q=1.0, R=1.0, T=T, x0=x0)
+
+
+def solve_unconstrained(batch, s) -> np.ndarray:
+    """Reference closed form u* = -K^{-1} k(x0, s) of the unconstrained
+    controller, which the block solver ``tsattack.qp._solve_rows`` gives bit
+    for bit."""
+    return -cho_solve(batch.K_factor, linear_term(batch, check_series(batch, s)))
 
 
 def random_system(rng, n_max=3, m_max=3, p_max=3, t_max=10):

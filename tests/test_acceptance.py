@@ -31,14 +31,14 @@ from tsattack import (
     run_experiment,
     single_step_attack,
     solve_qp,
-    solve_unconstrained,
     wilcoxon_signed_rank,
 )
 from tsattack.cli import main
 from tsattack.experiments import calibrate_action_box, load_windows
 from tsattack.lqr import linear_term
 
-from conftest import adjoint_jacobian, finite_difference_jacobian, random_system
+from conftest import (adjoint_jacobian, finite_difference_jacobian, random_system,
+                      solve_unconstrained)
 from test_stats import enumeration_oracle
 
 SWEEP_SEED = 424242

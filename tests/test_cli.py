@@ -416,6 +416,35 @@ def test_solver_failure_exits_two_naming_its_task(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["experiment", "attack"])
+def test_clean_solver_failure_exits_two_naming_its_window(tmp_path, capsys, command):
+    # At scale 1e16 the rounding of u exceeds a +-3 box: the dual iteration
+    # ends on a false Farkas ray for the second window's clean problem, and
+    # its check fails before any attack runs.
+    data = tmp_path / "load.csv"
+    values = (1e16 * np.random.default_rng(0).standard_normal(30)).tolist()
+    data.write_text("load\n" + "".join(f"{v!r}\n" for v in values), encoding="utf-8")
+    raw = dict(BASE_CONFIG, dataset={"kind": "csv", "path": str(data), "column": "load"},
+               normalization="none", action_box={"u_min": -3.0, "u_max": 3.0},
+               scenarios=["random"], deltas=[1.0])
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    windows = load_windows(load_config(path))
+    inp = tmp_path / "windows.csv"
+    write_series_csv(windows, inp)
+    out = tmp_path / "out"
+    if command == "experiment":
+        argv = ["experiment", "--config", str(path), "--out-dir", str(out)]
+    else:
+        argv = ["attack", "--scenario", "random", "--delta", "1.0",
+                "--config", str(path), "--in", str(inp), "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(
+        f"numerical error: window {windows[1].series_id}: "
+        "QP solution fails the infeasibility certificate: gap residual")
+    assert not out.exists()
+
+
 def test_removed_check_command_is_unknown(capsys):
     assert main(["check", "jacobian"]) == 1
     assert "invalid choice: 'check'" in capsys.readouterr().err

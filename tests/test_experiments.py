@@ -28,7 +28,6 @@ from tsattack import (
     run_experiment,
     single_step_attack,
     solve_qp,
-    solve_unconstrained,
 )
 from tsattack.config import SCENARIOS
 from tsattack.experiments import (
@@ -41,6 +40,8 @@ from tsattack.experiments import (
     load_windows,
     task_seed,
 )
+
+from conftest import solve_unconstrained
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -519,13 +520,14 @@ class TestConstraintExperiment:
                 assert record.norm_used == 0.0
 
 
-    def test_failure_is_raised_at_its_task_in_loop_order(self, monkeypatch):
+    def test_failure_stops_the_stage_at_its_task(self, monkeypatch):
         # Window 1 fails at the first delta and window 0 at the second.  The
-        # attacks run delta by delta over all windows, but the error names
-        # the first failing task in (window, delta, scenario) order: window 0
-        # at the second delta.  Every solve of these series runs the dual
-        # active set (the box holds u_0 below its unconstrained optimum), and
-        # each failure is forced on the single-step candidate of its task.
+        # attacks run delta by delta over all windows, and the first failure
+        # stops them: the error names window 1 at the first delta, and the
+        # second delta's blocks never run.  Every solve of these series runs
+        # the dual active set (the box holds u_0 below its unconstrained
+        # optimum), and each failure is forced on the single-step candidate
+        # of its task.
         base = np.full(10, 20.0)
         values = [base, base + 10.0 * np.eye(10)[9]]
         windows = [SeriesWindow(values=v, source_id=f"w{i}", start_index=0)
@@ -553,10 +555,10 @@ class TestConstraintExperiment:
             action_box={"u_min": -100.0, "u_max": 20.3},
             attack={"mode": "iterated", "steps": 3},
         )
-        with pytest.raises(NumericalError, match=r"^window w0:000000, delta 3\.0, "
-                                                 "scenario l1: forced at window 0$"):
+        with pytest.raises(NumericalError, match=r"^window w1:000000, delta 0\.5, "
+                                                 "scenario l1: forced at window 1$"):
             run_experiment(cfg)
-        assert (0, 3.0) in forced
+        assert forced == [(1, 0.5)]
 
     def test_gradient_attacks_are_not_solved_again(self, monkeypatch):
         # Outside the attacks, the pipeline solves the windows once as the
@@ -564,9 +566,9 @@ class TestConstraintExperiment:
         # random row once; a gradient attack hands back the actions it solved.
         solved = []
 
-        def recording(batch, cons, S_obs):
+        def recording(batch, cons, S_obs, names=None):
             solved.extend(np.array(s_obs, dtype=float) for s_obs in S_obs)
-            return solve_rows(batch, cons, S_obs)
+            return solve_rows(batch, cons, S_obs, names)
 
         solve_rows = importlib.import_module("tsattack.experiments")._solve_rows
         monkeypatch.setattr("tsattack.experiments._solve_rows", recording)

@@ -16,7 +16,6 @@ from tsattack import (
     realized_costs,
     single_step_attack,
     solve_qp,
-    solve_unconstrained,
     target_gradient,
     target_value,
 )
@@ -29,6 +28,7 @@ from conftest import (
     make_scalar_spec,
     random_state_box_instance,
     random_system,
+    solve_unconstrained,
     unit,
 )
 
@@ -464,9 +464,9 @@ class TestIteratedAttack:
         s = np.linspace(-0.3, 0.4, 4)
         calls = {"solves": 0, "jacobians": 0}
 
-        def counting_rows(batch, cons, S_obs):  # one solve per row of a block
+        def counting_rows(batch, cons, S_obs, names=None):  # one solve per row of a block
             calls["solves"] += len(S_obs)
-            return solve_rows(batch, cons, S_obs)
+            return solve_rows(batch, cons, S_obs, names)
 
         def counting_adjoints(batch, cons, sols, grads):  # one Jacobian per row
             calls["jacobians"] += len(sols)
@@ -541,8 +541,8 @@ class TestIteratedAttack:
         # Only the single-step candidate and the last iterate go without.
         solved, at = {}, []
 
-        def recording_solve(batch, cons, S_obs):
-            sols = solve_rows(batch, cons, S_obs)
+        def recording_solve(batch, cons, S_obs, names=None):
+            sols = solve_rows(batch, cons, S_obs, names)
             for sol, s_obs in zip(sols, S_obs):
                 solved[id(sol)] = (sol, np.array(s_obs, dtype=float))
             return sols
@@ -585,9 +585,9 @@ class TestIteratedAttack:
         candidates = (1.0,) + tuple(1.0 + g for g in gains)
         values = iter(candidates)
 
-        def recording_solve(batch, cons, S_obs):
+        def recording_solve(batch, cons, S_obs, names=None):
             solved.extend(np.array(s_obs, dtype=float) for s_obs in S_obs)
-            return solve_rows(batch, cons, S_obs)
+            return solve_rows(batch, cons, S_obs, names)
 
         solve_rows = grad_attack._solve_rows
         monkeypatch.setattr("tsattack.grad_attack._solve_rows", recording_solve)
@@ -651,8 +651,8 @@ def assert_same_attack(result, other):
 class TestAscendRows:
     def test_block_adjoints_are_each_rows_adjoint(self, monkeypatch):
         # Rows with and without active rows: each direction and LICQ flag is
-        # _adjoint's for that row, bit for bit, and a row whose adjoint
-        # raises is held by its index while the others are kept.
+        # _adjoint's for that row, bit for bit, and an exception a row's
+        # adjoint raises propagates unchanged.
         spec = make_scalar_spec(T=6)
         batch = batch_form(spec)
         cons = compile_constraints(spec, batch, action_box=(-0.8, 0.8))
@@ -660,8 +660,7 @@ class TestAscendRows:
         sols = grad_attack._solve_rows(batch, cons, S)
         assert {bool(sol.active) for sol in sols} == {True, False}
         grads = np.sign(np.array([sol.u for sol in sols]))
-        directions, degenerate, failures = grad_attack._adjoints(batch, cons, sols, grads)
-        assert failures == {}
+        directions, degenerate = grad_attack._adjoints(batch, cons, sols, grads)
         for sol, g, direction, flag in zip(sols, grads, directions, degenerate):
             expected, expected_flag = grad_attack._adjoint(batch, cons, sol, g)
             assert direction.tobytes() == expected.tobytes() and flag == expected_flag
@@ -675,10 +674,8 @@ class TestAscendRows:
             return adjoint(batch, cons, sol, g)
 
         monkeypatch.setattr("tsattack.grad_attack._adjoint", raising)
-        held, _, failures = grad_attack._adjoints(batch, cons, sols, grads)
-        assert list(failures) == [failing] and str(failures[failing]) == "forced"
-        kept = np.arange(len(sols)) != failing
-        assert held[kept].tobytes() == directions[kept].tobytes()
+        with pytest.raises(np.linalg.LinAlgError, match="^forced$"):
+            grad_attack._adjoints(batch, cons, sols, grads)
 
     def test_each_row_is_its_own_ascent(self):
         # Blocks of 3 to 5 series on action boxes and on state boxes that go
@@ -731,9 +728,9 @@ class TestAscendRows:
         clean = grad_attack._solve_rows(batch, cons, S)
         sizes = []
 
-        def recording(batch, cons, S_obs):
+        def recording(batch, cons, S_obs, names=None):
             sizes.append(len(S_obs))
-            return solve_rows(batch, cons, S_obs)
+            return solve_rows(batch, cons, S_obs, names)
 
         solve_rows = grad_attack._solve_rows
         monkeypatch.setattr("tsattack.grad_attack._solve_rows", recording)

@@ -15,12 +15,11 @@ from tsattack import (
     cost_delta_quadratic,
     realized_costs,
     rollout_cost,
-    solve_unconstrained,
 )
 from tsattack.lqr import (_cho_solve, _row_dots, _row_products, _solve_triangular,
                           linear_term)
 
-from conftest import make_scalar_spec, random_system
+from conftest import make_scalar_spec, random_system, solve_unconstrained
 
 
 def stack_dynamics_loop(spec):

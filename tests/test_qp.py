@@ -24,7 +24,6 @@ from tsattack import (
     kkt_residuals,
     projected_gradient_solve,
     solve_qp,
-    solve_unconstrained,
 )
 from tsattack import qp as qp_module
 from tsattack.lqr import linear_term
@@ -34,6 +33,7 @@ from conftest import (
     make_scalar_spec,
     random_state_box_instance,
     random_system,
+    solve_unconstrained,
 )
 
 
@@ -477,26 +477,32 @@ class TestSolveRows:
                           else "dual" if sol.mu.any() else "free")
         assert kinds == {"no box", "free", "dual", "infeasible"}
 
-    def test_a_failing_row_is_held_for_its_caller(self, monkeypatch):
-        # The row whose dual active set raises gets its exception; the
-        # other rows of the block are solved, and solve_qp raises it.
+    def test_a_failing_row_stops_the_block_under_its_name(self, monkeypatch):
+        # The row whose dual active set raises stops the block: the rows
+        # after it are not solved, and the error carries the row's name
+        # when the block has names.  solve_qp raises it unchanged.
         spec = make_scalar_spec(T=4)
         batch = batch_form(spec)
         cons = compile_constraints(spec, batch, action_box=(-0.3, 0.3))
         S = np.array([0.05 * i * np.ones(4) for i in range(3)])
         dual_active_set = qp_module._dual_active_set
         failing_u = solve_unconstrained(batch, S[1])
+        solved = []
 
         def failing(batch, u, G, rhs, tol):
             if np.array_equal(u, failing_u):
                 raise NumericalError("forced")
+            solved.append(u.copy())
             return dual_active_set(batch, u, G, rhs, tol)
 
+        assert all(sol.active for sol in qp_module._solve_rows(batch, cons, S))
         monkeypatch.setattr(qp_module, "_dual_active_set", failing)
-        sols = qp_module._solve_rows(batch, cons, S)
-        assert isinstance(sols[1], NumericalError) and str(sols[1]) == "forced"
-        for row in (0, 2):
-            assert sols[row].optimal and sols[row].active
+        with pytest.raises(NumericalError, match="^b: forced$"):
+            qp_module._solve_rows(batch, cons, S, ["a", "b", "c"])
+        assert len(solved) == 1 and np.array_equal(solved[0],
+                                                    solve_unconstrained(batch, S[0]))
+        with pytest.raises(NumericalError, match="^forced$"):
+            qp_module._solve_rows(batch, cons, S)
         with pytest.raises(NumericalError, match="^forced$"):
             solve_qp(batch, cons, S[1])
 
@@ -507,17 +513,18 @@ class TestSolveRows:
             S = s + 0.5 * rng.standard_normal((5, batch.p_total))
             sols = [solve_qp(batch, cons, row) for row in S]
             res = block_residuals(batch, cons, S, sols)
-            assert qp_module._kkt_failures(res, len(S)) == {}
+            for name, limit in qp_module.KKT_LIMITS.items():
+                assert (res[name] <= limit).all()
             for i, (row, sol) in enumerate(zip(S, sols)):
                 assert {name: value[i] for name, value in res.items()} == pytest.approx(
                     kkt_residuals_oracle(batch, cons, row, sol), rel=0, abs=1e-14)
 
     @pytest.mark.parametrize("broken", ["stationarity", "feasibility",
                                         "complementarity", "dual_sign"])
-    def test_a_perturbed_row_fails_the_block_check(self, broken):
+    def test_a_perturbed_row_fails_the_block_check(self, monkeypatch, broken):
         # The perturbations of test_kkt_residuals_flag_a_perturbed_optimum,
-        # on row 2 of a block of four optima: each breaks its residual, and
-        # only that row fails the check.
+        # on row 2 of a block of four optima: each breaks its residual, only
+        # that row fails, and the block check raises for it by name.
         spec = make_scalar_spec(T=4)
         batch = batch_form(spec)
         cons = compile_constraints(spec, batch, action_box=(-0.3, 0.3))
@@ -541,9 +548,14 @@ class TestSolveRows:
             assert {name: value[i] for name, value in res.items()} == pytest.approx(
                 kkt_residuals_oracle(batch, cons, row, sol), rel=0, abs=1e-14)
         assert res[broken][2] > qp_module.KKT_LIMITS[broken]
-        failures = qp_module._kkt_failures(res, len(S))
-        assert list(failures) == [2]
-        # The message names the first residual of row 2 past its limit.
+        failing = [i for i in range(len(S)) if any(
+            res[name][i] > limit for name, limit in qp_module.KKT_LIMITS.items())]
+        assert failing == [2]
+        # The block check raises for row 2, naming its first residual past
+        # its limit.
         first = next(name for name, limit in qp_module.KKT_LIMITS.items()
                      if res[name][2] > limit)
-        assert f"fails the KKT check: {first} residual" in str(failures[2])
+        monkeypatch.setattr(qp_module, "_kkt_residuals", lambda *args: res)
+        with pytest.raises(NumericalError,
+                           match=f"^w2: QP solution fails the KKT check: {first} residual"):
+            qp_module._solve_rows(batch, cons, S, [f"w{i}" for i in range(len(S))])

@@ -28,7 +28,6 @@ from tsattack import (
     run_experiment,
     single_step_attack,
     solve_qp,
-    solve_unconstrained,
 )
 from tsattack import cli, experiments, lqr
 from tsattack.data import SeriesWindow
@@ -63,7 +62,6 @@ def _attack_csv(tmp_path, batch, s):
 #: (entry point, call with the batch, the constraint set, an optimal solve,
 #: a scratch directory and the bad series, the name its error must start with)
 ENTRY_POINTS = [
-    ("solve_unconstrained", lambda b, c, sol, d, s: solve_unconstrained(b, s), "s"),
     ("cost_attack", lambda b, c, sol, d, s: cost_attack(b, s, 1.0), "s"),
     ("single_step_attack", lambda b, c, sol, d, s: single_step_attack(
         b, c, s, 1.0, TargetFunction.MAX_ACTION), "s"),
