@@ -6,9 +6,9 @@ file, or run a full experiment from a JSON config.
 config's deltas and scenarios replaced by ``--delta`` and S (``random``
 draws the experiment's first-delta direction).  So it refuses infeasible
 clean windows as ``experiment`` does, and ``flagged`` counts the windows
-with a diagnostic flag or an infeasible answer.  The CSV values are
-attacked as written (no normalization; a CSV with no rows is rejected) and
-written out in :func:`tsattack.data._write_csv`'s format.
+whose answered result carries a flag (``infeasible`` among them).  The CSV
+values are attacked as written (no normalization; a CSV with no rows is
+rejected) and written out in :func:`tsattack.data._write_csv`'s format.
 
 Exit codes: 0 success, 1 usage/config error, 2 numerical failure (a solver
 check such as the QP's KKT or Farkas check failed; the message names the
@@ -22,6 +22,8 @@ import argparse
 import dataclasses
 import math
 import sys
+
+import numpy as np
 
 from . import __version__
 from .config import SCENARIOS, load_config
@@ -85,14 +87,15 @@ def _cmd_attack(args) -> int:
     batch = batch_form(cfg.system)
     windows = read_series_csv(args.input)
     ids = [window.source_id for window in windows]
-    S = [check_series(batch, window.values, f"window {window_id}")
-         for window, window_id in zip(windows, ids)]
-    _, tasks = attack_windows(cfg, batch, constraints_for(cfg, batch, windows), ids, S)
-    rows = ((ids[w_idx], t, *pair) for w_idx, _, _, result, _ in tasks
-            for t, pair in enumerate(zip(S[w_idx].tolist(), result.s_hat.tolist())))
+    S = np.array([check_series(batch, window.values, f"window {window_id}")
+                  for window, window_id in zip(windows, ids)])
+    _, blocks = attack_windows(cfg, batch, constraints_for(cfg, batch, windows), ids, S)
+    (results,) = blocks.values()
+    rows = ((window_id, t, *pair) for window_id, s, result in zip(ids, S.tolist(), results)
+            for t, pair in enumerate(zip(s, result.s_hat.tolist())))
     _write_csv(args.out, ("window_id", "t", "original", "attacked"), rows)
-    flagged = sum(bool(result.flags) or u is None for *_, result, u in tasks)
-    print(f"attacked {len(tasks)} windows (scenario={args.scenario}, "
+    flagged = sum(bool(result.flags) for result in results)
+    print(f"attacked {len(results)} windows (scenario={args.scenario}, "
           f"delta={args.delta}, flagged={flagged}) -> {args.out}")
     return EXIT_OK
 

@@ -45,9 +45,10 @@ class AttackResult:
             (+inf when the attacked problem became infeasible).
         norm_used: Actual ||s_hat - s||_2 spent.
         flags: Diagnostics such as ``zero-gradient`` / ``infeasible``.
-        u_hat: The controller's actions on s_hat when the attack solved
-            them (the gradient attacks), else None: always None for the
-            closed-form and random attacks and after an infeasible outcome.
+        u_hat: The controller's actions on s_hat, or None: the gradient
+            attacks and the experiment's attack stage set it unless flagged
+            ``infeasible``; :func:`cost_attack` and
+            :func:`random_sphere_attack` leave it None.
     """
 
     s_hat: np.ndarray

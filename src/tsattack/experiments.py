@@ -9,7 +9,9 @@ deterministic for a given (config, seed): per-task seeds are derived from
 window and delta indices, and aggregation sorts records by key before
 emission.  The clean windows are solved once, as one block, and each
 (delta, scenario) pair attacks all windows at once from those solutions;
-every record is bit for bit what one window attacked on its own gives.  A
+every record is bit for bit what one window attacked on its own gives.
+The attack stage returns one block of results per (delta, scenario), each
+answered: its ``u_hat`` is None exactly when it is flagged ``infeasible``.  A
 failure stops the run where it happens, and a solver failure names its
 (window, delta, scenario) task.
 """
@@ -17,13 +19,14 @@ failure stops the run where it happens, and a solver failure names its
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .config import ExperimentConfig
-from .cost_attack import FLAG_INFEASIBLE, _closed_form, random_sphere_attack
+from .cost_attack import (FLAG_INFEASIBLE, AttackResult, _closed_form,
+                          random_sphere_attack)
 from .data import (
     SeriesWindow,
     load_series_windows,
@@ -221,19 +224,6 @@ def _stack_windows(batch: BatchForm, windows: Sequence[SeriesWindow]) -> np.ndar
     return S
 
 
-def _stack_actions(batch: BatchForm, actions: Sequence[Optional[np.ndarray]]):
-    """Stack per-series actions (None when infeasible) as (U, feasible).
-
-    Infeasible rows of U are NaN.  Callers solve each series on its own:
-    a multi-right-hand-side solve rounds differently.
-    """
-    feasible = np.array([u is not None for u in actions], dtype=bool)
-    U = np.full((len(actions), batch.m_total), np.nan)
-    for row in np.flatnonzero(feasible):
-        U[row] = actions[row]
-    return U, feasible
-
-
 def calibrate_action_box(
     batch: BatchForm,
     windows: Sequence[SeriesWindow],
@@ -274,56 +264,54 @@ def constraints_for(cfg: ExperimentConfig, batch: BatchForm,
 
 
 def attack_windows(cfg: ExperimentConfig, batch: BatchForm, cons: ConstraintSet,
-                   series_ids: Sequence[str],
-                   S: Sequence[np.ndarray]) -> Tuple[np.ndarray, List[tuple]]:
-    """The attack stage: solve the clean windows S, then attack and answer every task.
+                   series_ids: Sequence[str], S: np.ndarray
+                   ) -> Tuple[np.ndarray, Dict[Tuple[float, str], List[AttackResult]]]:
+    """The attack stage: solve the clean windows, the rows of the (W, pT)
+    array S, then attack and answer every window for each (delta, scenario).
 
     The clean windows are solved as one block; one
     :class:`ConfigurationError` names every window (by ``series_ids``)
     whose clean problem is infeasible.  Then each (delta, scenario) pair
-    attacks all windows at once (:func:`_attack_block`), deltas outer and
-    scenarios inner, as the config lists them.  The first failure stops the
-    stage: a solver failure is raised naming its window (``window <id>``)
-    in the clean block, and its window, delta and scenario in an attack
-    block.  Returns the clean actions (one row per window) and, in
-    (window, delta, scenario) loop order, a (window index, delta, scenario,
-    result, answer) tuple per task.
+    attacks all windows at once (:func:`_attack_block`).  The first failure
+    stops the stage: a solver failure is raised naming its window
+    (``window <id>``) in the clean block, and its window, delta and scenario
+    in an attack block.  Returns the clean actions (one row per window) and
+    a dict from each (delta, scenario), deltas outer and scenarios inner in
+    config order, to its block: one answered :class:`AttackResult` per
+    window, in window order.
     """
-    S = np.asarray(S, dtype=float)
     clean = _solve_rows(batch, cons, S, [f"window {sid}" for sid in series_ids])
-    U_orig, feasible = _stack_actions(batch, [sol.u for sol in clean])
-    if not feasible.all():
-        infeasible = ", ".join(series_ids[i] for i in np.flatnonzero(~feasible))
+    infeasible = [sid for sid, sol in zip(series_ids, clean) if sol.u is None]
+    if infeasible:
         raise ConfigurationError(
-            f"unattacked problem infeasible for windows {infeasible}; "
+            f"unattacked problem infeasible for windows {', '.join(infeasible)}; "
             "loosen the configured boxes"
         )
+    U_orig = np.array([sol.u for sol in clean])
     blocks = {}
     for d_idx, delta in enumerate(cfg.deltas):
         for scenario in cfg.scenarios:
             names = [f"window {sid}, delta {delta}, scenario {scenario}" for sid in series_ids]
-            blocks[d_idx, scenario] = _attack_block(cfg, batch, cons, S, clean, d_idx,
+            blocks[delta, scenario] = _attack_block(cfg, batch, cons, S, clean, d_idx,
                                                     scenario, names)
-    tasks = [(w_idx, delta, scenario, *blocks[d_idx, scenario][w_idx])
-             for w_idx in range(len(S)) for d_idx, delta in enumerate(cfg.deltas)
-             for scenario in cfg.scenarios]
-    return U_orig, tasks
+    return U_orig, blocks
 
 
 def _attack_block(cfg: ExperimentConfig, batch: BatchForm, cons: ConstraintSet,
                   S: np.ndarray, clean: Sequence[QpSolution], d_idx: int,
-                  scenario: str, names: Sequence[str]) -> List[tuple]:
-    """Every window's (result, answer) for the delta ``cfg.deltas[d_idx]``
+                  scenario: str, names: Sequence[str]) -> List[AttackResult]:
+    """Every window's answered result for the delta ``cfg.deltas[d_idx]``
     and ``scenario``.
 
     The one place a scenario name becomes an attack: a gradient scenario
     runs one lockstep ascent over all windows from their clean solutions
-    (:func:`tsattack.grad_attack._ascend_rows`); ``cost-adv`` takes each
-    checked window along the cached eigenvector of Psi, and ``random``
-    draws its direction from :func:`task_seed`.  The answer is a gradient
-    attack's ``u_hat``, else the actions of the attacked series, solved as
-    one block, and None when infeasible.  The first failure stops the
-    block; a solver failure is raised with its window's label in ``names``.
+    (:func:`tsattack.grad_attack._ascend_rows`), whose results come
+    answered; ``cost-adv`` takes each checked window along the cached
+    eigenvector of Psi, ``random`` draws its direction from
+    :func:`task_seed`, and their attacked series are solved as one block.
+    ``u_hat`` is None exactly when ``infeasible`` is flagged.  The first
+    failure stops the block; a solver failure is raised with its window's
+    label in ``names``.
     """
     delta = cfg.deltas[d_idx]
     if scenario == "cost-adv":
@@ -333,17 +321,12 @@ def _attack_block(cfg: ExperimentConfig, batch: BatchForm, cons: ConstraintSet,
                    for w_idx, s in enumerate(S)]
     else:
         steps = 0 if cfg.attack.mode == "single-step" else cfg.attack.steps
-        results = _ascend_rows(batch, cons, S, clean, delta, TargetFunction(scenario),
-                               steps, cfg.attack.step_size, names)
-    answers = [r.u_hat for r in results]
-    ask = [w_idx for w_idx, r in enumerate(results)
-           if r.u_hat is None and FLAG_INFEASIBLE not in r.flags]
-    if ask:
-        solved = _solve_rows(batch, cons, np.array([results[w_idx].s_hat for w_idx in ask]),
-                             [names[w_idx] for w_idx in ask])
-        for w_idx, sol in zip(ask, solved):
-            answers[w_idx] = sol.u
-    return list(zip(results, answers))
+        return _ascend_rows(batch, cons, S, clean, delta, TargetFunction(scenario),
+                            steps, cfg.attack.step_size, names)
+    solved = _solve_rows(batch, cons, np.array([r.s_hat for r in results]), names)
+    return [replace(r, u_hat=sol.u) if sol.optimal
+            else replace(r, flags=r.flags | {FLAG_INFEASIBLE})
+            for r, sol in zip(results, solved)]
 
 
 def run_experiment(cfg: ExperimentConfig) -> ScenarioStats:
@@ -351,73 +334,70 @@ def run_experiment(cfg: ExperimentConfig) -> ScenarioStats:
 
     The controller is the one :func:`constraints_for` compiles from the
     configured boxes (none: the unconstrained LQR).  :func:`attack_windows`
-    solves the clean windows (an infeasible one fails the run at once),
-    attacks and answers every task; all realized costs then come from one
-    :func:`realized_costs` call per side.  A window whose cost, or a delta
-    whose feasible cost, overflows fails the run.
+    solves the clean windows (an infeasible one fails the run at once) and
+    returns the answered blocks.  One :func:`realized_costs` call costs the
+    clean windows and one each block's answers.  A window whose clean cost
+    overflows fails the run, as does the first block in config order whose
+    feasible cost overflows, naming its delta.  Records run window-major.
     """
     batch = batch_form(cfg.system)
     windows = load_windows(cfg)
     S = _stack_windows(batch, windows)
     cons = constraints_for(cfg, batch, windows)
-    U_orig, tasks = attack_windows(cfg, batch, cons,
-                                   [w.series_id for w in windows], S)
-    U_adv, feasible = _stack_actions(batch, [u for *_, u in tasks])
+    U_orig, blocks = attack_windows(cfg, batch, cons,
+                                    [w.series_id for w in windows], S)
 
     j_orig = realized_costs(batch, U_orig, S)
-    j_adv = np.full(len(tasks), math.inf)
-    rows = np.flatnonzero(feasible)
-    j_adv[rows] = realized_costs(batch, U_adv[rows],
-                                 S[[tasks[row][0] for row in rows]])
     overflow = np.flatnonzero(~np.isfinite(j_orig))
     if overflow.size:
         raise ConfigurationError(
             f"realized cost of window {windows[overflow[0]].series_id} is not finite"
         )
-    # An infinite j_adv means infeasible; on a feasible row it is an overflow.
-    overflow = np.flatnonzero(feasible & ~np.isfinite(j_adv))
-    if overflow.size:
-        raise ConfigurationError(
-            f"delta {tasks[overflow[0]][1]} overflows the realized cost; "
-            "use a smaller delta"
-        )
+    # Each block's (j_adv, max, min, L1) per window.  Records compare NaN by
+    # value, but lists of their raw fields (perfbench's canonical_records)
+    # match NaNs only by identity, so an infeasible answer gets the one math.nan.
+    infeasible = (math.inf, math.nan, math.nan, math.nan)
+    adv = {}
+    for (delta, scenario), results in blocks.items():
+        rows = [w_idx for w_idx, r in enumerate(results) if r.u_hat is not None]
+        U_adv = np.array([results[w_idx].u_hat for w_idx in rows]).reshape(-1, batch.m_total)
+        j_adv = realized_costs(batch, U_adv, S[rows])
+        if not np.isfinite(j_adv).all():
+            raise ConfigurationError(
+                f"delta {delta} overflows the realized cost; use a smaller delta")
+        outcomes = [infeasible] * len(results)
+        for w_idx, j, metrics in zip(rows, j_adv.tolist(), _metrics(U_adv)):
+            outcomes[w_idx] = (j, *metrics)
+        adv[delta, scenario] = outcomes
     metrics_orig = _metrics(U_orig)
 
     records: List[Record] = []
     dumps: List[SeriesDump] = []
-    for (w_idx, delta, scenario, result, _), metrics_adv, j, ok in zip(
-        tasks, _metrics(U_adv), j_adv, feasible
-    ):
-        flags = result.flags
-        series_id = windows[w_idx].series_id
+    for w_idx, window in enumerate(windows):
         max_orig, min_orig, l1_orig = metrics_orig[w_idx]
-        max_adv, min_adv, l1_adv = metrics_adv
-        if not ok:
-            # The U_adv row is NaN already.  Records compare NaN by value,
-            # but lists of their raw fields (perfbench's canonical_records)
-            # match NaNs only by identity, so they get the one math.nan.
-            max_adv = min_adv = l1_adv = math.nan
-            flags = flags | {FLAG_INFEASIBLE}
-        records.append(Record(
-            series_id=series_id,
-            delta=delta,
-            scenario=scenario,
-            j_orig=float(j_orig[w_idx]),
-            j_adv=float(j),
-            max_u_orig=max_orig,
-            max_u_adv=max_adv,
-            min_u_orig=min_orig,
-            min_u_adv=min_adv,
-            l1_orig=l1_orig,
-            l1_adv=l1_adv,
-            norm_used=result.norm_used,
-            flags=";".join(sorted(flags)),
-        ))
-        if w_idx < cfg.series_dump_limit:
-            dumps.append(SeriesDump(
-                series_id=series_id, delta=delta,
-                scenario=scenario, original=S[w_idx], attacked=result.s_hat,
+        for (delta, scenario), results in blocks.items():
+            result = results[w_idx]
+            j_adv, max_adv, min_adv, l1_adv = adv[delta, scenario][w_idx]
+            records.append(Record(
+                series_id=window.series_id,
+                delta=delta,
+                scenario=scenario,
+                j_orig=float(j_orig[w_idx]),
+                j_adv=j_adv,
+                max_u_orig=max_orig,
+                max_u_adv=max_adv,
+                min_u_orig=min_orig,
+                min_u_adv=min_adv,
+                l1_orig=l1_orig,
+                l1_adv=l1_adv,
+                norm_used=result.norm_used,
+                flags=";".join(sorted(result.flags)),
             ))
+            if w_idx < cfg.series_dump_limit:
+                dumps.append(SeriesDump(
+                    series_id=window.series_id, delta=delta,
+                    scenario=scenario, original=S[w_idx], attacked=result.s_hat,
+                ))
     return ScenarioStats(
         records=tuple(records),
         aggregates=tuple(_aggregate(records)),

@@ -23,8 +23,8 @@ are stacked matmuls that issue the per-series BLAS call for every row
 iteration stay per series, so each row of a block is bit for bit the
 series solved on its own.  A series whose unconstrained optimum violates no
 row needs no dual iteration.  A block stops at its first failing row; given
-the rows' names, a :class:`NumericalError` is raised again with the row's
-name in front.
+the rows' names, its error (a failed check, or an overflowing ``L @ s``
+under constraints) is raised again with the row's name in front.
 """
 
 from __future__ import annotations
@@ -300,11 +300,15 @@ def _solve_rows(batch: BatchForm, cons: ConstraintSet, S: np.ndarray, names=None
     in row order.  The KKT residuals of every optimal row are checked as one
     block.  The first row to fail stops the block: a :class:`NumericalError`
     is raised with ``names[row]`` in front when ``names`` (one label per
-    row) is given, and unchanged otherwise, as is any other exception.
+    row) is given, and unchanged otherwise, as is any other exception.  A
+    row whose ``L @ s`` overflows gets a non-finite u, for the caller to
+    name; in a constrained block it raises a :class:`ConfigurationError`.
     """
     W, m_total = len(S), batch.m_total
-    k = _row_products(batch.L, S)
-    k += batch.k_const  # k = k_const + L s, as linear_term adds it
+    # An overflowing row is named below (constrained) or by the caller.
+    with np.errstate(over="ignore", invalid="ignore"):
+        k = _row_products(batch.L, S)
+        k += batch.k_const  # k = k_const + L s, as linear_term adds it
     U = np.empty((W, m_total))
     for k_row, u in zip(k, U):
         u[:] = _cho_solve(batch.K_factor, k_row)
@@ -312,6 +316,11 @@ def _solve_rows(batch: BatchForm, cons: ConstraintSet, S: np.ndarray, names=None
     if cons.q == 0:
         return [QpSolution(u=u, mu=np.zeros(0), active=(), weakly_active=(),
                            status="optimal") for u in U]
+    overflow = ~np.isfinite(k).all(axis=1)
+    if overflow.any():
+        _raise_named(ConfigurationError("the controller's linear term L s overflows; use a "
+                                        "smaller delta or rescale the series"),
+                     names, int(np.argmax(overflow)))
 
     rhs = _row_products(cons.H, S)
     rhs += cons.h0  # rhs = h0 + H s, as ConstraintSet.rhs adds it
@@ -369,12 +378,12 @@ def _solve_rows(batch: BatchForm, cons: ConstraintSet, S: np.ndarray, names=None
     return sols
 
 
-def _raise_named(exc: NumericalError, names, row):
-    """Raise ``exc``, the failure of block row ``row``, again: with
-    ``names[row]`` in front of its message when the block has names."""
+def _raise_named(exc: Exception, names, row):
+    """Raise ``exc``, the failure of block row ``row``, again: as its own class
+    with ``names[row]`` in front of its message when the block has names."""
     if names is None:
         raise exc
-    raise NumericalError(f"{names[row]}: {exc}") from exc
+    raise type(exc)(f"{names[row]}: {exc}") from exc
 
 
 def _check(what, residuals, limits, strict=False):

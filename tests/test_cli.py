@@ -445,6 +445,28 @@ def test_clean_solver_failure_exits_two_naming_its_window(tmp_path, capsys, comm
     assert not out.exists()
 
 
+@pytest.mark.parametrize("scenario", ["cost-adv", "max-action"])
+@pytest.mark.parametrize("box", [pytest.param({}, id="lqr"),
+                                 pytest.param({"action_box": "auto"}, id="auto-box")])
+def test_overflowing_budget_exits_one_naming_it(tmp_path, capsys, box, scenario):
+    # A budget of 1e308 overflows the attacked series' L s.  The boxed
+    # controller refuses that row before its dual iteration runs; the LQR
+    # answers it, and the run fails at the realized cost.  Neither warns.
+    raw = dict(BASE_CONFIG, deltas=[1e308], scenarios=[scenario], **box)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", str(path), "--out-dir", str(out)]) == 1
+    if box:
+        expected = (f"error: window arima:000000, delta 1e+308, scenario {scenario}: "
+                    "the controller's linear term L s overflows; use a smaller delta "
+                    "or rescale the series\n")
+    else:
+        expected = "error: delta 1e+308 overflows the realized cost; use a smaller delta\n"
+    assert capsys.readouterr().err == expected
+    assert not out.exists()
+
+
 def test_removed_check_command_is_unknown(capsys):
     assert main(["check", "jacobian"]) == 1
     assert "invalid choice: 'check'" in capsys.readouterr().err

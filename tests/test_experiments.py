@@ -590,27 +590,34 @@ class TestConstraintExperiment:
                            dataset={"kind": "arima", "count": 20}, seed=2024)
         batch = batch_form(cfg.system)
         windows = load_windows(cfg)
-        _, tasks = attack_windows(cfg, batch, constraints_for(cfg, batch, windows),
-                                  [w.series_id for w in windows],
-                                  np.array([w.values for w in windows]))
+        _, blocks = attack_windows(cfg, batch, constraints_for(cfg, batch, windows),
+                                   [w.series_id for w in windows],
+                                   np.array([w.values for w in windows]))
         records = run_experiment(cfg).records
-        assert len(records) == len(tasks) == 60
-        for record, (w_idx, delta, _, result, _) in zip(records, tasks):
+        assert list(blocks) == [(delta, "cost-gradient") for delta in cfg.deltas]
+        assert len(records) == sum(map(len, blocks.values())) == 60
+        # Records run window-major: (window, delta, scenario).
+        tasks = [(w_idx, delta, results[w_idx]) for w_idx in range(len(windows))
+                 for (delta, _), results in blocks.items()]
+        for record, (w_idx, delta, result) in zip(records, tasks):
             assert (record.series_id, record.delta) == (windows[w_idx].series_id, delta)
             assert record.j_adv == result.attained
 
     @pytest.mark.parametrize("scenario", SCENARIOS)
     def test_attack_windows_results(self, scenario):
-        # Every task's result is an AttackResult within its delta; cost-adv
+        # Each block holds one AttackResult per window within its delta; cost-adv
         # steps along v1 and random draws from its own (window, delta) seed.
         cfg = self._config(scenarios=[scenario], deltas=[0.5, 1.0])
         batch = batch_form(cfg.system)
         windows = load_windows(cfg)
         S = np.array([w.values for w in windows])
-        _, tasks = attack_windows(cfg, batch, constraints_for(cfg, batch, windows),
-                                  [w.series_id for w in windows], S)
+        _, blocks = attack_windows(cfg, batch, constraints_for(cfg, batch, windows),
+                                   [w.series_id for w in windows], S)
+        assert list(blocks) == [(delta, scenario) for delta in cfg.deltas]
+        tasks = [(w_idx, delta, result) for (delta, _), results in blocks.items()
+                 for w_idx, result in enumerate(results)]
         assert len(tasks) == len(windows) * len(cfg.deltas)
-        for w_idx, delta, _, result, _ in tasks:
+        for w_idx, delta, result in tasks:
             s = S[w_idx]
             assert isinstance(result, AttackResult)
             assert result.delta == delta
@@ -624,6 +631,37 @@ class TestConstraintExperiment:
                 seed = task_seed(cfg.seed, w_idx, cfg.deltas.index(delta))
                 np.testing.assert_array_equal(
                     result.s_hat, random_sphere_attack(s, delta, seed).s_hat)
+
+    def test_every_result_leaves_the_stage_answered(self):
+        # Under a +-0.5 state box a budget of 10 makes 3 of the 4 windows'
+        # cost-adv and random answers infeasible.  Every result of every
+        # block carries the controller's answer on its s_hat, bit for bit
+        # its own solve, and u_hat is None exactly when it is flagged
+        # infeasible.
+        cfg = make_config(system=dict(BASE_CONFIG["system"], T=10), deltas=[10.0],
+                          scenarios=list(SCENARIOS), dataset={"kind": "arima", "count": 4},
+                          seed=3, normalization="zscore-global",
+                          action_box={"u_min": -4.5, "u_max": 4.5},
+                          state_box={"x_min": -0.5, "x_max": 0.5},
+                          attack={"mode": "iterated", "steps": 5})
+        batch = batch_form(cfg.system)
+        windows = load_windows(cfg)
+        cons = constraints_for(cfg, batch, windows)
+        _, blocks = attack_windows(cfg, batch, cons, [w.series_id for w in windows],
+                                   np.array([w.values for w in windows]))
+        assert list(blocks) == [(10.0, scenario) for scenario in SCENARIOS]
+        for (_, scenario), results in blocks.items():
+            infeasible = 0
+            for result in results:
+                sol = solve_qp(batch, cons, result.s_hat)
+                assert (result.u_hat is None) == ("infeasible" in result.flags)
+                assert (result.u_hat is None) == (sol.u is None)
+                if result.u_hat is None:
+                    infeasible += 1
+                else:
+                    assert result.u_hat.tobytes() == sol.u.tobytes()
+            if scenario in ("cost-adv", "random"):
+                assert infeasible == 3
 
     def test_few_nonzero_differences_get_no_p_value(self):
         # 8 finite pairs of max-action vs random with 1 to 4 nonzero
