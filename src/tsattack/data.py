@@ -246,7 +246,12 @@ def write_series_csv(windows: Sequence[SeriesWindow], path) -> None:
 
 
 def read_series_csv(path) -> List[SeriesWindow]:
-    """Read windows written by :func:`write_series_csv` (order-preserving, not empty)."""
+    """Read windows written by :func:`write_series_csv` (order-preserving, not empty).
+
+    Each row's ``t`` must be the next index of its window (0, 1, 2, ...), so
+    a repeated, skipped or out-of-order row is an error naming the file and
+    the row.
+    """
     path = Path(path)
     groups: dict = {}
     with open(path, newline="", encoding="utf-8") as handle:
@@ -260,11 +265,18 @@ def read_series_csv(path) -> List[SeriesWindow]:
             if not row:
                 continue
             try:
-                groups.setdefault(row[0], []).append(float(row[2]))
+                t, value = int(row[1]), float(row[2])
             except (ValueError, IndexError):
                 raise ConfigurationError(
                     f"{path}: malformed row {row_number}: {row}"
                 ) from None
+            values = groups.setdefault(row[0], [])
+            if t != len(values):
+                raise ConfigurationError(
+                    f"{path}: row {row_number} has t = {t} for window {row[0]!r}, "
+                    f"expected {len(values)}"
+                )
+            values.append(value)
     if not groups:
         raise ConfigurationError(f"{path}: no rows after the header")
     return [

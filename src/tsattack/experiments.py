@@ -13,7 +13,8 @@ every record is bit for bit what one window attacked on its own gives.
 The attack stage returns one block of results per (delta, scenario), each
 answered: its ``u_hat`` is None exactly when it is flagged ``infeasible``.  A
 failure stops the run where it happens, and a solver failure names its
-(window, delta, scenario) task.
+(window, delta, scenario) task.  The records, aggregates and p-values read
+one outcome table per block (one row per window), so windows pair by row.
 """
 
 from __future__ import annotations
@@ -48,6 +49,14 @@ METRIC_BY_SCENARIO = {
     "cost-gradient": "j_adv",
 }
 
+
+#: The columns of an outcome table (one row per window).
+_OUTCOME_COLUMNS = ("j", "max_u", "min_u", "l1")
+
+#: The outcome row of an infeasible answer.  Records compare NaN by value, but
+#: lists of their raw fields (perfbench's canonical_records) match NaNs only by
+#: identity, so every infeasible record gets the one math.nan.
+_INFEASIBLE = (math.inf, math.nan, math.nan, math.nan)
 
 #: Stands in for every NaN field when records are compared or hashed.
 _NAN = object()
@@ -126,80 +135,66 @@ def load_windows(cfg: ExperimentConfig) -> List[SeriesWindow]:
     return normalize_windows(windows, cfg.normalization)
 
 
-def _metrics(U: np.ndarray) -> List[Tuple[float, float, float]]:
-    """(max, min, L1 norm) of each action row of U.
+def _outcomes(batch: BatchForm, U: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Outcome table of the action rows U played against the series rows S;
+    each entry is bit for bit its row's own (row-wise kernels)."""
+    return np.column_stack((realized_costs(batch, U, S), U.max(axis=1),
+                            U.min(axis=1), np.abs(U).sum(axis=1)))
 
-    Row-wise reductions over the contiguous axis; each equals the same
-    reduction of the row on its own, bit for bit.
+
+def _aggregate(delta: float, scenario: str, orig: np.ndarray, adv: np.ndarray) -> dict:
+    """Mean percent increases of one (delta, scenario) block, pairing its
+    outcome table ``adv`` with the clean ``orig`` by row.
+
+    Percent increases are averaged over feasible rows with a positive
+    original value; infeasible outcomes are counted separately and excluded.
+    A mean that is not finite fails the run, naming the delta and scenario.
     """
-    return list(zip(U.max(axis=1).tolist(), U.min(axis=1).tolist(),
-                    np.abs(U).sum(axis=1).tolist()))
+    feasible = np.isfinite(adv[:, 0])
+    entry = {
+        "delta": delta,
+        "scenario": scenario,
+        "n_series": len(adv),
+        "n_infeasible": len(adv) - int(feasible.sum()),
+    }
+    for metric in ("j", "max_u", "l1"):
+        col = _OUTCOME_COLUMNS.index(metric)
+        used = feasible & (orig[:, col] > 0)
+        o = orig[used, col]
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite mean is the error below
+            mean = float(np.mean(100.0 * (adv[used, col] - o) / o)) if o.size else None
+        if mean is not None and not math.isfinite(mean):
+            raise ConfigurationError(
+                f"delta {delta}, scenario {scenario}: the mean percent increase of "
+                f"{metric} is not finite; use a smaller delta")
+        entry[f"mean_pct_increase_{metric}"] = mean
+        entry[f"n_used_{metric}"] = int(used.sum())
+    return entry
 
 
-def _aggregate(records: Sequence[Record]) -> List[dict]:
-    """Mean percent increases per (delta, scenario), pairing per series.
-
-    Percent increases are averaged over series with a positive original
-    value; infeasible outcomes are counted separately and excluded.
-    """
-    keys = sorted({(r.delta, r.scenario) for r in records})
-    out = []
-    for delta, scenario in keys:
-        group = [r for r in records if r.delta == delta and r.scenario == scenario]
-        feasible = [r for r in group if math.isfinite(r.j_adv)]
-        entry = {
-            "delta": delta,
-            "scenario": scenario,
-            "n_series": len(group),
-            "n_infeasible": len(group) - len(feasible),
-        }
-        for metric, orig_of, adv_of in (
-            ("j", lambda r: r.j_orig, lambda r: r.j_adv),
-            ("max_u", lambda r: r.max_u_orig, lambda r: r.max_u_adv),
-            ("l1", lambda r: r.l1_orig, lambda r: r.l1_adv),
-        ):
-            pcts = [
-                100.0 * (adv_of(r) - orig_of(r)) / orig_of(r)
-                for r in feasible
-                if orig_of(r) > 0
-            ]
-            entry[f"mean_pct_increase_{metric}"] = (
-                float(np.mean(pcts)) if pcts else None
-            )
-            entry[f"n_used_{metric}"] = len(pcts)
-        out.append(entry)
-    return out
-
-
-def _paired_p_values(records: Sequence[Record], scenarios: Sequence[str]) -> List[dict]:
+def _paired_p_values(deltas: Sequence[float], scenarios: Sequence[str],
+                     adv: Dict[Tuple[float, str], np.ndarray]) -> List[dict]:
     """Wilcoxon p-values of each scenario vs the random baseline, per delta.
 
-    Each scenario is compared on the record column METRIC_BY_SCENARIO names.
-    A (delta, scenario) with fewer than 5 finite pairs, or with 1 to 4
-    nonzero differences (too few for the test; none is its degenerate
-    p = 1), gets no p-value.
+    ``adv`` maps each (delta, scenario) to its outcome table; windows pair
+    by row.  Each scenario is compared on the record column
+    METRIC_BY_SCENARIO names.  A (delta, scenario) with fewer than 5 finite
+    pairs, or with 1 to 4 nonzero differences (too few for the test; none is
+    its degenerate p = 1), gets no p-value.
     """
+    if "random" not in scenarios:
+        return []
     out = []
-    deltas = sorted({r.delta for r in records})
-    by_key: Dict[Tuple[float, str], Dict[str, Record]] = {}
-    for r in records:
-        by_key.setdefault((r.delta, r.scenario), {})[r.series_id] = r
     for delta in deltas:
-        base = by_key.get((delta, "random"), {})
         for scenario in scenarios:
             if scenario == "random":
                 continue
-            group = by_key.get((delta, scenario), {})
             metric = METRIC_BY_SCENARIO[scenario]
-            shared = sorted(set(group) & set(base))
-            a, b = [], []
-            for sid in shared:
-                va = getattr(group[sid], metric)
-                vb = getattr(base[sid], metric)
-                if math.isfinite(va) and math.isfinite(vb):
-                    a.append(va)
-                    b.append(vb)
-            if len(a) < 5 or 0 < np.count_nonzero(np.subtract(a, b)) < 5:
+            col = _OUTCOME_COLUMNS.index(metric.removesuffix("_adv"))
+            a, b = adv[delta, scenario][:, col], adv[delta, "random"][:, col]
+            finite = np.isfinite(a) & np.isfinite(b)
+            a, b = a[finite], b[finite]
+            if a.size < 5 or 0 < np.count_nonzero(a - b) < 5:
                 continue
             result = wilcoxon_signed_rank(a, b, sidedness="two-sided")
             out.append({
@@ -335,10 +330,12 @@ def run_experiment(cfg: ExperimentConfig) -> ScenarioStats:
     The controller is the one :func:`constraints_for` compiles from the
     configured boxes (none: the unconstrained LQR).  :func:`attack_windows`
     solves the clean windows (an infeasible one fails the run at once) and
-    returns the answered blocks.  One :func:`realized_costs` call costs the
-    clean windows and one each block's answers.  A window whose clean cost
-    overflows fails the run, as does the first block in config order whose
-    feasible cost overflows, naming its delta.  Records run window-major.
+    returns the answered blocks.  The clean windows and each block get one
+    outcome table, from one :func:`realized_costs` call each.  A window whose
+    clean cost overflows fails the run, as do the first block in config order
+    whose feasible cost overflows (naming its delta) and the first aggregate
+    that is not finite (naming its delta and scenario).  Records run
+    window-major.
     """
     batch = batch_form(cfg.system)
     windows = load_windows(cfg)
@@ -347,42 +344,38 @@ def run_experiment(cfg: ExperimentConfig) -> ScenarioStats:
     U_orig, blocks = attack_windows(cfg, batch, cons,
                                     [w.series_id for w in windows], S)
 
-    j_orig = realized_costs(batch, U_orig, S)
-    overflow = np.flatnonzero(~np.isfinite(j_orig))
+    orig = _outcomes(batch, U_orig, S)
+    overflow = np.flatnonzero(~np.isfinite(orig[:, 0]))
     if overflow.size:
         raise ConfigurationError(
             f"realized cost of window {windows[overflow[0]].series_id} is not finite"
         )
-    # Each block's (j_adv, max, min, L1) per window.  Records compare NaN by
-    # value, but lists of their raw fields (perfbench's canonical_records)
-    # match NaNs only by identity, so an infeasible answer gets the one math.nan.
-    infeasible = (math.inf, math.nan, math.nan, math.nan)
     adv = {}
     for (delta, scenario), results in blocks.items():
         rows = [w_idx for w_idx, r in enumerate(results) if r.u_hat is not None]
         U_adv = np.array([results[w_idx].u_hat for w_idx in rows]).reshape(-1, batch.m_total)
-        j_adv = realized_costs(batch, U_adv, S[rows])
-        if not np.isfinite(j_adv).all():
+        table = np.tile(_INFEASIBLE, (len(results), 1))
+        table[rows] = _outcomes(batch, U_adv, S[rows])
+        if not np.isfinite(table[rows, 0]).all():
             raise ConfigurationError(
                 f"delta {delta} overflows the realized cost; use a smaller delta")
-        outcomes = [infeasible] * len(results)
-        for w_idx, j, metrics in zip(rows, j_adv.tolist(), _metrics(U_adv)):
-            outcomes[w_idx] = (j, *metrics)
-        adv[delta, scenario] = outcomes
-    metrics_orig = _metrics(U_orig)
+        adv[delta, scenario] = table
 
+    orig_rows = orig.tolist()
+    adv_rows = {key: table.tolist() for key, table in adv.items()}
     records: List[Record] = []
     dumps: List[SeriesDump] = []
     for w_idx, window in enumerate(windows):
-        max_orig, min_orig, l1_orig = metrics_orig[w_idx]
+        j_orig, max_orig, min_orig, l1_orig = orig_rows[w_idx]
         for (delta, scenario), results in blocks.items():
             result = results[w_idx]
-            j_adv, max_adv, min_adv, l1_adv = adv[delta, scenario][w_idx]
+            j_adv, max_adv, min_adv, l1_adv = (
+                _INFEASIBLE if result.u_hat is None else adv_rows[delta, scenario][w_idx])
             records.append(Record(
                 series_id=window.series_id,
                 delta=delta,
                 scenario=scenario,
-                j_orig=float(j_orig[w_idx]),
+                j_orig=j_orig,
                 j_adv=j_adv,
                 max_u_orig=max_orig,
                 max_u_adv=max_adv,
@@ -400,8 +393,9 @@ def run_experiment(cfg: ExperimentConfig) -> ScenarioStats:
                 ))
     return ScenarioStats(
         records=tuple(records),
-        aggregates=tuple(_aggregate(records)),
-        p_values=tuple(_paired_p_values(records, cfg.scenarios)),
+        aggregates=tuple(_aggregate(delta, scenario, orig, adv[delta, scenario])
+                         for delta, scenario in sorted(adv)),
+        p_values=tuple(_paired_p_values(cfg.deltas, cfg.scenarios, adv)),
         series_dumps=tuple(dumps),
         config=cfg.raw,
         seed=cfg.seed,

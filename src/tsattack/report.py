@@ -25,8 +25,19 @@ def emit_report(stats: ScenarioStats, out_dir) -> Dict[str, str]:
     """Write records.csv, summary.json, and per-series attack CSVs.
 
     Non-str record fields and series values of any numeric type are written
-    as ``repr(float(v))``.  Returns the paths written, keyed by artifact name.
+    as ``repr(float(v))``.  summary.json is strict JSON: a NaN or infinity in
+    it is a ValueError, raised before anything is written.  Returns the paths
+    written, keyed by artifact name.
     """
+    summary = {
+        "version": __version__,
+        "seed": stats.seed,
+        "n_windows": stats.n_windows,
+        "config": stats.config,
+        "aggregates": list(stats.aggregates),
+        "p_values": list(stats.p_values),
+    }
+    summary_text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False) + "\n"
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {}
@@ -39,17 +50,8 @@ def emit_report(stats: ScenarioStats, out_dir) -> Dict[str, str]:
     paths["records"] = str(records_path)
 
     summary_path = out / "summary.json"
-    summary = {
-        "version": __version__,
-        "seed": stats.seed,
-        "n_windows": stats.n_windows,
-        "config": stats.config,
-        "aggregates": list(stats.aggregates),
-        "p_values": list(stats.p_values),
-    }
     with open(summary_path, "w", encoding="utf-8") as handle:
-        json.dump(summary, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(summary_text)
     paths["summary"] = str(summary_path)
 
     if stats.series_dumps:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import cho_solve
@@ -8,7 +10,9 @@ from tsattack import (
     batch_form,
     compile_constraints,
     solve_qp,
+    wilcoxon_signed_rank,
 )
+from tsattack.experiments import METRIC_BY_SCENARIO
 from tsattack.grad_attack import ZERO_DIRECTION_TOL, _adjoint
 from tsattack.lqr import check_series, linear_term
 
@@ -127,6 +131,83 @@ def random_state_box_instance(seed, mixed, state_scale, action_scale):
     cons = compile_constraints(spec, batch, action_box=action_box,
                                state_box=(-x_bound, x_bound))
     return batch, cons, s
+
+
+def aggregate_oracle(records):
+    """Reference for ``ScenarioStats.aggregates``: the mean percent increases
+    per (delta, scenario) computed record by record, pairing per series.
+
+    Percent increases are averaged over series with a positive original
+    value; infeasible outcomes are counted separately and excluded.
+    """
+    keys = sorted({(r.delta, r.scenario) for r in records})
+    out = []
+    for delta, scenario in keys:
+        group = [r for r in records if r.delta == delta and r.scenario == scenario]
+        feasible = [r for r in group if math.isfinite(r.j_adv)]
+        entry = {
+            "delta": delta,
+            "scenario": scenario,
+            "n_series": len(group),
+            "n_infeasible": len(group) - len(feasible),
+        }
+        for metric, orig_of, adv_of in (
+            ("j", lambda r: r.j_orig, lambda r: r.j_adv),
+            ("max_u", lambda r: r.max_u_orig, lambda r: r.max_u_adv),
+            ("l1", lambda r: r.l1_orig, lambda r: r.l1_adv),
+        ):
+            pcts = [
+                100.0 * (adv_of(r) - orig_of(r)) / orig_of(r)
+                for r in feasible
+                if orig_of(r) > 0
+            ]
+            entry[f"mean_pct_increase_{metric}"] = (
+                float(np.mean(pcts)) if pcts else None
+            )
+            entry[f"n_used_{metric}"] = len(pcts)
+        out.append(entry)
+    return out
+
+
+def paired_p_values_oracle(records, scenarios):
+    """Reference for ``ScenarioStats.p_values``: each scenario vs the random
+    baseline per delta, with the pairs matched by series id and taken in
+    sorted id order."""
+    out = []
+    deltas = sorted({r.delta for r in records})
+    by_key = {}
+    for r in records:
+        by_key.setdefault((r.delta, r.scenario), {})[r.series_id] = r
+    for delta in deltas:
+        base = by_key.get((delta, "random"), {})
+        for scenario in scenarios:
+            if scenario == "random":
+                continue
+            group = by_key.get((delta, scenario), {})
+            metric = METRIC_BY_SCENARIO[scenario]
+            shared = sorted(set(group) & set(base))
+            a, b = [], []
+            for sid in shared:
+                va = getattr(group[sid], metric)
+                vb = getattr(base[sid], metric)
+                if math.isfinite(va) and math.isfinite(vb):
+                    a.append(va)
+                    b.append(vb)
+            if len(a) < 5 or 0 < np.count_nonzero(np.subtract(a, b)) < 5:
+                continue
+            result = wilcoxon_signed_rank(a, b, sidedness="two-sided")
+            out.append({
+                "delta": delta,
+                "scenario": scenario,
+                "baseline": "random",
+                "metric": metric,
+                "p_value": result.p_value,
+                "statistic": result.statistic,
+                "n": result.n,
+                "method": result.method,
+                "degenerate": result.degenerate,
+            })
+    return out
 
 
 @pytest.fixture

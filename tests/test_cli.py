@@ -225,6 +225,21 @@ class TestAttackCommands:
         assert "no_rows.csv" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_row_out_of_window_order_exits_one_naming_it(self, tmp_path, config_path,
+                                                         capsys):
+        inp = self._gen_input(tmp_path)
+        rows = read_rows(inp)
+        rows[3][1] = "1"  # window 0 repeats t = 1 in row 4
+        with open(inp, "w", newline="", encoding="utf-8") as handle:
+            csv.writer(handle).writerows(rows)
+        out = tmp_path / "attacked.csv"
+        code = main(["attack", "--scenario", "cost-adv", "--config", str(config_path),
+                     "--delta", "1.0", "--in", str(inp), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {inp}: row 4 has t = 1 for window 'arima:000000', expected 2\n")
+        assert not out.exists()
+
     def test_removed_subcommands_are_rejected(self, tmp_path, config_path, capsys):
         inp = self._gen_input(tmp_path)
         code = main(["attack", "cost", "--config", str(config_path),
@@ -464,6 +479,22 @@ def test_overflowing_budget_exits_one_naming_it(tmp_path, capsys, box, scenario)
     else:
         expected = "error: delta 1e+308 overflows the realized cost; use a smaller delta\n"
     assert capsys.readouterr().err == expected
+    assert not out.exists()
+
+
+def test_overflowing_aggregate_exits_one_naming_it(tmp_path, capsys):
+    # Every realized cost is finite, but the percent increase of the cost
+    # overflows: the run fails naming the first (delta, scenario) in
+    # summary order, and no report is written.
+    raw = dict(BASE_CONFIG, deltas=[5.234961240085281e+152],
+               dataset={"kind": "arima", "count": 6}, seed=3)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", str(path), "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: delta 5.234961240085281e+152, scenario cost-adv: the mean percent "
+        "increase of j is not finite; use a smaller delta\n")
     assert not out.exists()
 
 

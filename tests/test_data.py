@@ -206,6 +206,35 @@ class TestSeriesCsvRoundtrip:
             write_series_csv([], path)
         assert not path.exists()
 
+    @pytest.mark.parametrize("rows,bad_row,t,window,expected", [
+        # Window b skips from t = 0 to t = 5.
+        ("a,0,1\nb,0,2\na,1,3\nb,5,4\na,1,7\n", 5, 5, "b", 1),
+        # Window a repeats t = 1.
+        ("a,0,1\nb,0,2\na,1,3\nb,1,4\na,1,7\n", 6, 1, "a", 2),
+        # Window a starts at t = 1.
+        ("a,1,1\n", 2, 1, "a", 0),
+    ], ids=["skipped", "repeated", "late-start"])
+    def test_rejects_a_row_out_of_its_window_order(self, tmp_path, rows, bad_row, t,
+                                                   window, expected):
+        path = tmp_path / "series.csv"
+        path.write_text("window_id,t,value\n" + rows, encoding="utf-8")
+        with pytest.raises(ConfigurationError) as info:
+            read_series_csv(path)
+        assert str(info.value) == (f"{path}: row {bad_row} has t = {t} for window "
+                                   f"{window!r}, expected {expected}")
+
+    def test_windows_may_interleave_in_order(self, tmp_path):
+        path = tmp_path / "series.csv"
+        path.write_text("window_id,t,value\na,0,1\nb,0,2\na,1,3\nb,1,4\n",
+                        encoding="utf-8")
+        assert [w.values.tolist() for w in read_series_csv(path)] == [[1.0, 3.0], [2.0, 4.0]]
+
+    def test_rejects_a_non_integer_t(self, tmp_path):
+        path = tmp_path / "series.csv"
+        path.write_text("window_id,t,value\na,0.0,1\n", encoding="utf-8")
+        with pytest.raises(ConfigurationError, match="malformed row 2"):
+            read_series_csv(path)
+
     def test_rejects_wrong_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n", encoding="utf-8")

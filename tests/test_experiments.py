@@ -41,7 +41,7 @@ from tsattack.experiments import (
     task_seed,
 )
 
-from conftest import solve_unconstrained
+from conftest import aggregate_oracle, paired_p_values_oracle, solve_unconstrained
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -666,18 +666,14 @@ class TestConstraintExperiment:
     def test_few_nonzero_differences_get_no_p_value(self):
         # 8 finite pairs of max-action vs random with 1 to 4 nonzero
         # differences are too few for the signed-rank test and get no
-        # p-value; none gives the degenerate p = 1, five give a real test.
-        def record(i, scenario, max_u):
-            return Record(series_id=f"w{i}", delta=1.0, scenario=scenario,
-                          j_orig=1.0, j_adv=1.0, max_u_orig=0.5,
-                          max_u_adv=max_u, min_u_orig=0.0, min_u_adv=0.0,
-                          l1_orig=1.0, l1_adv=1.0, norm_used=1.0, flags="")
-
-        for nonzero in range(6):
-            records = [record(i, "random", 0.5) for i in range(8)]
-            records += [record(i, "max-action", 0.5 + 0.1 * (i + 1) * (i < nonzero))
-                        for i in range(8)]
-            rows = _paired_p_values(records, ["max-action", "random"])
+        # p-value; none gives the degenerate p = 1, five to eight a real test.
+        # Outcome table rows are (j, max_u, min_u, l1) per window.
+        random = np.tile([1.0, 0.5, 0.0, 1.0], (8, 1))
+        for nonzero in range(9):
+            max_action = random.copy()
+            max_action[:nonzero, 1] += 0.1 * np.arange(1, nonzero + 1)
+            rows = _paired_p_values([1.0], ["max-action", "random"],
+                                    {(1.0, "max-action"): max_action, (1.0, "random"): random})
             if 0 < nonzero < 5:
                 assert rows == []
             else:
@@ -744,6 +740,57 @@ class TestConstraintExperiment:
         assert wins >= 6  # 8 windows; the targeted attack should dominate
 
 
+def _csv_dataset_config(tmp_path):
+    path = tmp_path / "load.csv"
+    values = 100.0 + 10.0 * np.random.default_rng(5).standard_normal(150)
+    path.write_text("load\n" + "".join(f"{v!r}\n" for v in values.tolist()),
+                    encoding="utf-8")
+    return make_config(dataset={"kind": "csv", "path": str(path), "column": "load"},
+                       scenarios=["cost-adv", "l1", "random"], action_box="auto",
+                       attack={"mode": "iterated", "steps": 3})
+
+
+class TestEvaluationMatchesTheRecordOracle:
+    """The aggregates and p-values, computed per block from outcome tables,
+    equal the record-by-record reference exactly: values, order and types."""
+
+    @pytest.mark.parametrize("case", ["shipped-cost", "state-box", "no-random", "csv"])
+    def test_aggregates_and_p_values(self, case, tmp_path):
+        if case == "shipped-cost":
+            cfg = load_config(CONFIGS / "arima_cost.json")
+        elif case == "state-box":
+            # Budgets of 4 to 10 under a +-0.5 state box: some blocks are
+            # partly infeasible, some wholly, and some lose their p-value.
+            cfg = make_config(system=dict(BASE_CONFIG["system"], T=10),
+                              deltas=[4.0, 6.0, 10.0],
+                              scenarios=["max-action", "min-action", "cost-gradient", "random"],
+                              seed=3, normalization="zscore-global",
+                              action_box={"u_min": -4.5, "u_max": 4.5},
+                              state_box={"x_min": -0.5, "x_max": 0.5},
+                              attack={"mode": "iterated", "steps": 5})
+        elif case == "no-random":
+            cfg = make_config(scenarios=["cost-adv", "max-action"],
+                              attack={"mode": "iterated", "steps": 3})
+        else:
+            cfg = _csv_dataset_config(tmp_path)
+        stats = run_experiment(cfg)
+        expected_aggregates = aggregate_oracle(stats.records)
+        expected_p_values = paired_p_values_oracle(stats.records, cfg.scenarios)
+        assert list(stats.aggregates) == expected_aggregates
+        assert list(stats.p_values) == expected_p_values
+        # json.dumps writes each float's repr and rejects a numpy integer.
+        assert json.dumps(stats.aggregates) == json.dumps(expected_aggregates)
+        assert json.dumps(stats.p_values) == json.dumps(expected_p_values)
+        infeasible = sum(entry["n_infeasible"] for entry in stats.aggregates)
+        if case == "state-box":
+            assert infeasible > 0
+            assert any(entry["mean_pct_increase_j"] is None for entry in stats.aggregates)
+            assert 0 < len(stats.p_values) < 9
+        else:
+            assert infeasible == 0
+            assert (stats.p_values == ()) == (case == "no-random")
+
+
 class TestCalibration:
     def test_bound_scales_with_action_distribution(self):
         cfg = make_config()
@@ -805,6 +852,13 @@ class TestEmitReport:
         assert summary["seed"] == 7
         assert summary["config"]["seed"] == 7
         assert len(summary["aggregates"]) == 4
+
+    def test_non_finite_summary_value_is_refused_before_writing(self, tmp_path):
+        stats = ScenarioStats(records=(), aggregates=({"mean_pct_increase_j": math.inf},),
+                              p_values=(), series_dumps=(), config={}, seed=0, n_windows=0)
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            emit_report(stats, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_csv_cells_are_float_reprs(self, tmp_path):
         emit_report(run_experiment(make_config(series_dump_limit=2)), tmp_path / "out")
