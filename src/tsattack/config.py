@@ -91,7 +91,7 @@ def _parse_dataset(section: dict) -> DatasetConfig:
         return DatasetConfig(
             kind="arima",
             count=_integer(section.get("count", 100), "dataset count", minimum=1),
-            seed=None if seed is None else _integer(seed, "dataset seed"),
+            seed=None if seed is None else _integer(seed, "dataset seed", minimum=0),
         )
     if kind == "csv":
         _reject_unknown(section, ("kind", "path", "column", "stride"), "dataset")
@@ -174,7 +174,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if any(b <= a for a, b in zip(deltas, deltas[1:])):
         raise ConfigurationError("deltas must be strictly ascending")
 
-    scenarios = tuple(raw["scenarios"])
+    scenarios = raw["scenarios"]
+    if not isinstance(scenarios, (list, tuple)):
+        raise ConfigurationError(
+            f"scenarios must be a list of scenario names, got {scenarios!r}")
+    scenarios = tuple(scenarios)
     if not scenarios:
         raise ConfigurationError("at least one scenario is required")
     for scenario in scenarios:
@@ -208,7 +212,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         action_box=_parse_box(raw.get("action_box"), "action_box"),
         state_box=_parse_box(raw.get("state_box"), "state_box"),
         attack=_parse_attack(raw.get("attack")),
-        seed=_integer(raw["seed"], "seed"),
+        seed=_integer(raw["seed"], "seed", minimum=0),
         out_dir=raw.get("out_dir"),
         series_dump_limit=limit,
         raw=raw,

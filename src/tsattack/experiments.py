@@ -303,7 +303,8 @@ def _attack_block(cfg: ExperimentConfig, batch: BatchForm, cons: ConstraintSet,
     (:func:`tsattack.grad_attack._ascend_rows`), whose results come
     answered; ``cost-adv`` takes each checked window along the cached
     eigenvector of Psi, ``random`` draws its direction from
-    :func:`task_seed`, and their attacked series are solved as one block.
+    :func:`task_seed`, and their attacked series are solved as one block,
+    each warm-started on its clean window's working set.
     ``u_hat`` is None exactly when ``infeasible`` is flagged.  The first
     failure stops the block; a solver failure is raised with its window's
     label in ``names``.
@@ -318,7 +319,7 @@ def _attack_block(cfg: ExperimentConfig, batch: BatchForm, cons: ConstraintSet,
         steps = 0 if cfg.attack.mode == "single-step" else cfg.attack.steps
         return _ascend_rows(batch, cons, S, clean, delta, TargetFunction(scenario),
                             steps, cfg.attack.step_size, names)
-    solved = _solve_rows(batch, cons, np.array([r.s_hat for r in results]), names)
+    solved = _solve_rows(batch, cons, np.array([r.s_hat for r in results]), names, clean)
     return [replace(r, u_hat=sol.u) if sol.optimal
             else replace(r, flags=r.flags | {FLAG_INFEASIBLE})
             for r, sol in zip(results, solved)]

@@ -30,9 +30,10 @@ once and hand back the actions of the series they return
 
 The ascent runs over a block of series in lockstep (:func:`_ascend_rows`;
 the public attacks are its one-row case): each step solves the rows still
-moving as one block, and each row keeps its own iterate, best candidate,
-flags and exits.  The adjoint products of rows with no active row and every
-norm are stacked matmuls that issue each row's own BLAS call
+moving as one block, each solve warm-started on the working set of the
+solve its series perturbs, and each row keeps its own iterate, best
+candidate, flags and exits.  The adjoint products of rows with no active
+row and every norm are stacked matmuls that issue each row's own BLAS call
 (:func:`tsattack.lqr._row_products`, :func:`tsattack.lqr._row_dots`); only
 a row with an active set takes its own :func:`_adjoint`.  So every row is
 bit for bit the ascent of that series alone.  The first failure in a block
@@ -198,12 +199,15 @@ def _ascend_rows(batch, cons, S, clean, delta, target, steps, step_size,
     projected steps of ``step_size`` (default delta / 10); ``steps`` is 0
     for the single step alone.  The rows move in lockstep: each step solves
     the rows that need a solve as one :func:`tsattack.qp._solve_rows`
-    block, and each row leaves at its own zero-gradient, infeasible or
-    fixed-point exit.  The directions come from one :func:`_adjoints` call
-    per step, and the direction and perturbation norms from one stacked dot
-    each; headings, candidates, the projection's scaling, the target values,
-    the tie rule and the fixed-point test are elementwise or row-wise.  So
-    each row's result is bit for bit the ascent of that row alone.
+    block, each row warm-started on the working set of its current
+    solution (the clean one for the single step and the first iterate,
+    then the previous iterate), and each row leaves at its own
+    zero-gradient, infeasible or fixed-point exit.  The directions come from
+    one :func:`_adjoints` call per step, and the direction and perturbation
+    norms from one stacked dot each; headings, candidates, the projection's
+    scaling, the target values, the tie rule and the fixed-point test are
+    elementwise or row-wise.  So each row's result is bit for bit the ascent
+    of that row alone.
     Returns each row's :class:`AttackResult`.  The first failure stops the
     block: each solve gets the names of its rows from ``names`` (one label
     per row of S, or None), so a solver failure names its row.
@@ -252,9 +256,11 @@ def _ascend_rows(batch, cons, S, clean, delta, target, steps, step_size,
         return rows[moves], rows[stalled]
 
     def solve(rows, X):
-        """Solve the rows' candidates X; a row whose problem is infeasible
-        finishes here.  Returns which rows are kept, and their solutions."""
-        found = _solve_rows(batch, cons, X, None if names is None else names[rows])
+        """Solve the rows' candidates X, each warm from the row's current
+        solution; a row whose problem is infeasible finishes here.  Returns
+        which rows are kept, and their solutions."""
+        found = _solve_rows(batch, cons, X, None if names is None else names[rows],
+                            [sols[row] for row in rows.tolist()])
         kept = np.array([sol.optimal for sol in found], dtype=bool)
         if not kept.all():
             infeasible = np.flatnonzero(~kept)

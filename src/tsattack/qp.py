@@ -7,7 +7,14 @@ the *observed* series, which is the lever the infeasibility attack pulls.
 
 The solver is the dual active-set method of Goldfarb and Idnani (Math.
 Programming 27, 1983), started from the unconstrained optimum, so it needs
-no feasible start.  It returns exact active sets and dual multipliers, which
+no feasible start.  A caller that solves a series near one it has solved
+(an attack step) may hand each row that solution, as in the online
+active-set strategy (Ferreau, Bock and Diehl, Int. J. Robust Nonlinear
+Control 18(8), 2008): the iteration then starts from the equality QP on
+its working set, the rows with a positive multiplier, when they are
+independent and its multipliers nonnegative, and cold otherwise.  The
+module keeps no state between solves, and :func:`solve_qp` always starts
+cold.  It returns exact active sets and dual multipliers, which
 the attack code differentiates through; first-order solvers would blur both.
 Infeasibility is proved by a Farkas ray from the dual iteration, never
 inferred from divergence.  Solves with the Cholesky factor of K call LAPACK
@@ -194,9 +201,44 @@ def _qr(B: np.ndarray) -> tuple:
     return Q.copy(), R
 
 
-def _dual_active_set(batch, u, G, rhs, tol):
+def _warm_start(factor, u, mu, G, rhs, warm, B) -> list:
+    """Start the dual iteration on the rows ``warm`` (a working set of a
+    nearby solve) if they hold a dual-feasible point.
+
+    Solves the equality QP min u'Ku + 2k'u s.t. G_W u = rhs_W from the
+    unconstrained optimum u with one QR of L^-1 G_W' (K = L L'; its columns
+    go into the iteration's buffer B, each solved as a joining row's is):
+    with v = G_W u - rhs_W and w = R^-T v, the multipliers are 2 R^-1 w and
+    u moves by -L^-T Q w.  The start is kept when every row adds a direction
+    by the iteration's span rule and no multiplier is negative; then u and
+    mu are overwritten and the rows are returned.  Otherwise this returns
+    [] with u and mu untouched: a cold start, bit for bit.
+    """
+    if not 0 < len(warm) <= B.shape[0]:
+        return []
+    c, lower = factor
+    for col, row in enumerate(warm):
+        B[:, col] = _solve_triangular(c, G[row], lower, int(not lower))
+    N = B[:, :len(warm)]
+    Qw, R = _qr(N)
+    # Column i leaves the residual Q_i R_ii off the span of the ones before it.
+    if not (np.abs(Qw).max(axis=0) * np.abs(np.diag(R))
+            > 1e-10 * np.abs(N).max(axis=0)).all():
+        return []
+    w = _solve_triangular(R, G[warm] @ u - rhs[warm], trans=1)
+    mu_w = 2.0 * _solve_triangular(R, w)
+    if not (mu_w >= 0.0).all():  # a NaN fails too
+        return []
+    u -= _solve_triangular(c, Qw @ w, lower, int(lower))
+    mu[warm] = mu_w
+    return list(warm)
+
+
+def _dual_active_set(batch, u, G, rhs, tol, warm=()):
     """Goldfarb-Idnani dual active set from the unconstrained optimum u (a
-    copy of the one :func:`_solve_rows` solved, which this may overwrite).
+    copy of the one :func:`_solve_rows` solved, which this may overwrite),
+    warm-started on the working rows ``warm`` when :func:`_warm_start`
+    keeps them, and cold (no working row) otherwise.
 
     Keeps u optimal for its working rows W (G_W u = rhs_W, duals mu_W >= 0)
     and adds the row j outside W whose violation most exceeds its activity
@@ -217,8 +259,8 @@ def _dual_active_set(batch, u, G, rhs, tol):
     q, mT = G.shape
     c, lower = batch.K_factor
     mu = np.zeros(q)
-    work: list[int] = []
     B = np.empty((mT, mT), order="F")  # L^-1 N in its first len(work) columns
+    work = _warm_start(batch.K_factor, u, mu, G, rhs, warm, B)
     j = -1
     for _ in range(50 + 10 * (q + mT)):
         if j < 0:
@@ -287,7 +329,8 @@ def solve_qp(batch: BatchForm, cons: ConstraintSet, s_obs) -> QpSolution:
     return sol
 
 
-def _solve_rows(batch: BatchForm, cons: ConstraintSet, S: np.ndarray, names=None) -> list:
+def _solve_rows(batch: BatchForm, cons: ConstraintSet, S: np.ndarray, names=None,
+                warm=None) -> list:
     """:func:`solve_qp` of every row of the checked (W, pT) block S.
 
     Returns one :class:`QpSolution` per row.  The products that reach u, mu,
@@ -295,14 +338,18 @@ def _solve_rows(batch: BatchForm, cons: ConstraintSet, S: np.ndarray, names=None
     over the block with :func:`tsattack.lqr._row_products`, which issues
     each row's own BLAS call; the Cholesky solve stays per row (a
     multi-right-hand-side solve rounds differently).  So each row is bit for
-    bit its own solve.  A row whose unconstrained optimum violates no row
-    keeps it, with zero multipliers; the others run :func:`_dual_active_set`
-    in row order.  The KKT residuals of every optimal row are checked as one
-    block.  The first row to fail stops the block: a :class:`NumericalError`
-    is raised with ``names[row]`` in front when ``names`` (one label per
-    row) is given, and unchanged otherwise, as is any other exception.  A
-    row whose ``L @ s`` overflows gets a non-finite u, for the caller to
-    name; in a constrained block it raises a :class:`ConfigurationError`.
+    bit its own solve with the same warm set.  A row whose unconstrained
+    optimum violates no row keeps it, with zero multipliers; the others run
+    :func:`_dual_active_set` in row order: cold, or, when ``warm`` (one
+    optimal :class:`QpSolution` per row of S, of a series nearby) is given,
+    warm-started on the working set of ``warm[row]``, its rows with a
+    positive multiplier.  The KKT residuals of every optimal row are checked
+    as one block.  The first row to fail stops the block: a
+    :class:`NumericalError` is raised with ``names[row]`` in front when
+    ``names`` (one label per row) is given, and unchanged otherwise, as is
+    any other exception.  A row whose ``L @ s`` overflows gets a non-finite
+    u, for the caller to name; in a constrained block it raises a
+    :class:`ConfigurationError`.
     """
     W, m_total = len(S), batch.m_total
     # An overflowing row is named below (constrained) or by the caller.
@@ -333,8 +380,9 @@ def _solve_rows(batch: BatchForm, cons: ConstraintSet, S: np.ndarray, names=None
     moved = []
     for row in np.flatnonzero(~optimal).tolist():
         try:
+            start = () if warm is None else np.flatnonzero(warm[row].mu > 0.0).tolist()
             u, mu_row, ray = _dual_active_set(batch, U[row].copy(), cons.G, rhs[row],
-                                              tol[row])
+                                              tol[row], start)
             if ray is None:
                 U[row], mu[row] = u, mu_row
                 moved.append(row)

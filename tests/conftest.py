@@ -15,6 +15,7 @@ from tsattack import (
 from tsattack.experiments import METRIC_BY_SCENARIO
 from tsattack.grad_attack import ZERO_DIRECTION_TOL, _adjoint
 from tsattack.lqr import check_series, linear_term
+from tsattack.qp import activity_tolerance
 
 
 def make_scalar_spec(T=1, x0=1.0):
@@ -89,6 +90,24 @@ def unit(v: np.ndarray) -> np.ndarray:
     if norm <= ZERO_DIRECTION_TOL:
         raise ValueError("cannot normalize a (near-)zero vector")
     return v / norm
+
+
+def assert_relative_close(actual, expected, rtol):
+    """Every entry of ``actual`` within ``rtol`` of ``expected``, relative to
+    the largest magnitude in ``expected`` (an entry near zero is judged on
+    the scale of the vector it belongs to)."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape
+    scale = np.abs(expected).max(initial=0.0)
+    assert np.abs(actual - expected).max(initial=0.0) <= rtol * scale, (actual, expected)
+
+
+def active_rows(cons, s_obs, u) -> tuple:
+    """The rows of cons that u holds with equality at the series s_obs,
+    within the solver's activity tolerance."""
+    rhs = cons.rhs(s_obs)
+    held = np.abs(cons.G @ u - rhs) <= activity_tolerance(rhs)
+    return tuple(np.flatnonzero(held).tolist())
 
 
 def kkt_residuals_oracle(batch, cons, s_obs, sol):

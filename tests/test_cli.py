@@ -387,6 +387,10 @@ class TestExperimentCommand:
          "delta 1e+200 overflows the realized cost"),
         ({"deltas": [1e200], "scenarios": ["max-action"]},
          "delta 1e+200 overflows the realized cost"),
+        ({"seed": -3}, "seed must be >= 0, got -3"),
+        ({"dataset": {"kind": "arima", "count": 3, "seed": -3}},
+         "dataset seed must be >= 0, got -3"),
+        ({"scenarios": "random"}, "scenarios must be a list of scenario names"),
     ])
     def test_bad_config_value_exits_one(self, tmp_path, capsys, overrides, key):
         path = tmp_path / "bad.json"

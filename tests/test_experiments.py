@@ -29,6 +29,7 @@ from tsattack import (
     single_step_attack,
     solve_qp,
 )
+from tsattack import qp
 from tsattack.config import SCENARIOS
 from tsattack.experiments import (
     Record,
@@ -41,7 +42,8 @@ from tsattack.experiments import (
     task_seed,
 )
 
-from conftest import aggregate_oracle, paired_p_values_oracle, solve_unconstrained
+from conftest import (active_rows, aggregate_oracle, assert_relative_close,
+                      paired_p_values_oracle, solve_unconstrained)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -97,6 +99,22 @@ class TestConfigParsing:
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown scenario"):
             make_config(scenarios=["cost-adv", "fgsm"])
+
+    def test_scenarios_must_be_a_list(self):
+        # A string is not read as its characters ("unknown scenario 'r'").
+        with pytest.raises(ConfigurationError,
+                           match="^scenarios must be a list of scenario names, got 'random'$"):
+            make_config(scenarios="random")
+
+    @pytest.mark.parametrize("overrides, key", [
+        ({"seed": -3}, "seed"),
+        ({"dataset": {"kind": "arima", "count": 3, "seed": -1}}, "dataset seed"),
+        ({"dataset": {"kind": "csv", "path": "x.csv", "column": "load"}, "seed": -1},
+         "seed"),
+    ])
+    def test_negative_seeds_fail_at_parse_time(self, overrides, key):
+        with pytest.raises(ConfigurationError, match=f"^{key} must be >= 0, got -"):
+            make_config(**overrides)
 
     def test_csv_dataset_needs_path_and_column(self):
         with pytest.raises(ConfigurationError, match="path"):
@@ -533,18 +551,17 @@ class TestConstraintExperiment:
         windows = [SeriesWindow(values=v, source_id=f"w{i}", start_index=0)
                    for i, v in enumerate(values)]
         monkeypatch.setattr("tsattack.experiments.load_windows", lambda cfg: windows)
-        qp = importlib.import_module("tsattack.qp")
         dual_active_set = qp._dual_active_set
         forced = []
 
-        def failing(batch, u, G, rhs, tol):
+        def failing(batch, u, G, rhs, tol, warm=()):
             # u = -K^-1 (k_const + L s), the unconstrained optimum of s.
             s = np.linalg.solve(batch.L, -batch.K @ u - batch.k_const)
             for w_idx, delta in ((1, 0.5), (0, 3.0)):
                 if abs(np.linalg.norm(s - values[w_idx]) - delta) < 1e-6:
                     forced.append((w_idx, delta))
                     raise NumericalError(f"forced at window {w_idx}")
-            return dual_active_set(batch, u, G, rhs, tol)
+            return dual_active_set(batch, u, G, rhs, tol, warm)
 
         monkeypatch.setattr(qp, "_dual_active_set", failing)
         cfg = make_config(
@@ -566,9 +583,9 @@ class TestConstraintExperiment:
         # random row once; a gradient attack hands back the actions it solved.
         solved = []
 
-        def recording(batch, cons, S_obs, names=None):
+        def recording(batch, cons, S_obs, names=None, warm=None):
             solved.extend(np.array(s_obs, dtype=float) for s_obs in S_obs)
-            return solve_rows(batch, cons, S_obs, names)
+            return solve_rows(batch, cons, S_obs, names, warm)
 
         solve_rows = importlib.import_module("tsattack.experiments")._solve_rows
         monkeypatch.setattr("tsattack.experiments._solve_rows", recording)
@@ -635,9 +652,12 @@ class TestConstraintExperiment:
     def test_every_result_leaves_the_stage_answered(self):
         # Under a +-0.5 state box a budget of 10 makes 3 of the 4 windows'
         # cost-adv and random answers infeasible.  Every result of every
-        # block carries the controller's answer on its s_hat, bit for bit
-        # its own solve, and u_hat is None exactly when it is flagged
-        # infeasible.
+        # block carries the controller's answer on its s_hat, and u_hat is
+        # None exactly when it is flagged infeasible.  A cost-adv or random
+        # answer is bit for bit its own solve warm-started on the clean
+        # window's working set, a gradient answer that of the window's
+        # attack alone; the cold solve agrees with each: the same status and
+        # active rows, and u within a relative 1e-12.
         cfg = make_config(system=dict(BASE_CONFIG["system"], T=10), deltas=[10.0],
                           scenarios=list(SCENARIOS), dataset={"kind": "arima", "count": 4},
                           seed=3, normalization="zscore-global",
@@ -652,14 +672,24 @@ class TestConstraintExperiment:
         assert list(blocks) == [(10.0, scenario) for scenario in SCENARIOS]
         for (_, scenario), results in blocks.items():
             infeasible = 0
-            for result in results:
-                sol = solve_qp(batch, cons, result.s_hat)
+            for window, result in zip(windows, results):
+                s = window.values
+                if scenario in ("cost-adv", "random"):
+                    (sol,) = qp._solve_rows(batch, cons, result.s_hat[None],
+                                            warm=[solve_qp(batch, cons, s)])
+                    answer = sol.u
+                else:
+                    answer = iterated_attack(batch, cons, s, 10.0, TargetFunction(scenario),
+                                             steps=5).u_hat
+                cold = solve_qp(batch, cons, result.s_hat)
                 assert (result.u_hat is None) == ("infeasible" in result.flags)
-                assert (result.u_hat is None) == (sol.u is None)
+                assert (result.u_hat is None) == (answer is None) == (cold.u is None)
                 if result.u_hat is None:
                     infeasible += 1
-                else:
-                    assert result.u_hat.tobytes() == sol.u.tobytes()
+                    continue
+                assert result.u_hat.tobytes() == answer.tobytes()
+                assert cold.active == active_rows(cons, result.s_hat, result.u_hat)
+                assert_relative_close(result.u_hat, cold.u, 1e-12)
             if scenario in ("cost-adv", "random"):
                 assert infeasible == 3
 

@@ -19,11 +19,13 @@ from tsattack import (
     target_gradient,
     target_value,
 )
-from tsattack import grad_attack
+from tsattack import grad_attack, qp
 from tsattack.grad_attack import project_ball
 
 from conftest import (
+    active_rows,
     adjoint_jacobian,
+    assert_relative_close,
     finite_difference_jacobian,
     make_scalar_spec,
     random_state_box_instance,
@@ -101,9 +103,13 @@ def reference_iterated_attack(batch, cons, s, delta, target, steps=20,
 
     Takes the single-step candidate first, then runs every step from a
     second clean solve and direction, and solves every iterate, including
-    repeats.  The directions come from ``grad_attack._adjoint``, which
+    repeats.  Each attacked solve is warm-started on the working set of the
+    solve it perturbs (the clean one for the single step and the first
+    iterate, then the previous iterate), as the attack's own solves are.
+    The directions come from ``grad_attack._adjoint``, which
     ``test_attack_direction_is_the_jacobian_product`` checks against the
-    block-solve Jacobian.  Returns (s_hat, attained, flags).
+    block-solve Jacobian.  Returns (s_hat, attained, flags, u_hat), u_hat
+    the controller's answer on s_hat (None when it is infeasible).
     """
     if step_size is None:
         step_size = delta / 10.0
@@ -119,30 +125,42 @@ def reference_iterated_attack(batch, cons, s, delta, target, steps=20,
             flags.add("degenerate-kkt")
         return direction
 
+    def solve_from(sol, s_obs):
+        (found,) = qp._solve_rows(batch, cons, s_obs[None], warm=[sol])
+        return found
+
     clean = solve_qp(batch, cons, s)
     direction = direction_at(clean)
     if np.linalg.norm(direction) <= 1e-12:
         return (s, target_value(target, clean.u, batch, s),
-                frozenset(flags | {"zero-gradient"}))
+                frozenset(flags | {"zero-gradient"}), clean.u)
     best_s = s + delta * unit(direction)
-    attacked = solve_qp(batch, cons, best_s)
+    attacked = solve_from(clean, best_s)
     if not attacked.optimal:
-        return best_s, math.inf, frozenset(flags | {"infeasible"})
-    best_value = target_value(target, attacked.u, batch, s)
+        return best_s, math.inf, frozenset(flags | {"infeasible"}), None
+    best_value, best_u = target_value(target, attacked.u, batch, s), attacked.u
     s_cur, sol_cur = s, solve_qp(batch, cons, s)
     for _ in range(steps):
         direction = direction_at(sol_cur)
         if np.linalg.norm(direction) <= 1e-12:
             break
         s_next = project_ball(s_cur + step_size * unit(direction), s, delta)
-        sol_next = solve_qp(batch, cons, s_next)
+        sol_next = solve_from(sol_cur, s_next)
         if not sol_next.optimal:
-            return s_next, math.inf, frozenset(flags | {"infeasible"})
+            return s_next, math.inf, frozenset(flags | {"infeasible"}), None
         value = target_value(target, sol_next.u, batch, s)
         if value - best_value > 1e-12 * abs(best_value):
-            best_s, best_value = s_next, value
+            best_s, best_value, best_u = s_next, value, sol_next.u
         s_cur, sol_cur = s_next, sol_next
-    return best_s, best_value, frozenset(flags)
+    return best_s, best_value, frozenset(flags), best_u
+
+
+def assert_same_answer(u_hat, expected):
+    """The same controller answer, bit for bit; None when infeasible."""
+    if expected is None:
+        assert u_hat is None
+    else:
+        assert u_hat.tobytes() == expected.tobytes()
 
 
 def duplicated_action_box(batch, bound):
@@ -375,7 +393,12 @@ class TestSingleStepAttack:
 
     def test_u_hat_is_the_attacked_solution(self):
         # Single steps, and iterated attacks whose best point is a later
-        # iterate (l1 ascends past the single step on most instances).
+        # iterate (l1 ascends past the single step on most instances).  A
+        # single step's u_hat is bit for bit the solve warm-started on the
+        # clean working set (the clean solve itself at a zero gradient), an
+        # iterated attack's that of the reference loop,
+        # and the cold solve agrees with each: optimal, on the same active
+        # rows, and u within a relative 1e-12.
         rng = np.random.default_rng(31)
         improved = 0
         for _ in range(10):
@@ -384,12 +407,20 @@ class TestSingleStepAttack:
             s = rng.standard_normal(batch.p_total)
             bound = float(np.max(np.abs(solve_unconstrained(batch, s)))) * 0.8 + 1e-3
             cons = compile_constraints(spec, batch, action_box=(-bound, bound))
+            clean = solve_qp(batch, cons, s)
             for target in (TargetFunction.MAX_ACTION, TargetFunction.L1_ENERGY):
                 one = single_step_attack(batch, cons, s, 0.7, target)
                 many = iterated_attack(batch, cons, s, 0.7, target)
+                (answer,) = qp._solve_rows(batch, cons, one.s_hat[None], warm=[clean])
+                stalled = "zero-gradient" in one.flags  # s_hat = s: the clean answer
+                assert_same_answer(one.u_hat, (clean if stalled else answer).u)
+                assert_same_answer(many.u_hat,
+                                   reference_iterated_attack(batch, cons, s, 0.7, target)[3])
                 for result in (one, many):
-                    np.testing.assert_array_equal(
-                        result.u_hat, solve_qp(batch, cons, result.s_hat).u)
+                    cold = solve_qp(batch, cons, result.s_hat)
+                    assert cold.optimal
+                    assert cold.active == active_rows(cons, result.s_hat, result.u_hat)
+                    assert_relative_close(result.u_hat, cold.u, 1e-12)
                 improved += many.attained > one.attained
         assert improved >= 5
 
@@ -464,9 +495,9 @@ class TestIteratedAttack:
         s = np.linspace(-0.3, 0.4, 4)
         calls = {"solves": 0, "jacobians": 0}
 
-        def counting_rows(batch, cons, S_obs, names=None):  # one solve per row of a block
-            calls["solves"] += len(S_obs)
-            return solve_rows(batch, cons, S_obs, names)
+        def counting_rows(batch, cons, S_obs, names=None, warm=None):
+            calls["solves"] += len(S_obs)  # one solve per row of a block
+            return solve_rows(batch, cons, S_obs, names, warm)
 
         def counting_adjoints(batch, cons, sols, grads):  # one Jacobian per row
             calls["jacobians"] += len(sols)
@@ -479,11 +510,12 @@ class TestIteratedAttack:
                                  steps=20)
         assert 0 < calls["solves"] < 20 + 2
         assert 0 < calls["jacobians"] < 20 + 1  # the loop stopped, not just its solves
-        s_hat, attained, flags = reference_iterated_attack(
+        s_hat, attained, flags, u_hat = reference_iterated_attack(
             batch, cons, s, 0.8, TargetFunction.MAX_ACTION, steps=20)
         np.testing.assert_array_equal(result.s_hat, s_hat)
         assert result.attained == attained
         assert result.flags == flags
+        assert_same_answer(result.u_hat, u_hat)
 
     def test_matches_reference_loop_on_random_instances(self):
         # Bitwise the same iterate, value and flags as the loop that runs
@@ -507,11 +539,12 @@ class TestIteratedAttack:
                       TargetFunction.L1_ENERGY)[case % 3]
             delta = float(rng.uniform(0.2, 3.0))
             result = iterated_attack(batch, cons, s, delta, target, steps=15)
-            s_hat, attained, flags = reference_iterated_attack(
+            s_hat, attained, flags, u_hat = reference_iterated_attack(
                 batch, cons, s, delta, target, steps=15)
             np.testing.assert_array_equal(result.s_hat, s_hat)
             assert result.attained == attained
             assert result.flags == flags
+            assert_same_answer(result.u_hat, u_hat)
             outcomes.add("infeasible" in flags)
         assert outcomes == {True, False}
 
@@ -528,12 +561,13 @@ class TestIteratedAttack:
                                        state_box=(-10.0, 0.0))
             s, target = np.array([-0.95]), TargetFunction.MAX_ACTION
         result = iterated_attack(batch, cons, s, 1.0, target, steps=5)
-        s_hat, attained, flags = reference_iterated_attack(
+        s_hat, attained, flags, u_hat = reference_iterated_attack(
             batch, cons, s, 1.0, target, steps=5)
         assert case in flags
         np.testing.assert_array_equal(result.s_hat, s_hat)
         assert result.attained == attained
         assert result.flags == flags
+        assert_same_answer(result.u_hat, u_hat)
 
     def test_one_jacobian_per_distinct_solved_point(self, monkeypatch):
         # The clean direction serves the single step and the first ascent
@@ -541,8 +575,8 @@ class TestIteratedAttack:
         # Only the single-step candidate and the last iterate go without.
         solved, at = {}, []
 
-        def recording_solve(batch, cons, S_obs, names=None):
-            sols = solve_rows(batch, cons, S_obs, names)
+        def recording_solve(batch, cons, S_obs, names=None, warm=None):
+            sols = solve_rows(batch, cons, S_obs, names, warm)
             for sol, s_obs in zip(sols, S_obs):
                 solved[id(sol)] = (sol, np.array(s_obs, dtype=float))
             return sols
@@ -585,9 +619,9 @@ class TestIteratedAttack:
         candidates = (1.0,) + tuple(1.0 + g for g in gains)
         values = iter(candidates)
 
-        def recording_solve(batch, cons, S_obs, names=None):
+        def recording_solve(batch, cons, S_obs, names=None, warm=None):
             solved.extend(np.array(s_obs, dtype=float) for s_obs in S_obs)
-            return solve_rows(batch, cons, S_obs, names)
+            return solve_rows(batch, cons, S_obs, names, warm)
 
         solve_rows = grad_attack._solve_rows
         monkeypatch.setattr("tsattack.grad_attack._solve_rows", recording_solve)
@@ -642,10 +676,7 @@ def assert_same_attack(result, other):
     assert result.attained == other.attained
     assert result.norm_used == other.norm_used
     assert result.flags == other.flags
-    if other.u_hat is None:
-        assert result.u_hat is None
-    else:
-        assert result.u_hat.tobytes() == other.u_hat.tobytes()
+    assert_same_answer(result.u_hat, other.u_hat)
 
 
 class TestAscendRows:
@@ -728,9 +759,9 @@ class TestAscendRows:
         clean = grad_attack._solve_rows(batch, cons, S)
         sizes = []
 
-        def recording(batch, cons, S_obs, names=None):
+        def recording(batch, cons, S_obs, names=None, warm=None):
             sizes.append(len(S_obs))
-            return solve_rows(batch, cons, S_obs, names)
+            return solve_rows(batch, cons, S_obs, names, warm)
 
         solve_rows = grad_attack._solve_rows
         monkeypatch.setattr("tsattack.grad_attack._solve_rows", recording)
@@ -748,11 +779,12 @@ class TestAscendRows:
             assert_same_attack(result, iterated_attack(batch, cons, row, 0.05,
                                                        TargetFunction.MAX_ACTION,
                                                        steps=40, step_size=0.005))
-            s_hat, attained, flags = reference_iterated_attack(
+            s_hat, attained, flags, u_hat = reference_iterated_attack(
                 batch, cons, row, 0.05, TargetFunction.MAX_ACTION, steps=40,
                 step_size=0.005)
             np.testing.assert_array_equal(result.s_hat, s_hat)
             assert result.attained == attained and result.flags == flags
+            assert_same_answer(result.u_hat, u_hat)
 
     def test_target_values_and_gradients_are_each_rows_own(self):
         # Row-wise reductions and arg-extrema equal the same operation on

@@ -29,6 +29,7 @@ from tsattack import qp as qp_module
 from tsattack.lqr import linear_term
 
 from conftest import (
+    assert_relative_close,
     kkt_residuals_oracle,
     make_scalar_spec,
     random_state_box_instance,
@@ -489,11 +490,11 @@ class TestSolveRows:
         failing_u = solve_unconstrained(batch, S[1])
         solved = []
 
-        def failing(batch, u, G, rhs, tol):
+        def failing(batch, u, G, rhs, tol, warm=()):
             if np.array_equal(u, failing_u):
                 raise NumericalError("forced")
             solved.append(u.copy())
-            return dual_active_set(batch, u, G, rhs, tol)
+            return dual_active_set(batch, u, G, rhs, tol, warm)
 
         assert all(sol.active for sol in qp_module._solve_rows(batch, cons, S))
         monkeypatch.setattr(qp_module, "_dual_active_set", failing)
@@ -559,3 +560,113 @@ class TestSolveRows:
         with pytest.raises(NumericalError,
                            match=f"^w2: QP solution fails the KKT check: {first} residual"):
             qp_module._solve_rows(batch, cons, S, [f"w{i}" for i in range(len(S))])
+
+
+class TestWarmStart:
+    """A solve warm-started on the working set of a nearby solve, against
+    the cold solve of the same series."""
+
+    @staticmethod
+    def kept_warm_starts(monkeypatch) -> list:
+        """Whether each warm start offered a working set kept it, in order."""
+        kept = []
+        warm_start = qp_module._warm_start
+
+        def recording(factor, u, mu, G, rhs, warm, B):
+            rows = warm_start(factor, u, mu, G, rhs, warm, B)
+            if len(warm):
+                kept.append(bool(rows))
+            return rows
+
+        monkeypatch.setattr(qp_module, "_warm_start", recording)
+        return kept
+
+    def test_matches_the_cold_solve(self, monkeypatch):
+        # Random systems (n, m, p <= 2) under action and state boxes: each
+        # series is solved clean, then perturbed four ways and solved warm
+        # from the clean working set and cold.  Both have the same status
+        # and active rows, and u and mu agree to a relative 1e-10 (of their
+        # largest entry); the infeasible rows pass the strict Farkas check
+        # inside the block.
+        kept = self.kept_warm_starts(monkeypatch)
+        rng = np.random.default_rng(113)
+        statuses = set()
+        for _ in range(40):
+            spec = random_system(rng, n_max=2, m_max=2, p_max=2, t_max=6)
+            batch = batch_form(spec)
+            s = rng.standard_normal(batch.p_total)
+            u_free = solve_unconstrained(batch, s)
+            x_free = batch.x0_response + batch.M @ u_free + batch.N @ s
+            u_bound = float(np.abs(u_free).max()) * rng.uniform(0.6, 1.2)
+            x_bound = float(np.abs(x_free).max()) * rng.uniform(0.8, 1.5)
+            cons = compile_constraints(spec, batch, action_box=(-u_bound, u_bound),
+                                       state_box=(-x_bound, x_bound))
+            clean = solve_qp(batch, cons, s)
+            if not clean.optimal:
+                continue
+            S = s + rng.uniform(0.01, 0.5) * rng.standard_normal((4, batch.p_total))
+            for row, sol in zip(S, qp_module._solve_rows(batch, cons, S, warm=[clean] * 4)):
+                cold = solve_qp(batch, cons, row)
+                assert (sol.status, sol.active) == (cold.status, cold.active)
+                if sol.optimal:
+                    assert_relative_close(sol.u, cold.u, 1e-10)
+                    assert_relative_close(sol.mu, cold.mu, 1e-10)
+                statuses.add(sol.status)
+        assert statuses == {"optimal", "infeasible"}
+        assert kept.count(True) >= 40 and not all(kept)  # kept, and some fell back
+
+    @pytest.mark.parametrize("case", ["negative multiplier", "dependent rows"])
+    def test_a_rejected_warm_start_is_the_cold_solve(self, monkeypatch, case):
+        # The free optimum of s = 1 exceeds 0.3 in every action.  Under a
+        # +-0.3 box, warm on the lower bounds, the equality QP's multipliers
+        # are negative (2K(-u_free - 0.3) with K > 0 entrywise).  With the
+        # first action pinned at 0.3, warm on both of its bounds, the rows
+        # are dependent: only the span rule rejects them, since both
+        # multipliers come out near +1e17.  Each solve falls back to the
+        # cold start, bit for bit.  The nearby solve that hands over the
+        # warm set is stood in for by its multipliers alone.
+        spec = make_scalar_spec(T=4)
+        batch = batch_form(spec)
+        s = np.ones(4)
+        if case == "negative multiplier":
+            cons = compile_constraints(spec, batch, action_box=(-0.3, 0.3))
+            warm = [4, 5, 6, 7]
+        else:
+            cons = compile_constraints(spec, batch,
+                                       action_box=([0.3, -0.3, -0.3, -0.3], 0.3))
+            warm = [0, 4]
+        assert (solve_unconstrained(batch, s) > 0.3).all()
+        cold = solve_qp(batch, cons, s)
+        kept = self.kept_warm_starts(monkeypatch)
+        mu = np.zeros(cons.q)
+        mu[warm] = 1.0
+        nearby = QpSolution(u=None, mu=mu, active=(), weakly_active=(), status="optimal")
+        (sol,) = qp_module._solve_rows(batch, cons, s[None], warm=[nearby])
+        assert kept == [False]
+        assert (sol.status, sol.active, sol.weakly_active) == (
+            cold.status, cold.active, cold.weakly_active)
+        assert sol.u.tobytes() == cold.u.tobytes()
+        assert sol.mu.tobytes() == cold.mu.tobytes()
+
+    def test_an_infeasible_row_from_a_warm_start_has_a_farkas_ray(self, monkeypatch):
+        # u in [-0.1, 0.1] and x1 = 1 - u + s <= 0.5: the clean series
+        # s = -0.45 holds u at its upper bound, and s = 0 needs u >= 0.5.
+        # The warm start on that bound is kept, and the dual iteration ends
+        # on a ray that passes the strict Farkas limits.
+        spec = make_scalar_spec(T=1)
+        batch = batch_form(spec)
+        cons = compile_constraints(spec, batch, action_box=(-0.1, 0.1),
+                                   state_box=(-10.0, 0.5))
+        clean = solve_qp(batch, cons, [-0.45])
+        assert np.flatnonzero(clean.mu > 0.0).tolist() == [0]
+        kept = self.kept_warm_starts(monkeypatch)
+        rhs = cons.rhs(np.zeros(1))
+        u, mu, y = qp_module._dual_active_set(
+            batch, solve_unconstrained(batch, [0.0]), cons.G, rhs,
+            qp_module.activity_tolerance(rhs), [0])
+        assert u is None and mu is None and kept == [True]
+        residuals = qp_module._farkas_residuals(cons.G, rhs, y)
+        for name, limit in qp_module.FARKAS_LIMITS.items():
+            assert residuals[name] < limit
+        (sol,) = qp_module._solve_rows(batch, cons, np.zeros((1, 1)), warm=[clean])
+        assert sol.status == "infeasible" and kept == [True, True]
