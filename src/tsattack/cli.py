@@ -91,9 +91,11 @@ def _cmd_attack(args) -> int:
                   for window, window_id in zip(windows, ids)])
     _, blocks = attack_windows(cfg, batch, constraints_for(cfg, batch, windows), ids, S)
     (results,) = blocks.values()
-    rows = ((window_id, t, *pair) for window_id, s, result in zip(ids, S.tolist(), results)
-            for t, pair in enumerate(zip(s, result.s_hat.tolist())))
-    _write_csv(args.out, ("window_id", "t", "original", "attacked"), rows)
+    horizon = S.shape[1]
+    _write_csv(args.out, ("window_id", "t", "original", "attacked"),
+               ([window_id for window_id in ids for _ in range(horizon)],
+                np.tile(np.arange(horizon), len(ids)), S.ravel(),
+                np.concatenate([result.s_hat for result in results])))
     flagged = sum(bool(result.flags) for result in results)
     print(f"attacked {len(results)} windows (scenario={args.scenario}, "
           f"delta={args.delta}, flagged={flagged}) -> {args.out}")

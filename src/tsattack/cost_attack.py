@@ -6,6 +6,11 @@ dominant eigenvector of Psi, attaining delta^2 * lambda_1 (stepping along
 -v1 attains the same value).  The perturbation direction depends only on
 the system, never on the series or the initial state.  The baseline perturbs
 by delta in a uniformly random direction instead.
+
+Both attacks are block operations on a (W, pT) block of series, one row per
+window (:func:`_closed_forms`, :func:`_random_spheres`); the public
+:func:`cost_attack` and :func:`random_sphere_attack` are their one-row
+cases, and every row is bit for bit the row attacked alone.
 """
 
 from __future__ import annotations
@@ -59,11 +64,15 @@ class AttackResult:
     u_hat: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if not self.norm_used <= self.delta * (1.0 + 1e-9):  # NaN fails too
-            problem = "exceeds" if math.isfinite(self.norm_used) else "overflows at"
-            raise ValueError(
-                f"perturbation norm {self.norm_used} {problem} delta {self.delta}"
-            )
+        _check_norm(self.norm_used, self.delta)
+
+
+def _check_norm(norm_used: float, delta: float) -> None:
+    """Raise a ValueError unless ``norm_used`` is within ``delta`` (to a
+    relative 1e-9); NaN fails too."""
+    if not norm_used <= delta * (1.0 + 1e-9):
+        problem = "exceeds" if math.isfinite(norm_used) else "overflows at"
+        raise ValueError(f"perturbation norm {norm_used} {problem} delta {delta}")
 
 
 def dominant_eigenpair(psi: np.ndarray) -> EigenPair:
@@ -78,7 +87,13 @@ def dominant_eigenpair(psi: np.ndarray) -> EigenPair:
         raise ValueError(f"expected a square matrix, got shape {psi.shape}")
     if np.max(np.abs(psi - psi.T)) > 1e-10:
         raise ValueError("matrix is not symmetric to 1e-10")
-    eigvals, eigvecs = np.linalg.eigh(0.5 * (psi + psi.T))
+    return _top_eigenpair(0.5 * (psi + psi.T))
+
+
+def _top_eigenpair(psi: np.ndarray) -> EigenPair:
+    """:func:`dominant_eigenpair` of an exactly symmetric float matrix,
+    unchecked; symmetrizing it again would change no bit."""
+    eigvals, eigvecs = np.linalg.eigh(psi)
     lambda1 = float(max(eigvals[-1], 0.0))
     v1 = eigvecs[:, -1].copy()
     nonzero = np.nonzero(np.abs(v1) > 1e-12)[0]
@@ -96,25 +111,32 @@ def cost_attack(batch: BatchForm, s, delta: float) -> AttackResult:
     """
     if not 0 < delta < math.inf:
         raise ValueError(f"delta must be positive and finite, got {delta}")
-    return _closed_form(batch, check_series(batch, s), float(delta))
+    delta = float(delta)
+    S_hat, attained, norms = _closed_forms(batch, check_series(batch, s)[None], delta)
+    return AttackResult(s_hat=S_hat[0], delta=delta, attained=attained,
+                        norm_used=float(norms[0]))
 
 
-def _closed_form(batch: BatchForm, s: np.ndarray, delta: float) -> AttackResult:
-    """:func:`cost_attack` of a checked series s for a positive finite delta."""
+def _closed_forms(batch: BatchForm, S: np.ndarray, delta: float):
+    """:func:`cost_attack` of every row of the checked (W, pT) block S for a
+    positive finite delta: (S_hat, attained, norms), the attacked block
+    ``S + delta * v1``, the one attained value and each row's checked
+    ``norm_used``."""
     eig = batch.eigenpair
-    s_hat = s + delta * eig.v1
-    return AttackResult(
-        s_hat=s_hat,
-        delta=delta,
-        attained=delta * delta * eig.lambda1,  # delta ** 2 raises on overflow
-        norm_used=_norm(s_hat - s, delta),
-    )
+    S_hat = S + delta * eig.v1
+    # delta * delta: delta ** 2 raises on overflow
+    return S_hat, delta * delta * eig.lambda1, _checked_norms(S_hat - S, delta)
 
 
-def _norm(v: np.ndarray, budget: float) -> float:
-    """||v||_2 of an offset meant to lie within ``budget``: the one-row case
-    of :func:`_norms`."""
-    return float(_norms(v[None], budget)[0])
+def _checked_norms(steps: np.ndarray, delta: float) -> np.ndarray:
+    """:func:`_norms` of the (W, pT) block of perturbations ``steps``, each
+    checked against ``delta`` as :class:`AttackResult` checks it: the first
+    row past the budget raises its error."""
+    norms = _norms(steps, delta)
+    over = np.flatnonzero(~(norms <= delta * (1.0 + 1e-9)))
+    if over.size:
+        _check_norm(float(norms[over[0]]), delta)
+    return norms
 
 
 def _norms(X: np.ndarray, budget: float) -> np.ndarray:
@@ -146,19 +168,32 @@ def random_sphere_attack(s, delta: float, seed: int) -> AttackResult:
     """
     if not 0 < delta < math.inf:
         raise ValueError(f"delta must be positive and finite, got {delta}")
-    s = np.asarray(s, dtype=float).ravel()
-    rng = np.random.default_rng(seed)
-    w = rng.standard_normal(s.size)
-    norm = np.linalg.norm(w)
-    while norm < 1e-12:  # probability ~0, but keeps the contract exact
-        w = rng.standard_normal(s.size)
-        norm = np.linalg.norm(w)
-    with np.errstate(over="ignore"):  # an inf step fails AttackResult's norm check
-        step = delta * w / norm
     delta = float(delta)
-    return AttackResult(
-        s_hat=s + step,
-        delta=delta,
-        attained=delta * delta,  # delta ** 2 raises on overflow
-        norm_used=_norm(step, delta),
-    )
+    s = np.asarray(s, dtype=float).ravel()
+    S_hat, attained, norms = _random_spheres(s[None], delta, [seed])
+    return AttackResult(s_hat=S_hat[0], delta=delta, attained=attained,
+                        norm_used=float(norms[0]))
+
+
+def _random_spheres(S: np.ndarray, delta: float, seeds):
+    """:func:`random_sphere_attack` of every row of the (W, pT) block S, row
+    w drawing from ``default_rng(seeds[w])``, for a positive finite delta:
+    (S_hat, attained, norms) as :func:`_closed_forms` returns them.
+
+    The rows are drawn in order, one generator each, and a draw of norm
+    below 1e-12 (probability ~0, but it keeps the contract exact) is drawn
+    again from its row's generator.
+    """
+    draws = np.empty_like(S)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    for row, rng in zip(draws, rngs):
+        rng.standard_normal(out=row)
+    lengths = np.sqrt(_row_dots(draws))  # bit for bit np.linalg.norm of each draw
+    for w in np.flatnonzero(lengths < 1e-12):
+        while lengths[w] < 1e-12:
+            rngs[w].standard_normal(out=draws[w])
+            lengths[w] = np.linalg.norm(draws[w])
+    with np.errstate(over="ignore"):  # an inf step fails the norm check
+        steps = delta * draws / lengths[:, None]
+    # delta * delta: delta ** 2 raises on overflow
+    return S + steps, delta * delta, _checked_norms(steps, delta)

@@ -1,8 +1,10 @@
-"""Series sources (ARIMA windows, demand CSVs) and the package's one CSV writer."""
+"""Series sources (ARIMA windows, demand CSVs) and the package's one CSV
+writer, :func:`_write_csv`, which takes a table by its columns."""
 
 from __future__ import annotations
 
 import csv
+import re
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import List, Sequence, Tuple
@@ -225,14 +227,48 @@ def denormalize_window(window: SeriesWindow) -> SeriesWindow:
     return replace(window, values=window.values * factor + offset, scale=(0.0, 1.0))
 
 
-def _write_csv(path, header, rows) -> None:
-    """Write header and row tuples in the csv module's default dialect.  Cells must be
-    str, int or Python float (``ndarray.tolist()``), and a float is written as its repr,
-    which reads back bitwise; the writer converts no numpy value."""
+#: A text cell holding one of these is quoted, as the csv module's default
+#: dialect quotes it (QUOTE_MINIMAL: delimiter, quote character, CR, LF).
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
+
+
+def _text_cells(column) -> list:
+    """The str cells of a text column, quoted where the csv module would
+    quote them, with every ``"`` doubled."""
+    cells = list(column)
+    if _NEEDS_QUOTES.search("".join(cells)) is None:
+        return cells
+    return ['"' + cell.replace('"', '""') + '"' if _NEEDS_QUOTES.search(cell) else cell
+            for cell in cells]
+
+
+def _cells(column) -> list:
+    """The formatted cells of one column.  A numpy array is numeric: an
+    integer array's cells are its ints, any other's ``repr(float(v))``, which
+    reads back bitwise.  Any other sequence is text, of str cells."""
+    if not isinstance(column, np.ndarray):
+        return _text_cells(column)
+    if column.dtype.kind in "iu":
+        return list(map(str, column.tolist()))
+    return list(map(repr, column.astype(float, copy=False).tolist()))
+
+
+def _write_csv(path, header, columns) -> None:
+    """Write a table, given by its header and its columns of equal length
+    (each formatted by :func:`_cells`), in one write: byte for byte what
+    ``csv.writer``'s default dialect writes for the header and the rows,
+    with every numeric cell a Python float (an integer array's an int).
+    Numeric cells that :func:`_cells` formatted may be passed again as text,
+    as none of them needs quotes.  A table has at least two columns, so no
+    row is the one empty field the csv module writes as ``""``."""
+    if len(header) < 2 or len(columns) != len(header):
+        raise ValueError(f"expected a header and columns of at least two columns, "
+                         f"got {len(header)} names and {len(columns)} columns")
+    lines = [",".join(_text_cells(header))]
+    lines += map(",".join, zip(*map(_cells, columns), strict=True))
+    lines.append("")
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
+        handle.write("\r\n".join(lines))
 
 
 def write_series_csv(windows: Sequence[SeriesWindow], path) -> None:
@@ -241,8 +277,9 @@ def write_series_csv(windows: Sequence[SeriesWindow], path) -> None:
     if not windows:
         raise ConfigurationError(f"{path}: no windows to write")
     _write_csv(path, ("window_id", "t", "value"),
-               ((window.series_id, t, value)
-                for window in windows for t, value in enumerate(window.values.tolist())))
+               ([window.series_id for window in windows for _ in range(len(window.values))],
+                np.concatenate([np.arange(len(window.values)) for window in windows]),
+                np.concatenate([window.values for window in windows])))
 
 
 def read_series_csv(path) -> List[SeriesWindow]:

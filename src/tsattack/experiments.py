@@ -11,7 +11,9 @@ emission.  The clean windows are solved once, as one block, and each
 (delta, scenario) pair attacks all windows at once from those solutions;
 every record is bit for bit what one window attacked on its own gives.
 The attack stage returns one block of results per (delta, scenario), each
-answered: its ``u_hat`` is None exactly when it is flagged ``infeasible``.  A
+answered: its ``u_hat`` is None exactly when it is flagged ``infeasible``.
+``cost-adv`` and ``random`` attack a block as one array operation, check its
+norms, solve it and build each window's result once.  A
 failure stops the run where it happens, and a solver failure names its
 (window, delta, scenario) task.  The records, aggregates and p-values read
 one outcome table per block (one row per window), so windows pair by row.
@@ -20,14 +22,13 @@ one outcome table per block (one row per window), so windows pair by row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .config import ExperimentConfig
-from .cost_attack import (FLAG_INFEASIBLE, AttackResult, _closed_form,
-                          random_sphere_attack)
+from .cost_attack import FLAG_INFEASIBLE, AttackResult, _closed_forms, _random_spheres
 from .data import (
     SeriesWindow,
     load_series_windows,
@@ -97,7 +98,7 @@ class Record:
         return hash(self._key())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SeriesDump:
     series_id: str
     delta: float
@@ -301,28 +302,31 @@ def _attack_block(cfg: ExperimentConfig, batch: BatchForm, cons: ConstraintSet,
     The one place a scenario name becomes an attack: a gradient scenario
     runs one lockstep ascent over all windows from their clean solutions
     (:func:`tsattack.grad_attack._ascend_rows`), whose results come
-    answered; ``cost-adv`` takes each checked window along the cached
-    eigenvector of Psi, ``random`` draws its direction from
-    :func:`task_seed`, and their attacked series are solved as one block,
-    each warm-started on its clean window's working set.
+    answered; ``cost-adv`` takes the block of windows along the cached
+    eigenvector of Psi and ``random`` along one direction per window drawn
+    from :func:`task_seed`, each as one block operation whose perturbation
+    norms are checked before anything is solved.  Their attacked series are
+    then solved as one block, each warm-started on its clean window's
+    working set, and each window's result is built once, answered.
     ``u_hat`` is None exactly when ``infeasible`` is flagged.  The first
     failure stops the block; a solver failure is raised with its window's
     label in ``names``.
     """
     delta = cfg.deltas[d_idx]
     if scenario == "cost-adv":
-        results = [_closed_form(batch, s, delta) for s in S]
+        S_hat, attained, norms = _closed_forms(batch, S, delta)
     elif scenario == "random":
-        results = [random_sphere_attack(s, delta, task_seed(cfg.seed, w_idx, d_idx))
-                   for w_idx, s in enumerate(S)]
+        S_hat, attained, norms = _random_spheres(
+            S, delta, [task_seed(cfg.seed, w_idx, d_idx) for w_idx in range(len(S))])
     else:
         steps = 0 if cfg.attack.mode == "single-step" else cfg.attack.steps
         return _ascend_rows(batch, cons, S, clean, delta, TargetFunction(scenario),
                             steps, cfg.attack.step_size, names)
-    solved = _solve_rows(batch, cons, np.array([r.s_hat for r in results]), names, clean)
-    return [replace(r, u_hat=sol.u) if sol.optimal
-            else replace(r, flags=r.flags | {FLAG_INFEASIBLE})
-            for r, sol in zip(results, solved)]
+    solved = _solve_rows(batch, cons, S_hat, names, clean)
+    infeasible = frozenset((FLAG_INFEASIBLE,))
+    return [AttackResult(s_hat=s_hat, delta=delta, attained=attained, norm_used=norm,
+                         flags=frozenset() if sol.optimal else infeasible, u_hat=sol.u)
+            for s_hat, norm, sol in zip(S_hat, norms.tolist(), solved)]
 
 
 def run_experiment(cfg: ExperimentConfig) -> ScenarioStats:
@@ -368,6 +372,7 @@ def run_experiment(cfg: ExperimentConfig) -> ScenarioStats:
     dumps: List[SeriesDump] = []
     for w_idx, window in enumerate(windows):
         j_orig, max_orig, min_orig, l1_orig = orig_rows[w_idx]
+        original = S[w_idx]  # one array for all of this window's dumps
         for (delta, scenario), results in blocks.items():
             result = results[w_idx]
             j_adv, max_adv, min_adv, l1_adv = (
@@ -390,7 +395,7 @@ def run_experiment(cfg: ExperimentConfig) -> ScenarioStats:
             if w_idx < cfg.series_dump_limit:
                 dumps.append(SeriesDump(
                     series_id=window.series_id, delta=delta,
-                    scenario=scenario, original=S[w_idx], attacked=result.s_hat,
+                    scenario=scenario, original=original, attacked=result.s_hat,
                 ))
     return ScenarioStats(
         records=tuple(records),

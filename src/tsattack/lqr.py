@@ -226,9 +226,9 @@ class BatchForm:
         series and budget.  It is deliberately not built by
         :func:`batch_form`: constrained runs never use it.
         """
-        from .cost_attack import dominant_eigenpair  # cost_attack imports lqr
+        from .cost_attack import _top_eigenpair  # cost_attack imports lqr
 
-        pair = dominant_eigenpair(self.Psi)
+        pair = _top_eigenpair(self.Psi)  # Psi is symmetric as built
         pair.v1.flags.writeable = False  # one array handed to every caller
         return pair
 
@@ -273,13 +273,24 @@ def _stack_dynamics(spec: SystemSpec):
         x0_response[t] = free
         free = spec.A @ free
 
-    # Block (t, j) is A^{t-j} B for j <= t and zero above the diagonal.
-    lag = np.arange(T)[:, None] - np.arange(T)[None, :]
-    causal = (lag >= 0)[:, :, None, None]
-    lag = np.maximum(lag, 0)
-    M = np.where(causal, AjB[lag], 0.0).transpose(0, 2, 1, 3).reshape(n * T, m * T)
-    N = np.where(causal, AjC[lag], 0.0).transpose(0, 2, 1, 3).reshape(n * T, p * T)
-    return M, N, x0_response.reshape(n * T)
+    return _block_toeplitz(AjB), _block_toeplitz(AjC), x0_response.reshape(n * T)
+
+
+def _block_toeplitz(powers: np.ndarray) -> np.ndarray:
+    """The (nT x kT) map whose block (t, j) is ``powers[t - j]`` for j <= t
+    and zero above the diagonal, from the (T, n, k) stack of A^j X.
+
+    Row block t is the window of T blocks starting at block T-1-t of the
+    row [A^{T-1} X, ..., A X, X, 0, ..., 0] (T-1 zero blocks), so the map
+    is one strided copy of that row's windows.
+    """
+    T, n, k = powers.shape
+    row = np.zeros((n, (2 * T - 1) * k))
+    row[:, :T * k] = powers[::-1].transpose(1, 0, 2).reshape(n, T * k)
+    windows = np.lib.stride_tricks.sliding_window_view(row, T * k, axis=1)[:, ::k]
+    # copy(): where a reshape alone would not copy (n = 1), it would return
+    # read-only, overlapping windows of ``row``.
+    return windows[:, ::-1].transpose(1, 0, 2).copy().reshape(n * T, k * T)
 
 
 def batch_form(spec: SystemSpec) -> BatchForm:

@@ -2,7 +2,11 @@
 
 Outputs are byte-deterministic for a given stats object: records are sorted
 by key, CSVs are written by :func:`tsattack.data._write_csv` (floats as the
-shortest repr that reads back bitwise), and JSON keys are sorted.
+shortest repr that reads back bitwise), and JSON keys are sorted.  The CSVs
+are handed over by columns: records.csv as one column per Record field, and
+each series file as its ``t``, ``original`` and ``attacked`` columns, where
+the ``t`` cells are formatted once and a window's ``original`` cells once
+for all of that window's files; only one window's cells are held at a time.
 """
 
 from __future__ import annotations
@@ -13,21 +17,26 @@ from dataclasses import fields
 from pathlib import Path
 from typing import Dict
 
+import numpy as np
+
 from . import __version__
-from .data import _write_csv
+from .data import _cells, _write_csv
 from .experiments import Record, ScenarioStats
 
 #: records.csv columns: the Record fields, in their order.
 RECORD_COLUMNS = tuple(field.name for field in fields(Record))
+#: The records.csv columns written as text: the str fields of Record.
+_TEXT_COLUMNS = frozenset(field.name for field in fields(Record) if field.type == "str")
 
 
 def emit_report(stats: ScenarioStats, out_dir) -> Dict[str, str]:
     """Write records.csv, summary.json, and per-series attack CSVs.
 
-    Non-str record fields and series values of any numeric type are written
-    as ``repr(float(v))``.  summary.json is strict JSON: a NaN or infinity in
-    it is a ValueError, raised before anything is written.  Returns the paths
-    written, keyed by artifact name.
+    The str record fields are text; the other record fields and series
+    values of any numeric type are written as ``repr(float(v))``.
+    summary.json is strict JSON: a NaN or infinity in it is a ValueError,
+    raised before anything is written.  Returns the paths written, keyed by
+    artifact name.
     """
     summary = {
         "version": __version__,
@@ -44,9 +53,11 @@ def emit_report(stats: ScenarioStats, out_dir) -> Dict[str, str]:
 
     records_path = out / "records.csv"
     ordered = sorted(stats.records, key=lambda r: (r.series_id, r.delta, r.scenario))
+    columns = (list(zip(*map(operator.attrgetter(*RECORD_COLUMNS), ordered)))
+               or [()] * len(RECORD_COLUMNS))
     _write_csv(records_path, RECORD_COLUMNS,
-               ([v if isinstance(v, str) else float(v) for v in row]
-                for row in map(operator.attrgetter(*RECORD_COLUMNS), ordered)))
+               [column if name in _TEXT_COLUMNS else np.array(column, dtype=float)
+                for name, column in zip(RECORD_COLUMNS, columns)])
     paths["records"] = str(records_path)
 
     summary_path = out / "summary.json"
@@ -57,12 +68,16 @@ def emit_report(stats: ScenarioStats, out_dir) -> Dict[str, str]:
     if stats.series_dumps:
         series_dir = out / "series"
         series_dir.mkdir(exist_ok=True)
+        t_cells = original = original_cells = None
         for dump in stats.series_dumps:
+            if t_cells is None or len(t_cells) != len(dump.original):
+                t_cells = _cells(np.arange(len(dump.original)))
+            if dump.original is not original:  # a window's dumps share its series
+                original = dump.original
+                original_cells = _cells(original.astype(float, copy=False))
             safe_id = dump.series_id.replace(":", "_").replace("/", "_")
             name = f"{safe_id}__{dump.scenario}__delta{repr(float(dump.delta))}.csv"
             _write_csv(series_dir / name, ("t", "original", "attacked"),
-                       zip(range(len(dump.original)),
-                           dump.original.astype(float, copy=False).tolist(),
-                           dump.attacked.astype(float, copy=False).tolist()))
+                       (t_cells, original_cells, dump.attacked.astype(float, copy=False)))
         paths["series_dir"] = str(series_dir)
     return paths

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -174,6 +175,27 @@ class TestAttackCommands:
         assert capsys.readouterr().err == (
             "error: unattacked problem infeasible for windows arima:000000, "
             "arima:000001, arima:000002, arima:000003; loosen the configured boxes\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scenario,error", [
+        ("random", "perturbation norm inf overflows at delta 1e+308"),
+        ("cost-adv", "window arima:000000, delta 1e+308, scenario cost-adv: the "
+                     "controller's linear term L s overflows; use a smaller delta or "
+                     "rescale the series"),
+    ])
+    def test_overflowing_delta_exits_one_naming_the_first_failure(self, tmp_path, capsys,
+                                                                  scenario, error):
+        # The attacked block's norms are checked before it is solved: a random
+        # step past the float range fails that check, while the cost-adv step
+        # stays within its budget and overflows the solver's L s.
+        inp = self._gen_input(tmp_path, horizon=50, count=12, seed=7)
+        out = tmp_path / "attacked.csv"
+        config = Path(__file__).resolve().parent.parent / "configs" / "arima_constraint.json"
+        with np.errstate(over="ignore"):
+            code = main(["attack", "--scenario", scenario, "--delta", "1e308",
+                         "--config", str(config), "--in", str(inp), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
         assert not out.exists()
 
     def test_flagged_counts_the_experiment_infeasible_answers(self, tmp_path, capsys):

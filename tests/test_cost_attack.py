@@ -16,7 +16,7 @@ from tsattack import (
     random_sphere_attack,
 )
 from tsattack import lqr
-from tsattack.cost_attack import _norms
+from tsattack.cost_attack import _closed_forms, _norms, _random_spheres
 
 from conftest import random_system
 
@@ -43,6 +43,16 @@ class TestDominantEigenpair:
         pair = dominant_eigenpair(psi)
         assert math.isclose(pair.lambda1, oracle, rel_tol=1e-12)
         assert math.isclose(pair.lambda1, 1.0 + math.sqrt(0.8), rel_tol=1e-6)
+
+    def test_batch_form_eigenpair_is_the_public_one(self):
+        # The cached pair skips the public check and symmetrization: Psi is
+        # symmetric as built, so 0.5 * (Psi + Psi') would change no bit.
+        rng = np.random.default_rng(37)
+        for _ in range(20):
+            batch = batch_form(random_system(rng))
+            pair = dominant_eigenpair(batch.Psi)
+            assert batch.eigenpair.v1.tobytes() == pair.v1.tobytes()
+            assert batch.eigenpair.lambda1 == pair.lambda1
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
@@ -242,3 +252,89 @@ def test_norms_are_each_rows_norm(budget):
                             else scipy.linalg.norm(x, check_finite=False))
         norms = _norms(X, budget)
     assert norms.tobytes() == np.array(expected).tobytes()
+
+
+def random_sphere_reference(s, delta, rng):
+    """The per-row random sphere: draw, redraw while the norm is below 1e-12,
+    step delta along the normalized draw."""
+    w = rng.standard_normal(s.size)
+    norm = np.linalg.norm(w)
+    while norm < 1e-12:
+        w = rng.standard_normal(s.size)
+        norm = np.linalg.norm(w)
+    return s + delta * w / norm
+
+
+class TestBlockAttacks:
+    """Every row of a block attack is bit for bit the public one-row attack."""
+
+    @staticmethod
+    def _cases(seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(12):
+            batch = batch_form(random_system(rng))
+            S = rng.standard_normal((int(rng.integers(1, 9)), batch.p_total))
+            yield rng, batch, S, float(rng.uniform(0.1, 4.0))
+
+    def test_closed_form_rows(self):
+        for _, batch, S, delta in self._cases(41):
+            S_hat, attained, norms = _closed_forms(batch, S, delta)
+            assert S_hat.shape == S.shape
+            for s, s_hat, norm in zip(S, S_hat, norms.tolist()):
+                one = cost_attack(batch, s, delta)
+                assert s_hat.tobytes() == one.s_hat.tobytes()
+                assert norm == one.norm_used
+                assert attained == one.attained
+
+    def test_random_sphere_rows(self):
+        for rng, _, S, delta in self._cases(43):
+            seeds = rng.integers(1 << 30, size=len(S)).tolist()
+            S_hat, attained, norms = _random_spheres(S, delta, seeds)
+            for s, s_hat, norm, seed in zip(S, S_hat, norms.tolist(), seeds):
+                one = random_sphere_attack(s, delta, seed)
+                assert s_hat.tobytes() == one.s_hat.tobytes()
+                assert norm == one.norm_used
+                assert attained == one.attained
+                reference = random_sphere_reference(s, delta, np.random.default_rng(seed))
+                assert s_hat.tobytes() == reference.tobytes()
+
+    def test_a_zero_draw_is_drawn_again_from_its_row_generator(self, monkeypatch):
+        # The generators of seeds 2 and 3 draw zeros first; their rows step
+        # along their generator's second draw, the other rows along the first.
+        default_rng = np.random.default_rng
+
+        class FirstDrawZero:
+            def __init__(self, seed):
+                self.rng, self.zero = default_rng(seed), seed in (2, 3)
+
+            def standard_normal(self, *args, **kwargs):
+                draw = self.rng.standard_normal(*args, **kwargs)
+                if self.zero:
+                    draw[...], self.zero = 0.0, False
+                return draw
+
+        S = np.random.default_rng(47).standard_normal((4, 6))
+        seeds = [1, 2, 3, 4]
+        monkeypatch.setattr(np.random, "default_rng", FirstDrawZero)
+        S_hat, _, norms = _random_spheres(S, 1.5, seeds)
+        rows = [random_sphere_attack(s, 1.5, seed) for s, seed in zip(S, seeds)]
+        monkeypatch.undo()
+        for s, s_hat, norm, seed, one in zip(S, S_hat, norms.tolist(), seeds, rows):
+            rng = default_rng(seed)
+            if seed in (2, 3):
+                rng.standard_normal(S.shape[1])  # the draw the stub zeroed
+            assert s_hat.tobytes() == random_sphere_reference(s, 1.5, rng).tobytes()
+            assert s_hat.tobytes() == one.s_hat.tobytes()
+            assert norm == one.norm_used
+            assert math.isclose(norm, 1.5, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("attack", [
+        pytest.param(lambda batch, S: _closed_forms(batch, S, 1e308), id="cost"),
+        pytest.param(lambda batch, S: _random_spheres(S, 1e308, [3, 4]), id="random"),
+    ])
+    def test_an_overflowing_block_fails_the_norm_check(self, scalar_t2, attack):
+        # A step past the float range fails as AttackResult's check fails it.
+        S = np.array([[1e308, -1e308], [0.5, 0.25]])
+        with np.errstate(over="ignore"), pytest.raises(
+                ValueError, match="perturbation norm inf overflows at delta 1e\\+308"):
+            attack(scalar_t2, S)

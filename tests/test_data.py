@@ -1,3 +1,6 @@
+import csv
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +16,7 @@ from tsattack import (
     sample_random_arima,
     write_series_csv,
 )
-from tsattack.data import SeriesWindow, denormalize_window
+from tsattack.data import SeriesWindow, _write_csv, denormalize_window
 
 
 class TestArimaSpec:
@@ -240,3 +243,72 @@ class TestSeriesCsvRoundtrip:
         path.write_text("a,b,c\n1,2,3\n", encoding="utf-8")
         with pytest.raises(ConfigurationError, match="header"):
             read_series_csv(path)
+
+
+#: Text cells: the characters the csv module quotes, spaces and non-ASCII.
+TEXT = st.text(st.sampled_from([",", '"', "\r", "\n", " ", "a", "Z", "0", ";", "\u00e9",
+                                "\u20ac", "\U0001f600"]), max_size=6) | st.text(
+    st.characters(blacklist_categories=("Cs",)), max_size=4)
+#: Float cells: edge values and any float, written from float64 or float32 arrays.
+FLOATS = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e16,
+                          1e-5, 0.1, -2.5]) | st.floats()
+
+
+@st.composite
+def tables(draw):
+    """(header, columns, rows): a table of 2-5 columns of text, float64,
+    float32 or int cells, and its rows as the csv module is handed them."""
+    n_rows = draw(st.integers(0, 6))
+    header, columns, cells = [], [], []
+    for _ in range(draw(st.integers(2, 5))):
+        header.append(draw(TEXT))
+        kind = draw(st.sampled_from(["text", "float64", "float32", "int"]))
+        if kind == "text":
+            column = draw(st.lists(TEXT, min_size=n_rows, max_size=n_rows))
+            columns.append(column)
+            cells.append(column)
+        elif kind == "int":
+            column = np.array(draw(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1),
+                                            min_size=n_rows, max_size=n_rows)),
+                              dtype=np.int64)
+            columns.append(column)
+            cells.append([int(v) for v in column])
+        else:
+            with np.errstate(over="ignore"):  # a float32 cell may round to inf
+                column = np.array(draw(st.lists(FLOATS, min_size=n_rows, max_size=n_rows)),
+                                  dtype=kind)
+            columns.append(column)
+            cells.append([float(v) for v in column])
+    return header, columns, list(zip(*cells)) if n_rows else []
+
+
+class TestWriteCsv:
+    @settings(max_examples=300, deadline=None)
+    @given(tables())
+    def test_bytes_equal_the_csv_module(self, tmp_path_factory, table):
+        # Oracle: csv.writer's default dialect, every numeric cell a Python
+        # float (an int column's an int), as the package wrote its rows.
+        header, columns, rows = table
+        folder = tmp_path_factory.mktemp("csv")
+        _write_csv(folder / "columns.csv", header, columns)
+        with open(folder / "rows.csv", "w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(header)
+            writer.writerows(rows)
+        assert (folder / "columns.csv").read_bytes() == (folder / "rows.csv").read_bytes()
+
+    @pytest.mark.parametrize("header,columns", [
+        (("only",), ([""],)),
+        ((), ()),
+        (("a", "b"), ([""],)),
+    ], ids=["one-column", "no-column", "fewer-columns-than-names"])
+    def test_rejects_tables_under_two_columns(self, tmp_path, header, columns):
+        # csv writes a one-field empty row as "": no table of the package has one.
+        with pytest.raises(ValueError, match="at least two columns"):
+            _write_csv(tmp_path / "table.csv", header, columns)
+        assert not (tmp_path / "table.csv").exists()
+
+    def test_rejects_columns_of_unequal_length(self, tmp_path):
+        with pytest.raises(ValueError):
+            _write_csv(tmp_path / "table.csv", ("a", "b"), (["x", "y"], np.zeros(1)))
+        assert not (tmp_path / "table.csv").exists()

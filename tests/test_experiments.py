@@ -259,14 +259,16 @@ class TestCostExperiment:
 
     def test_one_eigenpair_per_experiment(self, monkeypatch):
         calls = []
+        # The package re-exports the cost_attack function under the module's name.
+        module = importlib.import_module("tsattack.cost_attack")
+        top_eigenpair = module._top_eigenpair
 
         def counting(psi):
             calls.append(psi.shape)
-            return dominant_eigenpair(psi)
+            return top_eigenpair(psi)
 
-        # The package re-exports the cost_attack function under the module's name.
-        module = importlib.import_module("tsattack.cost_attack")
-        monkeypatch.setattr(module, "dominant_eigenpair", counting)
+        # The batch form's cached eigenpair is the one eigendecomposition.
+        monkeypatch.setattr(module, "_top_eigenpair", counting)
         cfg = make_config(deltas=[0.3, 1.0, 3.0])
         batch_form(cfg.system)
         assert calls == []  # building the form leaves the eigenpair lazy
@@ -406,7 +408,7 @@ class TestConstraintExperiment:
             calls.append(args)
             raise AssertionError("attack ran before the clean problems were checked")
 
-        for name in ("_closed_form", "random_sphere_attack", "_ascend_rows"):
+        for name in ("_closed_forms", "_random_spheres", "_ascend_rows"):
             monkeypatch.setattr(f"tsattack.experiments.{name}", attack)
         boxes = {"action_box": {"u_min": -0.01, "u_max": 0.01},
                  "state_box": {"x_min": -0.25, "x_max": 0.25}}
@@ -854,6 +856,50 @@ class TestCalibration:
 
 
 class TestEmitReport:
+    def test_series_dumps_compare_by_identity(self):
+        # Like every array-holding dataclass of the package: no elementwise
+        # equality to raise "truth value of an array is ambiguous".
+        original = np.array([1.0, 2.0])
+        dump = SeriesDump(series_id="s", delta=1.0, scenario="random",
+                          original=original, attacked=original + 0.5)
+        twin = SeriesDump(series_id="s", delta=1.0, scenario="random",
+                          original=original, attacked=original + 0.5)
+        assert dump == dump
+        assert dump != twin
+        assert len({dump, twin, dump}) == 2
+
+    def test_a_windows_dumps_share_one_original(self):
+        stats = run_experiment(make_config(series_dump_limit=3))
+        originals = {}
+        for dump in stats.series_dumps:
+            assert dump.original is originals.setdefault(dump.series_id, dump.original)
+        assert len(originals) == 3
+
+    def test_each_series_file_is_its_own_dump(self, tmp_path):
+        # Dumps that share an original array, and dumps of other lengths and
+        # dtypes between them: each file is csv.writer's rows of its own dump.
+        shared = np.array([0.5, -0.0, 1e-5])
+        dumps = (
+            SeriesDump("a", 1.0, "cost-adv", shared, shared + 1.0),
+            SeriesDump("a", 2.0, "cost-adv", shared, shared + 2.0),
+            SeriesDump("b", 1.0, "cost-adv", np.array([3, 4]), np.array([0.1, 5e-324])),
+            SeriesDump("a", 3.0, "cost-adv", shared.copy(), shared * 3.0),
+            SeriesDump("c", 1.0, "random", np.arange(4.0, dtype=np.float32),
+                       -np.arange(4.0)),
+        )
+        stats = ScenarioStats(records=(), aggregates=(), p_values=(), series_dumps=dumps,
+                              config={}, seed=0, n_windows=3)
+        emit_report(stats, tmp_path / "out")
+        for dump in dumps:
+            text = io.StringIO(newline="")
+            writer = csv.writer(text)
+            writer.writerow(("t", "original", "attacked"))
+            writer.writerows(zip(range(len(dump.original)), map(float, dump.original),
+                                 map(float, dump.attacked)))
+            name = f"{dump.series_id}__{dump.scenario}__delta{dump.delta!r}.csv"
+            assert (tmp_path / "out" / "series" / name).read_bytes() == \
+                text.getvalue().encode("utf-8")
+
     def test_empty_stats_header_only(self, tmp_path):
         stats = ScenarioStats(records=(), aggregates=(), p_values=(),
                               series_dumps=(), config={}, seed=0, n_windows=0)

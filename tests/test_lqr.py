@@ -48,14 +48,23 @@ def stack_dynamics_loop(spec):
 
 class TestStackDynamics:
     def test_bitwise_equal_to_double_loop(self):
+        # M and N are copies of A^j B and A^j C: the loop's bytes, in C-ordered
+        # arrays of their own (the scalar maps too, whose strided windows a
+        # reshape alone would leave as read-only overlapping views).
         rng = np.random.default_rng(11)
-        for _ in range(50):
-            spec = random_system(rng, t_max=12)
+        two_state = SystemSpec(A=[[0.9, 0.2], [0.0, 0.7]], B=[[1.0], [0.5]],
+                               C=[[0.3, 0.0], [0.1, 1.0]], Q=[[2.0, 0.5], [0.5, 1.0]],
+                               R=0.5, T=6, x0=[1.0, -0.5])
+        specs = [make_scalar_spec(T=500), two_state,
+                 *(random_system(rng, t_max=12) for _ in range(50))]
+        for spec in specs:
             batch = batch_form(spec)
-            M, N, x0_response = stack_dynamics_loop(spec)
-            assert np.array_equal(batch.M, M)
-            assert np.array_equal(batch.N, N)
-            assert np.array_equal(batch.x0_response, x0_response)
+            for got, want in zip((batch.M, batch.N, batch.x0_response),
+                                 stack_dynamics_loop(spec)):
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+                assert got.flags.c_contiguous and got.flags.writeable
+            assert not np.shares_memory(batch.M, batch.N)
 
     def test_scalar_single_step(self):
         batch = batch_form(make_scalar_spec(T=1))
