@@ -6,17 +6,18 @@
 
 For every side this runs ``perfbench/run.py --trace 0`` on the four
 perfbench workloads (``SEEDS``, ``SECONDS`` each) and times
-``run_experiment`` on the three shipped configs (best of ``REPEATS``),
-each side from its own checkout and its own ``src``.  The sides take turns
-seed by seed and repeat by repeat, and which side goes first alternates,
-so the host's minute-long fast and slow phases reach every side alike.
-Ten seeds give two sides ten alternating pairs per workload.
+``run_experiment`` on the three shipped configs (``REPEATS`` runs, each in
+a fresh interpreter with one BLAS thread), each side from its own checkout
+and its own ``src``.  The sides take turns seed by seed and repeat by
+repeat, and which side goes first alternates, so the host's minute-long
+fast and slow phases reach every side alike.  Ten seeds and ten repeats
+give two sides ten alternating pairs per workload and per config.
 
 The output JSON holds, per side, each workload's per-seed end-to-end
-metrics with their median and quartiles, and each config's best wall time,
-plus the machine and the Python, numpy, scipy and OpenBLAS versions that
-``perfbench/run.py`` reports.  It is a record, not a gate: nothing here
-passes or fails a change.
+metrics and each config's wall times (``configs_s``), each with their
+median and quartiles, plus the machine and the Python, numpy, scipy and
+OpenBLAS versions that ``perfbench/run.py`` reports.  It is a record, not
+a gate: nothing here passes or fails a change.
 """
 
 from __future__ import annotations
@@ -35,9 +36,11 @@ CONFIGS = ("arima_cost", "arima_constraint", "arima_statebox")
 METRICS = ("attacks_per_s", "setup_s", "peak_rss_mb")
 SEEDS = tuple(range(1, 11))
 SECONDS = 8.0
-REPEATS = 3
+REPEATS = 10
 
-#: Times run_experiment on one shipped config in a fresh interpreter.
+#: Times run_experiment on one shipped config in a fresh interpreter.  The
+#: child runs with one BLAS thread: with the default, the threads' start-up
+#: and contention spread the wall times of one config across runs.
 TIME_CONFIG = """
 import sys, time
 from tsattack import load_config, run_experiment
@@ -67,8 +70,8 @@ def run_workload(root: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def time_config(root: Path, config: str) -> float:
-    """Wall seconds of one run_experiment on a shipped config."""
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    """Wall seconds of one run_experiment on a shipped config, one BLAS thread."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run([sys.executable, "-c", TIME_CONFIG, f"configs/{config}.json"],
                           cwd=root, env=env, capture_output=True, text=True, check=False)
     if proc.returncode != 0:
@@ -128,8 +131,9 @@ def main(argv=None) -> int:
         for turn in range(REPEATS):
             for name, root in in_turn(sides, turn):
                 configs[name][config].append(time_config(root, config))
-        print(f"{config}: " + ", ".join(f"{name} {min(configs[name][config]):.4g} s"
-                                         for name, _ in sides), flush=True)
+        print(f"{config}: " + ", ".join(
+            f"{name} median {summary(configs[name][config])['median']:.4g} s"
+            for name, _ in sides), flush=True)
 
     report = {"machine": machine(), "seeds": list(SEEDS), "seconds": SECONDS,
               "repeats": REPEATS}
@@ -144,7 +148,8 @@ def main(argv=None) -> int:
                     "runs": [{key: r[key] for key in ("seed", "correct", "attempted",
                                                       "failed", *METRICS)} for r in rows],
                 } for workload, rows in per_workload.items()},
-            "configs_best_s": {config: min(times) for config, times in configs[name].items()},
+            "configs_s": {config: {**summary(times), "runs": times}
+                          for config, times in configs[name].items()},
         }
     args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {args.out}")

@@ -33,8 +33,6 @@ from .grad_attack import (
     TargetFunction,
     iterated_attack,
     single_step_attack,
-    target_gradient,
-    target_value,
 )
 from .data import (
     ArimaSpec,
@@ -73,8 +71,7 @@ __all__ = [
     "random_sphere_attack",
     "ConstraintSet", "QpSolution", "compile_constraints", "solve_qp",
     "kkt_residuals", "projected_gradient_solve",
-    "TargetFunction", "target_value", "target_gradient",
-    "single_step_attack", "iterated_attack",
+    "TargetFunction", "single_step_attack", "iterated_attack",
     "ArimaSpec", "SeriesWindow", "arima_generate", "sample_random_arima",
     "load_series_windows", "normalize_windows",
     "write_series_csv", "read_series_csv",

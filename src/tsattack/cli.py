@@ -6,7 +6,7 @@ file, or run a full experiment from a JSON config.
 config's deltas and scenarios replaced by ``--delta`` and S (``random``
 draws the experiment's first-delta direction).  So it refuses infeasible
 clean windows as ``experiment`` does, and ``flagged`` counts the windows
-whose answered result carries a flag (``infeasible`` among them).  The CSV
+whose attacked row carries a flag (``infeasible`` among them).  The CSV
 values are attacked as written (no normalization; a CSV with no rows is
 rejected) and written out in :func:`tsattack.data._write_csv`'s format.
 
@@ -90,14 +90,13 @@ def _cmd_attack(args) -> int:
     S = np.array([check_series(batch, window.values, f"window {window_id}")
                   for window, window_id in zip(windows, ids)])
     _, blocks = attack_windows(cfg, batch, constraints_for(cfg, batch, windows), ids, S)
-    (results,) = blocks.values()
+    ((S_hat, _, _, _, flags),) = blocks.values()
     horizon = S.shape[1]
     _write_csv(args.out, ("window_id", "t", "original", "attacked"),
                ([window_id for window_id in ids for _ in range(horizon)],
-                np.tile(np.arange(horizon), len(ids)), S.ravel(),
-                np.concatenate([result.s_hat for result in results])))
-    flagged = sum(bool(result.flags) for result in results)
-    print(f"attacked {len(results)} windows (scenario={args.scenario}, "
+                np.tile(np.arange(horizon), len(ids)), S.ravel(), S_hat.ravel()))
+    flagged = int(flags.any(axis=1).sum())
+    print(f"attacked {len(S_hat)} windows (scenario={args.scenario}, "
           f"delta={args.delta}, flagged={flagged}) -> {args.out}")
     return EXIT_OK
 

@@ -34,6 +34,13 @@ def _integer(value, name: str, minimum: Optional[int] = None) -> int:
     return value
 
 
+def _string(value, name: str) -> str:
+    """``value`` itself if it is a string; numbers are not coerced."""
+    if not isinstance(value, str):
+        raise ConfigurationError(f"{name} must be a string, got {value!r}")
+    return value
+
+
 def system_spec_from_dict(section: dict) -> SystemSpec:
     """Build a SystemSpec from config; scalars are the n=m=p=1 shorthand."""
     if not isinstance(section, dict):
@@ -100,8 +107,8 @@ def _parse_dataset(section: dict) -> DatasetConfig:
         stride = section.get("stride")
         return DatasetConfig(
             kind="csv",
-            path=str(section["path"]),
-            column=str(section["column"]),
+            path=_string(section["path"], "dataset path"),
+            column=_string(section["column"], "dataset column"),
             stride=None if stride is None else _integer(stride, "dataset stride",
                                                         minimum=1),
         )
@@ -202,6 +209,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         )
 
     limit = _integer(raw.get("series_dump_limit", 5), "series_dump_limit", minimum=0)
+    out_dir = raw.get("out_dir")
 
     return ExperimentConfig(
         system=system_spec_from_dict(raw["system"]),
@@ -213,7 +221,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         state_box=_parse_box(raw.get("state_box"), "state_box"),
         attack=_parse_attack(raw.get("attack")),
         seed=_integer(raw["seed"], "seed", minimum=0),
-        out_dir=raw.get("out_dir"),
+        out_dir=None if out_dir is None else _string(out_dir, "out_dir"),
         series_dump_limit=limit,
         raw=raw,
     )

@@ -30,6 +30,11 @@ FLAG_INFEASIBLE = "infeasible"
 FLAG_WEAK_ACTIVE = "weak-active"
 FLAG_DEGENERATE_KKT = "degenerate-kkt"
 
+#: The flag columns of an attacked block, one bool column per flag in sorted
+#: name order, so the flags of a row, joined in column order, are sorted.
+_FLAGS = (FLAG_DEGENERATE_KKT, FLAG_INFEASIBLE, FLAG_WEAK_ACTIVE, FLAG_ZERO_GRADIENT)
+_COL_DEGENERATE, _COL_INFEASIBLE, _COL_WEAK, _COL_ZERO = range(len(_FLAGS))
+
 
 @dataclass(frozen=True, eq=False)
 class EigenPair:
@@ -51,9 +56,8 @@ class AttackResult:
         norm_used: Actual ||s_hat - s||_2 spent.
         flags: Diagnostics such as ``zero-gradient`` / ``infeasible``.
         u_hat: The controller's actions on s_hat, or None: the gradient
-            attacks and the experiment's attack stage set it unless flagged
-            ``infeasible``; :func:`cost_attack` and
-            :func:`random_sphere_attack` leave it None.
+            attacks set it unless flagged ``infeasible``; :func:`cost_attack`
+            and :func:`random_sphere_attack` leave it None.
     """
 
     s_hat: np.ndarray

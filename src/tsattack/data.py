@@ -221,12 +221,6 @@ def normalize_windows(windows: Sequence[SeriesWindow], mode: str) -> List[Series
     return out
 
 
-def denormalize_window(window: SeriesWindow) -> SeriesWindow:
-    """Invert the stored normalization of a window."""
-    offset, factor = window.scale
-    return replace(window, values=window.values * factor + offset, scale=(0.0, 1.0))
-
-
 #: A text cell holding one of these is quoted, as the csv module's default
 #: dialect quotes it (QUOTE_MINIMAL: delimiter, quote character, CR, LF).
 _NEEDS_QUOTES = re.compile('[,"\r\n]')

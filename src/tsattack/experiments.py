@@ -10,10 +10,9 @@ window and delta indices, and aggregation sorts records by key before
 emission.  The clean windows are solved once, as one block, and each
 (delta, scenario) pair attacks all windows at once from those solutions;
 every record is bit for bit what one window attacked on its own gives.
-The attack stage returns one block of results per (delta, scenario), each
-answered: its ``u_hat`` is None exactly when it is flagged ``infeasible``.
-``cost-adv`` and ``random`` attack a block as one array operation, check its
-norms, solve it and build each window's result once.  A
+The attack stage returns one attacked block of arrays per (delta,
+scenario), one row per window.  ``cost-adv`` and ``random`` attack a block
+as one array operation, check its norms and solve it as one block.  A
 failure stops the run where it happens, and a solver failure names its
 (window, delta, scenario) task.  The records, aggregates and p-values read
 one outcome table per block (one row per window), so windows pair by row.
@@ -23,12 +22,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .config import ExperimentConfig
-from .cost_attack import FLAG_INFEASIBLE, AttackResult, _closed_forms, _random_spheres
+from .cost_attack import _COL_INFEASIBLE, _FLAGS, _closed_forms, _random_spheres
 from .data import (
     SeriesWindow,
     load_series_windows,
@@ -38,7 +38,7 @@ from .data import (
 from .errors import ConfigurationError
 from .grad_attack import TargetFunction, _ascend_rows
 from .lqr import BatchForm, batch_form, check_series, realized_costs
-from .qp import ConstraintSet, QpSolution, _solve_rows, compile_constraints
+from .qp import ConstraintSet, _solve_rows, compile_constraints
 from .stats import wilcoxon_signed_rank
 
 #: The record column each scenario's significance test compares with random.
@@ -237,7 +237,7 @@ def calibrate_action_box(
     S = _stack_windows(batch, windows)
     cons = ConstraintSet.empty(batch.m_total, batch.p_total)
     with np.errstate(over="ignore"):  # an overflow is the error below
-        magnitudes = np.abs([sol.u for sol in _solve_rows(batch, cons, S)])
+        magnitudes = np.abs(_solve_rows(batch, cons, S)[0])
         bound = slack * float(np.quantile(magnitudes, quantile))
     if not (np.isfinite(magnitudes).all() and math.isfinite(bound)):
         raise ConfigurationError("calibrated action bound is not finite; check the data")
@@ -261,7 +261,7 @@ def constraints_for(cfg: ExperimentConfig, batch: BatchForm,
 
 def attack_windows(cfg: ExperimentConfig, batch: BatchForm, cons: ConstraintSet,
                    series_ids: Sequence[str], S: np.ndarray
-                   ) -> Tuple[np.ndarray, Dict[Tuple[float, str], List[AttackResult]]]:
+                   ) -> Tuple[np.ndarray, Dict[Tuple[float, str], tuple]]:
     """The attack stage: solve the clean windows, the rows of the (W, pT)
     array S, then attack and answer every window for each (delta, scenario).
 
@@ -271,46 +271,42 @@ def attack_windows(cfg: ExperimentConfig, batch: BatchForm, cons: ConstraintSet,
     attacks all windows at once (:func:`_attack_block`).  The first failure
     stops the stage: a solver failure is raised naming its window
     (``window <id>``) in the clean block, and its window, delta and scenario
-    in an attack block.  Returns the clean actions (one row per window) and
-    a dict from each (delta, scenario), deltas outer and scenarios inner in
-    config order, to its block: one answered :class:`AttackResult` per
-    window, in window order.
+    in an attack block.  Returns the (W, mT) clean actions and a dict from
+    each (delta, scenario), deltas outer and scenarios inner in config
+    order, to its attacked block (:func:`_attack_block`).
     """
     clean = _solve_rows(batch, cons, S, [f"window {sid}" for sid in series_ids])
-    infeasible = [sid for sid, sol in zip(series_ids, clean) if sol.u is None]
+    infeasible = [sid for sid, ok in zip(series_ids, clean[3].tolist()) if not ok]
     if infeasible:
         raise ConfigurationError(
             f"unattacked problem infeasible for windows {', '.join(infeasible)}; "
             "loosen the configured boxes"
         )
-    U_orig = np.array([sol.u for sol in clean])
     blocks = {}
     for d_idx, delta in enumerate(cfg.deltas):
         for scenario in cfg.scenarios:
             names = [f"window {sid}, delta {delta}, scenario {scenario}" for sid in series_ids]
             blocks[delta, scenario] = _attack_block(cfg, batch, cons, S, clean, d_idx,
                                                     scenario, names)
-    return U_orig, blocks
+    return clean[0], blocks
 
 
 def _attack_block(cfg: ExperimentConfig, batch: BatchForm, cons: ConstraintSet,
-                  S: np.ndarray, clean: Sequence[QpSolution], d_idx: int,
-                  scenario: str, names: Sequence[str]) -> List[AttackResult]:
-    """Every window's answered result for the delta ``cfg.deltas[d_idx]``
-    and ``scenario``.
+                  S: np.ndarray, clean: tuple, d_idx: int, scenario: str,
+                  names: Sequence[str]) -> tuple:
+    """Every window's answered attack for the delta ``cfg.deltas[d_idx]``
+    and ``scenario``, as the attacked block :func:`_ascend_rows` returns.
 
     The one place a scenario name becomes an attack: a gradient scenario
-    runs one lockstep ascent over all windows from their clean solutions
-    (:func:`tsattack.grad_attack._ascend_rows`), whose results come
-    answered; ``cost-adv`` takes the block of windows along the cached
-    eigenvector of Psi and ``random`` along one direction per window drawn
-    from :func:`task_seed`, each as one block operation whose perturbation
-    norms are checked before anything is solved.  Their attacked series are
-    then solved as one block, each warm-started on its clean window's
-    working set, and each window's result is built once, answered.
-    ``u_hat`` is None exactly when ``infeasible`` is flagged.  The first
-    failure stops the block; a solver failure is raised with its window's
-    label in ``names``.
+    runs one lockstep ascent over all windows from their clean block
+    (:func:`tsattack.grad_attack._ascend_rows`); ``cost-adv`` takes the
+    block of windows along the cached eigenvector of Psi and ``random``
+    along one direction per window drawn from :func:`task_seed`, each as one
+    block operation whose perturbation norms are checked before anything is
+    solved.  Their attacked series are then solved as one block, each
+    warm-started on its clean window's multipliers, and flagged
+    ``infeasible`` where not optimal.  The first failure stops the block; a
+    solver failure is raised with its window's label in ``names``.
     """
     delta = cfg.deltas[d_idx]
     if scenario == "cost-adv":
@@ -322,11 +318,10 @@ def _attack_block(cfg: ExperimentConfig, batch: BatchForm, cons: ConstraintSet,
         steps = 0 if cfg.attack.mode == "single-step" else cfg.attack.steps
         return _ascend_rows(batch, cons, S, clean, delta, TargetFunction(scenario),
                             steps, cfg.attack.step_size, names)
-    solved = _solve_rows(batch, cons, S_hat, names, clean)
-    infeasible = frozenset((FLAG_INFEASIBLE,))
-    return [AttackResult(s_hat=s_hat, delta=delta, attained=attained, norm_used=norm,
-                         flags=frozenset() if sol.optimal else infeasible, u_hat=sol.u)
-            for s_hat, norm, sol in zip(S_hat, norms.tolist(), solved)]
+    U_hat, _, _, optimal = _solve_rows(batch, cons, S_hat, names, clean[1])
+    flags = np.zeros((len(S), len(_FLAGS)), dtype=bool)
+    flags[:, _COL_INFEASIBLE] = ~optimal
+    return S_hat, U_hat, np.full(len(S), attained), norms, flags
 
 
 def run_experiment(cfg: ExperimentConfig) -> ScenarioStats:
@@ -335,12 +330,12 @@ def run_experiment(cfg: ExperimentConfig) -> ScenarioStats:
     The controller is the one :func:`constraints_for` compiles from the
     configured boxes (none: the unconstrained LQR).  :func:`attack_windows`
     solves the clean windows (an infeasible one fails the run at once) and
-    returns the answered blocks.  The clean windows and each block get one
+    returns the attacked blocks.  The clean windows and each block get one
     outcome table, from one :func:`realized_costs` call each.  A window whose
     clean cost overflows fails the run, as do the first block in config order
     whose feasible cost overflows (naming its delta) and the first aggregate
     that is not finite (naming its delta and scenario).  Records run
-    window-major.
+    window-major; a record's flags join its row's set flag columns by ``;``.
     """
     batch = batch_form(cfg.system)
     windows = load_windows(cfg)
@@ -355,28 +350,27 @@ def run_experiment(cfg: ExperimentConfig) -> ScenarioStats:
         raise ConfigurationError(
             f"realized cost of window {windows[overflow[0]].series_id} is not finite"
         )
-    adv = {}
-    for (delta, scenario), results in blocks.items():
-        rows = [w_idx for w_idx, r in enumerate(results) if r.u_hat is not None]
-        U_adv = np.array([results[w_idx].u_hat for w_idx in rows]).reshape(-1, batch.m_total)
-        table = np.tile(_INFEASIBLE, (len(results), 1))
-        table[rows] = _outcomes(batch, U_adv, S[rows])
-        if not np.isfinite(table[rows, 0]).all():
+    adv, columns = {}, {}
+    for (delta, scenario), (S_hat, U_hat, _, norms, flags) in blocks.items():
+        feasible = ~flags[:, _COL_INFEASIBLE]
+        table = np.tile(_INFEASIBLE, (len(S), 1))
+        table[feasible] = _outcomes(batch, U_hat[feasible], S[feasible])
+        if not np.isfinite(table[feasible, 0]).all():
             raise ConfigurationError(
                 f"delta {delta} overflows the realized cost; use a smaller delta")
         adv[delta, scenario] = table
+        columns[delta, scenario] = (
+            [row if ok else _INFEASIBLE for row, ok in zip(table.tolist(), feasible.tolist())],
+            norms.tolist(), [";".join(compress(_FLAGS, row)) for row in flags.tolist()], S_hat)
 
     orig_rows = orig.tolist()
-    adv_rows = {key: table.tolist() for key, table in adv.items()}
     records: List[Record] = []
     dumps: List[SeriesDump] = []
     for w_idx, window in enumerate(windows):
         j_orig, max_orig, min_orig, l1_orig = orig_rows[w_idx]
         original = S[w_idx]  # one array for all of this window's dumps
-        for (delta, scenario), results in blocks.items():
-            result = results[w_idx]
-            j_adv, max_adv, min_adv, l1_adv = (
-                _INFEASIBLE if result.u_hat is None else adv_rows[delta, scenario][w_idx])
+        for (delta, scenario), (outcomes, norms_used, flag_texts, S_hat) in columns.items():
+            j_adv, max_adv, min_adv, l1_adv = outcomes[w_idx]
             records.append(Record(
                 series_id=window.series_id,
                 delta=delta,
@@ -389,13 +383,13 @@ def run_experiment(cfg: ExperimentConfig) -> ScenarioStats:
                 min_u_adv=min_adv,
                 l1_orig=l1_orig,
                 l1_adv=l1_adv,
-                norm_used=result.norm_used,
-                flags=";".join(sorted(result.flags)),
+                norm_used=norms_used[w_idx],
+                flags=flag_texts[w_idx],
             ))
             if w_idx < cfg.series_dump_limit:
                 dumps.append(SeriesDump(
                     series_id=window.series_id, delta=delta,
-                    scenario=scenario, original=original, attacked=result.s_hat,
+                    scenario=scenario, original=original, attacked=S_hat[w_idx],
                 ))
     return ScenarioStats(
         records=tuple(records),

@@ -25,8 +25,8 @@ extremum of the cost under fixed constraint right-hand sides.
 
 The single step is the first candidate of the projected ascent and shares
 its clean solve and direction.  The attacks solve every series they try
-once and hand back the actions of the series they return
-(``AttackResult.u_hat``), so callers need not solve it again.
+once and hand back the actions of the series they return, so callers need
+not solve it again.
 
 The ascent runs over a block of series in lockstep (:func:`_ascend_rows`;
 the public attacks are its one-row case): each step solves the rows still
@@ -36,28 +36,29 @@ candidate, flags and exits.  The adjoint products of rows with no active
 row and every norm are stacked matmuls that issue each row's own BLAS call
 (:func:`tsattack.lqr._row_products`, :func:`tsattack.lqr._row_dots`); only
 a row with an active set takes its own :func:`_adjoint`.  So every row is
-bit for bit the ascent of that series alone.  The first failure in a block
-stops it, and a solver failure carries the failing row's name.
+bit for bit the ascent of that series alone.  The block stays arrays
+throughout: each row's current solution, best candidate and result are rows
+of arrays, and the ascent returns one attacked block (attacked series,
+answers, attained values, norms and the bool flag columns of
+:data:`tsattack.cost_attack._FLAGS`); only the public one-series attacks
+build an :class:`AttackResult` (``u_hat`` None exactly when flagged
+``infeasible``).  The first failure in a block stops it, and a solver
+failure carries the failing row's name.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from itertools import compress
 
 import numpy as np
 
-from .cost_attack import (
-    AttackResult,
-    FLAG_DEGENERATE_KKT,
-    FLAG_INFEASIBLE,
-    FLAG_WEAK_ACTIVE,
-    FLAG_ZERO_GRADIENT,
-    _norms,
-)
+from .cost_attack import (_COL_DEGENERATE, _COL_INFEASIBLE, _COL_WEAK, _COL_ZERO, _FLAGS,
+                          AttackResult, _checked_norms, _norms)
 from .lqr import (BatchForm, _row_dots, _row_products, _solve_triangular, check_series,
                   realized_costs)
-from .qp import ConstraintSet, QpSolution, _solve_rows
+from .qp import WEAK_DUAL_TOL, ConstraintSet, _solve_rows
 
 #: Directions with L2 norm at or below this are treated as zero gradients.
 ZERO_DIRECTION_TOL = 1e-12
@@ -77,19 +78,13 @@ class TargetFunction(enum.Enum):
     COST_CHANGE = "cost-gradient"
 
 
-def target_value(target: TargetFunction, u, batch: BatchForm, s_real) -> float:
-    """Value of the attack target at actions u, judged against the real series."""
-    u = np.asarray(u, dtype=float).ravel()
-    return float(_target_values(target, u[None], batch, [s_real])[0])
-
-
 def _target_values(target: TargetFunction, U: np.ndarray, batch: BatchForm,
                    S_real) -> np.ndarray:
-    """:func:`target_value` of each row of the (W, mT) block U, judged
-    against the matching real series.  The action targets are row-wise
-    reductions over the contiguous axis, so each equals the same reduction
-    of the row on its own, bit for bit, and so is each of the records' own
-    costs (:func:`tsattack.lqr.realized_costs`)."""
+    """Value of the attack target at each row of the (W, mT) block of
+    actions U, judged against the matching real series.  The action targets
+    are row-wise reductions over the contiguous axis, so each equals the
+    same reduction of the row on its own, bit for bit, and so is each of the
+    records' own costs (:func:`tsattack.lqr.realized_costs`)."""
     if target is TargetFunction.MAX_ACTION:
         return U.max(axis=1)
     if target is TargetFunction.MIN_ACTION:
@@ -101,22 +96,16 @@ def _target_values(target: TargetFunction, U: np.ndarray, batch: BatchForm,
     raise ValueError(f"unknown target {target!r}")
 
 
-def target_gradient(target: TargetFunction, u, batch: BatchForm, s_real) -> np.ndarray:
-    """Gradient (or subgradient) of the target w.r.t. the action vector.
-
-    Kinks are resolved deterministically: argmax/argmin ties break to the
-    lowest index and sign(0) = 0.  ``s_real`` is a series that
-    :func:`tsattack.lqr.check_series` has already passed.
-    """
-    u = np.asarray(u, dtype=float).ravel()
-    return _target_gradients(target, u[None], batch, [s_real])[0]
-
-
 def _target_gradients(target: TargetFunction, U: np.ndarray, batch: BatchForm,
                       S_real) -> np.ndarray:
-    """:func:`target_gradient` at each row of the (W, mT) block U, with the
-    matching real series; the cost gradient's products are stacked, bit for
-    bit the per-row ``2K @ u`` and ``L @ s``."""
+    """Gradient (or subgradient) of the target w.r.t. the actions at each
+    row of the (W, mT) block U, with the matching real series, which
+    :func:`tsattack.lqr.check_series` has passed.
+
+    Kinks are resolved deterministically: argmax/argmin ties break to the
+    lowest index and sign(0) = 0.  The cost gradient's products are
+    stacked, bit for bit the per-row ``2K @ u`` and ``L @ s``.
+    """
     if target in (TargetFunction.MAX_ACTION, TargetFunction.MIN_ACTION):
         G = np.zeros_like(U)
         if target is TargetFunction.MAX_ACTION:
@@ -132,8 +121,9 @@ def _target_gradients(target: TargetFunction, U: np.ndarray, batch: BatchForm,
     raise ValueError(f"unknown target {target!r}")
 
 
-def _adjoint(batch: BatchForm, cons: ConstraintSet, sol: QpSolution, g):
-    """(du/ds)' g at an optimum, and whether its active rows violate LICQ.
+def _adjoint(batch: BatchForm, cons: ConstraintSet, active, g):
+    """(du/ds)' g at an optimum with the active rows ``active`` (indices of
+    rows of cons), and whether they violate LICQ.
 
     On the active rows A, du/ds = F + K^{-1} G_A' S^{-1} (H_A - G_A F) with
     F = -K^{-1} L and S = G_A K^{-1} G_A', so (du/ds)' g = F'(g - G_A' nu)
@@ -142,9 +132,8 @@ def _adjoint(batch: BatchForm, cons: ConstraintSet, sol: QpSolution, g):
     when its rank is below |A| at :data:`LICQ_TOL`.  g has mT rows.
     """
     free = batch.free_jacobian.T
-    if not sol.active:
+    if not len(active):
         return free @ g, False
-    active = list(sol.active)
     GA_t = cons.G[active].T
     c, lower = batch.K_factor
     B = _solve_triangular(c, GA_t, lower, int(not lower))  # C^-1 G_A'
@@ -153,9 +142,10 @@ def _adjoint(batch: BatchForm, cons: ConstraintSet, sol: QpSolution, g):
     return free @ (g - GA_t @ nu) + cons.H[active].T @ nu, rank < len(active)
 
 
-def _adjoints(batch: BatchForm, cons: ConstraintSet, sols, grads: np.ndarray):
-    """:func:`_adjoint` of each optimum sols[i] with its target gradient
-    grads[i], the rows of a (W, mT) block.
+def _adjoints(batch: BatchForm, cons: ConstraintSet, active: np.ndarray,
+              grads: np.ndarray):
+    """:func:`_adjoint` at each row of a block of optima, given as its
+    (W, q) bool active rows and its (W, mT) target gradients.
 
     The rows with no active row take ``free_jacobian.T @ g`` as one stacked
     product (:func:`tsattack.lqr._row_products`), bit for bit the product of
@@ -164,10 +154,10 @@ def _adjoints(batch: BatchForm, cons: ConstraintSet, sols, grads: np.ndarray):
     violate LICQ.
     """
     directions = _row_products(batch.free_jacobian.T, grads)
-    degenerate = np.zeros(len(sols), dtype=bool)
-    for i, sol in enumerate(sols):
-        if sol.active:
-            directions[i], degenerate[i] = _adjoint(batch, cons, sol, grads[i])
+    degenerate = np.zeros(len(grads), dtype=bool)
+    for i in np.flatnonzero(active.any(axis=1)).tolist():
+        directions[i], degenerate[i] = _adjoint(batch, cons, np.flatnonzero(active[i]),
+                                                grads[i])
     return directions, degenerate
 
 
@@ -191,103 +181,89 @@ def project_ball(x: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray
 
 
 def _ascend_rows(batch, cons, S, clean, delta, target, steps, step_size,
-                 names=None) -> list:
+                 names=None) -> tuple:
     """Projected ascent from every row of the checked (W, pT) block S at once.
 
-    ``clean`` holds each row's optimal clean :class:`QpSolution`.  Its
-    direction gives the saturated single step and the first of ``steps``
-    projected steps of ``step_size`` (default delta / 10); ``steps`` is 0
-    for the single step alone.  The rows move in lockstep: each step solves
-    the rows that need a solve as one :func:`tsattack.qp._solve_rows`
-    block, each row warm-started on the working set of its current
-    solution (the clean one for the single step and the first iterate,
-    then the previous iterate), and each row leaves at its own
-    zero-gradient, infeasible or fixed-point exit.  The directions come from
-    one :func:`_adjoints` call per step, and the direction and perturbation
-    norms from one stacked dot each; headings, candidates, the projection's
-    scaling, the target values, the tie rule and the fixed-point test are
-    elementwise or row-wise.  So each row's result is bit for bit the ascent
-    of that row alone.
-    Returns each row's :class:`AttackResult`.  The first failure stops the
-    block: each solve gets the names of its rows from ``names`` (one label
-    per row of S, or None), so a solver failure names its row.
+    ``clean`` is the optimal clean block (U, mu, active, ...) of S that
+    :func:`tsattack.qp._solve_rows` returns.  Its direction gives the
+    saturated single step and the first of ``steps`` projected steps of
+    ``step_size`` (default delta / 10); ``steps`` is 0 for the single step
+    alone.  The rows move in lockstep: each step solves the rows that need a
+    solve as one :func:`tsattack.qp._solve_rows` block, each row
+    warm-started on the multipliers of its current solution (the clean one
+    for the single step and the first iterate, then the previous iterate),
+    and each row leaves at its own zero-gradient, infeasible or fixed-point
+    exit.  The directions come from one :func:`_adjoints` call per step, and
+    the direction and perturbation norms from one stacked dot each;
+    headings, candidates, the projection's scaling, the target values, the
+    tie rule and the fixed-point test are elementwise or row-wise.  So each
+    row's result is bit for bit the ascent of that row alone.
+
+    Returns the attacked block (S_hat, U_hat, attained, norms, flags): the
+    (W, pT) attacked series, the (W, mT) answers on them (NaN where flagged
+    ``infeasible``), the (W,) target values (+inf where infeasible) and
+    perturbation norms, each checked against delta as its row finishes, and
+    the (W, 4) bool columns of :data:`tsattack.cost_attack._FLAGS`.  The
+    first failure stops the block; a solver failure names its row by
+    ``names`` (one label per row of S, or None).
     """
     if step_size is None:
         step_size = delta / 10.0
     if names is not None:
         names = np.array(names, dtype=object)
     W = len(S)
-    out: list = [None] * W
-    flags = [set() for _ in range(W)]
-    sols = list(clean)
-    heading, best_s = np.empty_like(S), np.empty_like(S)
-    best_u, best_v = [None] * W, np.empty(W)
+    U, mu, active = (block.copy() for block in clean[:3])  # each row's current solution
+    S_hat, heading, best_s = np.empty_like(S), np.empty_like(S), np.empty_like(S)
+    U_hat, best_u = np.empty_like(U), np.empty_like(U)
+    attained, norms, best_v = np.empty(W), np.empty(W), np.empty(W)
+    flags = np.zeros((W, len(_FLAGS)), dtype=bool)
 
-    def finish(rows, S_hat, attained, U_hat):
-        """Record the results of ``rows``: one row of S_hat and one entry of
-        attained and U_hat each."""
+    def finish(rows, X, values, answers):
+        """Record the results of ``rows``: the attacked series X, their
+        target values and the answers on X."""
         if not rows.size:
             return
-        norms = _norms(S_hat - S[rows], delta).tolist()
-        for row, s_hat, value, u_hat, norm in zip(rows.tolist(), S_hat, attained, U_hat,
-                                                  norms):
-            out[row] = AttackResult(s_hat=s_hat, delta=float(delta), attained=float(value),
-                                    norm_used=norm, flags=frozenset(flags[row]),
-                                    u_hat=u_hat)
+        norms[rows] = _checked_norms(X - S[rows], delta)
+        S_hat[rows], attained[rows], U_hat[rows] = X, values, answers
 
     def finish_best(rows):
-        finish(rows, best_s[rows], best_v[rows], [best_u[row] for row in rows.tolist()])
+        finish(rows, best_s[rows], best_v[rows], best_u[rows])
 
     def steer(rows):
         """Set each row's unit heading at its solution; returns the rows that
         move and the rows whose direction vanished."""
-        at = [sols[row] for row in rows.tolist()]
-        grads = _target_gradients(target, np.array([sol.u for sol in at]), batch, S[rows])
+        at = active[rows]
+        grads = _target_gradients(target, U[rows], batch, S[rows])
         directions, degenerate = _adjoints(batch, cons, at, grads)
-        for row, sol, degenerate_row in zip(rows.tolist(), at, degenerate):
-            if sol.weakly_active:
-                flags[row].add(FLAG_WEAK_ACTIVE)
-            if degenerate_row:
-                flags[row].add(FLAG_DEGENERATE_KKT)
-        norms = np.sqrt(_row_dots(directions))  # np.linalg.norm of each row
-        stalled = norms <= ZERO_DIRECTION_TOL
+        flags[rows, _COL_WEAK] |= (at & (mu[rows] < WEAK_DUAL_TOL)).any(axis=1)
+        flags[rows, _COL_DEGENERATE] |= degenerate
+        lengths = np.sqrt(_row_dots(directions))  # np.linalg.norm of each row
+        stalled = lengths <= ZERO_DIRECTION_TOL
         moves = ~stalled
-        heading[rows[moves]] = directions[moves] / norms[moves, None]
+        heading[rows[moves]] = directions[moves] / lengths[moves, None]
         return rows[moves], rows[stalled]
 
     def solve(rows, X):
         """Solve the rows' candidates X, each warm from the row's current
         solution; a row whose problem is infeasible finishes here.  Returns
-        which rows are kept, and their solutions."""
-        found = _solve_rows(batch, cons, X, None if names is None else names[rows],
-                            [sols[row] for row in rows.tolist()])
-        kept = np.array([sol.optimal for sol in found], dtype=bool)
+        which rows are kept, and the solved block."""
+        found = _solve_rows(batch, cons, X, None if names is None else names[rows], mu[rows])
+        kept = found[3]
         if not kept.all():
-            infeasible = np.flatnonzero(~kept)
-            for row in rows[infeasible].tolist():
-                flags[row].add(FLAG_INFEASIBLE)
-            finish(rows[infeasible], X[infeasible], np.full(infeasible.size, np.inf),
-                   [None] * infeasible.size)
-        return kept, [sol for sol in found if sol.optimal]
-
-    def values(rows, found):
-        if not found:
-            return np.empty(0)
-        return _target_values(target, np.array([sol.u for sol in found]), batch, S[rows])
+            flags[rows[~kept], _COL_INFEASIBLE] = True
+            finish(rows[~kept], X[~kept], np.inf, np.nan)
+        return kept, found
 
     rows, stalled = steer(np.arange(W))
-    U = [sols[row].u for row in stalled.tolist()]
-    for row in stalled.tolist():
-        flags[row].add(FLAG_ZERO_GRADIENT)
-    if U:
-        finish(stalled, S[stalled], _target_values(target, np.array(U), batch, S[stalled]), U)
+    if stalled.size:
+        flags[stalled, _COL_ZERO] = True
+        finish(stalled, S[stalled], _target_values(target, U[stalled], batch, S[stalled]),
+               U[stalled])
     X = S[rows] + delta * heading[rows]
     kept, found = solve(rows, X)
-    rows, X = rows[kept], X[kept]
-    best_v[rows] = values(rows, found)
-    best_s[rows] = X
-    for row, sol in zip(rows.tolist(), found):
-        best_u[row] = sol.u
+    rows, X, U_kept = rows[kept], X[kept], found[0][kept]
+    best_v[rows] = _target_values(target, U_kept, batch, S[rows])
+    best_s[rows], best_u[rows] = X, U_kept
 
     S_cur = S.copy()
     for step in range(steps):
@@ -301,35 +277,38 @@ def _ascend_rows(batch, cons, S, clean, delta, target, steps, step_size,
         moved = np.flatnonzero(~fixed)
         if moved.size:
             kept, found = solve(rows[moved], X[moved])
-            for row, sol in zip(rows[moved][kept].tolist(), found):
-                sols[row] = sol
+            solved = rows[moved][kept]
+            U[solved], mu[solved], active[solved] = (block[kept] for block in found[:3])
             keep = np.ones(len(rows), dtype=bool)
             keep[moved] = kept
             rows, X, fixed = rows[keep], X[keep], fixed[keep]
-        value, best = values(rows, [sols[row] for row in rows.tolist()]), best_v[rows]
+        value, best = _target_values(target, U[rows], batch, S[rows]), best_v[rows]
         # A later iterate must win by more than rounding: on a target that is
         # flat on the delta sphere (l1) ties would be broken by the last ulp.
         wins = np.flatnonzero(value - best > 1e-12 * np.abs(best))
         best_s[rows[wins]], best_v[rows[wins]] = X[wins], value[wins]
-        for row in rows[wins].tolist():
-            best_u[row] = sols[row].u
+        best_u[rows[wins]] = U[rows[wins]]
         finish_best(rows[fixed])
         rows = rows[~fixed]
         S_cur[rows] = X[~fixed]
     finish_best(rows)
-    return out
+    return S_hat, U_hat, attained, norms, flags
 
 
-def _attack(batch, cons, s, delta, target, steps, step_size) -> AttackResult:
-    """:func:`_ascend_rows` of one validated series s; ``steps`` is 0 for
-    :func:`single_step_attack`, which errors name."""
+def _attack(batch, cons, s, delta, target, steps, step_size) -> dict:
+    """:func:`_ascend_rows` of one validated series s, as the fields of its
+    :class:`AttackResult`; ``steps`` is 0 for :func:`single_step_attack`,
+    which errors name."""
     S = check_series(batch, s)[None]
-    (clean,) = _solve_rows(batch, cons, S)
-    if not clean.optimal:
+    clean = _solve_rows(batch, cons, S)
+    if not clean[3][0]:
         caller = "iterated_attack" if steps else "single_step_attack"
         raise ValueError(f"{caller} requires a feasible unattacked problem")
-    (result,) = _ascend_rows(batch, cons, S, [clean], delta, target, steps, step_size)
-    return result
+    S_hat, U_hat, attained, norms, flags = _ascend_rows(batch, cons, S, clean, delta,
+                                                        target, steps, step_size)
+    return dict(s_hat=S_hat[0], delta=float(delta), attained=float(attained[0]),
+                norm_used=float(norms[0]), flags=frozenset(compress(_FLAGS, flags[0])),
+                u_hat=None if flags[0, _COL_INFEASIBLE] else U_hat[0])
 
 
 def single_step_attack(
@@ -349,7 +328,7 @@ def single_step_attack(
     """
     if not 0 <= delta < math.inf:
         raise ValueError(f"delta must be nonnegative and finite, got {delta}")
-    return _attack(batch, cons, s, delta, target, 0, None)
+    return AttackResult(**_attack(batch, cons, s, delta, target, 0, None))
 
 
 def iterated_attack(
@@ -383,4 +362,4 @@ def iterated_attack(
         raise ValueError(f"delta must be nonnegative and finite, got {delta}")
     if step_size is not None and not 0 < step_size < math.inf:
         raise ValueError(f"step_size must be positive and finite, got {step_size}")
-    return _attack(batch, cons, s, delta, target, steps, step_size)
+    return AttackResult(**_attack(batch, cons, s, delta, target, steps, step_size))

@@ -29,9 +29,11 @@ are stacked matmuls that issue the per-series BLAS call for every row
 (:func:`tsattack.lqr._row_products`), and the Cholesky solve and the dual
 iteration stay per series, so each row of a block is bit for bit the
 series solved on its own.  A series whose unconstrained optimum violates no
-row needs no dual iteration.  A block stops at its first failing row; given
-the rows' names, its error (a failed check, or an overflowing ``L @ s``
-under constraints) is raised again with the row's name in front.
+row needs no dual iteration.  A solved block is arrays, one row per series;
+only :func:`solve_qp` builds a :class:`QpSolution`.  A block stops at its
+first failing row; given the rows' names, its error (a failed check, or an
+overflowing ``L @ s`` under constraints) is raised again with the row's
+name in front.
 """
 
 from __future__ import annotations
@@ -325,31 +327,41 @@ def solve_qp(batch: BatchForm, cons: ConstraintSet, s_obs) -> QpSolution:
     already passed (the attacks and the experiment check theirs where they
     enter); it is not checked again.
     """
-    (sol,) = _solve_rows(batch, cons, np.asarray(s_obs, dtype=float).reshape(1, -1))
-    return sol
+    S = np.asarray(s_obs, dtype=float).reshape(1, -1)
+    (u,), (mu,), (active,), (optimal,) = _solve_rows(batch, cons, S)
+    if not optimal:
+        return QpSolution(u=None, mu=None, active=(), weakly_active=(), status="infeasible")
+    rows = np.flatnonzero(active)
+    return QpSolution(u=u, mu=mu, active=tuple(rows.tolist()),
+                      weakly_active=tuple(rows[mu[rows] < WEAK_DUAL_TOL].tolist()),
+                      status="optimal")
 
 
 def _solve_rows(batch: BatchForm, cons: ConstraintSet, S: np.ndarray, names=None,
-                warm=None) -> list:
+                warm=None) -> tuple:
     """:func:`solve_qp` of every row of the checked (W, pT) block S.
 
-    Returns one :class:`QpSolution` per row.  The products that reach u, mu,
-    a slack or the active set (``L @ s``, ``H @ s``, ``G @ u``) are stacked
+    Returns the block (U, mu, active, optimal): the (W, mT) actions, the
+    (W, q) multipliers, the (W, q) bool rows held within the activity
+    tolerance and the (W,) bool optimal rows; an infeasible row has NaN
+    actions and no multiplier or active row, and the weakly active rows are
+    ``active & (mu < WEAK_DUAL_TOL)``.  The products that reach u, mu, a
+    slack or the active set (``L @ s``, ``H @ s``, ``G @ u``) are stacked
     over the block with :func:`tsattack.lqr._row_products`, which issues
     each row's own BLAS call; the Cholesky solve stays per row (a
     multi-right-hand-side solve rounds differently).  So each row is bit for
     bit its own solve with the same warm set.  A row whose unconstrained
     optimum violates no row keeps it, with zero multipliers; the others run
-    :func:`_dual_active_set` in row order: cold, or, when ``warm`` (one
-    optimal :class:`QpSolution` per row of S, of a series nearby) is given,
-    warm-started on the working set of ``warm[row]``, its rows with a
+    :func:`_dual_active_set` in row order: cold, or, when ``warm`` (the
+    (W, q) multipliers of optima of nearby series, one row per row of S) is
+    given, warm-started on the working set of ``warm[row]``, its rows with a
     positive multiplier.  The KKT residuals of every optimal row are checked
     as one block.  The first row to fail stops the block: a
     :class:`NumericalError` is raised with ``names[row]`` in front when
     ``names`` (one label per row) is given, and unchanged otherwise, as is
     any other exception.  A row whose ``L @ s`` overflows gets a non-finite
-    u, for the caller to name; in a constrained block it raises a
-    :class:`ConfigurationError`.
+    u and stays optimal, for the caller to name; in a constrained block it
+    raises a :class:`ConfigurationError`.
     """
     W, m_total = len(S), batch.m_total
     # An overflowing row is named below (constrained) or by the caller.
@@ -360,9 +372,9 @@ def _solve_rows(batch: BatchForm, cons: ConstraintSet, S: np.ndarray, names=None
     for k_row, u in zip(k, U):
         u[:] = _cho_solve(batch.K_factor, k_row)
     np.negative(U, out=U)
+    mu = np.zeros((W, cons.q))
     if cons.q == 0:
-        return [QpSolution(u=u, mu=np.zeros(0), active=(), weakly_active=(),
-                           status="optimal") for u in U]
+        return U, mu, np.zeros((W, 0), dtype=bool), np.ones(W, dtype=bool)
     overflow = ~np.isfinite(k).all(axis=1)
     if overflow.any():
         _raise_named(ConfigurationError("the controller's linear term L s overflows; use a "
@@ -375,12 +387,10 @@ def _solve_rows(batch: BatchForm, cons: ConstraintSet, S: np.ndarray, names=None
     slack -= rhs
     tol = activity_tolerance(rhs)
     optimal = (slack - tol <= 0.0).all(axis=1)  # a NaN excess is not optimal yet
-    mu = np.zeros((W, cons.q))
-    sols: list = [None] * W
     moved = []
     for row in np.flatnonzero(~optimal).tolist():
         try:
-            start = () if warm is None else np.flatnonzero(warm[row].mu > 0.0).tolist()
+            start = () if warm is None else np.flatnonzero(warm[row] > 0.0).tolist()
             u, mu_row, ray = _dual_active_set(batch, U[row].copy(), cons.G, rhs[row],
                                               tol[row], start)
             if ray is None:
@@ -389,17 +399,14 @@ def _solve_rows(batch: BatchForm, cons: ConstraintSet, S: np.ndarray, names=None
                 continue
             _check("infeasibility certificate", _farkas_residuals(cons.G, rhs[row], ray),
                    FARKAS_LIMITS, strict=True)
-            sols[row] = QpSolution(u=None, mu=None, active=(), weakly_active=(),
-                                   status="infeasible")
+            U[row] = np.nan
         except NumericalError as exc:
             _raise_named(exc, names, row)
     if moved:
         slack[moved] = _row_products(cons.G, U[moved]) - rhs[moved]
         optimal[moved] = True
-
+    active = (np.abs(slack) <= tol) & optimal[:, None]
     rows = np.flatnonzero(optimal)
-    if not rows.size:
-        return sols
     checked = (k, rhs, slack, U, mu)
     if rows.size < W:
         checked = tuple(block[rows] for block in checked)
@@ -414,16 +421,7 @@ def _solve_rows(batch: BatchForm, cons: ConstraintSet, S: np.ndarray, names=None
                                  for name, value in residuals.items()}, KKT_LIMITS)
         except NumericalError as exc:
             _raise_named(exc, names, rows[i])
-    at_row, at = np.nonzero(np.abs(slack[rows]) <= tol[rows])  # row-major: rows ascend
-    weak = (mu[rows[at_row], at] < WEAK_DUAL_TOL).tolist()
-    bounds, at = np.searchsorted(at_row, np.arange(rows.size + 1)).tolist(), at.tolist()
-    for i, row in enumerate(rows.tolist()):
-        lo, hi = bounds[i], bounds[i + 1]
-        sols[row] = QpSolution(
-            u=U[row], mu=mu[row], active=tuple(at[lo:hi]),
-            weakly_active=tuple(a for a, w in zip(at[lo:hi], weak[lo:hi]) if w),
-            status="optimal")
-    return sols
+    return U, mu, active, optimal
 
 
 def _raise_named(exc: Exception, names, row):

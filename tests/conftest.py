@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,16 +7,18 @@ from scipy.linalg import cho_solve
 
 from tsattack import (
     NumericalError,
+    QpSolution,
     SystemSpec,
     batch_form,
     compile_constraints,
     solve_qp,
     wilcoxon_signed_rank,
 )
+from tsattack.cost_attack import _COL_INFEASIBLE, _FLAGS
 from tsattack.experiments import METRIC_BY_SCENARIO
 from tsattack.grad_attack import ZERO_DIRECTION_TOL, _adjoint
 from tsattack.lqr import check_series, linear_term
-from tsattack.qp import activity_tolerance
+from tsattack.qp import WEAK_DUAL_TOL, activity_tolerance
 
 
 def make_scalar_spec(T=1, x0=1.0):
@@ -28,6 +31,12 @@ def solve_unconstrained(batch, s) -> np.ndarray:
     controller, which the block solver ``tsattack.qp._solve_rows`` gives bit
     for bit."""
     return -cho_solve(batch.K_factor, linear_term(batch, check_series(batch, s)))
+
+
+def denormalize_window(window):
+    """Invert the stored normalization of a window."""
+    offset, factor = window.scale
+    return replace(window, values=window.values * factor + offset, scale=(0.0, 1.0))
 
 
 def random_system(rng, n_max=3, m_max=3, p_max=3, t_max=10):
@@ -54,7 +63,40 @@ def adjoint_jacobian(batch, cons, sol):
     """The solution-map Jacobian du/ds (pT x mT) at an optimum, as the
     attacks' adjoint product with the identity, and whether the active rows
     violate LICQ."""
-    return _adjoint(batch, cons, sol, np.eye(batch.m_total))
+    return _adjoint(batch, cons, list(sol.active), np.eye(batch.m_total))
+
+
+def row_solution(block, i=0) -> QpSolution:
+    """Row i of a solved block (U, mu, active, optimal) of
+    ``tsattack.qp._solve_rows``, as the QpSolution ``solve_qp`` gives."""
+    U, mu, active, optimal = block
+    if not optimal[i]:
+        return QpSolution(u=None, mu=None, active=(), weakly_active=(), status="infeasible")
+    rows = np.flatnonzero(active[i])
+    return QpSolution(u=U[i], mu=mu[i], active=tuple(rows.tolist()),
+                      weakly_active=tuple(rows[mu[i, rows] < WEAK_DUAL_TOL].tolist()),
+                      status="optimal")
+
+
+def row_flags(flags_row) -> frozenset:
+    """The flag names set in one row of an attacked block's flag columns."""
+    return frozenset(name for name, set_ in zip(_FLAGS, flags_row) if set_)
+
+
+def assert_row_is_attack(block, i, result):
+    """Row i of an attacked block (S_hat, U_hat, attained, norms, flags) is
+    bit for bit the AttackResult ``result``; its answer is NaN exactly when
+    the row is flagged infeasible and ``result.u_hat`` is None."""
+    S_hat, U_hat, attained, norms, flags = block
+    assert S_hat[i].tobytes() == result.s_hat.tobytes()
+    assert attained[i] == result.attained
+    assert norms[i] == result.norm_used
+    assert row_flags(flags[i]) == result.flags
+    assert flags[i, _COL_INFEASIBLE] == (result.u_hat is None)
+    if result.u_hat is None:
+        assert np.isnan(U_hat[i]).all()
+    else:
+        assert U_hat[i].tobytes() == result.u_hat.tobytes()
 
 
 def finite_difference_jacobian(batch, cons, s_obs, step: float = 1e-6):

@@ -413,6 +413,11 @@ class TestExperimentCommand:
         ({"dataset": {"kind": "arima", "count": 3, "seed": -3}},
          "dataset seed must be >= 0, got -3"),
         ({"scenarios": "random"}, "scenarios must be a list of scenario names"),
+        ({"out_dir": 123}, "out_dir must be a string, got 123"),
+        ({"dataset": {"kind": "csv", "path": 5, "column": "load"}},
+         "dataset path must be a string, got 5"),
+        ({"dataset": {"kind": "csv", "path": "x.csv", "column": 7}},
+         "dataset column must be a string, got 7"),
     ])
     def test_bad_config_value_exits_one(self, tmp_path, capsys, overrides, key):
         path = tmp_path / "bad.json"
@@ -424,6 +429,19 @@ class TestExperimentCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err
         assert not out_dir.exists()
+
+    def test_non_string_out_dir_exits_one_before_any_attack(self, tmp_path, capsys,
+                                                            monkeypatch):
+        # The config's out_dir is the report directory when --out-dir is
+        # not given: a number fails at parse time, not in the report.
+        def attack(*args):
+            raise AssertionError("the experiment ran")
+
+        monkeypatch.setattr("tsattack.cli.run_experiment", attack)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict(BASE_CONFIG, out_dir=123)), encoding="utf-8")
+        assert main(["experiment", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == "error: out_dir must be a string, got 123\n"
 
     def test_bad_config_exits_one(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -16,7 +16,9 @@ from tsattack import (
     sample_random_arima,
     write_series_csv,
 )
-from tsattack.data import SeriesWindow, _write_csv, denormalize_window
+from tsattack.data import SeriesWindow, _write_csv
+
+from conftest import denormalize_window
 
 
 class TestArimaSpec:

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from tsattack import (
-    AttackResult,
     ConfigurationError,
     NumericalError,
     SeriesWindow,
@@ -31,6 +30,7 @@ from tsattack import (
 )
 from tsattack import qp
 from tsattack.config import SCENARIOS
+from tsattack.cost_attack import _FLAGS
 from tsattack.experiments import (
     Record,
     ScenarioStats,
@@ -43,7 +43,7 @@ from tsattack.experiments import (
 )
 
 from conftest import (active_rows, aggregate_oracle, assert_relative_close,
-                      paired_p_values_oracle, solve_unconstrained)
+                      paired_p_values_oracle, row_flags, row_solution, solve_unconstrained)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -74,6 +74,17 @@ class TestConfigParsing:
         cfg = make_config()
         assert cfg.system.n == 1
         assert cfg.system.T == 12
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"out_dir": 123}, "out_dir must be a string, got 123"),
+        ({"dataset": {"kind": "csv", "path": 5, "column": "load"}},
+         "dataset path must be a string, got 5"),
+        ({"dataset": {"kind": "csv", "path": "x.csv", "column": None}},
+         "dataset column must be a string, got None"),
+    ])
+    def test_non_string_paths_rejected(self, overrides, message):
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            make_config(**overrides)
 
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown key"):
@@ -614,52 +625,86 @@ class TestConstraintExperiment:
                                    np.array([w.values for w in windows]))
         records = run_experiment(cfg).records
         assert list(blocks) == [(delta, "cost-gradient") for delta in cfg.deltas]
-        assert len(records) == sum(map(len, blocks.values())) == 60
+        assert len(records) == sum(len(block[0]) for block in blocks.values()) == 60
         # Records run window-major: (window, delta, scenario).
-        tasks = [(w_idx, delta, results[w_idx]) for w_idx in range(len(windows))
-                 for (delta, _), results in blocks.items()]
-        for record, (w_idx, delta, result) in zip(records, tasks):
+        tasks = [(w_idx, delta, attained[w_idx]) for w_idx in range(len(windows))
+                 for (delta, _), (_, _, attained, _, _) in blocks.items()]
+        for record, (w_idx, delta, attained) in zip(records, tasks):
             assert (record.series_id, record.delta) == (windows[w_idx].series_id, delta)
-            assert record.j_adv == result.attained
+            assert record.j_adv == attained
 
     @pytest.mark.parametrize("scenario", SCENARIOS)
     def test_attack_windows_results(self, scenario):
-        # Each block holds one AttackResult per window within its delta; cost-adv
-        # steps along v1 and random draws from its own (window, delta) seed.
+        # Each block holds one row per window within its delta, as arrays;
+        # cost-adv steps along v1 and random draws from its own (window,
+        # delta) seed.
         cfg = self._config(scenarios=[scenario], deltas=[0.5, 1.0])
         batch = batch_form(cfg.system)
         windows = load_windows(cfg)
         S = np.array([w.values for w in windows])
-        _, blocks = attack_windows(cfg, batch, constraints_for(cfg, batch, windows),
-                                   [w.series_id for w in windows], S)
+        U_orig, blocks = attack_windows(cfg, batch, constraints_for(cfg, batch, windows),
+                                        [w.series_id for w in windows], S)
+        assert U_orig.shape == (len(windows), batch.m_total)
         assert list(blocks) == [(delta, scenario) for delta in cfg.deltas]
-        tasks = [(w_idx, delta, result) for (delta, _), results in blocks.items()
-                 for w_idx, result in enumerate(results)]
-        assert len(tasks) == len(windows) * len(cfg.deltas)
-        for w_idx, delta, result in tasks:
-            s = S[w_idx]
-            assert isinstance(result, AttackResult)
-            assert result.delta == delta
-            assert math.isclose(result.norm_used, np.linalg.norm(result.s_hat - s),
-                                rel_tol=1e-12, abs_tol=1e-15)
-            if scenario == "cost-adv":
-                np.testing.assert_array_equal(result.s_hat,
-                                              s + delta * batch.eigenpair.v1)
-                assert result.attained == delta * delta * batch.eigenpair.lambda1
-            elif scenario == "random":
-                seed = task_seed(cfg.seed, w_idx, cfg.deltas.index(delta))
-                np.testing.assert_array_equal(
-                    result.s_hat, random_sphere_attack(s, delta, seed).s_hat)
+        for (delta, _), (S_hat, U_hat, attained, norms, flags) in blocks.items():
+            assert [part.shape for part in (S_hat, U_hat, attained, norms, flags)] == [
+                S.shape, U_orig.shape, (len(S),), (len(S),), (len(S), 4)]
+            assert flags.dtype == bool
+            assert (norms <= delta * (1.0 + 1e-9)).all()
+            for w_idx, s in enumerate(S):
+                assert math.isclose(norms[w_idx], np.linalg.norm(S_hat[w_idx] - s),
+                                    rel_tol=1e-12, abs_tol=1e-15)
+                if scenario == "cost-adv":
+                    np.testing.assert_array_equal(S_hat[w_idx],
+                                                  s + delta * batch.eigenpair.v1)
+                    assert attained[w_idx] == delta * delta * batch.eigenpair.lambda1
+                elif scenario == "random":
+                    seed = task_seed(cfg.seed, w_idx, cfg.deltas.index(delta))
+                    np.testing.assert_array_equal(
+                        S_hat[w_idx], random_sphere_attack(s, delta, seed).s_hat)
+
+    def test_record_flags_join_their_columns_in_sorted_order(self):
+        # Upper bounds at the window's unconstrained actions hold every
+        # action at a bound with a zero dual: the max-action attack is
+        # weakly active, and stalls, since no held action moves with the
+        # series.  The record joins both flags in sorted name order.
+        cfg = self._config(system=dict(BASE_CONFIG["system"], T=4), scenarios=["max-action"],
+                           deltas=[0.5], dataset={"kind": "arima", "count": 1})
+        (window,) = load_windows(cfg)
+        u = solve_unconstrained(batch_form(cfg.system), window.values)
+        cfg = parse_config(dict(cfg.raw, action_box={"u_min": -100.0, "u_max": u.tolist()}))
+        (record,) = run_experiment(cfg).records
+        assert record.flags == "weak-active;zero-gradient"
+        assert _FLAGS == tuple(sorted(_FLAGS))
+
+    def test_infeasible_records_share_one_nan(self):
+        # perfbench compares lists of raw record fields, where NaNs match
+        # only by identity: every infeasible record's action metrics are the
+        # one math.nan, so two runs' lists compare equal.
+        cfg = make_config(system=dict(BASE_CONFIG["system"], T=10), deltas=[10.0],
+                          scenarios=["cost-adv", "random"],
+                          dataset={"kind": "arima", "count": 4}, seed=3,
+                          normalization="zscore-global",
+                          action_box={"u_min": -4.5, "u_max": 4.5},
+                          state_box={"x_min": -0.5, "x_max": 0.5})
+        first, second = (run_experiment(cfg).records for _ in range(2))
+        infeasible = [r for r in first if r.j_adv == math.inf]
+        assert len(infeasible) == 6
+        assert {id(v) for r in infeasible for v in (r.max_u_adv, r.min_u_adv, r.l1_adv)} == {
+            id(infeasible[0].max_u_adv)}
+        assert [list(vars(r).values()) for r in first] == [list(vars(r).values())
+                                                          for r in second]
 
     def test_every_result_leaves_the_stage_answered(self):
         # Under a +-0.5 state box a budget of 10 makes 3 of the 4 windows'
-        # cost-adv and random answers infeasible.  Every result of every
-        # block carries the controller's answer on its s_hat, and u_hat is
-        # None exactly when it is flagged infeasible.  A cost-adv or random
-        # answer is bit for bit its own solve warm-started on the clean
-        # window's working set, a gradient answer that of the window's
-        # attack alone; the cold solve agrees with each: the same status and
-        # active rows, and u within a relative 1e-12.
+        # cost-adv and random answers infeasible.  Every row of every block
+        # carries the controller's answer on its attacked series, and that
+        # answer is NaN exactly when the row is flagged infeasible.  A
+        # cost-adv or random answer is bit for bit its own solve
+        # warm-started on the clean window's working set, a gradient answer
+        # that of the window's attack alone; the cold solve agrees with
+        # each: the same status and active rows, and u within a relative
+        # 1e-12.
         cfg = make_config(system=dict(BASE_CONFIG["system"], T=10), deltas=[10.0],
                           scenarios=list(SCENARIOS), dataset={"kind": "arima", "count": 4},
                           seed=3, normalization="zscore-global",
@@ -672,26 +717,25 @@ class TestConstraintExperiment:
         _, blocks = attack_windows(cfg, batch, cons, [w.series_id for w in windows],
                                    np.array([w.values for w in windows]))
         assert list(blocks) == [(10.0, scenario) for scenario in SCENARIOS]
-        for (_, scenario), results in blocks.items():
+        for (_, scenario), (S_hat, U_hat, _, _, flags) in blocks.items():
             infeasible = 0
-            for window, result in zip(windows, results):
+            for window, s_hat, u_hat, flagged in zip(windows, S_hat, U_hat, flags):
                 s = window.values
                 if scenario in ("cost-adv", "random"):
-                    (sol,) = qp._solve_rows(batch, cons, result.s_hat[None],
-                                            warm=[solve_qp(batch, cons, s)])
-                    answer = sol.u
+                    answer = row_solution(qp._solve_rows(
+                        batch, cons, s_hat[None], warm=solve_qp(batch, cons, s).mu[None])).u
                 else:
                     answer = iterated_attack(batch, cons, s, 10.0, TargetFunction(scenario),
                                              steps=5).u_hat
-                cold = solve_qp(batch, cons, result.s_hat)
-                assert (result.u_hat is None) == ("infeasible" in result.flags)
-                assert (result.u_hat is None) == (answer is None) == (cold.u is None)
-                if result.u_hat is None:
+                cold = solve_qp(batch, cons, s_hat)
+                assert np.isnan(u_hat).all() == ("infeasible" in row_flags(flagged))
+                assert np.isnan(u_hat).all() == (answer is None) == (cold.u is None)
+                if cold.u is None:
                     infeasible += 1
                     continue
-                assert result.u_hat.tobytes() == answer.tobytes()
-                assert cold.active == active_rows(cons, result.s_hat, result.u_hat)
-                assert_relative_close(result.u_hat, cold.u, 1e-12)
+                assert u_hat.tobytes() == answer.tobytes()
+                assert cold.active == active_rows(cons, s_hat, u_hat)
+                assert_relative_close(u_hat, cold.u, 1e-12)
             if scenario in ("cost-adv", "random"):
                 assert infeasible == 3
 

@@ -16,8 +16,6 @@ from tsattack import (
     realized_costs,
     single_step_attack,
     solve_qp,
-    target_gradient,
-    target_value,
 )
 from tsattack import grad_attack, qp
 from tsattack.grad_attack import project_ball
@@ -26,13 +24,30 @@ from conftest import (
     active_rows,
     adjoint_jacobian,
     assert_relative_close,
+    assert_row_is_attack,
     finite_difference_jacobian,
     make_scalar_spec,
     random_state_box_instance,
     random_system,
+    row_flags,
+    row_solution,
     solve_unconstrained,
     unit,
 )
+
+
+def target_value(target, u, batch, s_real) -> float:
+    """The attack target at the actions u, judged against the real series:
+    the ascent's block values of a one-row block."""
+    u = np.asarray(u, dtype=float).ravel()
+    return float(grad_attack._target_values(target, u[None], batch, [s_real])[0])
+
+
+def target_gradient(target, u, batch, s_real) -> np.ndarray:
+    """The target's (sub)gradient at the actions u: the ascent's block
+    gradients of a one-row block."""
+    u = np.asarray(u, dtype=float).ravel()
+    return grad_attack._target_gradients(target, u[None], batch, [s_real])[0]
 
 
 def closed_form_jacobian(batch):
@@ -118,7 +133,7 @@ def reference_iterated_attack(batch, cons, s, delta, target, steps=20,
 
     def direction_at(sol):
         direction, degenerate = grad_attack._adjoint(
-            batch, cons, sol, target_gradient(target, sol.u, batch, s))
+            batch, cons, list(sol.active), target_gradient(target, sol.u, batch, s))
         if sol.weakly_active:
             flags.add("weak-active")
         if degenerate:
@@ -126,8 +141,7 @@ def reference_iterated_attack(batch, cons, s, delta, target, steps=20,
         return direction
 
     def solve_from(sol, s_obs):
-        (found,) = qp._solve_rows(batch, cons, s_obs[None], warm=[sol])
-        return found
+        return row_solution(qp._solve_rows(batch, cons, s_obs[None], warm=sol.mu[None]))
 
     clean = solve_qp(batch, cons, s)
     direction = direction_at(clean)
@@ -238,7 +252,7 @@ class TestSolutionJacobian:
             for target in (TargetFunction.MAX_ACTION, TargetFunction.MIN_ACTION,
                            TargetFunction.L1_ENERGY):
                 grad = target_gradient(target, sol.u, batch, s)
-                direction, _ = grad_attack._adjoint(batch, cons, sol, grad)
+                direction, _ = grad_attack._adjoint(batch, cons, list(sol.active), grad)
                 expected = J @ grad
                 scale = max(1.0, float(np.abs(expected).max()))
                 assert np.abs(direction - expected).max() <= 1e-12 * scale
@@ -272,6 +286,21 @@ class TestSolutionJacobian:
         for attack in (single_step_attack, iterated_attack):
             result = attack(scalar_t1, cons, [0.0], 0.5, TargetFunction.MAX_ACTION)
             assert "weak-active" in result.flags
+
+    def test_weak_active_flag_outlives_the_solution_that_raised_it(self):
+        # The first action's upper bound sits at its unconstrained optimum
+        # (dual 0), so the clean solution is weakly active; the min-action
+        # ascent moves off it to iterates that are not.  The flag raised at
+        # the clean solve stays on the result, as in the reference loop.
+        batch = batch_form(make_scalar_spec(T=2))
+        s = np.array([0.1, -0.4])
+        u = solve_unconstrained(batch, s)
+        cons = compile_constraints(batch.spec, batch, action_box=(-10.0, [u[0], 10.0]))
+        assert solve_qp(batch, cons, s).weakly_active == (0,)
+        result = iterated_attack(batch, cons, s, 0.5, TargetFunction.MIN_ACTION, steps=5)
+        assert not solve_qp(batch, cons, result.s_hat).weakly_active
+        assert result.flags == {"weak-active"} == reference_iterated_attack(
+            batch, cons, s, 0.5, TargetFunction.MIN_ACTION, steps=5)[2]
 
     def test_state_box_contributes_series_term(self):
         # Active state row: u = (x0 + s - x_max) exactly, so du/ds = 1.
@@ -411,7 +440,8 @@ class TestSingleStepAttack:
             for target in (TargetFunction.MAX_ACTION, TargetFunction.L1_ENERGY):
                 one = single_step_attack(batch, cons, s, 0.7, target)
                 many = iterated_attack(batch, cons, s, 0.7, target)
-                (answer,) = qp._solve_rows(batch, cons, one.s_hat[None], warm=[clean])
+                answer = row_solution(qp._solve_rows(batch, cons, one.s_hat[None],
+                                                     warm=clean.mu[None]))
                 stalled = "zero-gradient" in one.flags  # s_hat = s: the clean answer
                 assert_same_answer(one.u_hat, (clean if stalled else answer).u)
                 assert_same_answer(many.u_hat,
@@ -499,9 +529,9 @@ class TestIteratedAttack:
             calls["solves"] += len(S_obs)  # one solve per row of a block
             return solve_rows(batch, cons, S_obs, names, warm)
 
-        def counting_adjoints(batch, cons, sols, grads):  # one Jacobian per row
-            calls["jacobians"] += len(sols)
-            return adjoints(batch, cons, sols, grads)
+        def counting_adjoints(batch, cons, active, grads):  # one Jacobian per row
+            calls["jacobians"] += len(active)
+            return adjoints(batch, cons, active, grads)
 
         solve_rows, adjoints = grad_attack._solve_rows, grad_attack._adjoints
         monkeypatch.setattr("tsattack.grad_attack._solve_rows", counting_rows)
@@ -573,21 +603,24 @@ class TestIteratedAttack:
         # The clean direction serves the single step and the first ascent
         # step: no series gets a second Jacobian, the clean one included.
         # Only the single-step candidate and the last iterate go without.
+        # A Jacobian is taken at the actions whose gradient the ascent forms;
+        # a solution is known by the bytes of its actions, which points the
+        # box clamps alike share.
         solved, at = {}, []
 
         def recording_solve(batch, cons, S_obs, names=None, warm=None):
-            sols = solve_rows(batch, cons, S_obs, names, warm)
-            for sol, s_obs in zip(sols, S_obs):
-                solved[id(sol)] = (sol, np.array(s_obs, dtype=float))
-            return sols
+            block = solve_rows(batch, cons, S_obs, names, warm)
+            for u, s_obs in zip(block[0], S_obs):
+                solved.setdefault(u.tobytes(), []).append(np.array(s_obs, dtype=float))
+            return block
 
-        def recording_adjoints(batch, cons, sols, grads):
-            at.extend(solved[id(sol)][1] for sol in sols)
-            return adjoints(batch, cons, sols, grads)
+        def recording_gradients(target, U, batch, S_real):
+            at.extend(u.tobytes() for u in U)
+            return gradients(target, U, batch, S_real)
 
-        adjoints, solve_rows = grad_attack._adjoints, grad_attack._solve_rows
+        gradients, solve_rows = grad_attack._target_gradients, grad_attack._solve_rows
         monkeypatch.setattr("tsattack.grad_attack._solve_rows", recording_solve)
-        monkeypatch.setattr("tsattack.grad_attack._adjoints", recording_adjoints)
+        monkeypatch.setattr("tsattack.grad_attack._target_gradients", recording_gradients)
         rng = np.random.default_rng(43)
         for case in range(12):
             spec = random_system(rng, n_max=2, m_max=2, p_max=2, t_max=6)
@@ -599,11 +632,10 @@ class TestIteratedAttack:
             at.clear()
             iterated_attack(batch, cons, s, 0.7, (TargetFunction.MAX_ACTION,
                             TargetFunction.L1_ENERGY)[case % 2], steps=6)
-            points = {tuple(s_obs) for _, s_obs in solved.values()}
-            assert len({tuple(p) for p in at}) == len(at)
-            assert {tuple(p) for p in at} <= points
-            np.testing.assert_array_equal(at[0], s)
-            assert len(at) >= len(points) - 2
+            assert len(set(at)) == len(at)
+            assert set(at) <= set(solved)
+            assert any(np.array_equal(point, s) for point in solved[at[0]])
+            assert len(at) >= len(solved) - 2
 
     @pytest.mark.parametrize("gains, kept", [
         ((5e-13, 9e-13, 1e-13), 0),   # all within rounding: the single step stays
@@ -670,15 +702,6 @@ class TestIteratedAttack:
                 attack(batch, cons, [0.0], 0.5, TargetFunction.MAX_ACTION)
 
 
-def assert_same_attack(result, other):
-    """Bit for bit the same attack outcome."""
-    assert result.s_hat.tobytes() == other.s_hat.tobytes()
-    assert result.attained == other.attained
-    assert result.norm_used == other.norm_used
-    assert result.flags == other.flags
-    assert_same_answer(result.u_hat, other.u_hat)
-
-
 class TestAscendRows:
     def test_block_adjoints_are_each_rows_adjoint(self, monkeypatch):
         # Rows with and without active rows: each direction and LICQ flag is
@@ -688,25 +711,25 @@ class TestAscendRows:
         batch = batch_form(spec)
         cons = compile_constraints(spec, batch, action_box=(-0.8, 0.8))
         S = np.linspace(-1.5, 1.5, 7)[:, None] * np.ones(6)
-        sols = grad_attack._solve_rows(batch, cons, S)
-        assert {bool(sol.active) for sol in sols} == {True, False}
-        grads = np.sign(np.array([sol.u for sol in sols]))
-        directions, degenerate = grad_attack._adjoints(batch, cons, sols, grads)
-        for sol, g, direction, flag in zip(sols, grads, directions, degenerate):
-            expected, expected_flag = grad_attack._adjoint(batch, cons, sol, g)
+        U, _, active, _ = grad_attack._solve_rows(batch, cons, S)
+        assert set(active.any(axis=1).tolist()) == {True, False}
+        grads = np.sign(U)
+        directions, degenerate = grad_attack._adjoints(batch, cons, active, grads)
+        for held, g, direction, flag in zip(active, grads, directions, degenerate):
+            expected, expected_flag = grad_attack._adjoint(batch, cons, np.flatnonzero(held), g)
             assert direction.tobytes() == expected.tobytes() and flag == expected_flag
 
-        failing = next(i for i, sol in enumerate(sols) if sol.active)
+        failing = next(i for i, held in enumerate(active) if held.any())
         adjoint = grad_attack._adjoint
 
-        def raising(batch, cons, sol, g):
-            if sol is sols[failing]:
+        def raising(batch, cons, rows, g):
+            if np.array_equal(rows, np.flatnonzero(active[failing])):
                 raise np.linalg.LinAlgError("forced")
-            return adjoint(batch, cons, sol, g)
+            return adjoint(batch, cons, rows, g)
 
         monkeypatch.setattr("tsattack.grad_attack._adjoint", raising)
         with pytest.raises(np.linalg.LinAlgError, match="^forced$"):
-            grad_attack._adjoints(batch, cons, sols, grads)
+            grad_attack._adjoints(batch, cons, active, grads)
 
     def test_each_row_is_its_own_ascent(self):
         # Blocks of 3 to 5 series on action boxes and on state boxes that go
@@ -727,22 +750,24 @@ class TestAscendRows:
                                            state_box=(-3.0, 3.0))
             S = s + rng.uniform(0.0, 1.0) * rng.standard_normal((5, batch.p_total))
             clean = grad_attack._solve_rows(batch, cons, S)
-            keep = [sol.optimal for sol in clean]
-            S, clean = S[keep], [sol for sol in clean if sol.optimal]
+            keep = clean[3]
+            S, clean = S[keep], tuple(block[keep] for block in clean)
             if len(S) < 3:
                 continue
             target = list(TargetFunction)[case % 4]
             delta = float(rng.uniform(0.2, 3.0))
             steps = 0 if case % 5 == 0 else 12
-            results = grad_attack._ascend_rows(batch, cons, S, clean, delta, target,
-                                               steps, None if steps == 0 else delta / 10)
-            for row, result in zip(S, results):
+            block = grad_attack._ascend_rows(batch, cons, S, clean, delta, target,
+                                             steps, None if steps == 0 else delta / 10)
+            assert [part.shape for part in block] == [
+                S.shape, (len(S), batch.m_total), (len(S),), (len(S),), (len(S), 4)]
+            for i, row in enumerate(S):
                 if steps:
                     one = iterated_attack(batch, cons, row, delta, target, steps=steps)
                 else:
                     one = single_step_attack(batch, cons, row, delta, target)
-                assert_same_attack(result, one)
-                flags |= result.flags
+                assert_row_is_attack(block, i, one)
+                flags |= row_flags(block[4][i])
         assert {"zero-gradient", "infeasible"} <= flags
 
     def test_rows_leave_at_their_own_exits(self, monkeypatch):
@@ -765,26 +790,27 @@ class TestAscendRows:
 
         solve_rows = grad_attack._solve_rows
         monkeypatch.setattr("tsattack.grad_attack._solve_rows", recording)
-        results = grad_attack._ascend_rows(batch, cons, S, clean, 0.05,
-                                           TargetFunction.MAX_ACTION, 40, 0.005)
+        block = grad_attack._ascend_rows(batch, cons, S, clean, 0.05,
+                                         TargetFunction.MAX_ACTION, 40, 0.005)
         monkeypatch.undo()
-        assert [result.flags for result in results] == [
+        S_hat, U_hat, attained, _, flags = block
+        assert [row_flags(row) for row in flags] == [
             {"zero-gradient"}, {"infeasible"}, set(), set()]
-        for row, result in zip(S[2:], results[2:]):
-            assert math.isclose(np.linalg.norm(result.s_hat - row), 0.05, rel_tol=1e-12)
+        for row, s_hat in zip(S[2:], S_hat[2:]):
+            assert math.isclose(np.linalg.norm(s_hat - row), 0.05, rel_tol=1e-12)
         # The single step solves three rows; two ascend until their fixed
         # points, well before the 40 steps.
         assert sizes[0] == 3 and set(sizes[1:]) == {2} and len(sizes) < 1 + 40
-        for row, result in zip(S, results):
-            assert_same_attack(result, iterated_attack(batch, cons, row, 0.05,
-                                                       TargetFunction.MAX_ACTION,
-                                                       steps=40, step_size=0.005))
-            s_hat, attained, flags, u_hat = reference_iterated_attack(
+        for i, row in enumerate(S):
+            assert_row_is_attack(block, i, iterated_attack(batch, cons, row, 0.05,
+                                                           TargetFunction.MAX_ACTION,
+                                                           steps=40, step_size=0.005))
+            s_hat, value, names, u_hat = reference_iterated_attack(
                 batch, cons, row, 0.05, TargetFunction.MAX_ACTION, steps=40,
                 step_size=0.005)
-            np.testing.assert_array_equal(result.s_hat, s_hat)
-            assert result.attained == attained and result.flags == flags
-            assert_same_answer(result.u_hat, u_hat)
+            np.testing.assert_array_equal(S_hat[i], s_hat)
+            assert attained[i] == value and row_flags(flags[i]) == names
+            assert_same_answer(None if "infeasible" in names else U_hat[i], u_hat)
 
     def test_target_values_and_gradients_are_each_rows_own(self):
         # Row-wise reductions and arg-extrema equal the same operation on

@@ -34,6 +34,7 @@ from conftest import (
     make_scalar_spec,
     random_state_box_instance,
     random_system,
+    row_solution,
     solve_unconstrained,
 )
 
@@ -251,8 +252,10 @@ class TestSolveQp:
             batch = batch_form(random_system(rng))
             S = rng.standard_normal((int(rng.integers(1, 9)), batch.p_total))
             cons = ConstraintSet.empty(batch.m_total, batch.p_total)
-            for sol, s in zip(qp_module._solve_rows(batch, cons, S), S):
-                assert sol.u.tobytes() == solve_unconstrained(batch, s).tobytes()
+            U, mu, active, optimal = qp_module._solve_rows(batch, cons, S)
+            assert mu.shape == active.shape == (len(S), 0) and optimal.all()
+            for u, s in zip(U, S):
+                assert u.tobytes() == solve_unconstrained(batch, s).tobytes()
 
     def test_infeasible_detection(self):
         spec = make_scalar_spec(T=1)
@@ -457,9 +460,10 @@ class TestSolveRows:
                                            state_box=(-x_bound, x_bound))
             S = s + rng.uniform(0.0, 1.5) * rng.standard_normal((7, batch.p_total))
             S[0] = s
-            sols = qp_module._solve_rows(batch, cons, S)
-            assert len(sols) == len(S)
-            for row, sol in zip(S, sols):
+            block = qp_module._solve_rows(batch, cons, S)
+            assert len(block[0]) == len(S)
+            for i, row in enumerate(S):
+                sol = row_solution(block, i)
                 one = solve_qp(batch, cons, row)
                 u, mu, active, weak, status = reference_solve(batch, cons, row)
                 for other in (one, QpSolution(u=u, mu=mu, active=active,
@@ -477,6 +481,54 @@ class TestSolveRows:
                 kinds.add("no box" if cons.q == 0 else "infeasible" if not sol.optimal
                           else "dual" if sol.mu.any() else "free")
         assert kinds == {"no box", "free", "dual", "infeasible"}
+
+    def test_block_arrays_are_each_rows_solve(self):
+        # The block contract on random action, state and mixed boxes, a
+        # weakly active row and an unconstrained row whose L s overflows:
+        # U is (W, mT), mu and active (W, q), optimal (W,).  Each row's
+        # status, U and mu (bit for bit), active rows and weak set (derived
+        # as active & (mu < WEAK_DUAL_TOL)) are solve_qp's of that row; an
+        # infeasible row has NaN actions, no multiplier and no active row.
+        rng = np.random.default_rng(131)
+        blocks = []
+        for seed in range(45):
+            if seed % 3 == 0:
+                batch, cons, s, _ = random_box_instance(rng)
+            else:
+                batch, cons, s = random_state_box_instance(
+                    seed, seed % 3 == 2, rng.uniform(0.3, 1.2), rng.uniform(0.3, 1.2))
+            blocks.append((batch, cons, s + rng.uniform(0.0, 2.0)
+                           * rng.standard_normal((6, batch.p_total))))
+        scalar = batch_form(make_scalar_spec(T=1))
+        blocks.append((scalar, compile_constraints(scalar.spec, scalar,
+                                                   action_box=(-10.0, 0.5)),
+                       np.array([[0.0], [0.3]])))
+        wide = batch_form(make_scalar_spec(T=4))
+        blocks.append((wide, ConstraintSet.empty(4, 4), np.array([[0.1] * 4, [1e308] * 4])))
+        kinds = set()
+        for batch, cons, S in blocks:
+            with np.errstate(over="ignore", invalid="ignore"):
+                U, mu, active, optimal = qp_module._solve_rows(batch, cons, S)
+            W = len(S)
+            assert U.shape == (W, batch.m_total)
+            assert mu.shape == active.shape == (W, cons.q) and optimal.shape == (W,)
+            assert active.dtype == optimal.dtype == bool
+            weak = active & (mu < qp_module.WEAK_DUAL_TOL)
+            for i, row in enumerate(S):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    sol = solve_qp(batch, cons, row)
+                assert optimal[i] == sol.optimal
+                assert tuple(np.flatnonzero(active[i])) == sol.active
+                assert tuple(np.flatnonzero(weak[i])) == sol.weakly_active
+                if sol.optimal:
+                    assert U[i].tobytes() == sol.u.tobytes()
+                    assert mu[i].tobytes() == sol.mu.tobytes()
+                else:
+                    assert np.isnan(U[i]).all() and not mu[i].any()
+                kinds.add("infeasible" if not optimal[i] else "overflow"
+                          if not np.isfinite(U[i]).all() else "weak" if weak[i].any()
+                          else "active" if active[i].any() else "free")
+        assert kinds == {"free", "active", "weak", "infeasible", "overflow"}
 
     def test_a_failing_row_stops_the_block_under_its_name(self, monkeypatch):
         # The row whose dual active set raises stops the block: the rows
@@ -496,7 +548,7 @@ class TestSolveRows:
             solved.append(u.copy())
             return dual_active_set(batch, u, G, rhs, tol, warm)
 
-        assert all(sol.active for sol in qp_module._solve_rows(batch, cons, S))
+        assert qp_module._solve_rows(batch, cons, S)[2].any(axis=1).all()
         monkeypatch.setattr(qp_module, "_dual_active_set", failing)
         with pytest.raises(NumericalError, match="^b: forced$"):
             qp_module._solve_rows(batch, cons, S, ["a", "b", "c"])
@@ -605,8 +657,9 @@ class TestWarmStart:
             if not clean.optimal:
                 continue
             S = s + rng.uniform(0.01, 0.5) * rng.standard_normal((4, batch.p_total))
-            for row, sol in zip(S, qp_module._solve_rows(batch, cons, S, warm=[clean] * 4)):
-                cold = solve_qp(batch, cons, row)
+            block = qp_module._solve_rows(batch, cons, S, warm=np.tile(clean.mu, (4, 1)))
+            for i, row in enumerate(S):
+                sol, cold = row_solution(block, i), solve_qp(batch, cons, row)
                 assert (sol.status, sol.active) == (cold.status, cold.active)
                 if sol.optimal:
                     assert_relative_close(sol.u, cold.u, 1e-10)
@@ -640,8 +693,7 @@ class TestWarmStart:
         kept = self.kept_warm_starts(monkeypatch)
         mu = np.zeros(cons.q)
         mu[warm] = 1.0
-        nearby = QpSolution(u=None, mu=mu, active=(), weakly_active=(), status="optimal")
-        (sol,) = qp_module._solve_rows(batch, cons, s[None], warm=[nearby])
+        sol = row_solution(qp_module._solve_rows(batch, cons, s[None], warm=mu[None]))
         assert kept == [False]
         assert (sol.status, sol.active, sol.weakly_active) == (
             cold.status, cold.active, cold.weakly_active)
@@ -668,5 +720,7 @@ class TestWarmStart:
         residuals = qp_module._farkas_residuals(cons.G, rhs, y)
         for name, limit in qp_module.FARKAS_LIMITS.items():
             assert residuals[name] < limit
-        (sol,) = qp_module._solve_rows(batch, cons, np.zeros((1, 1)), warm=[clean])
-        assert sol.status == "infeasible" and kept == [True, True]
+        U, mu, active, optimal = qp_module._solve_rows(batch, cons, np.zeros((1, 1)),
+                                                       warm=clean.mu[None])
+        assert not optimal[0] and kept == [True, True]
+        assert np.isnan(U).all() and not mu.any() and not active.any()
