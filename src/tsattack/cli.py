@@ -90,13 +90,13 @@ def _cmd_attack(args) -> int:
     S = np.array([check_series(batch, window.values, f"window {window_id}")
                   for window, window_id in zip(windows, ids)])
     _, blocks = attack_windows(cfg, batch, constraints_for(cfg, batch, windows), ids, S)
-    ((S_hat, _, _, _, flags),) = blocks.values()
+    (block,) = blocks.values()
     horizon = S.shape[1]
     _write_csv(args.out, ("window_id", "t", "original", "attacked"),
                ([window_id for window_id in ids for _ in range(horizon)],
-                np.tile(np.arange(horizon), len(ids)), S.ravel(), S_hat.ravel()))
-    flagged = int(flags.any(axis=1).sum())
-    print(f"attacked {len(S_hat)} windows (scenario={args.scenario}, "
+                np.tile(np.arange(horizon), len(ids)), S.ravel(), block.S_hat.ravel()))
+    flagged = int(block.flags.any(axis=1).sum())
+    print(f"attacked {len(S)} windows (scenario={args.scenario}, "
           f"delta={args.delta}, flagged={flagged}) -> {args.out}")
     return EXIT_OK
 

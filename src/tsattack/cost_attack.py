@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.linalg
@@ -34,6 +34,16 @@ FLAG_DEGENERATE_KKT = "degenerate-kkt"
 #: name order, so the flags of a row, joined in column order, are sorted.
 _FLAGS = (FLAG_DEGENERATE_KKT, FLAG_INFEASIBLE, FLAG_WEAK_ACTIVE, FLAG_ZERO_GRADIENT)
 _COL_DEGENERATE, _COL_INFEASIBLE, _COL_WEAK, _COL_ZERO = range(len(_FLAGS))
+
+
+class _AttackedBlock(NamedTuple):
+    """The attacks on a (W, pT) block of series, one row per series."""
+
+    S_hat: np.ndarray  # (W, pT) attacked series
+    U_hat: np.ndarray  # (W, mT) answers on them; NaN where flagged infeasible
+    attained: np.ndarray  # (W,) target values; +inf where infeasible
+    norms: np.ndarray  # (W,) perturbation norms, checked against delta
+    flags: np.ndarray  # (W, len(_FLAGS)) bool flag columns
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,11 +11,12 @@ emission.  The clean windows are solved once, as one block, and each
 (delta, scenario) pair attacks all windows at once from those solutions;
 every record is bit for bit what one window attacked on its own gives.
 The attack stage returns one attacked block of arrays per (delta,
-scenario), one row per window.  ``cost-adv`` and ``random`` attack a block
-as one array operation, check its norms and solve it as one block.  A
-failure stops the run where it happens, and a solver failure names its
-(window, delta, scenario) task.  The records, aggregates and p-values read
-one outcome table per block (one row per window), so windows pair by row.
+scenario), one row per window (:class:`tsattack.cost_attack._AttackedBlock`).
+``cost-adv`` and ``random`` attack a block as one array operation, check
+its norms and solve it as one block.  A failure stops the run where it
+happens, and a solver failure names its (window, delta, scenario) task.
+The records, aggregates and p-values read one outcome table per block (one
+row per window), so windows pair by row.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .config import ExperimentConfig
-from .cost_attack import _COL_INFEASIBLE, _FLAGS, _closed_forms, _random_spheres
+from .cost_attack import (_COL_INFEASIBLE, _FLAGS, _AttackedBlock, _closed_forms,
+                          _random_spheres)
 from .data import (
     SeriesWindow,
     load_series_windows,
@@ -38,7 +40,7 @@ from .data import (
 from .errors import ConfigurationError
 from .grad_attack import TargetFunction, _ascend_rows
 from .lqr import BatchForm, batch_form, check_series, realized_costs
-from .qp import ConstraintSet, _solve_rows, compile_constraints
+from .qp import ConstraintSet, _solve_rows, _SolvedBlock, compile_constraints
 from .stats import wilcoxon_signed_rank
 
 #: The record column each scenario's significance test compares with random.
@@ -237,7 +239,7 @@ def calibrate_action_box(
     S = _stack_windows(batch, windows)
     cons = ConstraintSet.empty(batch.m_total, batch.p_total)
     with np.errstate(over="ignore"):  # an overflow is the error below
-        magnitudes = np.abs(_solve_rows(batch, cons, S)[0])
+        magnitudes = np.abs(_solve_rows(batch, cons, S).U)
         bound = slack * float(np.quantile(magnitudes, quantile))
     if not (np.isfinite(magnitudes).all() and math.isfinite(bound)):
         raise ConfigurationError("calibrated action bound is not finite; check the data")
@@ -261,7 +263,7 @@ def constraints_for(cfg: ExperimentConfig, batch: BatchForm,
 
 def attack_windows(cfg: ExperimentConfig, batch: BatchForm, cons: ConstraintSet,
                    series_ids: Sequence[str], S: np.ndarray
-                   ) -> Tuple[np.ndarray, Dict[Tuple[float, str], tuple]]:
+                   ) -> Tuple[np.ndarray, Dict[Tuple[float, str], _AttackedBlock]]:
     """The attack stage: solve the clean windows, the rows of the (W, pT)
     array S, then attack and answer every window for each (delta, scenario).
 
@@ -276,7 +278,7 @@ def attack_windows(cfg: ExperimentConfig, batch: BatchForm, cons: ConstraintSet,
     order, to its attacked block (:func:`_attack_block`).
     """
     clean = _solve_rows(batch, cons, S, [f"window {sid}" for sid in series_ids])
-    infeasible = [sid for sid, ok in zip(series_ids, clean[3].tolist()) if not ok]
+    infeasible = [sid for sid, ok in zip(series_ids, clean.optimal.tolist()) if not ok]
     if infeasible:
         raise ConfigurationError(
             f"unattacked problem infeasible for windows {', '.join(infeasible)}; "
@@ -288,12 +290,12 @@ def attack_windows(cfg: ExperimentConfig, batch: BatchForm, cons: ConstraintSet,
             names = [f"window {sid}, delta {delta}, scenario {scenario}" for sid in series_ids]
             blocks[delta, scenario] = _attack_block(cfg, batch, cons, S, clean, d_idx,
                                                     scenario, names)
-    return clean[0], blocks
+    return clean.U, blocks
 
 
 def _attack_block(cfg: ExperimentConfig, batch: BatchForm, cons: ConstraintSet,
-                  S: np.ndarray, clean: tuple, d_idx: int, scenario: str,
-                  names: Sequence[str]) -> tuple:
+                  S: np.ndarray, clean: _SolvedBlock, d_idx: int, scenario: str,
+                  names: Sequence[str]) -> _AttackedBlock:
     """Every window's answered attack for the delta ``cfg.deltas[d_idx]``
     and ``scenario``, as the attacked block :func:`_ascend_rows` returns.
 
@@ -318,10 +320,10 @@ def _attack_block(cfg: ExperimentConfig, batch: BatchForm, cons: ConstraintSet,
         steps = 0 if cfg.attack.mode == "single-step" else cfg.attack.steps
         return _ascend_rows(batch, cons, S, clean, delta, TargetFunction(scenario),
                             steps, cfg.attack.step_size, names)
-    U_hat, _, _, optimal = _solve_rows(batch, cons, S_hat, names, clean[1])
+    answers = _solve_rows(batch, cons, S_hat, names, clean.mu)
     flags = np.zeros((len(S), len(_FLAGS)), dtype=bool)
-    flags[:, _COL_INFEASIBLE] = ~optimal
-    return S_hat, U_hat, np.full(len(S), attained), norms, flags
+    flags[:, _COL_INFEASIBLE] = ~answers.optimal
+    return _AttackedBlock(S_hat, answers.U, np.full(len(S), attained), norms, flags)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ScenarioStats:
@@ -351,17 +353,18 @@ def run_experiment(cfg: ExperimentConfig) -> ScenarioStats:
             f"realized cost of window {windows[overflow[0]].series_id} is not finite"
         )
     adv, columns = {}, {}
-    for (delta, scenario), (S_hat, U_hat, _, norms, flags) in blocks.items():
-        feasible = ~flags[:, _COL_INFEASIBLE]
+    for (delta, scenario), block in blocks.items():
+        feasible = ~block.flags[:, _COL_INFEASIBLE]
         table = np.tile(_INFEASIBLE, (len(S), 1))
-        table[feasible] = _outcomes(batch, U_hat[feasible], S[feasible])
+        table[feasible] = _outcomes(batch, block.U_hat[feasible], S[feasible])
         if not np.isfinite(table[feasible, 0]).all():
             raise ConfigurationError(
                 f"delta {delta} overflows the realized cost; use a smaller delta")
         adv[delta, scenario] = table
         columns[delta, scenario] = (
             [row if ok else _INFEASIBLE for row, ok in zip(table.tolist(), feasible.tolist())],
-            norms.tolist(), [";".join(compress(_FLAGS, row)) for row in flags.tolist()], S_hat)
+            block.norms.tolist(),
+            [";".join(compress(_FLAGS, row)) for row in block.flags.tolist()], block.S_hat)
 
     orig_rows = orig.tolist()
     records: List[Record] = []

@@ -38,10 +38,9 @@ row and every norm are stacked matmuls that issue each row's own BLAS call
 a row with an active set takes its own :func:`_adjoint`.  So every row is
 bit for bit the ascent of that series alone.  The block stays arrays
 throughout: each row's current solution, best candidate and result are rows
-of arrays, and the ascent returns one attacked block (attacked series,
-answers, attained values, norms and the bool flag columns of
-:data:`tsattack.cost_attack._FLAGS`); only the public one-series attacks
-build an :class:`AttackResult` (``u_hat`` None exactly when flagged
+of arrays, and the ascent returns one attacked block
+(:class:`tsattack.cost_attack._AttackedBlock`); only the public one-series
+attacks build an :class:`AttackResult` (``u_hat`` None exactly when flagged
 ``infeasible``).  The first failure in a block stops it, and a solver
 failure carries the failing row's name.
 """
@@ -55,7 +54,7 @@ from itertools import compress
 import numpy as np
 
 from .cost_attack import (_COL_DEGENERATE, _COL_INFEASIBLE, _COL_WEAK, _COL_ZERO, _FLAGS,
-                          AttackResult, _checked_norms, _norms)
+                          AttackResult, _AttackedBlock, _checked_norms, _norms)
 from .lqr import (BatchForm, _row_dots, _row_products, _solve_triangular, check_series,
                   realized_costs)
 from .qp import WEAK_DUAL_TOL, ConstraintSet, _solve_rows
@@ -181,11 +180,11 @@ def project_ball(x: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray
 
 
 def _ascend_rows(batch, cons, S, clean, delta, target, steps, step_size,
-                 names=None) -> tuple:
+                 names=None) -> _AttackedBlock:
     """Projected ascent from every row of the checked (W, pT) block S at once.
 
-    ``clean`` is the optimal clean block (U, mu, active, ...) of S that
-    :func:`tsattack.qp._solve_rows` returns.  Its direction gives the
+    ``clean`` is the optimal clean :class:`tsattack.qp._SolvedBlock` of S
+    that :func:`tsattack.qp._solve_rows` returns.  Its direction gives the
     saturated single step and the first of ``steps`` projected steps of
     ``step_size`` (default delta / 10); ``steps`` is 0 for the single step
     alone.  The rows move in lockstep: each step solves the rows that need a
@@ -199,35 +198,25 @@ def _ascend_rows(batch, cons, S, clean, delta, target, steps, step_size,
     tie rule and the fixed-point test are elementwise or row-wise.  So each
     row's result is bit for bit the ascent of that row alone.
 
-    Returns the attacked block (S_hat, U_hat, attained, norms, flags): the
-    (W, pT) attacked series, the (W, mT) answers on them (NaN where flagged
-    ``infeasible``), the (W,) target values (+inf where infeasible) and
-    perturbation norms, each checked against delta as its row finishes, and
-    the (W, 4) bool columns of :data:`tsattack.cost_attack._FLAGS`.  The
-    first failure stops the block; a solver failure names its row by
-    ``names`` (one label per row of S, or None).
+    Returns the :class:`tsattack.cost_attack._AttackedBlock`, each row's
+    norm checked against delta as the row finishes.  The first failure stops
+    the block; a solver failure names its row by ``names`` (one per row).
     """
     if step_size is None:
         step_size = delta / 10.0
     if names is not None:
         names = np.array(names, dtype=object)
     W = len(S)
-    U, mu, active = (block.copy() for block in clean[:3])  # each row's current solution
-    S_hat, heading, best_s = np.empty_like(S), np.empty_like(S), np.empty_like(S)
-    U_hat, best_u = np.empty_like(U), np.empty_like(U)
-    attained, norms, best_v = np.empty(W), np.empty(W), np.empty(W)
+    U, mu, active = clean.U.copy(), clean.mu.copy(), clean.active.copy()  # current solutions
+    # A moving row's best candidate so far, and a finished row's result.
+    S_hat, U_hat, heading = np.empty_like(S), np.empty_like(U), np.empty_like(S)
+    attained, norms = np.empty(W), np.empty(W)
     flags = np.zeros((W, len(_FLAGS)), dtype=bool)
 
-    def finish(rows, X, values, answers):
-        """Record the results of ``rows``: the attacked series X, their
-        target values and the answers on X."""
-        if not rows.size:
-            return
-        norms[rows] = _checked_norms(X - S[rows], delta)
-        S_hat[rows], attained[rows], U_hat[rows] = X, values, answers
-
-    def finish_best(rows):
-        finish(rows, best_s[rows], best_v[rows], best_u[rows])
+    def finish(rows):
+        """End ``rows`` on their results, checking their norms."""
+        if rows.size:
+            norms[rows] = _checked_norms(S_hat[rows] - S[rows], delta)
 
     def steer(rows):
         """Set each row's unit heading at its solution; returns the rows that
@@ -248,22 +237,25 @@ def _ascend_rows(batch, cons, S, clean, delta, target, steps, step_size,
         solution; a row whose problem is infeasible finishes here.  Returns
         which rows are kept, and the solved block."""
         found = _solve_rows(batch, cons, X, None if names is None else names[rows], mu[rows])
-        kept = found[3]
+        kept = found.optimal
         if not kept.all():
-            flags[rows[~kept], _COL_INFEASIBLE] = True
-            finish(rows[~kept], X[~kept], np.inf, np.nan)
+            out = rows[~kept]
+            flags[out, _COL_INFEASIBLE] = True
+            S_hat[out], attained[out], U_hat[out] = X[~kept], np.inf, np.nan
+            finish(out)
         return kept, found
 
     rows, stalled = steer(np.arange(W))
     if stalled.size:
         flags[stalled, _COL_ZERO] = True
-        finish(stalled, S[stalled], _target_values(target, U[stalled], batch, S[stalled]),
-               U[stalled])
+        S_hat[stalled], U_hat[stalled] = S[stalled], U[stalled]
+        attained[stalled] = _target_values(target, U[stalled], batch, S[stalled])
+        finish(stalled)
     X = S[rows] + delta * heading[rows]
     kept, found = solve(rows, X)
-    rows, X, U_kept = rows[kept], X[kept], found[0][kept]
-    best_v[rows] = _target_values(target, U_kept, batch, S[rows])
-    best_s[rows], best_u[rows] = X, U_kept
+    rows, X, U_kept = rows[kept], X[kept], found.U[kept]
+    attained[rows] = _target_values(target, U_kept, batch, S[rows])
+    S_hat[rows], U_hat[rows] = X, U_kept
 
     S_cur = S.copy()
     for step in range(steps):
@@ -271,28 +263,29 @@ def _ascend_rows(batch, cons, S, clean, delta, target, steps, step_size,
             break
         if step:
             rows, stalled = steer(rows)
-            finish_best(stalled)
+            finish(stalled)
         X = project_ball(S_cur[rows] + step_size * heading[rows], S[rows], delta)
         fixed = (X == S_cur[rows]).all(axis=1)  # array_equal, row by row
         moved = np.flatnonzero(~fixed)
         if moved.size:
             kept, found = solve(rows[moved], X[moved])
             solved = rows[moved][kept]
-            U[solved], mu[solved], active[solved] = (block[kept] for block in found[:3])
+            U[solved], mu[solved] = found.U[kept], found.mu[kept]
+            active[solved] = found.active[kept]
             keep = np.ones(len(rows), dtype=bool)
             keep[moved] = kept
             rows, X, fixed = rows[keep], X[keep], fixed[keep]
-        value, best = _target_values(target, U[rows], batch, S[rows]), best_v[rows]
+        value, best = _target_values(target, U[rows], batch, S[rows]), attained[rows]
         # A later iterate must win by more than rounding: on a target that is
         # flat on the delta sphere (l1) ties would be broken by the last ulp.
         wins = np.flatnonzero(value - best > 1e-12 * np.abs(best))
-        best_s[rows[wins]], best_v[rows[wins]] = X[wins], value[wins]
-        best_u[rows[wins]] = U[rows[wins]]
-        finish_best(rows[fixed])
+        S_hat[rows[wins]], attained[rows[wins]] = X[wins], value[wins]
+        U_hat[rows[wins]] = U[rows[wins]]
+        finish(rows[fixed])
         rows = rows[~fixed]
         S_cur[rows] = X[~fixed]
-    finish_best(rows)
-    return S_hat, U_hat, attained, norms, flags
+    finish(rows)
+    return _AttackedBlock(S_hat, U_hat, attained, norms, flags)
 
 
 def _attack(batch, cons, s, delta, target, steps, step_size) -> dict:
@@ -301,14 +294,14 @@ def _attack(batch, cons, s, delta, target, steps, step_size) -> dict:
     which errors name."""
     S = check_series(batch, s)[None]
     clean = _solve_rows(batch, cons, S)
-    if not clean[3][0]:
+    if not clean.optimal[0]:
         caller = "iterated_attack" if steps else "single_step_attack"
         raise ValueError(f"{caller} requires a feasible unattacked problem")
-    S_hat, U_hat, attained, norms, flags = _ascend_rows(batch, cons, S, clean, delta,
-                                                        target, steps, step_size)
-    return dict(s_hat=S_hat[0], delta=float(delta), attained=float(attained[0]),
-                norm_used=float(norms[0]), flags=frozenset(compress(_FLAGS, flags[0])),
-                u_hat=None if flags[0, _COL_INFEASIBLE] else U_hat[0])
+    found = _ascend_rows(batch, cons, S, clean, delta, target, steps, step_size)
+    flags = found.flags[0]
+    return dict(s_hat=found.S_hat[0], delta=float(delta), attained=float(found.attained[0]),
+                norm_used=float(found.norms[0]), flags=frozenset(compress(_FLAGS, flags)),
+                u_hat=None if flags[_COL_INFEASIBLE] else found.U_hat[0])
 
 
 def single_step_attack(

@@ -29,18 +29,18 @@ are stacked matmuls that issue the per-series BLAS call for every row
 (:func:`tsattack.lqr._row_products`), and the Cholesky solve and the dual
 iteration stay per series, so each row of a block is bit for bit the
 series solved on its own.  A series whose unconstrained optimum violates no
-row needs no dual iteration.  A solved block is arrays, one row per series;
-only :func:`solve_qp` builds a :class:`QpSolution`.  A block stops at its
-first failing row; given the rows' names, its error (a failed check, or an
-overflowing ``L @ s`` under constraints) is raised again with the row's
-name in front.
+row needs no dual iteration.  A solved block is arrays, one row per series
+(:class:`_SolvedBlock`); only :func:`solve_qp` builds a :class:`QpSolution`.
+A block stops at its first failing row; given the rows' names, its error (a
+failed check, or an overflowing ``L @ s`` under constraints) is raised again
+with the row's name in front.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -311,6 +311,15 @@ def _dual_active_set(batch, u, G, rhs, tol, warm=()):
     return u, np.maximum(mu, 0.0), None
 
 
+class _SolvedBlock(NamedTuple):
+    """The solve of a (W, pT) block of series, one row per series (:func:`_solve_rows`)."""
+
+    U: np.ndarray  # (W, mT) actions; NaN on an infeasible row
+    mu: np.ndarray  # (W, q) multipliers; zero on an infeasible row
+    active: np.ndarray  # (W, q) bool rows held within the activity tolerance
+    optimal: np.ndarray  # (W,) bool: the row's problem is feasible
+
+
 def solve_qp(batch: BatchForm, cons: ConstraintSet, s_obs) -> QpSolution:
     """Minimize u' K u + 2 k(x0, s_obs)' u  s.t.  G u <= h0 + H s_obs.
 
@@ -338,13 +347,11 @@ def solve_qp(batch: BatchForm, cons: ConstraintSet, s_obs) -> QpSolution:
 
 
 def _solve_rows(batch: BatchForm, cons: ConstraintSet, S: np.ndarray, names=None,
-                warm=None) -> tuple:
+                warm=None) -> _SolvedBlock:
     """:func:`solve_qp` of every row of the checked (W, pT) block S.
 
-    Returns the block (U, mu, active, optimal): the (W, mT) actions, the
-    (W, q) multipliers, the (W, q) bool rows held within the activity
-    tolerance and the (W,) bool optimal rows; an infeasible row has NaN
-    actions and no multiplier or active row, and the weakly active rows are
+    Returns the :class:`_SolvedBlock`; an infeasible row has NaN actions
+    and no multiplier or active row, and the weakly active rows are
     ``active & (mu < WEAK_DUAL_TOL)``.  The products that reach u, mu, a
     slack or the active set (``L @ s``, ``H @ s``, ``G @ u``) are stacked
     over the block with :func:`tsattack.lqr._row_products`, which issues
@@ -374,7 +381,7 @@ def _solve_rows(batch: BatchForm, cons: ConstraintSet, S: np.ndarray, names=None
     np.negative(U, out=U)
     mu = np.zeros((W, cons.q))
     if cons.q == 0:
-        return U, mu, np.zeros((W, 0), dtype=bool), np.ones(W, dtype=bool)
+        return _SolvedBlock(U, mu, np.zeros((W, 0), dtype=bool), np.ones(W, dtype=bool))
     overflow = ~np.isfinite(k).all(axis=1)
     if overflow.any():
         _raise_named(ConfigurationError("the controller's linear term L s overflows; use a "
@@ -421,7 +428,7 @@ def _solve_rows(batch: BatchForm, cons: ConstraintSet, S: np.ndarray, names=None
                                  for name, value in residuals.items()}, KKT_LIMITS)
         except NumericalError as exc:
             _raise_named(exc, names, rows[i])
-    return U, mu, active, optimal
+    return _SolvedBlock(U, mu, active, optimal)
 
 
 def _raise_named(exc: Exception, names, row):

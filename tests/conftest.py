@@ -67,14 +67,13 @@ def adjoint_jacobian(batch, cons, sol):
 
 
 def row_solution(block, i=0) -> QpSolution:
-    """Row i of a solved block (U, mu, active, optimal) of
-    ``tsattack.qp._solve_rows``, as the QpSolution ``solve_qp`` gives."""
-    U, mu, active, optimal = block
-    if not optimal[i]:
+    """Row i of a solved block of ``tsattack.qp._solve_rows``, as the
+    QpSolution ``solve_qp`` gives."""
+    if not block.optimal[i]:
         return QpSolution(u=None, mu=None, active=(), weakly_active=(), status="infeasible")
-    rows = np.flatnonzero(active[i])
-    return QpSolution(u=U[i], mu=mu[i], active=tuple(rows.tolist()),
-                      weakly_active=tuple(rows[mu[i, rows] < WEAK_DUAL_TOL].tolist()),
+    rows = np.flatnonzero(block.active[i])
+    return QpSolution(u=block.U[i], mu=block.mu[i], active=tuple(rows.tolist()),
+                      weakly_active=tuple(rows[block.mu[i, rows] < WEAK_DUAL_TOL].tolist()),
                       status="optimal")
 
 
@@ -84,19 +83,18 @@ def row_flags(flags_row) -> frozenset:
 
 
 def assert_row_is_attack(block, i, result):
-    """Row i of an attacked block (S_hat, U_hat, attained, norms, flags) is
-    bit for bit the AttackResult ``result``; its answer is NaN exactly when
-    the row is flagged infeasible and ``result.u_hat`` is None."""
-    S_hat, U_hat, attained, norms, flags = block
-    assert S_hat[i].tobytes() == result.s_hat.tobytes()
-    assert attained[i] == result.attained
-    assert norms[i] == result.norm_used
-    assert row_flags(flags[i]) == result.flags
-    assert flags[i, _COL_INFEASIBLE] == (result.u_hat is None)
+    """Row i of an attacked block is bit for bit the AttackResult
+    ``result``; its answer is NaN exactly when the row is flagged infeasible
+    and ``result.u_hat`` is None."""
+    assert block.S_hat[i].tobytes() == result.s_hat.tobytes()
+    assert block.attained[i] == result.attained
+    assert block.norms[i] == result.norm_used
+    assert row_flags(block.flags[i]) == result.flags
+    assert block.flags[i, _COL_INFEASIBLE] == (result.u_hat is None)
     if result.u_hat is None:
-        assert np.isnan(U_hat[i]).all()
+        assert np.isnan(block.U_hat[i]).all()
     else:
-        assert U_hat[i].tobytes() == result.u_hat.tobytes()
+        assert block.U_hat[i].tobytes() == result.u_hat.tobytes()
 
 
 def finite_difference_jacobian(batch, cons, s_obs, step: float = 1e-6):

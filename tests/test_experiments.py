@@ -625,7 +625,7 @@ class TestConstraintExperiment:
                                    np.array([w.values for w in windows]))
         records = run_experiment(cfg).records
         assert list(blocks) == [(delta, "cost-gradient") for delta in cfg.deltas]
-        assert len(records) == sum(len(block[0]) for block in blocks.values()) == 60
+        assert len(records) == sum(len(block.S_hat) for block in blocks.values()) == 60
         # Records run window-major: (window, delta, scenario).
         tasks = [(w_idx, delta, attained[w_idx]) for w_idx in range(len(windows))
                  for (delta, _), (_, _, attained, _, _) in blocks.items()]

@@ -603,24 +603,32 @@ class TestIteratedAttack:
         # The clean direction serves the single step and the first ascent
         # step: no series gets a second Jacobian, the clean one included.
         # Only the single-step candidate and the last iterate go without.
-        # A Jacobian is taken at the actions whose gradient the ascent forms;
-        # a solution is known by the bytes of its actions, which points the
-        # box clamps alike share.
-        solved, at = {}, []
+        # One series ascends, so each Jacobian is taken at the point solved
+        # last: the gradient is formed at that solve's actions.
+        solved, at, jacobians = [], [], []
 
         def recording_solve(batch, cons, S_obs, names=None, warm=None):
             block = solve_rows(batch, cons, S_obs, names, warm)
-            for u, s_obs in zip(block[0], S_obs):
-                solved.setdefault(u.tobytes(), []).append(np.array(s_obs, dtype=float))
+            solved.extend((np.array(s_obs, dtype=float), u.tobytes())
+                          for s_obs, u in zip(S_obs, block.U))
             return block
 
         def recording_gradients(target, U, batch, S_real):
-            at.extend(u.tobytes() for u in U)
+            (u,) = U
+            point, actions = solved[-1]
+            assert u.tobytes() == actions
+            at.append(point)
             return gradients(target, U, batch, S_real)
 
-        gradients, solve_rows = grad_attack._target_gradients, grad_attack._solve_rows
+        def counting_adjoints(batch, cons, active, grads):
+            jacobians.append(len(active))
+            return adjoints(batch, cons, active, grads)
+
+        gradients, adjoints = grad_attack._target_gradients, grad_attack._adjoints
+        solve_rows = grad_attack._solve_rows
         monkeypatch.setattr("tsattack.grad_attack._solve_rows", recording_solve)
         monkeypatch.setattr("tsattack.grad_attack._target_gradients", recording_gradients)
+        monkeypatch.setattr("tsattack.grad_attack._adjoints", counting_adjoints)
         rng = np.random.default_rng(43)
         for case in range(12):
             spec = random_system(rng, n_max=2, m_max=2, p_max=2, t_max=6)
@@ -630,12 +638,16 @@ class TestIteratedAttack:
             cons = compile_constraints(spec, batch, action_box=(-bound, bound))
             solved.clear()
             at.clear()
+            jacobians.clear()
             iterated_attack(batch, cons, s, 0.7, (TargetFunction.MAX_ACTION,
                             TargetFunction.L1_ENERGY)[case % 2], steps=6)
-            assert len(set(at)) == len(at)
-            assert set(at) <= set(solved)
-            assert any(np.array_equal(point, s) for point in solved[at[0]])
-            assert len(at) >= len(solved) - 2
+            points = {tuple(point) for point, _ in solved}
+            assert sum(jacobians) == len(at)
+            assert len({tuple(p) for p in at}) == len(at)
+            assert {tuple(p) for p in at} <= points
+            np.testing.assert_array_equal(solved[0][0], s)
+            np.testing.assert_array_equal(at[0], s)
+            assert len(at) >= len(points) - 2
 
     @pytest.mark.parametrize("gains, kept", [
         ((5e-13, 9e-13, 1e-13), 0),   # all within rounding: the single step stays
@@ -750,8 +762,8 @@ class TestAscendRows:
                                            state_box=(-3.0, 3.0))
             S = s + rng.uniform(0.0, 1.0) * rng.standard_normal((5, batch.p_total))
             clean = grad_attack._solve_rows(batch, cons, S)
-            keep = clean[3]
-            S, clean = S[keep], tuple(block[keep] for block in clean)
+            keep = clean.optimal
+            S, clean = S[keep], clean._make(block[keep] for block in clean)
             if len(S) < 3:
                 continue
             target = list(TargetFunction)[case % 4]
@@ -767,7 +779,7 @@ class TestAscendRows:
                 else:
                     one = single_step_attack(batch, cons, row, delta, target)
                 assert_row_is_attack(block, i, one)
-                flags |= row_flags(block[4][i])
+                flags |= row_flags(block.flags[i])
         assert {"zero-gradient", "infeasible"} <= flags
 
     def test_rows_leave_at_their_own_exits(self, monkeypatch):

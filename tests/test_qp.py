@@ -461,7 +461,7 @@ class TestSolveRows:
             S = s + rng.uniform(0.0, 1.5) * rng.standard_normal((7, batch.p_total))
             S[0] = s
             block = qp_module._solve_rows(batch, cons, S)
-            assert len(block[0]) == len(S)
+            assert len(block.U) == len(S)
             for i, row in enumerate(S):
                 sol = row_solution(block, i)
                 one = solve_qp(batch, cons, row)
@@ -548,7 +548,7 @@ class TestSolveRows:
             solved.append(u.copy())
             return dual_active_set(batch, u, G, rhs, tol, warm)
 
-        assert qp_module._solve_rows(batch, cons, S)[2].any(axis=1).all()
+        assert qp_module._solve_rows(batch, cons, S).active.any(axis=1).all()
         monkeypatch.setattr(qp_module, "_dual_active_set", failing)
         with pytest.raises(NumericalError, match="^b: forced$"):
             qp_module._solve_rows(batch, cons, S, ["a", "b", "c"])
