@@ -142,32 +142,36 @@ def _closed_forms(batch: BatchForm, S: np.ndarray, delta: float):
     return S_hat, delta * delta * eig.lambda1, _checked_norms(S_hat - S, delta)
 
 
-def _checked_norms(steps: np.ndarray, delta: float) -> np.ndarray:
+def _checked_norms(steps: np.ndarray, budgets) -> np.ndarray:
     """:func:`_norms` of the (W, pT) block of perturbations ``steps``, each
-    checked against ``delta`` as :class:`AttackResult` checks it: the first
-    row past the budget raises its error."""
-    norms = _norms(steps, delta)
-    over = np.flatnonzero(~(norms <= delta * (1.0 + 1e-9)))
+    checked against its row's budget as :class:`AttackResult` checks it: the
+    first row past its budget raises its error, naming that row's budget.
+    ``budgets`` holds one budget per row, or one for every row."""
+    budgets = np.broadcast_to(budgets, len(steps))
+    norms = _norms(steps, budgets)
+    over = np.flatnonzero(~(norms <= budgets * (1.0 + 1e-9)))
     if over.size:
-        _check_norm(float(norms[over[0]]), delta)
+        _check_norm(float(norms[over[0]]), float(budgets[over[0]]))
     return norms
 
 
-def _norms(X: np.ndarray, budget: float) -> np.ndarray:
+def _norms(X: np.ndarray, budgets) -> np.ndarray:
     """||x||_2 of every row x of the (W, n) block X, offsets meant to lie
-    within ``budget``.  The sums of squares are one stacked
+    within their row's budget (``budgets``: one per row, or one for every
+    row).  The sums of squares are one stacked
     :func:`tsattack.lqr._row_dots`, bit for bit the ``np.linalg.norm`` of
-    each row.  Past 1.3e154 a sum of squares overflows, so from a budget of
-    1e150 the scaled BLAS norm is taken (inf only when an entry is itself
-    inf); below it, only for a row whose sum overflows anyway, as a
-    :func:`tsattack.grad_attack.project_ball` offset up to the step size
-    past its budget can."""
-    if budget < 1e150:
-        norms = np.sqrt(_row_dots(X))
-        scaled = np.flatnonzero(norms == math.inf) if np.isinf(norms).any() else ()
+    each row.  Past 1.3e154 a sum of squares overflows, so a row whose
+    budget is 1e150 or more takes the scaled BLAS norm (inf only when an
+    entry is itself inf), and so does a row below it whose sum overflows
+    anyway, as a :func:`tsattack.grad_attack.project_ball` offset up to the
+    step size past its budget can."""
+    huge = np.broadcast_to(budgets, len(X)) >= 1e150
+    if huge.any():
+        norms = np.full(len(X), math.inf)
+        norms[~huge] = np.sqrt(_row_dots(X[~huge]))
     else:
-        norms, scaled = np.empty(len(X)), range(len(X))
-    for row in scaled:
+        norms = np.sqrt(_row_dots(X))
+    for row in np.flatnonzero(norms == math.inf):
         norms[row] = scipy.linalg.norm(X[row], check_finite=False)
     return norms
 

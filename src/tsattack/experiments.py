@@ -7,14 +7,19 @@ attacked controller is costed against the REAL series; the perturbed
 series only ever enters through the controller's decision.  Runs are
 deterministic for a given (config, seed): per-task seeds are derived from
 window and delta indices, and aggregation sorts records by key before
-emission.  The clean windows are solved once, as one block, and each
-(delta, scenario) pair attacks all windows at once from those solutions;
-every record is bit for bit what one window attacked on its own gives.
-The attack stage returns one attacked block of arrays per (delta,
-scenario), one row per window (:class:`tsattack.cost_attack._AttackedBlock`).
-``cost-adv`` and ``random`` attack a block as one array operation, check
-its norms and solve it as one block.  A failure stops the run where it
-happens, and a solver failure names its (window, delta, scenario) task.
+emission.  The clean windows are solved once, as one block.  Then the
+attack stage runs two blocks over all (delta, scenario) pairs: the attacked
+series of every ``cost-adv`` and ``random`` pair (each pair one array
+operation with its norms checked) are solved as one block, and every
+gradient pair ascends in one lockstep block from the clean solutions.
+Every record is bit for bit what one window attacked on its own gives.
+The stage returns one attacked block of arrays per (delta, scenario), one
+row per window (:class:`tsattack.cost_attack._AttackedBlock`).  A failure
+stops the run where it happens, in this order: the clean block; the
+``cost-adv`` and ``random`` norm checks, pair by pair in config order;
+their one solve; the one ascent, at the first step where a row fails and,
+within that step, at its first failing row in config order.  A solver
+failure names its (window, delta, scenario) task.
 The records, aggregates and p-values read one outcome table per block (one
 row per window), so windows pair by row.
 """
@@ -269,13 +274,17 @@ def attack_windows(cfg: ExperimentConfig, batch: BatchForm, cons: ConstraintSet,
 
     The clean windows are solved as one block; one
     :class:`ConfigurationError` names every window (by ``series_ids``)
-    whose clean problem is infeasible.  Then each (delta, scenario) pair
-    attacks all windows at once (:func:`_attack_block`).  The first failure
-    stops the stage: a solver failure is raised naming its window
+    whose clean problem is infeasible.  Then every (delta, scenario) pair
+    attacks all windows in two blocks (:func:`_attack_blocks`).  The first
+    failure stops the stage, in this order: the clean block; the
+    ``cost-adv`` and ``random`` norm checks, pair by pair in config order;
+    their one solve; the one ascent of the gradient pairs, at the first
+    step where a row fails and, within that step, at its first failing row
+    in config order.  A solver failure is raised naming its window
     (``window <id>``) in the clean block, and its window, delta and scenario
     in an attack block.  Returns the (W, mT) clean actions and a dict from
     each (delta, scenario), deltas outer and scenarios inner in config
-    order, to its attacked block (:func:`_attack_block`).
+    order, to its attacked block.
     """
     clean = _solve_rows(batch, cons, S, [f"window {sid}" for sid in series_ids])
     infeasible = [sid for sid, ok in zip(series_ids, clean.optimal.tolist()) if not ok]
@@ -284,46 +293,68 @@ def attack_windows(cfg: ExperimentConfig, batch: BatchForm, cons: ConstraintSet,
             f"unattacked problem infeasible for windows {', '.join(infeasible)}; "
             "loosen the configured boxes"
         )
-    blocks = {}
-    for d_idx, delta in enumerate(cfg.deltas):
-        for scenario in cfg.scenarios:
-            names = [f"window {sid}, delta {delta}, scenario {scenario}" for sid in series_ids]
-            blocks[delta, scenario] = _attack_block(cfg, batch, cons, S, clean, d_idx,
-                                                    scenario, names)
-    return clean.U, blocks
+    return clean.U, _attack_blocks(cfg, batch, cons, series_ids, S, clean)
 
 
-def _attack_block(cfg: ExperimentConfig, batch: BatchForm, cons: ConstraintSet,
-                  S: np.ndarray, clean: _SolvedBlock, d_idx: int, scenario: str,
-                  names: Sequence[str]) -> _AttackedBlock:
-    """Every window's answered attack for the delta ``cfg.deltas[d_idx]``
-    and ``scenario``, as the attacked block :func:`_ascend_rows` returns.
+def _attack_blocks(cfg: ExperimentConfig, batch: BatchForm, cons: ConstraintSet,
+                   series_ids: Sequence[str], S: np.ndarray, clean: _SolvedBlock
+                   ) -> Dict[Tuple[float, str], _AttackedBlock]:
+    """Every window's answered attack for each (delta, scenario) pair of the
+    config, as one attacked block per pair, in config order.
 
-    The one place a scenario name becomes an attack: a gradient scenario
-    runs one lockstep ascent over all windows from their clean block
-    (:func:`tsattack.grad_attack._ascend_rows`); ``cost-adv`` takes the
-    block of windows along the cached eigenvector of Psi and ``random``
-    along one direction per window drawn from :func:`task_seed`, each as one
-    block operation whose perturbation norms are checked before anything is
-    solved.  Their attacked series are then solved as one block, each
-    warm-started on its clean window's multipliers, and flagged
-    ``infeasible`` where not optimal.  The first failure stops the block; a
-    solver failure is raised with its window's label in ``names``.
+    The one place a scenario name becomes an attack.  The pairs' windows
+    are stacked, pair after pair in config order, into two blocks.
+    ``cost-adv`` takes each pair's windows along the cached eigenvector of
+    Psi and ``random`` along one direction per window drawn from
+    :func:`task_seed`, each as one block operation whose perturbation norms
+    are checked before anything is solved; all of their attacked series are
+    then solved as one block, each warm-started on its clean window's
+    multipliers, and flagged ``infeasible`` where not optimal.  The gradient
+    pairs run one lockstep ascent from the tiled clean block
+    (:func:`tsattack.grad_attack._ascend_rows`), each row with its pair's
+    delta and target.  Every row is bit for bit its window attacked alone.
+    A solver failure is raised naming the row's window, delta and scenario.
     """
-    delta = cfg.deltas[d_idx]
-    if scenario == "cost-adv":
-        S_hat, attained, norms = _closed_forms(batch, S, delta)
-    elif scenario == "random":
-        S_hat, attained, norms = _random_spheres(
-            S, delta, [task_seed(cfg.seed, w_idx, d_idx) for w_idx in range(len(S))])
-    else:
-        steps = 0 if cfg.attack.mode == "single-step" else cfg.attack.steps
-        return _ascend_rows(batch, cons, S, clean, delta, TargetFunction(scenario),
-                            steps, cfg.attack.step_size, names)
-    answers = _solve_rows(batch, cons, S_hat, names, clean.mu)
-    flags = np.zeros((len(S), len(_FLAGS)), dtype=bool)
-    flags[:, _COL_INFEASIBLE] = ~answers.optimal
-    return _AttackedBlock(S_hat, answers.U, np.full(len(S), attained), norms, flags)
+    W = len(S)
+    pairs = [(d_idx, scenario) for d_idx in range(len(cfg.deltas))
+             for scenario in cfg.scenarios]
+    closed = [pair for pair in pairs if pair[1] in ("cost-adv", "random")]
+    climbs = [pair for pair in pairs if pair[1] not in ("cost-adv", "random")]
+
+    def names(group):
+        return [f"window {sid}, delta {cfg.deltas[d_idx]}, scenario {scenario}"
+                for d_idx, scenario in group for sid in series_ids]
+
+    blocks = {}
+
+    def split(group, block):
+        """File each pair's W rows of the stacked ``block`` under the pair."""
+        for i, pair in enumerate(group):
+            blocks[pair] = block._make(part[i * W:(i + 1) * W] for part in block)
+
+    if closed:
+        S_hats, attained, norms = zip(*(
+            _closed_forms(batch, S, cfg.deltas[d_idx]) if scenario == "cost-adv"
+            else _random_spheres(S, cfg.deltas[d_idx],
+                                 [task_seed(cfg.seed, w_idx, d_idx) for w_idx in range(W)])
+            for d_idx, scenario in closed))
+        S_hat = np.concatenate(S_hats)
+        answers = _solve_rows(batch, cons, S_hat, names(closed),
+                              np.tile(clean.mu, (len(closed), 1)))
+        flags = np.zeros((len(S_hat), len(_FLAGS)), dtype=bool)
+        flags[:, _COL_INFEASIBLE] = ~answers.optimal
+        split(closed, _AttackedBlock(S_hat, answers.U, np.repeat(attained, W),
+                                     np.concatenate(norms), flags))
+    if climbs:
+        n, step_size = len(climbs), cfg.attack.step_size
+        deltas = np.repeat([cfg.deltas[d_idx] for d_idx, _ in climbs], W)
+        targets = np.repeat(np.array([TargetFunction(scenario) for _, scenario in climbs]), W)
+        tiled = clean._make(np.concatenate([part] * n) for part in clean)
+        split(climbs, _ascend_rows(batch, cons, np.tile(S, (n, 1)), tiled, deltas, targets,
+                                   0 if cfg.attack.mode == "single-step" else cfg.attack.steps,
+                                   None if step_size is None else np.full(n * W, step_size),
+                                   names(climbs)))
+    return {(cfg.deltas[d_idx], scenario): blocks[d_idx, scenario] for d_idx, scenario in pairs}
 
 
 def run_experiment(cfg: ExperimentConfig) -> ScenarioStats:

@@ -29,16 +29,20 @@ once and hand back the actions of the series they return, so callers need
 not solve it again.
 
 The ascent runs over a block of series in lockstep (:func:`_ascend_rows`;
-the public attacks are its one-row case): each step solves the rows still
-moving as one block, each solve warm-started on the working set of the
-solve its series perturbs, and each row keeps its own iterate, best
-candidate, flags and exits.  The adjoint products of rows with no active
-row and every norm are stacked matmuls that issue each row's own BLAS call
+the public attacks are its one-row case).  The block spans budgets and
+targets too: each row has its own delta, target and step size, so one
+ascent serves every gradient (delta, scenario) pair of an experiment, and
+the targets' gradients and values are taken once per distinct target over
+its rows.  Each step solves the rows still moving as one block, each solve
+warm-started on the working set of the solve its series perturbs, and
+each row keeps its own iterate, best candidate, flags and exits.  The
+adjoint products of rows with no active row and every norm are stacked
+matmuls that issue each row's own BLAS call
 (:func:`tsattack.lqr._row_products`, :func:`tsattack.lqr._row_dots`); only
 a row with an active set takes its own :func:`_adjoint`.  So every row is
 bit for bit the ascent of that series alone.  The block stays arrays
-throughout: each row's current solution, best candidate and result are rows
-of arrays, and the ascent returns one attacked block
+throughout: each row's current solution, best candidate and result are
+rows of arrays, and the ascent returns one attacked block
 (:class:`tsattack.cost_attack._AttackedBlock`); only the public one-series
 attacks build an :class:`AttackResult` (``u_hat`` None exactly when flagged
 ``infeasible``).  The first failure in a block stops it, and a solver
@@ -77,47 +81,66 @@ class TargetFunction(enum.Enum):
     COST_CHANGE = "cost-gradient"
 
 
-def _target_values(target: TargetFunction, U: np.ndarray, batch: BatchForm,
+def _by_target(targets: np.ndarray):
+    """Yield each distinct target of the per-row ``targets``, in order of
+    first appearance, with its (W,) bool row mask; one array comparison per
+    target, none per row."""
+    left = np.ones(len(targets), dtype=bool)
+    while left.any():
+        target = targets[left.argmax()]
+        rows = targets == target
+        yield target, rows
+        left &= ~rows
+
+
+def _target_values(targets: np.ndarray, U: np.ndarray, batch: BatchForm,
                    S_real) -> np.ndarray:
-    """Value of the attack target at each row of the (W, mT) block of
-    actions U, judged against the matching real series.  The action targets
-    are row-wise reductions over the contiguous axis, so each equals the
-    same reduction of the row on its own, bit for bit, and so is each of the
-    records' own costs (:func:`tsattack.lqr.realized_costs`)."""
-    if target is TargetFunction.MAX_ACTION:
-        return U.max(axis=1)
-    if target is TargetFunction.MIN_ACTION:
-        return (-U).max(axis=1)
-    if target is TargetFunction.L1_ENERGY:
-        return np.abs(U).sum(axis=1)
-    if target is TargetFunction.COST_CHANGE:
-        return realized_costs(batch, U, S_real)
-    raise ValueError(f"unknown target {target!r}")
+    """Value of each row's attack target (``targets``, one per row) at each
+    row of the (W, mT) block of actions U, judged against the matching real
+    series.  Each distinct target takes its rows at once.  The action
+    targets are row-wise reductions over the contiguous axis, so each equals
+    the same reduction of the row on its own, bit for bit, and so is each of
+    the records' own costs (:func:`tsattack.lqr.realized_costs`)."""
+    values = np.empty(len(U))
+    for target, rows in _by_target(targets):
+        if target is TargetFunction.MAX_ACTION:
+            values[rows] = U[rows].max(axis=1)
+        elif target is TargetFunction.MIN_ACTION:
+            values[rows] = (-U[rows]).max(axis=1)
+        elif target is TargetFunction.L1_ENERGY:
+            values[rows] = np.abs(U[rows]).sum(axis=1)
+        elif target is TargetFunction.COST_CHANGE:
+            values[rows] = realized_costs(batch, U[rows], S_real[rows])
+        else:
+            raise ValueError(f"unknown target {target!r}")
+    return values
 
 
-def _target_gradients(target: TargetFunction, U: np.ndarray, batch: BatchForm,
+def _target_gradients(targets: np.ndarray, U: np.ndarray, batch: BatchForm,
                       S_real) -> np.ndarray:
-    """Gradient (or subgradient) of the target w.r.t. the actions at each
-    row of the (W, mT) block U, with the matching real series, which
-    :func:`tsattack.lqr.check_series` has passed.
+    """Gradient (or subgradient) of each row's target (``targets``, one per
+    row) w.r.t. the actions at each row of the (W, mT) block U, with the
+    matching real series, which :func:`tsattack.lqr.check_series` has passed.
+    Each distinct target takes its rows at once.
 
     Kinks are resolved deterministically: argmax/argmin ties break to the
     lowest index and sign(0) = 0.  The cost gradient's products are
     stacked, bit for bit the per-row ``2K @ u`` and ``L @ s``.
     """
-    if target in (TargetFunction.MAX_ACTION, TargetFunction.MIN_ACTION):
-        G = np.zeros_like(U)
+    G = np.zeros_like(U)
+    for target, rows in _by_target(targets):
         if target is TargetFunction.MAX_ACTION:
-            G[np.arange(len(U)), U.argmax(axis=1)] = 1.0
+            G[rows, U[rows].argmax(axis=1)] = 1.0
+        elif target is TargetFunction.MIN_ACTION:
+            G[rows, U[rows].argmin(axis=1)] = -1.0
+        elif target is TargetFunction.L1_ENERGY:
+            G[rows] = np.sign(U[rows])
+        elif target is TargetFunction.COST_CHANGE:
+            linear = batch.k_const + _row_products(batch.L, S_real[rows])
+            G[rows] = _row_products(2.0 * batch.K, U[rows]) + 2.0 * linear
         else:
-            G[np.arange(len(U)), U.argmin(axis=1)] = -1.0
-        return G
-    if target is TargetFunction.L1_ENERGY:
-        return np.sign(U)
-    if target is TargetFunction.COST_CHANGE:
-        linear = batch.k_const + _row_products(batch.L, np.asarray(S_real, dtype=float))
-        return _row_products(2.0 * batch.K, U) + 2.0 * linear
-    raise ValueError(f"unknown target {target!r}")
+            raise ValueError(f"unknown target {target!r}")
+    return G
 
 
 def _adjoint(batch: BatchForm, cons: ConstraintSet, active, g):
@@ -160,22 +183,24 @@ def _adjoints(batch: BatchForm, cons: ConstraintSet, active: np.ndarray,
     return directions, degenerate
 
 
-def project_ball(x: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
+def project_ball(x: np.ndarray, center: np.ndarray, radius) -> np.ndarray:
     """Project x onto the L2 ball of the given radius around center.
 
     A (W, n) block x is projected row by row onto the balls around the rows
-    of center.  A point inside its ball is kept as it is; each norm is the
-    norm of that row alone, bit for bit, though all are taken at once.
+    of center, each with its own radius when ``radius`` holds one per row.
+    A point inside its ball is kept as it is; each norm is the norm of that
+    row alone, bit for bit, though all are taken at once.
     """
     offset = x - center
     rows = np.atleast_2d(offset)
-    norms = _norms(rows, radius)
-    far = ~(norms <= radius)
+    radii = np.broadcast_to(radius, len(rows))
+    norms = _norms(rows, radii)
+    far = ~(norms <= radii)
     if not far.any():
         return x
     projected = np.array(x, dtype=float)
     np.atleast_2d(projected)[far] = (np.broadcast_to(center, rows.shape)[far]
-                                     + rows[far] * (radius / norms[far])[:, None])
+                                     + rows[far] * (radii[far] / norms[far])[:, None])
     return projected
 
 
@@ -184,23 +209,28 @@ def _ascend_rows(batch, cons, S, clean, delta, target, steps, step_size,
     """Projected ascent from every row of the checked (W, pT) block S at once.
 
     ``clean`` is the optimal clean :class:`tsattack.qp._SolvedBlock` of S
-    that :func:`tsattack.qp._solve_rows` returns.  Its direction gives the
-    saturated single step and the first of ``steps`` projected steps of
-    ``step_size`` (default delta / 10); ``steps`` is 0 for the single step
-    alone.  The rows move in lockstep: each step solves the rows that need a
-    solve as one :func:`tsattack.qp._solve_rows` block, each row
-    warm-started on the multipliers of its current solution (the clean one
-    for the single step and the first iterate, then the previous iterate),
-    and each row leaves at its own zero-gradient, infeasible or fixed-point
-    exit.  The directions come from one :func:`_adjoints` call per step, and
-    the direction and perturbation norms from one stacked dot each;
-    headings, candidates, the projection's scaling, the target values, the
-    tie rule and the fixed-point test are elementwise or row-wise.  So each
-    row's result is bit for bit the ascent of that row alone.
+    that :func:`tsattack.qp._solve_rows` returns.  Each row has its own
+    budget, target and step size: ``delta`` and ``target`` are (W,) arrays,
+    and ``step_size`` is one too, or None for delta / 10 on every row.  The
+    clean direction gives the saturated single step and the first of
+    ``steps`` projected steps; ``steps`` is 0 for the single step alone.
+    The rows move in lockstep: each step solves the rows that need a solve
+    as one :func:`tsattack.qp._solve_rows` block, each row warm-started on
+    the multipliers of its current solution (the clean one for the single
+    step and the first iterate, then the previous iterate), and each row
+    leaves at its own zero-gradient, infeasible or fixed-point exit.  The
+    directions come from one :func:`_adjoints` call per step, and the
+    direction and perturbation norms from one stacked dot each; each
+    distinct target takes its rows' gradients and values at once; headings,
+    candidates, the projection's scaling, the target values, the tie rule
+    and the fixed-point test are elementwise or row-wise.  So each row's
+    result is bit for bit the ascent of that row alone.
 
     Returns the :class:`tsattack.cost_attack._AttackedBlock`, each row's
-    norm checked against delta as the row finishes.  The first failure stops
-    the block; a solver failure names its row by ``names`` (one per row).
+    norm checked against its delta as the row finishes.  The first failure
+    stops the block: the first step where a row fails, and within that step
+    the first failing row of the failing phase (direction, norm check or
+    solve).  A solver failure names its row by ``names`` (one per row).
     """
     if step_size is None:
         step_size = delta / 10.0
@@ -216,13 +246,13 @@ def _ascend_rows(batch, cons, S, clean, delta, target, steps, step_size,
     def finish(rows):
         """End ``rows`` on their results, checking their norms."""
         if rows.size:
-            norms[rows] = _checked_norms(S_hat[rows] - S[rows], delta)
+            norms[rows] = _checked_norms(S_hat[rows] - S[rows], delta[rows])
 
     def steer(rows):
         """Set each row's unit heading at its solution; returns the rows that
         move and the rows whose direction vanished."""
         at = active[rows]
-        grads = _target_gradients(target, U[rows], batch, S[rows])
+        grads = _target_gradients(target[rows], U[rows], batch, S[rows])
         directions, degenerate = _adjoints(batch, cons, at, grads)
         flags[rows, _COL_WEAK] |= (at & (mu[rows] < WEAK_DUAL_TOL)).any(axis=1)
         flags[rows, _COL_DEGENERATE] |= degenerate
@@ -249,12 +279,12 @@ def _ascend_rows(batch, cons, S, clean, delta, target, steps, step_size,
     if stalled.size:
         flags[stalled, _COL_ZERO] = True
         S_hat[stalled], U_hat[stalled] = S[stalled], U[stalled]
-        attained[stalled] = _target_values(target, U[stalled], batch, S[stalled])
+        attained[stalled] = _target_values(target[stalled], U[stalled], batch, S[stalled])
         finish(stalled)
-    X = S[rows] + delta * heading[rows]
+    X = S[rows] + delta[rows, None] * heading[rows]
     kept, found = solve(rows, X)
     rows, X, U_kept = rows[kept], X[kept], found.U[kept]
-    attained[rows] = _target_values(target, U_kept, batch, S[rows])
+    attained[rows] = _target_values(target[rows], U_kept, batch, S[rows])
     S_hat[rows], U_hat[rows] = X, U_kept
 
     S_cur = S.copy()
@@ -264,7 +294,8 @@ def _ascend_rows(batch, cons, S, clean, delta, target, steps, step_size,
         if step:
             rows, stalled = steer(rows)
             finish(stalled)
-        X = project_ball(S_cur[rows] + step_size * heading[rows], S[rows], delta)
+        X = project_ball(S_cur[rows] + step_size[rows, None] * heading[rows], S[rows],
+                         delta[rows])
         fixed = (X == S_cur[rows]).all(axis=1)  # array_equal, row by row
         moved = np.flatnonzero(~fixed)
         if moved.size:
@@ -275,7 +306,7 @@ def _ascend_rows(batch, cons, S, clean, delta, target, steps, step_size,
             keep = np.ones(len(rows), dtype=bool)
             keep[moved] = kept
             rows, X, fixed = rows[keep], X[keep], fixed[keep]
-        value, best = _target_values(target, U[rows], batch, S[rows]), attained[rows]
+        value, best = _target_values(target[rows], U[rows], batch, S[rows]), attained[rows]
         # A later iterate must win by more than rounding: on a target that is
         # flat on the delta sphere (l1) ties would be broken by the last ulp.
         wins = np.flatnonzero(value - best > 1e-12 * np.abs(best))
@@ -297,7 +328,8 @@ def _attack(batch, cons, s, delta, target, steps, step_size) -> dict:
     if not clean.optimal[0]:
         caller = "iterated_attack" if steps else "single_step_attack"
         raise ValueError(f"{caller} requires a feasible unattacked problem")
-    found = _ascend_rows(batch, cons, S, clean, delta, target, steps, step_size)
+    found = _ascend_rows(batch, cons, S, clean, np.full(1, float(delta)), np.array([target]),
+                         steps, None if step_size is None else np.full(1, float(step_size)))
     flags = found.flags[0]
     return dict(s_hat=found.S_hat[0], delta=float(delta), attained=float(found.attained[0]),
                 norm_used=float(found.norms[0]), flags=frozenset(compress(_FLAGS, flags)),

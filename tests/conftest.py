@@ -14,11 +14,12 @@ from tsattack import (
     solve_qp,
     wilcoxon_signed_rank,
 )
-from tsattack.cost_attack import _COL_INFEASIBLE, _FLAGS
-from tsattack.experiments import METRIC_BY_SCENARIO
-from tsattack.grad_attack import ZERO_DIRECTION_TOL, _adjoint
+from tsattack.cost_attack import (_COL_INFEASIBLE, _FLAGS, _AttackedBlock, _closed_forms,
+                                  _random_spheres)
+from tsattack.experiments import METRIC_BY_SCENARIO, task_seed
+from tsattack.grad_attack import ZERO_DIRECTION_TOL, TargetFunction, _adjoint, _ascend_rows
 from tsattack.lqr import check_series, linear_term
-from tsattack.qp import WEAK_DUAL_TOL, activity_tolerance
+from tsattack.qp import WEAK_DUAL_TOL, _solve_rows, activity_tolerance
 
 
 def make_scalar_spec(T=1, x0=1.0):
@@ -95,6 +96,49 @@ def assert_row_is_attack(block, i, result):
         assert np.isnan(block.U_hat[i]).all()
     else:
         assert block.U_hat[i].tobytes() == result.u_hat.tobytes()
+
+
+def per_pair_attack_stage(cfg, batch, cons, series_ids, S):
+    """Reference for ``tsattack.experiments.attack_windows``: the clean
+    windows solved as one block, then one block per (delta, scenario) pair in
+    config order, all windows of the pair in it.  A gradient pair runs its
+    own ``_ascend_rows``; a cost-adv or random pair attacks its windows and
+    answers them with its own ``_solve_rows``, warm from the clean
+    multipliers.  Returns the clean actions and the dict of attacked blocks."""
+    clean = _solve_rows(batch, cons, S, [f"window {sid}" for sid in series_ids])
+    assert clean.optimal.all()
+    W, blocks = len(S), {}
+    for d_idx, delta in enumerate(cfg.deltas):
+        for scenario in cfg.scenarios:
+            names = [f"window {sid}, delta {delta}, scenario {scenario}" for sid in series_ids]
+            if scenario == "cost-adv":
+                S_hat, attained, norms = _closed_forms(batch, S, delta)
+            elif scenario == "random":
+                S_hat, attained, norms = _random_spheres(
+                    S, delta, [task_seed(cfg.seed, w_idx, d_idx) for w_idx in range(W)])
+            else:
+                step_size = cfg.attack.step_size
+                blocks[delta, scenario] = _ascend_rows(
+                    batch, cons, S, clean, np.full(W, delta),
+                    np.array([TargetFunction(scenario)] * W),
+                    0 if cfg.attack.mode == "single-step" else cfg.attack.steps,
+                    None if step_size is None else np.full(W, step_size), names)
+                continue
+            answers = _solve_rows(batch, cons, S_hat, names, clean.mu)
+            flags = np.zeros((W, len(_FLAGS)), dtype=bool)
+            flags[:, _COL_INFEASIBLE] = ~answers.optimal
+            blocks[delta, scenario] = _AttackedBlock(S_hat, answers.U, np.full(W, attained),
+                                                     norms, flags)
+    return clean.U, blocks
+
+
+def assert_same_block(got, want):
+    """Every field of the attacked block ``got`` is bit for bit that of
+    ``want``: shape, dtype, value (NaN matching NaN) and bytes."""
+    for name, a, b in zip(_AttackedBlock._fields, got, want):
+        assert (a.shape, a.dtype) == (b.shape, b.dtype), name
+        assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f"), name
+        assert a.tobytes() == b.tobytes(), name
 
 
 def finite_difference_jacobian(batch, cons, s_obs, step: float = 1e-6):

@@ -454,7 +454,9 @@ class TestExperimentCommand:
 @pytest.mark.parametrize("command", ["experiment", "attack"])
 def test_solver_failure_exits_two_naming_its_task(tmp_path, capsys, command):
     # At delta 1e200 the attacked actions round past the calibrated box and
-    # the QP's infeasibility certificate fails on the first window.
+    # the QP's infeasibility certificate fails on the first window.  The
+    # experiment solves the random pair's attacked series before the
+    # max-action ascent starts, so it names random.
     raw = dict(BASE_CONFIG, action_box="auto", deltas=[1e200],
                scenarios=["max-action", "random"],
                attack={"mode": "iterated", "steps": 3}, seed=1)
@@ -469,8 +471,9 @@ def test_solver_failure_exits_two_naming_its_task(tmp_path, capsys, command):
         argv = ["attack", "--scenario", "max-action", "--delta", "1e200",
                 "--config", str(path), "--in", str(inp), "--out", str(out)]
     assert main(argv) == 2
+    scenario = "random" if command == "experiment" else "max-action"
     assert capsys.readouterr().err.startswith(
-        "numerical error: window arima:000000, delta 1e+200, scenario max-action: "
+        f"numerical error: window arima:000000, delta 1e+200, scenario {scenario}: "
         "QP solution fails the infeasibility certificate: gap residual")
     assert not out.exists()
 
@@ -504,14 +507,23 @@ def test_clean_solver_failure_exits_two_naming_its_window(tmp_path, capsys, comm
     assert not out.exists()
 
 
-@pytest.mark.parametrize("scenario", ["cost-adv", "max-action"])
+@pytest.mark.parametrize("scenario", ["cost-adv", "max-action", "mixed"])
 @pytest.mark.parametrize("box", [pytest.param({}, id="lqr"),
                                  pytest.param({"action_box": "auto"}, id="auto-box")])
 def test_overflowing_budget_exits_one_naming_it(tmp_path, capsys, box, scenario):
     # A budget of 1e308 overflows the attacked series' L s.  The boxed
     # controller refuses that row before its dual iteration runs; the LQR
     # answers it, and the run fails at the realized cost.  Neither warns.
-    raw = dict(BASE_CONFIG, deltas=[1e308], scenarios=[scenario], **box)
+    # "mixed" runs two deltas and three scenarios, and every pair at 1e308
+    # overflows.  The cost-adv pairs are solved as one block before the
+    # gradient pairs ascend, so the boxed run names cost-adv at 1e308, not
+    # the first pair in config order (max-action); the LQR fails at the
+    # first block in config order whose cost overflows.
+    deltas, scenarios = [1e308], [scenario]
+    if scenario == "mixed":
+        deltas, scenarios = [1.0, 1e308], ["max-action", "l1", "cost-adv"]
+        scenario = "cost-adv"
+    raw = dict(BASE_CONFIG, deltas=deltas, scenarios=scenarios, **box)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(raw), encoding="utf-8")
     out = tmp_path / "out"

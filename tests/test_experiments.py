@@ -30,7 +30,7 @@ from tsattack import (
 )
 from tsattack import qp
 from tsattack.config import SCENARIOS
-from tsattack.cost_attack import _FLAGS
+from tsattack.cost_attack import _COL_INFEASIBLE, _FLAGS
 from tsattack.experiments import (
     Record,
     ScenarioStats,
@@ -42,8 +42,9 @@ from tsattack.experiments import (
     task_seed,
 )
 
-from conftest import (active_rows, aggregate_oracle, assert_relative_close,
-                      paired_p_values_oracle, row_flags, row_solution, solve_unconstrained)
+from conftest import (active_rows, aggregate_oracle, assert_relative_close, assert_same_block,
+                      paired_p_values_oracle, per_pair_attack_stage, row_flags, row_solution,
+                      solve_unconstrained)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -553,12 +554,14 @@ class TestConstraintExperiment:
 
     def test_failure_stops_the_stage_at_its_task(self, monkeypatch):
         # Window 1 fails at the first delta and window 0 at the second.  The
-        # attacks run delta by delta over all windows, and the first failure
-        # stops them: the error names window 1 at the first delta, and the
-        # second delta's blocks never run.  Every solve of these series runs
-        # the dual active set (the box holds u_0 below its unconstrained
-        # optimum), and each failure is forced on the single-step candidate
-        # of its task.
+        # random pairs' attacked series are solved as one block, pair by pair
+        # in config order, before the l1 ascent; the l1 pairs ascend as one
+        # block, and its single step solves its rows in config order.  Either
+        # way the first failure stops the stage: the error names window 1 at
+        # the first delta, and window 0 at the second delta is never solved.
+        # Every solve of these series runs the dual active set (the box holds
+        # u_0 below its unconstrained optimum), and each failure is forced on
+        # the first candidate of its task.
         base = np.full(10, 20.0)
         values = [base, base + 10.0 * np.eye(10)[9]]
         windows = [SeriesWindow(values=v, source_id=f"w{i}", start_index=0)
@@ -577,18 +580,20 @@ class TestConstraintExperiment:
             return dual_active_set(batch, u, G, rhs, tol, warm)
 
         monkeypatch.setattr(qp, "_dual_active_set", failing)
-        cfg = make_config(
-            system={"A": 1, "B": -1, "C": 1, "Q": 1, "R": 1, "T": 10, "x0": 1},
-            scenarios=["l1", "random"],
-            deltas=[0.5, 3.0],
-            normalization="none",
-            action_box={"u_min": -100.0, "u_max": 20.3},
-            attack={"mode": "iterated", "steps": 3},
-        )
-        with pytest.raises(NumericalError, match=r"^window w1:000000, delta 0\.5, "
-                                                 "scenario l1: forced at window 1$"):
-            run_experiment(cfg)
-        assert forced == [(1, 0.5)]
+        for scenarios, named in ((["l1", "random"], "random"), (["l1"], "l1")):
+            forced.clear()
+            cfg = make_config(
+                system={"A": 1, "B": -1, "C": 1, "Q": 1, "R": 1, "T": 10, "x0": 1},
+                scenarios=scenarios,
+                deltas=[0.5, 3.0],
+                normalization="none",
+                action_box={"u_min": -100.0, "u_max": 20.3},
+                attack={"mode": "iterated", "steps": 3},
+            )
+            with pytest.raises(NumericalError, match=r"^window w1:000000, delta 0\.5, "
+                               f"scenario {named}: forced at window 1$"):
+                run_experiment(cfg)
+            assert forced == [(1, 0.5)]
 
     def test_gradient_attacks_are_not_solved_again(self, monkeypatch):
         # Outside the attacks, the pipeline solves the windows once as the
@@ -824,6 +829,52 @@ def _csv_dataset_config(tmp_path):
     return make_config(dataset={"kind": "csv", "path": str(path), "column": "load"},
                        scenarios=["cost-adv", "l1", "random"], action_box="auto",
                        attack={"mode": "iterated", "steps": 3})
+
+
+class TestLockstepStage:
+    """The attack stage stacks every gradient (delta, scenario) pair into one
+    ascent and every cost-adv and random pair into one solve; each pair's
+    block is bit for bit what the pair gives run as its own block."""
+
+    CONTROLLERS = {
+        "lqr": {},
+        "auto-box": {"action_box": "auto"},
+        "state-box": {"normalization": "zscore-global",
+                      "action_box": {"u_min": -4.5, "u_max": 4.5},
+                      "state_box": {"x_min": -0.5, "x_max": 0.5}},
+    }
+    MODES = {
+        "single-step": {"mode": "single-step"},
+        "iterated": {"mode": "iterated", "steps": 5},
+        "iterated-step-size": {"mode": "iterated", "steps": 4, "step_size": 0.2},
+    }
+
+    @pytest.mark.parametrize("mode", list(MODES))
+    @pytest.mark.parametrize("controller", list(CONTROLLERS))
+    def test_every_block_is_the_per_pair_block(self, controller, mode):
+        # The scenarios interleave gradient and closed-form pairs, so the
+        # split must put each pair's rows back under its own key, in order.
+        cfg = make_config(system=dict(BASE_CONFIG["system"], T=10), deltas=[0.3, 1.0, 10.0],
+                          scenarios=["max-action", "cost-adv", "l1", "random", "min-action",
+                                     "cost-gradient"],
+                          dataset={"kind": "arima", "count": 4}, seed=3,
+                          attack=self.MODES[mode], **self.CONTROLLERS[controller])
+        assert sorted(cfg.scenarios) == sorted(SCENARIOS)
+        batch = batch_form(cfg.system)
+        windows = load_windows(cfg)
+        cons = constraints_for(cfg, batch, windows)
+        ids = [w.series_id for w in windows]
+        S = np.array([w.values for w in windows])
+        U_orig, blocks = attack_windows(cfg, batch, cons, ids, S)
+        want_U, want = per_pair_attack_stage(cfg, batch, cons, ids, S)
+        assert U_orig.tobytes() == want_U.tobytes()
+        assert list(blocks) == list(want) == [(delta, scenario) for delta in cfg.deltas
+                                              for scenario in cfg.scenarios]
+        for key, block in blocks.items():
+            assert_same_block(block, want[key])
+        infeasible = {scenario for (_, scenario), block in blocks.items()
+                      if block.flags[:, _COL_INFEASIBLE].any()}
+        assert infeasible == (set(SCENARIOS) if controller == "state-box" else set())
 
 
 class TestEvaluationMatchesTheRecordOracle:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from tsattack import (
     solve_qp,
 )
 from tsattack import grad_attack, qp
+from tsattack.cost_attack import _checked_norms
 from tsattack.grad_attack import project_ball
 
 from conftest import (
@@ -40,14 +42,21 @@ def target_value(target, u, batch, s_real) -> float:
     """The attack target at the actions u, judged against the real series:
     the ascent's block values of a one-row block."""
     u = np.asarray(u, dtype=float).ravel()
-    return float(grad_attack._target_values(target, u[None], batch, [s_real])[0])
+    return float(grad_attack._target_values(np.array([target]), u[None], batch,
+                                            one_row(s_real))[0])
 
 
 def target_gradient(target, u, batch, s_real) -> np.ndarray:
     """The target's (sub)gradient at the actions u: the ascent's block
     gradients of a one-row block."""
     u = np.asarray(u, dtype=float).ravel()
-    return grad_attack._target_gradients(target, u[None], batch, [s_real])[0]
+    return grad_attack._target_gradients(np.array([target]), u[None], batch,
+                                         one_row(s_real))[0]
+
+
+def one_row(s):
+    """The series s as a one-row block, or None."""
+    return None if s is None else np.asarray(s, dtype=float).reshape(1, -1)
 
 
 def closed_form_jacobian(batch):
@@ -769,8 +778,9 @@ class TestAscendRows:
             target = list(TargetFunction)[case % 4]
             delta = float(rng.uniform(0.2, 3.0))
             steps = 0 if case % 5 == 0 else 12
-            block = grad_attack._ascend_rows(batch, cons, S, clean, delta, target,
-                                             steps, None if steps == 0 else delta / 10)
+            block = grad_attack._ascend_rows(
+                batch, cons, S, clean, np.full(len(S), delta), np.array([target] * len(S)),
+                steps, None if steps == 0 else np.full(len(S), delta / 10))
             assert [part.shape for part in block] == [
                 S.shape, (len(S), batch.m_total), (len(S),), (len(S),), (len(S), 4)]
             for i, row in enumerate(S):
@@ -802,8 +812,9 @@ class TestAscendRows:
 
         solve_rows = grad_attack._solve_rows
         monkeypatch.setattr("tsattack.grad_attack._solve_rows", recording)
-        block = grad_attack._ascend_rows(batch, cons, S, clean, 0.05,
-                                         TargetFunction.MAX_ACTION, 40, 0.005)
+        block = grad_attack._ascend_rows(batch, cons, S, clean, np.full(4, 0.05),
+                                         np.array([TargetFunction.MAX_ACTION] * 4), 40,
+                                         np.full(4, 0.005))
         monkeypatch.undo()
         S_hat, U_hat, attained, _, flags = block
         assert [row_flags(row) for row in flags] == [
@@ -823,6 +834,44 @@ class TestAscendRows:
             np.testing.assert_array_equal(S_hat[i], s_hat)
             assert attained[i] == value and row_flags(flags[i]) == names
             assert_same_answer(None if "infeasible" in names else U_hat[i], u_hat)
+
+    def test_rows_keep_their_own_budgets(self):
+        # One block mixes budgets below and at or above the 1e150 switch to
+        # the scaled norm, and two targets.  The norm check, the projection
+        # and the ascent take each row's own budget: every row is bit for
+        # bit that row with its delta alone, nothing warns, and a row past
+        # its budget is named by its own delta.
+        batch = batch_form(make_scalar_spec(T=4))
+        cons = ConstraintSet.empty(4, 4)
+        rng = np.random.default_rng(67)
+        deltas = np.array([0.5, 1e150, 3.0, 1e200, 2.0, 1e180])
+        targets = np.array([TargetFunction.MAX_ACTION, TargetFunction.L1_ENERGY] * 3)
+        S = rng.standard_normal((6, 4))
+        units = rng.standard_normal((6, 4))
+        units /= np.linalg.norm(units, axis=1)[:, None]
+        scaled = units * (0.5 * deltas)[:, None]  # half of each budget
+        X = S + units * (2.0 * deltas)[:, None]  # twice each budget
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norms = _checked_norms(scaled, deltas)
+            projected = project_ball(X, S, deltas)
+            clean = grad_attack._solve_rows(batch, cons, S)
+            block = grad_attack._ascend_rows(batch, cons, S, clean, deltas, targets, 4, None)
+            for i, (s, delta, target) in enumerate(zip(S, deltas, targets)):
+                assert norms[i] == _checked_norms(scaled[i:i + 1], delta)[0]
+                assert projected[i].tobytes() == project_ball(X[i], s, delta).tobytes()
+                assert_row_is_attack(block, i, iterated_attack(batch, cons, s, delta, target,
+                                                               steps=4))
+        assert (deltas >= 1e150).any() and (deltas < 1e150).any()
+        assert not {"infeasible", "zero-gradient"} & set().union(*map(row_flags, block.flags))
+        over = scaled.copy()
+        over[2] *= 2.1  # norm 1.05 * 3.0
+        over[3, 0] = math.inf
+        with pytest.raises(ValueError, match=r"^perturbation norm 3\.15\d* exceeds delta 3\.0$"):
+            _checked_norms(over, deltas)
+        over[2] = scaled[2]
+        with pytest.raises(ValueError, match=r"^perturbation norm inf overflows at delta 1e\+200$"):
+            _checked_norms(over, deltas)
 
     def test_target_values_and_gradients_are_each_rows_own(self):
         # Row-wise reductions and arg-extrema equal the same operation on
@@ -845,16 +894,18 @@ class TestAscendRows:
                     (TargetFunction.MIN_ACTION, lambda u: (-u).max(),
                      lambda u: one_hot(u, int(np.argmin(u)), -1.0)),
                     (TargetFunction.L1_ENERGY, lambda u: np.abs(u).sum(), np.sign)):
-                values = grad_attack._target_values(target, U, batch, None)
+                targets = np.array([target] * len(U))
+                values = grad_attack._target_values(targets, U, batch, None)
                 assert values.tobytes() == np.array([value(u) for u in U]).tobytes()
-                grads = grad_attack._target_gradients(target, U, batch, None)
+                grads = grad_attack._target_gradients(targets, U, batch, None)
                 assert grads.tobytes() == np.array([grad(u) for u in U]).tobytes()
         U = rng.standard_normal((4, 3))
         S_real = rng.standard_normal((4, 3))
-        values = grad_attack._target_values(TargetFunction.COST_CHANGE, U, batch, S_real)
+        targets = np.array([TargetFunction.COST_CHANGE] * len(U))
+        values = grad_attack._target_values(targets, U, batch, S_real)
         assert values.tobytes() == np.array([realized_costs(batch, u[None], s[None])[0]
                                              for u, s in zip(U, S_real)]).tobytes()
-        grads = grad_attack._target_gradients(TargetFunction.COST_CHANGE, U, batch, S_real)
+        grads = grad_attack._target_gradients(targets, U, batch, S_real)
         assert grads.tobytes() == np.array([
             2.0 * batch.K @ u + 2.0 * (batch.k_const + batch.L @ s)
             for u, s in zip(U, S_real)]).tobytes()
