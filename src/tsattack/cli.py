@@ -2,13 +2,15 @@
 file, or run a full experiment from a JSON config.
 
 ``attack --scenario S`` runs the experiment's attack stage
-(:func:`tsattack.experiments.attack_windows`) on the CSV's windows, with the
-config's deltas and scenarios replaced by ``--delta`` and S (``random``
-draws the experiment's first-delta direction).  So it refuses infeasible
-clean windows as ``experiment`` does, and ``flagged`` counts the windows
-whose attacked row carries a flag (``infeasible`` among them).  The CSV
-values are attacked as written (no normalization; a CSV with no rows is
-rejected) and written out in :func:`tsattack.data._write_csv`'s format.
+(:func:`tsattack.experiments.attack_windows`) on the CSV's windows, each
+checked once as the experiment checks its own, with the config's deltas and
+scenarios replaced by ``--delta`` and S (``random`` draws the experiment's
+first-delta direction), and reads the stage's block (one row per window).
+So it refuses infeasible clean windows as ``experiment`` does, and
+``flagged`` counts the windows whose attacked row carries a flag
+(``infeasible`` among them).  The CSV values are attacked as written (no
+normalization; a CSV with no rows is rejected) and written out in
+:func:`tsattack.data._write_csv`'s format.
 
 Exit codes: 0 success, 1 usage/config error, 2 numerical failure (a solver
 check such as the QP's KKT or Farkas check failed; the message names the
@@ -29,8 +31,8 @@ from . import __version__
 from .config import SCENARIOS, load_config
 from .data import _write_csv, read_series_csv, sample_random_arima, write_series_csv
 from .errors import ConfigurationError, NumericalError
-from .experiments import attack_windows, constraints_for, run_experiment
-from .lqr import batch_form, check_series
+from .experiments import _stack_windows, attack_windows, constraints_for, run_experiment
+from .lqr import batch_form
 from .report import emit_report
 
 EXIT_OK = 0
@@ -87,10 +89,8 @@ def _cmd_attack(args) -> int:
     batch = batch_form(cfg.system)
     windows = read_series_csv(args.input)
     ids = [window.source_id for window in windows]
-    S = np.array([check_series(batch, window.values, f"window {window_id}")
-                  for window, window_id in zip(windows, ids)])
-    _, blocks = attack_windows(cfg, batch, constraints_for(cfg, batch, windows), ids, S)
-    (block,) = blocks.values()
+    S = _stack_windows(batch, windows, ids)
+    _, block = attack_windows(cfg, batch, constraints_for(cfg, batch, S), ids, S)
     horizon = S.shape[1]
     _write_csv(args.out, ("window_id", "t", "original", "attacked"),
                ([window_id for window_id in ids for _ in range(horizon)],

@@ -81,12 +81,14 @@ class AttackResult:
         _check_norm(self.norm_used, self.delta)
 
 
-def _check_norm(norm_used: float, delta: float) -> None:
+def _check_norm(norm_used: float, delta: float, name: Optional[str] = None) -> None:
     """Raise a ValueError unless ``norm_used`` is within ``delta`` (to a
-    relative 1e-9); NaN fails too."""
+    relative 1e-9); NaN fails too.  The message starts with ``name`` when
+    one is given."""
     if not norm_used <= delta * (1.0 + 1e-9):
         problem = "exceeds" if math.isfinite(norm_used) else "overflows at"
-        raise ValueError(f"perturbation norm {norm_used} {problem} delta {delta}")
+        named = "" if name is None else f"{name}: "
+        raise ValueError(f"{named}perturbation norm {norm_used} {problem} delta {delta}")
 
 
 def dominant_eigenpair(psi: np.ndarray) -> EigenPair:
@@ -131,27 +133,30 @@ def cost_attack(batch: BatchForm, s, delta: float) -> AttackResult:
                         norm_used=float(norms[0]))
 
 
-def _closed_forms(batch: BatchForm, S: np.ndarray, delta: float):
+def _closed_forms(batch: BatchForm, S: np.ndarray, delta: float, names=None):
     """:func:`cost_attack` of every row of the checked (W, pT) block S for a
     positive finite delta: (S_hat, attained, norms), the attacked block
     ``S + delta * v1``, the one attained value and each row's checked
-    ``norm_used``."""
+    ``norm_used`` (a failed check named by ``names``, as
+    :func:`_checked_norms` names it)."""
     eig = batch.eigenpair
     S_hat = S + delta * eig.v1
     # delta * delta: delta ** 2 raises on overflow
-    return S_hat, delta * delta * eig.lambda1, _checked_norms(S_hat - S, delta)
+    return S_hat, delta * delta * eig.lambda1, _checked_norms(S_hat - S, delta, names)
 
 
-def _checked_norms(steps: np.ndarray, budgets) -> np.ndarray:
+def _checked_norms(steps: np.ndarray, budgets, names=None) -> np.ndarray:
     """:func:`_norms` of the (W, pT) block of perturbations ``steps``, each
     checked against its row's budget as :class:`AttackResult` checks it: the
-    first row past its budget raises its error, naming that row's budget.
-    ``budgets`` holds one budget per row, or one for every row."""
+    first row past its budget raises its error, naming that row's budget,
+    with ``names[row]`` in front when ``names`` (one label per row) is
+    given.  ``budgets`` holds one budget per row, or one for every row."""
     budgets = np.broadcast_to(budgets, len(steps))
     norms = _norms(steps, budgets)
     over = np.flatnonzero(~(norms <= budgets * (1.0 + 1e-9)))
     if over.size:
-        _check_norm(float(norms[over[0]]), float(budgets[over[0]]))
+        _check_norm(float(norms[over[0]]), float(budgets[over[0]]),
+                    None if names is None else names[over[0]])
     return norms
 
 
@@ -193,10 +198,11 @@ def random_sphere_attack(s, delta: float, seed: int) -> AttackResult:
                         norm_used=float(norms[0]))
 
 
-def _random_spheres(S: np.ndarray, delta: float, seeds):
+def _random_spheres(S: np.ndarray, delta: float, seeds, names=None):
     """:func:`random_sphere_attack` of every row of the (W, pT) block S, row
     w drawing from ``default_rng(seeds[w])``, for a positive finite delta:
-    (S_hat, attained, norms) as :func:`_closed_forms` returns them.
+    (S_hat, attained, norms) as :func:`_closed_forms` returns them, a failed
+    norm check named by ``names``.
 
     The rows are drawn in order, one generator each, and a draw of norm
     below 1e-12 (probability ~0, but it keeps the contract exact) is drawn
@@ -214,4 +220,4 @@ def _random_spheres(S: np.ndarray, delta: float, seeds):
     with np.errstate(over="ignore"):  # an inf step fails the norm check
         steps = delta * draws / lengths[:, None]
     # delta * delta: delta ** 2 raises on overflow
-    return S + steps, delta * delta, _checked_norms(steps, delta)
+    return S + steps, delta * delta, _checked_norms(steps, delta, names)

@@ -7,21 +7,16 @@ attacked controller is costed against the REAL series; the perturbed
 series only ever enters through the controller's decision.  Runs are
 deterministic for a given (config, seed): per-task seeds are derived from
 window and delta indices, and aggregation sorts records by key before
-emission.  The clean windows are solved once, as one block.  Then the
-attack stage runs two blocks over all (delta, scenario) pairs: the attacked
-series of every ``cost-adv`` and ``random`` pair (each pair one array
-operation with its norms checked) are solved as one block, and every
-gradient pair ascends in one lockstep block from the clean solutions.
-Every record is bit for bit what one window attacked on its own gives.
-The stage returns one attacked block of arrays per (delta, scenario), one
-row per window (:class:`tsattack.cost_attack._AttackedBlock`).  A failure
-stops the run where it happens, in this order: the clean block; the
-``cost-adv`` and ``random`` norm checks, pair by pair in config order;
-their one solve; the one ascent, at the first step where a row fails and,
-within that step, at its first failing row in config order.  A solver
-failure names its (window, delta, scenario) task.
-The records, aggregates and p-values read one outcome table per block (one
-row per window), so windows pair by row.
+emission.  Each window is checked once, as it is stacked into the (W, pT)
+block that calibrates an ``auto`` action box and is attacked.  The attack
+stage, :func:`attack_windows`, solves the clean windows as one block and
+returns one attacked block of arrays (:class:`tsattack.cost_attack._AttackedBlock`)
+with one row per (delta, scenario, window), pair-major in config order;
+every row is bit for bit what one window attacked on its own gives, and
+its docstring states the order in which a failure stops the run.  The
+clean windows and the attacked rows are costed with one
+:func:`realized_costs` call each, into outcome tables; the records,
+aggregates and p-values read them, so windows pair by row.
 """
 
 from __future__ import annotations
@@ -29,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import compress
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,7 +40,7 @@ from .data import (
 from .errors import ConfigurationError
 from .grad_attack import TargetFunction, _ascend_rows
 from .lqr import BatchForm, batch_form, check_series, realized_costs
-from .qp import ConstraintSet, _solve_rows, _SolvedBlock, compile_constraints
+from .qp import ConstraintSet, _solve_rows, compile_constraints
 from .stats import wilcoxon_signed_rank
 
 #: The record column each scenario's significance test compares with random.
@@ -151,8 +146,9 @@ def _outcomes(batch: BatchForm, U: np.ndarray, S: np.ndarray) -> np.ndarray:
 
 
 def _aggregate(delta: float, scenario: str, orig: np.ndarray, adv: np.ndarray) -> dict:
-    """Mean percent increases of one (delta, scenario) block, pairing its
-    outcome table ``adv`` with the clean ``orig`` by row.
+    """Mean percent increases of one (delta, scenario) pair, pairing its
+    rows of the attacked outcome table, ``adv``, with the clean ``orig`` by
+    row.
 
     Percent increases are averaged over feasible rows with a positive
     original value; infeasible outcomes are counted separately and excluded.
@@ -219,11 +215,16 @@ def _paired_p_values(deltas: Sequence[float], scenarios: Sequence[str],
     return out
 
 
-def _stack_windows(batch: BatchForm, windows: Sequence[SeriesWindow]) -> np.ndarray:
-    """Validate every window once and stack them as a (windows x pT) matrix."""
+def _stack_windows(batch: BatchForm, windows: Sequence[SeriesWindow],
+                   ids: Optional[Sequence[str]] = None) -> np.ndarray:
+    """Check every window once and stack them as a (windows x pT) matrix; an
+    error names its window ``window <id>``, by its entry of ``ids`` or else
+    by its series id."""
+    if ids is None:
+        ids = [window.series_id for window in windows]
     S = np.empty((len(windows), batch.p_total))
-    for row, window in zip(S, windows):
-        row[:] = check_series(batch, window.values, f"window {window.series_id}")
+    for row, window, window_id in zip(S, windows, ids):
+        row[:] = check_series(batch, window.values, f"window {window_id}")
     return S
 
 
@@ -239,9 +240,14 @@ def calibrate_action_box(
     windows, which keeps the box occasionally active on clean data; the
     windows are checked and solved as one block with no constraint.
     """
-    if not windows:
+    return _calibrated_box(batch, _stack_windows(batch, windows), quantile, slack)
+
+
+def _calibrated_box(batch: BatchForm, S: np.ndarray, quantile: float = 0.95,
+                    slack: float = 1.5) -> Tuple[float, float]:
+    """:func:`calibrate_action_box` of the checked (W, pT) block of windows S."""
+    if not len(S):
         raise ValueError("calibrate_action_box needs at least one window")
-    S = _stack_windows(batch, windows)
     cons = ConstraintSet.empty(batch.m_total, batch.p_total)
     with np.errstate(over="ignore"):  # an overflow is the error below
         magnitudes = np.abs(_solve_rows(batch, cons, S).U)
@@ -253,38 +259,57 @@ def calibrate_action_box(
     return -bound, bound
 
 
-def constraints_for(cfg: ExperimentConfig, batch: BatchForm,
-                    windows: Sequence[SeriesWindow]) -> ConstraintSet:
-    """Compile the configured boxes, calibrating an ``auto`` action box on the windows.
+def constraints_for(cfg: ExperimentConfig, batch: BatchForm, S: np.ndarray) -> ConstraintSet:
+    """Compile the configured boxes, calibrating an ``auto`` action box on
+    the checked (W, pT) block of windows S.
 
     With no box this is the empty set: the controller is the unconstrained LQR.
     """
     action_box = cfg.action_box
     if action_box == "auto":
-        action_box = calibrate_action_box(batch, windows)
+        action_box = _calibrated_box(batch, S)
     return compile_constraints(cfg.system, batch, action_box=action_box,
                                state_box=cfg.state_box)
 
 
 def attack_windows(cfg: ExperimentConfig, batch: BatchForm, cons: ConstraintSet,
                    series_ids: Sequence[str], S: np.ndarray
-                   ) -> Tuple[np.ndarray, Dict[Tuple[float, str], _AttackedBlock]]:
+                   ) -> Tuple[np.ndarray, _AttackedBlock]:
     """The attack stage: solve the clean windows, the rows of the (W, pT)
-    array S, then attack and answer every window for each (delta, scenario).
+    array S, then attack and answer every window for each (delta, scenario)
+    pair of the config.
 
-    The clean windows are solved as one block; one
-    :class:`ConfigurationError` names every window (by ``series_ids``)
-    whose clean problem is infeasible.  Then every (delta, scenario) pair
-    attacks all windows in two blocks (:func:`_attack_blocks`).  The first
-    failure stops the stage, in this order: the clean block; the
-    ``cost-adv`` and ``random`` norm checks, pair by pair in config order;
-    their one solve; the one ascent of the gradient pairs, at the first
-    step where a row fails and, within that step, at its first failing row
-    in config order.  A solver failure is raised naming its window
-    (``window <id>``) in the clean block, and its window, delta and scenario
-    in an attack block.  Returns the (W, mT) clean actions and a dict from
-    each (delta, scenario), deltas outer and scenarios inner in config
-    order, to its attacked block.
+    The one place a scenario name becomes an attack.  Returns the (W, mT)
+    clean actions and one attacked block of P * W rows for the config's P
+    pairs, pair-major in config order (deltas outer, scenarios inner): pair
+    p holds rows p * W to (p + 1) * W, one row per window.  ``cost-adv``
+    steps a pair's windows along the cached eigenvector of Psi and
+    ``random`` along one direction per window drawn from :func:`task_seed`,
+    each pair one block operation whose perturbation norms are checked
+    before anything is solved; all of their attacked series are then solved
+    as one block, each warm-started on its clean window's multipliers, and
+    flagged ``infeasible`` where not optimal.  The gradient pairs run one
+    lockstep ascent from the tiled clean block
+    (:func:`tsattack.grad_attack._ascend_rows`), each row with its pair's
+    delta and target.  Each of the two writes its rows of the block through
+    a row mask.  Every row is bit for bit its window attacked alone.
+
+    The first failure stops the stage, in this order:
+
+    1. the clean block: a solver failure, then one
+       :class:`ConfigurationError` naming every window whose clean problem
+       is infeasible;
+    2. the ``cost-adv`` and ``random`` norm checks, pair by pair in config
+       order;
+    3. their one solve: an overflowing ``L s`` first, then the first failing
+       row in config order;
+    4. the one ascent of the gradient pairs, at the first step where a row
+       fails and, within that step, at its first failing row in config
+       order.
+
+    A failure in the clean block names its window by ``series_ids``
+    (``window <id>``); a failed solve or norm check of an attacked row names
+    its window, delta and scenario (``window <id>, delta <d>, scenario <s>``).
     """
     clean = _solve_rows(batch, cons, S, [f"window {sid}" for sid in series_ids])
     infeasible = [sid for sid, ok in zip(series_ids, clean.optimal.tolist()) if not ok]
@@ -293,68 +318,44 @@ def attack_windows(cfg: ExperimentConfig, batch: BatchForm, cons: ConstraintSet,
             f"unattacked problem infeasible for windows {', '.join(infeasible)}; "
             "loosen the configured boxes"
         )
-    return clean.U, _attack_blocks(cfg, batch, cons, series_ids, S, clean)
-
-
-def _attack_blocks(cfg: ExperimentConfig, batch: BatchForm, cons: ConstraintSet,
-                   series_ids: Sequence[str], S: np.ndarray, clean: _SolvedBlock
-                   ) -> Dict[Tuple[float, str], _AttackedBlock]:
-    """Every window's answered attack for each (delta, scenario) pair of the
-    config, as one attacked block per pair, in config order.
-
-    The one place a scenario name becomes an attack.  The pairs' windows
-    are stacked, pair after pair in config order, into two blocks.
-    ``cost-adv`` takes each pair's windows along the cached eigenvector of
-    Psi and ``random`` along one direction per window drawn from
-    :func:`task_seed`, each as one block operation whose perturbation norms
-    are checked before anything is solved; all of their attacked series are
-    then solved as one block, each warm-started on its clean window's
-    multipliers, and flagged ``infeasible`` where not optimal.  The gradient
-    pairs run one lockstep ascent from the tiled clean block
-    (:func:`tsattack.grad_attack._ascend_rows`), each row with its pair's
-    delta and target.  Every row is bit for bit its window attacked alone.
-    A solver failure is raised naming the row's window, delta and scenario.
-    """
     W = len(S)
     pairs = [(d_idx, scenario) for d_idx in range(len(cfg.deltas))
              for scenario in cfg.scenarios]
-    closed = [pair for pair in pairs if pair[1] in ("cost-adv", "random")]
-    climbs = [pair for pair in pairs if pair[1] not in ("cost-adv", "random")]
-
-    def names(group):
-        return [f"window {sid}, delta {cfg.deltas[d_idx]}, scenario {scenario}"
-                for d_idx, scenario in group for sid in series_ids]
-
-    blocks = {}
-
-    def split(group, block):
-        """File each pair's W rows of the stacked ``block`` under the pair."""
-        for i, pair in enumerate(group):
-            blocks[pair] = block._make(part[i * W:(i + 1) * W] for part in block)
-
-    if closed:
+    names = np.array([f"window {sid}, delta {cfg.deltas[d_idx]}, scenario {scenario}"
+                      for d_idx, scenario in pairs for sid in series_ids], dtype=object)
+    is_closed = [scenario in ("cost-adv", "random") for _, scenario in pairs]
+    closed = np.repeat(is_closed, W)
+    climbs = ~closed
+    n = len(names)
+    block = _AttackedBlock(np.empty((n, S.shape[1])), np.empty((n, clean.U.shape[1])),
+                           np.empty(n), np.empty(n), np.zeros((n, len(_FLAGS)), dtype=bool))
+    if closed.any():
         S_hats, attained, norms = zip(*(
-            _closed_forms(batch, S, cfg.deltas[d_idx]) if scenario == "cost-adv"
+            _closed_forms(batch, S, cfg.deltas[d_idx], names[p * W:(p + 1) * W])
+            if scenario == "cost-adv"
             else _random_spheres(S, cfg.deltas[d_idx],
-                                 [task_seed(cfg.seed, w_idx, d_idx) for w_idx in range(W)])
-            for d_idx, scenario in closed))
-        S_hat = np.concatenate(S_hats)
-        answers = _solve_rows(batch, cons, S_hat, names(closed),
-                              np.tile(clean.mu, (len(closed), 1)))
-        flags = np.zeros((len(S_hat), len(_FLAGS)), dtype=bool)
-        flags[:, _COL_INFEASIBLE] = ~answers.optimal
-        split(closed, _AttackedBlock(S_hat, answers.U, np.repeat(attained, W),
-                                     np.concatenate(norms), flags))
-    if climbs:
-        n, step_size = len(climbs), cfg.attack.step_size
-        deltas = np.repeat([cfg.deltas[d_idx] for d_idx, _ in climbs], W)
-        targets = np.repeat(np.array([TargetFunction(scenario) for _, scenario in climbs]), W)
-        tiled = clean._make(np.concatenate([part] * n) for part in clean)
-        split(climbs, _ascend_rows(batch, cons, np.tile(S, (n, 1)), tiled, deltas, targets,
-                                   0 if cfg.attack.mode == "single-step" else cfg.attack.steps,
-                                   None if step_size is None else np.full(n * W, step_size),
-                                   names(climbs)))
-    return {(cfg.deltas[d_idx], scenario): blocks[d_idx, scenario] for d_idx, scenario in pairs}
+                                 [task_seed(cfg.seed, w_idx, d_idx) for w_idx in range(W)],
+                                 names[p * W:(p + 1) * W])
+            for p, (d_idx, scenario) in enumerate(pairs) if is_closed[p]))
+        block.S_hat[closed] = np.concatenate(S_hats)
+        answers = _solve_rows(batch, cons, block.S_hat[closed], names[closed],
+                              np.tile(clean.mu, (len(S_hats), 1)))
+        block.U_hat[closed], block.attained[closed] = answers.U, np.repeat(attained, W)
+        block.norms[closed] = np.concatenate(norms)
+        block.flags[closed, _COL_INFEASIBLE] = ~answers.optimal
+    if climbs.any():
+        k, step_size = is_closed.count(False), cfg.attack.step_size
+        deltas = np.repeat([cfg.deltas[d_idx] for d_idx, _ in pairs], W)[climbs]
+        targets = np.repeat(np.array([TargetFunction(scenario) for _, scenario in pairs
+                                      if scenario not in ("cost-adv", "random")]), W)
+        tiled = clean._make(np.concatenate([part] * k) for part in clean)
+        found = _ascend_rows(batch, cons, np.tile(S, (k, 1)), tiled, deltas, targets,
+                             0 if cfg.attack.mode == "single-step" else cfg.attack.steps,
+                             None if step_size is None else np.full(k * W, step_size),
+                             names[climbs])
+        for field, rows in zip(block, found):
+            field[climbs] = rows
+    return clean.U, block
 
 
 def run_experiment(cfg: ExperimentConfig) -> ScenarioStats:
@@ -362,51 +363,49 @@ def run_experiment(cfg: ExperimentConfig) -> ScenarioStats:
 
     The controller is the one :func:`constraints_for` compiles from the
     configured boxes (none: the unconstrained LQR).  :func:`attack_windows`
-    solves the clean windows (an infeasible one fails the run at once) and
-    returns the attacked blocks.  The clean windows and each block get one
-    outcome table, from one :func:`realized_costs` call each.  A window whose
-    clean cost overflows fails the run, as do the first block in config order
-    whose feasible cost overflows (naming its delta) and the first aggregate
-    that is not finite (naming its delta and scenario).  Records run
-    window-major; a record's flags join its row's set flag columns by ``;``.
+    solves the clean windows and returns the one attacked block; its
+    docstring gives the order in which a failure stops the run.  The clean
+    windows and the feasible attacked rows get one outcome table each, from
+    one :func:`realized_costs` call each.  A window whose clean cost
+    overflows fails the run, as do a feasible attacked cost that overflows
+    (naming the delta of the first such pair in config order) and the first
+    aggregate that is not finite (naming its delta and scenario).  Records
+    run window-major; a record's flags join its row's set flag columns by
+    ``;``.
     """
     batch = batch_form(cfg.system)
     windows = load_windows(cfg)
-    S = _stack_windows(batch, windows)
-    cons = constraints_for(cfg, batch, windows)
-    U_orig, blocks = attack_windows(cfg, batch, cons,
-                                    [w.series_id for w in windows], S)
+    ids = [window.series_id for window in windows]
+    S = _stack_windows(batch, windows, ids)
+    U_orig, block = attack_windows(cfg, batch, constraints_for(cfg, batch, S), ids, S)
 
     orig = _outcomes(batch, U_orig, S)
     overflow = np.flatnonzero(~np.isfinite(orig[:, 0]))
     if overflow.size:
-        raise ConfigurationError(
-            f"realized cost of window {windows[overflow[0]].series_id} is not finite"
-        )
-    adv, columns = {}, {}
-    for (delta, scenario), block in blocks.items():
-        feasible = ~block.flags[:, _COL_INFEASIBLE]
-        table = np.tile(_INFEASIBLE, (len(S), 1))
-        table[feasible] = _outcomes(batch, block.U_hat[feasible], S[feasible])
-        if not np.isfinite(table[feasible, 0]).all():
-            raise ConfigurationError(
-                f"delta {delta} overflows the realized cost; use a smaller delta")
-        adv[delta, scenario] = table
-        columns[delta, scenario] = (
-            [row if ok else _INFEASIBLE for row, ok in zip(table.tolist(), feasible.tolist())],
-            block.norms.tolist(),
-            [";".join(compress(_FLAGS, row)) for row in block.flags.tolist()], block.S_hat)
+        raise ConfigurationError(f"realized cost of window {ids[overflow[0]]} is not finite")
+    W = len(S)
+    pairs = [(delta, scenario) for delta in cfg.deltas for scenario in cfg.scenarios]
+    feasible = ~block.flags[:, _COL_INFEASIBLE]
+    adv = np.tile(_INFEASIBLE, (len(feasible), 1))
+    adv[feasible] = _outcomes(batch, block.U_hat[feasible],
+                              np.tile(S, (len(pairs), 1))[feasible])
+    overflow = np.flatnonzero(feasible & ~np.isfinite(adv[:, 0]))
+    if overflow.size:
+        raise ConfigurationError(f"delta {pairs[overflow[0] // W][0]} overflows the "
+                                 "realized cost; use a smaller delta")
+    tables = dict(zip(pairs, adv.reshape(len(pairs), W, len(_OUTCOME_COLUMNS))))
 
-    orig_rows = orig.tolist()
+    orig_rows, norms = orig.tolist(), block.norms.tolist()
+    outcomes = [row if ok else _INFEASIBLE for row, ok in zip(adv.tolist(), feasible.tolist())]
+    flag_texts = [";".join(compress(_FLAGS, row)) for row in block.flags.tolist()]
     records: List[Record] = []
     dumps: List[SeriesDump] = []
-    for w_idx, window in enumerate(windows):
+    for w_idx, (series_id, original) in enumerate(zip(ids, S)):
         j_orig, max_orig, min_orig, l1_orig = orig_rows[w_idx]
-        original = S[w_idx]  # one array for all of this window's dumps
-        for (delta, scenario), (outcomes, norms_used, flag_texts, S_hat) in columns.items():
-            j_adv, max_adv, min_adv, l1_adv = outcomes[w_idx]
+        for row, (delta, scenario) in zip(range(w_idx, len(outcomes), W), pairs):
+            j_adv, max_adv, min_adv, l1_adv = outcomes[row]
             records.append(Record(
-                series_id=window.series_id,
+                series_id=series_id,
                 delta=delta,
                 scenario=scenario,
                 j_orig=j_orig,
@@ -417,19 +416,19 @@ def run_experiment(cfg: ExperimentConfig) -> ScenarioStats:
                 min_u_adv=min_adv,
                 l1_orig=l1_orig,
                 l1_adv=l1_adv,
-                norm_used=norms_used[w_idx],
-                flags=flag_texts[w_idx],
+                norm_used=norms[row],
+                flags=flag_texts[row],
             ))
             if w_idx < cfg.series_dump_limit:
                 dumps.append(SeriesDump(
-                    series_id=window.series_id, delta=delta,
-                    scenario=scenario, original=original, attacked=S_hat[w_idx],
+                    series_id=series_id, delta=delta,
+                    scenario=scenario, original=original, attacked=block.S_hat[row],
                 ))
     return ScenarioStats(
         records=tuple(records),
-        aggregates=tuple(_aggregate(delta, scenario, orig, adv[delta, scenario])
-                         for delta, scenario in sorted(adv)),
-        p_values=tuple(_paired_p_values(cfg.deltas, cfg.scenarios, adv)),
+        aggregates=tuple(_aggregate(delta, scenario, orig, tables[delta, scenario])
+                         for delta, scenario in sorted(tables)),
+        p_values=tuple(_paired_p_values(cfg.deltas, cfg.scenarios, tables)),
         series_dumps=tuple(dumps),
         config=cfg.raw,
         seed=cfg.seed,

@@ -45,8 +45,8 @@ throughout: each row's current solution, best candidate and result are
 rows of arrays, and the ascent returns one attacked block
 (:class:`tsattack.cost_attack._AttackedBlock`); only the public one-series
 attacks build an :class:`AttackResult` (``u_hat`` None exactly when flagged
-``infeasible``).  The first failure in a block stops it, and a solver
-failure carries the failing row's name.
+``infeasible``).  The first failure in a block stops it, and a failed
+solve or norm check carries the failing row's name.
 """
 
 from __future__ import annotations
@@ -230,7 +230,8 @@ def _ascend_rows(batch, cons, S, clean, delta, target, steps, step_size,
     norm checked against its delta as the row finishes.  The first failure
     stops the block: the first step where a row fails, and within that step
     the first failing row of the failing phase (direction, norm check or
-    solve).  A solver failure names its row by ``names`` (one per row).
+    solve).  A failed solve or norm check names its row by ``names`` (one
+    per row).
     """
     if step_size is None:
         step_size = delta / 10.0
@@ -246,7 +247,8 @@ def _ascend_rows(batch, cons, S, clean, delta, target, steps, step_size,
     def finish(rows):
         """End ``rows`` on their results, checking their norms."""
         if rows.size:
-            norms[rows] = _checked_norms(S_hat[rows] - S[rows], delta[rows])
+            norms[rows] = _checked_norms(S_hat[rows] - S[rows], delta[rows],
+                                         None if names is None else names[rows])
 
     def steer(rows):
         """Set each row's unit heading at its solution; returns the rows that

@@ -104,7 +104,8 @@ def per_pair_attack_stage(cfg, batch, cons, series_ids, S):
     config order, all windows of the pair in it.  A gradient pair runs its
     own ``_ascend_rows``; a cost-adv or random pair attacks its windows and
     answers them with its own ``_solve_rows``, warm from the clean
-    multipliers.  Returns the clean actions and the dict of attacked blocks."""
+    multipliers.  Returns the clean actions and the dict of attacked blocks,
+    which :func:`pair_major` stacks into the stage's one block."""
     clean = _solve_rows(batch, cons, S, [f"window {sid}" for sid in series_ids])
     assert clean.optimal.all()
     W, blocks = len(S), {}
@@ -130,6 +131,12 @@ def per_pair_attack_stage(cfg, batch, cons, series_ids, S):
             blocks[delta, scenario] = _AttackedBlock(S_hat, answers.U, np.full(W, attained),
                                                      norms, flags)
     return clean.U, blocks
+
+
+def pair_major(blocks):
+    """The per-pair attacked blocks of :func:`per_pair_attack_stage` as one
+    block: their rows stacked pair after pair, in the dict's config order."""
+    return _AttackedBlock._make(np.concatenate(fields) for fields in zip(*blocks.values()))
 
 
 def assert_same_block(got, want):

@@ -110,7 +110,7 @@ class TestAttackCommands:
         cfg = load_config(path)
         batch = batch_form(cfg.system)
         windows = read_series_csv(inp)
-        cons = constraints_for(cfg, batch, windows)
+        cons = constraints_for(cfg, batch, np.array([w.values for w in windows]))
         expected = [repr(float(v)) for window in windows
                     for v in iterated_attack(batch, cons, window.values, 2.0,
                                              TargetFunction.L1_ENERGY,
@@ -178,7 +178,8 @@ class TestAttackCommands:
         assert not out.exists()
 
     @pytest.mark.parametrize("scenario,error", [
-        ("random", "perturbation norm inf overflows at delta 1e+308"),
+        ("random", "window arima:000000, delta 1e+308, scenario random: perturbation norm "
+                   "inf overflows at delta 1e+308"),
         ("cost-adv", "window arima:000000, delta 1e+308, scenario cost-adv: the "
                      "controller's linear term L s overflows; use a smaller delta or "
                      "rescale the series"),
@@ -535,6 +536,23 @@ def test_overflowing_budget_exits_one_naming_it(tmp_path, capsys, box, scenario)
     else:
         expected = "error: delta 1e+308 overflows the realized cost; use a smaller delta\n"
     assert capsys.readouterr().err == expected
+    assert not out.exists()
+
+
+def test_overflowing_norm_exits_one_naming_its_task(tmp_path, capsys):
+    # The random step at 1e308 overflows its norm check, which runs before
+    # any attacked series is solved (the cost-adv pair at 1e308 passes its
+    # own).  The error names the failing row's task, as `attack` names it.
+    raw = dict(BASE_CONFIG, deltas=[1.0, 1e308], scenarios=["cost-adv", "random"])
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    out = tmp_path / "out"
+    with np.errstate(over="ignore"):
+        code = main(["experiment", "--config", str(path), "--out-dir", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: window arima:000000, delta 1e+308, scenario random: perturbation norm "
+        "inf overflows at delta 1e+308\n")
     assert not out.exists()
 
 

@@ -28,7 +28,7 @@ from tsattack import (
     single_step_attack,
     solve_qp,
 )
-from tsattack import qp
+from tsattack import grad_attack, qp
 from tsattack.config import SCENARIOS
 from tsattack.cost_attack import _COL_INFEASIBLE, _FLAGS
 from tsattack.experiments import (
@@ -43,8 +43,8 @@ from tsattack.experiments import (
 )
 
 from conftest import (active_rows, aggregate_oracle, assert_relative_close, assert_same_block,
-                      paired_p_values_oracle, per_pair_attack_stage, row_flags, row_solution,
-                      solve_unconstrained)
+                      pair_major, paired_p_values_oracle, per_pair_attack_stage, row_flags,
+                      row_solution, solve_unconstrained)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -464,7 +464,7 @@ class TestConstraintExperiment:
         stats = run_experiment(cfg)
         batch = batch_form(cfg.system)
         windows = load_windows(cfg)
-        cons = constraints_for(cfg, batch, windows)
+        cons = constraints_for(cfg, batch, np.array([w.values for w in windows]))
         expected, dumps = [], []
         for w_idx, window in enumerate(windows):
             s = window.values
@@ -625,36 +625,39 @@ class TestConstraintExperiment:
                            dataset={"kind": "arima", "count": 20}, seed=2024)
         batch = batch_form(cfg.system)
         windows = load_windows(cfg)
-        _, blocks = attack_windows(cfg, batch, constraints_for(cfg, batch, windows),
-                                   [w.series_id for w in windows],
-                                   np.array([w.values for w in windows]))
+        S = np.array([w.values for w in windows])
+        _, block = attack_windows(cfg, batch, constraints_for(cfg, batch, S),
+                                  [w.series_id for w in windows], S)
         records = run_experiment(cfg).records
-        assert list(blocks) == [(delta, "cost-gradient") for delta in cfg.deltas]
-        assert len(records) == sum(len(block.S_hat) for block in blocks.values()) == 60
-        # Records run window-major: (window, delta, scenario).
-        tasks = [(w_idx, delta, attained[w_idx]) for w_idx in range(len(windows))
-                 for (delta, _), (_, _, attained, _, _) in blocks.items()]
+        W = len(windows)
+        assert len(records) == len(block.S_hat) == 60
+        # Records run window-major: (window, delta, scenario); the block's
+        # rows run pair-major, pair after pair in config order.
+        tasks = [(w_idx, delta, block.attained[d_idx * W + w_idx]) for w_idx in range(W)
+                 for d_idx, delta in enumerate(cfg.deltas)]
         for record, (w_idx, delta, attained) in zip(records, tasks):
             assert (record.series_id, record.delta) == (windows[w_idx].series_id, delta)
             assert record.j_adv == attained
 
     @pytest.mark.parametrize("scenario", SCENARIOS)
     def test_attack_windows_results(self, scenario):
-        # Each block holds one row per window within its delta, as arrays;
-        # cost-adv steps along v1 and random draws from its own (window,
-        # delta) seed.
+        # The block holds one row per window within each delta, delta after
+        # delta, as arrays; cost-adv steps along v1 and random draws from
+        # its own (window, delta) seed.
         cfg = self._config(scenarios=[scenario], deltas=[0.5, 1.0])
         batch = batch_form(cfg.system)
         windows = load_windows(cfg)
         S = np.array([w.values for w in windows])
-        U_orig, blocks = attack_windows(cfg, batch, constraints_for(cfg, batch, windows),
-                                        [w.series_id for w in windows], S)
-        assert U_orig.shape == (len(windows), batch.m_total)
-        assert list(blocks) == [(delta, scenario) for delta in cfg.deltas]
-        for (delta, _), (S_hat, U_hat, attained, norms, flags) in blocks.items():
-            assert [part.shape for part in (S_hat, U_hat, attained, norms, flags)] == [
-                S.shape, U_orig.shape, (len(S),), (len(S),), (len(S), 4)]
-            assert flags.dtype == bool
+        U_orig, block = attack_windows(cfg, batch, constraints_for(cfg, batch, S),
+                                       [w.series_id for w in windows], S)
+        W = len(S)
+        assert U_orig.shape == (W, batch.m_total)
+        assert [part.shape for part in block] == [
+            (2 * W, S.shape[1]), (2 * W, batch.m_total), (2 * W,), (2 * W,), (2 * W, 4)]
+        assert block.flags.dtype == bool
+        for d_idx, delta in enumerate(cfg.deltas):
+            S_hat, U_hat, attained, norms, flags = (part[d_idx * W:(d_idx + 1) * W]
+                                                    for part in block)
             assert (norms <= delta * (1.0 + 1e-9)).all()
             for w_idx, s in enumerate(S):
                 assert math.isclose(norms[w_idx], np.linalg.norm(S_hat[w_idx] - s),
@@ -702,7 +705,7 @@ class TestConstraintExperiment:
 
     def test_every_result_leaves_the_stage_answered(self):
         # Under a +-0.5 state box a budget of 10 makes 3 of the 4 windows'
-        # cost-adv and random answers infeasible.  Every row of every block
+        # cost-adv and random answers infeasible.  Every row of the block
         # carries the controller's answer on its attacked series, and that
         # answer is NaN exactly when the row is flagged infeasible.  A
         # cost-adv or random answer is bit for bit its own solve
@@ -718,11 +721,13 @@ class TestConstraintExperiment:
                           attack={"mode": "iterated", "steps": 5})
         batch = batch_form(cfg.system)
         windows = load_windows(cfg)
-        cons = constraints_for(cfg, batch, windows)
-        _, blocks = attack_windows(cfg, batch, cons, [w.series_id for w in windows],
-                                   np.array([w.values for w in windows]))
-        assert list(blocks) == [(10.0, scenario) for scenario in SCENARIOS]
-        for (_, scenario), (S_hat, U_hat, _, _, flags) in blocks.items():
+        S = np.array([w.values for w in windows])
+        cons = constraints_for(cfg, batch, S)
+        _, block = attack_windows(cfg, batch, cons, [w.series_id for w in windows], S)
+        W = len(S)
+        assert len(block.S_hat) == len(SCENARIOS) * W
+        for p, scenario in enumerate(SCENARIOS):
+            S_hat, U_hat, _, _, flags = (part[p * W:(p + 1) * W] for part in block)
             infeasible = 0
             for window, s_hat, u_hat, flagged in zip(windows, S_hat, U_hat, flags):
                 s = window.values
@@ -806,7 +811,7 @@ class TestConstraintExperiment:
         stats = run_experiment(cfg)
         assert [row["metric"] for row in stats.p_values] == ["min_u_adv"]
         batch = batch_form(cfg.system)
-        cons = constraints_for(cfg, batch, load_windows(cfg))
+        cons = constraints_for(cfg, batch, np.array([w.values for w in load_windows(cfg)]))
         by_key = {(r.series_id, r.delta, r.scenario): r for r in stats.records}
         assert len(stats.series_dumps) == len(by_key) == 16
         for dump in stats.series_dumps:
@@ -833,8 +838,9 @@ def _csv_dataset_config(tmp_path):
 
 class TestLockstepStage:
     """The attack stage stacks every gradient (delta, scenario) pair into one
-    ascent and every cost-adv and random pair into one solve; each pair's
-    block is bit for bit what the pair gives run as its own block."""
+    ascent and every cost-adv and random pair into one solve; its one block
+    is bit for bit the blocks of the pairs run on their own, stacked pair
+    after pair in config order."""
 
     CONTROLLERS = {
         "lqr": {},
@@ -852,8 +858,8 @@ class TestLockstepStage:
     @pytest.mark.parametrize("mode", list(MODES))
     @pytest.mark.parametrize("controller", list(CONTROLLERS))
     def test_every_block_is_the_per_pair_block(self, controller, mode):
-        # The scenarios interleave gradient and closed-form pairs, so the
-        # split must put each pair's rows back under its own key, in order.
+        # The scenarios interleave gradient and closed-form pairs, so each
+        # row mask must put the pairs' rows at their own place in the block.
         cfg = make_config(system=dict(BASE_CONFIG["system"], T=10), deltas=[0.3, 1.0, 10.0],
                           scenarios=["max-action", "cost-adv", "l1", "random", "min-action",
                                      "cost-gradient"],
@@ -862,23 +868,39 @@ class TestLockstepStage:
         assert sorted(cfg.scenarios) == sorted(SCENARIOS)
         batch = batch_form(cfg.system)
         windows = load_windows(cfg)
-        cons = constraints_for(cfg, batch, windows)
         ids = [w.series_id for w in windows]
         S = np.array([w.values for w in windows])
-        U_orig, blocks = attack_windows(cfg, batch, cons, ids, S)
+        cons = constraints_for(cfg, batch, S)
+        U_orig, block = attack_windows(cfg, batch, cons, ids, S)
         want_U, want = per_pair_attack_stage(cfg, batch, cons, ids, S)
         assert U_orig.tobytes() == want_U.tobytes()
-        assert list(blocks) == list(want) == [(delta, scenario) for delta in cfg.deltas
-                                              for scenario in cfg.scenarios]
-        for key, block in blocks.items():
-            assert_same_block(block, want[key])
-        infeasible = {scenario for (_, scenario), block in blocks.items()
-                      if block.flags[:, _COL_INFEASIBLE].any()}
+        assert list(want) == [(delta, scenario) for delta in cfg.deltas
+                              for scenario in cfg.scenarios]
+        assert_same_block(block, pair_major(want))
+        W = len(S)
+        infeasible = {scenario for p, (_, scenario) in enumerate(want)
+                      if block.flags[p * W:(p + 1) * W, _COL_INFEASIBLE].any()}
         assert infeasible == (set(SCENARIOS) if controller == "state-box" else set())
+
+    def test_a_failed_norm_check_in_the_ascent_names_its_task(self, monkeypatch):
+        # A projection that overshoots the ball puts an iterate at 20 times
+        # its step, past its budget.  The row fails its norm check as it
+        # finishes, and the error names the row's window, delta and scenario.
+        project_ball = grad_attack.project_ball
+
+        def overshoot(x, center, radius):
+            return center + 20.0 * (project_ball(x, center, radius) - center)
+
+        monkeypatch.setattr(grad_attack, "project_ball", overshoot)
+        cfg = make_config(scenarios=["random", "l1", "max-action"],
+                          attack={"mode": "iterated", "steps": 3})
+        with pytest.raises(ValueError, match=r"^window arima:000002, delta 0\.3, scenario l1: "
+                                             r"perturbation norm 5\.99\d* exceeds delta 0\.3$"):
+            run_experiment(cfg)
 
 
 class TestEvaluationMatchesTheRecordOracle:
-    """The aggregates and p-values, computed per block from outcome tables,
+    """The aggregates and p-values, computed per pair from the outcome tables,
     equal the record-by-record reference exactly: values, order and types."""
 
     @pytest.mark.parametrize("case", ["shipped-cost", "state-box", "no-random", "csv"])
@@ -886,7 +908,7 @@ class TestEvaluationMatchesTheRecordOracle:
         if case == "shipped-cost":
             cfg = load_config(CONFIGS / "arima_cost.json")
         elif case == "state-box":
-            # Budgets of 4 to 10 under a +-0.5 state box: some blocks are
+            # Budgets of 4 to 10 under a +-0.5 state box: some pairs are
             # partly infeasible, some wholly, and some lose their p-value.
             cfg = make_config(system=dict(BASE_CONFIG["system"], T=10),
                               deltas=[4.0, 6.0, 10.0],
@@ -916,6 +938,29 @@ class TestEvaluationMatchesTheRecordOracle:
         else:
             assert infeasible == 0
             assert (stats.p_values == ()) == (case == "no-random")
+
+
+@pytest.mark.parametrize("deltas,scenarios", [
+    ([1.0], ["cost-adv"]),
+    ([0.3, 1.0], ["max-action", "random"]),
+    ([0.3, 1.0, 3.0], list(SCENARIOS)),
+])
+def test_every_attacked_row_is_costed_in_one_call(monkeypatch, deltas, scenarios):
+    # One realized-cost call for the clean windows and one for every
+    # attacked row of every (delta, scenario) pair, however many pairs.
+    calls = []
+    realized_costs = importlib.import_module("tsattack.experiments").realized_costs
+
+    def counting(batch, U, S):
+        calls.append(len(U))
+        return realized_costs(batch, U, S)
+
+    monkeypatch.setattr("tsattack.experiments.realized_costs", counting)
+    cfg = make_config(deltas=deltas, scenarios=scenarios, action_box="auto",
+                      attack={"mode": "iterated", "steps": 3})
+    stats = run_experiment(cfg)
+    W = stats.n_windows
+    assert calls == [W, len(deltas) * len(scenarios) * W] == [W, len(stats.records)]
 
 
 class TestCalibration:

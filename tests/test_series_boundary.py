@@ -93,8 +93,9 @@ def test_entry_point_rejects_bad_series(tmp_path, call, name, bad):
         call(batch, cons, sol, tmp_path, BAD_SERIES[bad])
 
 
-def _check_series_calls(monkeypatch, **overrides):
-    """How many series one small experiment on 3 windows checks."""
+def _counting_check_series(monkeypatch):
+    """Count every check_series call of the package, under every name it is
+    imported by; returns the list that grows by one per call."""
     calls = []
 
     def counting(*args, **kwargs):
@@ -104,6 +105,12 @@ def _check_series_calls(monkeypatch, **overrides):
     for name, module in list(sys.modules.items()):
         if name.startswith("tsattack") and hasattr(module, "check_series"):
             monkeypatch.setattr(module, "check_series", counting)
+    return calls
+
+
+def _check_series_calls(monkeypatch, **overrides):
+    """How many series one small experiment on 3 windows checks."""
+    calls = _counting_check_series(monkeypatch)
     run_experiment(parse_config(dict({
         "system": {"A": 1, "B": -1, "C": 1, "Q": 1, "R": 1, "T": 10, "x0": 1},
         "deltas": [0.5, 2.0], "dataset": {"kind": "arima", "count": 3}, "seed": 5,
@@ -112,13 +119,36 @@ def _check_series_calls(monkeypatch, **overrides):
 
 
 def test_check_count_does_not_grow_with_attack_steps(monkeypatch):
-    # 3 windows stacked and 3 calibrated: each is checked where it enters,
-    # and the gradient attacks start from the stacked windows.
+    # Each of the 3 windows is checked once, where it is stacked; the auto
+    # box calibrates on the stacked block, and the gradient attacks start
+    # from it.
     for steps in (2, 10):
         assert _check_series_calls(
             monkeypatch, scenarios=["max-action", "l1", "random"],
             action_box="auto", attack={"mode": "iterated", "steps": steps},
-        ) == 3 + 3
+        ) == 3
+
+
+def test_attack_cli_checks_each_window_once(monkeypatch, tmp_path):
+    # `tsattack attack` stacks its 3 windows once, and the auto box
+    # calibrates on that block.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "system": {"A": 1, "B": -1, "C": 1, "Q": 1, "R": 1, "T": 4, "x0": 1},
+        "deltas": [1.0], "scenarios": ["l1"], "action_box": "auto",
+        "attack": {"mode": "iterated", "steps": 3},
+        "dataset": {"kind": "arima", "count": 1}, "seed": 3,
+    }), encoding="utf-8")
+    series = tmp_path / "in.csv"
+    values = np.random.default_rng(2).standard_normal((3, 4))
+    series.write_text("window_id,t,value\n" + "".join(
+        f"w{w},{t},{value!r}\n" for w, row in enumerate(values.tolist())
+        for t, value in enumerate(row)), encoding="utf-8")
+    calls = _counting_check_series(monkeypatch)
+    cli._cmd_attack(argparse.Namespace(
+        scenario="l1", delta=1.0, config=str(config), input=str(series),
+        out=str(tmp_path / "out.csv")))
+    assert len(calls) == 3
 
 
 def test_cost_experiment_checks_each_window_once(monkeypatch):
