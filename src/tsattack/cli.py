@@ -130,10 +130,7 @@ def main(argv=None) -> int:
         if args.command == "experiment":
             return _cmd_experiment(args)
         parser.error(f"unknown command {args.command!r}")
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except ValueError as exc:  # a ConfigurationError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NumericalError as exc:

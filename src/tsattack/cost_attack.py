@@ -7,10 +7,11 @@ dominant eigenvector of Psi, attaining delta^2 * lambda_1 (stepping along
 the system, never on the series or the initial state.  The baseline perturbs
 by delta in a uniformly random direction instead.
 
-Both attacks are block operations on a (W, pT) block of series, one row per
-window (:func:`_closed_forms`, :func:`_random_spheres`); the public
-:func:`cost_attack` and :func:`random_sphere_attack` are their one-row
-cases, and every row is bit for bit the row attacked alone.
+Both attacks are block operations on a (W, pT) block of series, one row and
+one budget per window (:func:`_closed_forms`, :func:`_random_spheres`),
+leaving the norm check to the caller; the public :func:`cost_attack` and
+:func:`random_sphere_attack` are their one-row cases, and every row is bit
+for bit the row attacked alone.
 """
 
 from __future__ import annotations
@@ -127,31 +128,29 @@ def cost_attack(batch: BatchForm, s, delta: float) -> AttackResult:
     """
     if not 0 < delta < math.inf:
         raise ValueError(f"delta must be positive and finite, got {delta}")
-    delta = float(delta)
-    S_hat, attained, norms = _closed_forms(batch, check_series(batch, s)[None], delta)
-    return AttackResult(s_hat=S_hat[0], delta=delta, attained=attained,
-                        norm_used=float(norms[0]))
+    budget = np.full(1, delta, dtype=float)
+    S_hat, offsets, attained = _closed_forms(batch, check_series(batch, s)[None], budget)
+    return AttackResult(s_hat=S_hat[0], delta=float(delta), attained=float(attained[0]),
+                        norm_used=float(_norms(offsets, budget)[0]))
 
 
-def _closed_forms(batch: BatchForm, S: np.ndarray, delta: float, names=None):
-    """:func:`cost_attack` of every row of the checked (W, pT) block S for a
-    positive finite delta: (S_hat, attained, norms), the attacked block
-    ``S + delta * v1``, the one attained value and each row's checked
-    ``norm_used`` (a failed check named by ``names``, as
-    :func:`_checked_norms` names it)."""
+def _closed_forms(batch: BatchForm, S: np.ndarray, deltas: np.ndarray):
+    """:func:`cost_attack` of every row w of the checked (W, pT) block S at
+    its positive finite budget ``deltas[w]``: (S_hat, offsets, attained),
+    the block ``S + deltas * v1``, the offsets ``S_hat - S`` whose norms are
+    the rows' unchecked ``norm_used``, and each row's attained value."""
     eig = batch.eigenpair
-    S_hat = S + delta * eig.v1
-    # delta * delta: delta ** 2 raises on overflow
-    return S_hat, delta * delta * eig.lambda1, _checked_norms(S_hat - S, delta, names)
+    S_hat = S + deltas[:, None] * eig.v1
+    with np.errstate(over="ignore"):  # inf past the range, as a Python float gives it
+        attained = deltas * deltas * eig.lambda1
+    return S_hat, S_hat - S, attained
 
 
-def _checked_norms(steps: np.ndarray, budgets, names=None) -> np.ndarray:
+def _checked_norms(steps: np.ndarray, budgets: np.ndarray, names=None) -> np.ndarray:
     """:func:`_norms` of the (W, pT) block of perturbations ``steps``, each
     checked against its row's budget as :class:`AttackResult` checks it: the
     first row past its budget raises its error, naming that row's budget,
-    with ``names[row]`` in front when ``names`` (one label per row) is
-    given.  ``budgets`` holds one budget per row, or one for every row."""
-    budgets = np.broadcast_to(budgets, len(steps))
+    with ``names[row]`` in front when ``names`` (one label per row) is given."""
     norms = _norms(steps, budgets)
     over = np.flatnonzero(~(norms <= budgets * (1.0 + 1e-9)))
     if over.size:
@@ -160,17 +159,16 @@ def _checked_norms(steps: np.ndarray, budgets, names=None) -> np.ndarray:
     return norms
 
 
-def _norms(X: np.ndarray, budgets) -> np.ndarray:
+def _norms(X: np.ndarray, budgets: np.ndarray) -> np.ndarray:
     """||x||_2 of every row x of the (W, n) block X, offsets meant to lie
-    within their row's budget (``budgets``: one per row, or one for every
-    row).  The sums of squares are one stacked
-    :func:`tsattack.lqr._row_dots`, bit for bit the ``np.linalg.norm`` of
-    each row.  Past 1.3e154 a sum of squares overflows, so a row whose
-    budget is 1e150 or more takes the scaled BLAS norm (inf only when an
-    entry is itself inf), and so does a row below it whose sum overflows
-    anyway, as a :func:`tsattack.grad_attack.project_ball` offset up to the
-    step size past its budget can."""
-    huge = np.broadcast_to(budgets, len(X)) >= 1e150
+    within their row's budget, ``budgets[row]``.  The sums of squares are
+    one stacked :func:`tsattack.lqr._row_dots`, bit for bit the
+    ``np.linalg.norm`` of each row.  Past 1.3e154 a sum of squares
+    overflows, so a row whose budget is 1e150 or more takes the scaled BLAS
+    norm (inf only when an entry is itself inf), and so does a row below it
+    whose sum overflows anyway, as a :func:`tsattack.grad_attack.project_ball`
+    offset up to the step size past its budget can."""
+    huge = budgets >= 1e150
     if huge.any():
         norms = np.full(len(X), math.inf)
         norms[~huge] = np.sqrt(_row_dots(X[~huge]))
@@ -187,22 +185,27 @@ def random_sphere_attack(s, delta: float, seed: int) -> AttackResult:
     The direction is a normalized standard-normal draw, deterministic for a
     given seed.  ``attained`` is the control-agnostic objective
     ||s_hat - s||^2 = delta^2; callers who know the system measure the cost
-    effect with :func:`tsattack.lqr.cost_delta_quadratic`.
+    effect with :func:`tsattack.lqr.cost_delta_quadratic`.  An empty series,
+    or one with a NaN or infinite entry, is a ValueError naming ``s``.
     """
     if not 0 < delta < math.inf:
         raise ValueError(f"delta must be positive and finite, got {delta}")
-    delta = float(delta)
     s = np.asarray(s, dtype=float).ravel()
-    S_hat, attained, norms = _random_spheres(s[None], delta, [seed])
-    return AttackResult(s_hat=S_hat[0], delta=delta, attained=attained,
-                        norm_used=float(norms[0]))
+    if not s.size:
+        raise ValueError("s must have at least one entry")
+    if not np.isfinite(s).all():
+        raise ValueError("s contains non-finite entries")
+    budget = np.full(1, delta, dtype=float)
+    S_hat, steps, attained = _random_spheres(s[None], budget, [seed])
+    return AttackResult(s_hat=S_hat[0], delta=float(delta), attained=float(attained[0]),
+                        norm_used=float(_norms(steps, budget)[0]))
 
 
-def _random_spheres(S: np.ndarray, delta: float, seeds, names=None):
-    """:func:`random_sphere_attack` of every row of the (W, pT) block S, row
-    w drawing from ``default_rng(seeds[w])``, for a positive finite delta:
-    (S_hat, attained, norms) as :func:`_closed_forms` returns them, a failed
-    norm check named by ``names``.
+def _random_spheres(S: np.ndarray, deltas: np.ndarray, seeds):
+    """:func:`random_sphere_attack` of every row w of the (W, pT) block S,
+    pT >= 1, at its positive finite budget ``deltas[w]``, drawing from
+    ``default_rng(seeds[w])``: (S_hat, steps, attained) as
+    :func:`_closed_forms` returns them, the offsets being the steps.
 
     The rows are drawn in order, one generator each, and a draw of norm
     below 1e-12 (probability ~0, but it keeps the contract exact) is drawn
@@ -218,6 +221,6 @@ def _random_spheres(S: np.ndarray, delta: float, seeds, names=None):
             rngs[w].standard_normal(out=draws[w])
             lengths[w] = np.linalg.norm(draws[w])
     with np.errstate(over="ignore"):  # an inf step fails the norm check
-        steps = delta * draws / lengths[:, None]
-    # delta * delta: delta ** 2 raises on overflow
-    return S + steps, delta * delta, _checked_norms(steps, delta, names)
+        steps = deltas[:, None] * draws / lengths[:, None]
+        attained = deltas * deltas  # inf past the range, as a Python float gives it
+    return S + steps, steps, attained

@@ -29,8 +29,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .config import ExperimentConfig
-from .cost_attack import (_COL_INFEASIBLE, _FLAGS, _AttackedBlock, _closed_forms,
-                          _random_spheres)
+from .cost_attack import (_COL_INFEASIBLE, _FLAGS, _AttackedBlock, _checked_norms,
+                          _closed_forms, _random_spheres)
 from .data import (
     SeriesWindow,
     load_series_windows,
@@ -63,6 +63,9 @@ _INFEASIBLE = (math.inf, math.nan, math.nan, math.nan)
 
 #: Stands in for every NaN field when records are compared or hashed.
 _NAN = object()
+
+#: An ``auto`` action box is this multiple of this quantile of the clean |u*|.
+_CALIBRATION_SLACK, _CALIBRATION_QUANTILE = 1.5, 0.95
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,30 +231,26 @@ def _stack_windows(batch: BatchForm, windows: Sequence[SeriesWindow],
     return S
 
 
-def calibrate_action_box(
-    batch: BatchForm,
-    windows: Sequence[SeriesWindow],
-    quantile: float = 0.95,
-    slack: float = 1.5,
-) -> Tuple[float, float]:
+def calibrate_action_box(batch: BatchForm,
+                         windows: Sequence[SeriesWindow]) -> Tuple[float, float]:
     """Symmetric action bounds from the unattacked action distribution.
 
-    Returns -/+ slack times the given quantile of |u*| pooled over all
-    windows, which keeps the box occasionally active on clean data; the
-    windows are checked and solved as one block with no constraint.
+    Returns -/+ _CALIBRATION_SLACK (1.5) times the _CALIBRATION_QUANTILE
+    (0.95) quantile of |u*| pooled over all windows, which keeps the box
+    occasionally active on clean data; the windows are checked and solved
+    as one block with no constraint.
     """
-    return _calibrated_box(batch, _stack_windows(batch, windows), quantile, slack)
+    return _calibrated_box(batch, _stack_windows(batch, windows))
 
 
-def _calibrated_box(batch: BatchForm, S: np.ndarray, quantile: float = 0.95,
-                    slack: float = 1.5) -> Tuple[float, float]:
+def _calibrated_box(batch: BatchForm, S: np.ndarray) -> Tuple[float, float]:
     """:func:`calibrate_action_box` of the checked (W, pT) block of windows S."""
     if not len(S):
         raise ValueError("calibrate_action_box needs at least one window")
     cons = ConstraintSet.empty(batch.m_total, batch.p_total)
     with np.errstate(over="ignore"):  # an overflow is the error below
         magnitudes = np.abs(_solve_rows(batch, cons, S).U)
-        bound = slack * float(np.quantile(magnitudes, quantile))
+        bound = _CALIBRATION_SLACK * float(np.quantile(magnitudes, _CALIBRATION_QUANTILE))
     if not (np.isfinite(magnitudes).all() and math.isfinite(bound)):
         raise ConfigurationError("calibrated action bound is not finite; check the data")
     if bound <= 0:
@@ -282,24 +281,23 @@ def attack_windows(cfg: ExperimentConfig, batch: BatchForm, cons: ConstraintSet,
     The one place a scenario name becomes an attack.  Returns the (W, mT)
     clean actions and one attacked block of P * W rows for the config's P
     pairs, pair-major in config order (deltas outer, scenarios inner): pair
-    p holds rows p * W to (p + 1) * W, one row per window.  ``cost-adv``
-    steps a pair's windows along the cached eigenvector of Psi and
-    ``random`` along one direction per window drawn from :func:`task_seed`,
-    each pair one block operation whose perturbation norms are checked
-    before anything is solved; all of their attacked series are then solved
-    as one block, each warm-started on its clean window's multipliers, and
-    flagged ``infeasible`` where not optimal.  The gradient pairs run one
-    lockstep ascent from the tiled clean block
-    (:func:`tsattack.grad_attack._ascend_rows`), each row with its pair's
-    delta and target.  Each of the two writes its rows of the block through
-    a row mask.  Every row is bit for bit its window attacked alone.
+    p holds rows p * W to (p + 1) * W, one row per window, and each row has
+    its own window, delta, scenario and name.  The ``cost-adv`` rows step
+    along the cached eigenvector of Psi and the ``random`` rows along a
+    direction drawn from :func:`task_seed`, one block call each; their
+    norms are checked at once, and they are solved as one block, each warm
+    from its clean window's multipliers and flagged ``infeasible`` where not
+    optimal.  The gradient rows run one lockstep ascent from their clean
+    windows (:func:`tsattack.grad_attack._ascend_rows`).  Each writes its
+    rows of the block through a row mask, and every row is bit for bit its
+    window attacked alone.
 
     The first failure stops the stage, in this order:
 
     1. the clean block: a solver failure, then one
        :class:`ConfigurationError` naming every window whose clean problem
        is infeasible;
-    2. the ``cost-adv`` and ``random`` norm checks, pair by pair in config
+    2. one norm check over every ``cost-adv``/``random`` row in config
        order;
     3. their one solve: an overflowing ``L s`` first, then the first failing
        row in config order;
@@ -318,40 +316,41 @@ def attack_windows(cfg: ExperimentConfig, batch: BatchForm, cons: ConstraintSet,
             f"unattacked problem infeasible for windows {', '.join(infeasible)}; "
             "loosen the configured boxes"
         )
-    W = len(S)
-    pairs = [(d_idx, scenario) for d_idx in range(len(cfg.deltas))
-             for scenario in cfg.scenarios]
-    names = np.array([f"window {sid}, delta {cfg.deltas[d_idx]}, scenario {scenario}"
-                      for d_idx, scenario in pairs for sid in series_ids], dtype=object)
-    is_closed = [scenario in ("cost-adv", "random") for _, scenario in pairs]
-    closed = np.repeat(is_closed, W)
-    climbs = ~closed
-    n = len(names)
-    block = _AttackedBlock(np.empty((n, S.shape[1])), np.empty((n, clean.U.shape[1])),
+    W, K = len(S), len(cfg.scenarios)
+    pair, window = np.divmod(np.arange(len(cfg.deltas) * K * W), W)
+    d_idx, s_idx = np.divmod(pair, K)
+    deltas, scenarios = np.array(cfg.deltas)[d_idx], np.array(cfg.scenarios)[s_idx]
+    names = np.array([f"window {sid}, delta {delta}, scenario {scenario}"
+                      for delta in cfg.deltas for scenario in cfg.scenarios
+                      for sid in series_ids], dtype=object)
+    cost, rand = scenarios == "cost-adv", scenarios == "random"
+    closed, climbs = cost | rand, ~(cost | rand)
+    S_rows, n = S[window], len(names)
+    block = _AttackedBlock(np.empty_like(S_rows), np.empty((n, clean.U.shape[1])),
                            np.empty(n), np.empty(n), np.zeros((n, len(_FLAGS)), dtype=bool))
+    offsets = np.empty_like(S_rows)
+    if cost.any():
+        block.S_hat[cost], offsets[cost], block.attained[cost] = _closed_forms(
+            batch, S_rows[cost], deltas[cost])
+    if rand.any():
+        block.S_hat[rand], offsets[rand], block.attained[rand] = _random_spheres(
+            S_rows[rand], deltas[rand], [task_seed(cfg.seed, w, d) for w, d in
+                                         zip(window[rand].tolist(), d_idx[rand].tolist())])
     if closed.any():
-        S_hats, attained, norms = zip(*(
-            _closed_forms(batch, S, cfg.deltas[d_idx], names[p * W:(p + 1) * W])
-            if scenario == "cost-adv"
-            else _random_spheres(S, cfg.deltas[d_idx],
-                                 [task_seed(cfg.seed, w_idx, d_idx) for w_idx in range(W)],
-                                 names[p * W:(p + 1) * W])
-            for p, (d_idx, scenario) in enumerate(pairs) if is_closed[p]))
-        block.S_hat[closed] = np.concatenate(S_hats)
+        block.norms[closed] = _checked_norms(offsets[closed], deltas[closed], names[closed])
         answers = _solve_rows(batch, cons, block.S_hat[closed], names[closed],
-                              np.tile(clean.mu, (len(S_hats), 1)))
-        block.U_hat[closed], block.attained[closed] = answers.U, np.repeat(attained, W)
-        block.norms[closed] = np.concatenate(norms)
+                              clean.mu[window[closed]])
+        block.U_hat[closed] = answers.U
         block.flags[closed, _COL_INFEASIBLE] = ~answers.optimal
     if climbs.any():
-        k, step_size = is_closed.count(False), cfg.attack.step_size
-        deltas = np.repeat([cfg.deltas[d_idx] for d_idx, _ in pairs], W)[climbs]
-        targets = np.repeat(np.array([TargetFunction(scenario) for _, scenario in pairs
-                                      if scenario not in ("cost-adv", "random")]), W)
-        tiled = clean._make(np.concatenate([part] * k) for part in clean)
-        found = _ascend_rows(batch, cons, np.tile(S, (k, 1)), tiled, deltas, targets,
+        step_size = cfg.attack.step_size
+        targets = np.array([None if scenario in ("cost-adv", "random")
+                            else TargetFunction(scenario) for scenario in cfg.scenarios])
+        found = _ascend_rows(batch, cons, S_rows[climbs],
+                             clean._make(part[window[climbs]] for part in clean),
+                             deltas[climbs], targets[s_idx[climbs]],
                              0 if cfg.attack.mode == "single-step" else cfg.attack.steps,
-                             None if step_size is None else np.full(k * W, step_size),
+                             None if step_size is None else np.full(climbs.sum(), step_size),
                              names[climbs])
         for field, rows in zip(block, found):
             field[climbs] = rows

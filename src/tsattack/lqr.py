@@ -153,6 +153,9 @@ class SystemSpec:
             raise ConfigurationError(f"A must be square, got {self.A.shape}")
         if self.B.shape[0] != n or self.C.shape[0] != n:
             raise ConfigurationError("B and C must have the same row count as A")
+        for name in ("B", "C"):
+            if not getattr(self, name).shape[1]:
+                raise ConfigurationError(f"{name} must have at least one column")
         if self.Q.shape != (n, n):
             raise ConfigurationError(f"Q must be {n}x{n}, got {self.Q.shape}")
         m = self.B.shape[1]

@@ -54,7 +54,7 @@ def wilcoxon_signed_rank(a, b, sidedness: str = "two-sided",
     method: "exact", "normal", or "auto" (exact for n <= 20).
 
     All-zero differences give p = 1.0 with the degenerate flag; fewer than 5
-    nonzero differences is an error.
+    nonzero differences, or a NaN or infinite entry, is an error.
     """
     if sidedness not in SIDEDNESS:
         raise ValueError(f"sidedness must be one of {SIDEDNESS}, got {sidedness!r}")
@@ -64,6 +64,9 @@ def wilcoxon_signed_rank(a, b, sidedness: str = "two-sided",
     b = np.asarray(b, dtype=float).ravel()
     if a.shape != b.shape:
         raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
+    for name, values in (("a", a), ("b", b)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} contains non-finite entries")
     d = a - b
     d = d[d != 0.0]
     n = d.size

@@ -14,8 +14,8 @@ from tsattack import (
     solve_qp,
     wilcoxon_signed_rank,
 )
-from tsattack.cost_attack import (_COL_INFEASIBLE, _FLAGS, _AttackedBlock, _closed_forms,
-                                  _random_spheres)
+from tsattack.cost_attack import (_COL_INFEASIBLE, _FLAGS, _AttackedBlock, _checked_norms,
+                                  _closed_forms, _random_spheres)
 from tsattack.experiments import METRIC_BY_SCENARIO, task_seed
 from tsattack.grad_attack import ZERO_DIRECTION_TOL, TargetFunction, _adjoint, _ascend_rows
 from tsattack.lqr import check_series, linear_term
@@ -102,9 +102,10 @@ def per_pair_attack_stage(cfg, batch, cons, series_ids, S):
     """Reference for ``tsattack.experiments.attack_windows``: the clean
     windows solved as one block, then one block per (delta, scenario) pair in
     config order, all windows of the pair in it.  A gradient pair runs its
-    own ``_ascend_rows``; a cost-adv or random pair attacks its windows and
-    answers them with its own ``_solve_rows``, warm from the clean
-    multipliers.  Returns the clean actions and the dict of attacked blocks,
+    own ``_ascend_rows``; a cost-adv or random pair attacks its windows,
+    checks their norms with its own ``_checked_norms`` and answers them with
+    its own ``_solve_rows``, warm from the clean multipliers; every call
+    takes the pair's delta once per row.  Returns the clean actions and the dict of attacked blocks,
     which :func:`pair_major` stacks into the stage's one block."""
     clean = _solve_rows(batch, cons, S, [f"window {sid}" for sid in series_ids])
     assert clean.optimal.all()
@@ -112,24 +113,25 @@ def per_pair_attack_stage(cfg, batch, cons, series_ids, S):
     for d_idx, delta in enumerate(cfg.deltas):
         for scenario in cfg.scenarios:
             names = [f"window {sid}, delta {delta}, scenario {scenario}" for sid in series_ids]
+            budgets = np.full(W, delta)
             if scenario == "cost-adv":
-                S_hat, attained, norms = _closed_forms(batch, S, delta)
+                S_hat, offsets, attained = _closed_forms(batch, S, budgets)
             elif scenario == "random":
-                S_hat, attained, norms = _random_spheres(
-                    S, delta, [task_seed(cfg.seed, w_idx, d_idx) for w_idx in range(W)])
+                S_hat, offsets, attained = _random_spheres(
+                    S, budgets, [task_seed(cfg.seed, w_idx, d_idx) for w_idx in range(W)])
             else:
                 step_size = cfg.attack.step_size
                 blocks[delta, scenario] = _ascend_rows(
-                    batch, cons, S, clean, np.full(W, delta),
+                    batch, cons, S, clean, budgets,
                     np.array([TargetFunction(scenario)] * W),
                     0 if cfg.attack.mode == "single-step" else cfg.attack.steps,
                     None if step_size is None else np.full(W, step_size), names)
                 continue
+            norms = _checked_norms(offsets, budgets, names)
             answers = _solve_rows(batch, cons, S_hat, names, clean.mu)
             flags = np.zeros((W, len(_FLAGS)), dtype=bool)
             flags[:, _COL_INFEASIBLE] = ~answers.optimal
-            blocks[delta, scenario] = _AttackedBlock(S_hat, answers.U, np.full(W, attained),
-                                                     norms, flags)
+            blocks[delta, scenario] = _AttackedBlock(S_hat, answers.U, attained, norms, flags)
     return clean.U, blocks
 
 

@@ -419,6 +419,7 @@ class TestExperimentCommand:
          "dataset path must be a string, got 5"),
         ({"dataset": {"kind": "csv", "path": "x.csv", "column": 7}},
          "dataset column must be a string, got 7"),
+        ({"system": dict(BASE_CONFIG["system"], C=[[]])}, "C must have at least one column"),
     ])
     def test_bad_config_value_exits_one(self, tmp_path, capsys, overrides, key):
         path = tmp_path / "bad.json"

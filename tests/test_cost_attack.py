@@ -16,7 +16,9 @@ from tsattack import (
     random_sphere_attack,
 )
 from tsattack import lqr
-from tsattack.cost_attack import _closed_forms, _norms, _random_spheres
+from tsattack.config import parse_config
+from tsattack.cost_attack import _checked_norms, _closed_forms, _norms, _random_spheres
+from tsattack.experiments import attack_windows, load_windows, task_seed
 
 from conftest import random_system
 
@@ -219,6 +221,17 @@ class TestRandomSphereAttack:
         with pytest.raises(ValueError, match="delta must be positive and finite"):
             random_sphere_attack([0.0], delta, seed=0)
 
+    @pytest.mark.parametrize("s,message", [
+        pytest.param([], "s must have at least one entry", id="empty"),
+        pytest.param([1.0, math.nan, 2.0], "s contains non-finite entries", id="nan"),
+        pytest.param([1.0, -math.inf], "s contains non-finite entries", id="inf"),
+    ])
+    def test_rejects_a_series_it_cannot_attack(self, s, message):
+        # An empty series has no direction to draw (the redraw of a zero
+        # draw would never end); a non-finite entry would reach s_hat.
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            random_sphere_attack(s, 1.0, seed=0)
+
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("attack", [
@@ -250,7 +263,7 @@ def test_norms_are_each_rows_norm(budget):
             norm = np.linalg.norm(x) if budget < 1e150 else math.inf
             expected.append(norm if norm != math.inf
                             else scipy.linalg.norm(x, check_finite=False))
-        norms = _norms(X, budget)
+        norms = _norms(X, np.full(len(X), budget))
     assert norms.tobytes() == np.array(expected).tobytes()
 
 
@@ -266,7 +279,8 @@ def random_sphere_reference(s, delta, rng):
 
 
 class TestBlockAttacks:
-    """Every row of a block attack is bit for bit the public one-row attack."""
+    """Every row of a block attack is bit for bit the public one-row attack,
+    each row with its own budget."""
 
     @staticmethod
     def _cases(seed):
@@ -274,27 +288,31 @@ class TestBlockAttacks:
         for _ in range(12):
             batch = batch_form(random_system(rng))
             S = rng.standard_normal((int(rng.integers(1, 9)), batch.p_total))
-            yield rng, batch, S, float(rng.uniform(0.1, 4.0))
+            yield rng, batch, S, rng.uniform(0.1, 4.0, len(S))
 
     def test_closed_form_rows(self):
-        for _, batch, S, delta in self._cases(41):
-            S_hat, attained, norms = _closed_forms(batch, S, delta)
-            assert S_hat.shape == S.shape
-            for s, s_hat, norm in zip(S, S_hat, norms.tolist()):
+        for _, batch, S, deltas in self._cases(41):
+            S_hat, offsets, attained = _closed_forms(batch, S, deltas)
+            assert S_hat.shape == offsets.shape == S.shape
+            norms = _norms(offsets, deltas)
+            for s, s_hat, norm, value, delta in zip(S, S_hat, norms.tolist(),
+                                                    attained.tolist(), deltas.tolist()):
                 one = cost_attack(batch, s, delta)
                 assert s_hat.tobytes() == one.s_hat.tobytes()
                 assert norm == one.norm_used
-                assert attained == one.attained
+                assert value == one.attained
 
     def test_random_sphere_rows(self):
-        for rng, _, S, delta in self._cases(43):
+        for rng, _, S, deltas in self._cases(43):
             seeds = rng.integers(1 << 30, size=len(S)).tolist()
-            S_hat, attained, norms = _random_spheres(S, delta, seeds)
-            for s, s_hat, norm, seed in zip(S, S_hat, norms.tolist(), seeds):
+            S_hat, steps, attained = _random_spheres(S, deltas, seeds)
+            norms = _norms(steps, deltas)
+            for s, s_hat, norm, value, delta, seed in zip(
+                    S, S_hat, norms.tolist(), attained.tolist(), deltas.tolist(), seeds):
                 one = random_sphere_attack(s, delta, seed)
                 assert s_hat.tobytes() == one.s_hat.tobytes()
                 assert norm == one.norm_used
-                assert attained == one.attained
+                assert value == one.attained
                 reference = random_sphere_reference(s, delta, np.random.default_rng(seed))
                 assert s_hat.tobytes() == reference.tobytes()
 
@@ -314,11 +332,12 @@ class TestBlockAttacks:
                 return draw
 
         S = np.random.default_rng(47).standard_normal((4, 6))
-        seeds = [1, 2, 3, 4]
+        seeds, deltas = [1, 2, 3, 4], np.full(4, 1.5)
         monkeypatch.setattr(np.random, "default_rng", FirstDrawZero)
-        S_hat, _, norms = _random_spheres(S, 1.5, seeds)
+        S_hat, steps, _ = _random_spheres(S, deltas, seeds)
         rows = [random_sphere_attack(s, 1.5, seed) for s, seed in zip(S, seeds)]
         monkeypatch.undo()
+        norms = _norms(steps, deltas)
         for s, s_hat, norm, seed, one in zip(S, S_hat, norms.tolist(), seeds, rows):
             rng = default_rng(seed)
             if seed in (2, 3):
@@ -329,12 +348,75 @@ class TestBlockAttacks:
             assert math.isclose(norm, 1.5, rel_tol=1e-12)
 
     @pytest.mark.parametrize("attack", [
-        pytest.param(lambda batch, S: _closed_forms(batch, S, 1e308), id="cost"),
-        pytest.param(lambda batch, S: _random_spheres(S, 1e308, [3, 4]), id="random"),
+        pytest.param(lambda batch, S, deltas: _closed_forms(batch, S, deltas), id="cost"),
+        pytest.param(lambda batch, S, deltas: _random_spheres(S, deltas, [3, 4]), id="random"),
     ])
     def test_an_overflowing_block_fails_the_norm_check(self, scalar_t2, attack):
-        # A step past the float range fails as AttackResult's check fails it.
+        # A step past the float range fails the norm check of its offsets
+        # as AttackResult's check fails it.
         S = np.array([[1e308, -1e308], [0.5, 0.25]])
+        deltas = np.full(2, 1e308)
         with np.errstate(over="ignore"), pytest.raises(
                 ValueError, match="perturbation norm inf overflows at delta 1e\\+308"):
-            attack(scalar_t2, S)
+            _checked_norms(attack(scalar_t2, S, deltas)[1], deltas)
+
+    @staticmethod
+    def _closed_stage(deltas, count, seed):
+        """The attack stage on a scalar T=2 LQR, whose closed block
+        interleaves random and cost-adv rows at the given budgets: its
+        config, windows and attacked block."""
+        cfg = parse_config({"system": {"A": 1, "B": -1, "C": 1, "Q": 1, "R": 1, "T": 2,
+                                       "x0": 1},
+                            "deltas": deltas, "scenarios": ["random", "cost-adv"],
+                            "dataset": {"kind": "arima", "count": count}, "seed": seed})
+        batch = batch_form(cfg.system)
+        windows = load_windows(cfg)
+        S = np.array([window.values for window in windows])
+        ids = [window.series_id for window in windows]
+        return cfg, batch, windows, lambda: attack_windows(
+            cfg, batch, ConstraintSet.empty(2, 2), ids, S)[1]
+
+    @staticmethod
+    def _one_row_attacks(cfg, batch, windows):
+        """Each row of the stage's block attacked alone, in config order,
+        with its task name; an attack that fails gives its error."""
+        for d_idx, delta in enumerate(cfg.deltas):
+            for scenario in cfg.scenarios:
+                for w_idx, window in enumerate(windows):
+                    name = f"window {window.series_id}, delta {delta}, scenario {scenario}"
+                    try:
+                        if scenario == "cost-adv":
+                            yield name, cost_attack(batch, window.values, delta)
+                        else:
+                            yield name, random_sphere_attack(
+                                window.values, delta, task_seed(cfg.seed, w_idx, d_idx))
+                    except ValueError as exc:
+                        yield name, exc
+
+    def test_a_closed_block_keeps_each_rows_budget(self):
+        # Budgets below and at or above the 1e150 switch to the scaled norm
+        # share one closed block with random and cost-adv rows interleaved.
+        cfg, batch, windows, stage = self._closed_stage([0.5, 2.0, 1e150, 1e200], 5, 9)
+        block = stage()
+        rows = list(self._one_row_attacks(cfg, batch, windows))
+        assert len(rows) == len(block.S_hat) == 4 * 2 * 5
+        for row, (_, one) in enumerate(rows):
+            assert block.S_hat[row].tobytes() == one.s_hat.tobytes()
+            assert block.norms[row] == one.norm_used
+            assert block.attained[row] == one.attained
+
+    def test_a_failed_norm_check_names_the_first_failing_row(self):
+        # At 1e308 a random step overflows where its draw has an entry past
+        # 1.79, so some windows fail and others do not, while every cost-adv
+        # step keeps its budget.  The one norm check of the closed block
+        # names the row whose one-row attack fails first in config order.
+        cfg, batch, windows, stage = self._closed_stage([1.0, 1e308], 8, 5)
+        with np.errstate(over="ignore"):
+            rows = list(self._one_row_attacks(cfg, batch, windows))
+            failed = [(name, one) for name, one in rows if isinstance(one, ValueError)]
+            with pytest.raises(ValueError) as info:
+                stage()
+        name, error = failed[0]
+        assert str(info.value) == f"{name}: {error}"
+        assert not name.startswith(f"window {windows[0].series_id},")
+        assert len(failed) < len(windows)  # some windows at 1e308 keep their budget

@@ -882,6 +882,32 @@ class TestLockstepStage:
                       if block.flags[p * W:(p + 1) * W, _COL_INFEASIBLE].any()}
         assert infeasible == (set(SCENARIOS) if controller == "state-box" else set())
 
+    @pytest.mark.parametrize("scenarios", [list(SCENARIOS), ["random", "max-action"],
+                                           ["cost-adv", "l1"]])
+    def test_each_closed_form_is_one_call(self, monkeypatch, scenarios):
+        # However many deltas, the cost-adv rows are one block call, the
+        # random rows another and all their norms one check; a helper whose
+        # scenario is absent is not called.
+        experiments = importlib.import_module("tsattack.experiments")
+        calls = []
+
+        def counting(name):
+            helper = getattr(experiments, name)
+
+            def counted(*args):
+                calls.append(name)
+                return helper(*args)
+            return counted
+
+        for name in ("_closed_forms", "_random_spheres", "_checked_norms"):
+            monkeypatch.setattr(experiments, name, counting(name))
+        run_experiment(make_config(deltas=[0.3, 1.0, 3.0], scenarios=scenarios,
+                                   attack={"mode": "iterated", "steps": 2}))
+        expected = [name for name, scenario in (("_closed_forms", "cost-adv"),
+                                                ("_random_spheres", "random"))
+                    if scenario in scenarios]
+        assert calls == expected + ["_checked_norms"]
+
     def test_a_failed_norm_check_in_the_ascent_names_its_task(self, monkeypatch):
         # A projection that overshoots the ball puts an iterate at 20 times
         # its step, past its budget.  The row fails its norm check as it

@@ -858,7 +858,7 @@ class TestAscendRows:
             clean = grad_attack._solve_rows(batch, cons, S)
             block = grad_attack._ascend_rows(batch, cons, S, clean, deltas, targets, 4, None)
             for i, (s, delta, target) in enumerate(zip(S, deltas, targets)):
-                assert norms[i] == _checked_norms(scaled[i:i + 1], delta)[0]
+                assert norms[i] == _checked_norms(scaled[i:i + 1], deltas[i:i + 1])[0]
                 assert projected[i].tobytes() == project_ball(X[i], s, delta).tobytes()
                 assert_row_is_attack(block, i, iterated_attack(batch, cons, s, delta, target,
                                                                steps=4))

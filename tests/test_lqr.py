@@ -502,6 +502,20 @@ class TestSystemSpecValidation:
             SystemSpec(A=np.eye(2), B=np.ones((3, 1)), C=np.ones((2, 1)),
                        Q=np.eye(2), R=1.0, T=1, x0=np.zeros(2))
 
+    @pytest.mark.parametrize("name,fields", [
+        pytest.param("C", {"C": [[]]}, id="config-C"),
+        pytest.param("B", {"B": [[]]}, id="config-B"),
+        pytest.param("B", {"B": np.zeros((1, 0)), "R": np.zeros((0, 0))}, id="numpy-m0"),
+        pytest.param("C", {"C": np.zeros((1, 0))}, id="numpy-p0"),
+    ])
+    def test_rejects_a_zero_width_gain(self, name, fields):
+        # With no column in B (m = 0) or C (p = 0) the batch form has no
+        # action or series block; the spec names the matrix instead.
+        raw = dict(dict(A=1.0, B=-1.0, C=1.0, Q=1.0, R=1.0, T=3, x0=1.0), **fields)
+        with pytest.raises(ConfigurationError,
+                           match=f"^{name} must have at least one column$"):
+            SystemSpec(**raw)
+
     def test_spec_is_immutable(self):
         spec = make_scalar_spec()
         with pytest.raises(AttributeError):

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -67,6 +68,18 @@ class TestPinnedExamples:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):
             wilcoxon_signed_rank([1, 2, 3], [1, 2])
+
+    @pytest.mark.parametrize("name,a,b", [
+        pytest.param("a", [1, 2, 3, 4, 5, math.nan], [0] * 6, id="nan-in-a"),
+        pytest.param("a", [1, 2, 3, 4, 5, math.inf], [0] * 6, id="inf-in-a"),
+        pytest.param("b", [1] * 6, [0, 0, 0, 0, 0, -math.inf], id="-inf-in-b"),
+        pytest.param("b", [1] * 25, [0] * 24 + [math.nan], id="nan-in-b-normal"),
+    ])
+    def test_non_finite_entry_rejected(self, name, a, b):
+        # Rejected up front, before a NaN could reach the ranks or the
+        # exact tail counts, for the exact and the normal method alike.
+        with pytest.raises(ValueError, match=f"^{name} contains non-finite entries$"):
+            wilcoxon_signed_rank(a, b)
 
     def test_unknown_sidedness(self):
         with pytest.raises(ValueError, match="sidedness"):
