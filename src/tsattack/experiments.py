@@ -39,7 +39,7 @@ from .data import (
 )
 from .errors import ConfigurationError
 from .grad_attack import TargetFunction, _ascend_rows
-from .lqr import BatchForm, batch_form, check_series, realized_costs
+from .lqr import BatchForm, _one_blas_thread, batch_form, check_series, realized_costs
 from .qp import ConstraintSet, _solve_rows, compile_constraints
 from .stats import wilcoxon_signed_rank
 
@@ -271,6 +271,7 @@ def constraints_for(cfg: ExperimentConfig, batch: BatchForm, S: np.ndarray) -> C
                                state_box=cfg.state_box)
 
 
+@_one_blas_thread()
 def attack_windows(cfg: ExperimentConfig, batch: BatchForm, cons: ConstraintSet,
                    series_ids: Sequence[str], S: np.ndarray
                    ) -> Tuple[np.ndarray, _AttackedBlock]:
@@ -357,6 +358,7 @@ def attack_windows(cfg: ExperimentConfig, batch: BatchForm, cons: ConstraintSet,
     return clean.U, block
 
 
+@_one_blas_thread()
 def run_experiment(cfg: ExperimentConfig) -> ScenarioStats:
     """Attack every (window, delta, scenario) and cost the answers on the real series.
 

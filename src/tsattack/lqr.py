@@ -23,10 +23,22 @@ directly, and take the products and norms of a block of series through
 :func:`_row_products` and :func:`_row_dots`, bit for bit the per-series ones.
 Every realized cost comes from :func:`realized_costs`; nothing in the
 package calls the reference :func:`rollout_cost`.
+
+:func:`batch_form`, the attack stage and the experiment runner run on one
+BLAS thread (:func:`_one_blas_thread`) and restore the caller's count on
+return: their LAPACK calls are small enough that a second OpenBLAS thread
+costs more than it gives, and at T = 500 it moves ``potrf`` of K by up to
+7e-13 relative, so one thread makes the records the same at any core count.
+The scope sets every OpenBLAS loaded when this module is imported and does
+nothing where there is none (another OS, MKL, Accelerate); it is not safe
+to change the count from several Python threads at once.
 """
 
 from __future__ import annotations
 
+import ctypes
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -38,6 +50,55 @@ from .errors import ConfigurationError
 SYMMETRY_TOL = 1e-12
 
 _POTRS, _TRTRS = get_lapack_funcs(("potrs", "trtrs"), dtype=np.float64)
+
+#: Thread-count symbols of numpy's OpenBLAS, scipy's and a system OpenBLAS;
+#: a library's first exported pair is its control.
+_OPENBLAS_SYMBOLS = (("scipy_openblas_", "64_"), ("scipy_openblas_", ""), ("openblas_", ""))
+
+
+def _openblas_controls() -> tuple:
+    """(get, set) thread-count functions of every OpenBLAS loaded in this
+    process, found through /proc/self/maps and opened without loading
+    anything new; empty where there is no maps file or no OpenBLAS."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = sorted({line.split(None, 5)[-1].strip() for line in maps
+                            if "openblas" in line})
+    except OSError:
+        return ()
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+        except OSError:  # not a loaded library, e.g. a deleted file
+            continue
+        for prefix, suffix in _OPENBLAS_SYMBOLS:
+            get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                controls.append((get, put))
+                break
+    return tuple(controls)
+
+
+#: numpy and scipy.linalg are imported above, so both OpenBLAS copies are in.
+_BLAS_CONTROLS = _openblas_controls()
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body, or a function it decorates, with every OpenBLAS in
+    :data:`_BLAS_CONTROLS` on one thread, and restore each library's count
+    on exit, also when the body raises; nested scopes restore the count
+    they found."""
+    counts = [get() for get, _ in _BLAS_CONTROLS]
+    for _, put in _BLAS_CONTROLS:
+        put(1)
+    try:
+        yield
+    finally:
+        for (_, put), count in zip(_BLAS_CONTROLS, counts):
+            put(count)
 
 
 def _cho_solve(factor, b) -> np.ndarray:
@@ -151,6 +212,8 @@ class SystemSpec:
         n = self.A.shape[0]
         if self.A.shape != (n, n):
             raise ConfigurationError(f"A must be square, got {self.A.shape}")
+        if not n:
+            raise ConfigurationError("A must have at least one row")
         if self.B.shape[0] != n or self.C.shape[0] != n:
             raise ConfigurationError("B and C must have the same row count as A")
         for name in ("B", "C"):
@@ -296,6 +359,7 @@ def _block_toeplitz(powers: np.ndarray) -> np.ndarray:
     return windows[:, ::-1].transpose(1, 0, 2).copy().reshape(n * T, k * T)
 
 
+@_one_blas_thread()
 def batch_form(spec: SystemSpec) -> BatchForm:
     """Stack the dynamics and build K, L, k_const, Psi and the free Jacobian.
 

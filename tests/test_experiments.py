@@ -28,7 +28,7 @@ from tsattack import (
     single_step_attack,
     solve_qp,
 )
-from tsattack import grad_attack, qp
+from tsattack import experiments, grad_attack, lqr, qp
 from tsattack.config import SCENARIOS
 from tsattack.cost_attack import _COL_INFEASIBLE, _FLAGS
 from tsattack.experiments import (
@@ -987,6 +987,91 @@ def test_every_attacked_row_is_costed_in_one_call(monkeypatch, deltas, scenarios
     stats = run_experiment(cfg)
     W = stats.n_windows
     assert calls == [W, len(deltas) * len(scenarios) * W] == [W, len(stats.records)]
+
+
+def _blas_counts():
+    return [get() for get, _ in lqr._BLAS_CONTROLS]
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Every OpenBLAS on two threads for the test, then the counts it found."""
+    if not lqr._BLAS_CONTROLS:
+        pytest.skip("no OpenBLAS thread control found in this process")
+    found = _blas_counts()
+    for _, put in lqr._BLAS_CONTROLS:
+        put(2)
+    try:
+        if _blas_counts() != [2] * len(found):
+            pytest.skip("OpenBLAS does not accept two threads here")
+        yield
+    finally:
+        for (_, put), count in zip(lqr._BLAS_CONTROLS, found):
+            put(count)
+
+
+@pytest.mark.usefixtures("two_blas_threads")
+class TestOneBlasThread:
+    """batch_form, attack_windows and run_experiment run on one BLAS thread
+    and give the caller back the count it had, on every exit path."""
+
+    @staticmethod
+    def recording(monkeypatch, module, name, reads):
+        """Make ``module.name`` append the thread counts to ``reads`` first."""
+        original = getattr(module, name)
+
+        def record(*args, **kwargs):
+            reads.append(_blas_counts())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, record)
+
+    def test_run_experiment(self, monkeypatch):
+        # realized_costs runs in run_experiment after its nested batch_form
+        # and attack_windows scopes have closed, so it also reads their restore.
+        reads = []
+        self.recording(monkeypatch, experiments, "realized_costs", reads)
+        run_experiment(make_config())
+        assert len(reads) == 2
+        assert reads == [[1] * len(lqr._BLAS_CONTROLS)] * 2
+        assert _blas_counts() == [2] * len(lqr._BLAS_CONTROLS)
+
+    def test_attack_windows(self, monkeypatch):
+        cfg = make_config(scenarios=["cost-adv", "random", "max-action"],
+                          action_box="auto", attack={"mode": "iterated", "steps": 2})
+        batch = batch_form(cfg.system)
+        windows = load_windows(cfg)
+        S = np.array([w.values for w in windows])
+        cons = constraints_for(cfg, batch, S)
+        reads = []
+        self.recording(monkeypatch, experiments, "_solve_rows", reads)
+        self.recording(monkeypatch, grad_attack, "_solve_rows", reads)
+        attack_windows(cfg, batch, cons, [w.series_id for w in windows], S)
+        assert len(reads) > 2
+        assert reads == [[1] * len(lqr._BLAS_CONTROLS)] * len(reads)
+        assert _blas_counts() == [2] * len(lqr._BLAS_CONTROLS)
+
+    def test_batch_form(self, monkeypatch):
+        spec = make_config().system
+        reads = []
+        self.recording(monkeypatch, lqr, "cho_solve", reads)
+        batch_form(spec)
+        assert reads == [[1] * len(lqr._BLAS_CONTROLS)]
+        assert _blas_counts() == [2] * len(lqr._BLAS_CONTROLS)
+
+    def test_count_restored_after_an_infeasible_clean_window(self):
+        cfg = make_config(action_box={"u_min": -0.01, "u_max": 0.01},
+                          state_box={"x_min": -0.01, "x_max": 0.01}, normalization="none")
+        with pytest.raises(ConfigurationError, match="unattacked problem infeasible"):
+            run_experiment(cfg)
+        assert _blas_counts() == [2] * len(lqr._BLAS_CONTROLS)
+
+    def test_nested_scopes_restore_the_count_they_found(self):
+        with lqr._one_blas_thread():
+            with lqr._one_blas_thread():
+                assert _blas_counts() == [1] * len(lqr._BLAS_CONTROLS)
+            assert _blas_counts() == [1] * len(lqr._BLAS_CONTROLS)
+        assert _blas_counts() == [2] * len(lqr._BLAS_CONTROLS)
 
 
 class TestCalibration:

@@ -516,6 +516,13 @@ class TestSystemSpecValidation:
                            match=f"^{name} must have at least one column$"):
             SystemSpec(**raw)
 
+    def test_rejects_a_zero_state_system(self):
+        # With n = 0 there is no state to cost; the spec names A instead of
+        # failing on the empty Q.
+        with pytest.raises(ConfigurationError, match="^A must have at least one row$"):
+            SystemSpec(A=np.zeros((0, 0)), B=np.zeros((0, 1)), C=np.zeros((0, 1)),
+                       Q=np.zeros((0, 0)), R=np.eye(1), x0=np.zeros(0), T=5)
+
     def test_spec_is_immutable(self):
         spec = make_scalar_spec()
         with pytest.raises(AttributeError):
