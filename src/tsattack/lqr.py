@@ -24,7 +24,13 @@ directly, and take the products and norms of a block of series through
 Every realized cost comes from :func:`realized_costs`; nothing in the
 package calls the reference :func:`rollout_cost`.
 
-:func:`batch_form`, the attack stage and the experiment runner run on one
+A batch form depends only on the system, so :func:`batch_form` keeps the
+forms of the last few systems it built, keyed by their exact content, and
+hands an equal system the same read-only form, with its cached eigenpair of
+Psi: a process that runs many experiments on one system stacks the dynamics
+and decomposes Psi once.
+
+Building a form, the attack stage and the experiment runner run on one
 BLAS thread (:func:`_one_blas_thread`) and restore the caller's count on
 return: their LAPACK calls are small enough that a second OpenBLAS thread
 costs more than it gives, and at T = 500 it moves ``potrf`` of K by up to
@@ -38,6 +44,7 @@ from __future__ import annotations
 
 import ctypes
 import os
+from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
@@ -165,6 +172,13 @@ def _as_matrix(value, name: str) -> np.ndarray:
     return mat
 
 
+def _read_only_copy(arr: np.ndarray) -> np.ndarray:
+    """A C-ordered, read-only copy of ``arr`` that no caller holds."""
+    arr = np.array(arr, order="C")
+    arr.flags.writeable = False
+    return arr
+
+
 def _check_spd(mat: np.ndarray, name: str) -> None:
     if np.max(np.abs(mat - mat.T)) > SYMMETRY_TOL:
         raise ConfigurationError(f"{name} is not symmetric (tolerance {SYMMETRY_TOL})")
@@ -188,6 +202,9 @@ class SystemSpec:
         x0: Initial state (n,).
 
     Scalars are accepted for all matrix fields (the n = m = p = 1 shorthand).
+    The spec keeps read-only, C-ordered copies of the arrays it is given, so
+    a caller changing its own array later changes neither the spec nor a
+    batch form built from it.
     """
 
     A: np.ndarray
@@ -199,12 +216,11 @@ class SystemSpec:
     x0: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "A", _as_matrix(self.A, "A"))
-        object.__setattr__(self, "B", _as_matrix(self.B, "B"))
-        object.__setattr__(self, "C", _as_matrix(self.C, "C"))
-        object.__setattr__(self, "Q", _as_matrix(self.Q, "Q"))
-        object.__setattr__(self, "R", _as_matrix(self.R, "R"))
-        object.__setattr__(self, "x0", np.atleast_1d(_finite_array(self.x0, "x0")))
+        for name in ("A", "B", "C", "Q", "R"):
+            object.__setattr__(self, name,
+                               _read_only_copy(_as_matrix(getattr(self, name), name)))
+        object.__setattr__(self, "x0",
+                           _read_only_copy(np.atleast_1d(_finite_array(self.x0, "x0"))))
         if (isinstance(self.T, bool) or not isinstance(self.T, (int, np.integer))
                 or self.T < 1):
             raise ConfigurationError(f"T must be a positive integer, got {self.T!r}")
@@ -256,13 +272,14 @@ class BatchForm:
         Psi           (pT x pT)  forecast-error sensitivity L' K^{-1} L, PSD
         k_const       (mT,)      x0-dependent part of the linear term
         K_factor                 Cholesky factorization of K
-        free_jacobian (mT x pT)  du*/ds = -K^{-1} L, read-only; the solution
+        free_jacobian (mT x pT)  du*/ds = -K^{-1} L, the solution
                                  Jacobian of every solve with no active row
 
     The linear term of the cost is k(x0, s) = k_const + L s.  Build
-    instances with :func:`batch_form`; they are immutable and all operations
-    on them are pure.  The dominant eigenpair of Psi is computed on first
-    use of :attr:`eigenpair` and reused after.
+    instances with :func:`batch_form`, which shares one form among equal
+    systems; they are immutable (every array, the factor's matrix too, is
+    read-only) and all operations on them are pure.  The dominant eigenpair
+    of Psi is computed on first use of :attr:`eigenpair` and reused after.
     """
 
     spec: SystemSpec
@@ -359,14 +376,47 @@ def _block_toeplitz(powers: np.ndarray) -> np.ndarray:
     return windows[:, ::-1].transpose(1, 0, 2).copy().reshape(n * T, k * T)
 
 
-@_one_blas_thread()
+#: How many systems' forms :func:`batch_form` keeps, least recently used
+#: dropped first; a T = 500 scalar form holds about 14 MB.
+_FORMS_KEPT = 4
+_FORMS: OrderedDict = OrderedDict()
+
+
+def _system_key(spec: SystemSpec) -> tuple:
+    """The exact content of a system: T and the shape and bytes of each
+    array, so -0.0 and 0.0, or two floats one ulp apart, differ."""
+    return (spec.T, *((arr.shape, arr.tobytes())
+                      for arr in (spec.A, spec.B, spec.C, spec.Q, spec.R, spec.x0)))
+
+
 def batch_form(spec: SystemSpec) -> BatchForm:
+    """The batch form of ``spec``: stacked maps, K, L, k_const, Psi and the
+    free Jacobian.
+
+    A system equal in content to one of the last :data:`_FORMS_KEPT` built
+    gets that system's form back, the same object with its ``spec`` and
+    cached eigenpair, without a BLAS call; any other is built by
+    :func:`_build_form`.
+    """
+    key = _system_key(spec)
+    form = _FORMS.get(key)
+    if form is None:
+        form = _FORMS[key] = _build_form(spec)
+        if len(_FORMS) > _FORMS_KEPT:
+            _FORMS.popitem(last=False)
+    else:
+        _FORMS.move_to_end(key)
+    return form
+
+
+@_one_blas_thread()
+def _build_form(spec: SystemSpec) -> BatchForm:
     """Stack the dynamics and build K, L, k_const, Psi and the free Jacobian.
 
     K, L and k_const are products with one shared operand, (Qbar M)'.
     K^{-1} L is solved once, through the Cholesky factorization of K (never
     an explicit inverse), for F = -K^{-1} L and Psi = -L' F.  K and Psi are
-    symmetrized to remove roundoff skew.
+    symmetrized to remove roundoff skew.  Every array is made read-only.
     """
     M, N, x0_response = _stack_dynamics(spec)
     QM_t = (spec.Q @ M.reshape(spec.T, spec.n, -1)).reshape(M.shape).T
@@ -378,11 +428,13 @@ def batch_form(spec: SystemSpec) -> BatchForm:
         raise ConfigurationError("K is not positive definite; check Q and R") from exc
     L = QM_t @ N
     free_jacobian = -cho_solve(factor, L)
-    free_jacobian.flags.writeable = False
     Psi = -(L.T @ free_jacobian)
     Psi = 0.5 * (Psi + Psi.T)
+    k_const = QM_t @ x0_response
+    for arr in (M, N, x0_response, K, L, Psi, k_const, factor[0], free_jacobian):
+        arr.flags.writeable = False
     return BatchForm(spec=spec, M=M, N=N, x0_response=x0_response, K=K, L=L,
-                     Psi=Psi, k_const=QM_t @ x0_response, K_factor=factor,
+                     Psi=Psi, k_const=k_const, K_factor=factor,
                      free_jacobian=free_jacobian)
 
 

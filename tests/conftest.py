@@ -1,4 +1,5 @@
 import math
+from collections import OrderedDict
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,7 @@ from tsattack import (
     solve_qp,
     wilcoxon_signed_rank,
 )
+from tsattack import lqr
 from tsattack.cost_attack import (_COL_INFEASIBLE, _FLAGS, _AttackedBlock, _checked_norms,
                                   _closed_forms, _random_spheres)
 from tsattack.experiments import METRIC_BY_SCENARIO, task_seed
@@ -320,6 +322,13 @@ def paired_p_values_oracle(records, scenarios):
                 "degenerate": result.degenerate,
             })
     return out
+
+
+@pytest.fixture
+def fresh_forms(monkeypatch):
+    """An empty batch-form memo for the test, so the first form it asks of
+    every system is built, whatever earlier tests built."""
+    monkeypatch.setattr(lqr, "_FORMS", OrderedDict())
 
 
 @pytest.fixture

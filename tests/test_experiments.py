@@ -269,6 +269,7 @@ class TestCostExperiment:
         for dump, s_hat in zip(stats.series_dumps, dumps):
             np.testing.assert_array_equal(dump.attacked, s_hat)
 
+    @pytest.mark.usefixtures("fresh_forms")
     def test_one_eigenpair_per_experiment(self, monkeypatch):
         calls = []
         # The package re-exports the cost_attack function under the module's name.
@@ -279,15 +280,18 @@ class TestCostExperiment:
             calls.append(psi.shape)
             return top_eigenpair(psi)
 
-        # The batch form's cached eigenpair is the one eigendecomposition.
+        # One eigendecomposition per system: the eigenpair is cached on the
+        # batch form, and batch_form hands an equal system the same form.
         monkeypatch.setattr(module, "_top_eigenpair", counting)
         cfg = make_config(deltas=[0.3, 1.0, 3.0])
         batch_form(cfg.system)
         assert calls == []  # building the form leaves the eigenpair lazy
         run_experiment(cfg)
         assert calls == [(12, 12)]
-        run_experiment(make_config(scenarios=["random"]))
+        run_experiment(make_config(seed=8))  # a new spec of the same system
         assert calls == [(12, 12)]
+        run_experiment(make_config(system=dict(BASE_CONFIG["system"], Q=2)))
+        assert calls == [(12, 12)] * 2
 
     def test_rejects_non_finite_window(self, monkeypatch):
         windows = load_windows(make_config())
@@ -1051,7 +1055,9 @@ class TestOneBlasThread:
         assert reads == [[1] * len(lqr._BLAS_CONTROLS)] * len(reads)
         assert _blas_counts() == [2] * len(lqr._BLAS_CONTROLS)
 
+    @pytest.mark.usefixtures("fresh_forms")
     def test_batch_form(self, monkeypatch):
+        # An empty memo: a form found there is built by no BLAS call at all.
         spec = make_config().system
         reads = []
         self.recording(monkeypatch, lqr, "cho_solve", reads)

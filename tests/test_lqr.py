@@ -16,10 +16,16 @@ from tsattack import (
     realized_costs,
     rollout_cost,
 )
+from tsattack import lqr
 from tsattack.lqr import (_cho_solve, _row_dots, _row_products, _solve_triangular,
                           linear_term)
 
 from conftest import make_scalar_spec, random_system, solve_unconstrained
+
+
+TWO_STATE = dict(A=[[0.9, 0.2], [0.0, 0.7]], B=[[1.0], [0.5]],
+                 C=[[0.3, 0.0], [0.1, 1.0]], Q=[[2.0, 0.5], [0.5, 1.0]],
+                 R=0.5, T=6, x0=[1.0, -0.5])
 
 
 def stack_dynamics_loop(spec):
@@ -48,14 +54,11 @@ def stack_dynamics_loop(spec):
 
 class TestStackDynamics:
     def test_bitwise_equal_to_double_loop(self):
-        # M and N are copies of A^j B and A^j C: the loop's bytes, in C-ordered
-        # arrays of their own (the scalar maps too, whose strided windows a
-        # reshape alone would leave as read-only overlapping views).
+        # M and N are copies of A^j B and A^j C: the loop's bytes, in C-ordered,
+        # read-only arrays of their own (the scalar maps too, whose strided
+        # windows a reshape alone would leave as overlapping views).
         rng = np.random.default_rng(11)
-        two_state = SystemSpec(A=[[0.9, 0.2], [0.0, 0.7]], B=[[1.0], [0.5]],
-                               C=[[0.3, 0.0], [0.1, 1.0]], Q=[[2.0, 0.5], [0.5, 1.0]],
-                               R=0.5, T=6, x0=[1.0, -0.5])
-        specs = [make_scalar_spec(T=500), two_state,
+        specs = [make_scalar_spec(T=500), SystemSpec(**TWO_STATE),
                  *(random_system(rng, t_max=12) for _ in range(50))]
         for spec in specs:
             batch = batch_form(spec)
@@ -63,7 +66,7 @@ class TestStackDynamics:
                                  stack_dynamics_loop(spec)):
                 assert got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
-                assert got.flags.c_contiguous and got.flags.writeable
+                assert got.flags.c_contiguous and not got.flags.writeable
             assert not np.shares_memory(batch.M, batch.N)
 
     def test_scalar_single_step(self):
@@ -170,6 +173,90 @@ class TestBuildCostForm:
             assert not F.flags.writeable
             with pytest.raises(ValueError):
                 F[0, 0] = 1.0
+
+
+@pytest.mark.usefixtures("fresh_forms")
+class TestFormMemo:
+    """batch_form shares one read-only form among systems of equal content."""
+
+    @staticmethod
+    def counting_builds(monkeypatch):
+        calls = []
+        stack = lqr._stack_dynamics
+
+        def counting(spec):
+            calls.append(spec)
+            return stack(spec)
+
+        monkeypatch.setattr(lqr, "_stack_dynamics", counting)
+        return calls
+
+    def test_equal_system_gets_the_same_form(self, monkeypatch):
+        builds = self.counting_builds(monkeypatch)
+        first = SystemSpec(**TWO_STATE)
+        batch = batch_form(first)
+        again = batch_form(SystemSpec(**TWO_STATE))
+        assert again is batch and again.spec is first
+        assert batch_form(first) is batch
+        assert builds == [first]
+        assert again.eigenpair is batch.eigenpair
+
+    @pytest.mark.parametrize("change", [
+        pytest.param({"Q": [[np.nextafter(2.0, 3.0), 0.5], [0.5, 1.0]]}, id="Q-one-ulp"),
+        pytest.param({"x0": [1.0, -0.0]}, id="x0-negative-zero"),
+        pytest.param({"T": 7}, id="T"),
+    ])
+    def test_any_change_builds_a_new_form(self, monkeypatch, change):
+        builds = self.counting_builds(monkeypatch)
+        base = dict(TWO_STATE, x0=[1.0, 0.0])
+        batch = batch_form(SystemSpec(**base))
+        other = batch_form(SystemSpec(**dict(base, **change)))
+        assert other is not batch
+        assert len(builds) == 2
+
+    def test_hit_makes_no_blas_call(self, monkeypatch):
+        spec = make_scalar_spec(T=4)
+        calls = []
+        controls = ((lambda: calls.append("get") or 1, lambda count: calls.append(count)),)
+        monkeypatch.setattr(lqr, "_BLAS_CONTROLS", controls)
+        batch = batch_form(spec)
+        assert calls == ["get", 1, 1]  # the build's one-thread scope
+        equal = make_scalar_spec(T=4)
+        monkeypatch.setattr(lqr, "cho_factor", None)  # a rebuild would raise
+        assert batch_form(equal) is batch
+        assert calls == ["get", 1, 1]
+
+    def test_keeps_the_last_systems_used(self, monkeypatch):
+        builds = self.counting_builds(monkeypatch)
+        kept = lqr._FORMS_KEPT
+        forms = {T: batch_form(make_scalar_spec(T=T)) for T in range(1, kept + 1)}
+        assert batch_form(make_scalar_spec(T=1)) is forms[1]  # now the most recent
+        batch_form(make_scalar_spec(T=kept + 1))  # drops T = 2, the least recent
+        assert len(lqr._FORMS) == kept and len(builds) == kept + 1
+        for T in (1, *range(3, kept + 1)):
+            assert batch_form(make_scalar_spec(T=T)) is forms[T]
+        assert len(builds) == kept + 1
+        assert batch_form(make_scalar_spec(T=2)) is not forms[2]
+        assert len(lqr._FORMS) == kept and len(builds) == kept + 2
+
+    def test_every_array_is_read_only(self):
+        batch = batch_form(SystemSpec(**TWO_STATE))
+        for arr in (batch.M, batch.N, batch.x0_response, batch.K, batch.L, batch.Psi,
+                    batch.k_const, batch.K_factor[0], batch.free_jacobian,
+                    batch.eigenpair.v1):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] = 1.0
+
+    def test_failed_build_is_not_kept(self, monkeypatch):
+        def failing(mat):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        spec = make_scalar_spec(T=3)
+        monkeypatch.setattr(lqr, "cho_factor", failing)
+        with pytest.raises(ConfigurationError, match="K is not positive definite"):
+            batch_form(spec)
+        assert not lqr._FORMS
 
 
 class TestLinearTerm:
@@ -527,3 +614,31 @@ class TestSystemSpecValidation:
         spec = make_scalar_spec()
         with pytest.raises(AttributeError):
             spec.T = 7
+
+    def test_keeps_its_own_copies(self):
+        arrays = {name: np.array(value, dtype=float) for name, value in TWO_STATE.items()
+                  if name != "T"}
+        spec = SystemSpec(T=TWO_STATE["T"], **arrays)
+        batch = batch_form(spec)
+        cost = realized_costs(batch, np.zeros((1, batch.m_total)), np.ones((1, batch.p_total)))
+        arrays["Q"][0, 0] = -1.0  # would fail the SPD check
+        arrays["x0"][0] = 5.0
+        for name, arr in arrays.items():
+            assert not np.shares_memory(getattr(spec, name), arr)
+        np.testing.assert_array_equal(spec.Q, TWO_STATE["Q"])
+        np.testing.assert_array_equal(spec.x0, TWO_STATE["x0"])
+        again = realized_costs(batch, np.zeros((1, batch.m_total)), np.ones((1, batch.p_total)))
+        assert again.tobytes() == cost.tobytes()
+
+    def test_arrays_are_read_only(self):
+        spec = SystemSpec(**TWO_STATE)
+        for arr in (spec.A, spec.B, spec.C, spec.Q, spec.R, spec.x0):
+            assert arr.flags.c_contiguous and not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] = -1.0
+
+    def test_fortran_ordered_input_is_stored_c_ordered(self):
+        A = np.asfortranarray([[0.9, 0.2], [0.0, 0.7]])
+        spec = SystemSpec(**dict(TWO_STATE, A=A))
+        assert spec.A.flags.c_contiguous
+        assert batch_form(spec) is batch_form(SystemSpec(**TWO_STATE))
