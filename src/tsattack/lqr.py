@@ -25,10 +25,10 @@ Every realized cost comes from :func:`realized_costs`; nothing in the
 package calls the reference :func:`rollout_cost`.
 
 A batch form depends only on the system, so :func:`batch_form` keeps the
-forms of the last few systems it built, keyed by their exact content, and
-hands an equal system the same read-only form, with its cached eigenpair of
-Psi: a process that runs many experiments on one system stacks the dynamics
-and decomposes Psi once.
+form of the last system it built, keyed by its exact content, and hands an
+equal system the same read-only form, with its cached eigenpair of Psi: a
+process that runs many experiments on one system stacks the dynamics and
+decomposes Psi once.
 
 Building a form, the attack stage and the experiment runner run on one
 BLAS thread (:func:`_one_blas_thread`) and restore the caller's count on
@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import ctypes
 import os
-from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
@@ -376,10 +375,9 @@ def _block_toeplitz(powers: np.ndarray) -> np.ndarray:
     return windows[:, ::-1].transpose(1, 0, 2).copy().reshape(n * T, k * T)
 
 
-#: How many systems' forms :func:`batch_form` keeps, least recently used
-#: dropped first; a T = 500 scalar form holds about 14 MB.
-_FORMS_KEPT = 4
-_FORMS: OrderedDict = OrderedDict()
+#: The last system :func:`batch_form` built, as (its key, its form); a new
+#: system replaces it, so at most one form is kept.
+_last_form: tuple | None = None
 
 
 def _system_key(spec: SystemSpec) -> tuple:
@@ -393,20 +391,15 @@ def batch_form(spec: SystemSpec) -> BatchForm:
     """The batch form of ``spec``: stacked maps, K, L, k_const, Psi and the
     free Jacobian.
 
-    A system equal in content to one of the last :data:`_FORMS_KEPT` built
-    gets that system's form back, the same object with its ``spec`` and
-    cached eigenpair, without a BLAS call; any other is built by
-    :func:`_build_form`.
+    A system equal in content to the last one built gets that system's form
+    back, the same object with its ``spec`` and cached eigenpair, without a
+    BLAS call; any other is built by :func:`_build_form` and replaces it.
     """
+    global _last_form
     key = _system_key(spec)
-    form = _FORMS.get(key)
-    if form is None:
-        form = _FORMS[key] = _build_form(spec)
-        if len(_FORMS) > _FORMS_KEPT:
-            _FORMS.popitem(last=False)
-    else:
-        _FORMS.move_to_end(key)
-    return form
+    if _last_form is None or _last_form[0] != key:
+        _last_form = (key, _build_form(spec))
+    return _last_form[1]
 
 
 @_one_blas_thread()

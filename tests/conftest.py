@@ -1,5 +1,4 @@
 import math
-from collections import OrderedDict
 from dataclasses import replace
 
 import numpy as np
@@ -326,9 +325,9 @@ def paired_p_values_oracle(records, scenarios):
 
 @pytest.fixture
 def fresh_forms(monkeypatch):
-    """An empty batch-form memo for the test, so the first form it asks of
-    every system is built, whatever earlier tests built."""
-    monkeypatch.setattr(lqr, "_FORMS", OrderedDict())
+    """No kept batch form for the test, so the first form it asks of every
+    system is built, whatever earlier tests built."""
+    monkeypatch.setattr(lqr, "_last_form", None)
 
 
 @pytest.fixture

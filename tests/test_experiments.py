@@ -292,6 +292,10 @@ class TestCostExperiment:
         assert calls == [(12, 12)]
         run_experiment(make_config(system=dict(BASE_CONFIG["system"], Q=2)))
         assert calls == [(12, 12)] * 2
+        # An experiment with no cost-adv scenario never uses the eigenpair.
+        run_experiment(make_config(scenarios=["random"],
+                                   system=dict(BASE_CONFIG["system"], Q=3)))
+        assert calls == [(12, 12)] * 2
 
     def test_rejects_non_finite_window(self, monkeypatch):
         windows = load_windows(make_config())

@@ -226,18 +226,15 @@ class TestFormMemo:
         assert batch_form(equal) is batch
         assert calls == ["get", 1, 1]
 
-    def test_keeps_the_last_systems_used(self, monkeypatch):
+    def test_keeps_only_the_last_system(self, monkeypatch):
         builds = self.counting_builds(monkeypatch)
-        kept = lqr._FORMS_KEPT
-        forms = {T: batch_form(make_scalar_spec(T=T)) for T in range(1, kept + 1)}
-        assert batch_form(make_scalar_spec(T=1)) is forms[1]  # now the most recent
-        batch_form(make_scalar_spec(T=kept + 1))  # drops T = 2, the least recent
-        assert len(lqr._FORMS) == kept and len(builds) == kept + 1
-        for T in (1, *range(3, kept + 1)):
-            assert batch_form(make_scalar_spec(T=T)) is forms[T]
-        assert len(builds) == kept + 1
-        assert batch_form(make_scalar_spec(T=2)) is not forms[2]
-        assert len(lqr._FORMS) == kept and len(builds) == kept + 2
+        first = batch_form(make_scalar_spec(T=1))
+        second = batch_form(make_scalar_spec(T=2))  # replaces T = 1
+        assert lqr._last_form[1] is second
+        assert batch_form(make_scalar_spec(T=2)) is second
+        assert len(builds) == 2
+        assert batch_form(make_scalar_spec(T=1)) is not first
+        assert len(builds) == 3
 
     def test_every_array_is_read_only(self):
         batch = batch_form(SystemSpec(**TWO_STATE))
@@ -252,11 +249,12 @@ class TestFormMemo:
         def failing(mat):
             raise np.linalg.LinAlgError("not positive definite")
 
+        kept = batch_form(make_scalar_spec(T=2))
         spec = make_scalar_spec(T=3)
         monkeypatch.setattr(lqr, "cho_factor", failing)
         with pytest.raises(ConfigurationError, match="K is not positive definite"):
             batch_form(spec)
-        assert not lqr._FORMS
+        assert lqr._last_form[1] is kept
 
 
 class TestLinearTerm:
