@@ -236,30 +236,33 @@ def _text_cells(column) -> list:
             for cell in cells]
 
 
-def _cells(column) -> list:
-    """The formatted cells of one column.  A numpy array is numeric: an
-    integer array's cells are its ints, any other's ``repr(float(v))``, which
-    reads back bitwise.  Any other sequence is text, of str cells."""
-    if not isinstance(column, np.ndarray):
-        return _text_cells(column)
+def _cells(column) -> tuple:
+    """The formatted cells of one numeric column, as a tuple: an integer
+    array's cells are its ints, any other array's ``repr(float(v))``, which
+    reads back bitwise."""
     if column.dtype.kind in "iu":
-        return list(map(str, column.tolist()))
-    return list(map(repr, column.astype(float, copy=False).tolist()))
+        return tuple(map(str, column.tolist()))
+    return tuple(map(repr, column.astype(float, copy=False).tolist()))
 
 
 def _write_csv(path, header, columns) -> None:
-    """Write a table, given by its header and its columns of equal length
-    (each formatted by :func:`_cells`), in one write: byte for byte what
-    ``csv.writer``'s default dialect writes for the header and the rows,
-    with every numeric cell a Python float (an integer array's an int).
-    Numeric cells that :func:`_cells` formatted may be passed again as text,
-    as none of them needs quotes.  A table has at least two columns, so no
-    row is the one empty field the csv module writes as ``""``."""
+    """Write a table, given by its header and its columns of equal length, in
+    one write: byte for byte what ``csv.writer``'s default dialect writes for
+    the header and the rows, with every numeric cell a Python float (an
+    integer array's an int).  A numpy array is numeric and formatted by
+    :func:`_cells`; a tuple is a column :func:`_cells` already formatted,
+    written as it is, since none of its cells needs quotes; any other
+    sequence is text, of str cells, quoted where the csv module quotes.  A
+    table has at least two columns, so no row is the one empty field the csv
+    module writes as ``""``."""
     if len(header) < 2 or len(columns) != len(header):
         raise ValueError(f"expected a header and columns of at least two columns, "
                          f"got {len(header)} names and {len(columns)} columns")
+    cells = [column if isinstance(column, tuple)
+             else _cells(column) if isinstance(column, np.ndarray) else _text_cells(column)
+             for column in columns]
     lines = [",".join(_text_cells(header))]
-    lines += map(",".join, zip(*map(_cells, columns), strict=True))
+    lines += map(",".join, zip(*cells, strict=True))
     lines.append("")
     with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write("\r\n".join(lines))

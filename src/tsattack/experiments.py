@@ -14,9 +14,10 @@ returns one attacked block of arrays (:class:`tsattack.cost_attack._AttackedBloc
 with one row per (delta, scenario, window), pair-major in config order;
 every row is bit for bit what one window attacked on its own gives, and
 its docstring states the order in which a failure stops the run.  The
-clean windows and the attacked rows are costed with one
-:func:`realized_costs` call each, into outcome tables; the records,
-aggregates and p-values read them, so windows pair by row.
+clean windows and the attacked rows are costed into outcome tables with
+one call each of the kernel behind :func:`tsattack.lqr.realized_costs`,
+from each window's real-series response ``N s``, computed once per run;
+the records, aggregates and p-values read them, so windows pair by row.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ from .data import (
 )
 from .errors import ConfigurationError
 from .grad_attack import TargetFunction, _ascend_rows
-from .lqr import BatchForm, _one_blas_thread, batch_form, check_series, realized_costs
+from .lqr import (BatchForm, _costs_of_responses, _one_blas_thread, _row_products,
+                  batch_form, check_series)
 from .qp import ConstraintSet, _solve_rows, compile_constraints
 from .stats import wilcoxon_signed_rank
 
@@ -141,10 +143,11 @@ def load_windows(cfg: ExperimentConfig) -> List[SeriesWindow]:
     return normalize_windows(windows, cfg.normalization)
 
 
-def _outcomes(batch: BatchForm, U: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """Outcome table of the action rows U played against the series rows S;
-    each entry is bit for bit its row's own (row-wise kernels)."""
-    return np.column_stack((realized_costs(batch, U, S), U.max(axis=1),
+def _outcomes(batch: BatchForm, U: np.ndarray, NS: np.ndarray) -> np.ndarray:
+    """Outcome table of the action rows U played against the real series
+    whose responses ``N s`` are the rows of NS; each entry is bit for bit its
+    row's own (row-wise kernels)."""
+    return np.column_stack((_costs_of_responses(batch, U, NS), U.max(axis=1),
                             U.min(axis=1), np.abs(U).sum(axis=1)))
 
 
@@ -367,8 +370,9 @@ def run_experiment(cfg: ExperimentConfig) -> ScenarioStats:
     solves the clean windows and returns the one attacked block; its
     docstring gives the order in which a failure stops the run.  The clean
     windows and the feasible attacked rows get one outcome table each, from
-    one :func:`realized_costs` call each.  A window whose clean cost
-    overflows fails the run, as do a feasible attacked cost that overflows
+    one call each of the kernel behind :func:`tsattack.lqr.realized_costs`
+    on each window's response ``N s``, computed once.  A window whose clean
+    cost overflows fails the run, as do a feasible attacked cost that overflows
     (naming the delta of the first such pair in config order) and the first
     aggregate that is not finite (naming its delta and scenario).  Records
     run window-major; a record's flags join its row's set flag columns by
@@ -380,7 +384,8 @@ def run_experiment(cfg: ExperimentConfig) -> ScenarioStats:
     S = _stack_windows(batch, windows, ids)
     U_orig, block = attack_windows(cfg, batch, constraints_for(cfg, batch, S), ids, S)
 
-    orig = _outcomes(batch, U_orig, S)
+    NS = _row_products(batch.N, S)
+    orig = _outcomes(batch, U_orig, NS)
     overflow = np.flatnonzero(~np.isfinite(orig[:, 0]))
     if overflow.size:
         raise ConfigurationError(f"realized cost of window {ids[overflow[0]]} is not finite")
@@ -388,8 +393,8 @@ def run_experiment(cfg: ExperimentConfig) -> ScenarioStats:
     pairs = [(delta, scenario) for delta in cfg.deltas for scenario in cfg.scenarios]
     feasible = ~block.flags[:, _COL_INFEASIBLE]
     adv = np.tile(_INFEASIBLE, (len(feasible), 1))
-    adv[feasible] = _outcomes(batch, block.U_hat[feasible],
-                              np.tile(S, (len(pairs), 1))[feasible])
+    rows = np.flatnonzero(feasible)
+    adv[rows] = _outcomes(batch, block.U_hat[rows], NS[rows % W])
     overflow = np.flatnonzero(feasible & ~np.isfinite(adv[:, 0]))
     if overflow.size:
         raise ConfigurationError(f"delta {pairs[overflow[0] // W][0]} overflows the "

@@ -21,8 +21,10 @@ batch form and reused for all solves.  The solvers' hot paths solve with it
 through :func:`_cho_solve` and :func:`_solve_triangular`, which call LAPACK
 directly, and take the products and norms of a block of series through
 :func:`_row_products` and :func:`_row_dots`, bit for bit the per-series ones.
-Every realized cost comes from :func:`realized_costs`; nothing in the
-package calls the reference :func:`rollout_cost`.
+Every realized cost comes from :func:`realized_costs` or its kernel,
+:func:`_costs_of_responses`, which takes each real series' response
+``N s`` ready made; nothing in the package calls the reference
+:func:`rollout_cost`.
 
 A batch form depends only on the system, so :func:`batch_form` keeps the
 form of the last system it built, keyed by its exact content, and hands an
@@ -477,8 +479,11 @@ def realized_costs(batch: BatchForm, U, S) -> np.ndarray:
     bit row r costed alone: the states x_{t+1} = A^{t+1} x0 + M_t u + N_t s
     and each step's quadratic forms are per-row products, and each row sums
     its own horizon.  An overflowing cost is inf, for the caller to name.
+    Its kernel, :func:`_costs_of_responses`, sums the states as
+    ``(M u + N s) + x0_response`` and takes each ``N s`` ready made, so a
+    caller that plays many action rows against a few series computes each
+    series' response once.
     """
-    spec = batch.spec
     U = np.asarray(U, dtype=float)
     S = np.asarray(S, dtype=float)
     if U.ndim != 2 or U.shape[1] != batch.m_total:
@@ -487,8 +492,17 @@ def realized_costs(batch: BatchForm, U, S) -> np.ndarray:
         raise ValueError(
             f"S must have shape ({U.shape[0]}, p*T = {batch.p_total}), got {S.shape}"
         )
+    return _costs_of_responses(batch, U, _row_products(batch.N, S))
+
+
+def _costs_of_responses(batch: BatchForm, U: np.ndarray, NS: np.ndarray) -> np.ndarray:
+    """:func:`realized_costs` of the (rows, mT) action rows U against the real
+    series whose responses ``N s`` are the rows of the (rows, nT) array NS,
+    each from :func:`_row_products`; every cost is bit for bit
+    ``realized_costs`` of its row alone."""
+    spec = batch.spec
     rows, T = U.shape[0], spec.T
-    X = _row_products(batch.M, U) + _row_products(batch.N, S) + batch.x0_response
+    X = _row_products(batch.M, U) + NS + batch.x0_response
     with np.errstate(over="ignore"):
         state_cost = _quadratic_forms(X.reshape(rows * T, spec.n), spec.Q).reshape(rows, T)
         action_cost = _quadratic_forms(U.reshape(rows * T, spec.m), spec.R).reshape(rows, T)

@@ -3,14 +3,21 @@
 Outputs are byte-deterministic for a given stats object: records are sorted
 by key, CSVs are written by :func:`tsattack.data._write_csv` (floats as the
 shortest repr that reads back bitwise), and JSON keys are sorted.  The CSVs
-are handed over by columns: records.csv as one column per Record field, and
-each series file as its ``t``, ``original`` and ``attacked`` columns, where
-the ``t`` cells are formatted once and a window's ``original`` cells once
-for all of that window's files; only one window's cells are held at a time.
+are handed over by columns, each cell formatted once: records.csv as one
+column per Record field, where each distinct value (by bit pattern) of a
+numeric column is formatted once, since the ``*_orig`` columns repeat per
+window and ``delta`` per pair; and each series file as its ``t``,
+``original`` and ``attacked`` columns, where the ``t`` cells are formatted
+once and a window's ``original`` cells once for all of that window's files,
+and go to the writer as formatted tuples; only one window's cells are held
+at a time.  ``series/`` holds exactly this report's files: an earlier
+report's ``*.csv`` there are removed first, and a ``series/`` they leave
+empty goes too, so the directory reads as a new one's.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import operator
 from dataclasses import fields
@@ -29,12 +36,24 @@ RECORD_COLUMNS = tuple(field.name for field in fields(Record))
 _TEXT_COLUMNS = frozenset(field.name for field in fields(Record) if field.type == "str")
 
 
+def _repeated_cells(column) -> tuple:
+    """:func:`tsattack.data._cells` of a numeric column of records, with each
+    distinct float formatted once: values are told apart by bit pattern, so
+    -0.0 and 0.0, and NaNs of different payloads, stay apart."""
+    bits, inverse = np.unique(np.array(column, dtype=float).view(np.int64),
+                              return_inverse=True)
+    texts = _cells(bits.view(float))
+    return tuple(map(texts.__getitem__, inverse.tolist()))
+
+
 def emit_report(stats: ScenarioStats, out_dir) -> Dict[str, str]:
     """Write records.csv, summary.json, and per-series attack CSVs.
 
     The str record fields are text; the other record fields and series
-    values of any numeric type are written as ``repr(float(v))``.
-    summary.json is strict JSON: a NaN or infinity in it is a ValueError,
+    values of any numeric type are written as ``repr(float(v))``.  The
+    ``*.csv`` files of an earlier report in ``out_dir/series`` are removed
+    (no other file there is touched), so ``series/`` holds this report's
+    dumps only.  summary.json is strict JSON: a NaN or infinity in it is a ValueError,
     raised before anything is written.  Returns the paths written, keyed by
     artifact name.
     """
@@ -56,7 +75,7 @@ def emit_report(stats: ScenarioStats, out_dir) -> Dict[str, str]:
     columns = (list(zip(*map(operator.attrgetter(*RECORD_COLUMNS), ordered)))
                or [()] * len(RECORD_COLUMNS))
     _write_csv(records_path, RECORD_COLUMNS,
-               [column if name in _TEXT_COLUMNS else np.array(column, dtype=float)
+               [list(column) if name in _TEXT_COLUMNS else _repeated_cells(column)
                 for name, column in zip(RECORD_COLUMNS, columns)])
     paths["records"] = str(records_path)
 
@@ -65,8 +84,14 @@ def emit_report(stats: ScenarioStats, out_dir) -> Dict[str, str]:
         handle.write(summary_text)
     paths["summary"] = str(summary_path)
 
+    series_dir = out / "series"
+    if series_dir.is_dir():  # an earlier report's; a new directory costs one stat
+        for stale in series_dir.glob("*.csv"):
+            if stale.is_file():
+                stale.unlink()
+        with contextlib.suppress(OSError):  # kept if it holds other files
+            series_dir.rmdir()
     if stats.series_dumps:
-        series_dir = out / "series"
         series_dir.mkdir(exist_ok=True)
         t_cells = original = original_cells = None
         for dump in stats.series_dumps:

@@ -16,7 +16,7 @@ from tsattack import (
     sample_random_arima,
     write_series_csv,
 )
-from tsattack.data import SeriesWindow, _write_csv
+from tsattack.data import SeriesWindow, _cells, _write_csv
 
 from conftest import denormalize_window
 
@@ -289,15 +289,21 @@ class TestWriteCsv:
     @given(tables())
     def test_bytes_equal_the_csv_module(self, tmp_path_factory, table):
         # Oracle: csv.writer's default dialect, every numeric cell a Python
-        # float (an int column's an int), as the package wrote its rows.
+        # float (an int column's an int), as the package wrote its rows.  A
+        # numeric column handed over already formatted by _cells writes the
+        # same bytes.
         header, columns, rows = table
         folder = tmp_path_factory.mktemp("csv")
         _write_csv(folder / "columns.csv", header, columns)
+        _write_csv(folder / "formatted.csv", header,
+                   [_cells(column) if isinstance(column, np.ndarray) else column
+                    for column in columns])
         with open(folder / "rows.csv", "w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle)
             writer.writerow(header)
             writer.writerows(rows)
         assert (folder / "columns.csv").read_bytes() == (folder / "rows.csv").read_bytes()
+        assert (folder / "formatted.csv").read_bytes() == (folder / "rows.csv").read_bytes()
 
     @pytest.mark.parametrize("header,columns", [
         (("only",), ([""],)),

@@ -23,6 +23,7 @@ from tsattack import (
     load_config,
     parse_config,
     random_sphere_attack,
+    realized_costs,
     rollout_cost,
     run_experiment,
     single_step_attack,
@@ -980,21 +981,67 @@ class TestEvaluationMatchesTheRecordOracle:
     ([0.3, 1.0, 3.0], list(SCENARIOS)),
 ])
 def test_every_attacked_row_is_costed_in_one_call(monkeypatch, deltas, scenarios):
-    # One realized-cost call for the clean windows and one for every
-    # attacked row of every (delta, scenario) pair, however many pairs.
-    calls = []
-    realized_costs = importlib.import_module("tsattack.experiments").realized_costs
+    # One cost-kernel call for the clean windows and one for every attacked
+    # row of every (delta, scenario) pair, and the real series' responses
+    # N s computed once per run, for the W windows, however many pairs.
+    costed, responses = [], []
+    costs, products = experiments._costs_of_responses, experiments._row_products
 
-    def counting(batch, U, S):
-        calls.append(len(U))
-        return realized_costs(batch, U, S)
+    def counting_costs(batch, U, NS):
+        costed.append(len(U))
+        return costs(batch, U, NS)
 
-    monkeypatch.setattr("tsattack.experiments.realized_costs", counting)
+    def counting_products(A, X):
+        responses.append(len(X))
+        return products(A, X)
+
+    monkeypatch.setattr(experiments, "_costs_of_responses", counting_costs)
+    monkeypatch.setattr(experiments, "_row_products", counting_products)
     cfg = make_config(deltas=deltas, scenarios=scenarios, action_box="auto",
                       attack={"mode": "iterated", "steps": 3})
     stats = run_experiment(cfg)
     W = stats.n_windows
-    assert calls == [W, len(deltas) * len(scenarios) * W] == [W, len(stats.records)]
+    assert costed == [W, len(deltas) * len(scenarios) * W] == [W, len(stats.records)]
+    assert responses == [W]
+
+
+class TestSharedSeriesResponse:
+    """Every cost of a run, read from the one N s per window, is bit for bit
+    realized_costs of its own row costed alone."""
+
+    @pytest.mark.parametrize("overrides", [
+        {"deltas": [0.3, 1.0, 3.0], "scenarios": ["cost-adv", "random", "max-action"],
+         "attack": {"mode": "iterated", "steps": 2}},
+        {"system": TWO_STATE_SYSTEM, "deltas": [0.3, 1.0, 3.0],
+         "scenarios": ["cost-adv", "random", "l1"], "attack": {"mode": "iterated", "steps": 2}},
+        dict(STATE_BOX_OVERRIDES, deltas=[1.0, 3.0, 6.0]),
+    ], ids=["scalar", "two-state", "infeasible-rows"])
+    def test_each_cost_is_its_row_alone(self, monkeypatch, overrides):
+        cfg = make_config(**overrides)
+        found = []
+        stage = experiments.attack_windows
+
+        def keeping(cfg, batch, cons, series_ids, S):
+            found.append((batch, S, stage(cfg, batch, cons, series_ids, S)))
+            return found[-1][2]
+
+        monkeypatch.setattr(experiments, "attack_windows", keeping)
+        stats = run_experiment(cfg)
+        ((batch, S, (U_orig, block)),) = found
+        W, P = len(S), len(cfg.deltas) * len(cfg.scenarios)
+        infeasible = block.flags[:, _COL_INFEASIBLE]
+        for index, record in enumerate(stats.records):
+            w, p = divmod(index, P)
+            row = p * W + w
+            alone = realized_costs(batch, U_orig[w][None], S[w][None])
+            assert np.float64(record.j_orig).tobytes() == alone.tobytes()
+            if infeasible[row]:
+                assert record.j_adv == math.inf
+                continue
+            alone = realized_costs(batch, block.U_hat[row][None], S[w][None])
+            assert np.float64(record.j_adv).tobytes() == alone.tobytes()
+        if cfg.state_box is not None:
+            assert 0 < infeasible.sum() < len(infeasible)
 
 
 def _blas_counts():
@@ -1035,10 +1082,10 @@ class TestOneBlasThread:
         monkeypatch.setattr(module, name, record)
 
     def test_run_experiment(self, monkeypatch):
-        # realized_costs runs in run_experiment after its nested batch_form
+        # The cost kernel runs in run_experiment after its nested batch_form
         # and attack_windows scopes have closed, so it also reads their restore.
         reads = []
-        self.recording(monkeypatch, experiments, "realized_costs", reads)
+        self.recording(monkeypatch, experiments, "_costs_of_responses", reads)
         run_experiment(make_config())
         assert len(reads) == 2
         assert reads == [[1] * len(lqr._BLAS_CONTROLS)] * 2
@@ -1239,6 +1286,62 @@ class TestEmitReport:
         assert read_csv(series_file) == [["t", "original", "attacked"],
                                          ["0", "1.0", "0.10000000149011612"],
                                          ["1", "2.0", "0.25"]]
+
+    def test_records_csv_equals_the_csv_module(self, tmp_path):
+        # Numeric columns whose values repeat, with 0.0 and -0.0, NaNs of two
+        # payloads and of either sign, infinities and two floats one ulp
+        # apart: the file is csv.writer's rows, every numeric cell
+        # repr(float(v)), as if each cell were formatted on its own.
+        payload = np.array([0x7FF8000000000001], dtype=np.int64).view(float)[0]
+        ulp = np.nextafter(0.1, 1.0)
+        values = [0.0, -0.0, math.nan, payload, -math.nan, math.inf, -math.inf, 0.1, ulp,
+                  0.1, -0.0, 5e-324, 1e300]
+        records = []
+        for i, value in enumerate(values):
+            other = values[(3 * i + 1) % len(values)]
+            for delta in (0.1, ulp, 0.0):
+                records.append(Record(
+                    series_id=f"s,{i:02d}", delta=delta, scenario='cost-"adv"',
+                    j_orig=value, j_adv=other, max_u_orig=value, max_u_adv=-other,
+                    min_u_orig=-value, min_u_adv=other, l1_orig=value,
+                    l1_adv=np.int64(i), norm_used=delta, flags="a;b" if i % 2 else ""))
+        records.sort(key=lambda r: (r.series_id, r.delta, r.scenario))
+        stats = ScenarioStats(records=tuple(reversed(records)), aggregates=(), p_values=(),
+                              series_dumps=(), config={}, seed=0, n_windows=len(values))
+        emit_report(stats, tmp_path / "out")
+        text = io.StringIO(newline="")
+        writer = csv.writer(text)
+        writer.writerow(vars(records[0]))
+        writer.writerows([value if isinstance(value, str) else repr(float(value))
+                          for value in vars(record).values()] for record in records)
+        assert (tmp_path / "out" / "records.csv").read_bytes() == text.getvalue().encode("utf-8")
+
+    @staticmethod
+    def _tree(root):
+        return {path.relative_to(root): path.read_bytes() if path.is_file() else None
+                for path in root.rglob("*")}
+
+    def test_series_holds_only_this_reports_dumps(self, tmp_path):
+        # Reports of 3, 1 and 0 dumped windows, one after another into one
+        # directory: each leaves the directory as a new one's, with no
+        # earlier report's series file (and, with none, no series/).
+        out = tmp_path / "out"
+        for limit in (3, 1, 0, 2):
+            stats = run_experiment(make_config(series_dump_limit=limit))
+            emit_report(stats, out)
+            emit_report(stats, tmp_path / f"new-{limit}")
+            assert self._tree(out) == self._tree(tmp_path / f"new-{limit}")
+            assert len(list(out.glob("series/*.csv"))) == 4 * limit
+
+    def test_other_files_in_series_are_kept(self, tmp_path):
+        out = tmp_path / "out"
+        emit_report(run_experiment(make_config(series_dump_limit=1)), out)
+        (out / "series" / "notes.txt").write_text("kept", encoding="utf-8")
+        (out / "series" / "folder.csv").mkdir()
+        emit_report(run_experiment(make_config(series_dump_limit=0)), out)
+        assert sorted(path.name for path in (out / "series").iterdir()) == [
+            "folder.csv", "notes.txt"]
+        assert (out / "series" / "notes.txt").read_text(encoding="utf-8") == "kept"
 
     def test_series_dumps_written(self, tmp_path):
         cfg = make_config(series_dump_limit=2)

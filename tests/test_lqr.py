@@ -457,6 +457,23 @@ class TestRealizedCosts:
             costs = realized_costs(batch, U[:width], S[:width])
             assert costs.tobytes() == alone[:width].tobytes(), width
 
+    @pytest.mark.parametrize("spec", [make_scalar_spec(T=50), make_scalar_spec(T=500),
+                                      SystemSpec(**TWO_STATE)],
+                             ids=["scalar-T50", "scalar-T500", "two-state"])
+    def test_shared_responses_cost_each_row_alone(self, spec):
+        # Many action rows against a few series, each series' N s computed
+        # once for all of its rows: every cost is bit for bit realized_costs
+        # of its row alone.
+        batch = batch_form(spec)
+        rng = np.random.default_rng(spec.T)
+        S = rng.standard_normal((5, batch.p_total)) * 10.0 ** rng.uniform(-3, 3, (5, 1))
+        window = rng.integers(0, len(S), 40)
+        U = rng.standard_normal((40, batch.m_total)) * 10.0 ** rng.uniform(-3, 3, (40, 1))
+        costs = lqr._costs_of_responses(batch, U, _row_products(batch.N, S)[window])
+        alone = np.array([realized_costs(batch, u[None], S[w][None])[0]
+                          for u, w in zip(U, window.tolist())])
+        assert costs.tobytes() == alone.tobytes()
+
     def test_zero_rows(self, scalar_t2):
         costs = realized_costs(scalar_t2, np.zeros((0, 2)), np.zeros((0, 2)))
         assert costs.shape == (0,)
