@@ -14,17 +14,17 @@ returns one attacked block of arrays (:class:`tsattack.cost_attack._AttackedBloc
 with one row per (delta, scenario, window), pair-major in config order;
 every row is bit for bit what one window attacked on its own gives, and
 its docstring states the order in which a failure stops the run.  The
-clean windows and the attacked rows are costed into outcome tables with
-one call each of the kernel behind :func:`tsattack.lqr.realized_costs`,
-from each window's real-series response ``N s``, computed once per run;
-the records, aggregates and p-values read them, so windows pair by row.
+clean windows and the attacked rows are costed into outcome tables, one
+column per metric of :data:`tsattack.grad_attack._METRICS`, from each
+window's real-series response ``N s``, computed once per run; the records,
+aggregates and p-values read them, so windows pair by row.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -39,29 +39,16 @@ from .data import (
     sample_random_arima,
 )
 from .errors import ConfigurationError
-from .grad_attack import TargetFunction, _ascend_rows
-from .lqr import (BatchForm, _costs_of_responses, _one_blas_thread, _row_products,
-                  batch_form, check_series)
+from .grad_attack import _METRICS, TargetFunction, _ascend_rows
+from .lqr import BatchForm, _one_blas_thread, _row_products, batch_form, check_series
 from .qp import ConstraintSet, _solve_rows, compile_constraints
 from .stats import wilcoxon_signed_rank
 
-#: The record column each scenario's significance test compares with random.
-METRIC_BY_SCENARIO = {
-    "cost-adv": "j_adv",
-    "max-action": "max_u_adv",
-    "min-action": "min_u_adv",
-    "l1": "l1_adv",
-    "cost-gradient": "j_adv",
-}
-
-
-#: The columns of an outcome table (one row per window).
-_OUTCOME_COLUMNS = ("j", "max_u", "min_u", "l1")
-
-#: The outcome row of an infeasible answer.  Records compare NaN by value, but
-#: lists of their raw fields (perfbench's canonical_records) match NaNs only by
-#: identity, so every infeasible record gets the one math.nan.
-_INFEASIBLE = (math.inf, math.nan, math.nan, math.nan)
+#: The outcome row of an infeasible answer: an infinite cost, NaN otherwise.
+#: Records compare NaN by value, but lists of their raw fields (perfbench's
+#: canonical_records) match NaNs only by identity, so every infeasible record
+#: gets the one math.nan.
+_INFEASIBLE = (math.inf,) + (math.nan,) * (len(_METRICS) - 1)
 
 #: Stands in for every NaN field when records are compared or hashed.
 _NAN = object()
@@ -74,8 +61,10 @@ _CALIBRATION_SLACK, _CALIBRATION_QUANTILE = 1.5, 0.95
 class Record:
     """One (series, delta, scenario) outcome; all costs are vs the real series.
 
-    Records compare and hash by value, with every NaN field (the action
-    metrics of an infeasible outcome) equal to every other NaN.
+    The metric fields are ``<name>_orig``, ``<name>_adv`` of each metric of
+    :data:`tsattack.grad_attack._METRICS`, in its order.  Records compare
+    and hash by value, with every NaN field (the action metrics of an
+    infeasible outcome) equal to every other NaN.
     """
 
     series_id: str
@@ -145,10 +134,9 @@ def load_windows(cfg: ExperimentConfig) -> List[SeriesWindow]:
 
 def _outcomes(batch: BatchForm, U: np.ndarray, NS: np.ndarray) -> np.ndarray:
     """Outcome table of the action rows U played against the real series
-    whose responses ``N s`` are the rows of NS; each entry is bit for bit its
-    row's own (row-wise kernels)."""
-    return np.column_stack((_costs_of_responses(batch, U, NS), U.max(axis=1),
-                            U.min(axis=1), np.abs(U).sum(axis=1)))
+    whose responses ``N s`` are the rows of NS: one column per metric of
+    ``_METRICS``, each entry bit for bit its row's own."""
+    return np.column_stack([metric.block(batch, U, NS) for metric in _METRICS])
 
 
 def _aggregate(delta: float, scenario: str, orig: np.ndarray, adv: np.ndarray) -> dict:
@@ -167,8 +155,9 @@ def _aggregate(delta: float, scenario: str, orig: np.ndarray, adv: np.ndarray) -
         "n_series": len(adv),
         "n_infeasible": len(adv) - int(feasible.sum()),
     }
-    for metric in ("j", "max_u", "l1"):
-        col = _OUTCOME_COLUMNS.index(metric)
+    for col, metric in enumerate(_METRICS):
+        if not metric.pct:
+            continue
         used = feasible & (orig[:, col] > 0)
         o = orig[used, col]
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite mean is the error below
@@ -176,9 +165,9 @@ def _aggregate(delta: float, scenario: str, orig: np.ndarray, adv: np.ndarray) -
         if mean is not None and not math.isfinite(mean):
             raise ConfigurationError(
                 f"delta {delta}, scenario {scenario}: the mean percent increase of "
-                f"{metric} is not finite; use a smaller delta")
-        entry[f"mean_pct_increase_{metric}"] = mean
-        entry[f"n_used_{metric}"] = int(used.sum())
+                f"{metric.name} is not finite; use a smaller delta")
+        entry[f"mean_pct_increase_{metric.name}"] = mean
+        entry[f"n_used_{metric.name}"] = int(used.sum())
     return entry
 
 
@@ -187,20 +176,18 @@ def _paired_p_values(deltas: Sequence[float], scenarios: Sequence[str],
     """Wilcoxon p-values of each scenario vs the random baseline, per delta.
 
     ``adv`` maps each (delta, scenario) to its outcome table; windows pair
-    by row.  Each scenario is compared on the record column
-    METRIC_BY_SCENARIO names.  A (delta, scenario) with fewer than 5 finite
+    by row.  Each scenario is compared on the ``<name>_adv`` column of the
+    metric of ``_METRICS`` that lists it.  A (delta, scenario) with fewer than 5 finite
     pairs, or with 1 to 4 nonzero differences (too few for the test; none is
     its degenerate p = 1), gets no p-value.
     """
     if "random" not in scenarios:
         return []
+    tested = [(scenario, col, metric) for scenario in scenarios
+              for col, metric in enumerate(_METRICS) if scenario in metric.scenarios]
     out = []
     for delta in deltas:
-        for scenario in scenarios:
-            if scenario == "random":
-                continue
-            metric = METRIC_BY_SCENARIO[scenario]
-            col = _OUTCOME_COLUMNS.index(metric.removesuffix("_adv"))
+        for scenario, col, metric in tested:
             a, b = adv[delta, scenario][:, col], adv[delta, "random"][:, col]
             finite = np.isfinite(a) & np.isfinite(b)
             a, b = a[finite], b[finite]
@@ -211,7 +198,7 @@ def _paired_p_values(deltas: Sequence[float], scenarios: Sequence[str],
                 "delta": delta,
                 "scenario": scenario,
                 "baseline": "random",
-                "metric": metric,
+                "metric": f"{metric.name}_adv",
                 "p_value": result.p_value,
                 "statistic": result.statistic,
                 "n": result.n,
@@ -370,8 +357,9 @@ def run_experiment(cfg: ExperimentConfig) -> ScenarioStats:
     solves the clean windows and returns the one attacked block; its
     docstring gives the order in which a failure stops the run.  The clean
     windows and the feasible attacked rows get one outcome table each, from
-    one call each of the kernel behind :func:`tsattack.lqr.realized_costs`
-    on each window's response ``N s``, computed once.  A window whose clean
+    one call each of every metric's block function (the cost's is the kernel
+    behind :func:`tsattack.lqr.realized_costs`) on each window's response
+    ``N s``, computed once.  A window whose clean
     cost overflows fails the run, as do a feasible attacked cost that overflows
     (naming the delta of the first such pair in config order) and the first
     aggregate that is not finite (naming its delta and scenario).  Records
@@ -399,7 +387,7 @@ def run_experiment(cfg: ExperimentConfig) -> ScenarioStats:
     if overflow.size:
         raise ConfigurationError(f"delta {pairs[overflow[0] // W][0]} overflows the "
                                  "realized cost; use a smaller delta")
-    tables = dict(zip(pairs, adv.reshape(len(pairs), W, len(_OUTCOME_COLUMNS))))
+    tables = dict(zip(pairs, adv.reshape(len(pairs), W, len(_METRICS))))
 
     orig_rows, norms = orig.tolist(), block.norms.tolist()
     outcomes = [row if ok else _INFEASIBLE for row, ok in zip(adv.tolist(), feasible.tolist())]
@@ -407,24 +395,11 @@ def run_experiment(cfg: ExperimentConfig) -> ScenarioStats:
     records: List[Record] = []
     dumps: List[SeriesDump] = []
     for w_idx, (series_id, original) in enumerate(zip(ids, S)):
-        j_orig, max_orig, min_orig, l1_orig = orig_rows[w_idx]
         for row, (delta, scenario) in zip(range(w_idx, len(outcomes), W), pairs):
-            j_adv, max_adv, min_adv, l1_adv = outcomes[row]
-            records.append(Record(
-                series_id=series_id,
-                delta=delta,
-                scenario=scenario,
-                j_orig=j_orig,
-                j_adv=j_adv,
-                max_u_orig=max_orig,
-                max_u_adv=max_adv,
-                min_u_orig=min_orig,
-                min_u_adv=min_adv,
-                l1_orig=l1_orig,
-                l1_adv=l1_adv,
-                norm_used=norms[row],
-                flags=flag_texts[row],
-            ))
+            records.append(Record(  # the metric fields pair up in _METRICS order
+                series_id, delta, scenario,
+                *chain.from_iterable(zip(orig_rows[w_idx], outcomes[row])),
+                norms[row], flag_texts[row]))
             if w_idx < cfg.series_dump_limit:
                 dumps.append(SeriesDump(
                     series_id=series_id, delta=delta,

@@ -33,9 +33,10 @@ the public attacks are its one-row case).  The block spans budgets and
 targets too: each row has its own delta, target and step size, so one
 ascent serves every gradient (delta, scenario) pair of an experiment, and
 the targets' gradients and values are taken once per distinct target over
-its rows.  Each step solves the rows still moving as one block, each solve
-warm-started on the working set of the solve its series perturbs, and
-each row keeps its own iterate, best candidate, flags and exits.  The
+its rows; a target's value is its scenario's record metric.  Each step
+solves the rows still moving as one block, each solve warm-started on the
+working set of the solve its series perturbs, and each row keeps its own
+iterate, best candidate, flags and exits.  The
 adjoint products of rows with no active row and every norm are stacked
 matmuls that issue each row's own BLAS call
 (:func:`tsattack.lqr._row_products`, :func:`tsattack.lqr._row_dots`); only
@@ -54,13 +55,14 @@ from __future__ import annotations
 import enum
 import math
 from itertools import compress
+from typing import Callable, NamedTuple, Tuple
 
 import numpy as np
 
 from .cost_attack import (_COL_DEGENERATE, _COL_INFEASIBLE, _COL_WEAK, _COL_ZERO, _FLAGS,
                           AttackResult, _AttackedBlock, _checked_norms, _norms)
-from .lqr import (BatchForm, _row_dots, _row_products, _solve_triangular, check_series,
-                  realized_costs)
+from .lqr import (BatchForm, _costs_of_responses, _row_dots, _row_products,
+                  _solve_triangular, check_series)
 from .qp import WEAK_DUAL_TOL, ConstraintSet, _solve_rows
 
 #: Directions with L2 norm at or below this are treated as zero gradients.
@@ -81,6 +83,26 @@ class TargetFunction(enum.Enum):
     COST_CHANGE = "cost-gradient"
 
 
+class _Metric(NamedTuple):
+    """An outcome metric of the actions played against the real series."""
+
+    name: str  # the record columns are <name>_orig and <name>_adv
+    block: Callable  # (batch, U, NS) -> one value per row, bit for bit the row's own
+    pct: bool  # whether the aggregates report its mean percent increase
+    scenarios: Tuple[str, ...]  # whose p-value compares it with random
+
+
+#: The outcome metrics, in record column order, of (rows, mT) actions U against
+#: the real series whose responses ``N s`` are the rows of NS.  The first is the
+#: realized cost: an infeasible answer costs inf there and NaN in the others.
+_METRICS = (
+    _Metric("j", _costs_of_responses, True, ("cost-adv", "cost-gradient")),
+    _Metric("max_u", lambda batch, U, NS: U.max(axis=1), True, ("max-action",)),
+    _Metric("min_u", lambda batch, U, NS: U.min(axis=1), False, ("min-action",)),
+    _Metric("l1", lambda batch, U, NS: np.abs(U).sum(axis=1), True, ("l1",)),
+)
+
+
 def _by_target(targets: np.ndarray):
     """Yield each distinct target of the per-row ``targets``, in order of
     first appearance, with its (W,) bool row mask; one array comparison per
@@ -94,25 +116,19 @@ def _by_target(targets: np.ndarray):
 
 
 def _target_values(targets: np.ndarray, U: np.ndarray, batch: BatchForm,
-                   S_real) -> np.ndarray:
+                   NS) -> np.ndarray:
     """Value of each row's attack target (``targets``, one per row) at each
-    row of the (W, mT) block of actions U, judged against the matching real
-    series.  Each distinct target takes its rows at once.  The action
-    targets are row-wise reductions over the contiguous axis, so each equals
-    the same reduction of the row on its own, bit for bit, and so is each of
-    the records' own costs (:func:`tsattack.lqr.realized_costs`)."""
+    row of the (W, mT) actions U: its scenario's metric of :data:`_METRICS`
+    (negated for ``min-action``), bit for bit the row's own, against the real
+    series whose responses ``N s`` are the rows of NS (read by the cost only)."""
     values = np.empty(len(U))
     for target, rows in _by_target(targets):
-        if target is TargetFunction.MAX_ACTION:
-            values[rows] = U[rows].max(axis=1)
-        elif target is TargetFunction.MIN_ACTION:
-            values[rows] = (-U[rows]).max(axis=1)
-        elif target is TargetFunction.L1_ENERGY:
-            values[rows] = np.abs(U[rows]).sum(axis=1)
-        elif target is TargetFunction.COST_CHANGE:
-            values[rows] = realized_costs(batch, U[rows], S_real[rows])
-        else:
+        scenario = target.value if isinstance(target, TargetFunction) else None
+        metric = next((m for m in _METRICS if scenario in m.scenarios), None)
+        if metric is None:
             raise ValueError(f"unknown target {target!r}")
+        value = metric.block(batch, U[rows], NS[rows])
+        values[rows] = -value if target is TargetFunction.MIN_ACTION else value
     return values
 
 
@@ -221,10 +237,11 @@ def _ascend_rows(batch, cons, S, clean, delta, target, steps, step_size,
     leaves at its own zero-gradient, infeasible or fixed-point exit.  The
     directions come from one :func:`_adjoints` call per step, and the
     direction and perturbation norms from one stacked dot each; each
-    distinct target takes its rows' gradients and values at once; headings,
-    candidates, the projection's scaling, the target values, the tie rule
-    and the fixed-point test are elementwise or row-wise.  So each row's
-    result is bit for bit the ascent of that row alone.
+    distinct target takes its rows' gradients and values at once (each cost
+    row's ``N s`` is computed once); headings, candidates, the projection's
+    scaling, the target values, the tie rule and the fixed-point test are
+    elementwise or row-wise.  So each row's result is bit for bit the ascent
+    of that row alone.
 
     Returns the :class:`tsattack.cost_attack._AttackedBlock`, each row's
     norm checked against its delta as the row finishes.  The first failure
@@ -239,6 +256,10 @@ def _ascend_rows(batch, cons, S, clean, delta, target, steps, step_size,
         names = np.array(names, dtype=object)
     W = len(S)
     U, mu, active = clean.U.copy(), clean.mu.copy(), clean.active.copy()  # current solutions
+    costed = target == TargetFunction.COST_CHANGE  # the rows that read N s
+    NS = np.empty((W, len(batch.N)))
+    if costed.any():
+        NS[costed] = _row_products(batch.N, S[costed])
     # A moving row's best candidate so far, and a finished row's result.
     S_hat, U_hat, heading = np.empty_like(S), np.empty_like(U), np.empty_like(S)
     attained, norms = np.empty(W), np.empty(W)
@@ -281,12 +302,12 @@ def _ascend_rows(batch, cons, S, clean, delta, target, steps, step_size,
     if stalled.size:
         flags[stalled, _COL_ZERO] = True
         S_hat[stalled], U_hat[stalled] = S[stalled], U[stalled]
-        attained[stalled] = _target_values(target[stalled], U[stalled], batch, S[stalled])
+        attained[stalled] = _target_values(target[stalled], U[stalled], batch, NS[stalled])
         finish(stalled)
     X = S[rows] + delta[rows, None] * heading[rows]
     kept, found = solve(rows, X)
     rows, X, U_kept = rows[kept], X[kept], found.U[kept]
-    attained[rows] = _target_values(target[rows], U_kept, batch, S[rows])
+    attained[rows] = _target_values(target[rows], U_kept, batch, NS[rows])
     S_hat[rows], U_hat[rows] = X, U_kept
 
     S_cur = S.copy()
@@ -308,7 +329,7 @@ def _ascend_rows(batch, cons, S, clean, delta, target, steps, step_size,
             keep = np.ones(len(rows), dtype=bool)
             keep[moved] = kept
             rows, X, fixed = rows[keep], X[keep], fixed[keep]
-        value, best = _target_values(target[rows], U[rows], batch, S[rows]), attained[rows]
+        value, best = _target_values(target[rows], U[rows], batch, NS[rows]), attained[rows]
         # A later iterate must win by more than rounding: on a target that is
         # flat on the delta sphere (l1) ties would be broken by the last ulp.
         wins = np.flatnonzero(value - best > 1e-12 * np.abs(best))

@@ -472,8 +472,7 @@ def _quadratic_forms(X: np.ndarray, P: np.ndarray) -> np.ndarray:
 
 
 def realized_costs(batch: BatchForm, U, S) -> np.ndarray:
-    """Costs of action rows U played against real-series rows S, all at once,
-    for the records and the ``cost-gradient`` target.
+    """Costs of action rows U played against real-series rows S, all at once.
 
     Row r is ``rollout_cost(spec, U[r], S[r])`` up to roundoff and bit for
     bit row r costed alone: the states x_{t+1} = A^{t+1} x0 + M_t u + N_t s
@@ -482,7 +481,8 @@ def realized_costs(batch: BatchForm, U, S) -> np.ndarray:
     Its kernel, :func:`_costs_of_responses`, sums the states as
     ``(M u + N s) + x0_response`` and takes each ``N s`` ready made, so a
     caller that plays many action rows against a few series computes each
-    series' response once.
+    series' response once; it costs the records and the ``cost-gradient``
+    target (:data:`tsattack.grad_attack._METRICS`).
     """
     U = np.asarray(U, dtype=float)
     S = np.asarray(S, dtype=float)

@@ -17,7 +17,7 @@ from tsattack import (
 from tsattack import lqr
 from tsattack.cost_attack import (_COL_INFEASIBLE, _FLAGS, _AttackedBlock, _checked_norms,
                                   _closed_forms, _random_spheres)
-from tsattack.experiments import METRIC_BY_SCENARIO, task_seed
+from tsattack.experiments import task_seed
 from tsattack.grad_attack import ZERO_DIRECTION_TOL, TargetFunction, _adjoint, _ascend_rows
 from tsattack.lqr import check_series, linear_term
 from tsattack.qp import WEAK_DUAL_TOL, _solve_rows, activity_tolerance
@@ -282,6 +282,16 @@ def aggregate_oracle(records):
     return out
 
 
+#: The record column each scenario's significance test compares with random.
+ORACLE_METRIC_BY_SCENARIO = {
+    "cost-adv": "j_adv",
+    "max-action": "max_u_adv",
+    "min-action": "min_u_adv",
+    "l1": "l1_adv",
+    "cost-gradient": "j_adv",
+}
+
+
 def paired_p_values_oracle(records, scenarios):
     """Reference for ``ScenarioStats.p_values``: each scenario vs the random
     baseline per delta, with the pairs matched by series id and taken in
@@ -297,7 +307,7 @@ def paired_p_values_oracle(records, scenarios):
             if scenario == "random":
                 continue
             group = by_key.get((delta, scenario), {})
-            metric = METRIC_BY_SCENARIO[scenario]
+            metric = ORACLE_METRIC_BY_SCENARIO[scenario]
             shared = sorted(set(group) & set(base))
             a, b = [], []
             for sid in shared:

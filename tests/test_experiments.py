@@ -3,6 +3,7 @@ import importlib
 import io
 import json
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ from tsattack import (
     single_step_attack,
     solve_qp,
 )
-from tsattack import experiments, grad_attack, lqr, qp
+from tsattack import experiments, grad_attack, lqr, qp, report
 from tsattack.config import SCENARIOS
 from tsattack.cost_attack import _COL_INFEASIBLE, _FLAGS
 from tsattack.experiments import (
@@ -981,11 +982,12 @@ class TestEvaluationMatchesTheRecordOracle:
     ([0.3, 1.0, 3.0], list(SCENARIOS)),
 ])
 def test_every_attacked_row_is_costed_in_one_call(monkeypatch, deltas, scenarios):
-    # One cost-kernel call for the clean windows and one for every attacked
-    # row of every (delta, scenario) pair, and the real series' responses
-    # N s computed once per run, for the W windows, however many pairs.
+    # One outcome table (each metric's block function, the cost kernel
+    # included, called once) for the clean windows and one for every
+    # attacked row of every (delta, scenario) pair, and the real series'
+    # responses N s computed once per run, for the W windows, however many pairs.
     costed, responses = [], []
-    costs, products = experiments._costs_of_responses, experiments._row_products
+    costs, products = experiments._outcomes, experiments._row_products
 
     def counting_costs(batch, U, NS):
         costed.append(len(U))
@@ -995,7 +997,7 @@ def test_every_attacked_row_is_costed_in_one_call(monkeypatch, deltas, scenarios
         responses.append(len(X))
         return products(A, X)
 
-    monkeypatch.setattr(experiments, "_costs_of_responses", counting_costs)
+    monkeypatch.setattr(experiments, "_outcomes", counting_costs)
     monkeypatch.setattr(experiments, "_row_products", counting_products)
     cfg = make_config(deltas=deltas, scenarios=scenarios, action_box="auto",
                       attack={"mode": "iterated", "steps": 3})
@@ -1003,6 +1005,93 @@ def test_every_attacked_row_is_costed_in_one_call(monkeypatch, deltas, scenarios
     W = stats.n_windows
     assert costed == [W, len(deltas) * len(scenarios) * W] == [W, len(stats.records)]
     assert responses == [W]
+
+
+#: Every scenario in one run: all four gradient targets at three deltas in one
+#: lockstep ascent, under a state box and an action box.
+MIXED_TARGETS = {
+    "system": {"A": 1, "B": -1, "C": 1, "Q": 1, "R": 1, "T": 50, "x0": 1},
+    "deltas": [0.3, 1.0, 3.0],
+    "scenarios": ["cost-adv", "random", "max-action", "min-action", "l1", "cost-gradient"],
+    "dataset": {"kind": "arima", "count": 4},
+    "normalization": "zscore-global",
+    "action_box": {"u_min": -4.5, "u_max": 4.5},
+    "state_box": {"x_min": -0.25, "x_max": 0.25},
+    "attack": {"mode": "iterated", "steps": 5},
+    "seed": 2024,
+}
+
+
+@pytest.mark.parametrize("scenarios,expected", [
+    (MIXED_TARGETS["scenarios"], [12, 4]),
+    (MIXED_TARGETS["scenarios"][:-1], [4]),
+], ids=["with-cost-gradient", "without"])
+def test_each_real_series_response_is_computed_once(monkeypatch, scenarios, expected):
+    # N s: once per cost-gradient row (4 windows x 3 deltas) for its whole
+    # ascent, however many steps it takes, and once per window for the
+    # records.  The other targets read none, and without a cost-gradient
+    # row the ascent makes no call.
+    cfg = parse_config(dict(MIXED_TARGETS, scenarios=scenarios))
+    batch = batch_form(cfg.system)
+    responses, products = [], lqr._row_products
+
+    def counting(A, X):
+        if A is batch.N:
+            responses.append(len(X))
+        return products(A, X)
+
+    for module in (experiments, grad_attack, lqr, qp):
+        monkeypatch.setattr(module, "_row_products", counting)
+    run_experiment(cfg)
+    assert responses == expected
+
+
+class TestMetricTable:
+    """One table, grad_attack._METRICS, gives the record columns, the outcome
+    tables, the aggregates, the p-values and the attack targets' values."""
+
+    def test_record_columns_follow_the_table(self):
+        paired = tuple(f"{metric.name}_{side}" for metric in grad_attack._METRICS
+                       for side in ("orig", "adv"))
+        names = tuple(field.name for field in fields(Record))
+        assert names == ("series_id", "delta", "scenario") + paired + ("norm_used", "flags")
+        assert report.RECORD_COLUMNS == names
+
+    def test_a_block_function_reaches_every_consumer(self, monkeypatch):
+        def toy(batch, U, NS):  # the sum of squares, in place of the l1 norm
+            return np.square(U).sum(axis=1)
+
+        table = tuple(metric._replace(block=toy) if metric.name == "l1" else metric
+                      for metric in grad_attack._METRICS)
+        # experiments imports the one table by name: patch both bindings.
+        monkeypatch.setattr(grad_attack, "_METRICS", table)
+        monkeypatch.setattr(experiments, "_METRICS", table)
+        found, stage = [], experiments.attack_windows
+
+        def keeping(cfg, batch, cons, series_ids, S):
+            found.append(stage(cfg, batch, cons, series_ids, S))
+            return found[-1]
+
+        monkeypatch.setattr(experiments, "attack_windows", keeping)
+        cfg = make_config(scenarios=["l1", "random"], action_box="auto",
+                          attack={"mode": "iterated", "steps": 3})
+        stats = run_experiment(cfg)
+        ((U_orig, block),) = found
+        W, P = len(U_orig), len(cfg.deltas) * len(cfg.scenarios)
+        assert not block.flags[:, _COL_INFEASIBLE].any()
+        bits = lambda value: np.float64(value).tobytes()  # noqa: E731
+        for index, record in enumerate(stats.records):
+            w, p = divmod(index, P)
+            row = p * W + w
+            assert bits(record.l1_orig) == bits(toy(None, U_orig[w][None], None)[0])
+            assert bits(record.l1_adv) == bits(toy(None, block.U_hat[row][None], None)[0])
+            assert record.l1_adv != np.abs(block.U_hat[row]).sum()
+            if record.scenario == "l1":
+                assert bits(block.attained[row]) == bits(record.l1_adv)
+        assert list(stats.aggregates) == aggregate_oracle(stats.records)
+        assert all(entry["mean_pct_increase_l1"] is not None for entry in stats.aggregates)
+        assert list(stats.p_values) == paired_p_values_oracle(stats.records, cfg.scenarios)
+        assert [entry["metric"] for entry in stats.p_values] == ["l1_adv"] * len(cfg.deltas)
 
 
 class TestSharedSeriesResponse:
@@ -1082,10 +1171,11 @@ class TestOneBlasThread:
         monkeypatch.setattr(module, name, record)
 
     def test_run_experiment(self, monkeypatch):
-        # The cost kernel runs in run_experiment after its nested batch_form
-        # and attack_windows scopes have closed, so it also reads their restore.
+        # The outcome tables are costed in run_experiment after its nested
+        # batch_form and attack_windows scopes have closed, so they also read
+        # their restore.
         reads = []
-        self.recording(monkeypatch, experiments, "_costs_of_responses", reads)
+        self.recording(monkeypatch, experiments, "_outcomes", reads)
         run_experiment(make_config())
         assert len(reads) == 2
         assert reads == [[1] * len(lqr._BLAS_CONTROLS)] * 2

@@ -21,6 +21,7 @@ from tsattack import (
 from tsattack import grad_attack, qp
 from tsattack.cost_attack import _checked_norms
 from tsattack.grad_attack import project_ball
+from tsattack.lqr import _row_products
 
 from conftest import (
     active_rows,
@@ -40,10 +41,11 @@ from conftest import (
 
 def target_value(target, u, batch, s_real) -> float:
     """The attack target at the actions u, judged against the real series:
-    the ascent's block values of a one-row block."""
+    the ascent's block values of a one-row block, given the series'
+    response ``N s``."""
     u = np.asarray(u, dtype=float).ravel()
-    return float(grad_attack._target_values(np.array([target]), u[None], batch,
-                                            one_row(s_real))[0])
+    NS = _row_products(batch.N, one_row(s_real))
+    return float(grad_attack._target_values(np.array([target]), u[None], batch, NS)[0])
 
 
 def target_gradient(target, u, batch, s_real) -> np.ndarray:
@@ -385,6 +387,16 @@ class TestTargetFunctions:
             target_value(TargetFunction.COST_CHANGE, [0.5], scalar_t1, [0.0]),
             1.5, rel_tol=1e-12,
         )
+
+    @pytest.mark.parametrize("target", ["max-action", "l1", None, 3])
+    def test_unknown_target_is_a_value_error(self, scalar_t1, target):
+        # Only a TargetFunction is a target, not its scenario name; the
+        # lookup in the metric table raises no StopIteration.
+        targets, U = np.array([target], dtype=object), np.ones((1, 1))
+        with pytest.raises(ValueError, match=f"^unknown target {target!r}$"):
+            grad_attack._target_values(targets, U, scalar_t1, np.zeros((1, 1)))
+        with pytest.raises(ValueError, match=f"^unknown target {target!r}$"):
+            grad_attack._target_gradients(targets, U, scalar_t1, np.zeros((1, 1)))
 
 
 class TestSingleStepAttack:
@@ -894,15 +906,15 @@ class TestAscendRows:
                     (TargetFunction.MIN_ACTION, lambda u: (-u).max(),
                      lambda u: one_hot(u, int(np.argmin(u)), -1.0)),
                     (TargetFunction.L1_ENERGY, lambda u: np.abs(u).sum(), np.sign)):
-                targets = np.array([target] * len(U))
-                values = grad_attack._target_values(targets, U, batch, None)
+                targets = np.array([target] * len(U))  # they read no N s
+                values = grad_attack._target_values(targets, U, batch, np.empty((len(U), 3)))
                 assert values.tobytes() == np.array([value(u) for u in U]).tobytes()
                 grads = grad_attack._target_gradients(targets, U, batch, None)
                 assert grads.tobytes() == np.array([grad(u) for u in U]).tobytes()
         U = rng.standard_normal((4, 3))
         S_real = rng.standard_normal((4, 3))
         targets = np.array([TargetFunction.COST_CHANGE] * len(U))
-        values = grad_attack._target_values(targets, U, batch, S_real)
+        values = grad_attack._target_values(targets, U, batch, _row_products(batch.N, S_real))
         assert values.tobytes() == np.array([realized_costs(batch, u[None], s[None])[0]
                                              for u, s in zip(U, S_real)]).tobytes()
         grads = grad_attack._target_gradients(targets, U, batch, S_real)
