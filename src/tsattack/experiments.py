@@ -41,7 +41,7 @@ from .data import (
 from .errors import ConfigurationError
 from .grad_attack import _METRICS, TargetFunction, _ascend_rows
 from .lqr import BatchForm, _one_blas_thread, _row_products, batch_form, check_series
-from .qp import ConstraintSet, _solve_rows, compile_constraints
+from .qp import ConstraintSet, _StageCache, _solve_rows, compile_constraints
 from .stats import wilcoxon_signed_rank
 
 #: The outcome row of an infeasible answer: an infinite cost, NaN otherwise.
@@ -300,7 +300,8 @@ def attack_windows(cfg: ExperimentConfig, batch: BatchForm, cons: ConstraintSet,
     (``window <id>``); a failed solve or norm check of an attacked row names
     its window, delta and scenario (``window <id>, delta <d>, scenario <s>``).
     """
-    clean = _solve_rows(batch, cons, S, [f"window {sid}" for sid in series_ids])
+    cache = _StageCache(batch, cons)
+    clean = _solve_rows(batch, cons, S, [f"window {sid}" for sid in series_ids], cache=cache)
     infeasible = [sid for sid, ok in zip(series_ids, clean.optimal.tolist()) if not ok]
     if infeasible:
         raise ConfigurationError(
@@ -330,7 +331,7 @@ def attack_windows(cfg: ExperimentConfig, batch: BatchForm, cons: ConstraintSet,
     if closed.any():
         block.norms[closed] = _checked_norms(offsets[closed], deltas[closed], names[closed])
         answers = _solve_rows(batch, cons, block.S_hat[closed], names[closed],
-                              clean.mu[window[closed]])
+                              clean.mu[window[closed]], cache)
         block.U_hat[closed] = answers.U
         block.flags[closed, _COL_INFEASIBLE] = ~answers.optimal
     if climbs.any():
@@ -342,7 +343,7 @@ def attack_windows(cfg: ExperimentConfig, batch: BatchForm, cons: ConstraintSet,
                              deltas[climbs], targets[s_idx[climbs]],
                              0 if cfg.attack.mode == "single-step" else cfg.attack.steps,
                              None if step_size is None else np.full(climbs.sum(), step_size),
-                             names[climbs])
+                             names[climbs], cache)
         for field, rows in zip(block, found):
             field[climbs] = rows
     return clean.U, block

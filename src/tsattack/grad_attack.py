@@ -36,12 +36,14 @@ the targets' gradients and values are taken once per distinct target over
 its rows; a target's value is its scenario's record metric.  Each step
 solves the rows still moving as one block, each solve warm-started on the
 working set of the solve its series perturbs, and each row keeps its own
-iterate, best candidate, flags and exits.  The
-adjoint products of rows with no active row and every norm are stacked
-matmuls that issue each row's own BLAS call
-(:func:`tsattack.lqr._row_products`, :func:`tsattack.lqr._row_dots`); only
-a row with an active set takes its own :func:`_adjoint`.  So every row is
-bit for bit the ascent of that series alone.  The block stays arrays
+iterate, best candidate, flags and exits.  The adjoint products of rows
+with no active row and every norm are stacked matmuls that issue each
+row's own BLAS call (:func:`tsattack.lqr._row_products`,
+:func:`tsattack.lqr._row_dots`).  A row with an active set takes
+:func:`_adjoint` of its (active rows, target gradient), memoized in the
+stage's :class:`tsattack.qp._StageCache`, which the ascent's solves share
+too: only a pair the stage has not seen is solved.  So every row is bit
+for bit the ascent of that series alone.  The block stays arrays
 throughout: each row's current solution, best candidate and result are
 rows of arrays, and the ascent returns one attacked block
 (:class:`tsattack.cost_attack._AttackedBlock`); only the public one-series
@@ -63,7 +65,7 @@ from .cost_attack import (_COL_DEGENERATE, _COL_INFEASIBLE, _COL_WEAK, _COL_ZERO
                           AttackResult, _AttackedBlock, _checked_norms, _norms)
 from .lqr import (BatchForm, _costs_of_responses, _row_dots, _row_products,
                   _solve_triangular, check_series)
-from .qp import WEAK_DUAL_TOL, ConstraintSet, _solve_rows
+from .qp import WEAK_DUAL_TOL, ConstraintSet, _StageCache, _solve_rows
 
 #: Directions with L2 norm at or below this are treated as zero gradients.
 ZERO_DIRECTION_TOL = 1e-12
@@ -181,21 +183,27 @@ def _adjoint(batch: BatchForm, cons: ConstraintSet, active, g):
 
 
 def _adjoints(batch: BatchForm, cons: ConstraintSet, active: np.ndarray,
-              grads: np.ndarray):
+              grads: np.ndarray, cache=None):
     """:func:`_adjoint` at each row of a block of optima, given as its
     (W, q) bool active rows and its (W, mT) target gradients.
 
     The rows with no active row take ``free_jacobian.T @ g`` as one stacked
     product (:func:`tsattack.lqr._row_products`), bit for bit the product of
-    each row alone; only the rows with an active set call :func:`_adjoint`.
-    Returns the (W, pT) directions and whether each row's active rows
-    violate LICQ.
+    each row alone.  A row with an active set reads its (active rows,
+    gradient) from the ``adjoints`` memo of ``cache``, the stage's
+    :class:`tsattack.qp._StageCache` (None: a memo of this block's own), and
+    only a key the memo has not seen calls :func:`_adjoint`.  Returns the
+    (W, pT) directions and whether each row's active rows violate LICQ.
     """
     directions = _row_products(batch.free_jacobian.T, grads)
     degenerate = np.zeros(len(grads), dtype=bool)
+    memo = {} if cache is None else cache.adjoints
     for i in np.flatnonzero(active.any(axis=1)).tolist():
-        directions[i], degenerate[i] = _adjoint(batch, cons, np.flatnonzero(active[i]),
-                                                grads[i])
+        key = (active[i].tobytes(), grads[i].tobytes())
+        found = memo.get(key)
+        if found is None:
+            found = memo[key] = _adjoint(batch, cons, np.flatnonzero(active[i]), grads[i])
+        directions[i], degenerate[i] = found
     return directions, degenerate
 
 
@@ -221,7 +229,7 @@ def project_ball(x: np.ndarray, center: np.ndarray, radius) -> np.ndarray:
 
 
 def _ascend_rows(batch, cons, S, clean, delta, target, steps, step_size,
-                 names=None) -> _AttackedBlock:
+                 names=None, cache=None) -> _AttackedBlock:
     """Projected ascent from every row of the checked (W, pT) block S at once.
 
     ``clean`` is the optimal clean :class:`tsattack.qp._SolvedBlock` of S
@@ -243,6 +251,10 @@ def _ascend_rows(batch, cons, S, clean, delta, target, steps, step_size,
     elementwise or row-wise.  So each row's result is bit for bit the ascent
     of that row alone.
 
+    ``cache`` is the stage's :class:`tsattack.qp._StageCache` of (batch,
+    cons), which every solve and adjoint of the ascent shares; None builds
+    one for this ascent.
+
     Returns the :class:`tsattack.cost_attack._AttackedBlock`, each row's
     norm checked against its delta as the row finishes.  The first failure
     stops the block: the first step where a row fails, and within that step
@@ -254,6 +266,8 @@ def _ascend_rows(batch, cons, S, clean, delta, target, steps, step_size,
         step_size = delta / 10.0
     if names is not None:
         names = np.array(names, dtype=object)
+    if cache is None:
+        cache = _StageCache(batch, cons)
     W = len(S)
     U, mu, active = clean.U.copy(), clean.mu.copy(), clean.active.copy()  # current solutions
     costed = target == TargetFunction.COST_CHANGE  # the rows that read N s
@@ -276,7 +290,7 @@ def _ascend_rows(batch, cons, S, clean, delta, target, steps, step_size,
         move and the rows whose direction vanished."""
         at = active[rows]
         grads = _target_gradients(target[rows], U[rows], batch, S[rows])
-        directions, degenerate = _adjoints(batch, cons, at, grads)
+        directions, degenerate = _adjoints(batch, cons, at, grads, cache)
         flags[rows, _COL_WEAK] |= (at & (mu[rows] < WEAK_DUAL_TOL)).any(axis=1)
         flags[rows, _COL_DEGENERATE] |= degenerate
         lengths = np.sqrt(_row_dots(directions))  # np.linalg.norm of each row
@@ -289,7 +303,8 @@ def _ascend_rows(batch, cons, S, clean, delta, target, steps, step_size,
         """Solve the rows' candidates X, each warm from the row's current
         solution; a row whose problem is infeasible finishes here.  Returns
         which rows are kept, and the solved block."""
-        found = _solve_rows(batch, cons, X, None if names is None else names[rows], mu[rows])
+        found = _solve_rows(batch, cons, X, None if names is None else names[rows], mu[rows],
+                            cache)
         kept = found.optimal
         if not kept.all():
             out = rows[~kept]
@@ -347,12 +362,14 @@ def _attack(batch, cons, s, delta, target, steps, step_size) -> dict:
     :class:`AttackResult`; ``steps`` is 0 for :func:`single_step_attack`,
     which errors name."""
     S = check_series(batch, s)[None]
-    clean = _solve_rows(batch, cons, S)
+    cache = _StageCache(batch, cons)
+    clean = _solve_rows(batch, cons, S, cache=cache)
     if not clean.optimal[0]:
         caller = "iterated_attack" if steps else "single_step_attack"
         raise ValueError(f"{caller} requires a feasible unattacked problem")
     found = _ascend_rows(batch, cons, S, clean, np.full(1, float(delta)), np.array([target]),
-                         steps, None if step_size is None else np.full(1, float(step_size)))
+                         steps, None if step_size is None else np.full(1, float(step_size)),
+                         cache=cache)
     flags = found.flags[0]
     return dict(s_hat=found.S_hat[0], delta=float(delta), attained=float(found.attained[0]),
                 norm_used=float(found.norms[0]), flags=frozenset(compress(_FLAGS, flags)),

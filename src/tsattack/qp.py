@@ -13,15 +13,23 @@ active-set strategy (Ferreau, Bock and Diehl, Int. J. Robust Nonlinear
 Control 18(8), 2008): the iteration then starts from the equality QP on
 its working set, the rows with a positive multiplier, when they are
 independent and its multipliers nonnegative, and cold otherwise.  The
-module keeps no state between solves, and :func:`solve_qp` always starts
-cold.  It returns exact active sets and dual multipliers, which
-the attack code differentiates through; first-order solvers would blur both.
+work that no series enters (each constraint row's column L^-1 G_i', each
+row's pinned action, the QR of each ordered working set and the warm
+start's span verdict on it) is kept in a :class:`_StageCache` that one
+attack stage builds and drops, so a working set is factored once per stage
+however often it is offered or revisited; every entry is a pure function
+of its key, so a cached solve is bit for bit the uncached one.  The module
+keeps no state between stages, and :func:`solve_qp` always starts cold,
+with a cache of its own.  It returns exact active sets and dual
+multipliers, which the attack code differentiates through; first-order
+solvers would blur both.
 Infeasibility is proved by a Farkas ray from the dual iteration, never
 inferred from divergence.  Solves with the Cholesky factor of K call LAPACK
 ``potrs``/``trtrs`` directly, and the QR of the working rows calls
 ``geqrf``/``orgqr`` directly (bitwise what the scipy and numpy wrappers
 return, without their per-call cost); an empty working set skips its QR, and
-the KKT or Farkas check of every solve still runs.
+the KKT or Farkas check of every solve still runs, at most
+:data:`_KKT_CHUNK` rows of a block at a time.
 
 Series are solved in blocks (:func:`_solve_rows`; :func:`solve_qp` is the
 one-row case).  The products ``L @ s``, ``H @ s`` and ``G @ u`` of a block
@@ -63,6 +71,10 @@ KKT_LIMITS = {"stationarity": 1e-8, "feasibility": 1e-9,
 
 #: Strict limits on the :func:`_farkas_residuals` of every infeasible solve.
 FARKAS_LIMITS = {"dual_sign": 1e-12, "alignment": 1e-8, "gap": 0.0}
+
+#: The KKT check of a block takes at most this many rows at once: the
+#: residuals' (rows, mT) temporaries of a wider block fall out of cache.
+_KKT_CHUNK = 128
 
 
 def activity_tolerance(rhs: np.ndarray) -> np.ndarray:
@@ -203,44 +215,90 @@ def _qr(B: np.ndarray) -> tuple:
     return Q.copy(), R
 
 
-def _warm_start(factor, u, mu, G, rhs, warm, B) -> list:
+class _StageCache:
+    """The work of the constrained solves with one (batch, cons) that no
+    series enters, kept for one attack stage: built by
+    :func:`tsattack.experiments.attack_windows`, by each public one-row
+    attack and by each :func:`solve_qp`, and dropped with it.  Each entry is
+    a pure function of its key, filled on first use, so a hit is bit for
+    bit the work it saves:
+
+    - ``column(i)``: L^-1 G_i' (K = L L'), the one-right-hand-side solve a
+      row joining the working set makes;
+    - ``pins[i]``: the index of row i's one nonzero entry, or -1;
+    - ``qr(work)``: the QR of L^-1 G_W' for the ordered working set W, and
+      ``spans(work)``, whether each of its columns adds a direction by the
+      span rule of :func:`_warm_start`;
+    - ``adjoints``: :func:`tsattack.grad_attack._adjoint`'s (direction,
+      degenerate) by (active rows, target gradient) bytes, filled by the
+      ascent's :func:`tsattack.grad_attack._adjoints`.
+    """
+
+    def __init__(self, batch: BatchForm, cons: ConstraintSet):
+        self.batch, self.cons = batch, cons
+        nonzero = cons.G != 0.0
+        self.pins = np.where(nonzero.sum(axis=1) == 1, nonzero.argmax(axis=1), -1)
+        self.adjoints = {}
+        self._columns, self._qrs, self._spans = {}, {}, {}
+
+    def column(self, row: int) -> np.ndarray:
+        found = self._columns.get(row)
+        if found is None:
+            c, lower = self.batch.K_factor
+            found = self._columns[row] = _solve_triangular(c, self.cons.G[row], lower,
+                                                           int(not lower))
+        return found
+
+    def qr(self, work) -> tuple:
+        key = tuple(work)
+        found = self._qrs.get(key)
+        if found is None:
+            found = self._qrs[key] = _qr(np.column_stack([self.column(row) for row in key]))
+        return found
+
+    def spans(self, work) -> bool:
+        key = tuple(work)
+        found = self._spans.get(key)
+        if found is None:
+            Qw, R = self.qr(key)
+            # Column i leaves the residual Q_i R_ii off the span of the ones before it.
+            scale = np.array([np.abs(self.column(row)).max() for row in key])
+            found = self._spans[key] = bool(
+                (np.abs(Qw).max(axis=0) * np.abs(np.diag(R)) > 1e-10 * scale).all())
+        return found
+
+
+def _warm_start(cache: _StageCache, u, mu, rhs, warm) -> list:
     """Start the dual iteration on the rows ``warm`` (a working set of a
     nearby solve) if they hold a dual-feasible point.
 
     Solves the equality QP min u'Ku + 2k'u s.t. G_W u = rhs_W from the
-    unconstrained optimum u with one QR of L^-1 G_W' (K = L L'; its columns
-    go into the iteration's buffer B, each solved as a joining row's is):
+    unconstrained optimum u with the cached QR of L^-1 G_W' (K = L L'):
     with v = G_W u - rhs_W and w = R^-T v, the multipliers are 2 R^-1 w and
     u moves by -L^-T Q w.  The start is kept when every row adds a direction
     by the iteration's span rule and no multiplier is negative; then u and
     mu are overwritten and the rows are returned.  Otherwise this returns
     [] with u and mu untouched: a cold start, bit for bit.
     """
-    if not 0 < len(warm) <= B.shape[0]:
+    if not 0 < len(warm) <= cache.batch.m_total or not cache.spans(warm):
         return []
-    c, lower = factor
-    for col, row in enumerate(warm):
-        B[:, col] = _solve_triangular(c, G[row], lower, int(not lower))
-    N = B[:, :len(warm)]
-    Qw, R = _qr(N)
-    # Column i leaves the residual Q_i R_ii off the span of the ones before it.
-    if not (np.abs(Qw).max(axis=0) * np.abs(np.diag(R))
-            > 1e-10 * np.abs(N).max(axis=0)).all():
-        return []
-    w = _solve_triangular(R, G[warm] @ u - rhs[warm], trans=1)
+    Qw, R = cache.qr(warm)
+    w = _solve_triangular(R, cache.cons.G[warm] @ u - rhs[warm], trans=1)
     mu_w = 2.0 * _solve_triangular(R, w)
     if not (mu_w >= 0.0).all():  # a NaN fails too
         return []
+    c, lower = cache.batch.K_factor
     u -= _solve_triangular(c, Qw @ w, lower, int(lower))
     mu[warm] = mu_w
     return list(warm)
 
 
-def _dual_active_set(batch, u, G, rhs, tol, warm=()):
-    """Goldfarb-Idnani dual active set from the unconstrained optimum u (a
-    copy of the one :func:`_solve_rows` solved, which this may overwrite),
-    warm-started on the working rows ``warm`` when :func:`_warm_start`
-    keeps them, and cold (no working row) otherwise.
+def _dual_active_set(cache: _StageCache, u, rhs, tol, warm=()):
+    """Goldfarb-Idnani dual active set on the constraints of ``cache``, from
+    the unconstrained optimum u (a copy of the one :func:`_solve_rows`
+    solved, which this may overwrite), warm-started on the working rows
+    ``warm`` when :func:`_warm_start` keeps them, and cold (no working row)
+    otherwise.
 
     Keeps u optimal for its working rows W (G_W u = rhs_W, duals mu_W >= 0)
     and adds the row j outside W whose violation most exceeds its activity
@@ -248,9 +306,9 @@ def _dual_active_set(batch, u, G, rhs, tol, warm=()):
     of u on a held row can exceed tol).  Raising mu_j by t moves u by -t z
     and mu_W by -t r, where (H = 2K, n = G_j', N = G_W') r = (N'H^-1 N)^-1 N'H^-1 n
     and z = H^-1 (n - N r), both from a QR of L^-1 N (K = L L'), which does
-    not square the conditioning of W.  The columns of L^-1 N live in one
-    preallocated buffer (a row joining W writes a column, a row leaving
-    shifts the later ones left), and the QR is taken afresh each iteration.
+    not square the conditioning of W.  The columns of L^-1 N and the QR of
+    each ordered working set come from ``cache``, so a working set that the
+    stage has factored is not factored again.
     The step ends when row j holds (it joins W) or a working dual reaches
     zero first (that row leaves W).
     Returns (u, mu, None) at the optimum, with working rows of one nonzero
@@ -258,11 +316,11 @@ def _dual_active_set(batch, u, G, rhs, tol, warm=()):
     with the Farkas ray y_j = 1, y_W = -r once n lies in the span of N and no
     dual can drop.
     """
+    G = cache.cons.G
     q, mT = G.shape
-    c, lower = batch.K_factor
+    c, lower = cache.batch.K_factor
     mu = np.zeros(q)
-    B = np.empty((mT, mT), order="F")  # L^-1 N in its first len(work) columns
-    work = _warm_start(batch.K_factor, u, mu, G, rhs, warm, B)
+    work = _warm_start(cache, u, mu, rhs, warm)
     j = -1
     for _ in range(50 + 10 * (q + mT)):
         if j < 0:
@@ -271,13 +329,13 @@ def _dual_active_set(batch, u, G, rhs, tol, warm=()):
             j = int(np.argmax(excess))
             if excess[j] <= 0.0:
                 break
-            b = _solve_triangular(c, G[j], lower, int(not lower))  # L^-1 n
+            b = cache.column(j)  # L^-1 n
         if work:
-            Qw, R = _qr(B[:, :len(work)])
+            Qw, R = cache.qr(work)
             Qtb = Qw.T @ b
             r = _solve_triangular(R, Qtb)
             residual = b - Qw @ Qtb  # L^-1 (n - N r)
-        else:  # what the QR of the empty B gives, bit for bit
+        else:  # what the QR of an empty N gives, bit for bit
             r, residual = np.zeros(0), b
         blocking = np.flatnonzero(r > 0.0)
         drop = blocking[np.argmin(mu[work][blocking] / r[blocking])] if blocking.size else -1
@@ -296,18 +354,16 @@ def _dual_active_set(batch, u, G, rhs, tol, warm=()):
         mu[work] -= t * r
         mu[j] += t
         if t < t_drop:
-            B[:, len(work)] = b
             work.append(j)
             j = -1
         else:
             mu[work.pop(drop)] = 0.0
-            B[:, drop:len(work)] = B[:, drop + 1:len(work) + 1]
     else:
         raise NumericalError("dual active-set QP did not converge within the iteration cap")
     for row in work:
-        (nonzero,) = np.nonzero(G[row])
-        if nonzero.size == 1:
-            u[nonzero[0]] = rhs[row] / G[row, nonzero[0]]
+        pin = cache.pins[row]
+        if pin >= 0:
+            u[pin] = rhs[row] / G[row, pin]
     return u, np.maximum(mu, 0.0), None
 
 
@@ -347,7 +403,7 @@ def solve_qp(batch: BatchForm, cons: ConstraintSet, s_obs) -> QpSolution:
 
 
 def _solve_rows(batch: BatchForm, cons: ConstraintSet, S: np.ndarray, names=None,
-                warm=None) -> _SolvedBlock:
+                warm=None, cache=None) -> _SolvedBlock:
     """:func:`solve_qp` of every row of the checked (W, pT) block S.
 
     Returns the :class:`_SolvedBlock`; an infeasible row has NaN actions
@@ -362,8 +418,10 @@ def _solve_rows(batch: BatchForm, cons: ConstraintSet, S: np.ndarray, names=None
     :func:`_dual_active_set` in row order: cold, or, when ``warm`` (the
     (W, q) multipliers of optima of nearby series, one row per row of S) is
     given, warm-started on the working set of ``warm[row]``, its rows with a
-    positive multiplier.  The KKT residuals of every optimal row are checked
-    as one block.  The first row to fail stops the block: a
+    positive multiplier.  ``cache`` is the stage's :class:`_StageCache` of
+    (batch, cons), or None for one of this block's own.  The KKT residuals
+    of the optimal rows are checked in blocks of at most
+    :data:`_KKT_CHUNK` rows.  The first row to fail stops the block: a
     :class:`NumericalError` is raised with ``names[row]`` in front when
     ``names`` (one label per row) is given, and unchanged otherwise, as is
     any other exception.  A row whose ``L @ s`` overflows gets a non-finite
@@ -394,12 +452,14 @@ def _solve_rows(batch: BatchForm, cons: ConstraintSet, S: np.ndarray, names=None
     slack -= rhs
     tol = activity_tolerance(rhs)
     optimal = (slack - tol <= 0.0).all(axis=1)  # a NaN excess is not optimal yet
+    if cache is None:
+        cache = _StageCache(batch, cons)
     moved = []
     for row in np.flatnonzero(~optimal).tolist():
         try:
             start = () if warm is None else np.flatnonzero(warm[row] > 0.0).tolist()
-            u, mu_row, ray = _dual_active_set(batch, U[row].copy(), cons.G, rhs[row],
-                                              tol[row], start)
+            u, mu_row, ray = _dual_active_set(cache, U[row].copy(), rhs[row], tol[row],
+                                              start)
             if ray is None:
                 U[row], mu[row] = u, mu_row
                 moved.append(row)
@@ -413,21 +473,23 @@ def _solve_rows(batch: BatchForm, cons: ConstraintSet, S: np.ndarray, names=None
         slack[moved] = _row_products(cons.G, U[moved]) - rhs[moved]
         optimal[moved] = True
     active = (np.abs(slack) <= tol) & optimal[:, None]
-    rows = np.flatnonzero(optimal)
-    checked = (k, rhs, slack, U, mu)
-    if rows.size < W:
-        checked = tuple(block[rows] for block in checked)
-    residuals = _kkt_residuals(batch, cons, *checked)
-    passed = np.ones(rows.size, dtype=bool)
-    for name, limit in KKT_LIMITS.items():
-        passed &= residuals[name] <= limit  # a NaN fails; a scalar broadcasts
-    if not passed.all():
-        i = int(np.argmin(passed))
-        try:
-            _check("KKT check", {name: float(np.broadcast_to(value, passed.shape)[i])
-                                 for name, value in residuals.items()}, KKT_LIMITS)
-        except NumericalError as exc:
-            _raise_named(exc, names, rows[i])
+    optimal_rows = np.flatnonzero(optimal)
+    for start in range(0, optimal_rows.size, _KKT_CHUNK):
+        rows = optimal_rows[start:start + _KKT_CHUNK]
+        checked = (k, rhs, slack, U, mu)
+        if rows.size < W:
+            checked = tuple(block[rows] for block in checked)
+        residuals = _kkt_residuals(batch, cons, *checked)
+        passed = np.ones(rows.size, dtype=bool)
+        for name, limit in KKT_LIMITS.items():
+            passed &= residuals[name] <= limit  # a NaN fails; a scalar broadcasts
+        if not passed.all():
+            i = int(np.argmin(passed))
+            try:
+                _check("KKT check", {name: float(np.broadcast_to(value, passed.shape)[i])
+                                     for name, value in residuals.items()}, KKT_LIMITS)
+            except NumericalError as exc:
+                _raise_named(exc, names, rows[i])
     return _SolvedBlock(U, mu, active, optimal)
 
 

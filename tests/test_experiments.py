@@ -580,14 +580,15 @@ class TestConstraintExperiment:
         dual_active_set = qp._dual_active_set
         forced = []
 
-        def failing(batch, u, G, rhs, tol, warm=()):
+        def failing(cache, u, rhs, tol, warm=()):
             # u = -K^-1 (k_const + L s), the unconstrained optimum of s.
+            batch = cache.batch
             s = np.linalg.solve(batch.L, -batch.K @ u - batch.k_const)
             for w_idx, delta in ((1, 0.5), (0, 3.0)):
                 if abs(np.linalg.norm(s - values[w_idx]) - delta) < 1e-6:
                     forced.append((w_idx, delta))
                     raise NumericalError(f"forced at window {w_idx}")
-            return dual_active_set(batch, u, G, rhs, tol, warm)
+            return dual_active_set(cache, u, rhs, tol, warm)
 
         monkeypatch.setattr(qp, "_dual_active_set", failing)
         for scenarios, named in ((["l1", "random"], "random"), (["l1"], "l1")):
@@ -611,9 +612,9 @@ class TestConstraintExperiment:
         # random row once; a gradient attack hands back the actions it solved.
         solved = []
 
-        def recording(batch, cons, S_obs, names=None, warm=None):
+        def recording(batch, cons, S_obs, names=None, warm=None, cache=None):
             solved.extend(np.array(s_obs, dtype=float) for s_obs in S_obs)
-            return solve_rows(batch, cons, S_obs, names, warm)
+            return solve_rows(batch, cons, S_obs, names, warm, cache)
 
         solve_rows = importlib.import_module("tsattack.experiments")._solve_rows
         monkeypatch.setattr("tsattack.experiments._solve_rows", recording)
@@ -933,6 +934,42 @@ class TestLockstepStage:
         with pytest.raises(ValueError, match=r"^window arima:000002, delta 0\.3, scenario l1: "
                                              r"perturbation norm 5\.99\d* exceeds delta 0\.3$"):
             run_experiment(cfg)
+
+
+    def test_each_working_set_and_adjoint_key_is_worked_once_per_stage(self, monkeypatch):
+        # The state_box benchmark's shape (T = 50, two z-scored windows, a
+        # +-0.25 state box, a +-4.5 action box, 5 iterated steps), with every
+        # scenario.  Every solve and adjoint of the run share the stage's one
+        # cache: each ordered working set is factored once however often it
+        # is offered, and each (active rows, gradient) pair takes one
+        # _adjoint however many rows ask for it.
+        offered, factored, asked, adjoined = [], [], [], []
+        qr, cached_qr, adjoint, adjoints = (qp._qr, qp._StageCache.qr, grad_attack._adjoint,
+                                            grad_attack._adjoints)
+
+        def offering(cache, work):
+            offered.append((id(cache), tuple(work)))
+            return cached_qr(cache, work)
+
+        def asking(batch, cons, active, grads, cache=None):
+            asked.append((id(cache), int(active.any(axis=1).sum())))
+            return adjoints(batch, cons, active, grads, cache)
+
+        monkeypatch.setattr(qp, "_qr", lambda B: factored.append(B.tobytes()) or qr(B))
+        monkeypatch.setattr(qp._StageCache, "qr", offering)
+        monkeypatch.setattr(grad_attack, "_adjoints", asking)
+        monkeypatch.setattr(grad_attack, "_adjoint", lambda batch, cons, rows, g: (
+            adjoined.append((tuple(rows), g.tobytes())) or adjoint(batch, cons, rows, g)))
+        run_experiment(make_config(
+            system=dict(BASE_CONFIG["system"], T=50), deltas=[0.3, 1.0, 3.0],
+            scenarios=list(SCENARIOS), dataset={"kind": "arima", "count": 2}, seed=2024,
+            normalization="zscore-global", action_box={"u_min": -4.5, "u_max": 4.5},
+            state_box={"x_min": -0.25, "x_max": 0.25},
+            attack={"mode": "iterated", "steps": 5}))
+        assert len({stage for stage, _ in offered + asked}) == 1
+        assert len(factored) == len({work for _, work in offered}) < len(offered)
+        assert len(set(factored)) == len(factored)
+        assert len(set(adjoined)) == len(adjoined) < sum(rows for _, rows in asked)
 
 
 class TestEvaluationMatchesTheRecordOracle:

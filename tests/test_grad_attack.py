@@ -1,5 +1,10 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -546,13 +551,13 @@ class TestIteratedAttack:
         s = np.linspace(-0.3, 0.4, 4)
         calls = {"solves": 0, "jacobians": 0}
 
-        def counting_rows(batch, cons, S_obs, names=None, warm=None):
+        def counting_rows(batch, cons, S_obs, names=None, warm=None, cache=None):
             calls["solves"] += len(S_obs)  # one solve per row of a block
-            return solve_rows(batch, cons, S_obs, names, warm)
+            return solve_rows(batch, cons, S_obs, names, warm, cache)
 
-        def counting_adjoints(batch, cons, active, grads):  # one Jacobian per row
+        def counting_adjoints(batch, cons, active, grads, cache=None):  # one Jacobian per row
             calls["jacobians"] += len(active)
-            return adjoints(batch, cons, active, grads)
+            return adjoints(batch, cons, active, grads, cache)
 
         solve_rows, adjoints = grad_attack._solve_rows, grad_attack._adjoints
         monkeypatch.setattr("tsattack.grad_attack._solve_rows", counting_rows)
@@ -628,8 +633,8 @@ class TestIteratedAttack:
         # last: the gradient is formed at that solve's actions.
         solved, at, jacobians = [], [], []
 
-        def recording_solve(batch, cons, S_obs, names=None, warm=None):
-            block = solve_rows(batch, cons, S_obs, names, warm)
+        def recording_solve(batch, cons, S_obs, names=None, warm=None, cache=None):
+            block = solve_rows(batch, cons, S_obs, names, warm, cache)
             solved.extend((np.array(s_obs, dtype=float), u.tobytes())
                           for s_obs, u in zip(S_obs, block.U))
             return block
@@ -641,9 +646,9 @@ class TestIteratedAttack:
             at.append(point)
             return gradients(target, U, batch, S_real)
 
-        def counting_adjoints(batch, cons, active, grads):
+        def counting_adjoints(batch, cons, active, grads, cache=None):
             jacobians.append(len(active))
-            return adjoints(batch, cons, active, grads)
+            return adjoints(batch, cons, active, grads, cache)
 
         gradients, adjoints = grad_attack._target_gradients, grad_attack._adjoints
         solve_rows = grad_attack._solve_rows
@@ -684,9 +689,9 @@ class TestIteratedAttack:
         candidates = (1.0,) + tuple(1.0 + g for g in gains)
         values = iter(candidates)
 
-        def recording_solve(batch, cons, S_obs, names=None, warm=None):
+        def recording_solve(batch, cons, S_obs, names=None, warm=None, cache=None):
             solved.extend(np.array(s_obs, dtype=float) for s_obs in S_obs)
-            return solve_rows(batch, cons, S_obs, names, warm)
+            return solve_rows(batch, cons, S_obs, names, warm, cache)
 
         solve_rows = grad_attack._solve_rows
         monkeypatch.setattr("tsattack.grad_attack._solve_rows", recording_solve)
@@ -804,6 +809,104 @@ class TestAscendRows:
                 flags |= row_flags(block.flags[i])
         assert {"zero-gradient", "infeasible"} <= flags
 
+    def test_the_adjoint_memo_changes_no_bit(self, monkeypatch):
+        # State-box and action-box blocks of every target: the ascent whose
+        # stage memoizes _adjoint by (active rows, gradient) returns the same
+        # attacked block, bit for bit, as one whose memo keeps nothing, and
+        # it calls _adjoint fewer times.
+
+        class Forgetful(dict):
+            def __setitem__(self, key, value):
+                pass
+
+        calls = []
+        adjoint = grad_attack._adjoint
+        monkeypatch.setattr("tsattack.grad_attack._adjoint",
+                            lambda *args: calls.append(None) or adjoint(*args))
+        rng = np.random.default_rng(71)
+        memoized = forgetful = 0
+        for case in range(16):
+            spec = random_system(rng, n_max=2, m_max=2, p_max=2, t_max=6)
+            batch = batch_form(spec)
+            s = rng.standard_normal(batch.p_total)
+            bound = float(np.max(np.abs(solve_unconstrained(batch, s))))
+            cons = compile_constraints(spec, batch, action_box=(-0.7 * bound, 0.7 * bound),
+                                       state_box=None if case % 2 else (-3.0, 3.0))
+            S = s + rng.uniform(0.0, 0.5) * rng.standard_normal((4, batch.p_total))
+            clean = grad_attack._solve_rows(batch, cons, S)
+            S, clean = S[clean.optimal], clean._make(part[clean.optimal] for part in clean)
+            targets = np.array([list(TargetFunction)[(case + i) % 4] for i in range(len(S))])
+            blocks = []
+            for memo in ({}, Forgetful()):
+                cache = qp._StageCache(batch, cons)
+                cache.adjoints = memo
+                before = len(calls)
+                blocks.append(grad_attack._ascend_rows(
+                    batch, cons, S, clean, np.full(len(S), 1.0), targets, 8, None,
+                    cache=cache))
+                if isinstance(memo, Forgetful):
+                    forgetful += len(calls) - before
+                else:
+                    memoized += len(calls) - before
+            for got, want in zip(*blocks):
+                assert got.tobytes() == want.tobytes()
+        assert 0 < memoized < forgetful
+
+    def test_constraint_sets_solved_alternately_match_a_fresh_process(self):
+        # A compiled action box and a hand-built one whose bounds move with
+        # the series, on one system: their active rows and target gradients
+        # coincide where their columns, QRs and adjoints differ.  Their
+        # solves and iterated attacks, taken alternately in this process,
+        # give bit for bit the answers a process of its own gives each set,
+        # so no cache outlives its solve or attack.
+        script = textwrap.dedent("""
+            import sys
+            import numpy as np
+            from tsattack import (ConstraintSet, TargetFunction, batch_form,
+                                  compile_constraints, iterated_attack, solve_qp)
+            from tsattack.lqr import SystemSpec
+
+            def answers(which):
+                spec = SystemSpec(A=1.0, B=-1.0, C=1.0, Q=1.0, R=1.0, T=8, x0=1.0)
+                batch = batch_form(spec)
+                if which == "compiled":
+                    cons = compile_constraints(spec, batch, action_box=(-0.6, 0.6))
+                else:  # |u_t - 0.2 s_t| <= 0.6, each row scaled by 2
+                    eye = np.eye(8)
+                    cons = ConstraintSet(G=np.vstack([2.0 * eye, -2.0 * eye]),
+                                         h0=np.full(16, 1.2),
+                                         H=np.vstack([0.4 * eye, -0.4 * eye]))
+                S = np.random.default_rng(5).standard_normal((3, 8))
+                out = []
+                for s in S:
+                    sol = solve_qp(batch, cons, s)
+                    out += [sol.status, sol.active,
+                            None if sol.u is None else sol.u.tobytes().hex()]
+                    for target in TargetFunction if sol.optimal else ():
+                        res = iterated_attack(batch, cons, s, 0.8, target, steps=4)
+                        out += [res.s_hat.tobytes().hex(), repr(res.attained),
+                                sorted(res.flags),
+                                None if res.u_hat is None else res.u_hat.tobytes().hex()]
+                return out
+
+            if __name__ == "__main__":
+                print(repr(answers(sys.argv[1])))
+            """)
+        src = str(Path(qp.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        fresh = {}
+        for which in ("compiled", "by-hand"):
+            proc = subprocess.run([sys.executable, "-c", script, which], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            fresh[which] = proc.stdout.strip()
+        namespace = {}
+        exec(compile(script, "<answers>", "exec"), namespace)
+        for which in ("compiled", "by-hand", "compiled", "by-hand"):
+            assert repr(namespace["answers"](which)) == fresh[which]
+        assert fresh["compiled"] != fresh["by-hand"]
+
     def test_rows_leave_at_their_own_exits(self, monkeypatch):
         # u in [-0.1, 0.1] and x1 = 1 - u + s <= 0, max-action at delta
         # 0.05: s = -5 holds u at -0.1 (zero gradient), s = -0.92 pins u to
@@ -818,9 +921,9 @@ class TestAscendRows:
         clean = grad_attack._solve_rows(batch, cons, S)
         sizes = []
 
-        def recording(batch, cons, S_obs, names=None, warm=None):
+        def recording(batch, cons, S_obs, names=None, warm=None, cache=None):
             sizes.append(len(S_obs))
-            return solve_rows(batch, cons, S_obs, names, warm)
+            return solve_rows(batch, cons, S_obs, names, warm, cache)
 
         solve_rows = grad_attack._solve_rows
         monkeypatch.setattr("tsattack.grad_attack._solve_rows", recording)

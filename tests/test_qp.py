@@ -268,8 +268,8 @@ class TestSolveQp:
         assert sol.u is None
         # The dual iteration ends on a Farkas ray: y >= 0, G'y = 0, y'rhs < 0.
         rhs = cons.rhs([0.0])
-        _, _, y = qp_module._dual_active_set(batch, solve_unconstrained(batch, [0.0]),
-                                             cons.G, rhs,
+        _, _, y = qp_module._dual_active_set(qp_module._StageCache(batch, cons),
+                                             solve_unconstrained(batch, [0.0]), rhs,
                                              qp_module.activity_tolerance(rhs))
         assert np.all(y >= 0.0)
         np.testing.assert_allclose(cons.G.T @ y, 0.0, atol=1e-15)
@@ -403,7 +403,7 @@ def reference_solve(batch, cons, s):
         return u, np.zeros(0), (), (), "optimal"
     rhs = cons.rhs(s)
     tol = qp_module.activity_tolerance(rhs)
-    u, mu, ray = qp_module._dual_active_set(batch, u, cons.G, rhs, tol)
+    u, mu, ray = qp_module._dual_active_set(qp_module._StageCache(batch, cons), u, rhs, tol)
     if ray is not None:
         return None, None, (), (), "infeasible"
     active = np.flatnonzero(np.abs(cons.G @ u - rhs) <= tol)
@@ -542,11 +542,11 @@ class TestSolveRows:
         failing_u = solve_unconstrained(batch, S[1])
         solved = []
 
-        def failing(batch, u, G, rhs, tol, warm=()):
+        def failing(cache, u, rhs, tol, warm=()):
             if np.array_equal(u, failing_u):
                 raise NumericalError("forced")
             solved.append(u.copy())
-            return dual_active_set(batch, u, G, rhs, tol, warm)
+            return dual_active_set(cache, u, rhs, tol, warm)
 
         assert qp_module._solve_rows(batch, cons, S).active.any(axis=1).all()
         monkeypatch.setattr(qp_module, "_dual_active_set", failing)
@@ -614,6 +614,34 @@ class TestSolveRows:
             qp_module._solve_rows(batch, cons, S, [f"w{i}" for i in range(len(S))])
 
 
+    @pytest.mark.parametrize("failing", [[260], [10, 260]])
+    def test_a_wide_block_is_checked_in_chunks(self, monkeypatch, failing):
+        # 300 optimal rows, free and active, are checked 128 rows at a time.
+        # A row forced past the stationarity limit stops the check at its
+        # chunk and is named; a later chunk is then never checked.
+        spec = make_scalar_spec(T=4)
+        batch = batch_form(spec)
+        cons = compile_constraints(spec, batch, action_box=(-0.3, 0.3))
+        S = np.linspace(-1.0, 1.0, 300)[:, None] * np.ones(4)
+        solved = qp_module._solve_rows(batch, cons, S)
+        assert solved.optimal.all() and 0 < solved.active.any(axis=1).sum() < len(S)
+        forced = {linear_term(batch, S[row]).tobytes() for row in failing}
+        sizes = []
+        kkt_residuals = qp_module._kkt_residuals
+
+        def forcing(batch, cons, k, rhs, slack, U, mu):
+            sizes.append(len(U))
+            residuals = kkt_residuals(batch, cons, k, rhs, slack, U, mu)
+            residuals["stationarity"][[row.tobytes() in forced for row in k]] = 1.0
+            return residuals
+
+        monkeypatch.setattr(qp_module, "_kkt_residuals", forcing)
+        with pytest.raises(NumericalError,
+                           match=f"^w{failing[0]}: QP solution fails the KKT check: stationarity"):
+            qp_module._solve_rows(batch, cons, S, [f"w{i}" for i in range(len(S))])
+        assert sizes == [128, 128, 44][:failing[0] // 128 + 1]
+
+
 class TestWarmStart:
     """A solve warm-started on the working set of a nearby solve, against
     the cold solve of the same series."""
@@ -624,8 +652,8 @@ class TestWarmStart:
         kept = []
         warm_start = qp_module._warm_start
 
-        def recording(factor, u, mu, G, rhs, warm, B):
-            rows = warm_start(factor, u, mu, G, rhs, warm, B)
+        def recording(cache, u, mu, rhs, warm):
+            rows = warm_start(cache, u, mu, rhs, warm)
             if len(warm):
                 kept.append(bool(rows))
             return rows
@@ -714,7 +742,7 @@ class TestWarmStart:
         kept = self.kept_warm_starts(monkeypatch)
         rhs = cons.rhs(np.zeros(1))
         u, mu, y = qp_module._dual_active_set(
-            batch, solve_unconstrained(batch, [0.0]), cons.G, rhs,
+            qp_module._StageCache(batch, cons), solve_unconstrained(batch, [0.0]), rhs,
             qp_module.activity_tolerance(rhs), [0])
         assert u is None and mu is None and kept == [True]
         residuals = qp_module._farkas_residuals(cons.G, rhs, y)
@@ -724,3 +752,50 @@ class TestWarmStart:
                                                        warm=clean.mu[None])
         assert not optimal[0] and kept == [True, True]
         assert np.isnan(U).all() and not mu.any() and not active.any()
+
+
+class TestStageCache:
+    """Solves that share one _StageCache, against each row solved with a
+    cache of its own."""
+
+    def test_a_shared_cache_is_each_rows_fresh_one(self, monkeypatch):
+        # Random systems (n, m, p <= 2) and the scalar T = 12 system, under
+        # action and state boxes: a block of perturbed series is solved cold
+        # and warm from the clean working set, twice, through one shared
+        # cache.  Every row's U, mu, active and optimal equal, bit for bit,
+        # that row solved alone with a fresh cache, and the second pass
+        # factors no working set again.
+        qrs = []
+        qr = qp_module._qr
+        monkeypatch.setattr(qp_module, "_qr", lambda B: qrs.append(B.shape) or qr(B))
+        rng = np.random.default_rng(137)
+        statuses, reused = set(), 0
+        for case in range(30):
+            if case % 3:
+                spec = random_system(rng, n_max=2, m_max=2, p_max=2, t_max=6)
+            else:
+                spec = make_scalar_spec(T=12)
+            batch = batch_form(spec)
+            s = rng.standard_normal(batch.p_total)
+            u_free = solve_unconstrained(batch, s)
+            x_free = batch.x0_response + batch.M @ u_free + batch.N @ s
+            u_bound = float(np.abs(u_free).max()) * rng.uniform(0.6, 1.2)
+            x_bound = float(np.abs(x_free).max()) * rng.uniform(0.8, 1.5)
+            cons = compile_constraints(spec, batch, action_box=(-u_bound, u_bound),
+                                       state_box=(-x_bound, x_bound))
+            clean = solve_qp(batch, cons, s)
+            S = s + rng.uniform(0.01, 0.5) * rng.standard_normal((5, batch.p_total))
+            shared = qp_module._StageCache(batch, cons)
+            for warm in (None, np.tile(clean.mu, (5, 1)) if clean.optimal else None) * 2:
+                before = len(qrs)
+                block = qp_module._solve_rows(batch, cons, S, warm=warm, cache=shared)
+                factored = len(qrs) - before
+                for i in range(len(S)):
+                    own = qp_module._solve_rows(batch, cons, S[i:i + 1],
+                                                warm=None if warm is None else warm[i:i + 1])
+                    for got, want in zip(block, own):
+                        assert got[i].tobytes() == want[0].tobytes()
+                statuses.update(block.optimal.tolist())
+            assert factored == 0  # the last pass repeats an earlier one
+            reused += bool(shared._qrs)
+        assert statuses == {True, False} and reused >= 10
