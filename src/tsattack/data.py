@@ -4,6 +4,7 @@ writer, :func:`_write_csv`, which takes a table by its columns."""
 from __future__ import annotations
 
 import csv
+import math
 import re
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -88,25 +89,30 @@ def arima_generate(spec: ArimaSpec, count: int, horizon: int) -> List[SeriesWind
     ARMA is simulated on the differenced scale with a burn-in of
     10 * (orders + 1) steps, then integrated diff_order times.  Window i uses
     the derived seed spec.seed + i, so generation is reproducible and
-    order-independent.
+    order-independent.  The windows are made as one (count, burn-in +
+    horizon) block, one row per window: one ``lfilter`` and one ``cumsum``
+    per integration run along the rows, and each row is bit for bit the
+    window simulated alone.
     """
     if horizon < 1:
         raise ConfigurationError(f"horizon must be >= 1, got {horizon}")
     if count < 0:
         raise ConfigurationError(f"count must be >= 0, got {count}")
+    if count == 0:  # lfilter refuses an empty block when ar_order is 0
+        return []
     orders = spec.ar_order + spec.diff_order + spec.ma_order
     burn_in = 10 * (orders + 1)
     ma_poly = np.concatenate([[1.0], spec.ma_coeffs])
     ar_poly = np.concatenate([[1.0], -spec.ar_coeffs])
-    windows = []
-    for i in range(count):
-        rng = np.random.default_rng(spec.seed + i)
-        innovations = spec.innovation_std * rng.standard_normal(burn_in + horizon)
-        series = lfilter(ma_poly, ar_poly, innovations)[burn_in:]
-        for _ in range(spec.diff_order):
-            series = np.cumsum(series)
-        windows.append(SeriesWindow(values=series, source_id="arima", start_index=i))
-    return windows
+    innovations = np.empty((count, burn_in + horizon))
+    for i, row in enumerate(innovations):
+        np.random.default_rng(spec.seed + i).standard_normal(out=row)
+    innovations *= spec.innovation_std
+    series = lfilter(ma_poly, ar_poly, innovations, axis=1)[:, burn_in:]
+    for _ in range(spec.diff_order):
+        series = np.cumsum(series, axis=1)
+    return [SeriesWindow(values=row, source_id="arima", start_index=i)
+            for i, row in enumerate(series)]
 
 
 def sample_random_arima(seed: int, horizon: int, count: int) -> List[SeriesWindow]:
@@ -133,9 +139,11 @@ def sample_random_arima(seed: int, horizon: int, count: int) -> List[SeriesWindo
 def load_series_windows(path, column_name: str, horizon: int, stride: int = None) -> List[SeriesWindow]:
     """Slide fixed-length windows over one numeric column of a CSV file.
 
-    The file must have a header row and rows in time order.  Partial tail
-    windows are dropped.  Default stride is the horizon (non-overlapping
-    windows, so downstream paired statistics stay independent).
+    The file must have a header row and rows in time order, and every cell
+    of the column a finite number (``nan`` or ``inf`` is an error naming the
+    file, column and row).  Partial tail windows are dropped.  Default
+    stride is the horizon (non-overlapping windows, so downstream paired
+    statistics stay independent).
     """
     if horizon < 1:
         raise ConfigurationError(f"horizon must be >= 1, got {horizon}")
@@ -161,13 +169,19 @@ def load_series_windows(path, column_name: str, horizon: int, stride: int = None
             if not row:
                 continue
             try:
-                values.append(float(row[col]))
+                value = float(row[col])
             except (ValueError, IndexError):
                 cell = row[col] if col < len(row) else "<missing>"
                 raise ConfigurationError(
                     f"{path}: non-numeric value {cell!r} in column "
                     f"{column_name!r} at row {row_number}"
                 ) from None
+            if not math.isfinite(value):
+                raise ConfigurationError(
+                    f"{path}: non-finite value {row[col]!r} in column "
+                    f"{column_name!r} at row {row_number}"
+                )
+            values.append(value)
     if len(values) < horizon:
         raise ConfigurationError(
             f"{path}: insufficient rows ({len(values)}) for horizon {horizon}"

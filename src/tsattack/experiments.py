@@ -210,14 +210,19 @@ def _paired_p_values(deltas: Sequence[float], scenarios: Sequence[str],
 
 def _stack_windows(batch: BatchForm, windows: Sequence[SeriesWindow],
                    ids: Optional[Sequence[str]] = None) -> np.ndarray:
-    """Check every window once and stack them as a (windows x pT) matrix; an
-    error names its window ``window <id>``, by its entry of ``ids`` or else
-    by its series id."""
-    if ids is None:
-        ids = [window.series_id for window in windows]
-    S = np.empty((len(windows), batch.p_total))
-    for row, window, window_id in zip(S, windows, ids):
-        row[:] = check_series(batch, window.values, f"window {window_id}")
+    """Stack the windows as a (windows x pT) matrix and check it once: the
+    first window of a length other than pT, or with a NaN or infinite entry,
+    fails with :func:`tsattack.lqr.check_series`'s error, naming it
+    ``window <id>`` by its entry of ``ids`` or else by its series id."""
+    short = next((i for i, window in enumerate(windows)
+                  if window.values.shape != (batch.p_total,)), len(windows))
+    S = np.array([window.values for window in windows[:short]],
+                 dtype=float).reshape(short, batch.p_total)
+    finite = np.isfinite(S).all(axis=1)
+    bad = short if finite.all() else int(finite.argmin())
+    if bad < len(windows):
+        window_id = ids[bad] if ids is not None else windows[bad].series_id
+        check_series(batch, windows[bad].values, f"window {window_id}")  # raises
     return S
 
 

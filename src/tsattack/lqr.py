@@ -467,7 +467,13 @@ def rollout_cost(spec: SystemSpec, u, s) -> float:
 
 def _quadratic_forms(X: np.ndarray, P: np.ndarray) -> np.ndarray:
     """``x @ P @ x`` for every row x of X, bit for bit: one stacked
-    vector-matrix and one stacked dot."""
+    vector-matrix and one stacked dot.  A positive 1×1 weight takes the
+    elementwise ``(x p) x``, which rounds as the two one-term products do;
+    the products' zero sums can differ from it only in the sign of a zero,
+    and only when p is not positive."""
+    if P.shape == (1, 1) and P[0, 0] > 0:
+        x = X[:, 0]
+        return x * P[0, 0] * x
     return np.matmul(np.matmul(X[:, None, :], P), X[:, :, None])[:, 0, 0]
 
 

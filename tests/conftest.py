@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.linalg import cho_solve
+from scipy.signal import lfilter
 
 from tsattack import (
     NumericalError,
@@ -17,6 +18,7 @@ from tsattack import (
 from tsattack import lqr
 from tsattack.cost_attack import (_COL_INFEASIBLE, _FLAGS, _AttackedBlock, _checked_norms,
                                   _closed_forms, _random_spheres)
+from tsattack.data import SeriesWindow
 from tsattack.experiments import task_seed
 from tsattack.grad_attack import ZERO_DIRECTION_TOL, TargetFunction, _adjoint, _ascend_rows
 from tsattack.lqr import check_series, linear_term
@@ -59,6 +61,24 @@ def random_system(rng, n_max=3, m_max=3, p_max=3, t_max=10):
     R = WR @ WR.T / m + 0.5 * np.eye(m)
     x0 = rng.standard_normal(n)
     return SystemSpec(A=A, B=B, C=C, Q=Q, R=R, T=T, x0=x0)
+
+
+def arima_generate_per_window(spec, count, horizon):
+    """Reference ``tsattack.arima_generate``: each window simulated alone,
+    one ``lfilter`` and ``diff_order`` ``cumsum`` calls per window, which
+    the block generator gives bit for bit."""
+    burn_in = 10 * (spec.ar_order + spec.diff_order + spec.ma_order + 1)
+    ma_poly = np.concatenate([[1.0], spec.ma_coeffs])
+    ar_poly = np.concatenate([[1.0], -spec.ar_coeffs])
+    windows = []
+    for i in range(count):
+        rng = np.random.default_rng(spec.seed + i)
+        innovations = spec.innovation_std * rng.standard_normal(burn_in + horizon)
+        series = lfilter(ma_poly, ar_poly, innovations)[burn_in:]
+        for _ in range(spec.diff_order):
+            series = np.cumsum(series)
+        windows.append(SeriesWindow(values=series, source_id="arima", start_index=i))
+    return windows
 
 
 def adjoint_jacobian(batch, cons, sol):

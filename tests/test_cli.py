@@ -509,6 +509,24 @@ def test_clean_solver_failure_exits_two_naming_its_window(tmp_path, capsys, comm
     assert not out.exists()
 
 
+def test_non_finite_demand_cell_exits_one_naming_its_row(tmp_path, capsys):
+    # Under zscore-global one nan cell would turn every window into NaN and
+    # the run would blame the first window; the load names the cell instead.
+    data = tmp_path / "load.csv"
+    values = [repr(v) for v in np.random.default_rng(0).standard_normal(30).tolist()]
+    values[17] = "nan"
+    data.write_text("load\n" + "".join(f"{v}\n" for v in values), encoding="utf-8")
+    raw = dict(BASE_CONFIG, dataset={"kind": "csv", "path": str(data), "column": "load"},
+               normalization="zscore-global")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", str(path), "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {data}: non-finite value 'nan' in column 'load' at row 19\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("scenario", ["cost-adv", "max-action", "mixed"])
 @pytest.mark.parametrize("box", [pytest.param({}, id="lqr"),
                                  pytest.param({"action_box": "auto"}, id="auto-box")])

@@ -1,5 +1,8 @@
 import csv
+import hashlib
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from tsattack import (
     ArimaSpec,
     ConfigurationError,
     arima_generate,
+    load_config,
     load_series_windows,
     normalize_windows,
     read_series_csv,
@@ -17,8 +21,11 @@ from tsattack import (
     write_series_csv,
 )
 from tsattack.data import SeriesWindow, _cells, _write_csv
+from tsattack.experiments import load_windows
 
-from conftest import denormalize_window
+from conftest import arima_generate_per_window, denormalize_window
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 class TestArimaSpec:
@@ -41,6 +48,20 @@ class TestArimaSpec:
     def test_rejects_negative_std(self):
         with pytest.raises(ConfigurationError, match="innovation_std"):
             ArimaSpec(0, 0, 0, [], [], -1.0, 0)
+
+
+@st.composite
+def arima_specs(draw):
+    """An ArimaSpec of orders 0-3, 0-2 and 0-3.  Each AR coefficient is a
+    multiple of 0.001 in [-0.33, 0.33], so their absolute sum stays below 1
+    and every root of the AR polynomial lies outside the unit circle (a
+    tiny nonzero last coefficient would put a root past np.roots' range)."""
+    p, d, q = draw(st.integers(0, 3)), draw(st.integers(0, 2)), draw(st.integers(0, 3))
+    ar = draw(st.lists(st.integers(-330, 330).map(lambda k: k / 1000),
+                       min_size=p, max_size=p))
+    ma = draw(st.lists(st.floats(-2.0, 2.0), min_size=q, max_size=q))
+    std = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 100.0))
+    return ArimaSpec(p, d, q, ar, ma, std, draw(st.integers(0, 2 ** 32)))
 
 
 class TestArimaGenerate:
@@ -68,6 +89,45 @@ class TestArimaGenerate:
     def test_count_zero(self):
         spec = ArimaSpec(0, 0, 0, [], [], 1.0, 3)
         assert arima_generate(spec, 0, 10) == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(spec=arima_specs(), count=st.integers(0, 30), horizon=st.integers(1, 120))
+    def test_block_equals_per_window_oracle(self, spec, count, horizon):
+        # The block, one lfilter and one cumsum per integration, gives each
+        # window bit for bit as the window simulated alone does.
+        got = arima_generate(spec, count, horizon)
+        want = arima_generate_per_window(spec, count, horizon)
+        assert [w.series_id for w in got] == [w.series_id for w in want]
+        assert [w.values.tobytes() for w in got] == [w.values.tobytes() for w in want]
+
+    def test_window_i_is_window_0_of_seed_plus_i(self):
+        # Order-independent: a window depends on its own seed alone.
+        spec = ArimaSpec(2, 1, 2, [0.5, -0.3], [0.2, 0.1], 1.0, 3)
+        windows = arima_generate(spec, 7, 40)
+        for i in (0, 6):
+            alone = arima_generate(replace(spec, seed=spec.seed + i), 1, 40)[0]
+            assert windows[i].values.tobytes() == alone.values.tobytes()
+
+
+#: SHA-256 of the windows each shipped config loads (seed 2024): every
+#: window's series id, its (offset, factor) scale and its values, as
+#: little-endian float64.  A change that moves one bit of the data layer
+#: fails here.
+SHIPPED_WINDOWS_SHA256 = {
+    "arima_constraint": "7bd351e20ff8f68342c93906a85b6f9656d00d07e0220811af387dfb3fea6102",
+    "arima_cost": "7bd351e20ff8f68342c93906a85b6f9656d00d07e0220811af387dfb3fea6102",
+    "arima_statebox": "93d07d029e1b585d578bb0fa058106159ae6513f434b8d74f001daebd09a7e58",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_WINDOWS_SHA256))
+def test_shipped_config_windows_are_pinned(name):
+    digest = hashlib.sha256()
+    for window in load_windows(load_config(CONFIGS / f"{name}.json")):
+        digest.update(window.series_id.encode())
+        digest.update(np.asarray(window.scale, dtype="<f8").tobytes())
+        digest.update(window.values.astype("<f8").tobytes())
+    assert digest.hexdigest() == SHIPPED_WINDOWS_SHA256[name]
 
 
 class TestSampleRandomArima:
@@ -106,6 +166,17 @@ class TestLoadSeriesWindows:
         self._write(f, [f"t{i},{float(i)}\n" for i in range(10)])
         windows = load_series_windows(f, "load", horizon=3)
         assert [w.start_index for w in windows] == [0, 3, 6]
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", " NaN", "-Infinity", "1e999"])
+    def test_rejects_non_finite_cell(self, tmp_path, cell):
+        # One nan would make every zscore-global window NaN; the load names
+        # the file, column and row instead.
+        f = tmp_path / "demand.csv"
+        self._write(f, ["t0,1.0\n", f"t1,{cell}\n", "t2,2.0\n"])
+        with pytest.raises(ConfigurationError) as excinfo:
+            load_series_windows(f, "load", horizon=1)
+        assert str(excinfo.value) == (
+            f"{f}: non-finite value {cell!r} in column 'load' at row 3")
 
     def test_insufficient_rows(self, tmp_path):
         f = tmp_path / "short.csv"

@@ -17,8 +17,8 @@ from tsattack import (
     rollout_cost,
 )
 from tsattack import lqr
-from tsattack.lqr import (_cho_solve, _row_dots, _row_products, _solve_triangular,
-                          linear_term)
+from tsattack.lqr import (_cho_solve, _quadratic_forms, _row_dots, _row_products,
+                          _solve_triangular, linear_term)
 
 from conftest import make_scalar_spec, random_system, solve_unconstrained
 
@@ -369,6 +369,56 @@ class TestRowKernels:
         X = np.random.default_rng(3).standard_normal((40, 9))[:, ::2]
         expected = np.array([np.linalg.norm(x) for x in X])
         assert np.sqrt(_row_dots(X)).tobytes() == expected.tobytes()
+
+
+def stacked_quadratic_forms(X, P):
+    """Oracle: ``x @ P @ x`` of every row of X as one stacked vector-matrix
+    and one stacked dot."""
+    return np.matmul(np.matmul(X[:, None, :], P), X[:, :, None])[:, 0, 0]
+
+
+#: Rows with signed zeros, infinities, NaNs of both signs and another
+#: payload, the subnormal edge, overflow and ordinary values.
+SPECIAL_ROWS = np.concatenate([
+    [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324, 1e-170,
+     1e154, 1e200, -1e200, 1.0, -2.5],
+    np.array([0x7FF8_0000_DEAD_BEEF, 0xFFF4_0000_0000_0001], dtype=np.uint64).view(float),
+])
+
+
+class TestQuadraticForms:
+    """The elementwise form of a positive 1×1 weight is the stacked products
+    bit for bit, and any other weight still takes the products."""
+
+    @pytest.mark.parametrize("p", [1.0, 0.5, 3.0, 1e-300, 1e300, 5e-324, 7.3])
+    def test_scalar_weight_is_the_stacked_products(self, p):
+        rng = np.random.default_rng(17)
+        X = np.concatenate([
+            SPECIAL_ROWS,
+            rng.standard_normal(2000) * 10.0 ** rng.uniform(-200, 200, 2000),
+            rng.choice(SPECIAL_ROWS, 2000),
+        ])[:, None]
+        P = np.array([[p]])
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            got = _quadratic_forms(X, P)
+            want = stacked_quadratic_forms(X, P)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("p", [0.0, -0.0, -1.0, math.nan])
+    def test_weight_that_is_not_positive_keeps_the_products(self, p):
+        # Here the elementwise form differs: (-0.0 * -1) * 0.0 is -0.0 where
+        # the products add +0.0 to it.
+        X = SPECIAL_ROWS[:, None]
+        P = np.array([[p]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _quadratic_forms(X, P).tobytes() == stacked_quadratic_forms(X, P).tobytes()
+
+    def test_matrix_weight_is_the_stacked_products(self):
+        rng = np.random.default_rng(5)
+        W = rng.standard_normal((3, 3))
+        X = rng.standard_normal((500, 3))
+        P = W @ W.T + np.eye(3)
+        assert _quadratic_forms(X, P).tobytes() == stacked_quadratic_forms(X, P).tobytes()
 
 
 def rollout_loop(spec, u, s):

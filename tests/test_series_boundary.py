@@ -35,6 +35,7 @@ from tsattack.data import SeriesWindow
 from conftest import make_scalar_spec
 
 CHECK_SERIES = lqr.check_series
+STACK_WINDOWS = experiments._stack_windows
 GOOD = [0.1, 0.2, 0.3]
 BAD_SERIES = {
     "nan": [0.1, math.nan, 0.3],
@@ -93,24 +94,61 @@ def test_entry_point_rejects_bad_series(tmp_path, call, name, bad):
         call(batch, cons, sol, tmp_path, BAD_SERIES[bad])
 
 
-def _counting_check_series(monkeypatch):
-    """Count every check_series call of the package, under every name it is
-    imported by; returns the list that grows by one per call."""
-    calls = []
+@pytest.mark.parametrize("order", [("nan", "wrong-length"), ("wrong-length", "inf"),
+                                   ("inf", "nan")], ids="-then-".join)
+def test_stacked_windows_name_the_first_bad_one(order):
+    # The block is checked at once, and its error is the per-window check's
+    # error of the first bad window; ids name the windows when given.
+    batch = batch_form(make_scalar_spec(T=3))
+    windows = [SeriesWindow(values=values, source_id="w", start_index=i) for i, values
+               in enumerate([GOOD, BAD_SERIES[order[0]], GOOD, BAD_SERIES[order[1]]])]
+    with pytest.raises(ValueError) as by_series_id:
+        experiments._stack_windows(batch, windows)
+    with pytest.raises(ValueError) as by_id:
+        experiments._stack_windows(batch, windows, ids=["a", "b", "c", "d"])
+    with pytest.raises(ValueError) as alone:
+        CHECK_SERIES(batch, BAD_SERIES[order[0]], "window b")
+    assert str(by_id.value) == str(alone.value)
+    assert str(by_series_id.value) == str(alone.value).replace("window b", "window w:000001")
 
-    def counting(*args, **kwargs):
-        calls.append(None)
+
+def test_stacked_windows_keep_every_bit():
+    batch = batch_form(make_scalar_spec(T=3))
+    rows = np.array([[0.0, -0.0, 5e-324], [1e308, -1e308, 0.1]])
+    S = experiments._stack_windows(
+        batch, [SeriesWindow(values=row, source_id="w", start_index=0) for row in rows])
+    assert S.tobytes() == rows.tobytes()
+    assert experiments._stack_windows(batch, []).shape == (0, 3)
+
+
+def _counting_checks(monkeypatch):
+    """Count every series the package checks, under every name its checks
+    are imported by: one per check_series call, and one per window of each
+    block _stack_windows checks; returns the list that grows by one per
+    series."""
+    checked = []
+
+    def counting_series(*args, **kwargs):
+        checked.append(None)
         return CHECK_SERIES(*args, **kwargs)
 
+    def counting_windows(batch, windows, *args, **kwargs):
+        checked.extend(None for _ in windows)
+        return STACK_WINDOWS(batch, windows, *args, **kwargs)
+
     for name, module in list(sys.modules.items()):
-        if name.startswith("tsattack") and hasattr(module, "check_series"):
-            monkeypatch.setattr(module, "check_series", counting)
-    return calls
+        if not name.startswith("tsattack"):
+            continue
+        for attr, counting in (("check_series", counting_series),
+                               ("_stack_windows", counting_windows)):
+            if hasattr(module, attr):
+                monkeypatch.setattr(module, attr, counting)
+    return checked
 
 
 def _check_series_calls(monkeypatch, **overrides):
     """How many series one small experiment on 3 windows checks."""
-    calls = _counting_check_series(monkeypatch)
+    calls = _counting_checks(monkeypatch)
     run_experiment(parse_config(dict({
         "system": {"A": 1, "B": -1, "C": 1, "Q": 1, "R": 1, "T": 10, "x0": 1},
         "deltas": [0.5, 2.0], "dataset": {"kind": "arima", "count": 3}, "seed": 5,
@@ -144,7 +182,7 @@ def test_attack_cli_checks_each_window_once(monkeypatch, tmp_path):
     series.write_text("window_id,t,value\n" + "".join(
         f"w{w},{t},{value!r}\n" for w, row in enumerate(values.tolist())
         for t, value in enumerate(row)), encoding="utf-8")
-    calls = _counting_check_series(monkeypatch)
+    calls = _counting_checks(monkeypatch)
     cli._cmd_attack(argparse.Namespace(
         scenario="l1", delta=1.0, config=str(config), input=str(series),
         out=str(tmp_path / "out.csv")))
